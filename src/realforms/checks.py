@@ -7,7 +7,6 @@ CertifiedReport.  Long-form aliases are accepted everywhere a check id is.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -23,7 +22,6 @@ DEFAULT_D_MAX = 6
 @dataclass(frozen=True)
 class CheckSpec:
     check_id: str
-    paper_ref: str
     summary: str
     runner: Callable
 
@@ -69,67 +67,67 @@ def _def_3_4_fiber(alpha, beta, d_max) -> CertifiedReport:
 
 _SPECS = (
     CheckSpec(
-        "def-3.1", "def-3.1",
+        "def-3.1",
         "presentation of the surface family and its pair-swap conjugation",
         _def_3_1,
     ),
     CheckSpec(
-        "rem-3.2", "rem-3.2",
+        "rem-3.2",
         "the coordinate-pair swap maps the surface onto the parameter-swapped surface",
         lambda alpha, beta, d_max: surfaces.verify_swap_isomorphism(alpha, beta),
     ),
     CheckSpec(
-        "rem-3.3", "rem-3.3",
+        "rem-3.3",
         "a linear change of coordinates turns the conjugation into the standard one",
         lambda alpha, beta, d_max: surfaces.verify_coordinate_change(),
     ),
     CheckSpec(
-        "lem-3.5", "lem-3.5",
+        "lem-3.5",
         "the chart identities of the projection to the modified plane",
         lambda alpha, beta, d_max: surfaces.verify_modified_plane_chart(alpha, beta),
     ),
     CheckSpec(
-        "prop-4.1", "prop-4.1",
+        "prop-4.1",
         "chart identities of the coordinate-pair projection and the plane map",
         _prop_4_1,
     ),
     CheckSpec(
-        "prop-4.2", "prop-4.2",
+        "prop-4.2",
         "certified isomorphism chain between two modified planes",
         _prop_4_2,
     ),
     CheckSpec(
-        "prop-5.1", "prop-5.1",
+        "prop-5.1",
         "fixed centers and swapped boundary of the conjugation on the configuration",
         _prop_5_1,
     ),
     CheckSpec(
-        "lem-6.1", "lem-6.1",
+        "lem-6.1",
         "complete table of negative curves on the five-point blow-up",
         lambda alpha, beta, d_max: intersection.negative_curves_report(alpha, d_max),
     ),
     CheckSpec(
-        "lem-6.2", "lem-6.2",
+        "lem-6.2",
         "boundary chain invariants and admissible graph matchings",
         lambda alpha, beta, d_max: classification.matchings_report(alpha, beta, d_max),
     ),
     CheckSpec(
-        "prop-6.3", "prop-6.3",
+        "prop-6.3",
         "equivalence verdict against the closed-form criterion",
         lambda alpha, beta, d_max: classification.classification_report(alpha, beta, d_max),
     ),
     CheckSpec(
-        "sec-2-cocycle", "sec-2-cocycle",
+        "sec-2-cocycle",
         "worked examples for the cocycle and equivalence predicates",
         lambda alpha, beta, d_max: surfaces.cocycle_examples_report(alpha),
     ),
     CheckSpec(
-        "def-3.4-rees", "def-3.4-rees",
+        "def-3.4-rees",
         "presentation of the modified plane by scale variables",
         lambda alpha, beta, d_max: modification.rees_report(),
     ),
     CheckSpec(
-        "def-3.4-fiber", "def-3.4-fiber",
+        "def-3.4-fiber",
         "the scale-one chart matches the diagonal surface",
         _def_3_4_fiber,
     ),
@@ -177,30 +175,22 @@ def run_check(check_id: str, alpha=None, beta=None, d_max=None) -> CertifiedRepo
     try:
         return spec.runner(alpha, beta, d_max)
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        report = CertifiedReport(check_id, spec.paper_ref)
+        report = CertifiedReport(check_id)
         report.add_error("execution", witness=f"{type(exc).__name__}: {exc}")
         return report
 
 
 def run_suite(check_ids=None, alpha=None, beta=None, d_max=None,
-              jobs: int = 1, version: str = "0") -> SuiteReport:
+              version: str = "0") -> SuiteReport:
     ids = [resolve_check_id(c) for c in (check_ids or available_checks())]
-
-    def one(check_id: str) -> SuiteEntry:
+    entries = []
+    for check_id in ids:
         start = time.monotonic()
         report = run_check(check_id, alpha=alpha, beta=beta, d_max=d_max)
-        elapsed_ms = int((time.monotonic() - start) * 1000)
-        return SuiteEntry(
+        entries.append(SuiteEntry(
             check_id=check_id,
-            paper_ref=CHECKS[check_id].paper_ref,
             status=report.status,
             witness=report.to_json(),
-            elapsed_ms=elapsed_ms,
-        )
-
-    if jobs > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(one, ids))
-    else:
-        entries = [one(c) for c in ids]
+            elapsed_ms=int((time.monotonic() - start) * 1000),
+        ))
     return SuiteReport(version=version, entries=entries)

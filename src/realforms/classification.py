@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotConjugationStable
-from .gaussian import ZERO, GaussianRational
+from .gaussian import ZERO, GaussianRational, row_reduce
 from .intersection import (
     KIND_EXCEPTIONAL,
     LABEL_AT_INFINITY,
@@ -25,7 +25,7 @@ from .intersection import (
 )
 from .reports import CertifiedReport
 from .ring import Poly
-from .surfaces import ALPHA, BETA, _cook_param
+from .surfaces import param_pair
 
 ORIGIN_LABEL = "E(0,0)"
 PINNED_LABELS = (LABEL_AT_INFINITY, ORIGIN_LABEL)
@@ -174,31 +174,14 @@ def matching_as_labels(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
 
 
 def _solve_unique(rows: list[tuple[Fraction, Fraction, Fraction]]):
-    """Unique rational solution of a*p + b*q = rhs rows, or None."""
-    work = [list(r) for r in rows]
-    pivots = []
-    col = 0
-    for col in range(2):
-        pivot = next(
-            (r for r in range(len(pivots), len(work)) if work[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        work[len(pivots)], work[pivot] = work[pivot], work[len(pivots)]
-        prow = work[len(pivots)]
-        inv = Fraction(1) / prow[col]
-        work[len(pivots)] = [v * inv for v in prow]
-        prow = work[len(pivots)]
-        for r in range(len(work)):
-            if r != len(pivots) and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [v - factor * pv for v, pv in zip(work[r], prow)]
-        pivots.append(col)
-    if len(pivots) < 2:
+    """Unique rational solution of a*p + b*q = rhs rows, or None.
+
+    The rows stay Fraction-valued: Fraction arithmetic is several times
+    cheaper than Q(i) arithmetic, and this solve runs for every matching.
+    """
+    work, pivots = row_reduce(rows)
+    if pivots != [0, 1]:  # underdetermined, or inconsistent (pivot in rhs)
         return None
-    for r in range(2, len(work)):
-        if work[r][2] != 0:
-            return None
     return work[0][2], work[1][2]
 
 
@@ -214,18 +197,16 @@ def _named_terms(p: Poly) -> dict:
     return out
 
 
-def solve_linear_witness(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
-                         matching: tuple[int, ...]):
-    """Rational 2x2 matrix realizing the matching on blow-up centers, or None.
+def _center_equations(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
+                       matching: tuple[int, ...]):
+    """The matching's center equations, one per monomial, or None when it
+    pairs an exceptional vertex with a vertex that has no center.
 
-    The matrix rows act on the plane coordinates; equations come from each
-    center of the source being carried to the matched center of the target.
-    Center coordinates may involve a symbolic parameter, so every equation is
-    expanded monomial by monomial (the unknown matrix entries are rational
-    constants) and then split into real and imaginary parts.
+    An equation (cx, cy, tx, ty) of Q(i) coefficients says that the matrix
+    [[p, q], [r, s]] carries a source center onto its matched target center
+    in that monomial: cx*p + cy*q = tx and cx*r + cy*s = ty.
     """
-    rows_top: list[tuple[Fraction, Fraction, Fraction]] = []
-    rows_bottom: list[tuple[Fraction, Fraction, Fraction]] = []
+    equations = []
     for i, j in enumerate(matching):
         c = src.centers[i]
         t = dst.centers[j]
@@ -236,17 +217,34 @@ def solve_linear_witness(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
         ax, ay = _named_terms(c[0]), _named_terms(c[1])
         bx, by = _named_terms(t[0]), _named_terms(t[1])
         for key in sorted(set(ax) | set(ay) | set(bx) | set(by)):
-            cxk = ax.get(key, ZERO)
-            cyk = ay.get(key, ZERO)
-            txk = bx.get(key, ZERO)
-            tyk = by.get(key, ZERO)
-            rows_top.append((cxk.re, cyk.re, txk.re))
-            rows_top.append((cxk.im, cyk.im, txk.im))
-            rows_bottom.append((cxk.re, cyk.re, tyk.re))
-            rows_bottom.append((cxk.im, cyk.im, tyk.im))
+            equations.append((ax.get(key, ZERO), ay.get(key, ZERO),
+                              bx.get(key, ZERO), by.get(key, ZERO)))
+    return equations
+
+
+def solve_linear_witness(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
+                         matching: tuple[int, ...]):
+    """Rational 2x2 matrix realizing the matching on blow-up centers, or None.
+
+    The matrix rows act on the plane coordinates; equations come from each
+    center of the source being carried to the matched center of the target.
+    Center coordinates may involve a symbolic parameter, so every equation is
+    expanded monomial by monomial (the unknown matrix entries are rational
+    constants) and then split into real and imaginary parts.
+    """
+    equations = _center_equations(src, dst, matching)
+    if equations is None:
+        return None
+    rows_top: list[tuple[Fraction, Fraction, Fraction]] = []
+    rows_bottom: list[tuple[Fraction, Fraction, Fraction]] = []
+    for cx, cy, tx, ty in equations:
+        rows_top.append((cx.re, cy.re, tx.re))
+        rows_top.append((cx.im, cy.im, tx.im))
+        rows_bottom.append((cx.re, cy.re, ty.re))
+        rows_bottom.append((cx.im, cy.im, ty.im))
     top = _solve_unique(rows_top)
-    bottom = _solve_unique(rows_bottom)
-    if top is None or bottom is None:
+    bottom = None if top is None else _solve_unique(rows_bottom)
+    if bottom is None:
         return None
     return (top, bottom)
 
@@ -276,23 +274,11 @@ def _witness_checks(matrix, src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
         return False, None, details
     gp, gq = GaussianRational(p), GaussianRational(q)
     gr, gs = GaussianRational(r), GaussianRational(s)
-    centers_ok = True
-    for i, j in enumerate(matching):
-        c = src.centers[i]
-        t = dst.centers[j]
-        if c is None or t is None:
-            centers_ok = centers_ok and c is t
-            continue
-        ax, ay = _named_terms(c[0]), _named_terms(c[1])
-        bx, by = _named_terms(t[0]), _named_terms(t[1])
-        for key in set(ax) | set(ay) | set(bx) | set(by):
-            cxk = ax.get(key, ZERO)
-            cyk = ay.get(key, ZERO)
-            if (cxk * gp + cyk * gq != bx.get(key, ZERO)
-                    or cxk * gr + cyk * gs != by.get(key, ZERO)):
-                centers_ok = False
-        if not centers_ok:
-            break
+    equations = _center_equations(src, dst, matching)
+    centers_ok = equations is not None and all(
+        cx * gp + cy * gq == tx and cx * gr + cy * gs == ty
+        for cx, cy, tx, ty in equations
+    )
     details["centers_carried"] = centers_ok
     cross = p * q + r * s
     scalar = p * p + r * r
@@ -348,9 +334,7 @@ def classify(alpha, beta, d_max: int = 6,
     witness survives all checks.  Parameters may be rational or symbolic;
     an equal raw pair means the one-parameter diagonal surface.
     """
-    cooked_alpha = _cook_param(alpha, ALPHA)
-    cooked_beta = cooked_alpha if beta == alpha else _cook_param(beta, BETA)
-    alpha, beta = cooked_alpha, cooked_beta
+    alpha, beta = param_pair(alpha, beta)
     src = src_graph if src_graph is not None else incidence_graph(alpha, d_max)
     dst = dst_graph if dst_graph is not None else incidence_graph(beta, d_max)
     matchings = admissible_matchings(src, dst)
@@ -396,11 +380,10 @@ def equivalence_criterion(alpha, beta) -> bool:
     equals itself, and two independent generic values are never equal nor
     reciprocal.
     """
-    cooked_alpha = _cook_param(alpha, ALPHA)
-    cooked_beta = cooked_alpha if beta == alpha else _cook_param(beta, BETA)
-    if isinstance(cooked_alpha, str) or isinstance(cooked_beta, str):
-        return cooked_alpha == cooked_beta
-    return cooked_alpha == cooked_beta or cooked_alpha * cooked_beta == 1
+    alpha, beta = param_pair(alpha, beta)
+    if isinstance(alpha, str) or isinstance(beta, str):
+        return alpha == beta
+    return alpha == beta or alpha * beta == 1
 
 
 def matchings_report(alpha, beta, d_max: int = 6) -> CertifiedReport:
@@ -436,8 +419,11 @@ def classification_report(alpha, beta, d_max: int = 6,
                           src_graph: CurveIncidenceGraph | None = None,
                           dst_graph: CurveIncidenceGraph | None = None) -> CertifiedReport:
     """Verdict against the closed-form criterion, with witness validation."""
-    report = CertifiedReport("prop-6.3", "prop-6.3")
-    result = classify(alpha, beta, d_max, src_graph, dst_graph)
+    report = CertifiedReport("prop-6.3")
+    alpha, beta = param_pair(alpha, beta)
+    src = src_graph if src_graph is not None else incidence_graph(alpha, d_max)
+    dst = dst_graph if dst_graph is not None else incidence_graph(beta, d_max)
+    result = classify(alpha, beta, d_max, src, dst)
     expected = equivalence_criterion(result.alpha, result.beta)
     report.add(
         "verdict-matches-criterion",
@@ -451,7 +437,11 @@ def classification_report(alpha, beta, d_max: int = 6,
         },
     )
     if result.witness is not None:
-        report.add("witness-valid", True, witness=result.witness.to_json())
+        # an independent re-check of the returned matrix on the same graphs
+        valid, scalar, _ = _witness_checks(result.witness.matrix, src, dst,
+                                           result.witness.matching)
+        report.add("witness-valid", valid and scalar == result.witness.scalar,
+                   witness=result.witness.to_json())
         (p, q), (r, s) = result.witness.matrix
         report.add(
             "witness-invertible", p * s - q * r != 0,

@@ -9,7 +9,9 @@ Four subcommands:
 * ``enumerate``  -- list the negative curves found on the five-point blow-up.
 
 Exit codes: 0 when everything asked for passed, 1 when a check or a grid
-comparison failed, 2 for usage errors.
+comparison failed, 2 for usage errors (an unknown check id, a malformed
+rational, an excluded parameter value, ``--d-max`` below 1, or a malformed
+``REALFORMS_STEP_BUDGET``).
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from fractions import Fraction
 
 from . import checks, classification, intersection
 from .errors import ForbiddenParameter
+from .groebner import step_budget
 from .reports import ERROR, FAIL, PASS
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -56,6 +59,17 @@ def rational_parameter(text: str) -> Fraction:
     return value
 
 
+def positive_int(text: str) -> int:
+    """Parse --d-max: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def value_list(text: str) -> tuple[Fraction, ...]:
     parts = [piece for piece in text.split(",") if piece.strip()]
     if not parts:
@@ -80,10 +94,14 @@ def _tool_version() -> str:
 
 def _cmd_verify(args) -> int:
     selected = [c for c in args.checks if c.strip().lower() != "all"]
-    ids = selected or None
+    try:
+        ids = [checks.resolve_check_id(c) for c in selected] or None
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
     suite = checks.run_suite(
         ids, alpha=args.alpha, beta=args.beta, d_max=args.d_max,
-        jobs=args.jobs, version=_tool_version(),
+        version=_tool_version(),
     )
     if args.format == "json":
         print(_dump(suite.to_json()))
@@ -228,10 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="first parameter (rational or 'symbolic'; default 2)")
     verify.add_argument("--beta", type=parameter, default=None,
                         help="second parameter (rational or 'symbolic'; default 3)")
-    verify.add_argument("--d-max", type=int, default=None,
+    verify.add_argument("--d-max", type=positive_int, default=None,
                         help="degree bound for the curve sweep (default 6)")
-    verify.add_argument("--jobs", type=int, default=1,
-                        help="run checks in this many threads")
     verify.add_argument("--format", choices=("json", "text"), default="json")
     verify.set_defaults(func=_cmd_verify)
 
@@ -240,20 +256,22 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exact rational, e.g. 2 or 1/2")
     classify.add_argument("beta", type=rational_parameter,
                           help="exact rational, e.g. 2 or 1/2")
-    classify.add_argument("--d-max", type=int, default=6)
+    classify.add_argument("--d-max", type=positive_int, default=6)
     classify.add_argument("--format", choices=("json", "text"), default="json")
     classify.set_defaults(func=_cmd_classify)
 
     grid = sub.add_parser("grid", help="classify all pairs from a value list")
     grid.add_argument("--values", type=value_list, default=None,
-                      help="comma-separated rationals (default: a ten-value spread)")
-    grid.add_argument("--d-max", type=int, default=6)
+                      help="comma-separated rationals (default: a ten-value spread); "
+                           "a list that starts with a negative value needs the "
+                           "'=' form, e.g. --values=-3,2")
+    grid.add_argument("--d-max", type=positive_int, default=6)
     grid.add_argument("--format", choices=("json", "text"), default="json")
     grid.set_defaults(func=_cmd_grid)
 
     enum = sub.add_parser("enumerate", help="list negative curves on the blow-up")
     enum.add_argument("--alpha", type=parameter, default=Fraction(2))
-    enum.add_argument("--d-max", type=int, default=6)
+    enum.add_argument("--d-max", type=positive_int, default=6)
     enum.add_argument("--format", choices=("json", "text"), default="json")
     enum.set_defaults(func=_cmd_enumerate)
 
@@ -264,10 +282,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+        step_budget()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        return args.func(args)
     except ForbiddenParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

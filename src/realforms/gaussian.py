@@ -156,3 +156,28 @@ def coefficient_str(c: GaussianRational) -> str:
             return "-i"
         return f"({c.im})i"
     return f"(({c.re})+({c.im})i)"
+
+
+def row_reduce(rows) -> tuple[list[list], list[int]]:
+    """Reduced row-echelon form of a matrix over a field, and its pivot columns.
+
+    Entries may be any field elements with ``!= 0``, ``*``, ``-`` and
+    ``1 / v`` (Fraction and GaussianRational alike); the input is not changed.
+    """
+    work = [list(r) for r in rows]
+    pivots: list[int] = []
+    cols = len(work[0]) if work else 0
+    for col in range(cols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = 1 / work[rank][col]
+        prow = work[rank] = [v * inv for v in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [v - factor * pv for v, pv in zip(work[r], prow)]
+        pivots.append(col)
+    return work, pivots

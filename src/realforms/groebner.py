@@ -1,8 +1,7 @@
 """Budgeted Buchberger engine over Q(i) with lex and block-elimination orders.
 
 All computations are exact.  An Ideal caches one reduced Groebner basis per
-monomial order; caches are write-once, so sharing Ideal objects across threads
-is safe (recomputing a basis is idempotent).
+monomial order.
 
 A global reduction-step budget guards against runaway eliminations; it can be
 overridden with the REALFORMS_STEP_BUDGET environment variable.
@@ -287,7 +286,7 @@ class Ideal:
         cached = self._bases.get(token)
         if cached is None:
             cached = tuple(buchberger(self.generators, order))
-            self._bases[token] = cached  # idempotent write-once
+            self._bases[token] = cached
         return cached
 
     def normal_form(self, p: Poly, order: MonomialOrder = LEX) -> Poly:

@@ -58,14 +58,6 @@ class DivisorClass:
         return f"({self.degree}; {','.join(str(m) for m in self.mults)})"
 
 
-def intersection_number(c1: DivisorClass, c2: DivisorClass) -> int:
-    return c1.intersect(c2)
-
-
-def doubled_arithmetic_genus(c: DivisorClass) -> int:
-    return c.doubled_genus()
-
-
 def exceptional_class(i: int) -> DivisorClass:
     mults = [0] * NUM_CENTERS
     mults[i] = -1
@@ -253,7 +245,10 @@ def enumerate_negative_classes(alpha, d_max: int = 6,
     intersection against known effective classes, then certifies realization
     of the survivors.  Exceptional classes are included unconditionally (the
     centers are certified pairwise distinct when the configuration is built).
+    Raises ValueError when d_max is below 1: the sweep would miss the lines.
     """
+    if d_max < 1:
+        raise ValueError(f"d_max must be at least 1, got {d_max}")
     if config is None:
         config = modified_plane_config(alpha, alpha, real_params=True)
     iso_plus = line_class(0, 1, 2)
@@ -336,7 +331,7 @@ def intersection_matrix(records) -> list[list[int]]:
 def boundary_zigzag_report(alpha) -> CertifiedReport:
     """The removed boundary is a chain of three lines with self-intersections
     (-2, +1, -2); consecutive lines meet once, the ends are disjoint."""
-    report = CertifiedReport("lem-6.2", "lem-6.2")
+    report = CertifiedReport("lem-6.2")
     plus = line_class(0, 1, 2)
     infinity = CLASS_AT_INFINITY
     minus = line_class(0, 3, 4)
@@ -365,7 +360,7 @@ def boundary_zigzag_report(alpha) -> CertifiedReport:
 def conic_pencil_report(config: PointConfiguration) -> CertifiedReport:
     """The degenerate conic (x-z)(x-az) passes once through each non-origin
     center and avoids the origin; this backs the conic pruning bound."""
-    report = CertifiedReport("lem-6.1", "lem-6.1")
+    report = CertifiedReport("lem-6.1")
     first = line_through(config.centers[1], config.centers[3])
     second = line_through(config.centers[2], config.centers[4])
     product_value = form_at_center(first, config.centers[0]) * form_at_center(
@@ -390,11 +385,14 @@ def conic_pencil_report(config: PointConfiguration) -> CertifiedReport:
 
 def negative_curves_report(alpha, d_max: int = 6) -> CertifiedReport:
     """The complete list of negative curves matches the fixed table."""
-    report = CertifiedReport("lem-6.1", "lem-6.1")
+    report = CertifiedReport("lem-6.1")
     result = enumerate_negative_classes(alpha, d_max)
+    config = result.config
     report.add(
-        "centers-pairwise-distinct", True,
-        witness=[c.label() for c in result.config.centers],
+        "centers-pairwise-distinct",
+        all(config.distinct(p, q)
+            for i, p in enumerate(config.centers) for q in config.centers[i + 1:]),
+        witness=[c.label() for c in config.centers],
     )
     expected_labels = [label for label, _, _ in EXPECTED_NEGATIVE]
     got_labels = [r.label for r in result.records]

@@ -3,7 +3,7 @@
 A CertifiedReport is a flat list of claim items; a claim either passed, failed
 (computation disagreed with the claim), or errored (the computation could not
 be carried out).  Reports serialize to plain JSON-compatible dicts with
-deterministic key order.
+deterministic key order; the ``paper_ref`` key of the JSON is the check id.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ class CheckItem:
 @dataclass
 class CertifiedReport:
     check_id: str
-    paper_ref: str
     items: list[CheckItem] = field(default_factory=list)
 
     def add(self, claim_id: str, ok: bool, witness: object = None) -> CheckItem:
@@ -65,7 +64,7 @@ class CertifiedReport:
     def to_json(self) -> dict:
         return {
             "check_id": self.check_id,
-            "paper_ref": self.paper_ref,
+            "paper_ref": self.check_id,
             "status": self.status,
             "items": [item.to_json() for item in self.items],
         }
@@ -74,7 +73,6 @@ class CertifiedReport:
 @dataclass
 class SuiteEntry:
     check_id: str
-    paper_ref: str
     status: str
     witness: object
     elapsed_ms: int
@@ -82,7 +80,7 @@ class SuiteEntry:
     def to_json(self) -> dict:
         return {
             "check_id": self.check_id,
-            "paper_ref": self.paper_ref,
+            "paper_ref": self.check_id,
             "status": self.status,
             "witness": self.witness,
             "elapsed_ms": self.elapsed_ms,

@@ -192,9 +192,6 @@ class Poly:
             exponent >>= 1
         return result
 
-    def scale(self, c: GaussianRational) -> "Poly":
-        return self * c
-
     # -- structure ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -507,10 +504,6 @@ class RatFunc:
         self.num, self.den = _strip(num, den)
 
     @staticmethod
-    def from_poly(p: Poly) -> "RatFunc":
-        return RatFunc(p)
-
-    @staticmethod
     def const(table: VarTable, value) -> "RatFunc":
         return RatFunc(Poly.const(table, value))
 
@@ -678,16 +671,23 @@ class RingMap:
         self.conjugates_coefficients = bool(conjugates_coefficients)
 
     @staticmethod
+    def from_images(source: VarTable, target: VarTable,
+                    images: Mapping[str, RatFunc]) -> "RingMap":
+        """The given images for some source names; every other source name
+        maps to the target variable of the same name."""
+        return RingMap(source, target, [
+            images[n] if n in images else RatFunc.var(target, n) for n in source.names
+        ])
+
+    @staticmethod
     def identity(table: VarTable) -> "RingMap":
-        return RingMap(table, table, [RatFunc.var(table, n) for n in table.names])
+        return RingMap.from_images(table, table, {})
 
     @staticmethod
     def conjugation(table: VarTable) -> "RingMap":
         """Coordinatewise conjugation as a substitution with identity images."""
-        return RingMap(
-            table, table, [RatFunc.var(table, n) for n in table.names],
-            conjugates_coefficients=True,
-        )
+        return RingMap(table, table, RingMap.identity(table).images,
+                       conjugates_coefficients=True)
 
     def image_of(self, name: str) -> RatFunc:
         return self.images[self.source.index(name)]

@@ -53,6 +53,16 @@ def _cook_param(spec, default_name: str):
     return value
 
 
+def param_pair(alpha, beta=None) -> tuple:
+    """Normalize a raw (alpha, beta) pair; beta defaults to alpha.
+
+    An equal raw spec means the diagonal surface, even for "symbolic".
+    """
+    a = _cook_param(alpha, ALPHA)
+    b = a if beta is None or beta == alpha else _cook_param(beta, BETA)
+    return a, b
+
+
 def _param_names(*cooked) -> tuple[str, ...]:
     names = []
     for c in cooked:
@@ -128,10 +138,7 @@ def make_surface(alpha, beta=None, real_params: bool = False) -> SurfacePresenta
     Parameters are exact rationals (0 and 1 rejected) or symbolic names;
     symbolic names are flagged generic unless real_params is set.
     """
-    cooked = _cook_param(alpha, ALPHA)
-    # an equal raw spec means the diagonal surface, even for "symbolic"
-    beta = cooked if beta is None or beta == alpha else _cook_param(beta, BETA)
-    alpha = cooked
+    alpha, beta = param_pair(alpha, beta)
     table = surface_table(alpha, beta, real_params)
     gens = surface_generators(table, alpha, beta)
     return SurfacePresentation(
@@ -155,8 +162,14 @@ def free_presentation(table: VarTable, generators=(), denominators=()) -> Surfac
     )
 
 
-def _maps_into_ideal(m: RingMap, source_ideal: Ideal, target: SurfacePresentation | None,
-                     target_ideal: Ideal, denominators: Sequence[Poly]) -> bool:
+def _nonzero_ideal(polys: Sequence[Poly], table: VarTable) -> Ideal:
+    """The ideal generated by the nonzero members of polys (a specialization
+    can send a generator to zero)."""
+    return Ideal([p for p in polys if not p.is_zero()], table)
+
+
+def _maps_into_ideal(m: RingMap, source_ideal: Ideal, target_ideal: Ideal,
+                     denominators: Sequence[Poly]) -> bool:
     """Does the substitution send every source generator into the target ideal?"""
     for g in source_ideal.generators:
         image = m(g)
@@ -165,12 +178,17 @@ def _maps_into_ideal(m: RingMap, source_ideal: Ideal, target: SurfacePresentatio
     return True
 
 
-def _is_identity_modulo(m: RingMap, ideal: Ideal, denominators: Sequence[Poly]) -> bool:
-    if m.conjugates_coefficients:
+def agree_modulo(left: RingMap, right: RingMap, ideal: Ideal,
+                 denominators: Sequence[Poly]) -> bool:
+    """Do two maps between the same tables agree modulo the ideal?
+
+    The conjugation flags must match, and each pair of images must differ
+    by a member of the ideal once the given denominators are inverted.
+    """
+    if left.conjugates_coefficients != right.conjugates_coefficients:
         return False
-    for name, image in zip(m.source.names, m.images):
-        var = Poly.var(m.target, name)
-        delta = image.num - var * image.den
+    for l, r in zip(left.images, right.images):
+        delta = l.num * r.den - r.num * l.den
         if member_with_denominators(delta, ideal, denominators) is None:
             return False
     return True
@@ -190,8 +208,7 @@ class AntiRegularMap:
         if self.map.source != self.codomain.table or self.map.target != self.domain.table:
             raise ValueError("pullback must go from codomain ring to domain ring")
         if not _maps_into_ideal(
-            self.map, self.codomain.ideal, self.domain, self.domain.ideal,
-            self.domain.denominators,
+            self.map, self.codomain.ideal, self.domain.ideal, self.domain.denominators,
         ):
             raise NotIsomorphism("pullback does not send the ideal into the ideal")
 
@@ -209,7 +226,8 @@ class RealStructure:
         except ConjugationUndefined as exc:
             raise NotAntiInvolution(str(exc)) from exc
         square = compose(self.map, self.map)
-        if not _is_identity_modulo(square, self.surface.ideal, self.surface.denominators):
+        if not agree_modulo(square, RingMap.identity(self.surface.table),
+                            self.surface.ideal, self.surface.denominators):
             raise NotAntiInvolution("square is not the identity modulo the ideal")
 
 
@@ -255,7 +273,7 @@ def standard_conjugation(surface: SurfacePresentation) -> RealStructure:
 def verify_swap_isomorphism(alpha, beta) -> CertifiedReport:
     """The swap (x,y,u,v) -> (u,v,x,y) maps the surface onto the
     parameter-swapped surface; composed with itself it is the identity."""
-    report = CertifiedReport("rem-3.2", "rem-3.2")
+    report = CertifiedReport("rem-3.2")
     s_ab = make_surface(alpha, beta)
     s_ba = make_surface(s_ab.beta, s_ab.alpha)
     m = swap_map(s_ba, s_ab, conjugate=False)  # pullback: functions on s_ba -> s_ab
@@ -280,7 +298,7 @@ def verify_swap_isomorphism(alpha, beta) -> CertifiedReport:
 def sigma_report(alpha) -> CertifiedReport:
     """The pair-swap conjugation is an anti-regular involution and its
     pullback permutes the generators as expected."""
-    report = CertifiedReport("def-3.1", "def-3.1")
+    report = CertifiedReport("def-3.1")
     try:
         rho = swap_real_structure(alpha)
     except (NotAntiInvolution, ForbiddenParameter) as exc:
@@ -294,14 +312,15 @@ def sigma_report(alpha) -> CertifiedReport:
     report.add("pullback-g1-is-g2", im_g1.is_polynomial() and im_g1.as_poly() == g2)
     report.add("pullback-g3-fixed", im_g3.is_polynomial() and im_g3.as_poly() == g3)
     square = compose(rho.map, rho.map)
-    report.add("involution", _is_identity_modulo(square, s.ideal, s.denominators))
+    report.add("involution",
+               agree_modulo(square, RingMap.identity(s.table), s.ideal, s.denominators))
     return report
 
 
 def generators_report(alpha, beta) -> CertifiedReport:
     """Presentation facts: generator shapes and the residual relation at the
     origin chart point x = u = 0."""
-    report = CertifiedReport("def-3.1", "def-3.1")
+    report = CertifiedReport("def-3.1")
     s = make_surface(alpha, beta)
     x, y, u, v = (s.var(n) for n in COORDS)
     a = _param_poly(s.table, s.alpha)
@@ -314,7 +333,7 @@ def generators_report(alpha, beta) -> CertifiedReport:
     target = Ideal([y * v - a * b], s.table)
     report.add(
         "origin-residue",
-        Ideal([p for p in residue if not p.is_zero()] or [Poly.zero(s.table)], s.table).equal(target),
+        _nonzero_ideal(residue, s.table).equal(target),
         witness=str(residue[2]),
     )
     return report
@@ -327,30 +346,24 @@ def verify_modified_plane_chart(alpha, beta) -> CertifiedReport:
     identity; the pullback of the sum of squares is 4*x*u; the fibers over the
     two special chart points have the stated residual relations.
     """
-    report = CertifiedReport("lem-3.5", "lem-3.5")
+    report = CertifiedReport("lem-3.5")
     s = make_surface(alpha, beta)
     tbl = s.table
     x, y, u, v = (RatFunc.var(tbl, n) for n in COORDS)
     a = RatFunc(_param_poly(tbl, s.alpha))
     b = RatFunc(_param_poly(tbl, s.beta))
-    images = {
+    chart = RingMap.from_images(tbl, tbl, {
         "x": x,
         "y": x * (x - 1) * (x - a) / u,
         "u": u,
         "v": u * (u - 1) * (u - b) / x,
-    }
-    chart = RingMap(tbl, tbl, [images.get(n, RatFunc.var(tbl, n)) for n in tbl.names])
+    })
     g3_image = chart(s.generators[2])
     report.add("chart-last-generator-vanishes", g3_image.is_zero(), witness=str(g3_image))
 
     plane = VarTable(("x", "y") + _param_names(s.alpha, s.beta),
                      generic=tbl.generic)
-    proj = RingMap(
-        plane, tbl,
-        [RatFunc(Poly.var(tbl, "x") + Poly.var(tbl, "u")),
-         RatFunc(Poly.var(tbl, "x") * IMAG - Poly.var(tbl, "u") * IMAG)]
-        + [RatFunc.var(tbl, n) for n in plane.names[2:]],
-    )
+    proj = RingMap.from_images(plane, tbl, {"x": x + u, "y": x * IMAG - u * IMAG})
     xx = Poly.var(plane, "x")
     yy = Poly.var(plane, "y")
     pulled = proj(xx * xx + yy * yy)
@@ -361,17 +374,15 @@ def verify_modified_plane_chart(alpha, beta) -> CertifiedReport:
     a_p = _param_poly(tbl, s.alpha)
     b_p = _param_poly(tbl, s.beta)
     origin = [g.specialize({"x": 0, "u": 0}) for g in s.generators]
-    origin_ideal = Ideal([p for p in origin if not p.is_zero()] or [Poly.zero(tbl)], tbl)
     report.add(
         "fiber-over-origin",
-        origin_ideal.equal(Ideal([y_p * v_p - a_p * b_p], tbl)),
+        _nonzero_ideal(origin, tbl).equal(Ideal([y_p * v_p - a_p * b_p], tbl)),
         witness=[str(p) for p in origin],
     )
     one_zero = [g.specialize({"x": 1, "u": 0}) for g in s.generators]
-    one_zero_ideal = Ideal([p for p in one_zero if not p.is_zero()] or [Poly.zero(tbl)], tbl)
     report.add(
         "fiber-over-(1,0)",
-        one_zero_ideal.equal(Ideal([v_p], tbl)),
+        _nonzero_ideal(one_zero, tbl).equal(Ideal([v_p], tbl)),
         witness={"residual": [str(p) for p in one_zero], "free": "y"},
     )
     return report
@@ -384,7 +395,7 @@ def verify_xy_projection_chart(alpha, beta) -> CertifiedReport:
     all generators vanish identically; at y = 0 the first generator cuts out
     the cubic x*(x-1)*(x-alpha); over (x,y) = (1,0) a full curve survives.
     """
-    report = CertifiedReport("prop-4.1", "prop-4.1")
+    report = CertifiedReport("prop-4.1")
     s = make_surface(alpha, beta)
     tbl = s.table
     x, y = RatFunc.var(tbl, "x"), RatFunc.var(tbl, "y")
@@ -392,8 +403,7 @@ def verify_xy_projection_chart(alpha, beta) -> CertifiedReport:
     b = RatFunc(_param_poly(tbl, s.beta))
     u_img = x * (x - 1) * (x - a) / y
     v_img = (x - 1) * (x - a) * (u_img - 1) * (u_img - b) / y
-    images = {"x": x, "y": y, "u": u_img, "v": v_img}
-    chart = RingMap(tbl, tbl, [images.get(n, RatFunc.var(tbl, n)) for n in tbl.names])
+    chart = RingMap.from_images(tbl, tbl, {"x": x, "y": y, "u": u_img, "v": v_img})
     for k, g in enumerate(s.generators):
         image = chart(g)
         report.add(f"chart-generator-{k + 1}-vanishes", image.is_zero())
@@ -404,17 +414,17 @@ def verify_xy_projection_chart(alpha, beta) -> CertifiedReport:
     at_y0 = s.generators[0].specialize({"y": 0})
     cubic = x_p * (x_p - 1) * (x_p - a_p)
     report.add("y0-locus-is-cubic", at_y0 == -cubic, witness=str(at_y0))
+    # factor theorem: x - r divides the locus exactly when r is a root
     report.add(
         "y0-cubic-roots",
-        cubic == x_p * (x_p - 1) * (x_p - a_p),
+        all(exact_quotient(at_y0, x_p - r) is not None for r in (0, 1, a_p)),
         witness=["0", "1", param_str(s.alpha)],
     )
     fiber = [g.specialize({"x": 1, "y": 0}) for g in s.generators]
-    fiber_ideal = Ideal([p for p in fiber if not p.is_zero()] or [Poly.zero(tbl)], tbl)
     expected = Ideal([v_p - u_p * (u_p - 1) * (u_p - b_p)], tbl)
     report.add(
         "fiber-over-(1,0)-is-cubic-curve",
-        fiber_ideal.equal(expected),
+        _nonzero_ideal(fiber, tbl).equal(expected),
         witness=[str(p) for p in fiber],
     )
     return report
@@ -425,9 +435,8 @@ def verify_plane_automorphism(alpha, beta) -> CertifiedReport:
     c1 = (alpha-beta)/(1-alpha), c2 = (1-beta)/(1-alpha) fixes the four base
     points on the line y = 0 and moves the tangent direction (beta,1) to a
     scalar multiple of (alpha,1) while fixing the direction (1,1)."""
-    report = CertifiedReport("prop-4.1", "prop-4.1")
-    a_spec = _cook_param(alpha, ALPHA)
-    b_spec = _cook_param(beta, BETA)
+    report = CertifiedReport("prop-4.1")
+    a_spec, b_spec = param_pair(alpha, beta)
     names = _param_names(a_spec, b_spec)
     tbl = VarTable(("x", "y", "z") + names, generic=names)
     one = RatFunc(Poly.const(tbl, 1))
@@ -476,7 +485,7 @@ def isomorphism_chain_report(alpha1, alpha2, beta1, beta2) -> CertifiedReport:
     a2 = _cook_param(alpha2, "b")
     b1 = _cook_param(beta1, "c")
     b2 = _cook_param(beta2, "d")
-    report = CertifiedReport("prop-4.2", "prop-4.2")
+    report = CertifiedReport("prop-4.2")
 
     def node_w(p, q):
         return f"modified_plane({param_str(p)},{param_str(q)})"
@@ -532,11 +541,12 @@ def is_cocycle(presentation: SurfacePresentation, tau: RingMap, rho) -> bool:
     rho_map = _as_map(rho)
     if tau.conjugates_coefficients:
         raise NotAutomorphism("tau must be regular, not anti-regular")
-    if not _maps_into_ideal(tau, presentation.ideal, presentation,
-                            presentation.ideal, presentation.denominators):
+    if not _maps_into_ideal(tau, presentation.ideal, presentation.ideal,
+                            presentation.denominators):
         raise NotAutomorphism("pullback of tau does not preserve the ideal")
     composite = compose(tau, rho_map, tau, rho_map)
-    return _is_identity_modulo(composite, presentation.ideal, presentation.denominators)
+    return agree_modulo(composite, RingMap.identity(presentation.table),
+                        presentation.ideal, presentation.denominators)
 
 
 def are_equivalent_structures(domain: SurfacePresentation, codomain: SurfacePresentation,
@@ -550,16 +560,10 @@ def are_equivalent_structures(domain: SurfacePresentation, codomain: SurfacePres
         raise NotIsomorphism("theta must be a regular map")
     if theta.source != codomain.table or theta.target != domain.table:
         raise NotIsomorphism("theta pullback must map the codomain ring to the domain ring")
-    if not _maps_into_ideal(theta, codomain.ideal, domain, domain.ideal,
-                            domain.denominators):
+    if not _maps_into_ideal(theta, codomain.ideal, domain.ideal, domain.denominators):
         raise NotIsomorphism("pullback of theta does not send ideal into ideal")
-    lhs = compose(theta, rho_map)
-    rhs = compose(rho_prime_map, theta)
-    for left, right in zip(lhs.images, rhs.images):
-        delta = left.num * right.den - right.num * left.den
-        if member_with_denominators(delta, domain.ideal, domain.denominators) is None:
-            return False
-    return True
+    return agree_modulo(compose(theta, rho_map), compose(rho_prime_map, theta),
+                        domain.ideal, domain.denominators)
 
 
 # ---------------------------------------------------------------------------
@@ -573,24 +577,20 @@ def coordinate_change_maps(surface: SurfacePresentation) -> tuple[RingMap, RingM
     old = surface.table
     new = VarTable(old.names, generic=old.generic)
     x_o, y_o, u_o, v_o = (Poly.var(old, n) for n in COORDS)
-    fwd_images = {
+    fwd = RingMap.from_images(new, old, {
         "x": RatFunc(x_o + u_o),
         "u": RatFunc(x_o * IMAG - u_o * IMAG),
         "y": RatFunc(y_o + v_o),
         "v": RatFunc(y_o * IMAG - v_o * IMAG),
-    }
-    fwd = RingMap(new, old,
-                  [fwd_images.get(n, RatFunc.var(old, n)) for n in new.names])
+    })
     x_n, y_n, u_n, v_n = (Poly.var(new, n) for n in COORDS)
     half = Fraction(1, 2)
-    inv_images = {
+    inv = RingMap.from_images(old, new, {
         "x": RatFunc((x_n - u_n * IMAG) * half),
         "u": RatFunc((x_n + u_n * IMAG) * half),
         "y": RatFunc((y_n - v_n * IMAG) * half),
         "v": RatFunc((y_n + v_n * IMAG) * half),
-    }
-    inv = RingMap(old, new,
-                  [inv_images.get(n, RatFunc.var(new, n)) for n in old.names])
+    })
     return fwd, inv, new
 
 
@@ -608,7 +608,7 @@ def verify_coordinate_change() -> CertifiedReport:
     """After the linear change of coordinates the pair-swap conjugation becomes
     coordinatewise conjugation, and the transformed ideal is generated by three
     real equations; checked symbolically and at the sample value 2."""
-    report = CertifiedReport("rem-3.3", "rem-3.3")
+    report = CertifiedReport("rem-3.3")
     s = make_surface(ALPHA, ALPHA, real_params=True)
     fwd, inv, new = coordinate_change_maps(s)
     report.add("change-invertible", compose(fwd, inv).is_identity(),
@@ -711,12 +711,14 @@ class PointConfiguration:
     def __post_init__(self):
         for i in range(len(self.centers)):
             for j in range(i + 1, len(self.centers)):
-                if not self._distinct(self.centers[i], self.centers[j]):
+                if not self.distinct(self.centers[i], self.centers[j]):
                     raise IdenticalPoints(
                         f"centers {i} and {j} are not certifiably distinct"
                     )
 
-    def _distinct(self, p: Center, q: Center) -> bool:
+    def distinct(self, p: Center, q: Center) -> bool:
+        """Are the two centers certifiably distinct for every admissible
+        parameter value?"""
         if (p.parent is None) != (q.parent is None):
             return True
         if p.parent is not None:
@@ -761,9 +763,7 @@ def modified_plane_config(alpha, beta=None, real_params: bool = False) -> PointC
     """Centers and removed boundary of the modified plane: blow up the five
     points (0,0), (1,i), (alpha, alpha*i), (1,-i), (beta,-beta*i) and remove
     the line at infinity together with the two isotropic lines."""
-    a = _cook_param(alpha, ALPHA)
-    # an equal raw spec means matched parameters, even for "symbolic"
-    b = a if beta is None or beta == alpha else _cook_param(beta, BETA)
+    a, b = param_pair(alpha, beta)
     tbl = geometry_table(a, b, real_params=real_params)
     x, y, z = (Poly.var(tbl, n) for n in GEOMETRY_COORDS)
     ap = _param_poly(tbl, a)
@@ -860,16 +860,23 @@ def real_locus_report(alpha) -> tuple[CertifiedReport, FixedPointReport]:
     """For a real parameter the conjugation fixes exactly the origin among the
     centers and swaps the two isotropic boundary lines; the surviving real
     locus is the real plane blown up at one point, minus a point."""
-    report = CertifiedReport("prop-5.1", "prop-5.1")
+    report = CertifiedReport("prop-5.1")
     config = modified_plane_config(alpha, alpha, real_params=True)
     action = lift_real_structure(config)
-    report.add("conjugation-stable", True, witness=action.to_json())
+    perm = action.permutation
+    every = list(range(len(config.centers)))
+    report.add(
+        "conjugation-stable",
+        sorted(perm) == every and all(perm[m] == k for k, m in enumerate(perm)),
+        witness=action.to_json(),
+    )
     report.add("fixed-centers", action.fixed == (0,))
     report.add("swapped-pairs", set(action.two_cycles) == {(1, 3), (2, 4)})
     z, plus, minus = config.removed
-    report.add("boundary-line-at-infinity-real", z.conjugate() == z)
-    report.add("isotropic-lines-swapped",
-               plus.conjugate() == minus and minus.conjugate() == plus)
+    infinity_real = z.conjugate() == z
+    lines_swapped = plus.conjugate() == minus and minus.conjugate() == plus
+    report.add("boundary-line-at-infinity-real", infinity_real)
+    report.add("isotropic-lines-swapped", lines_swapped)
     centers = [c.label() for c in config.centers]
     fp = FixedPointReport(
         alpha=param_str(config_alpha(config)),
@@ -878,7 +885,15 @@ def real_locus_report(alpha) -> tuple[CertifiedReport, FixedPointReport]:
         swapped_boundary_lines=[[str(plus), str(minus)]],
         conclusion="real locus is the real affine plane blown up at the origin",
     )
-    report.add("conclusion", True, witness=fp.to_json())
+    # Swapped centers and the swapped isotropic lines carry no real points
+    # but the origin, so the real locus is the real affine plane (the line
+    # at infinity is real and removed) blown up at the fixed centers.
+    covered = sorted(action.fixed + tuple(k for cycle in action.two_cycles for k in cycle))
+    report.add(
+        "conclusion",
+        fp.fixed_centers == ["(0,0)"] and covered == every and infinity_real and lines_swapped,
+        witness=fp.to_json(),
+    )
     return report, fp
 
 
@@ -898,7 +913,7 @@ def cocycle_examples_report(alpha=2) -> CertifiedReport:
     the affine line is not; translating by i does not intertwine the
     standard conjugations of the line.
     """
-    report = CertifiedReport("sec-2-cocycle", "sec-2-cocycle")
+    report = CertifiedReport("sec-2-cocycle")
     s = make_surface(alpha, None, real_params=True)
     rho = swap_real_structure(s.alpha, s)
     tau = swap_map(s, s, conjugate=False)

@@ -304,6 +304,25 @@ def test_classification_report():
     assert classification_report("symbolic", "b").passed
 
 
+def test_classification_report_rechecks_the_witness(monkeypatch):
+    import dataclasses
+
+    from realforms import classification
+
+    classify_real = classification.classify
+
+    def tampered(*args, **kwargs):
+        result = classify_real(*args, **kwargs)
+        (p, q), (r, s) = result.witness.matrix
+        result.witness = dataclasses.replace(result.witness, matrix=((p + 1, q), (r, s)))
+        return result
+
+    monkeypatch.setattr(classification, "classify", tampered)
+    report = classification.classification_report(2, Fraction(1, 2))
+    (status,) = [i.status for i in report.items if i.claim_id == "witness-valid"]
+    assert status == "fail"
+
+
 def test_result_serialization():
     result = classify(2, Fraction(1, 2))
     data = result.to_json()

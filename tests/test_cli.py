@@ -81,15 +81,6 @@ def test_verify_text_format(capsys):
     assert "summary: 1 pass, 0 fail, 0 error" in out
 
 
-def test_verify_jobs_matches_serial(capsys):
-    _, serial, _ = run_json(capsys, "verify", "all")
-    _, threaded, _ = run_json(capsys, "verify", "all", "--jobs", "4")
-    for data in (serial, threaded):
-        for entry in data["checks"]:
-            entry.pop("elapsed_ms")
-    assert serial == threaded
-
-
 def test_verify_bad_rational_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "all", "--alpha", "0.5"])
@@ -208,6 +199,38 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--d-max", "-1"),
+    ("enumerate", "--d-max", "0"),
+    ("classify", "2", "3", "--d-max", "0"),
+    ("verify", "lem-6.1", "--d-max", "0"),
+    ("grid", "--values", "2,3", "--d-max", "0"),
+])
+def test_d_max_below_one_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "--d-max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_malformed_step_budget_is_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("REALFORMS_STEP_BUDGET", raw)
+    code, out, err = run_cli(capsys, "verify", "rem-3.3")
+    assert code == 2
+    assert out == ""
+    assert "REALFORMS_STEP_BUDGET" in err
+
+
+def test_internal_key_error_is_not_usage_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli.classification, "classify", broken)
+    with pytest.raises(KeyError):
+        cli.main(["classify", "2", "3"])
 
 
 def test_parameter_parsing_forms():

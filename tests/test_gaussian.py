@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from realforms.gaussian import I, ONE, ZERO, GaussianRational, coefficient_str
+from realforms.gaussian import I, ONE, ZERO, GaussianRational, coefficient_str, row_reduce
 
 
 def rand_value(rng: random.Random) -> GaussianRational:
@@ -93,3 +93,16 @@ def test_coefficient_str_forms():
     assert coefficient_str(-I) == "-i"
     assert coefficient_str(GaussianRational(0, Fraction(2, 3))) == "(2/3)i"
     assert coefficient_str(GaussianRational(1, 1)) == "((1)+(1)i)"
+
+
+def test_row_reduce_over_fractions_and_gaussians():
+    rows = [[Fraction(2), Fraction(4), Fraction(6)], [Fraction(1), Fraction(3), Fraction(5)]]
+    work, pivots = row_reduce(rows)
+    assert pivots == [0, 1]
+    assert work == [[1, 0, -1], [0, 1, 2]]
+    assert rows[0] == [2, 4, 6]  # input untouched
+    # the second row is -i times the first
+    work, pivots = row_reduce([[I, ONE], [ONE, -I]])
+    assert pivots == [0]
+    assert work == [[ONE, -I], [ZERO, ZERO]]
+    assert row_reduce([]) == ([], [])

@@ -16,12 +16,10 @@ from realforms.intersection import (
     boundary_zigzag_report,
     canonical_form,
     conic_pencil_report,
-    doubled_arithmetic_genus,
     enumerate_negative_classes,
     exceptional_class,
     form_at_center,
     intersection_matrix,
-    intersection_number,
     line_class,
     line_through,
     negative_curves_report,
@@ -77,11 +75,11 @@ def test_exceptional_self_intersection():
 def test_line_class_intersections():
     boundary = line_class(0, 1, 2)
     assert boundary.self_intersection() == -2
-    assert intersection_number(exceptional_class(0), boundary) == 1
-    assert intersection_number(exceptional_class(3), boundary) == 0
+    assert exceptional_class(0).intersect(boundary) == 1
+    assert exceptional_class(3).intersect(boundary) == 0
     assert CLASS_AT_INFINITY.self_intersection() == 1
-    assert intersection_number(CLASS_AT_INFINITY, exceptional_class(2)) == 0
-    assert intersection_number(line_class(1, 3), line_class(2, 4)) == 1
+    assert CLASS_AT_INFINITY.intersect(exceptional_class(2)) == 0
+    assert line_class(1, 3).intersect(line_class(2, 4)) == 1
 
 
 def test_class_validation_and_text():
@@ -91,12 +89,12 @@ def test_class_validation_and_text():
 
 
 def test_doubled_genus():
-    assert doubled_arithmetic_genus(line_class()) == 0
-    assert doubled_arithmetic_genus(line_class(0, 1)) == 0
-    assert doubled_arithmetic_genus(DivisorClass(3, (1, 1, 1, 1, 1))) == 2
-    assert doubled_arithmetic_genus(DivisorClass(2, (0,) * 5)) == 0
+    assert line_class().doubled_genus() == 0
+    assert line_class(0, 1).doubled_genus() == 0
+    assert DivisorClass(3, (1, 1, 1, 1, 1)).doubled_genus() == 2
+    assert DivisorClass(2, (0,) * 5).doubled_genus() == 0
     with pytest.raises(NotACurveClass):
-        doubled_arithmetic_genus(exceptional_class(0))
+        exceptional_class(0).doubled_genus()
 
 
 # -- explicit lines -----------------------------------------------------------
@@ -156,6 +154,12 @@ def test_enumeration_stable_under_degree_sweep():
         result = enumerate_negative_classes("symbolic", d_max=d_max)
         assert [r.label for r in result.records] == base
         assert not result.undetermined
+
+
+@pytest.mark.parametrize("d_max", [0, -1])
+def test_enumeration_rejects_degree_bound_below_one(d_max):
+    with pytest.raises(ValueError):
+        enumerate_negative_classes(2, d_max=d_max)
 
 
 def test_enumeration_realizations_vanish_exactly_as_claimed():
@@ -219,6 +223,25 @@ def test_conic_pencil():
 def test_negative_curves_report_passes():
     assert negative_curves_report("symbolic").passed
     assert negative_curves_report(Fraction(2, 5)).passed
+
+
+def test_negative_curves_report_rechecks_center_distinctness(monkeypatch):
+    from realforms import intersection
+    from realforms.surfaces import PointConfiguration
+
+    enumerate_real = intersection.enumerate_negative_classes
+
+    def then_compare_x_only(*args, **kwargs):
+        result = enumerate_real(*args, **kwargs)
+        # centers 1 and 3 share x = 1, so an x-only test calls them equal
+        monkeypatch.setattr(PointConfiguration, "distinct",
+                            lambda self, p, q: p.x != q.x)
+        return result
+
+    monkeypatch.setattr(intersection, "enumerate_negative_classes", then_compare_x_only)
+    report = negative_curves_report(2)
+    (status,) = [i.status for i in report.items if i.claim_id == "centers-pairwise-distinct"]
+    assert status == "fail"
 
 
 def test_enumeration_json_shape():

@@ -228,6 +228,19 @@ def test_xy_projection_chart():
         assert verify_xy_projection_chart(a, b).passed
 
 
+def test_y0_cubic_roots_are_evaluated(monkeypatch):
+    from realforms import surfaces
+
+    generators = surfaces.surface_generators
+
+    def off_by_x_squared(table, alpha, beta):
+        g1, g2, g3 = generators(table, alpha, beta)
+        return g1 + Poly.var(table, "x") ** 2, g2, g3
+
+    monkeypatch.setattr(surfaces, "surface_generators", off_by_x_squared)
+    assert claim_status(verify_xy_projection_chart(2, 3), "y0-cubic-roots") == "fail"
+
+
 def test_plane_automorphism():
     report = verify_plane_automorphism("symbolic", "b")
     assert report.passed
@@ -235,6 +248,15 @@ def test_plane_automorphism():
         assert verify_plane_automorphism(a, b).passed
     diagonal = verify_plane_automorphism(2, 2)
     assert claim_status(diagonal, "identity-when-beta-equals-alpha") == "pass"
+
+
+def test_plane_automorphism_honours_the_diagonal_rule():
+    # equal raw specs mean one parameter, as for the chart half of prop-4.1
+    report = verify_plane_automorphism("symbolic", "symbolic")
+    assert report.passed
+    assert claim_status(report, "identity-when-beta-equals-alpha") == "pass"
+    witness = {item.claim_id: item.witness for item in report.items}
+    assert witness["tangent-(1,1)-fixed"] == "scalar (-a + 1)/(-a + 1)"
 
 
 def test_isomorphism_chain():
@@ -317,6 +339,25 @@ def test_real_locus_fixed_points():
     sym_report, sym_fixed = real_locus_report("symbolic")
     assert sym_report.passed
     assert sym_fixed.fixed_centers == ["(0,0)"]
+
+
+@pytest.mark.parametrize("permutation, failing", [
+    ((0, 3, 4, 3, 2), "conjugation-stable"),  # not a permutation
+    ((0, 2, 3, 1, 4), "conjugation-stable"),  # a 3-cycle, not an involution
+    ((0, 1, 4, 3, 2), "conclusion"),  # real points at centers 1 and 3
+])
+def test_real_locus_report_checks_the_lifted_action(monkeypatch, permutation, failing):
+    from realforms import surfaces
+
+    def lifted(config):
+        fixed = tuple(k for k, m in enumerate(permutation) if m == k)
+        cycles = tuple((k, m) for k, m in enumerate(permutation)
+                       if m > k and permutation[m] == k)
+        return surfaces.InducedActionReport(permutation, fixed, cycles)
+
+    monkeypatch.setattr(surfaces, "lift_real_structure", lifted)
+    report, _ = surfaces.real_locus_report(2)
+    assert claim_status(report, failing) == "fail"
 
 
 def test_lift_real_structure_permutation():
