@@ -21,7 +21,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import checks, classification, intersection
+from . import checks, classification, intersection, surfaces
 from .errors import ForbiddenParameter
 from .groebner import step_budget
 from .reports import ERROR, FAIL, PASS
@@ -99,6 +99,10 @@ def _cmd_verify(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
+    # an excluded value is a usage error even when no selected check reads it
+    for value in (args.alpha, args.beta):
+        if value is not None:
+            surfaces.param_pair(value)
     suite = checks.run_suite(
         ids, alpha=args.alpha, beta=args.beta, d_max=args.d_max,
         version=_tool_version(),

@@ -1,7 +1,9 @@
-"""Budgeted Buchberger engine over Q(i) with lex and block-elimination orders.
+"""Budgeted Buchberger engine over Q(i) with lex, grevlex and elimination orders.
 
 All computations are exact.  An Ideal caches one reduced Groebner basis per
-monomial order.
+monomial order.  Membership, containment and equality are decided in graded
+reverse lex, the cheapest order for them (Bayer-Stillman); bases and normal
+forms asked for without an order are lex.
 
 A global reduction-step budget guards against runaway eliminations; it can be
 overridden with the REALFORMS_STEP_BUDGET environment variable.
@@ -9,10 +11,11 @@ overridden with the REALFORMS_STEP_BUDGET environment variable.
 from __future__ import annotations
 
 import os
+from operator import neg
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded
-from .gaussian import GaussianRational, ONE
+from .gaussian import ONE
 from .ring import Poly, VarTable
 
 DEFAULT_STEP_BUDGET = 2_000_000
@@ -33,18 +36,21 @@ def step_budget() -> int:
 
 
 class MonomialOrder:
-    """lex over the VarTable order, or a block order with front variables first.
+    """lex or graded reverse lex over the VarTable order, or a block order
+    with front variables first.
 
-    The block order compares the front exponents lexicographically; ties are
-    broken by graded reverse lex on the remaining exponents.  Any monomial
-    containing a front variable outranks every monomial free of them, which is
-    what elimination needs, and the graded tail keeps eliminations tractable.
+    grevlex compares total degree first; ties go to the monomial with the
+    smaller exponent in the last variable where the two differ.  The block
+    order compares the front exponents lexicographically; ties are broken by
+    graded reverse lex on the remaining exponents.  Any monomial containing a
+    front variable outranks every monomial free of them, which is what
+    elimination needs, and the graded tail keeps eliminations tractable.
     """
 
     __slots__ = ("kind", "front")
 
     def __init__(self, kind: str, front: Iterable[str] = ()):
-        if kind not in ("lex", "elim"):
+        if kind not in ("lex", "grevlex", "elim"):
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.front = tuple(front)
@@ -54,6 +60,8 @@ class MonomialOrder:
     def key_fn(self, table: VarTable) -> Callable[[tuple], tuple]:
         if self.kind == "lex":
             return lambda exps: exps
+        if self.kind == "grevlex":
+            return lambda exps: (sum(exps), tuple(map(neg, exps[::-1])))
         front_idx = tuple(table.index(n) for n in self.front)
         front_set = set(front_idx)
         back_idx = tuple(k for k in range(len(table)) if k not in front_set)
@@ -81,12 +89,13 @@ class MonomialOrder:
         return hash(self.cache_token())
 
     def __repr__(self):
-        if self.kind == "lex":
-            return "MonomialOrder(lex)"
+        if self.kind != "elim":
+            return f"MonomialOrder({self.kind})"
         return f"MonomialOrder(elim, front={self.front!r})"
 
 
 LEX = MonomialOrder("lex")
+GREVLEX = MonomialOrder("grevlex")
 
 
 def elimination_order(front: Iterable[str]) -> MonomialOrder:
@@ -99,16 +108,29 @@ def elimination_order(front: Iterable[str]) -> MonomialOrder:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    """Reduction steps left to one computation, and what it is, for the error."""
 
-    def __init__(self, limit: int):
+    __slots__ = ("limit", "left", "task", "order", "table", "generators")
+
+    def __init__(self, limit: int, task: str, order: MonomialOrder,
+                 table: VarTable, generators: int):
+        self.limit = limit
         self.left = limit
+        self.task = task
+        self.order = order
+        self.table = table
+        self.generators = generators
 
-    def spend(self, amount: int = 1):
-        self.left -= amount
+    def spend(self):
+        self.left -= 1
         if self.left < 0:
+            order = self.order.kind
+            if self.order.front:
+                order += f" (front {', '.join(self.order.front)})"
             raise BudgetExceeded(
-                f"Groebner step budget exhausted (set {BUDGET_ENV_VAR} to raise it)"
+                f"Groebner step budget exhausted: {self.limit} steps spent in "
+                f"{self.task}, {order} order, variables ({', '.join(self.table.names)}), "
+                f"{self.generators} generators (set {BUDGET_ENV_VAR} to raise it)"
             )
 
 
@@ -124,7 +146,7 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder = LEX,
                 budget: _Budget | None = None) -> Poly:
     """Full multivariate division remainder of p by the basis list."""
     if budget is None:
-        budget = _Budget(step_budget())
+        budget = _Budget(step_budget(), "normal_form", order, p.table, len(basis))
     key = order.key_fn(p.table)
     prepared = [
         (_leading(g.terms, key), g) for g in basis if not g.is_zero()
@@ -188,7 +210,8 @@ def buchberger(generators: Sequence[Poly], order: MonomialOrder = LEX,
         return []
     table = gens[0].table
     key = order.key_fn(table)
-    budget = _Budget(budget_limit if budget_limit is not None else step_budget())
+    budget = _Budget(budget_limit if budget_limit is not None else step_budget(),
+                     "buchberger", order, table, len(gens))
 
     basis: list[Poly] = []
     for g in gens:
@@ -292,7 +315,7 @@ class Ideal:
     def normal_form(self, p: Poly, order: MonomialOrder = LEX) -> Poly:
         return normal_form(p, self.groebner(order), order)
 
-    def member(self, p: Poly, order: MonomialOrder = LEX) -> bool:
+    def member(self, p: Poly, order: MonomialOrder = GREVLEX) -> bool:
         if p.table != self.table:
             raise ValueError("VarTable mismatch")
         if p.is_zero():
@@ -377,7 +400,7 @@ def certified_unit(p: Poly, units: Sequence[Poly]) -> bool:
 
 
 def member_with_denominators(p: Poly, ideal: Ideal, denominators: Sequence[Poly],
-                             max_power: int = 6, order: MonomialOrder = LEX) -> int | None:
+                             max_power: int = 6, order: MonomialOrder = GREVLEX) -> int | None:
     """Least k with (d1*...*dm)^k * p in the ideal, or None.
 
     Realizes membership over the localization at the multiplicative set the

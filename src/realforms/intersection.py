@@ -13,6 +13,7 @@ parameter value at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .errors import IdenticalPoints, NotACurveClass
@@ -237,20 +238,15 @@ def _realize_line(config: PointConfiguration, cls: DivisorClass):
     return NegativeCurveRecord(label, cls, kind, form, through, tuple(avoids))
 
 
-def enumerate_negative_classes(alpha, d_max: int = 6,
-                               config: PointConfiguration | None = None) -> EnumerationResult:
-    """All negative curve classes on the five-point blow-up up to degree d_max.
+@cache
+def _combinatorial_survivors(d_max: int) -> tuple[tuple[DivisorClass, ...], int]:
+    """Classes up to degree d_max that pass negativity, genus and the
+    intersection bounds against the known effective classes, and the number
+    of classes scanned.
 
-    Sweeps every multiplicity vector, prunes by negativity, genus and
-    intersection against known effective classes, then certifies realization
-    of the survivors.  Exceptional classes are included unconditionally (the
-    centers are certified pairwise distinct when the configuration is built).
-    Raises ValueError when d_max is below 1: the sweep would miss the lines.
+    None of these tests depends on the parameter, so one sweep per d_max
+    serves every configuration.
     """
-    if d_max < 1:
-        raise ValueError(f"d_max must be at least 1, got {d_max}")
-    if config is None:
-        config = modified_plane_config(alpha, alpha, real_params=True)
     iso_plus = line_class(0, 1, 2)
     iso_minus = line_class(0, 3, 4)
     conic_components = (line_class(1, 3), line_class(2, 4))
@@ -274,6 +270,26 @@ def enumerate_negative_classes(alpha, d_max: int = 6,
             if cls not in conic_components and cls.intersect(conic) < 0:
                 continue
             survivors.append(cls)
+    return tuple(survivors), scanned
+
+
+def enumerate_negative_classes(alpha, d_max: int = 6,
+                               config: PointConfiguration | None = None) -> EnumerationResult:
+    """All negative curve classes on the five-point blow-up up to degree d_max.
+
+    Sweeps every multiplicity vector, prunes by negativity, genus and
+    intersection against known effective classes, then certifies realization
+    of the survivors on this configuration.  The sweep and pruning do not
+    depend on alpha and run once per d_max.  Exceptional classes are included
+    unconditionally (the centers are certified pairwise distinct when the
+    configuration is built).
+    Raises ValueError when d_max is below 1: the sweep would miss the lines.
+    """
+    if d_max < 1:
+        raise ValueError(f"d_max must be at least 1, got {d_max}")
+    if config is None:
+        config = modified_plane_config(alpha, alpha, real_params=True)
+    survivors, scanned = _combinatorial_survivors(d_max)
 
     records: list[NegativeCurveRecord] = []
     for i in range(NUM_CENTERS):

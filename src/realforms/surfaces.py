@@ -30,7 +30,7 @@ from .errors import (
 from .gaussian import GaussianRational, I as IMAG
 from .groebner import Ideal, certified_unit, exact_quotient, member_with_denominators
 from .reports import CertifiedReport
-from .ring import GENERIC, Poly, RatFunc, RingMap, VarTable, compose
+from .ring import Poly, RatFunc, RingMap, VarTable, compose
 
 ALPHA = "a"
 BETA = "b"
@@ -745,7 +745,6 @@ class PointConfiguration:
 
 
 def _linear_xy_coefficients(form: Poly) -> tuple[Poly, Poly]:
-    table = form.table
     cx = form.derivative("x")
     cy = form.derivative("y")
     return cx, cy

@@ -87,6 +87,19 @@ def test_verify_bad_rational_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--alpha", "0"),
+    ("verify", "rem-3.3", "--alpha", "0"),
+    ("verify", "lem-6.1", "--alpha", "2", "--beta", "1"),
+])
+def test_verify_excluded_parameter_exits_2(capsys, argv):
+    # rem-3.3 takes no parameter, and lem-6.1 reads only alpha
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "excluded" in err
+
+
 # -- classify ---------------------------------------------------------------------
 
 

@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from realforms.errors import BudgetExceeded
 from realforms.gaussian import I, GaussianRational
 from realforms.groebner import (
     BUDGET_ENV_VAR,
+    GREVLEX,
     LEX,
     Ideal,
     MonomialOrder,
@@ -22,6 +24,12 @@ from realforms.groebner import (
     step_budget,
 )
 from realforms.ring import Poly, VarTable, parse_poly
+from realforms.surfaces import (
+    ALPHA,
+    coordinate_change_maps,
+    displayed_real_equations,
+    make_surface,
+)
 
 XY = VarTable(("x", "y"))
 XYZ = VarTable(("x", "y", "z"))
@@ -137,6 +145,25 @@ def test_elimination_order_blocks():
         MonomialOrder("mystery-order")
 
 
+def test_grevlex_order():
+    key = GREVLEX.key_fn(XYZ)
+    # total degree first
+    assert key((0, 0, 3)) > key((2, 0, 0))
+    # then the smaller exponent in the last differing variable wins
+    assert key((1, 1, 0)) > key((1, 0, 1)) > key((0, 1, 1))
+    assert key((2, 0, 0)) > key((1, 1, 0))
+    # unlike graded lex: y^2 > x*z because x*z has the larger z exponent
+    assert key((0, 2, 0)) > key((1, 0, 1))
+    assert repr(GREVLEX) == "MonomialOrder(grevlex)"
+    assert GREVLEX != LEX and GREVLEX == MonomialOrder("grevlex")
+
+
+def test_grevlex_basis_oracle():
+    # lex eliminates x: (x - y^2, y^3 - 1); grevlex keeps both generators
+    basis = buchberger([p2("x^2 - y"), p2("x*y - 1")], GREVLEX)
+    assert same_polys(basis, [p2("x^2 - y"), p2("x*y - 1"), p2("y^2 - x")])
+
+
 def test_gaussian_coefficients_in_bases():
     basis = buchberger([p2("x - i*y"), p2("x + i*y")])
     assert same_polys(basis, [p2("x"), p2("y")])
@@ -197,8 +224,20 @@ def test_step_budget_override(monkeypatch):
 
 def test_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV_VAR, "3")
-    with pytest.raises(BudgetExceeded):
-        buchberger([p2("x^3 - y^2"), p2("x*y^2 - x"), p2("y^4 - x^2")])
+    gens = [p2("x^3 - y^2"), p2("x*y^2 - x"), p2("y^4 - x^2")]
+    with pytest.raises(BudgetExceeded) as exc:
+        buchberger(gens)
+    message = str(exc.value)
+    assert "3 steps spent in buchberger" in message
+    assert ", lex order," in message
+    assert "variables (x, y)" in message
+    assert "3 generators" in message
+    assert BUDGET_ENV_VAR in message
+    # membership runs in grevlex, and the error says so
+    with pytest.raises(BudgetExceeded, match=r"3 steps spent .*, grevlex order"):
+        Ideal(gens).member(p2("x^4*y^3 - x^2"))
+    with pytest.raises(BudgetExceeded, match=r"elim \(front x\) order"):
+        buchberger(gens, elimination_order(("x",)))
 
 
 # -- randomized properties ---------------------------------------------------------
@@ -238,3 +277,109 @@ def test_groebner_properties_random():
             combo = combo + g * rand_poly(rng, XY)
         assert ideal.member(combo)
         assert ideal.member(probe) == ideal.member(probe + combo)
+
+
+# -- independent oracles: a second order, and sympy -------------------------------
+
+
+def _gaussian_coefficients():
+    return st.builds(
+        GaussianRational,
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.integers(-2, 2),
+    )
+
+
+def _polys(table: VarTable):
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 2)] * len(table)), _gaussian_coefficients()
+    )
+
+    def build(terms):
+        out = Poly.zero(table)
+        for exps, coeff in terms:
+            out = out + Poly(table, {exps: coeff})
+        return out
+
+    return st.lists(term, min_size=1, max_size=3).map(build)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_orders_agree_on_membership(data):
+    """Membership does not depend on the order, and the lex and grevlex
+    reduced bases generate the same ideal."""
+    table = data.draw(st.sampled_from([XY, XYZ]))
+    gens = data.draw(st.lists(_polys(table), min_size=1, max_size=3))
+    multipliers = data.draw(st.lists(_polys(table), min_size=len(gens), max_size=len(gens)))
+    offset = data.draw(st.one_of(st.just(Poly.zero(table)), _polys(table)))
+    combo = Poly.zero(table)
+    for g, m in zip(gens, multipliers):
+        combo = combo + g * m
+    probe = combo + offset
+
+    orders = (LEX, GREVLEX, elimination_order(("x",)))
+    answers = {order: Ideal(gens, table).member(probe, order) for order in orders}
+    assert len(set(answers.values())) == 1, answers
+    assert all(Ideal(gens, table).member(combo, order) for order in orders)
+
+    lex_basis = buchberger(gens, LEX)
+    grevlex_basis = buchberger(gens, GREVLEX)
+    assert all(normal_form(g, lex_basis, LEX).is_zero() for g in grevlex_basis)
+    assert all(normal_form(g, grevlex_basis, GREVLEX).is_zero() for g in lex_basis)
+
+
+def _to_sympy(sympy, p: Poly, symbols):
+    expr = sympy.Integer(0)
+    for exps, c in p.terms.items():
+        coeff = (sympy.Rational(c.re.numerator, c.re.denominator)
+                 + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+        expr += coeff * sympy.Mul(*(x ** e for x, e in zip(symbols, exps)))
+    return expr
+
+
+def _rem_3_3_ideals_at_2():
+    """The two specialised ideals that rem-3.3 'ideal-equality-at-2' compares."""
+    s = make_surface(ALPHA, ALPHA, real_params=True)
+    _, inv, new = coordinate_change_maps(s)
+    transformed = [inv(g).num.specialize({ALPHA: 2}) for g in s.generators]
+    displayed = [h.specialize({ALPHA: 2}) for h in displayed_real_equations(new, s.alpha)]
+    return new, [transformed, displayed]
+
+
+def _small_gaussian_ideal():
+    return XY, [[p2("x^2 + i*y"), p2("x*y - 1")]]
+
+
+def _three_variable_ideal():
+    # graded lex would lead x*z - y^2 with x*z; grevlex leads it with y^2
+    return XYZ, [[p3("x*z - y^2 + i"), p3("x^2 - y*z"), p3("y^3 - x*z^2")]]
+
+
+@pytest.mark.parametrize("example", [
+    _small_gaussian_ideal, _three_variable_ideal, _rem_3_3_ideals_at_2,
+])
+def test_grevlex_basis_matches_sympy(example):
+    sympy = pytest.importorskip("sympy")
+    table, ideals = example()
+    symbols = sympy.symbols(table.names)
+    for gens in ideals:
+        ours = [
+            sympy.Poly(_to_sympy(sympy, g, symbols), *symbols, domain="QQ_I")
+            for g in buchberger(gens, GREVLEX)
+        ]
+        reference = sympy.groebner(
+            [_to_sympy(sympy, g, symbols) for g in gens], *symbols,
+            order="grevlex", domain="QQ_I",
+        )
+        theirs = [sympy.Poly(e, *symbols, domain="QQ_I") for e in reference.exprs]
+        assert len(ours) == len(theirs)
+        assert all(any(o == t for t in theirs) for o in ours)
+
+
+def test_rem_3_3_ideals_share_one_grevlex_basis():
+    _, (transformed, displayed) = _rem_3_3_ideals_at_2()
+    first = buchberger(transformed, GREVLEX)
+    assert len(first) == 4
+    assert same_polys(first, buchberger(displayed, GREVLEX))
+    assert Ideal(transformed).equal(Ideal(displayed))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from realforms import intersection
 from realforms.errors import IdenticalPoints, NotACurveClass
 from realforms.gaussian import I
 from realforms.intersection import (
@@ -162,6 +163,35 @@ def test_enumeration_rejects_degree_bound_below_one(d_max):
         enumerate_negative_classes(2, d_max=d_max)
 
 
+@pytest.mark.parametrize("d_max, scanned", [
+    (1, 32), (2, 64), (3, 307), (4, 1331), (5, 4456), (6, 12232),
+])
+def test_enumeration_scans_every_candidate(d_max, scanned):
+    result = enumerate_negative_classes(2, d_max=d_max)
+    assert result.candidates_scanned == scanned
+    assert not result.unrealized and not result.undetermined
+
+
+def test_sweep_runs_once_for_all_parameters():
+    intersection._combinatorial_survivors.cache_clear()
+    first = enumerate_negative_classes(2, d_max=4)
+    second = enumerate_negative_classes(Fraction(-1, 3), d_max=4)
+    info = intersection._combinatorial_survivors.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert first.candidates_scanned == second.candidates_scanned == 1331
+    # the per-parameter realisation still runs: the line forms differ
+    assert [str(r.form) for r in first.records] != [str(r.form) for r in second.records]
+
+
+def test_cached_survivors_are_immutable():
+    survivors, scanned = intersection._combinatorial_survivors(3)
+    assert isinstance(survivors, tuple)
+    assert scanned == 307
+    assert {c.degree for c in survivors} == {1}
+    with pytest.raises(AttributeError):
+        survivors[0].degree = 2
+
+
 def test_enumeration_realizations_vanish_exactly_as_claimed():
     result = enumerate_negative_classes("symbolic")
     centers = result.config.centers
@@ -226,7 +256,6 @@ def test_negative_curves_report_passes():
 
 
 def test_negative_curves_report_rechecks_center_distinctness(monkeypatch):
-    from realforms import intersection
     from realforms.surfaces import PointConfiguration
 
     enumerate_real = intersection.enumerate_negative_classes
