@@ -23,7 +23,7 @@ from .errors import (
     PointNotOnVariety,
 )
 from .gaussian import GaussianRational
-from .ring import Poly, RatFunc, RingMap, VarTable, compose
+from .ring import Poly, RatFunc, RingMap, VarTable, compose, parse_poly
 from .groebner import (
     Ideal,
     MonomialOrder,
@@ -41,7 +41,6 @@ from .surfaces import (
     RealStructure,
     SurfacePresentation,
     are_equivalent_structures,
-    blowup_plane_config,
     is_cocycle,
     make_surface,
     modified_plane_config,
@@ -90,16 +89,17 @@ __all__ = [
     "NotIsomorphism", "PointNotOnVariety",
     # arithmetic and algebra
     "GaussianRational", "Poly", "RatFunc", "RingMap", "VarTable", "compose",
+    "parse_poly",
     "Ideal", "MonomialOrder", "buchberger", "certified_unit",
     "exact_quotient", "member_with_denominators", "normal_form",
     # reports
     "CertifiedReport", "CheckItem", "SuiteEntry", "SuiteReport",
     # surfaces
     "AntiRegularMap", "Center", "PointConfiguration", "RealStructure",
-    "SurfacePresentation", "are_equivalent_structures", "blowup_plane_config",
-    "is_cocycle", "make_surface", "modified_plane_config",
-    "real_locus_report", "standard_conjugation", "swap_real_structure",
-    "verify_coordinate_change", "verify_swap_isomorphism",
+    "SurfacePresentation", "are_equivalent_structures", "is_cocycle",
+    "make_surface", "modified_plane_config", "real_locus_report",
+    "standard_conjugation", "swap_real_structure", "verify_coordinate_change",
+    "verify_swap_isomorphism",
     # intersection theory
     "DivisorClass", "EnumerationResult", "NegativeCurveRecord",
     "enumerate_negative_classes", "exceptional_class", "intersection_matrix",

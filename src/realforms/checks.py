@@ -135,21 +135,17 @@ _SPECS = (
 
 CHECKS = {spec.check_id: spec for spec in _SPECS}
 
-ALIASES = {
-    "definition-3.1": "def-3.1",
-    "remark-3.2": "rem-3.2",
-    "remark-3.3": "rem-3.3",
-    "lemma-3.5": "lem-3.5",
-    "proposition-4.1": "prop-4.1",
-    "proposition-4.2": "prop-4.2",
-    "proposition-5.1": "prop-5.1",
-    "lemma-6.1": "lem-6.1",
-    "lemma-6.2": "lem-6.2",
-    "proposition-6.3": "prop-6.3",
-    "section-2-cocycle": "sec-2-cocycle",
-    "definition-3.4-rees": "def-3.4-rees",
-    "definition-3.4-fiber": "def-3.4-fiber",
-}
+_LONG_PREFIXES = {"def": "definition", "rem": "remark", "lem": "lemma",
+                  "prop": "proposition", "sec": "section"}
+
+
+def _long_form(check_id: str) -> str:
+    """The check id with its prefix spelled out, e.g. lemma-6.1."""
+    prefix, rest = check_id.split("-", 1)
+    return f"{_LONG_PREFIXES[prefix]}-{rest}"
+
+
+ALIASES = {_long_form(check_id): check_id for check_id in CHECKS}
 
 
 def available_checks() -> list[str]:

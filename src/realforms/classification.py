@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotConjugationStable
 from .gaussian import ZERO, GaussianRational, row_reduce
 from .intersection import (
     KIND_EXCEPTIONAL,
     LABEL_AT_INFINITY,
-    DivisorClass,
     boundary_zigzag_report,
     canonical_form,
     enumerate_negative_classes,
@@ -25,7 +23,7 @@ from .intersection import (
 )
 from .reports import CertifiedReport
 from .ring import Poly
-from .surfaces import param_pair
+from .surfaces import lift_real_structure, param_pair
 
 ORIGIN_LABEL = "E(0,0)"
 PINNED_LABELS = (LABEL_AT_INFINITY, ORIGIN_LABEL)
@@ -36,9 +34,7 @@ class CurveIncidenceGraph:
     """Weighted graph of the twelve distinguished curves with its conjugation
     action; exceptional vertices carry their blow-up centers."""
 
-    alpha: object
     labels: tuple[str, ...]
-    classes: tuple[DivisorClass, ...]
     weights: tuple[tuple[int, ...], ...]
     real_action: tuple[int, ...]
     centers: tuple[object, ...]  # (Poly, Poly) for exceptional vertices, else None
@@ -62,23 +58,13 @@ def incidence_graph(alpha, d_max: int = 6) -> CurveIncidenceGraph:
     vertices = result.vertices()
     config = result.config
     labels = tuple(r.label for r in vertices)
-    classes = tuple(r.cls for r in vertices)
     weights = tuple(tuple(row) for row in intersection_matrix(vertices))
-
-    def find_center(cx, cy):
-        for k, c in enumerate(config.centers):
-            if c.x == cx and c.y == cy:
-                return k
-        return None
+    center_action = lift_real_structure(config).permutation
 
     action = []
     for r in vertices:
         if r.kind == KIND_EXCEPTIONAL:
-            k = r.through[0]
-            c = config.centers[k]
-            target_center = find_center(c.x.conjugate(), c.y.conjugate())
-            if target_center is None:
-                raise NotConjugationStable(f"conjugate of center {k} missing")
+            target_center = center_action[r.through[0]]
             target = next(
                 i for i, s in enumerate(vertices)
                 if s.kind == KIND_EXCEPTIONAL and s.through == (target_center,)
@@ -99,9 +85,7 @@ def incidence_graph(alpha, d_max: int = 6) -> CurveIncidenceGraph:
         else:
             centers.append(None)
     return CurveIncidenceGraph(
-        alpha=alpha,
         labels=labels,
-        classes=classes,
         weights=weights,
         real_action=tuple(action),
         centers=tuple(centers),
@@ -415,14 +399,12 @@ def matchings_report(alpha, beta, d_max: int = 6) -> CertifiedReport:
     return report
 
 
-def classification_report(alpha, beta, d_max: int = 6,
-                          src_graph: CurveIncidenceGraph | None = None,
-                          dst_graph: CurveIncidenceGraph | None = None) -> CertifiedReport:
+def classification_report(alpha, beta, d_max: int = 6) -> CertifiedReport:
     """Verdict against the closed-form criterion, with witness validation."""
     report = CertifiedReport("prop-6.3")
     alpha, beta = param_pair(alpha, beta)
-    src = src_graph if src_graph is not None else incidence_graph(alpha, d_max)
-    dst = dst_graph if dst_graph is not None else incidence_graph(beta, d_max)
+    src = incidence_graph(alpha, d_max)
+    dst = incidence_graph(beta, d_max)
     result = classify(alpha, beta, d_max, src, dst)
     expected = equivalence_criterion(result.alpha, result.beta)
     report.add(

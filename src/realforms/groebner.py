@@ -20,6 +20,8 @@ from .ring import Poly, VarTable
 
 DEFAULT_STEP_BUDGET = 2_000_000
 BUDGET_ENV_VAR = "REALFORMS_STEP_BUDGET"
+# highest power of the denominators' product member_with_denominators tries
+MAX_DENOMINATOR_POWER = 6
 
 
 def step_budget() -> int:
@@ -198,8 +200,7 @@ def _s_polynomial(f: Poly, g: Poly, key) -> Poly:
     return tf * f - tg * g
 
 
-def buchberger(generators: Sequence[Poly], order: MonomialOrder = LEX,
-               budget_limit: int | None = None) -> list[Poly]:
+def buchberger(generators: Sequence[Poly], order: MonomialOrder = LEX) -> list[Poly]:
     """Reduced Groebner basis (monic, sorted descending by leading monomial).
 
     Classic Buchberger with the product and chain criteria and normal pair
@@ -210,8 +211,7 @@ def buchberger(generators: Sequence[Poly], order: MonomialOrder = LEX,
         return []
     table = gens[0].table
     key = order.key_fn(table)
-    budget = _Budget(budget_limit if budget_limit is not None else step_budget(),
-                     "buchberger", order, table, len(gens))
+    budget = _Budget(step_budget(), "buchberger", order, table, len(gens))
 
     basis: list[Poly] = []
     for g in gens:
@@ -351,17 +351,16 @@ class Ideal:
         return f"<Ideal ({gens})>"
 
 
-def exact_quotient(p: Poly, d: Poly, order: MonomialOrder = LEX) -> Poly | None:
-    """Quotient p / d when the division is exact, else None."""
+def exact_quotient(p: Poly, d: Poly) -> Poly | None:
+    """Quotient p / d when the division is exact, else None (lex division)."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    key = order.key_fn(p.table)
-    lt = _leading(d.terms, key)
+    lt = max(d.terms)
     lc = d.terms[lt]
     work = dict(p.terms)
     quotient: dict = {}
     while work:
-        e = _leading(work, key)
+        e = max(work)
         if not _divides(lt, e):
             return None
         shift = tuple(a - b for a, b in zip(e, lt))
@@ -399,12 +398,13 @@ def certified_unit(p: Poly, units: Sequence[Poly]) -> bool:
     return not p.constant_value().is_zero()
 
 
-def member_with_denominators(p: Poly, ideal: Ideal, denominators: Sequence[Poly],
-                             max_power: int = 6, order: MonomialOrder = GREVLEX) -> int | None:
-    """Least k with (d1*...*dm)^k * p in the ideal, or None.
+def member_with_denominators(p: Poly, ideal: Ideal,
+                             denominators: Sequence[Poly]) -> int | None:
+    """Least k up to MAX_DENOMINATOR_POWER with (d1*...*dm)^k * p in the
+    ideal, or None.
 
     Realizes membership over the localization at the multiplicative set the
-    denominators generate.
+    denominators generate, as far as the power bound reaches.
     """
     if p.table != ideal.table:
         raise ValueError("VarTable mismatch")
@@ -412,8 +412,8 @@ def member_with_denominators(p: Poly, ideal: Ideal, denominators: Sequence[Poly]
     for d in denominators:
         product = product * d
     candidate = p
-    for k in range(max_power + 1):
-        if ideal.member(candidate, order):
+    for k in range(MAX_DENOMINATOR_POWER + 1):
+        if ideal.member(candidate):
             return k
         candidate = candidate * product
     return None

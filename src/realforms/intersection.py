@@ -181,7 +181,6 @@ class EnumerationResult:
     unrealized: tuple[tuple[DivisorClass, str], ...]
     undetermined: tuple[DivisorClass, ...]
     d_max: int
-    assumptions: tuple[str, ...] = ASSUMPTIONS
 
     def vertices(self) -> tuple[NegativeCurveRecord, ...]:
         return self.records + (self.line_at_infinity,)
@@ -196,7 +195,7 @@ class EnumerationResult:
             ],
             "undetermined": [c.to_json() for c in self.undetermined],
             "d_max": self.d_max,
-            "assumptions": list(self.assumptions),
+            "assumptions": list(ASSUMPTIONS),
             "intersection_matrix": intersection_matrix(self.vertices()),
         }
 
@@ -273,22 +272,20 @@ def _combinatorial_survivors(d_max: int) -> tuple[tuple[DivisorClass, ...], int]
     return tuple(survivors), scanned
 
 
-def enumerate_negative_classes(alpha, d_max: int = 6,
-                               config: PointConfiguration | None = None) -> EnumerationResult:
+def enumerate_negative_classes(alpha, d_max: int = 6) -> EnumerationResult:
     """All negative curve classes on the five-point blow-up up to degree d_max.
 
     Sweeps every multiplicity vector, prunes by negativity, genus and
     intersection against known effective classes, then certifies realization
-    of the survivors on this configuration.  The sweep and pruning do not
-    depend on alpha and run once per d_max.  Exceptional classes are included
+    of the survivors on the diagonal configuration.  The sweep and pruning do
+    not depend on alpha and run once per d_max.  Exceptional classes are included
     unconditionally (the centers are certified pairwise distinct when the
     configuration is built).
     Raises ValueError when d_max is below 1: the sweep would miss the lines.
     """
     if d_max < 1:
         raise ValueError(f"d_max must be at least 1, got {d_max}")
-    if config is None:
-        config = modified_plane_config(alpha, alpha, real_params=True)
+    config = modified_plane_config(alpha, alpha)
     survivors, scanned = _combinatorial_survivors(d_max)
 
     records: list[NegativeCurveRecord] = []
@@ -362,7 +359,7 @@ def boundary_zigzag_report(alpha) -> CertifiedReport:
         plus.intersect(infinity) == 1 and infinity.intersect(minus) == 1,
     )
     report.add("boundary-ends-disjoint", plus.intersect(minus) == 0)
-    config = modified_plane_config(alpha, alpha, real_params=True)
+    config = modified_plane_config(alpha, alpha)
     x, y, z = (Poly.var(config.table, n) for n in ("x", "y", "z"))
     expected_forms = (z, x + y * IMAG, x - y * IMAG)
     report.add(
@@ -441,7 +438,7 @@ def negative_curves_report(alpha, d_max: int = 6) -> CertifiedReport:
             "d_max": result.d_max,
             "unrealized": [str(c) for c, _ in result.unrealized],
             "undetermined": [str(c) for c in result.undetermined],
-            "assumptions": list(result.assumptions),
+            "assumptions": list(ASSUMPTIONS),
         },
     )
     diag = [r.self_intersection for r in result.vertices()]

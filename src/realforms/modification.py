@@ -19,7 +19,7 @@ from .errors import FNotInIdeal, PointNotOnVariety
 from .gaussian import GaussianRational, I as IMAG, row_reduce
 from .groebner import Ideal, member_with_denominators
 from .reports import CertifiedReport
-from .ring import Poly, RatFunc, RingMap, VarTable, compose, parse_poly
+from .ring import Poly, RatFunc, RingMap, VarTable, compose
 from .surfaces import (
     ALPHA,
     SurfacePresentation,
@@ -68,16 +68,6 @@ class ModificationSpec:
         ideal = Ideal(list(self.generators), self.table)
         if member_with_denominators(self.divisor, ideal, self.units) is None:
             raise FNotInIdeal("the divisor must lie in the center ideal")
-
-    @staticmethod
-    def from_json(data: dict) -> "ModificationSpec":
-        names = tuple(data["vars"])
-        table = VarTable(names)
-        generators = tuple(parse_poly(s, table) for s in data["generators"])
-        divisor = parse_poly(data["f"], table)
-        units = tuple(parse_poly(s, table) for s in data.get("constraints", ()))
-        base = tuple(data.get("base_vars", names))
-        return ModificationSpec(table, base, generators, divisor, units)
 
 
 def standard_modification(alpha=ALPHA) -> ModificationSpec:
@@ -308,14 +298,14 @@ def _as_scalar(value) -> GaussianRational:
     return GaussianRational(Fraction(value))
 
 
-def surface_chart_point(alpha, x0, u0, beta=None) -> dict:
-    """An exact point of the surface from chart coordinates with x0*u0 != 0."""
+def surface_chart_point(alpha, x0, u0) -> dict:
+    """An exact point of the diagonal surface from chart coordinates with
+    x0*u0 != 0."""
     alpha = _as_scalar(alpha)
-    beta = alpha if beta is None else _as_scalar(beta)
     x0 = _as_scalar(x0)
     u0 = _as_scalar(u0)
     y0 = x0 * (x0 - _as_scalar(1)) * (x0 - alpha) * u0.inverse()
-    v0 = u0 * (u0 - _as_scalar(1)) * (u0 - beta) * x0.inverse()
+    v0 = u0 * (u0 - _as_scalar(1)) * (u0 - alpha) * x0.inverse()
     return {"x": x0, "y": y0, "u": u0, "v": v0}
 
 
@@ -346,12 +336,12 @@ def jacobian_rank_at(presentation, point: dict, coords=None) -> int:
 DEFAULT_CHART_SAMPLES = ((1, 1), (2, 1), (-1, 1), (-1, 2), (3, -1))
 
 
-def smoothness_report(alpha, samples=DEFAULT_CHART_SAMPLES) -> CertifiedReport:
+def smoothness_report(alpha) -> CertifiedReport:
     """Jacobian rank 2 at exact sample points of the diagonal surface."""
     report = CertifiedReport("def-3.4-fiber")
     alpha = Fraction(alpha)
     surface = make_surface(alpha, alpha)
-    for x0, u0 in samples:
+    for x0, u0 in DEFAULT_CHART_SAMPLES:
         point = surface_chart_point(alpha, x0, u0)
         rank = jacobian_rank_at(surface, point)
         report.add(

@@ -306,14 +306,12 @@ def _monomial_str(table: VarTable, exps: tuple) -> str:
     return "*".join(parts)
 
 
-def poly_str(p: Poly, key=None) -> str:
-    """Canonical text: terms sorted descending by the active order (default lex)."""
+def poly_str(p: Poly) -> str:
+    """Canonical text: terms sorted descending in lex over the table order."""
     if not p.terms:
         return "0"
-    if key is None:
-        key = lambda e: e  # lex over the table order
     out = []
-    for e in sorted(p.terms, key=key, reverse=True):
+    for e in sorted(p.terms, reverse=True):
         c = p.terms[e]
         mono = _monomial_str(p.table, e)
         negative = c.im == 0 and c.re < 0 or (c.re == 0 and c.im < 0)

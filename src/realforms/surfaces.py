@@ -36,8 +36,6 @@ ALPHA = "a"
 BETA = "b"
 COORDS = ("x", "y", "u", "v")
 
-ParamSpec = "Fraction | int | str"
-
 
 def _cook_param(spec, default_name: str):
     """Normalize a parameter: Fraction for rational, str for symbolic."""
@@ -150,15 +148,15 @@ def make_surface(alpha, beta=None, real_params: bool = False) -> SurfacePresenta
     )
 
 
-def free_presentation(table: VarTable, generators=(), denominators=()) -> SurfacePresentation:
-    """A bare presentation (any ambient space, any ideal) for the generic
-    predicates below; the zero ideal presents the whole affine space."""
+def free_presentation(table: VarTable) -> SurfacePresentation:
+    """The whole affine space over the table (the zero ideal, no
+    denominators), for the generic predicates below."""
     return SurfacePresentation(
         table=table,
-        ideal=Ideal(list(generators), table),
+        ideal=Ideal([], table),
         alpha=None,
         beta=None,
-        denominators=tuple(denominators),
+        denominators=(),
     )
 
 
@@ -617,10 +615,8 @@ def verify_coordinate_change() -> CertifiedReport:
     sigma = swap_real_structure(s.alpha, s)
     lhs = compose(fwd, sigma.map)
     rhs = compose(RingMap.conjugation(new), fwd)
-    same = all(
-        (l.num * r.den - r.num * l.den).is_zero() for l, r in zip(lhs.images, rhs.images)
-    ) and lhs.conjugates_coefficients == rhs.conjugates_coefficients
-    report.add("conjugation-becomes-coordinatewise", same)
+    report.add("conjugation-becomes-coordinatewise",
+               agree_modulo(lhs, rhs, Ideal([], new), ()))
 
     transformed = []
     for g in s.generators:
@@ -684,21 +680,13 @@ def verify_coordinate_change() -> CertifiedReport:
 
 @dataclass(frozen=True)
 class Center:
-    """A blow-up center: an affine plane point, possibly infinitely near.
-
-    parent points into the configuration list; tangent is a linear form in
-    (x, y) selecting the direction on the parent's exceptional curve.
-    """
+    """A blow-up center: a point (x, y) of the affine plane."""
 
     x: Poly
     y: Poly
-    parent: int | None = None
-    tangent: Poly | None = None
 
     def label(self) -> str:
-        if self.parent is None:
-            return f"({self.x},{self.y})"
-        return f"near[{self.parent}]({self.tangent})"
+        return f"({self.x},{self.y})"
 
 
 @dataclass(frozen=True)
@@ -719,22 +707,7 @@ class PointConfiguration:
     def distinct(self, p: Center, q: Center) -> bool:
         """Are the two centers certifiably distinct for every admissible
         parameter value?"""
-        if (p.parent is None) != (q.parent is None):
-            return True
-        if p.parent is not None:
-            if p.parent != q.parent:
-                return True
-            det = self._tangent_det(p.tangent, q.tangent)
-            return self._unit_or_nonzero_const(det)
-        for delta in (p.x - q.x, p.y - q.y):
-            if self._unit_or_nonzero_const(delta):
-                return True
-        return False
-
-    def _tangent_det(self, t1: Poly, t2: Poly) -> Poly:
-        cx1, cy1 = _linear_xy_coefficients(t1)
-        cx2, cy2 = _linear_xy_coefficients(t2)
-        return cx1 * cy2 - cx2 * cy1
+        return any(self._unit_or_nonzero_const(delta) for delta in (p.x - q.x, p.y - q.y))
 
     def _unit_or_nonzero_const(self, p: Poly) -> bool:
         if p.is_zero():
@@ -744,26 +717,18 @@ class PointConfiguration:
         return certified_unit(p, self.units)
 
 
-def _linear_xy_coefficients(form: Poly) -> tuple[Poly, Poly]:
-    cx = form.derivative("x")
-    cy = form.derivative("y")
-    return cx, cy
-
-
 GEOMETRY_COORDS = ("x", "y", "z")
 
 
-def geometry_table(*params, real_params: bool = False) -> VarTable:
-    names = _param_names(*params)
-    return VarTable(GEOMETRY_COORDS + names, generic=() if real_params else names)
-
-
-def modified_plane_config(alpha, beta=None, real_params: bool = False) -> PointConfiguration:
+def modified_plane_config(alpha, beta=None) -> PointConfiguration:
     """Centers and removed boundary of the modified plane: blow up the five
     points (0,0), (1,i), (alpha, alpha*i), (1,-i), (beta,-beta*i) and remove
-    the line at infinity together with the two isotropic lines."""
+    the line at infinity together with the two isotropic lines.
+
+    Symbolic parameters are real: conjugation fixes them.
+    """
     a, b = param_pair(alpha, beta)
-    tbl = geometry_table(a, b, real_params=real_params)
+    tbl = VarTable(GEOMETRY_COORDS + _param_names(a, b))
     x, y, z = (Poly.var(tbl, n) for n in GEOMETRY_COORDS)
     ap = _param_poly(tbl, a)
     bp = _param_poly(tbl, b)
@@ -781,12 +746,6 @@ def modified_plane_config(alpha, beta=None, real_params: bool = False) -> PointC
     return PointConfiguration(tbl, centers, removed, _param_units(tbl, (a, b)))
 
 
-def blowup_plane_config(alpha, real_params: bool = False) -> PointConfiguration:
-    """The projective five-point blow-up (nothing removed): beta = alpha."""
-    cfg = modified_plane_config(alpha, alpha, real_params=real_params)
-    return PointConfiguration(cfg.table, cfg.centers, (), cfg.units)
-
-
 @dataclass
 class InducedActionReport:
     permutation: tuple[int, ...]
@@ -801,15 +760,6 @@ class InducedActionReport:
         }
 
 
-def _conjugate_center(c: Center) -> Center:
-    return Center(
-        c.x.conjugate(),
-        c.y.conjugate(),
-        c.parent,
-        None if c.tangent is None else c.tangent.conjugate(),
-    )
-
-
 def lift_real_structure(config: PointConfiguration) -> InducedActionReport:
     """Conjugation permutes the centers; return the induced permutation.
 
@@ -818,15 +768,9 @@ def lift_real_structure(config: PointConfiguration) -> InducedActionReport:
     """
     permutation = []
     for k, c in enumerate(config.centers):
-        cc = _conjugate_center(c)
-        target = None
-        for m, d in enumerate(config.centers):
-            if d.parent == cc.parent and d.x == cc.x and d.y == cc.y:
-                if (d.tangent is None) == (cc.tangent is None) and (
-                    d.tangent is None or d.tangent == cc.tangent
-                ):
-                    target = m
-                    break
+        cx, cy = c.x.conjugate(), c.y.conjugate()
+        target = next((m for m, d in enumerate(config.centers)
+                       if d.x == cx and d.y == cy), None)
         if target is None:
             raise NotConjugationStable(f"conjugate of center {k} is not a center")
         permutation.append(target)
@@ -860,7 +804,7 @@ def real_locus_report(alpha) -> tuple[CertifiedReport, FixedPointReport]:
     centers and swaps the two isotropic boundary lines; the surviving real
     locus is the real plane blown up at one point, minus a point."""
     report = CertifiedReport("prop-5.1")
-    config = modified_plane_config(alpha, alpha, real_params=True)
+    config = modified_plane_config(alpha, alpha)
     action = lift_real_structure(config)
     perm = action.permutation
     every = list(range(len(config.centers)))
@@ -878,7 +822,7 @@ def real_locus_report(alpha) -> tuple[CertifiedReport, FixedPointReport]:
     report.add("isotropic-lines-swapped", lines_swapped)
     centers = [c.label() for c in config.centers]
     fp = FixedPointReport(
-        alpha=param_str(config_alpha(config)),
+        alpha=param_str(param_pair(alpha)[0]),
         fixed_centers=[centers[k] for k in action.fixed],
         swapped_center_pairs=[[centers[i], centers[j]] for i, j in action.two_cycles],
         swapped_boundary_lines=[[str(plus), str(minus)]],
@@ -894,14 +838,6 @@ def real_locus_report(alpha) -> tuple[CertifiedReport, FixedPointReport]:
         witness=fp.to_json(),
     )
     return report, fp
-
-
-def config_alpha(config: PointConfiguration):
-    """Recover the parameter of a five-point configuration from center 2."""
-    c = config.centers[2]
-    if c.x.is_constant():
-        return c.x.constant_value().re
-    return next(iter(c.x.variables_present()))
 
 
 def cocycle_examples_report(alpha=2) -> CertifiedReport:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from realforms import cli
+from realforms import checks, cli
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +244,25 @@ def test_internal_key_error_is_not_usage_error(monkeypatch):
     monkeypatch.setattr(cli.classification, "classify", broken)
     with pytest.raises(KeyError):
         cli.main(["classify", "2", "3"])
+
+
+@pytest.mark.parametrize("long_form, check_id", [
+    ("definition-3.1", "def-3.1"),
+    ("remark-3.2", "rem-3.2"),
+    ("remark-3.3", "rem-3.3"),
+    ("lemma-3.5", "lem-3.5"),
+    ("proposition-4.1", "prop-4.1"),
+    ("proposition-4.2", "prop-4.2"),
+    ("proposition-5.1", "prop-5.1"),
+    ("lemma-6.1", "lem-6.1"),
+    ("lemma-6.2", "lem-6.2"),
+    ("proposition-6.3", "prop-6.3"),
+    ("section-2-cocycle", "sec-2-cocycle"),
+    ("definition-3.4-rees", "def-3.4-rees"),
+    ("definition-3.4-fiber", "def-3.4-fiber"),
+])
+def test_long_form_check_ids_resolve(long_form, check_id):
+    assert checks.resolve_check_id(long_form) == check_id
 
 
 def test_parameter_parsing_forms():

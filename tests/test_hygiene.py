@@ -1,0 +1,94 @@
+"""Dead names in the library: unused imports and unreferenced module-level names.
+
+A static scan with the standard-library ``ast`` module.  A name counts as used
+when it is read somewhere (a plain name, an attribute, or inside a quoted
+annotation) or, for the package itself, when ``realforms.__all__`` lists it.
+A module-level name also counts as referenced when another module imports it
+by name, since the import itself must then be used.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "realforms"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _exported(modules) -> set[str]:
+    for node in modules["__init__"].body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Every name the tree reads, including those in quoted annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        annotations = []
+        if isinstance(node, ast.arg | ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+            annotations.append(node.returns)
+        for annotation in annotations:
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                names |= _read_names(ast.parse(annotation.value, mode="eval"))
+    return names
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    """The names the module's imports bind."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, ast.Import | ast.ImportFrom):
+            for alias in node.names:
+                names.add(alias.asname or alias.name.split(".")[0])
+    return names
+
+
+def _imported_by_name(tree: ast.Module) -> set[str]:
+    """The names ``from ... import`` statements take out of other modules."""
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign | ast.AnnAssign):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def test_no_unused_imports():
+    modules = _modules()
+    exported = _exported(modules)
+    unused = []
+    for name, tree in modules.items():
+        used = _read_names(tree) | (exported if name == "__init__" else set())
+        unused += [f"{name}: {n}" for n in sorted(_imported(tree) - used)]
+    assert unused == []
+
+
+def test_every_module_level_name_is_referenced_or_exported():
+    modules = _modules()
+    referenced = _exported(modules).union(
+        *(_read_names(t) | _imported_by_name(t) for t in modules.values()))
+    dead = [f"{name}: {n}" for name, tree in modules.items()
+            for n in sorted(_defined(tree) - referenced)]
+    assert dead == []

@@ -102,7 +102,7 @@ def test_doubled_genus():
 
 
 def test_line_through_isotropic_points():
-    config = modified_plane_config("symbolic", "symbolic", real_params=True)
+    config = modified_plane_config("symbolic", "symbolic")
     tbl = config.table
     x, y, z = (Poly.var(tbl, n) for n in ("x", "y", "z"))
     a = Poly.var(tbl, "a")
@@ -120,7 +120,7 @@ def test_line_through_isotropic_points():
 
 
 def test_line_through_rational_points():
-    config = modified_plane_config(2, 2, real_params=True)
+    config = modified_plane_config(2, 2)
     tbl = config.table
     x, y, z = (Poly.var(tbl, n) for n in ("x", "y", "z"))
     cross = line_through(config.centers[3], config.centers[2])
@@ -243,10 +243,10 @@ def test_boundary_zigzag():
 
 
 def test_conic_pencil():
-    config = modified_plane_config("symbolic", "symbolic", real_params=True)
+    config = modified_plane_config("symbolic", "symbolic")
     assert conic_pencil_report(config).passed
     assert conic_pencil_report(
-        modified_plane_config(3, 3, real_params=True)
+        modified_plane_config(3, 3)
     ).passed
 
 

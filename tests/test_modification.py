@@ -79,14 +79,14 @@ def test_divisor_must_lie_in_center_ideal():
         )
 
 
-def test_spec_from_json():
-    spec = ModificationSpec.from_json({
-        "vars": ["x", "y"],
-        "generators": ["x^2 + y^2", "x"],
-        "f": "x^2 + y^2",
-        "constraints": [],
-    })
-    assert spec.divisor == parse_poly("x^2 + y^2", spec.table)
+def test_spec_from_parsed_polynomials():
+    table = VarTable(("x", "y"))
+    spec = ModificationSpec(
+        table=table, base_vars=("x", "y"),
+        generators=(parse_poly("x^2 + y^2", table), parse_poly("x", table)),
+        divisor=parse_poly("x^2 + y^2", table), units=(),
+    )
+    assert spec.divisor == Poly.var(table, "x") ** 2 + Poly.var(table, "y") ** 2
     assert len(spec.generators) == 2
     rees = rees_presentation(spec)
     assert rees.ideal.member(Poly.var(rees.table, "T1") - 1)

@@ -17,7 +17,6 @@ from realforms.surfaces import (
     AntiRegularMap,
     RealStructure,
     are_equivalent_structures,
-    blowup_plane_config,
     cocycle_examples_report,
     coordinate_change_maps,
     displayed_real_equations,
@@ -327,8 +326,8 @@ def test_config_requires_certifiably_distinct_centers():
     with pytest.raises(IdenticalPoints):
         modified_plane_config("a", "b")
     # the diagonal configuration is certifiably fine, symbolic or not
-    assert modified_plane_config("symbolic", "symbolic", real_params=True)
-    assert modified_plane_config(2, 2, real_params=True)
+    assert modified_plane_config("symbolic", "symbolic")
+    assert modified_plane_config(2, 2)
 
 
 def test_real_locus_fixed_points():
@@ -339,6 +338,8 @@ def test_real_locus_fixed_points():
     sym_report, sym_fixed = real_locus_report("symbolic")
     assert sym_report.passed
     assert sym_fixed.fixed_centers == ["(0,0)"]
+    assert sym_fixed.alpha == "a"
+    assert real_locus_report(Fraction(-7, 3))[1].alpha == "-7/3"
 
 
 @pytest.mark.parametrize("permutation, failing", [
@@ -361,7 +362,7 @@ def test_real_locus_report_checks_the_lifted_action(monkeypatch, permutation, fa
 
 
 def test_lift_real_structure_permutation():
-    config = modified_plane_config(2, 2, real_params=True)
+    config = modified_plane_config(2, 2)
     action = lift_real_structure(config)
     assert action.permutation == (0, 3, 4, 1, 2)
     assert action.fixed == (0,)
@@ -381,9 +382,3 @@ def test_lift_real_structure_rejects_unstable_configuration():
     config = PointConfiguration(table, centers, (), ())
     with pytest.raises(NotConjugationStable):
         lift_real_structure(config)
-
-
-def test_blowup_plane_config_keeps_nothing_removed():
-    config = blowup_plane_config(2)
-    assert config.removed == ()
-    assert len(config.centers) == 5
