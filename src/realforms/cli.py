@@ -9,14 +9,16 @@ Four subcommands:
 * ``enumerate``  -- list the negative curves found on the five-point blow-up.
 
 Exit codes: 0 when everything asked for passed, 1 when a check or a grid
-comparison failed, 2 for usage errors (an unknown check id, a malformed
-rational, an excluded parameter value, ``--d-max`` below 1, or a malformed
+comparison failed or standard output was closed before the report was
+written, 2 for usage errors (an unknown check id, a malformed rational, an
+excluded parameter value, ``--d-max`` below 1, or a malformed
 ``REALFORMS_STEP_BUDGET``).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -291,10 +293,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ForbiddenParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed standard output (``realforms grid | head``).
+        # Point it at devnull so that the flush at interpreter exit does not
+        # raise again, as the Python docs recommend for SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

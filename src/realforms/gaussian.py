@@ -1,39 +1,62 @@
 """Exact arithmetic in Q(i), the field of Gaussian rationals.
 
-A value is a + b*i with a, b arbitrary-precision rationals.  Fraction keeps
-both components in lowest terms with positive denominator, so equality and
-hashing are structural.
+A value is stored as three ints ``a, b, d`` meaning (a + b*i)/d, with d > 0
+and gcd(a, b, d) = 1.  That form is canonical, so equality and hashing are
+structural; zero is (0, 0, 1).  Each sum, difference and product is integer
+arithmetic plus one gcd, and none at all when the result's denominator is 1,
+the common case for Gaussian-integer coefficients.  The components are read
+as Fractions through ``re`` and ``im``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 _RATIONAL = (int, Fraction)
+_new = object.__new__
 
 
 class GaussianRational:
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re = re if type(re) is Fraction else Fraction(re)
+        im = im if type(im) is Fraction else Fraction(im)
+        dr, di = re.denominator, im.denominator
+        # both components are in lowest terms, so over the lcm of their
+        # denominators no prime divides a, b and d together
+        d = dr // gcd(dr, di) * di
+        self.a = re.numerator * (d // dr)
+        self.b = im.numerator * (d // di)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def is_one(self) -> bool:
-        return self.re == 1 and not self.im
+        return self.a == 1 and not self.b and self.d == 1
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self.b
 
     def is_rational_integer(self) -> bool:
-        return not self.im and self.re.denominator == 1
+        return not self.b and self.d == 1
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.a) or bool(self.b)
 
     # -- ring operations -------------------------------------------------
 
@@ -46,51 +69,55 @@ class GaussianRational:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _add(self.a, self.b, self.d, other.a, other.b, other.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _add(self.a, self.b, self.d, -other.a, -other.b, other.d)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return _add(other.a, other.b, other.d, -self.a, -self.b, self.d)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _mul(self.a, self.b, self.d, other.a, other.b, other.d)
 
     __rmul__ = __mul__
 
     def norm(self) -> Fraction:
         """Field norm a^2 + b^2 (a nonnegative rational)."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        return Fraction(a * a + b * b, d * d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
     def inverse(self) -> "GaussianRational":
-        n = self.norm()
-        if not n:
-            raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            if not a:
+                raise ZeroDivisionError("inverse of zero in Q(i)")
+            return _make(d, 0, a) if a > 0 else _make(-d, 0, -a)
+        # d/(a + b i) = d (a - b i) / (a^2 + b^2)
+        return _reduce(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -107,31 +134,90 @@ class GaussianRational:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = ONE
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        # square-and-multiply on the Gaussian-integer numerator, one gcd
+        ra, rb = 1, 0
+        a, b = self.a, self.b
+        n = exponent
+        while n:
+            if n & 1:
+                ra, rb = ra * a - rb * b, ra * b + rb * a
+            n >>= 1
+            if n:
+                a, b = a * a - b * b, 2 * a * b
+        return _reduce(ra, rb, self.d ** exponent)
 
     # -- structural ------------------------------------------------------
 
     def __eq__(self, other):
+        if type(other) is GaussianRational:
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if type(other) is int:
+            return self.a == other and not self.b and self.d == 1
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
         return coefficient_str(self)
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b i)/d from a triple that is already canonical."""
+    z = _new(GaussianRational)
+    z.a = a
+    z.b = b
+    z.d = d
+    return z
+
+
+def _reduce(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b i)/d for any d > 0, brought to canonical form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return _make(a // g, b // g, d // g)
+    return _make(a, b, d)
+
+
+def _add(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> GaussianRational:
+    """The sum of two values given as canonical triples."""
+    if d1 == d2:
+        return _reduce(a1 + a2, b1 + b2, d1)
+    g = gcd(d1, d2)
+    if g == 1:
+        # a prime of d1 divides a1*d2 + a2*d1 and b1*d2 + b2*d1 only if it
+        # divides a1 and b1, so for canonical operands the cross sum is
+        # canonical as it stands
+        return _make(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+    s1, s2 = d2 // g, d1 // g
+    return _reduce(a1 * s1 + a2 * s2, b1 * s1 + b2 * s2, d1 * s1)
+
+
+def _mul(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> GaussianRational:
+    return _reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+
+
+def _sub_mul(s: GaussianRational | None, fa: int, fb: int, ga: int, gb: int,
+             q: int) -> GaussianRational:
+    """s - (fa + fb i)(ga + gb i)/q for any q > 0, where s None means zero;
+    the multiply-subtract step of polynomial division."""
+    pa = fa * ga - fb * gb
+    pb = fa * gb + fb * ga
+    if s is None:
+        return _reduce(-pa, -pb, q)
+    d = s.d
+    if d == q:
+        return _reduce(s.a - pa, s.b - pb, q)
+    g = gcd(d, q)
+    s1, s2 = q // g, d // g
+    return _reduce(s.a * s1 - pa * s2, s.b * s1 - pb * s2, d * s1)
 
 
 ZERO = GaussianRational(0)

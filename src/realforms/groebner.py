@@ -11,12 +11,13 @@ overridden with the REALFORMS_STEP_BUDGET environment variable.
 from __future__ import annotations
 
 import os
-from operator import neg
+from heapq import heapify, heappop, heappush
+from operator import add, le, neg, sub
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded
-from .gaussian import ONE
-from .ring import Poly, VarTable
+from .gaussian import _sub_mul
+from .ring import Poly, VarTable, _numerators, _poly, _scaled_terms
 
 DEFAULT_STEP_BUDGET = 2_000_000
 BUDGET_ENV_VAR = "REALFORMS_STEP_BUDGET"
@@ -60,22 +61,19 @@ class MonomialOrder:
             raise ValueError("elimination order needs front variables")
 
     def key_fn(self, table: VarTable) -> Callable[[tuple], tuple]:
+        """Sort key of an exponent vector: a flat tuple of ints that is
+        larger exactly for the larger monomial."""
         if self.kind == "lex":
             return lambda exps: exps
         if self.kind == "grevlex":
-            return lambda exps: (sum(exps), tuple(map(neg, exps[::-1])))
+            return lambda exps: (sum(exps), *map(neg, reversed(exps)))
         front_idx = tuple(table.index(n) for n in self.front)
         front_set = set(front_idx)
-        back_idx = tuple(k for k in range(len(table)) if k not in front_set)
-        back_rev = tuple(reversed(back_idx))
+        back_rev = tuple(k for k in reversed(range(len(table))) if k not in front_set)
 
         def key(exps: tuple) -> tuple:
-            back_degree = sum(exps[k] for k in back_idx)
-            return (
-                tuple(exps[k] for k in front_idx),
-                back_degree,
-                tuple(-exps[k] for k in back_rev),
-            )
+            back = [exps[k] for k in back_rev]
+            return (*[exps[k] for k in front_idx], sum(back), *map(neg, back))
 
         return key
 
@@ -141,7 +139,7 @@ def _leading(terms: dict, key) -> tuple:
 
 
 def _divides(d: tuple, e: tuple) -> bool:
-    return all(a <= b for a, b in zip(d, e))
+    return all(map(le, d, e))
 
 
 def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder = LEX,
@@ -150,32 +148,53 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder = LEX,
     if budget is None:
         budget = _Budget(step_budget(), "normal_form", order, p.table, len(basis))
     key = order.key_fn(p.table)
-    prepared = [
-        (_leading(g.terms, key), g) for g in basis if not g.is_zero()
-    ]
+    # each divisor as its leading monomial and coefficient, and its other
+    # terms as Gaussian-integer numerators over one common denominator
+    prepared = []
+    for g in basis:
+        if g.is_zero():
+            continue
+        lt = _leading(g.terms, key)
+        den, numerators = _numerators(g.terms)
+        tail = [(ge, ga, gb) for ge, ga, gb in numerators if ge != lt]
+        prepared.append((lt, g.terms[lt], den, tail))
     work = dict(p.terms)
     remainder: dict = {}
-    while work:
-        e = _leading(work, key)
-        c = work[e]
-        for lt, g in prepared:
+
+    def descending(e: tuple) -> tuple:
+        return (*map(neg, key(e)), e)
+
+    # the largest monomial left in work comes first; entries of monomials
+    # that cancelled out are skipped when they come up
+    heap = [descending(e) for e in work]
+    heapify(heap)
+    while heap:
+        e = heappop(heap)[-1]
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        for lt, lc, den, tail in prepared:
             if _divides(lt, e):
                 budget.spend()
-                shift = tuple(a - b for a, b in zip(e, lt))
-                factor = c / g.terms[lt]
-                for ge, gc in g.terms.items():
-                    te = tuple(a + b for a, b in zip(ge, shift))
+                # work -= (c / lc) * x^shift * g; the leading terms cancel
+                shift = tuple(map(sub, e, lt))
+                factor = c / lc
+                fa, fb, q = factor.a, factor.b, factor.d * den
+                for ge, ga, gb in tail:
+                    te = tuple(map(add, ge, shift))
                     s = work.get(te)
-                    s = -(factor * gc) if s is None else s - factor * gc
-                    if s.is_zero():
-                        work.pop(te, None)
+                    v = _sub_mul(s, fa, fb, ga, gb, q)
+                    if s is None:
+                        work[te] = v
+                        heappush(heap, descending(te))
+                    elif v.a or v.b:
+                        work[te] = v
                     else:
-                        work[te] = s
+                        del work[te]
                 break
         else:
             remainder[e] = c
-            del work[e]
-    return Poly(p.table, remainder)
+    return _poly(p.table, remainder)
 
 
 def _monic(p: Poly, key) -> Poly:
@@ -183,8 +202,7 @@ def _monic(p: Poly, key) -> Poly:
     c = p.terms[lt]
     if c.is_one():
         return p
-    inv = c.inverse()
-    return Poly(p.table, {e: k * inv for e, k in p.terms.items()})
+    return _poly(p.table, _scaled_terms(p.terms, c.inverse()))
 
 
 def _s_polynomial(f: Poly, g: Poly, key) -> Poly:
@@ -195,8 +213,8 @@ def _s_polynomial(f: Poly, g: Poly, key) -> Poly:
     mg = tuple(a - b for a, b in zip(lcm, lg))
     cf = f.terms[lf]
     cg = g.terms[lg]
-    tf = Poly(f.table, {mf: ONE / cf})
-    tg = Poly(g.table, {mg: ONE / cg})
+    tf = _poly(f.table, {mf: cf.inverse()})
+    tg = _poly(g.table, {mg: cg.inverse()})
     return tf * f - tg * g
 
 
@@ -220,18 +238,25 @@ def buchberger(generators: Sequence[Poly], order: MonomialOrder = LEX) -> list[P
             basis.append(_monic(r, key))
 
     lead = [_leading(g.terms, key) for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    pairs: set = set()
+    lcms: dict = {}  # pair -> lcm of its leading monomials, and its sort key
     done: set = set()
 
-    def lcm_of(i: int, j: int) -> tuple:
-        return tuple(max(a, b) for a, b in zip(lead[i], lead[j]))
+    def add_pair(i: int, j: int):
+        lcm = tuple(map(max, lead[i], lead[j]))
+        pairs.add((i, j))
+        lcms[i, j] = (lcm, key(lcm))
+
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            add_pair(i, j)
 
     while pairs:
-        i, j = min(pairs, key=lambda ij: key(lcm_of(*ij)))
+        i, j = min(pairs, key=lambda ij: lcms[ij][1])
         pairs.remove((i, j))
         done.add((i, j))
         budget.spend()
-        lcm = lcm_of(i, j)
+        lcm = lcms.pop((i, j))[0]
         # product criterion: coprime leading monomials
         if all(a + b == c for a, b, c in zip(lead[i], lead[j], lcm)):
             continue
@@ -256,7 +281,7 @@ def buchberger(generators: Sequence[Poly], order: MonomialOrder = LEX) -> list[P
         lead.append(_leading(r.terms, key))
         new_index = len(basis) - 1
         for k in range(new_index):
-            pairs.add((k, new_index))
+            add_pair(k, new_index)
 
     # minimalize: drop elements whose leading monomial another one divides
     order_idx = sorted(range(len(basis)), key=lambda k: key(lead[k]))
@@ -374,7 +399,7 @@ def exact_quotient(p: Poly, d: Poly) -> Poly | None:
                 work.pop(te, None)
             else:
                 work[te] = s
-    return Poly(p.table, quotient)
+    return _poly(p.table, quotient)
 
 
 def certified_unit(p: Poly, units: Sequence[Poly]) -> bool:

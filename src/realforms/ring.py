@@ -7,8 +7,11 @@ nonzero Q(i) coefficients.  Conjugation acts on coefficients and fixes
 and any conjugation touching them raises ConjugationUndefined.
 
 RatFunc is an unreduced fraction of two Polys; equality is decided by
-cross-multiplication, so no multivariate gcd is ever required.  A cheap
-content/monomial strip keeps the representations small.
+cross-multiplication, so no multivariate gcd is ever required.  Both parts
+are kept as primitive Gaussian-integer polynomials: every coefficient is in
+Z[i], the gcd of all their real and imaginary parts is 1, and the two share
+no monomial factor.  Products of parts therefore run on integer
+coefficients.
 
 RingMap is a substitution homomorphism: one RatFunc image per source-table
 variable, plus a flag that conjugates coefficients before substituting.  Maps
@@ -18,10 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add, sub
 from typing import Iterable, Mapping
 
 from .errors import ConjugationUndefined
-from .gaussian import GaussianRational, ONE, ZERO, coefficient_str
+from .gaussian import GaussianRational, ONE, ZERO, _reduce, coefficient_str
 
 REAL = "real"
 GENERIC = "generic"
@@ -84,7 +88,7 @@ class Poly:
 
     @staticmethod
     def zero(table: VarTable) -> "Poly":
-        return Poly(table)
+        return _poly(table, {})
 
     @staticmethod
     def const(table: VarTable, value) -> "Poly":
@@ -92,13 +96,13 @@ class Poly:
         if c is None:
             raise TypeError(f"not a scalar: {value!r}")
         zero_exp = (0,) * len(table)
-        return Poly(table, {zero_exp: c} if not c.is_zero() else {})
+        return _poly(table, {zero_exp: c} if not c.is_zero() else {})
 
     @staticmethod
     def var(table: VarTable, name: str, power: int = 1) -> "Poly":
         exps = [0] * len(table)
         exps[table.index(name)] = power
-        return Poly(table, {tuple(exps): ONE})
+        return _poly(table, {tuple(exps): ONE})
 
     # -- predicates --------------------------------------------------------
 
@@ -120,21 +124,13 @@ class Poly:
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Poly"):
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             raise ValueError("VarTable mismatch")
 
     def __add__(self, other):
         if isinstance(other, Poly):
             self._check(other)
-            terms = dict(self.terms)
-            for e, c in other.terms.items():
-                s = terms.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-            return Poly(self.table, terms)
+            return _poly(self.table, _sum_terms(dict(self.terms), other.terms, 1))
         c = _coerce_scalar(other)
         if c is None:
             return NotImplemented
@@ -143,11 +139,12 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.table, {e: -c for e, c in self.terms.items()})
+        return _poly(self.table, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, Poly):
-            return self + (-other)
+            self._check(other)
+            return _poly(self.table, _sum_terms(dict(self.terms), other.terms, -1))
         c = _coerce_scalar(other)
         if c is None:
             return NotImplemented
@@ -159,38 +156,30 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check(other)
-            terms: dict = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    c = c1 * c2
-                    s = terms.get(e)
-                    s = c if s is None else s + c
-                    if s.is_zero():
-                        terms.pop(e, None)
-                    else:
-                        terms[e] = s
-            return Poly(self.table, terms)
+            return _poly(self.table, _product_terms(self.terms, other.terms))
         c = _coerce_scalar(other)
         if c is None:
             return NotImplemented
         if c.is_zero():
             return Poly.zero(self.table)
-        return Poly(self.table, {e: k * c for e, k in self.terms.items()})
+        return _poly(self.table, _scaled_terms(self.terms, c))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(self.table, 1)
+        if not exponent:
+            return Poly.const(self.table, 1)
+        result = None
         base = self
-        while exponent:
+        while True:
             if exponent & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             exponent >>= 1
-        return result
+            if not exponent:
+                return result
+            base = base * base
 
     # -- structure ----------------------------------------------------------
 
@@ -240,7 +229,7 @@ class Poly:
                 raise ConjugationUndefined(
                     f"conjugation undefined on generic variables {sorted(bad)}"
                 )
-        return Poly(self.table, {e: c.conjugate() for e, c in self.terms.items()})
+        return _poly(self.table, {e: c.conjugate() for e, c in self.terms.items()})
 
     # -- evaluation -----------------------------------------------------------
 
@@ -267,7 +256,7 @@ class Poly:
                 terms.pop(key, None)
             else:
                 terms[key] = s
-        return Poly(self.table, terms)
+        return _poly(self.table, terms)
 
     def evaluate(self, values: Mapping[str, object]) -> GaussianRational:
         return self.specialize(values).constant_value()
@@ -280,7 +269,7 @@ class Poly:
                 new_e = list(e)
                 new_e[k] -= 1
                 terms[tuple(new_e)] = c * e[k]
-        return Poly(self.table, terms)
+        return _poly(self.table, terms)
 
     # -- text form -------------------------------------------------------------
 
@@ -289,6 +278,84 @@ class Poly:
 
     def __repr__(self):
         return f"<Poly {poly_str(self)}>"
+
+
+_new = object.__new__
+
+
+def _poly(table: VarTable, terms: dict) -> Poly:
+    """A Poly over terms that hold no zero coefficient; the dict is kept."""
+    p = _new(Poly)
+    p.table = table
+    p.terms = terms
+    return p
+
+
+def _sum_terms(acc: dict, terms: dict, sign: int) -> dict:
+    """acc += sign * terms in place, for sign 1 or -1; returns acc."""
+    for e, c in terms.items():
+        if sign < 0:
+            c = -c
+        s = acc.get(e)
+        if s is None:
+            acc[e] = c
+            continue
+        s = s + c
+        if s.a or s.b:
+            acc[e] = s
+        else:
+            del acc[e]
+    return acc
+
+
+def _denominator(terms: dict) -> int:
+    """Least common denominator of the coefficients."""
+    D = 1
+    for c in terms.values():
+        d = c.d
+        if d != 1 and D % d:
+            D = D // gcd(D, d) * d
+    return D
+
+
+def _numerators(terms: dict) -> tuple[int, list]:
+    """Common denominator D of the coefficients, and the (exponents, re, im)
+    numerators over D."""
+    D = _denominator(terms)
+    if D == 1:
+        return 1, [(e, c.a, c.b) for e, c in terms.items()]
+    return D, [(e, c.a * (D // c.d), c.b * (D // c.d)) for e, c in terms.items()]
+
+
+def _product_terms(t1: dict, t2: dict) -> dict:
+    """Terms of the product, accumulated as Gaussian-integer numerators over
+    the product of the two common denominators and reduced once per term."""
+    if len(t1) < len(t2):
+        t1, t2 = t2, t1
+    if len(t2) == 1:
+        (e2, c), = t2.items()
+        if not any(e2):
+            return _scaled_terms(t1, c)
+        return {tuple(map(add, e1, e2)): k * c for e1, k in t1.items()}
+    D1, n1 = _numerators(t1)
+    D2, n2 = _numerators(t2)
+    D = D1 * D2
+    re: dict = {}
+    im: dict = {}
+    get, iget = re.get, im.get
+    for e2, a2, b2 in n2:
+        for e1, a1, b1 in n1:
+            e = tuple(map(add, e1, e2))
+            re[e] = get(e, 0) + a1 * a2 - b1 * b2
+            im[e] = iget(e, 0) + a1 * b2 + b1 * a2
+    return {e: _reduce(a, im[e], D) for e, a in re.items() if a or im[e]}
+
+
+def _scaled_terms(terms: dict, c: GaussianRational) -> dict:
+    """Terms times the nonzero scalar c."""
+    if c.is_one():
+        return dict(terms)
+    return {e: k * c for e, k in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +381,7 @@ def poly_str(p: Poly) -> str:
     for e in sorted(p.terms, reverse=True):
         c = p.terms[e]
         mono = _monomial_str(p.table, e)
-        negative = c.im == 0 and c.re < 0 or (c.re == 0 and c.im < 0)
+        negative = c.b == 0 and c.a < 0 or (c.a == 0 and c.b < 0)
         body_coef = -c if negative else c
         if not mono:
             body = coefficient_str(body_coef)
@@ -471,21 +538,22 @@ def parse_poly(text: str, table: VarTable) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _int_content_scale(polys):
-    """Scale factor that clears all denominators and divides out the integer gcd."""
+def _int_content_scale(polys) -> tuple[int, int]:
+    """(L, G): L clears every coefficient denominator, and G is the gcd of all
+    real and imaginary parts once they are cleared, so that multiplying by
+    L/G makes the polynomials primitive over Z[i] (G is 1 for zero input)."""
     L = 1
     for p in polys:
-        for c in p.terms.values():
-            for d in (c.re.denominator, c.im.denominator):
-                L = L * d // gcd(L, d)
+        D = _denominator(p.terms)
+        L = L // gcd(L, D) * D
     G = 0
     for p in polys:
         for c in p.terms.values():
-            G = gcd(G, abs(c.re.numerator * (L // c.re.denominator)))
-            G = gcd(G, abs(c.im.numerator * (L // c.im.denominator)))
-    if G == 0:
-        return Fraction(1)
-    return Fraction(L, G)
+            s = L // c.d
+            G = gcd(G, c.a * s, c.b * s)
+            if G == 1:
+                return L, 1
+    return L, G or 1
 
 
 class RatFunc:
@@ -607,38 +675,50 @@ class RatFunc:
 
 
 def _strip(num: Poly, den: Poly):
-    """Cheap size control: common monomial factor and rational content."""
+    """Divide out the common monomial factor and scale both parts by a
+    positive rational, so that they become primitive Z[i] polynomials."""
     if num.is_zero():
         return num, Poly.const(den.table, 1)
     common = None
-    for p in (num, den):
-        local = None
+    for p in (den, num):
         for e in p.terms:
-            if local is None:
-                local = list(e)
-            else:
-                local = [min(a, b) for a, b in zip(local, e)]
-        if common is None:
-            common = local
-        else:
-            common = [min(a, b) for a, b in zip(common, local)]
-    if common and any(common):
-        shift = tuple(common)
+            common = e if common is None else tuple(map(min, common, e))
+        if not any(common):
+            break
+    else:
+        shift = common
 
         def unshift(p: Poly) -> Poly:
-            return Poly(p.table, {tuple(a - b for a, b in zip(e, shift)): c for e, c in p.terms.items()})
+            return _poly(p.table, {tuple(map(sub, e, shift)): c for e, c in p.terms.items()})
 
         num, den = unshift(num), unshift(den)
-    scale = _int_content_scale((num, den))
-    if scale != 1:
-        num = num * scale
-        den = den * scale
+    L, G = _int_content_scale((num, den))
+    if L != 1 or G != 1:
+        num, den = _rescaled(num, L, G), _rescaled(den, L, G)
     return num, den
+
+
+def _rescaled(p: Poly, L: int, G: int) -> Poly:
+    """p times L/G, where every coefficient becomes a Gaussian integer."""
+    terms = {}
+    for e, c in p.terms.items():
+        s = L // c.d
+        terms[e] = GaussianRational(c.a * s // G, c.b * s // G)
+    return _poly(p.table, terms)
 
 
 # ---------------------------------------------------------------------------
 # substitution homomorphisms
 # ---------------------------------------------------------------------------
+
+
+def _integer_den(f: RatFunc) -> int | None:
+    """The denominator of f when it is a positive integer constant, else None."""
+    if len(f.den.terms) == 1:
+        (e, c), = f.den.terms.items()
+        if not any(e) and not c.b and c.d == 1 and c.a > 0:
+            return c.a
+    return None
 
 
 class RingMap:
@@ -711,18 +791,59 @@ class RingMap:
         raise TypeError(f"cannot substitute into {value!r}")
 
     def _subst(self, p: Poly) -> RatFunc:
+        images = self.images
+        top: dict = {}  # highest power of each variable that occurs
+        for e in p.terms:
+            for k, power in enumerate(e):
+                if power > top.get(k, 0):
+                    top[k] = power
+        scales = {k: _integer_den(images[k]) for k in top}
+        if None in scales.values():
+            return self._subst_fractions(p)
+        # every image is N_k / K_k with K_k a positive integer: sum the terms
+        # over the one denominator prod K_k^top_k; the stripped result is the
+        # unique primitive pair with a positive integer denominator
+        powers: dict = {}
+        one = {(0,) * len(self.target): ONE}
+        acc: dict = {}
+        den = 1
+        for k, power in top.items():
+            den *= scales[k] ** power
+        for e, c in p.terms.items():
+            mono = None
+            scale = 1
+            for k, t in top.items():
+                power = e[k]
+                if power:
+                    key = (k, power)
+                    factor = powers.get(key)
+                    if factor is None:
+                        factor = powers[key] = images[k].num ** power
+                    mono = factor if mono is None else mono * factor
+                if power < t:
+                    scale *= scales[k] ** (t - power)
+            _sum_terms(acc, _scaled_terms(one if mono is None else mono.terms, c * scale), 1)
+        return RatFunc(_poly(self.target, acc), Poly.const(self.target, den))
+
+    def _subst_fractions(self, p: Poly) -> RatFunc:
+        """Substitution term by term, each term added as a RatFunc.  Used
+        when some image's denominator is not a positive integer: then the
+        stripped pair is not fixed by the value alone, but by these sums."""
         result = RatFunc(Poly.zero(self.target))
         power_cache: dict = {}
         for e, c in p.terms.items():
-            term = RatFunc(Poly.const(self.target, c))
+            num = Poly.const(self.target, c)
+            den = None
             for k, power in enumerate(e):
                 if not power:
                     continue
                 key = (k, power)
                 if key not in power_cache:
                     power_cache[key] = self.images[k] ** power
-                term = term * power_cache[key]
-            result = result + term
+                factor = power_cache[key]
+                num = num * factor.num
+                den = factor.den if den is None else den * factor.den
+            result = result + RatFunc(num, den)
         return result
 
     def is_identity(self) -> bool:

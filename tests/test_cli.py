@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import realforms
 from realforms import checks, cli
 
 
@@ -273,3 +277,25 @@ def test_parameter_parsing_forms():
         cli.parameter("1/0")
     with pytest.raises(Exception):
         cli.parameter("two")
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--values=2,1/2,3"],
+    ["grid", "--values=2,1/2,3", "--format", "text"],
+])
+def test_closed_stdout_exits_quietly(argv):
+    # the reader end is closed before the command writes, as when
+    # `realforms grid | head -c 200` stops reading early
+    src = os.path.dirname(os.path.dirname(os.path.abspath(realforms.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "realforms", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1  # output was lost; 2 is kept for usage errors

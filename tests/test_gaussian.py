@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from realforms.gaussian import I, ONE, ZERO, GaussianRational, coefficient_str, row_reduce
 
@@ -106,3 +108,94 @@ def test_row_reduce_over_fractions_and_gaussians():
     assert pivots == [0]
     assert work == [[ONE, -I], [ZERO, ZERO]]
     assert row_reduce([]) == ([], [])
+
+
+# -- the (a + b*i)/d representation against a pair-of-Fractions oracle ---------
+
+RATIONALS = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+PAIRS = st.tuples(RATIONALS, RATIONALS)
+
+
+def _pair_mul(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def _pair_inverse(p):
+    n = p[0] * p[0] + p[1] * p[1]
+    return (p[0] / n, -p[1] / n)
+
+
+def _pair_pow(p, n):
+    if n < 0:
+        return _pair_pow(_pair_inverse(p), -n)
+    result = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        result = _pair_mul(result, p)
+    return result
+
+
+def _assert_canonical(z: GaussianRational, expected=None):
+    assert z.d > 0 and gcd(z.a, z.b, z.d) == 1
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    if expected is not None:
+        assert (z.re, z.im) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(PAIRS, PAIRS, st.integers(min_value=-4, max_value=5))
+def test_matches_fraction_pair_oracle(p, q, n):
+    x, y = GaussianRational(*p), GaussianRational(*q)
+    _assert_canonical(x, p)
+    _assert_canonical(x + y, (p[0] + q[0], p[1] + q[1]))
+    _assert_canonical(x - y, (p[0] - q[0], p[1] - q[1]))
+    _assert_canonical(x * y, _pair_mul(p, q))
+    _assert_canonical(-x, (-p[0], -p[1]))
+    _assert_canonical(x.conjugate(), (p[0], -p[1]))
+    assert x.norm() == p[0] * p[0] + p[1] * p[1] and type(x.norm()) is Fraction
+    if any(q):
+        _assert_canonical(y.inverse(), _pair_inverse(q))
+        _assert_canonical(x / y, _pair_mul(p, _pair_inverse(q)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if n >= 0 or any(p):
+        _assert_canonical(x ** n, _pair_pow(p, n))
+    # mixed operands: int and Fraction on either side
+    k = p[0].numerator
+    _assert_canonical(x + k, (p[0] + k, p[1]))
+    _assert_canonical(k - x, (k - p[0], -p[1]))
+    _assert_canonical(q[0] * x, (q[0] * p[0], q[0] * p[1]))
+    # equality with int and Fraction holds exactly for real values
+    assert (x == p[0]) == (p[1] == 0)
+    assert (GaussianRational(k) == k) and (GaussianRational(p[0]) == p[0])
+    assert (x == k) == (p == (k, 0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(PAIRS, PAIRS)
+def test_equal_values_hash_equal_however_built(p, q):
+    x, y = GaussianRational(*p), GaussianRational(*q)
+    built = [
+        x,
+        GaussianRational(p[0]) + I * p[1],
+        (x + y) - y,
+        (x * 6) / 6,
+        x * ONE + ZERO,
+        (x * y) / y if any(q) else x,
+        x.conjugate().conjugate(),
+    ]
+    for z in built:
+        _assert_canonical(z, p)
+        assert z == x and hash(z) == hash(x)
+    assert len(set(built)) == 1
+
+
+def test_canonical_triples_of_one_half():
+    half = GaussianRational(Fraction(2, 4))
+    for z in (half, ONE / 2, ONE * Fraction(1, 2), GaussianRational(3, 1) * Fraction(1, 6) - I / 6):
+        assert (z.a, z.b, z.d) == (1, 0, 2)
+        assert z == half and hash(z) == hash(half)
+    assert (GaussianRational(Fraction(1, 2), Fraction(-1, 3)).a,
+            GaussianRational(Fraction(1, 2), Fraction(-1, 3)).d) == (3, 6)
+    assert (ZERO.a, ZERO.b, ZERO.d) == (0, 0, 1)
+    assert ((ONE + I) / 2) ** 2 == I / 2

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,21 @@ def test_normal_forms_against_oracle():
     # a variable outside the basis survives division untouched
     g = [p3("x - y^2"), p3("y^3 - 1")]
     assert normal_form(p3("z"), g) == p3("z")
+
+
+def _assert_canonical_coefficients(p: Poly):
+    for c in p.terms.values():
+        assert c.d > 0 and gcd(c.a, c.b, c.d) == 1, (c.a, c.b, c.d)
+
+
+def test_normal_form_remainder_is_canonical():
+    # the divisor's tail numerators over its common denominator 2 are 4 and 1:
+    # the step subtracts 4/2 * y, which must come out as 2 before it is added
+    r = normal_form(p3("x + 3*y"), [p3("x + 2*y + 1/2*z")])
+    assert r == p3("y - 1/2*z")
+    assert str(r) == "y - 1/2*z"
+    assert r.terms[(0, 1, 0)].is_one()
+    _assert_canonical_coefficients(r)
 
 
 def test_membership():
@@ -327,6 +343,42 @@ def test_orders_agree_on_membership(data):
     grevlex_basis = buchberger(gens, GREVLEX)
     assert all(normal_form(g, lex_basis, LEX).is_zero() for g in grevlex_basis)
     assert all(normal_form(g, grevlex_basis, GREVLEX).is_zero() for g in lex_basis)
+
+
+def _reference_remainder(p: Poly, basis, order) -> Poly:
+    """Division with the same choices as normal_form, done term by term with
+    Poly and GaussianRational operations."""
+    key = order.key_fn(p.table)
+    work, remainder = p, {}
+    while not work.is_zero():
+        e = max(work.terms, key=key)
+        c = work.terms[e]
+        for g in basis:
+            if g.is_zero():
+                continue
+            lt = max(g.terms, key=key)
+            if all(a <= b for a, b in zip(lt, e)):
+                shift = tuple(a - b for a, b in zip(e, lt))
+                work = work - Poly(p.table, {shift: c / g.terms[lt]}) * g
+                break
+        else:
+            remainder[e] = c
+            work = work - Poly(p.table, {e: c})
+    return Poly(p.table, remainder)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_normal_form_matches_term_by_term_division(data):
+    table = data.draw(st.sampled_from([XY, XYZ]))
+    order = data.draw(st.sampled_from([LEX, GREVLEX]))
+    basis = data.draw(st.lists(_polys(table), min_size=1, max_size=3))
+    p = data.draw(_polys(table)) * data.draw(_polys(table))
+    r = normal_form(p, basis, order)
+    _assert_canonical_coefficients(r)
+    assert r == _reference_remainder(p, basis, order)
+    for g in buchberger(basis, order):
+        _assert_canonical_coefficients(g)
 
 
 def _to_sympy(sympy, p: Poly, symbols):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -222,6 +223,38 @@ def test_ratfunc_equality_is_equivalence_random():
         assert r1 != r1 + 1
 
 
+def _assert_primitive_parts(f: RatFunc):
+    """num and den are Z[i] polynomials with integer content 1 and no common
+    monomial factor."""
+    coefficients = list(f.num.terms.values()) + list(f.den.terms.values())
+    assert all(c.d == 1 for c in coefficients)
+    assert gcd(*(part for c in coefficients for part in (c.a, c.b))) == 1
+    exponents = list(f.num.terms) + list(f.den.terms)
+    assert not any(min(column) for column in zip(*exponents))
+
+
+def test_ratfunc_parts_are_primitive_gaussian_integer_polys():
+    rng = random.Random(6060)
+    x, y = Poly.var(TABLE, "x"), Poly.var(TABLE, "y")
+    checked = 0
+    for _ in range(60):
+        num = rand_poly(rng, TABLE) + x * rand_scalar(rng)
+        den = rand_poly(rng, TABLE) + Poly.const(TABLE, Fraction(rng.randint(1, 9), 7))
+        if num.is_zero() or den.is_zero():
+            continue
+        shared = x ** rng.randint(0, 2) * y ** rng.randint(0, 2) * Fraction(rng.randint(1, 5), 3)
+        f = RatFunc(num * shared, den * shared)
+        _assert_primitive_parts(f)
+        assert f.num * den == num * f.den  # same value
+        checked += 1
+    assert checked > 40
+    # a constant denominator is cleared into a positive integer
+    f = RatFunc(x * Fraction(3, 4) + y * GaussianRational(0, Fraction(1, 6)))
+    _assert_primitive_parts(f)
+    assert poly_str(f.num) == "9*x + (2)i*y" and poly_str(f.den) == "12"
+    assert RatFunc(Poly.zero(TABLE), x).den == Poly.const(TABLE, 1)
+
+
 def test_as_poly_guard():
     x = Poly.var(TABLE, "x")
     y = Poly.var(TABLE, "y")
@@ -296,3 +329,43 @@ def test_compose_chains_tables():
         compose(to_other, to_other)
     back = RingMap(other, TABLE, [RatFunc.var(TABLE, n) for n in TABLE.names])
     assert compose(to_other, back).is_identity()
+
+
+def rand_fraction_map(rng: random.Random) -> RingMap:
+    """Random substitution whose images have polynomial denominators."""
+    images = []
+    for _ in TABLE.names:
+        num = rand_poly(rng, TABLE, terms=2) + Poly.var(TABLE, rng.choice(TABLE.names))
+        den = rand_poly(rng, TABLE, terms=2) + Poly.const(TABLE, 1)
+        if den.is_zero():
+            den = Poly.const(TABLE, 1)
+        images.append(RatFunc(num, den))
+    return RingMap(TABLE, TABLE, images)
+
+
+def test_substitution_term_by_term_agrees_with_one_denominator():
+    # with positive integer image denominators, _subst sums every term over
+    # one denominator; the stripped result must be the very pair the term by
+    # term RatFunc sum gives, since witnesses print the numerator
+    rng = random.Random(515)
+    for _ in range(20):
+        m = rand_affine_map(rng)
+        p = rand_poly(rng, TABLE, terms=4)
+        fast, slow = m._subst(p), m._subst_fractions(p)
+        assert fast.num == slow.num and fast.den == slow.den
+
+
+def test_substitution_with_fraction_images():
+    rng = random.Random(616)
+    for _ in range(6):
+        m = rand_fraction_map(rng)
+        p = rand_poly(rng, TABLE, terms=3)
+        expected = RatFunc(Poly.zero(TABLE))
+        for e, c in p.terms.items():
+            term = RatFunc.const(TABLE, c)
+            for image, power in zip(m.images, e):
+                term = term * image ** power
+            expected = expected + term
+        got = m(p)
+        assert got == expected
+        _assert_primitive_parts(got)
