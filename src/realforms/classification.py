@@ -4,15 +4,17 @@ Two parameter values give isomorphic real surfaces exactly when a weighted
 isomorphism of their negative-curve incidence graphs, commuting with the
 conjugation actions and fixing the structural vertices, is realized by an
 invertible linear map of the plane defined over the rationals.  The search
-is exact: matchings by backtracking over the 12-vertex graphs, witnesses by
-solving the center equations over the rationals.
+is exact: matchings by backtracking over the 12-vertex graphs, once per graph
+shape, witnesses by solving the center equations over the rationals with
+integer elimination.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
-from .gaussian import ZERO, GaussianRational, row_reduce
+from .gaussian import ZERO, GaussianRational
 from .intersection import (
     KIND_EXCEPTIONAL,
     LABEL_AT_INFINITY,
@@ -32,12 +34,27 @@ PINNED_LABELS = (LABEL_AT_INFINITY, ORIGIN_LABEL)
 @dataclass(frozen=True)
 class CurveIncidenceGraph:
     """Weighted graph of the twelve distinguished curves with its conjugation
-    action; exceptional vertices carry their blow-up centers."""
+    action; exceptional vertices carry their blow-up centers.
+
+    ``center_terms`` holds each center's coordinates term by term, keyed by
+    the named monomial, so that centers from different tables (one per
+    parameter value) compare coefficientwise; it is derived from ``centers``.
+    """
 
     labels: tuple[str, ...]
     weights: tuple[tuple[int, ...], ...]
     real_action: tuple[int, ...]
     centers: tuple[object, ...]  # (Poly, Poly) for exceptional vertices, else None
+    # {monomial: (x coefficient, y coefficient)} per exceptional vertex, else None
+    center_terms: tuple[object, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "center_terms", tuple(
+            None if c is None else _named_terms(*c) for c in self.centers))
+
+    def shape(self) -> tuple:
+        """Everything the matching search reads: labels, weights, action."""
+        return self.labels, self.weights, self.real_action
 
     def index_of(self, label: str) -> int:
         return self.labels.index(label)
@@ -100,29 +117,40 @@ def incidence_graph(alpha, d_max: int = 6) -> CurveIncidenceGraph:
 def admissible_matchings(src: CurveIncidenceGraph,
                          dst: CurveIncidenceGraph) -> list[tuple[int, ...]]:
     """All weight-preserving vertex bijections commuting with the conjugation
-    actions and fixing the boundary line at infinity and the origin curve."""
-    n = src.size()
-    if n != dst.size():
-        return []
+    actions and fixing the boundary line at infinity and the origin curve.
+
+    The search depends on the two graph shapes only, so it runs once per
+    pair of shapes in a process; every call gets a fresh list.
+    """
+    return list(_shape_matchings(src.shape(), dst.shape()))
+
+
+@cache
+def _shape_matchings(src_shape: tuple, dst_shape: tuple) -> tuple[tuple[int, ...], ...]:
+    src_labels, src_weights, src_action = src_shape
+    dst_labels, dst_weights, dst_action = dst_shape
+    n = len(src_labels)
+    if n != len(dst_labels):
+        return ()
     assignment: dict[int, int] = {}
     used: set[int] = set()
     for label in PINNED_LABELS:
-        i, j = src.index_of(label), dst.index_of(label)
+        i, j = src_labels.index(label), dst_labels.index(label)
         assignment[i] = j
         used.add(j)
     free = [i for i in range(n) if i not in assignment]
 
     def consistent(i: int, j: int) -> bool:
-        if dst.weights[j][j] != src.weights[i][i]:
+        if dst_weights[j][j] != src_weights[i][i]:
             return False
         for k, l in assignment.items():
-            if dst.weights[j][l] != src.weights[i][k]:
+            if dst_weights[j][l] != src_weights[i][k]:
                 return False
         trial = dict(assignment)
         trial[i] = j
         for k, l in trial.items():
-            t = src.real_action[k]
-            if t in trial and trial[t] != dst.real_action[l]:
+            t = src_action[k]
+            if t in trial and trial[t] != dst_action[l]:
                 return False
         return True
 
@@ -143,8 +171,7 @@ def admissible_matchings(src: CurveIncidenceGraph,
             used.remove(j)
 
     backtrack(0)
-    out.sort()
-    return out
+    return tuple(sorted(out))
 
 
 def matching_as_labels(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
@@ -157,28 +184,48 @@ def matching_as_labels(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
 # ---------------------------------------------------------------------------
 
 
-def _solve_unique(rows: list[tuple[Fraction, Fraction, Fraction]]):
-    """Unique rational solution of a*p + b*q = rhs rows, or None.
+def _rational_solution(equations) -> tuple[Fraction, Fraction] | None:
+    """The unique rational (p, q) with cx*p + cy*q = t for every Q(i)
+    equation (cx, cy, t), or None when there is none or more than one.
 
-    The rows stay Fraction-valued: Fraction arithmetic is several times
-    cheaper than Q(i) arithmetic, and this solve runs for every matching.
+    Each equation gives two integer rows (a, b, r), its real and imaginary
+    parts over a common denominator.  Two rows whose 2x2 minor D is nonzero
+    fix the only candidate by Cramer's rule, p = P/D and q = Q/D; it is the
+    solution exactly when every row satisfies a*P + b*Q = r*D.
     """
-    work, pivots = row_reduce(rows)
-    if pivots != [0, 1]:  # underdetermined, or inconsistent (pivot in rhs)
+    rows = []
+    for cx, cy, t in equations:
+        sx, sy, st = cy.d * t.d, cx.d * t.d, cx.d * cy.d
+        rows.append((cx.a * sx, cy.a * sy, t.a * st))
+        rows.append((cx.b * sx, cy.b * sy, t.b * st))
+    first = next((row for row in rows if row[0] or row[1]), None)
+    if first is None:
         return None
-    return work[0][2], work[1][2]
+    a1, b1, r1 = first
+    for a2, b2, r2 in rows:
+        det = a1 * b2 - a2 * b1
+        if det:
+            break
+    else:  # the coefficient columns have rank below 2
+        return None
+    p = r1 * b2 - r2 * b1
+    q = a1 * r2 - a2 * r1
+    if any(a * p + b * q != r * det for a, b, r in rows):
+        return None
+    return Fraction(p, det), Fraction(q, det)
 
 
-def _named_terms(p: Poly) -> dict:
-    """Polynomial terms keyed by variable name, so that polynomials living in
-    different tables (one per parameter value) compare coefficientwise."""
-    out = {}
-    for exps, coeff in p.terms.items():
-        key = tuple(sorted(
-            (name, e) for name, e in zip(p.table.names, exps) if e
-        ))
-        out[key] = coeff
-    return out
+def _named_terms(x: Poly, y: Poly) -> dict:
+    """The coordinates (x, y) of a center term by term: named monomial ->
+    (x coefficient, y coefficient), a missing coefficient being zero."""
+    out: dict = {}
+    for k, p in enumerate((x, y)):
+        names = p.table.names
+        for exps, coeff in p.terms.items():
+            key = tuple(sorted((name, e) for name, e in zip(names, exps) if e))
+            pair = out.setdefault(key, [ZERO, ZERO])
+            pair[k] = coeff
+    return {key: tuple(pair) for key, pair in out.items()}
 
 
 def _center_equations(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
@@ -190,19 +237,17 @@ def _center_equations(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
     [[p, q], [r, s]] carries a source center onto its matched target center
     in that monomial: cx*p + cy*q = tx and cx*r + cy*s = ty.
     """
+    zero = (ZERO, ZERO)
     equations = []
     for i, j in enumerate(matching):
-        c = src.centers[i]
-        t = dst.centers[j]
+        c = src.center_terms[i]
+        t = dst.center_terms[j]
         if c is None or t is None:
             if c is not t:
                 return None
             continue
-        ax, ay = _named_terms(c[0]), _named_terms(c[1])
-        bx, by = _named_terms(t[0]), _named_terms(t[1])
-        for key in sorted(set(ax) | set(ay) | set(bx) | set(by)):
-            equations.append((ax.get(key, ZERO), ay.get(key, ZERO),
-                              bx.get(key, ZERO), by.get(key, ZERO)))
+        for key in sorted(c.keys() | t.keys()):
+            equations.append(c.get(key, zero) + t.get(key, zero))
     return equations
 
 
@@ -219,18 +264,11 @@ def solve_linear_witness(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
     equations = _center_equations(src, dst, matching)
     if equations is None:
         return None
-    rows_top: list[tuple[Fraction, Fraction, Fraction]] = []
-    rows_bottom: list[tuple[Fraction, Fraction, Fraction]] = []
-    for cx, cy, tx, ty in equations:
-        rows_top.append((cx.re, cy.re, tx.re))
-        rows_top.append((cx.im, cy.im, tx.im))
-        rows_bottom.append((cx.re, cy.re, ty.re))
-        rows_bottom.append((cx.im, cy.im, ty.im))
-    top = _solve_unique(rows_top)
-    bottom = None if top is None else _solve_unique(rows_bottom)
-    if bottom is None:
+    top = _rational_solution([(cx, cy, tx) for cx, cy, tx, _ in equations])
+    if top is None:
         return None
-    return (top, bottom)
+    bottom = _rational_solution([(cx, cy, ty) for cx, cy, _, ty in equations])
+    return None if bottom is None else (top, bottom)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Graph matchings, rational witnesses, and the equivalence classification."""
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from realforms import classification
 from realforms.classification import (
     ORIGIN_LABEL,
     PINNED_LABELS,
@@ -20,6 +23,7 @@ from realforms.classification import (
     solve_linear_witness,
 )
 from realforms.errors import ForbiddenParameter
+from realforms.gaussian import GaussianRational, row_reduce
 from realforms.intersection import LABEL_AT_INFINITY
 
 GRID = sorted({
@@ -134,6 +138,39 @@ def test_matchings_match_brute_force_oracle():
         assert len(fast) == 4
 
 
+@pytest.mark.parametrize("d_max", [1, 2, 3, 4, 5, 6, "symbolic"])
+def test_memoised_matchings_match_brute_force_at_every_d_max(d_max):
+    if d_max == "symbolic":
+        src = dst = incidence_graph("symbolic")
+    else:
+        src, dst = incidence_graph(2, d_max), incidence_graph(Fraction(1, 2), d_max)
+    assert admissible_matchings(src, dst) == brute_force_matchings(src, dst)
+
+
+def test_matchings_memo_hands_out_fresh_lists():
+    src, dst = incidence_graph(2), incidence_graph(3)
+    first = admissible_matchings(src, dst)
+    expected = list(first)
+    first.clear()
+    assert admissible_matchings(src, dst) == expected
+    assert admissible_matchings(src, dst) is not admissible_matchings(src, dst)
+
+
+def test_matchings_memo_searches_a_changed_shape_again():
+    g = incidence_graph(2)
+    weights = [list(row) for row in g.weights]
+    origin, plus = g.index_of(ORIGIN_LABEL), g.index_of("L(x+iy)")
+    weights[origin][plus] = weights[plus][origin] = 2
+    altered = dataclasses.replace(g, weights=tuple(tuple(row) for row in weights))
+    assert altered.center_terms == g.center_terms
+    admissible_matchings(g, g)
+    misses = classification._shape_matchings.cache_info().misses
+    found = admissible_matchings(altered, altered)
+    assert classification._shape_matchings.cache_info().misses == misses + 1
+    assert found == brute_force_matchings(altered, altered)
+    assert len(found) == 2 and len(admissible_matchings(g, g)) == 4
+
+
 def test_identity_matching_on_diagonal():
     g = incidence_graph(3)
     matchings = admissible_matchings(g, g)
@@ -188,6 +225,73 @@ def test_no_witness_for_inequivalent_pair():
     src, dst = incidence_graph(2), incidence_graph(3)
     for m in admissible_matchings(src, dst):
         assert solve_linear_witness(src, dst, m) is None
+
+
+def _row_reduce_solution(equations):
+    """The oracle: reduced row-echelon form of the real and imaginary rows over
+    Fractions; a unique solution exactly when the pivots are the two unknowns."""
+    rows = []
+    for cx, cy, t in equations:
+        rows.append((cx.re, cy.re, t.re))
+        rows.append((cx.im, cy.im, t.im))
+    work, pivots = row_reduce(rows)
+    return (work[0][2], work[1][2]) if pivots == [0, 1] else None
+
+
+# zero twice, so that zero coefficients and proportional rows come up often
+SMALL = st.sampled_from([Fraction(v) for v in ("0", "0", "1", "-1", "2", "1/2", "-2/3", "5/4")])
+ENTRIES = st.builds(GaussianRational, SMALL, SMALL)
+KINDS = ("consistent", "inconsistent", "free", "rank 1", "rank 0")
+
+
+@st.composite
+def center_systems(draw):
+    """Q(i) systems cx*p + cy*q = t of every kind the witness solve meets."""
+    kind = draw(st.sampled_from(KINDS))
+    p, q, ratio = draw(SMALL), draw(SMALL), draw(SMALL)
+    size = draw(st.integers(min_value=1, max_value=4))
+    equations = []
+    for _ in range(size):
+        cx, cy = draw(ENTRIES), draw(ENTRIES)
+        if kind == "rank 1":
+            cy = cx * ratio
+        elif kind == "rank 0":
+            cx = cy = GaussianRational(0)
+        t = draw(ENTRIES) if kind == "free" else cx * p + cy * q
+        equations.append((cx, cy, t))
+    if kind == "inconsistent":
+        k = draw(st.integers(min_value=0, max_value=size - 1))
+        cx, cy, t = equations[k]
+        equations[k] = (cx, cy, t + draw(ENTRIES.filter(bool)))
+    if draw(st.booleans()):
+        equations.append(equations[draw(st.integers(min_value=0, max_value=size - 1))])
+    return kind, (p, q), equations
+
+
+G = GaussianRational
+HALF = Fraction(1, 2)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(center_systems())
+@example(("rank 0", None, [(G(0), G(0), G(0))]))
+@example(("rank 0", None, [(G(0), G(0), G(1, 1))]))
+@example(("rank 1", None, [(G(1), G(2), G(3)), (G(1), G(2), G(3))]))
+@example(("minimal", None, [(G(1, 1), G(HALF, -1), G(3, HALF))]))
+@example(("minimal", None, [(G(2), G(0, 1), G(HALF, Fraction(-1, 3)))]))
+@example(("inconsistent", None, [(G(1), G(0), G(1)), (G(0), G(1), G(1)), (G(1), G(1), G(3))]))
+def test_integer_solve_matches_row_reduce_oracle(case):
+    kind, hidden, equations = case
+    found = classification._rational_solution(equations)
+    assert found == _row_reduce_solution(equations)
+    if kind in ("rank 1", "rank 0"):
+        assert found is None
+    if found is not None:
+        assert all(type(v) is Fraction for v in found)
+        p, q = found
+        assert all(cx * p + cy * q == t for cx, cy, t in equations)
+        if kind == "consistent":
+            assert found == hidden
 
 
 def test_classify_reciprocal_and_diagonal():

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: output schema, determinism, exit codes."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -173,6 +174,24 @@ def test_grid_small(capsys):
     for cell in data["cells"]:
         assert cell["agrees"] is True
         assert cell["witness"] is not None
+
+
+TWENTY_VALUES = "--values=-7,-5,-3,-2,-3/2,-1/2,-1/3,-2/3,1/5,1/3,2/5,1/2,2/3,3/2,2,5/2,3,7/3,3/7,5"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["grid"], "2c4e868cd581ee9f6539f0cf1c7b7cf6886666cccefce83eefb9ad6c9a705395"),
+    (["grid", TWENTY_VALUES],
+     "94b880199075e0e49ff07367f0f1223edcb2fbb76857325cfc1aa2b25c6e2cc3"),
+    (["classify", "2", "1/2"],
+     "c3029da00799abcb8881917eb24ea593dfb62e856dd8c27657704c6235607e22"),
+], ids=["grid", "grid-20-values", "classify"])
+def test_classification_json_bytes_are_pinned(capsys, argv, digest):
+    # sha256 of the JSON these commands printed before the matching memo and
+    # the integer witness solve; a faster search must not move a byte
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_grid_with_excluded_value_exits_2(capsys):
