@@ -48,6 +48,8 @@ class CurveIncidenceGraph:
     # {monomial: (x coefficient, y coefficient)} per exceptional vertex, else None
     center_terms: tuple[object, ...] = field(init=False, repr=False, compare=False)
 
+    __hash__ = None  # the centers hold Polys, which have no hash
+
     def __post_init__(self):
         object.__setattr__(self, "center_terms", tuple(
             None if c is None else _named_terms(*c) for c in self.centers))

@@ -60,17 +60,9 @@ class GaussianRational:
 
     # -- ring operations -------------------------------------------------
 
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, _RATIONAL):
-            return GaussianRational(value)
-        return None
-
     def __add__(self, other):
         if type(other) is not GaussianRational:
-            other = self._coerce(other)
+            other = coerce(other)
             if other is None:
                 return NotImplemented
         return _add(self.a, self.b, self.d, other.a, other.b, other.d)
@@ -79,13 +71,13 @@ class GaussianRational:
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
-            other = self._coerce(other)
+            other = coerce(other)
             if other is None:
                 return NotImplemented
         return _add(self.a, self.b, self.d, -other.a, -other.b, other.d)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = coerce(other)
         if other is None:
             return NotImplemented
         return _add(other.a, other.b, other.d, -self.a, -self.b, self.d)
@@ -95,7 +87,7 @@ class GaussianRational:
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
-            other = self._coerce(other)
+            other = coerce(other)
             if other is None:
                 return NotImplemented
         return _mul(self.a, self.b, self.d, other.a, other.b, other.d)
@@ -120,13 +112,13 @@ class GaussianRational:
         return _reduce(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = coerce(other)
         if other is None:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = coerce(other)
         if other is None:
             return NotImplemented
         return other * self.inverse()
@@ -153,7 +145,7 @@ class GaussianRational:
             return self.a == other.a and self.b == other.b and self.d == other.d
         if type(other) is int:
             return self.a == other and not self.b and self.d == 1
-        other = self._coerce(other)
+        other = coerce(other)
         if other is None:
             return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
@@ -166,6 +158,16 @@ class GaussianRational:
 
     def __str__(self):
         return coefficient_str(self)
+
+
+def coerce(value) -> GaussianRational | None:
+    """value as a Gaussian rational when it is one, an int or a Fraction;
+    None for anything else, floats and strings included."""
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, _RATIONAL):
+        return GaussianRational(value)
+    return None
 
 
 def _make(a: int, b: int, d: int) -> GaussianRational:

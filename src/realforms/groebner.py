@@ -440,5 +440,7 @@ def member_with_denominators(p: Poly, ideal: Ideal,
     for k in range(MAX_DENOMINATOR_POWER + 1):
         if ideal.member(candidate):
             return k
+        if product.is_constant() and product:
+            return None  # a nonzero constant factor changes no membership
         candidate = candidate * product
     return None

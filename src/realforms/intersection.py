@@ -200,10 +200,6 @@ class EnumerationResult:
         }
 
 
-def _unit_str(value: Poly) -> str:
-    return str(value)
-
-
 def _realize_line(config: PointConfiguration, cls: DivisorClass):
     """Try to realize a degree-1 class as an actual line of the configuration.
 
@@ -232,7 +228,7 @@ def _realize_line(config: PointConfiguration, cls: DivisorClass):
             )
         if not certified_unit(value, config.units):
             return None  # cannot certify either way
-        avoids.append((k, _unit_str(value)))
+        avoids.append((k, str(value)))
     label, kind = _LABEL_BY_CLASS.get(cls, (f"curve{cls}", KIND_LINE))
     return NegativeCurveRecord(label, cls, kind, form, through, tuple(avoids))
 
@@ -316,7 +312,7 @@ def enumerate_negative_classes(alpha, d_max: int = 6) -> EnumerationResult:
     infinity = NegativeCurveRecord(
         LABEL_AT_INFINITY, CLASS_AT_INFINITY, KIND_BOUNDARY,
         canonical_form(Poly.var(config.table, "z")), (), tuple(
-            (k, _unit_str(Poly.const(config.table, 1)))
+            (k, str(Poly.const(config.table, 1)))
             for k in range(NUM_CENTERS)
         ),
     )

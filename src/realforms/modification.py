@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FNotInIdeal, PointNotOnVariety
-from .gaussian import GaussianRational, I as IMAG, row_reduce
+from .gaussian import GaussianRational, I as IMAG, coerce, row_reduce
 from .groebner import Ideal, member_with_denominators
 from .reports import CertifiedReport
 from .ring import Poly, RatFunc, RingMap, VarTable, compose
@@ -293,9 +293,10 @@ def match_fiber_to_surface(alpha) -> CertifiedReport:
 
 
 def _as_scalar(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    return GaussianRational(Fraction(value))
+    c = coerce(value)
+    if c is None:
+        raise TypeError(f"not an exact scalar: {value!r}")
+    return c
 
 
 def surface_chart_point(alpha, x0, u0) -> dict:
@@ -309,7 +310,7 @@ def surface_chart_point(alpha, x0, u0) -> dict:
     return {"x": x0, "y": y0, "u": u0, "v": v0}
 
 
-def jacobian_rank_at(presentation, point: dict, coords=None) -> int:
+def jacobian_rank_at(presentation, point: dict) -> int:
     """Exact rank of the Jacobian of the presentation's relations at a point.
 
     The point must satisfy every relation (PointNotOnVariety otherwise) and
@@ -320,8 +321,7 @@ def jacobian_rank_at(presentation, point: dict, coords=None) -> int:
     else:
         generators = presentation.ideal.generators
     values = {n: _as_scalar(v) for n, v in point.items()}
-    if coords is None:
-        coords = [n for n in generators[0].table.names if n in values]
+    coords = [n for n in generators[0].table.names if n in values]
     for g in generators:
         if not g.evaluate(values).is_zero():
             raise PointNotOnVariety(f"relation {g} does not vanish at the point")

@@ -14,7 +14,10 @@ no monomial factor.  Products of parts therefore run on integer
 coefficients.
 
 RingMap is a substitution homomorphism: one RatFunc image per source-table
-variable, plus a flag that conjugates coefficients before substituting.  Maps
+variable, plus a flag that conjugates coefficients before substituting.  It
+substitutes over one common denominator, the product of the image
+denominators to the highest powers that occur, and maps a numerator and its
+denominator together, so no fraction is added or divided on the way.  Maps
 compose by substitution chaining; conjugation flags compose by XOR.
 """
 from __future__ import annotations
@@ -25,7 +28,7 @@ from operator import add, sub
 from typing import Iterable, Mapping
 
 from .errors import ConjugationUndefined
-from .gaussian import GaussianRational, ONE, ZERO, _reduce, coefficient_str
+from .gaussian import GaussianRational, ONE, ZERO, _reduce, coefficient_str, coerce
 
 REAL = "real"
 GENERIC = "generic"
@@ -67,14 +70,6 @@ class VarTable:
         return f"VarTable({self.names!r}, generic={sorted(self.generic)!r})"
 
 
-def _coerce_scalar(value) -> GaussianRational | None:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    return None
-
-
 class Poly:
     """Sparse polynomial over Q(i) in the variables of one VarTable."""
 
@@ -92,7 +87,7 @@ class Poly:
 
     @staticmethod
     def const(table: VarTable, value) -> "Poly":
-        c = _coerce_scalar(value)
+        c = coerce(value)
         if c is None:
             raise TypeError(f"not a scalar: {value!r}")
         zero_exp = (0,) * len(table)
@@ -131,7 +126,7 @@ class Poly:
         if isinstance(other, Poly):
             self._check(other)
             return _poly(self.table, _sum_terms(dict(self.terms), other.terms, 1))
-        c = _coerce_scalar(other)
+        c = coerce(other)
         if c is None:
             return NotImplemented
         return self + Poly.const(self.table, c)
@@ -145,7 +140,7 @@ class Poly:
         if isinstance(other, Poly):
             self._check(other)
             return _poly(self.table, _sum_terms(dict(self.terms), other.terms, -1))
-        c = _coerce_scalar(other)
+        c = coerce(other)
         if c is None:
             return NotImplemented
         return self + Poly.const(self.table, -c)
@@ -157,7 +152,7 @@ class Poly:
         if isinstance(other, Poly):
             self._check(other)
             return _poly(self.table, _product_terms(self.terms, other.terms))
-        c = _coerce_scalar(other)
+        c = coerce(other)
         if c is None:
             return NotImplemented
         if c.is_zero():
@@ -186,7 +181,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.table == other.table and self.terms == other.terms
-        c = _coerce_scalar(other)
+        c = coerce(other)
         if c is None:
             return NotImplemented
         return self == Poly.const(self.table, c)
@@ -237,7 +232,7 @@ class Poly:
         """Substitute scalars for a subset of the variables."""
         cooked = {}
         for name, v in values.items():
-            c = _coerce_scalar(v)
+            c = coerce(v)
             if c is None:
                 raise TypeError(f"not a scalar for {name}: {v!r}")
             cooked[self.table.index(name)] = c
@@ -597,7 +592,7 @@ class RatFunc:
             return other
         if isinstance(other, Poly):
             return RatFunc(other)
-        c = _coerce_scalar(other)
+        c = coerce(other)
         if c is not None:
             return RatFunc(Poly.const(self.table, c))
         return None
@@ -712,15 +707,6 @@ def _rescaled(p: Poly, L: int, G: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _integer_den(f: RatFunc) -> int | None:
-    """The denominator of f when it is a positive integer constant, else None."""
-    if len(f.den.terms) == 1:
-        (e, c), = f.den.terms.items()
-        if not any(e) and not c.b and c.d == 1 and c.a > 0:
-            return c.a
-    return None
-
-
 class RingMap:
     """Substitution map: one image per source-table variable.
 
@@ -771,80 +757,72 @@ class RingMap:
         return self.images[self.source.index(name)]
 
     def __call__(self, value):
-        """Apply the substitution to a Poly or RatFunc over the source table."""
+        """Apply the substitution to a Poly or RatFunc over the source table;
+        a Poly p is taken as the fraction p/1."""
         if isinstance(value, RatFunc):
-            if value.table != self.source:
-                raise ValueError("VarTable mismatch")
-            if self.conjugates_coefficients:
-                value = value.conjugate()
-            num = self._subst(value.num)
-            den = self._subst(value.den)
-            if den.is_zero():
-                raise ZeroDivisionError("denominator maps to zero")
-            return num / den
-        if isinstance(value, Poly):
-            if value.table != self.source:
-                raise ValueError("VarTable mismatch")
-            if self.conjugates_coefficients:
-                value = value.conjugate()
-            return self._subst(value)
-        raise TypeError(f"cannot substitute into {value!r}")
+            parts = (value.num, value.den)
+        elif isinstance(value, Poly):
+            parts = (value, Poly.const(value.table, 1))
+        else:
+            raise TypeError(f"cannot substitute into {value!r}")
+        if value.table != self.source:
+            raise ValueError("VarTable mismatch")
+        if self.conjugates_coefficients:
+            parts = tuple(p.conjugate() for p in parts)
+        num, den = self._subst(parts)
+        if den.is_zero():
+            raise ZeroDivisionError("denominator maps to zero")
+        return RatFunc(num, den)
 
-    def _subst(self, p: Poly) -> RatFunc:
+    def _subst(self, parts: tuple) -> list:
+        """The images of the parts of a fraction, each times one common
+        denominator D, so that their quotient is the image of the fraction.
+
+        For images N_k/D_k, with top_k the highest power of variable k in
+        either part, a term c*prod x_k^e_k maps to
+        c*prod N_k^e_k*D_k^(top_k-e_k), and D = prod D_k^top_k.  A Poly
+        p/1 thus maps to the pair (image of p times D, D).
+
+        When every D_k is a positive integer times a monomial, so is every
+        power of it, and stripping divides such a common factor out: the
+        RatFunc of these images is the pair that adding the terms as RatFuncs
+        gives.  Otherwise the pair may differ from that sum's by a common
+        polynomial factor; the value is the same.
+        """
         images = self.images
         top: dict = {}  # highest power of each variable that occurs
-        for e in p.terms:
-            for k, power in enumerate(e):
-                if power > top.get(k, 0):
-                    top[k] = power
-        scales = {k: _integer_den(images[k]) for k in top}
-        if None in scales.values():
-            return self._subst_fractions(p)
-        # every image is N_k / K_k with K_k a positive integer: sum the terms
-        # over the one denominator prod K_k^top_k; the stripped result is the
-        # unique primitive pair with a positive integer denominator
-        powers: dict = {}
+        for p in parts:
+            for e in p.terms:
+                for k, power in enumerate(e):
+                    if power > top.get(k, 0):
+                        top[k] = power
         one = {(0,) * len(self.target): ONE}
-        acc: dict = {}
-        den = 1
-        for k, power in top.items():
-            den *= scales[k] ** power
-        for e, c in p.terms.items():
-            mono = None
-            scale = 1
-            for k, t in top.items():
-                power = e[k]
-                if power:
-                    key = (k, power)
-                    factor = powers.get(key)
-                    if factor is None:
-                        factor = powers[key] = images[k].num ** power
-                    mono = factor if mono is None else mono * factor
-                if power < t:
-                    scale *= scales[k] ** (t - power)
-            _sum_terms(acc, _scaled_terms(one if mono is None else mono.terms, c * scale), 1)
-        return RatFunc(_poly(self.target, acc), Poly.const(self.target, den))
+        factors: dict = {}  # (k, e_k) -> N_k^e_k * D_k^(top_k - e_k), None for 1
 
-    def _subst_fractions(self, p: Poly) -> RatFunc:
-        """Substitution term by term, each term added as a RatFunc.  Used
-        when some image's denominator is not a positive integer: then the
-        stripped pair is not fixed by the value alone, but by these sums."""
-        result = RatFunc(Poly.zero(self.target))
-        power_cache: dict = {}
-        for e, c in p.terms.items():
-            num = Poly.const(self.target, c)
-            den = None
-            for k, power in enumerate(e):
-                if not power:
-                    continue
-                key = (k, power)
-                if key not in power_cache:
-                    power_cache[key] = self.images[k] ** power
-                factor = power_cache[key]
-                num = num * factor.num
-                den = factor.den if den is None else den * factor.den
-            result = result + RatFunc(num, den)
-        return result
+        def factor(k: int, power: int) -> Poly | None:
+            key = (k, power)
+            if key not in factors:
+                image = images[k]
+                f = image.num ** power if power else None
+                rest = top[k] - power
+                if rest and image.den.terms != one:
+                    g = image.den ** rest
+                    f = g if f is None else f * g
+                factors[key] = f
+            return factors[key]
+
+        out = []
+        for p in parts:
+            acc: dict = {}
+            for e, c in p.terms.items():
+                mono = None
+                for k in top:
+                    f = factor(k, e[k])
+                    if f is not None:
+                        mono = f if mono is None else mono * f
+                _sum_terms(acc, _scaled_terms(one if mono is None else mono.terms, c), 1)
+            out.append(_poly(self.target, acc))
+        return out
 
     def is_identity(self) -> bool:
         if self.source != self.target or self.conjugates_coefficients:

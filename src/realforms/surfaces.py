@@ -90,11 +90,6 @@ class SurfacePresentation:
     def var(self, name: str) -> Poly:
         return Poly.var(self.table, name)
 
-    def name(self) -> str:
-        if self.alpha is None:
-            return f"presentation{self.table.names}"
-        return f"surface({param_str(self.alpha)},{param_str(self.beta)})"
-
 
 def _param_poly(table: VarTable, cooked) -> Poly:
     if isinstance(cooked, str):
@@ -707,14 +702,7 @@ class PointConfiguration:
     def distinct(self, p: Center, q: Center) -> bool:
         """Are the two centers certifiably distinct for every admissible
         parameter value?"""
-        return any(self._unit_or_nonzero_const(delta) for delta in (p.x - q.x, p.y - q.y))
-
-    def _unit_or_nonzero_const(self, p: Poly) -> bool:
-        if p.is_zero():
-            return False
-        if p.is_constant():
-            return True
-        return certified_unit(p, self.units)
+        return any(certified_unit(delta, self.units) for delta in (p.x - q.x, p.y - q.y))
 
 
 GEOMETRY_COORDS = ("x", "y", "z")

@@ -119,6 +119,16 @@ def test_real_action_is_weight_preserving_involution():
         )
 
 
+def test_graph_is_unhashable_but_comparable():
+    # the centers hold Polys, so the graph declares itself unhashable
+    g = incidence_graph(2)
+    with pytest.raises(TypeError, match="CurveIncidenceGraph"):
+        hash(g)
+    assert g == incidence_graph(2)
+    assert g != incidence_graph(3)  # same shape, other centers
+    assert g.shape() == incidence_graph(3).shape()
+
+
 def test_graph_rejects_forbidden_parameter():
     with pytest.raises(ForbiddenParameter):
         incidence_graph(0)

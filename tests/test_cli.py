@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -194,6 +195,22 @@ def test_classification_json_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "all"],
+     "b119a1fbb56af0e14a198f405f603450486894dcca30a1380841c1fc4a8bc392"),
+    (["verify", "all", "--alpha", "symbolic", "--beta", "symbolic"],
+     "adaf3bbc17f2e154a59c96e61abbcf3cfa8bd08648bb25331ec2d3f035391b2f"),
+], ids=["rational", "symbolic"])
+def test_verify_json_bytes_are_pinned(capsys, argv, digest):
+    # sha256 of the JSON these commands printed, with every elapsed_ms set to
+    # 0, before ring maps substituted over one common denominator; the
+    # witnesses print substituted numerators, so no byte may move
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_grid_with_excluded_value_exits_2(capsys):
     code, out, err = run_cli(capsys, "grid", "--values", "0,2")
     assert code == 2
@@ -318,3 +335,40 @@ def test_closed_stdout_exits_quietly(argv):
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 1  # output was lost; 2 is kept for usage errors
+
+
+TRACED_VERIFY = """
+import json
+import sys
+
+sys.path[:0] = ["perfbench", "src"]
+import workloads
+
+workloads.import_program()
+import tracing
+from realforms import cli
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+tracer.active = True
+code = cli.main(["verify", "rem-3.2", "def-3.4-fiber"])
+tracer.active = False
+print(json.dumps({"code": code, "metrics": tracer.per_layer(1.0)}))
+"""
+
+
+def test_traced_verify_runs():
+    # perfbench/tracing.py wraps functions and methods by name, as
+    # perfbench/run.py --trace 1 installs it; a renamed or deleted one
+    # breaks traced runs and nothing else
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(realforms.__file__))))
+    proc = subprocess.run([sys.executable, "-c", TRACED_VERIFY], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+    traced = json.loads(last)
+    assert traced["code"] == 0
+    assert [c["status"] for c in json.loads(report)["checks"]] == ["pass", "pass"]
+    metrics = traced["metrics"]
+    assert metrics["ring.ringmap.calls"] > 0
+    assert metrics["checks.rem-3.2.ms"] > 0 and metrics["checks.def-3.4-fiber.ms"] > 0

@@ -222,6 +222,25 @@ def test_member_with_denominators():
     assert member_with_denominators(inside, ideal, [Poly.var(table, "x")]) == 0
 
 
+def test_member_with_no_denominators_asks_once(monkeypatch):
+    # with no denominators every power of their product is 1, so a negative
+    # answer needs one membership test, not one per power
+    table = VarTable(("x", "y"))
+    ideal = Ideal([parse_poly("x*y - x", table)])
+    calls = []
+    member = Ideal.member
+
+    def counted(self, p):
+        calls.append(p)
+        return member(self, p)
+
+    monkeypatch.setattr(Ideal, "member", counted)
+    assert member_with_denominators(parse_poly("y", table), ideal, []) is None
+    assert len(calls) == 1
+    assert member_with_denominators(parse_poly("x*y - x", table), ideal, []) == 0
+    assert len(calls) == 2
+
+
 # -- budget ----------------------------------------------------------------------
 
 

@@ -141,6 +141,17 @@ def test_surface_chart_point_lies_on_surface():
         assert g.evaluate(point).is_zero()
 
 
+def test_chart_point_rejects_inexact_scalars():
+    # floats and strings are not exact scalars; 0.5 is a binary fraction
+    for bad in (0.5, "1/2"):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            surface_chart_point(2, bad, 1)
+    with pytest.raises(TypeError):
+        jacobian_rank_at(make_surface(2, 2), {"x": 1.0, "y": 0, "u": 1, "v": 0})
+    point = surface_chart_point(2, Fraction(1, 2), GaussianRational(1, 1))
+    assert point["x"] == GaussianRational(Fraction(1, 2))
+
+
 def test_jacobian_rank_on_surface():
     surface = make_surface(2, 2)
     point = surface_chart_point(2, 1, 1)

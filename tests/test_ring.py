@@ -343,16 +343,61 @@ def rand_fraction_map(rng: random.Random) -> RingMap:
     return RingMap(TABLE, TABLE, images)
 
 
+def term_by_term(m: RingMap, p: Poly) -> RatFunc:
+    """m(p) as a sum of RatFunc terms, each a product of image powers."""
+    total = RatFunc(Poly.zero(m.target))
+    for e, c in p.terms.items():
+        term = RatFunc.const(m.target, c)
+        for image, power in zip(m.images, e):
+            term = term * image ** power
+        total = total + term
+    return total
+
+
 def test_substitution_term_by_term_agrees_with_one_denominator():
-    # with positive integer image denominators, _subst sums every term over
-    # one denominator; the stripped result must be the very pair the term by
+    # with positive integer image denominators the stripped pair is unique,
+    # so summing over one denominator must give the very pair the term by
     # term RatFunc sum gives, since witnesses print the numerator
     rng = random.Random(515)
     for _ in range(20):
         m = rand_affine_map(rng)
         p = rand_poly(rng, TABLE, terms=4)
-        fast, slow = m._subst(p), m._subst_fractions(p)
-        assert fast.num == slow.num and fast.den == slow.den
+        got, expected = m(p), term_by_term(m, p)
+        assert got.num == expected.num and got.den == expected.den
+    # with polynomial image denominators only the value is unique
+    for _ in range(8):
+        m = rand_fraction_map(rng)
+        p = rand_poly(rng, TABLE, terms=3)
+        got = m(p)
+        assert got == term_by_term(m, p)
+        _assert_primitive_parts(got)
+
+
+def test_substitution_into_fractions():
+    # numerator and denominator go over one common denominator together; with
+    # positive integer image denominators the pair is again the unique one
+    rng = random.Random(717)
+    for make_map, same_pair in ((rand_affine_map, True), (rand_fraction_map, False)):
+        for _ in range(6):
+            m = make_map(rng)
+            f = RatFunc(rand_poly(rng, TABLE, terms=3),
+                        rand_poly(rng, TABLE, terms=2) + Poly.var(TABLE, "z"))
+            image_den = term_by_term(m, f.den)
+            if image_den.is_zero():
+                continue
+            got, expected = m(f), term_by_term(m, f.num) / image_den
+            assert got == expected
+            if same_pair:
+                assert got.num == expected.num and got.den == expected.den
+            _assert_primitive_parts(got)
+    x, y = Poly.var(TABLE, "x"), Poly.var(TABLE, "y")
+    to_one = RingMap.from_images(TABLE, TABLE, {"y": RatFunc.const(TABLE, 1)})
+    with pytest.raises(ZeroDivisionError, match="denominator maps to zero"):
+        to_one(RatFunc(x, y - 1))
+    to_inverse = RingMap.from_images(TABLE, TABLE, {"x": RatFunc(Poly.const(TABLE, 1), y)})
+    with pytest.raises(ZeroDivisionError, match="denominator maps to zero"):
+        to_inverse(RatFunc(x, x * y - 1))
+    assert to_inverse(RatFunc(x, x * y + 1)) == RatFunc(Poly.const(TABLE, 1), 2 * y)
 
 
 def test_substitution_with_fraction_images():
@@ -360,12 +405,6 @@ def test_substitution_with_fraction_images():
     for _ in range(6):
         m = rand_fraction_map(rng)
         p = rand_poly(rng, TABLE, terms=3)
-        expected = RatFunc(Poly.zero(TABLE))
-        for e, c in p.terms.items():
-            term = RatFunc.const(TABLE, c)
-            for image, power in zip(m.images, e):
-                term = term * image ** power
-            expected = expected + term
         got = m(p)
-        assert got == expected
+        assert got == term_by_term(m, p)
         _assert_primitive_parts(got)
