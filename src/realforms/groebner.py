@@ -5,6 +5,14 @@ monomial order.  Membership, containment and equality are decided in graded
 reverse lex, the cheapest order for them (Bayer-Stillman); bases and normal
 forms asked for without an order are lex.
 
+Division takes prepared divisors: each divisor's leading monomial, and the
+other terms of its monic multiple as Gaussian-integer numerators over one
+common denominator.  Buchberger prepares each basis element once, when it
+enters the basis, and memoises the order key of each monomial for the length
+of the run; an Ideal keeps its prepared generators and prepared reduced basis
+per order, next to the bases.  Neither changes which divisor a step uses, so
+step counts and results are those of preparing afresh at every division.
+
 A global reduction-step budget guards against runaway eliminations; it can be
 overridden with the REALFORMS_STEP_BUDGET environment variable.
 """
@@ -16,7 +24,7 @@ from operator import add, le, neg, sub
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded
-from .gaussian import _sub_mul
+from .gaussian import _reduce, _sub_mul
 from .ring import Poly, VarTable, _numerators, _poly, _scaled_terms
 
 DEFAULT_STEP_BUDGET = 2_000_000
@@ -134,59 +142,72 @@ class _Budget:
             )
 
 
-def _leading(terms: dict, key) -> tuple:
-    return max(terms, key=key)
+class _Ranks(dict):
+    """Heap rank of each exponent vector met in one computation: the order
+    key negated, so the larger monomial ranks first.  Each rank is computed
+    once, on first use."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, e: tuple) -> tuple:
+        r = self[e] = tuple(map(neg, self.key(e)))
+        return r
 
 
 def _divides(d: tuple, e: tuple) -> bool:
     return all(map(le, d, e))
 
 
-def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder = LEX,
-                budget: _Budget | None = None) -> Poly:
-    """Full multivariate division remainder of p by the basis list."""
-    if budget is None:
-        budget = _Budget(step_budget(), "normal_form", order, p.table, len(basis))
-    key = order.key_fn(p.table)
-    # each divisor as its leading monomial and coefficient, and its other
-    # terms as Gaussian-integer numerators over one common denominator
-    prepared = []
-    for g in basis:
-        if g.is_zero():
-            continue
-        lt = _leading(g.terms, key)
-        den, numerators = _numerators(g.terms)
-        tail = [(ge, ga, gb) for ge, ga, gb in numerators if ge != lt]
-        prepared.append((lt, g.terms[lt], den, tail))
-    work = dict(p.terms)
+def _monic(terms: dict, ranks: _Ranks) -> tuple[tuple, dict]:
+    """Leading monomial of nonzero terms, and the terms over its coefficient."""
+    lt = min(terms, key=ranks.__getitem__)
+    c = terms[lt]
+    return lt, terms if c.is_one() else _scaled_terms(terms, c.inverse())
+
+
+def _prepare(lt: tuple, monic: dict) -> tuple:
+    """A divisor ready for _divide: its leading monomial, and its other terms
+    as Gaussian-integer numerators over one common denominator."""
+    den, numerators = _numerators(monic)
+    return lt, den, [n for n in numerators if n[0] != lt]
+
+
+def _prepare_all(polys: Iterable[Poly], ranks: _Ranks) -> list:
+    return [_prepare(*_monic(g.terms, ranks)) for g in polys if not g.is_zero()]
+
+
+def _divide(terms: dict, prepared: Sequence[tuple], ranks: _Ranks,
+            budget: _Budget) -> dict:
+    """Terms of the full division remainder by prepared divisors; each term
+    is divided by the first divisor whose leading monomial divides it."""
+    work = dict(terms)
     remainder: dict = {}
-
-    def descending(e: tuple) -> tuple:
-        return (*map(neg, key(e)), e)
-
     # the largest monomial left in work comes first; entries of monomials
     # that cancelled out are skipped when they come up
-    heap = [descending(e) for e in work]
+    heap = [(ranks[e], e) for e in work]
     heapify(heap)
     while heap:
-        e = heappop(heap)[-1]
+        e = heappop(heap)[1]
         c = work.pop(e, None)
         if c is None:
             continue
-        for lt, lc, den, tail in prepared:
+        for lt, den, tail in prepared:
             if _divides(lt, e):
                 budget.spend()
-                # work -= (c / lc) * x^shift * g; the leading terms cancel
+                # work -= c * x^shift * g for monic g; the leading terms cancel
                 shift = tuple(map(sub, e, lt))
-                factor = c / lc
-                fa, fb, q = factor.a, factor.b, factor.d * den
+                ca, cb, q = c.a, c.b, c.d * den
                 for ge, ga, gb in tail:
                     te = tuple(map(add, ge, shift))
                     s = work.get(te)
-                    v = _sub_mul(s, fa, fb, ga, gb, q)
+                    v = _sub_mul(s, ca, cb, ga, gb, q)
                     if s is None:
                         work[te] = v
-                        heappush(heap, descending(te))
+                        heappush(heap, (ranks[te], te))
                     elif v.a or v.b:
                         work[te] = v
                     else:
@@ -194,28 +215,36 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder = LEX,
                 break
         else:
             remainder[e] = c
-    return _poly(p.table, remainder)
+    return remainder
 
 
-def _monic(p: Poly, key) -> Poly:
-    lt = _leading(p.terms, key)
-    c = p.terms[lt]
-    if c.is_one():
-        return p
-    return _poly(p.table, _scaled_terms(p.terms, c.inverse()))
+def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder = LEX) -> Poly:
+    """Full multivariate division remainder of p by the basis list."""
+    ranks = _Ranks(order.key_fn(p.table))
+    budget = _Budget(step_budget(), "normal_form", order, p.table, len(basis))
+    return _poly(p.table, _divide(p.terms, _prepare_all(basis, ranks), ranks, budget))
 
 
-def _s_polynomial(f: Poly, g: Poly, key) -> Poly:
-    lf = _leading(f.terms, key)
-    lg = _leading(g.terms, key)
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    mf = tuple(a - b for a, b in zip(lcm, lf))
-    mg = tuple(a - b for a, b in zip(lcm, lg))
-    cf = f.terms[lf]
-    cg = g.terms[lg]
-    tf = _poly(f.table, {mf: cf.inverse()})
-    tg = _poly(g.table, {mg: cg.inverse()})
-    return tf * f - tg * g
+def _s_terms(f: tuple, g: tuple) -> dict:
+    """Terms of the S-polynomial of two prepared monic divisors, over the
+    product of their denominators."""
+    lf, df, tf = f
+    lg, dg, tg = g
+    lcm = tuple(map(max, lf, lg))
+    mf = tuple(map(sub, lcm, lf))
+    mg = tuple(map(sub, lcm, lg))
+    re: dict = {}
+    im: dict = {}
+    for ge, a, b in tf:
+        e = tuple(map(add, ge, mf))
+        re[e] = a * dg
+        im[e] = b * dg
+    for ge, a, b in tg:
+        e = tuple(map(add, ge, mg))
+        re[e] = re.get(e, 0) - a * df
+        im[e] = im.get(e, 0) - b * df
+    d = df * dg
+    return {e: _reduce(a, im[e], d) for e, a in re.items() if a or im[e]}
 
 
 def buchberger(generators: Sequence[Poly], order: MonomialOrder = LEX) -> list[Poly]:
@@ -229,15 +258,24 @@ def buchberger(generators: Sequence[Poly], order: MonomialOrder = LEX) -> list[P
         return []
     table = gens[0].table
     key = order.key_fn(table)
+    ranks = _Ranks(key)
     budget = _Budget(step_budget(), "buchberger", order, table, len(gens))
 
-    basis: list[Poly] = []
-    for g in gens:
-        r = normal_form(g, basis, order, budget)
-        if not r.is_zero():
-            basis.append(_monic(r, key))
+    basis: list[dict] = []  # monic terms of each element
+    prepared: list = []  # each element as a divisor, built when it enters
+    lead: list = []
 
-    lead = [_leading(g.terms, key) for g in basis]
+    def admit(remainder: dict):
+        lt, monic = _monic(remainder, ranks)
+        basis.append(monic)
+        prepared.append(_prepare(lt, monic))
+        lead.append(lt)
+
+    for g in gens:
+        r = _divide(g.terms, prepared, ranks, budget)
+        if r:
+            admit(r)
+
     pairs: set = set()
     lcms: dict = {}  # pair -> lcm of its leading monomials, and its sort key
     done: set = set()
@@ -272,13 +310,11 @@ def buchberger(generators: Sequence[Poly], order: MonomialOrder = LEX) -> list[P
                 break
         if skip:
             continue
-        s = _s_polynomial(basis[i], basis[j], key)
-        r = normal_form(s, basis, order, budget)
-        if r.is_zero():
+        s = _s_terms(prepared[i], prepared[j])
+        r = _divide(s, prepared, ranks, budget)
+        if not r:
             continue
-        r = _monic(r, key)
-        basis.append(r)
-        lead.append(_leading(r.terms, key))
+        admit(r)
         new_index = len(basis) - 1
         for k in range(new_index):
             add_pair(k, new_index)
@@ -289,17 +325,16 @@ def buchberger(generators: Sequence[Poly], order: MonomialOrder = LEX) -> list[P
     for k in order_idx:
         if not any(_divides(lead[m], lead[k]) for m in keep):
             keep.append(k)
-    minimal = [basis[k] for k in keep]
 
     # tail-reduce each element against the others
-    reduced: list[Poly] = []
-    for idx, g in enumerate(minimal):
-        others = [h for m, h in enumerate(minimal) if m != idx]
-        r = normal_form(g, others, order, budget)
-        if not r.is_zero():
-            reduced.append(_monic(r, key))
-    reduced.sort(key=lambda g: key(_leading(g.terms, key)), reverse=True)
-    return reduced
+    reduced: list[tuple] = []
+    for k in keep:
+        others = [prepared[m] for m in keep if m != k]
+        r = _divide(basis[k], others, ranks, budget)
+        if r:
+            reduced.append(_monic(r, ranks))
+    reduced.sort(key=lambda lt_monic: key(lt_monic[0]), reverse=True)
+    return [_poly(table, monic) for _, monic in reduced]
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +349,7 @@ class Ideal:
     the zero polynomial.
     """
 
-    __slots__ = ("table", "generators", "_bases")
+    __slots__ = ("table", "generators", "_bases", "_divisors")
 
     def __init__(self, generators: Sequence[Poly], table: VarTable | None = None):
         gens = tuple(generators)
@@ -328,6 +363,8 @@ class Ideal:
         self.table = table
         self.generators = gens
         self._bases: dict = {}
+        # (order token, reduced) -> ranks and prepared divisors
+        self._divisors: dict = {}
 
     def groebner(self, order: MonomialOrder = LEX) -> tuple[Poly, ...]:
         token = order.cache_token()
@@ -337,8 +374,21 @@ class Ideal:
             self._bases[token] = cached
         return cached
 
+    def _remainder(self, p: Poly, order: MonomialOrder, reduced: bool) -> Poly:
+        """normal_form of p by the reduced basis in the order, or by the
+        generators, with the divisors prepared on first use."""
+        divisors = self.groebner(order) if reduced else self.generators
+        slot = (order.cache_token(), reduced)
+        cached = self._divisors.get(slot)
+        if cached is None:
+            ranks = _Ranks(order.key_fn(self.table))
+            cached = self._divisors[slot] = (ranks, _prepare_all(divisors, ranks))
+        ranks, prepared = cached
+        budget = _Budget(step_budget(), "normal_form", order, p.table, len(divisors))
+        return _poly(p.table, _divide(p.terms, prepared, ranks, budget))
+
     def normal_form(self, p: Poly, order: MonomialOrder = LEX) -> Poly:
-        return normal_form(p, self.groebner(order), order)
+        return self._remainder(p, order, reduced=True)
 
     def member(self, p: Poly, order: MonomialOrder = GREVLEX) -> bool:
         if p.table != self.table:
@@ -348,7 +398,7 @@ class Ideal:
         if not self.generators:
             return False
         # cheap sufficient test: divide by the raw generators first
-        if normal_form(p, self.generators, order).is_zero():
+        if self._remainder(p, order, reduced=False).is_zero():
             return True
         return self.normal_form(p, order).is_zero()
 

@@ -24,6 +24,11 @@ from realforms.groebner import (
     normal_form,
     step_budget,
 )
+from realforms.modification import (
+    INVERSE_NAME,
+    rees_presentation,
+    standard_modification,
+)
 from realforms.ring import Poly, VarTable, parse_poly
 from realforms.surfaces import (
     ALPHA,
@@ -275,6 +280,18 @@ def test_budget_exhaustion_raises(monkeypatch):
         buchberger(gens, elimination_order(("x",)))
 
 
+def test_rees_elimination_step_count(monkeypatch):
+    # the elimination of t at -7/3 takes exactly 184 reduction steps: the
+    # divisor chosen at each step, and so the count, is part of the algorithm
+    spec = standard_modification(Fraction(-7, 3))
+    monkeypatch.setenv(BUDGET_ENV_VAR, "184")
+    assert rees_presentation(spec).ideal.generators
+    monkeypatch.setenv(BUDGET_ENV_VAR, "183")
+    with pytest.raises(BudgetExceeded, match=r"183 steps spent in buchberger, "
+                                             r"elim \(front t\) order"):
+        rees_presentation(spec)
+
+
 # -- randomized properties ---------------------------------------------------------
 
 
@@ -325,7 +342,7 @@ def _gaussian_coefficients():
     )
 
 
-def _polys(table: VarTable):
+def _polys(table: VarTable, min_terms: int = 1):
     term = st.tuples(
         st.tuples(*[st.integers(0, 2)] * len(table)), _gaussian_coefficients()
     )
@@ -336,7 +353,7 @@ def _polys(table: VarTable):
             out = out + Poly(table, {exps: coeff})
         return out
 
-    return st.lists(term, min_size=1, max_size=3).map(build)
+    return st.lists(term, min_size=min_terms, max_size=3).map(build)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -362,6 +379,28 @@ def test_orders_agree_on_membership(data):
     grevlex_basis = buchberger(gens, GREVLEX)
     assert all(normal_form(g, lex_basis, LEX).is_zero() for g in grevlex_basis)
     assert all(normal_form(g, grevlex_basis, GREVLEX).is_zero() for g in lex_basis)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_ideal_caches_answer_per_order(data):
+    """Interleaved normal forms and membership tests on one Ideal, in three
+    orders, agree with division by a basis computed afresh in that order."""
+    # binomials and trinomials: the normal forms of monomial ideals are the
+    # same in every order
+    gens = data.draw(st.lists(_polys(XYZ, min_terms=2), min_size=1, max_size=3))
+    ideal = Ideal(gens, XYZ)
+    orders = (LEX, GREVLEX, elimination_order(("x",)))
+    fresh = {order: buchberger(gens, order) for order in orders}
+    calls = st.tuples(st.sampled_from(orders), st.booleans(), _polys(XYZ), _polys(XYZ))
+    for order, ask_member, p, q in data.draw(st.lists(calls, min_size=1, max_size=8)):
+        probe = p * q if ask_member else p
+        expected = normal_form(probe, fresh[order], order)
+        if ask_member:
+            assert ideal.member(probe, order) == expected.is_zero()
+            assert ideal.member(probe * gens[0], order)
+        else:
+            assert ideal.normal_form(probe, order) == expected
 
 
 def _reference_remainder(p: Poly, basis, order) -> Poly:
@@ -446,6 +485,37 @@ def test_grevlex_basis_matches_sympy(example):
         theirs = [sympy.Poly(e, *symbols, domain="QQ_I") for e in reference.exprs]
         assert len(ours) == len(theirs)
         assert all(any(o == t for t in theirs) for o in ours)
+
+
+def test_elimination_matches_sympy_lex():
+    """The t-free part of a lex basis with t first generates the Rees ideal
+    that the elimination order computes."""
+    sympy = pytest.importorskip("sympy")
+    rees = rees_presentation(standard_modification(Fraction(-7, 3)))
+    names = (INVERSE_NAME,) + rees.table.names
+    assert names == ("t", "x", "y", "T1", "T2", "T3")
+    table = VarTable(names)
+    symbols = sympy.symbols(names)
+    t, x, y, t1, t2, t3 = (Poly.var(table, n) for n in names)
+    divisor = x * x + y * y
+    tangency = (x - 1) * (x + Fraction(7, 3))
+    relations = [t1 - divisor * t, t2 - x * tangency * t, t3 - y * tangency * t,
+                 1 - divisor * t]
+    reference = sympy.groebner(
+        [_to_sympy(sympy, g, symbols) for g in relations], *symbols,
+        order="lex", method="f5b", domain="QQ",
+    )
+    kept = []
+    for expr in reference.exprs:
+        poly = sympy.Poly(expr, *symbols)
+        if poly.degree(symbols[0]) > 0:
+            continue
+        kept.append(Poly(rees.table, {
+            exps[1:]: GaussianRational(Fraction(int(c.p), int(c.q)))
+            for exps, c in poly.terms()
+        }))
+    assert kept
+    assert Ideal(kept, rees.table).equal(rees.ideal)
 
 
 def test_rem_3_3_ideals_share_one_grevlex_basis():

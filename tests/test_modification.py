@@ -179,6 +179,16 @@ def test_smoothness_reports():
         assert len(report.items) == 5
 
 
+def test_smoothness_report_rejects_inexact_parameters():
+    # 0.1 is the binary fraction 3602879701896397/36028797018963968, not 1/10
+    for bad in (0.1, "1/10"):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            smoothness_report(bad)
+    with pytest.raises(TypeError, match="not a rational parameter"):
+        smoothness_report(GaussianRational(2, 1))
+    assert smoothness_report(GaussianRational(Fraction(1, 10))).passed
+
+
 def test_gaussian_chart_points():
     surface = make_surface(2, 2)
     point = surface_chart_point(2, I, GaussianRational(1, 1))
