@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     BudgetExceeded,
-    ConjugationUndefined,
     FNotInIdeal,
     ForbiddenParameter,
     IdenticalPoints,
@@ -83,10 +82,10 @@ from .checks import available_checks, resolve_check_id, run_check, run_suite
 __all__ = [
     "__version__",
     # errors
-    "BudgetExceeded", "ConjugationUndefined", "FNotInIdeal",
-    "ForbiddenParameter", "IdenticalPoints", "NotACurveClass",
-    "NotAntiInvolution", "NotAutomorphism", "NotConjugationStable",
-    "NotIsomorphism", "PointNotOnVariety",
+    "BudgetExceeded", "FNotInIdeal", "ForbiddenParameter",
+    "IdenticalPoints", "NotACurveClass", "NotAntiInvolution",
+    "NotAutomorphism", "NotConjugationStable", "NotIsomorphism",
+    "PointNotOnVariety",
     # arithmetic and algebra
     "GaussianRational", "Poly", "RatFunc", "RingMap", "VarTable", "compose",
     "parse_poly",

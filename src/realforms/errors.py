@@ -6,10 +6,6 @@ exact failure mode.
 """
 
 
-class ConjugationUndefined(TypeError):
-    """Conjugation requested on a polynomial containing a generic-flagged variable."""
-
-
 class BudgetExceeded(RuntimeError):
     """A Groebner computation exceeded its reduction-step budget."""
 

@@ -158,6 +158,12 @@ class _Ranks(dict):
         return r
 
 
+def _check_tables(table: VarTable, items: Iterable):
+    """Raise unless every polynomial or ideal given is over the table."""
+    if any(p.table != table for p in items):
+        raise ValueError("VarTable mismatch")
+
+
 def _divides(d: tuple, e: tuple) -> bool:
     return all(map(le, d, e))
 
@@ -181,9 +187,13 @@ def _prepare_all(polys: Iterable[Poly], ranks: _Ranks) -> list:
 
 
 def _divide(terms: dict, prepared: Sequence[tuple], ranks: _Ranks,
-            budget: _Budget) -> dict:
+            budget: _Budget, quotient: dict | None = None) -> dict:
     """Terms of the full division remainder by prepared divisors; each term
-    is divided by the first divisor whose leading monomial divides it."""
+    is divided by the first divisor whose leading monomial divides it.
+
+    With one divisor, a given quotient dict receives the quotient terms by
+    its monic multiple: the monomials divided come in strictly decreasing
+    order, so each shift occurs once."""
     work = dict(terms)
     remainder: dict = {}
     # the largest monomial left in work comes first; entries of monomials
@@ -200,6 +210,8 @@ def _divide(terms: dict, prepared: Sequence[tuple], ranks: _Ranks,
                 budget.spend()
                 # work -= c * x^shift * g for monic g; the leading terms cancel
                 shift = tuple(map(sub, e, lt))
+                if quotient is not None:
+                    quotient[shift] = c
                 ca, cb, q = c.a, c.b, c.d * den
                 for ge, ga, gb in tail:
                     te = tuple(map(add, ge, shift))
@@ -220,6 +232,7 @@ def _divide(terms: dict, prepared: Sequence[tuple], ranks: _Ranks,
 
 def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder = LEX) -> Poly:
     """Full multivariate division remainder of p by the basis list."""
+    _check_tables(p.table, basis)
     ranks = _Ranks(order.key_fn(p.table))
     budget = _Budget(step_budget(), "normal_form", order, p.table, len(basis))
     return _poly(p.table, _divide(p.terms, _prepare_all(basis, ranks), ranks, budget))
@@ -388,11 +401,11 @@ class Ideal:
         return _poly(p.table, _divide(p.terms, prepared, ranks, budget))
 
     def normal_form(self, p: Poly, order: MonomialOrder = LEX) -> Poly:
+        _check_tables(self.table, (p,))
         return self._remainder(p, order, reduced=True)
 
     def member(self, p: Poly, order: MonomialOrder = GREVLEX) -> bool:
-        if p.table != self.table:
-            raise ValueError("VarTable mismatch")
+        _check_tables(self.table, (p,))
         if p.is_zero():
             return True
         if not self.generators:
@@ -406,8 +419,7 @@ class Ideal:
         return all(self.member(g) for g in other.generators)
 
     def equal(self, other: "Ideal") -> bool:
-        if self.table != other.table:
-            raise ValueError("VarTable mismatch")
+        _check_tables(self.table, (other,))
         return self.contains_ideal(other) and other.contains_ideal(self)
 
     def eliminate(self, front: Iterable[str]) -> "Ideal":
@@ -430,26 +442,14 @@ def exact_quotient(p: Poly, d: Poly) -> Poly | None:
     """Quotient p / d when the division is exact, else None (lex division)."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    lt = max(d.terms)
-    lc = d.terms[lt]
-    work = dict(p.terms)
+    _check_tables(p.table, (d,))
+    ranks = _Ranks(LEX.key_fn(p.table))
+    lt, monic = _monic(d.terms, ranks)
+    budget = _Budget(step_budget(), "exact_quotient", LEX, p.table, 1)
     quotient: dict = {}
-    while work:
-        e = max(work)
-        if not _divides(lt, e):
-            return None
-        shift = tuple(a - b for a, b in zip(e, lt))
-        factor = work[e] / lc
-        quotient[shift] = factor
-        for ge, gc in d.terms.items():
-            te = tuple(a + b for a, b in zip(ge, shift))
-            s = work.get(te)
-            s = -(factor * gc) if s is None else s - factor * gc
-            if s.is_zero():
-                work.pop(te, None)
-            else:
-                work[te] = s
-    return _poly(p.table, quotient)
+    if _divide(p.terms, [_prepare(lt, monic)], ranks, budget, quotient):
+        return None
+    return _poly(p.table, _scaled_terms(quotient, d.terms[lt].inverse()))
 
 
 def certified_unit(p: Poly, units: Sequence[Poly]) -> bool:
@@ -459,6 +459,7 @@ def certified_unit(p: Poly, units: Sequence[Poly]) -> bool:
     peeling unit factors off with exact division until a nonzero constant
     remains.
     """
+    _check_tables(p.table, units)
     if p.is_zero():
         return False
     peelable = [u for u in units if not u.is_constant()]
@@ -481,8 +482,7 @@ def member_with_denominators(p: Poly, ideal: Ideal,
     Realizes membership over the localization at the multiplicative set the
     denominators generate, as far as the power bound reaches.
     """
-    if p.table != ideal.table:
-        raise ValueError("VarTable mismatch")
+    _check_tables(ideal.table, (p,))
     product = Poly.const(ideal.table, 1)
     for d in denominators:
         product = product * d

@@ -13,10 +13,9 @@ family, and the match is certified by explicit mutually inverse maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import FNotInIdeal, PointNotOnVariety
-from .gaussian import GaussianRational, I as IMAG, coerce, row_reduce
+from .gaussian import GaussianRational, coerce, row_reduce
 from .groebner import Ideal, member_with_denominators
 from .reports import CertifiedReport
 from .ring import Poly, RatFunc, RingMap, VarTable, compose
@@ -27,6 +26,9 @@ from .surfaces import (
     _param_poly,
     _param_units,
     agree_modulo,
+    chart_yv,
+    isotropic_inverse,
+    isotropic_pair,
     make_surface,
     param_pair,
     param_str,
@@ -110,15 +112,14 @@ def rees_presentation(spec: ModificationSpec) -> ReesPresentation:
     base = tuple(spec.base_vars)
     # any non-base names (symbolic parameters) go last, where lex is cheapest
     extras = tuple(n for n in spec.table.names if n not in base)
-    big = VarTable((INVERSE_NAME,) + base + scale + extras,
-                   generic=spec.table.generic)
+    big = VarTable((INVERSE_NAME,) + base + scale + extras)
     t = Poly.var(big, INVERSE_NAME)
     relations = []
     for i, g in enumerate(spec.generators):
         relations.append(Poly.var(big, scale[i]) - _transport(g, big) * t)
     relations.append(Poly.const(big, 1) - _transport(spec.divisor, big) * t)
     eliminated = Ideal(relations, big).eliminate((INVERSE_NAME,))
-    small = VarTable(base + scale + extras, generic=spec.table.generic)
+    small = VarTable(base + scale + extras)
     basis = [_transport(g, small) for g in eliminated.generators]
     return ReesPresentation(small, Ideal(basis, small), scale, spec)
 
@@ -188,7 +189,7 @@ def fiber_presentation(alpha) -> FiberPresentation:
     kept = rees.scale_vars[1:]
     base = tuple(spec.base_vars)
     extras = tuple(n for n in spec.table.names if n not in base)
-    small = VarTable(base + kept + extras, generic=spec.table.generic)
+    small = VarTable(base + kept + extras)
     basis = []
     for g in rees.ideal.generators:
         h = g.specialize({first: 1})
@@ -211,8 +212,7 @@ def fiber_to_surface_map(fiber: FiberPresentation,
     x = RatFunc.var(tbl, "x")
     u = RatFunc.var(tbl, "u")
     a = RatFunc(_param_poly(tbl, surface.alpha))
-    plane_x = x + u
-    plane_y = x * IMAG - u * IMAG
+    plane_x, plane_y = isotropic_pair(x, u)
     cubic = plane_x * (plane_x - 1) * (plane_x - a)
     denom = 4 * x * u
     return RingMap.from_images(fiber.table, tbl, {
@@ -230,15 +230,10 @@ def surface_to_fiber_map(surface: SurfacePresentation,
     x = RatFunc.var(tbl, "x")
     y = RatFunc.var(tbl, "y")
     a = RatFunc(_param_poly(tbl, fiber.alpha))
-    half = Fraction(1, 2)
-    first = (x - y * IMAG) * half
-    second = (x + y * IMAG) * half
-    return RingMap.from_images(surface.table, tbl, {
-        "x": first,
-        "u": second,
-        "y": first * (first - 1) * (first - a) / second,
-        "v": second * (second - 1) * (second - a) / first,
-    })
+    first, second = isotropic_inverse(x, y)
+    y_img, v_img = chart_yv(first, second, a, a)
+    return RingMap.from_images(surface.table, tbl,
+                               {"x": first, "u": second, "y": y_img, "v": v_img})
 
 
 def match_fiber_to_surface(alpha) -> CertifiedReport:
@@ -247,8 +242,7 @@ def match_fiber_to_surface(alpha) -> CertifiedReport:
     inverse maps."""
     report = CertifiedReport("def-3.4-fiber")
     fiber = fiber_presentation(alpha)
-    surface = make_surface(fiber.alpha, fiber.alpha,
-                           real_params=not isinstance(fiber.alpha, Fraction))
+    surface = make_surface(fiber.alpha)
     to_surface = fiber_to_surface_map(fiber, surface)
     to_fiber = surface_to_fiber_map(surface, fiber)
 
@@ -305,8 +299,7 @@ def surface_chart_point(alpha, x0, u0) -> dict:
     alpha = _as_scalar(alpha)
     x0 = _as_scalar(x0)
     u0 = _as_scalar(u0)
-    y0 = x0 * (x0 - _as_scalar(1)) * (x0 - alpha) * u0.inverse()
-    v0 = u0 * (u0 - _as_scalar(1)) * (u0 - alpha) * x0.inverse()
+    y0, v0 = chart_yv(x0, u0, alpha, alpha)
     return {"x": x0, "y": y0, "u": u0, "v": v0}
 
 

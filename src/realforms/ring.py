@@ -2,9 +2,8 @@
 
 A VarTable fixes the ordered list of variable names once; every Poly carries a
 reference to its table and stores terms as a map from exponent vectors to
-nonzero Q(i) coefficients.  Conjugation acts on coefficients and fixes
-"real"-flagged variables; variables flagged generic have no defined conjugate
-and any conjugation touching them raises ConjugationUndefined.
+nonzero Q(i) coefficients.  Every variable is a real indeterminate, so
+conjugation acts on the coefficients and fixes every variable.
 
 RatFunc is an unreduced fraction of two Polys; equality is decided by
 cross-multiplication, so no multivariate gcd is ever required.  Both parts
@@ -27,33 +26,21 @@ from math import gcd
 from operator import add, sub
 from typing import Iterable, Mapping
 
-from .errors import ConjugationUndefined
 from .gaussian import GaussianRational, ONE, ZERO, _reduce, coefficient_str, coerce
 
-REAL = "real"
-GENERIC = "generic"
-
-
 class VarTable:
-    """Ordered variable names with per-variable conjugation flags."""
+    """Ordered names of real indeterminates."""
 
-    __slots__ = ("names", "generic", "_index")
+    __slots__ = ("names", "_index")
 
-    def __init__(self, names: Iterable[str], generic: Iterable[str] = ()):
+    def __init__(self, names: Iterable[str]):
         self.names = tuple(names)
-        self.generic = frozenset(generic)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
-        unknown = self.generic - set(self.names)
-        if unknown:
-            raise ValueError(f"generic flags for unknown variables: {sorted(unknown)}")
         self._index = {n: k for k, n in enumerate(self.names)}
 
     def index(self, name: str) -> int:
         return self._index[name]
-
-    def flag(self, name: str) -> str:
-        return GENERIC if name in self.generic else REAL
 
     def __len__(self) -> int:
         return len(self.names)
@@ -61,13 +48,13 @@ class VarTable:
     def __eq__(self, other):
         if not isinstance(other, VarTable):
             return NotImplemented
-        return self.names == other.names and self.generic == other.generic
+        return self.names == other.names
 
     def __hash__(self):
-        return hash((self.names, self.generic))
+        return hash(self.names)
 
     def __repr__(self):
-        return f"VarTable({self.names!r}, generic={sorted(self.generic)!r})"
+        return f"VarTable({self.names!r})"
 
 
 class Poly:
@@ -188,15 +175,6 @@ class Poly:
 
     __hash__ = None  # mutable dict inside; use sorted term tuples if needed
 
-    def variables_present(self) -> set:
-        names = self.table.names
-        out = set()
-        for e in self.terms:
-            for k, power in enumerate(e):
-                if power:
-                    out.add(names[k])
-        return out
-
     def total_degree(self) -> int:
         if not self.terms:
             return -1
@@ -214,16 +192,7 @@ class Poly:
     # -- conjugation ---------------------------------------------------------
 
     def conjugate(self) -> "Poly":
-        """Conjugate coefficients; real-flagged variables are fixed.
-
-        Raises ConjugationUndefined if any generic-flagged variable occurs.
-        """
-        if self.table.generic:
-            bad = self.variables_present() & self.table.generic
-            if bad:
-                raise ConjugationUndefined(
-                    f"conjugation undefined on generic variables {sorted(bad)}"
-                )
+        """Conjugate the coefficients; every variable is fixed."""
         return _poly(self.table, {e: c.conjugate() for e, c in self.terms.items()})
 
     # -- evaluation -----------------------------------------------------------
@@ -710,9 +679,8 @@ def _rescaled(p: Poly, L: int, G: int) -> Poly:
 class RingMap:
     """Substitution map: one image per source-table variable.
 
-    conjugates_coefficients=True means coefficients (and real-flagged
-    variables, trivially) are conjugated before the substitution; applying
-    such a map to a polynomial containing generic variables raises.
+    conjugates_coefficients=True means the coefficients are conjugated
+    before the substitution; the variables, all real, are fixed.
     As geometry, a RingMap source->target is the pullback of a point map
     Spec(target) -> Spec(source).
     """

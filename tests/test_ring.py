@@ -7,11 +7,8 @@ from math import gcd
 
 import pytest
 
-from realforms.errors import ConjugationUndefined
 from realforms.gaussian import I, GaussianRational
 from realforms.ring import (
-    GENERIC,
-    REAL,
     Poly,
     RatFunc,
     RingMap,
@@ -22,8 +19,7 @@ from realforms.ring import (
 )
 
 TABLE = VarTable(("x", "y", "z"))
-REAL_PARAM_TABLE = VarTable(("x", "y", "a"))
-GENERIC_PARAM_TABLE = VarTable(("x", "y", "a"), generic=("a",))
+PARAM_TABLE = VarTable(("x", "y", "a"))
 
 
 def rand_scalar(rng: random.Random) -> GaussianRational:
@@ -47,10 +43,6 @@ def rand_poly(rng: random.Random, table: VarTable, terms: int = 4) -> Poly:
 def test_var_table_validation():
     with pytest.raises(ValueError):
         VarTable(("x", "x"))
-    with pytest.raises(ValueError):
-        VarTable(("x",), generic=("y",))
-    assert GENERIC_PARAM_TABLE.flag("a") == GENERIC
-    assert GENERIC_PARAM_TABLE.flag("x") == REAL
     assert TABLE.index("y") == 1
     with pytest.raises(KeyError):
         TABLE.index("w")
@@ -66,8 +58,8 @@ def test_circle_factors_over_gaussians():
 
 
 def test_shifted_quadratic_expansion():
-    x = Poly.var(REAL_PARAM_TABLE, "x")
-    a = Poly.var(REAL_PARAM_TABLE, "a")
+    x = Poly.var(PARAM_TABLE, "x")
+    a = Poly.var(PARAM_TABLE, "a")
     expanded = x * x - x * a - x + a
     assert (x - 1) * (x - a) == expanded
     assert expanded.degree_in("x") == 2
@@ -111,10 +103,10 @@ def test_ring_axioms_random():
 
 
 def test_specialize_and_evaluate():
-    x = Poly.var(REAL_PARAM_TABLE, "x")
-    a = Poly.var(REAL_PARAM_TABLE, "a")
+    x = Poly.var(PARAM_TABLE, "x")
+    a = Poly.var(PARAM_TABLE, "a")
     p = (x - 1) * (x - a)
-    assert p.specialize({"a": 2}) == (x - 1) * (x - Poly.const(REAL_PARAM_TABLE, 2))
+    assert p.specialize({"a": 2}) == (x - 1) * (x - Poly.const(PARAM_TABLE, 2))
     assert p.evaluate({"x": 3, "a": 2}) == GaussianRational(2)
     assert p.specialize({"x": 1}).is_zero()
     with pytest.raises(TypeError):
@@ -130,19 +122,12 @@ def test_derivative():
 
 
 def test_conjugation_semantics():
-    x = Poly.var(REAL_PARAM_TABLE, "x")
-    y = Poly.var(REAL_PARAM_TABLE, "y")
-    a = Poly.var(REAL_PARAM_TABLE, "a")
+    x = Poly.var(PARAM_TABLE, "x")
+    y = Poly.var(PARAM_TABLE, "y")
+    a = Poly.var(PARAM_TABLE, "a")
     p = a * x + y * I
     assert p.conjugate() == a * x - y * I
     assert p.conjugate().conjugate() == p
-
-    generic = Poly.var(GENERIC_PARAM_TABLE, "a") * Poly.var(GENERIC_PARAM_TABLE, "x")
-    with pytest.raises(ConjugationUndefined):
-        generic.conjugate()
-    # a generic-flagged table still conjugates polynomials avoiding the flag
-    safe = Poly.var(GENERIC_PARAM_TABLE, "x") * I
-    assert safe.conjugate() == -safe
 
 
 def test_conjugation_distributes_random():

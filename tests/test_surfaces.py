@@ -151,14 +151,19 @@ def test_swap_structure_needs_diagonal_parameters():
         swap_real_structure(2, s)
 
 
-def test_generic_parameter_has_no_conjugation():
-    s = make_surface("symbolic", real_params=False)
-    with pytest.raises(NotAntiInvolution):
-        swap_real_structure(s.alpha, s)
+def test_symbolic_parameters_are_real():
+    """Conjugation fixes a symbolic parameter, so both conjugations are real
+    structures on the symbolic surfaces."""
+    diagonal = make_surface("symbolic")
+    for s in (diagonal, make_surface("symbolic", "b")):
+        rho = standard_conjugation(s)
+        assert rho.map(s.var("a")).num == s.var("a")
+    rho = swap_real_structure("a", diagonal)
+    assert rho.map(diagonal.var("x")).num == diagonal.var("u")
 
 
 def test_anti_regular_map_rejects_regular_pullback():
-    s = make_surface(2, 2, real_params=True)
+    s = make_surface(2, 2)
     with pytest.raises(NotAntiInvolution):
         RealStructure(s, swap_map(s, s, conjugate=False))
 
@@ -196,7 +201,7 @@ SAMPLE_POINTS = (
 def test_displayed_equations_vanish_on_transformed_points():
     """Push sample points of the alpha=2 diagonal surface through the linear
     change and evaluate the three displayed real equations there."""
-    s = make_surface("symbolic", real_params=True)
+    s = make_surface("symbolic")
     fwd, inv, new = coordinate_change_maps(s)
     h_polys = [h.specialize({"a": 2}) for h in displayed_real_equations(new, s.alpha)]
     for point in SAMPLE_POINTS:
@@ -281,14 +286,14 @@ def test_cocycle_examples():
 
 
 def test_identity_twist_is_a_cocycle():
-    s = make_surface(2, 2, real_params=True)
+    s = make_surface(2, 2)
     rho = swap_real_structure(2, s)
     identity = RingMap.identity(s.table)
     assert is_cocycle(s, identity, rho)
 
 
 def test_equivalence_of_structures_examples():
-    s = make_surface(2, 2, real_params=True)
+    s = make_surface(2, 2)
     rho = swap_real_structure(2, s)
     identity = RingMap.identity(s.table)
     assert are_equivalent_structures(s, s, rho, rho, identity)
