@@ -16,7 +16,6 @@ from .reports import CertifiedReport, SuiteEntry, SuiteReport
 
 DEFAULT_ALPHA = Fraction(2)
 DEFAULT_BETA = Fraction(3)
-DEFAULT_D_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def run_check(check_id: str, alpha=None, beta=None, d_max=None) -> CertifiedRepo
     spec = CHECKS[check_id]
     alpha = DEFAULT_ALPHA if alpha is None else alpha
     beta = DEFAULT_BETA if beta is None else beta
-    d_max = DEFAULT_D_MAX if d_max is None else d_max
+    d_max = intersection.DEFAULT_D_MAX if d_max is None else d_max
     try:
         return spec.runner(alpha, beta, d_max)
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed

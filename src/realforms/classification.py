@@ -16,6 +16,7 @@ from functools import cache
 
 from .gaussian import ZERO, GaussianRational
 from .intersection import (
+    DEFAULT_D_MAX,
     KIND_EXCEPTIONAL,
     LABEL_AT_INFINITY,
     boundary_zigzag_report,
@@ -72,7 +73,7 @@ class CurveIncidenceGraph:
         }
 
 
-def incidence_graph(alpha, d_max: int = 6) -> CurveIncidenceGraph:
+def incidence_graph(alpha, d_max: int = DEFAULT_D_MAX) -> CurveIncidenceGraph:
     result = enumerate_negative_classes(alpha, d_max)
     vertices = result.vertices()
     config = result.config
@@ -348,7 +349,7 @@ class ClassificationResult:
         }
 
 
-def classify(alpha, beta, d_max: int = 6,
+def classify(alpha, beta, d_max: int = DEFAULT_D_MAX,
              src_graph: CurveIncidenceGraph | None = None,
              dst_graph: CurveIncidenceGraph | None = None) -> ClassificationResult:
     """Decide whether two parameter values give equivalent real surfaces.
@@ -410,7 +411,7 @@ def equivalence_criterion(alpha, beta) -> bool:
     return alpha == beta or alpha * beta == 1
 
 
-def matchings_report(alpha, beta, d_max: int = 6) -> CertifiedReport:
+def matchings_report(alpha, beta, d_max: int = DEFAULT_D_MAX) -> CertifiedReport:
     """Boundary rigidity: the boundary chain invariants and the count of
     admissible graph matchings between the two parameter values."""
     report = boundary_zigzag_report(alpha)
@@ -439,7 +440,7 @@ def matchings_report(alpha, beta, d_max: int = 6) -> CertifiedReport:
     return report
 
 
-def classification_report(alpha, beta, d_max: int = 6) -> CertifiedReport:
+def classification_report(alpha, beta, d_max: int = DEFAULT_D_MAX) -> CertifiedReport:
     """Verdict against the closed-form criterion, with witness validation."""
     report = CertifiedReport("prop-6.3")
     alpha, beta = param_pair(alpha, beta)

@@ -26,6 +26,7 @@ from fractions import Fraction
 from . import checks, classification, intersection, surfaces
 from .errors import ForbiddenParameter
 from .groebner import step_budget
+from .intersection import DEFAULT_D_MAX
 from .reports import ERROR, FAIL, PASS
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -153,7 +154,7 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_grid(values, d_max: int = 6) -> dict:
+def run_grid(values, d_max: int = DEFAULT_D_MAX) -> dict:
     """Classify every ordered pair of values; flag verdict/criterion splits."""
     values = sorted(set(values))
     graphs = {v: classification.incidence_graph(v, d_max=d_max) for v in values}
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--beta", type=parameter, default=None,
                         help="second parameter (rational or 'symbolic'; default 3)")
     verify.add_argument("--d-max", type=positive_int, default=None,
-                        help="degree bound for the curve sweep (default 6)")
+                        help=f"degree bound for the curve sweep (default {DEFAULT_D_MAX})")
     verify.add_argument("--format", choices=("json", "text"), default="json")
     verify.set_defaults(func=_cmd_verify)
 
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exact rational, e.g. 2 or 1/2")
     classify.add_argument("beta", type=rational_parameter,
                           help="exact rational, e.g. 2 or 1/2")
-    classify.add_argument("--d-max", type=positive_int, default=6)
+    classify.add_argument("--d-max", type=positive_int, default=DEFAULT_D_MAX)
     classify.add_argument("--format", choices=("json", "text"), default="json")
     classify.set_defaults(func=_cmd_classify)
 
@@ -271,13 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated rationals (default: a ten-value spread); "
                            "a list that starts with a negative value needs the "
                            "'=' form, e.g. --values=-3,2")
-    grid.add_argument("--d-max", type=positive_int, default=6)
+    grid.add_argument("--d-max", type=positive_int, default=DEFAULT_D_MAX)
     grid.add_argument("--format", choices=("json", "text"), default="json")
     grid.set_defaults(func=_cmd_grid)
 
     enum = sub.add_parser("enumerate", help="list negative curves on the blow-up")
     enum.add_argument("--alpha", type=parameter, default=Fraction(2))
-    enum.add_argument("--d-max", type=positive_int, default=6)
+    enum.add_argument("--d-max", type=positive_int, default=DEFAULT_D_MAX)
     enum.add_argument("--format", choices=("json", "text"), default="json")
     enum.set_defaults(func=_cmd_enumerate)
 

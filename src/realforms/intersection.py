@@ -24,6 +24,7 @@ from .ring import Poly
 from .surfaces import Center, PointConfiguration, modified_plane_config
 
 NUM_CENTERS = 5
+DEFAULT_D_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -268,7 +269,7 @@ def _combinatorial_survivors(d_max: int) -> tuple[tuple[DivisorClass, ...], int]
     return tuple(survivors), scanned
 
 
-def enumerate_negative_classes(alpha, d_max: int = 6) -> EnumerationResult:
+def enumerate_negative_classes(alpha, d_max: int = DEFAULT_D_MAX) -> EnumerationResult:
     """All negative curve classes on the five-point blow-up up to degree d_max.
 
     Sweeps every multiplicity vector, prunes by negativity, genus and
@@ -392,7 +393,7 @@ def conic_pencil_report(config: PointConfiguration) -> CertifiedReport:
     return report
 
 
-def negative_curves_report(alpha, d_max: int = 6) -> CertifiedReport:
+def negative_curves_report(alpha, d_max: int = DEFAULT_D_MAX) -> CertifiedReport:
     """The complete list of negative curves matches the fixed table."""
     report = CertifiedReport("lem-6.1")
     result = enumerate_negative_classes(alpha, d_max)

@@ -22,16 +22,15 @@ from .ring import Poly, RatFunc, RingMap, VarTable, compose
 from .surfaces import (
     ALPHA,
     SurfacePresentation,
-    _param_names,
+    _images_in_ideal,
     _param_poly,
-    _param_units,
     agree_modulo,
     chart_yv,
     isotropic_inverse,
     isotropic_pair,
     make_surface,
     param_pair,
-    param_str,
+    param_ring,
 )
 
 SCALE_PREFIX = "T"
@@ -74,19 +73,16 @@ class ModificationSpec:
 
 def standard_modification(alpha=ALPHA) -> ModificationSpec:
     """The distinguished modification of the plane."""
-    cooked, _ = param_pair(alpha)
-    names = ("x", "y") + _param_names(cooked)
-    table = VarTable(names)
+    table, (a,), units = param_ring(("x", "y"), param_pair(alpha)[0])
     x = Poly.var(table, "x")
     y = Poly.var(table, "y")
-    a = _param_poly(table, cooked)
     tangency = (x - 1) * (x - a)
     return ModificationSpec(
         table=table,
         base_vars=("x", "y"),
         generators=(x * x + y * y, x * tangency, y * tangency),
         divisor=x * x + y * y,
-        units=_param_units(table, (cooked,)),
+        units=units,
     )
 
 
@@ -174,7 +170,7 @@ class FiberPresentation:
 
     def to_json(self) -> dict:
         return {
-            "alpha": param_str(self.alpha),
+            "alpha": str(self.alpha),
             "variables": list(self.table.names),
             "relations": [str(g) for g in self.ideal.generators],
         }
@@ -250,14 +246,9 @@ def match_fiber_to_surface(alpha) -> CertifiedReport:
         Poly.var(surface.table, "x"), Poly.var(surface.table, "u"),
     )
 
-    ok = True
-    powers = []
-    for g in fiber.ideal.generators:
-        image = to_surface(g)
-        k = member_with_denominators(image.num, surface.ideal, surface_denoms)
-        powers.append(k)
-        ok = ok and k is not None
-    report.add("fiber-relations-pull-back", ok, witness={"powers": powers})
+    powers = [k for _, k in _images_in_ideal(
+        to_surface, fiber.ideal.generators, surface.ideal, surface_denoms)]
+    report.add("fiber-relations-pull-back", None not in powers, witness={"powers": powers})
 
     vanish = all(to_fiber(g).is_zero() for g in surface.generators)
     report.add("surface-relations-vanish-identically", vanish)

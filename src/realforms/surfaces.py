@@ -14,9 +14,9 @@ identities and residual claims as ideal equalities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     ForbiddenParameter,
@@ -26,7 +26,7 @@ from .errors import (
     NotIsomorphism,
     NotConjugationStable,
 )
-from .gaussian import GaussianRational, I as IMAG
+from .gaussian import GaussianRational, I as IMAG, coerce
 from .groebner import Ideal, certified_unit, exact_quotient, member_with_denominators
 from .reports import CertifiedReport
 from .ring import Poly, RatFunc, RingMap, VarTable, compose
@@ -44,7 +44,10 @@ def _cook_param(spec, default_name: str):
         if not spec.isidentifier() or spec in COORDS:
             raise ValueError(f"bad symbolic parameter name {spec!r}")
         return spec
-    value = Fraction(spec)
+    value = coerce(spec)
+    if value is None or not value.is_real():
+        raise TypeError(f"not an exact scalar: {spec!r}")
+    value = value.re
     if value in (0, 1):
         raise ForbiddenParameter(f"parameter value {value} is excluded")
     return value
@@ -53,23 +56,38 @@ def _cook_param(spec, default_name: str):
 def param_pair(alpha, beta=None) -> tuple:
     """Normalize a raw (alpha, beta) pair; beta defaults to alpha.
 
-    An equal raw spec means the diagonal surface, even for "symbolic".
+    Each value becomes a Fraction (from an int, a Fraction or a real
+    Gaussian rational; 0 and 1 raise ForbiddenParameter, and a float or any
+    other inexact value raises TypeError) or a symbolic name ("symbolic"
+    means "a" for alpha and "b" for beta).  An equal raw spec means the
+    diagonal surface, even for "symbolic".
     """
     a = _cook_param(alpha, ALPHA)
     b = a if beta is None or beta == alpha else _cook_param(beta, BETA)
     return a, b
 
 
-def _param_names(*cooked) -> tuple[str, ...]:
-    names = []
-    for c in cooked:
-        if isinstance(c, str) and c not in names:
-            names.append(c)
-    return tuple(sorted(names))
+def _param_poly(table: VarTable, cooked) -> Poly:
+    if isinstance(cooked, str):
+        return Poly.var(table, cooked)
+    return Poly.const(table, cooked)
 
 
-def param_str(cooked) -> str:
-    return cooked if isinstance(cooked, str) else str(cooked)
+def param_ring(base: tuple[str, ...], *cooked) -> tuple:
+    """The polynomial ring of a check over cooked parameters (see param_pair).
+
+    Returns the table of the base names followed by the sorted symbolic
+    names, each parameter as a Poly over that table, and the units p, 1 - p
+    once per symbolic name: an admissible parameter is never 0 or 1, so
+    both may be inverted.
+    """
+    names = sorted({c for c in cooked if isinstance(c, str)})
+    table = VarTable(base + tuple(names))
+    units = []
+    for name in names:
+        p = Poly.var(table, name)
+        units += [p, 1 - p]
+    return table, tuple(_param_poly(table, c) for c in cooked), tuple(units)
 
 
 @dataclass(frozen=True)
@@ -88,22 +106,6 @@ class SurfacePresentation:
 
     def var(self, name: str) -> Poly:
         return Poly.var(self.table, name)
-
-
-def _param_poly(table: VarTable, cooked) -> Poly:
-    if isinstance(cooked, str):
-        return Poly.var(table, cooked)
-    return Poly.const(table, cooked)
-
-
-def _param_units(table: VarTable, cooked_params) -> tuple[Poly, ...]:
-    units = []
-    for c in cooked_params:
-        if isinstance(c, str):
-            p = Poly.var(table, c)
-            units.append(p)
-            units.append(1 - p)
-    return tuple(units)
 
 
 def isotropic_pair(s, t):
@@ -142,14 +144,14 @@ def make_surface(alpha, beta=None) -> SurfacePresentation:
     which are real indeterminates appended to the ring.
     """
     alpha, beta = param_pair(alpha, beta)
-    table = VarTable(COORDS + _param_names(alpha, beta))
+    table, _, units = param_ring(COORDS, alpha, beta)
     gens = surface_generators(table, alpha, beta)
     return SurfacePresentation(
         table=table,
         ideal=Ideal(list(gens), table),
         alpha=alpha,
         beta=beta,
-        denominators=_param_units(table, (alpha, beta)),
+        denominators=units,
     )
 
 
@@ -175,14 +177,21 @@ def _fiber(s: SurfacePresentation, point: dict,
     return fiber, ideal.equal(Ideal(list(expected), s.table))
 
 
+def _images_in_ideal(m: RingMap, generators: Sequence[Poly], ideal: Ideal,
+                     denominators: Sequence[Poly]) -> Iterator[tuple[RatFunc, int | None]]:
+    """Yield each generator's image under the substitution with the least
+    power k of the denominators' product that brings its numerator into the
+    ideal (None when no power up to the bound does)."""
+    for g in generators:
+        image = m(g)
+        yield image, member_with_denominators(image.num, ideal, denominators)
+
+
 def _maps_into_ideal(m: RingMap, source_ideal: Ideal, target_ideal: Ideal,
                      denominators: Sequence[Poly]) -> bool:
     """Does the substitution send every source generator into the target ideal?"""
-    for g in source_ideal.generators:
-        image = m(g)
-        if member_with_denominators(image.num, target_ideal, denominators) is None:
-            return False
-    return True
+    return all(k is not None for _, k in _images_in_ideal(
+        m, source_ideal.generators, target_ideal, denominators))
 
 
 def agree_modulo(left: RingMap, right: RingMap, ideal: Ideal,
@@ -246,14 +255,13 @@ def swap_map(pres_source: SurfacePresentation, pres_target: SurfacePresentation,
     return RingMap(pres_source.table, table_t, images, conjugates_coefficients=conjugate)
 
 
-def swap_real_structure(alpha, surface: SurfacePresentation | None = None) -> RealStructure:
-    """The real structure exchanging the two coordinate pairs with conjugation.
+def swap_real_structure(surface: SurfacePresentation) -> RealStructure:
+    """The real structure on the surface that exchanges the two coordinate
+    pairs, (x, y, u, v) -> conj(u, v, x, y).
 
-    Requires the diagonal surface (beta = alpha); the parameter, rational or
-    symbolic, is real.
+    Raises NotAntiInvolution unless the surface is diagonal (beta = alpha);
+    the parameter, rational or symbolic, is real.
     """
-    if surface is None:
-        surface = make_surface(alpha, alpha)
     if surface.alpha != surface.beta:
         raise NotAntiInvolution("the pair-swap conjugation needs beta = alpha")
     return RealStructure(surface, swap_map(surface, surface, conjugate=True))
@@ -276,13 +284,9 @@ def verify_swap_isomorphism(alpha, beta) -> CertifiedReport:
     s_ab = make_surface(alpha, beta)
     s_ba = make_surface(s_ab.beta, s_ab.alpha)
     m = swap_map(s_ba, s_ab, conjugate=False)  # pullback: functions on s_ba -> s_ab
-    for k, g in enumerate(s_ba.generators):
-        image = m(g)
-        report.add(
-            f"swap-generator-{k + 1}",
-            member_with_denominators(image.num, s_ab.ideal, s_ab.denominators) is not None,
-            witness=str(image.num),
-        )
+    images = _images_in_ideal(m, s_ba.generators, s_ab.ideal, s_ab.denominators)
+    for n, (image, k) in enumerate(images, start=1):
+        report.add(f"swap-generator-{n}", k is not None, witness=str(image.num))
     back = swap_map(s_ab, s_ba, conjugate=False)
     round_trip = compose(m, back)
     report.add("swap-involution", round_trip.is_identity())
@@ -294,7 +298,7 @@ def sigma_report(alpha) -> CertifiedReport:
     pullback permutes the generators as expected."""
     report = CertifiedReport("def-3.1")
     try:
-        rho = swap_real_structure(alpha)
+        rho = swap_real_structure(make_surface(alpha))
     except (NotAntiInvolution, ForbiddenParameter) as exc:
         report.add("swap-conjugation-exists", False, witness=str(exc))
         return report
@@ -317,8 +321,7 @@ def generators_report(alpha, beta) -> CertifiedReport:
     report = CertifiedReport("def-3.1")
     s = make_surface(alpha, beta)
     x, y, u, v = (s.var(n) for n in COORDS)
-    a = _param_poly(s.table, s.alpha)
-    b = _param_poly(s.table, s.beta)
+    a, b = _param_poly(s.table, s.alpha), _param_poly(s.table, s.beta)
     g1, g2, g3 = s.generators
     report.add("generator-1", g1 == y * u - x * (x - 1) * (x - a))
     report.add("generator-2", g2 == x * v - u * (u - 1) * (u - b))
@@ -339,14 +342,13 @@ def verify_modified_plane_chart(alpha, beta) -> CertifiedReport:
     s = make_surface(alpha, beta)
     tbl = s.table
     x, u = RatFunc.var(tbl, "x"), RatFunc.var(tbl, "u")
-    a = RatFunc(_param_poly(tbl, s.alpha))
-    b = RatFunc(_param_poly(tbl, s.beta))
-    y_img, v_img = chart_yv(x, u, a, b)
+    a_p, b_p = _param_poly(tbl, s.alpha), _param_poly(tbl, s.beta)
+    y_img, v_img = chart_yv(x, u, RatFunc(a_p), RatFunc(b_p))
     chart = RingMap.from_images(tbl, tbl, {"y": y_img, "v": v_img})
     g3_image = chart(s.generators[2])
     report.add("chart-last-generator-vanishes", g3_image.is_zero(), witness=str(g3_image))
 
-    plane = VarTable(("x", "y") + _param_names(s.alpha, s.beta))
+    plane, _, _ = param_ring(("x", "y"), s.alpha, s.beta)
     plane_x, plane_y = isotropic_pair(x, u)
     proj = RingMap.from_images(plane, tbl, {"x": plane_x, "y": plane_y})
     xx = Poly.var(plane, "x")
@@ -356,8 +358,6 @@ def verify_modified_plane_chart(alpha, beta) -> CertifiedReport:
     report.add("sum-of-squares-pullback", pulled == RatFunc(four_xu), witness=str(pulled.num))
 
     y_p, v_p = s.var("y"), s.var("v")
-    a_p = _param_poly(tbl, s.alpha)
-    b_p = _param_poly(tbl, s.beta)
     origin, same = _fiber(s, {"x": 0, "u": 0}, [y_p * v_p - a_p * b_p])
     report.add("fiber-over-origin", same, witness=[str(p) for p in origin])
     one_zero, same = _fiber(s, {"x": 1, "u": 0}, [v_p])
@@ -377,8 +377,8 @@ def verify_xy_projection_chart(alpha, beta) -> CertifiedReport:
     s = make_surface(alpha, beta)
     tbl = s.table
     x, y = RatFunc.var(tbl, "x"), RatFunc.var(tbl, "y")
-    a = RatFunc(_param_poly(tbl, s.alpha))
-    b = RatFunc(_param_poly(tbl, s.beta))
+    a_p, b_p = _param_poly(tbl, s.alpha), _param_poly(tbl, s.beta)
+    a, b = RatFunc(a_p), RatFunc(b_p)
     u_img = x * (x - 1) * (x - a) / y
     v_img = (x - 1) * (x - a) * (u_img - 1) * (u_img - b) / y
     chart = RingMap.from_images(tbl, tbl, {"x": x, "y": y, "u": u_img, "v": v_img})
@@ -387,8 +387,6 @@ def verify_xy_projection_chart(alpha, beta) -> CertifiedReport:
         report.add(f"chart-generator-{k + 1}-vanishes", image.is_zero())
 
     x_p, u_p, v_p = (Poly.var(tbl, n) for n in ("x", "u", "v"))
-    a_p = _param_poly(tbl, s.alpha)
-    b_p = _param_poly(tbl, s.beta)
     at_y0 = s.generators[0].specialize({"y": 0})
     cubic = x_p * (x_p - 1) * (x_p - a_p)
     report.add("y0-locus-is-cubic", at_y0 == -cubic, witness=str(at_y0))
@@ -396,7 +394,7 @@ def verify_xy_projection_chart(alpha, beta) -> CertifiedReport:
     report.add(
         "y0-cubic-roots",
         all(exact_quotient(at_y0, x_p - r) is not None for r in (0, 1, a_p)),
-        witness=["0", "1", param_str(s.alpha)],
+        witness=["0", "1", str(s.alpha)],
     )
     fiber, same = _fiber(s, {"x": 1, "y": 0}, [v_p - u_p * (u_p - 1) * (u_p - b_p)])
     report.add("fiber-over-(1,0)-is-cubic-curve", same, witness=[str(p) for p in fiber])
@@ -409,13 +407,10 @@ def verify_plane_automorphism(alpha, beta) -> CertifiedReport:
     points on the line y = 0 and moves the tangent direction (beta,1) to a
     scalar multiple of (alpha,1) while fixing the direction (1,1)."""
     report = CertifiedReport("prop-4.1")
-    a_spec, b_spec = param_pair(alpha, beta)
-    names = _param_names(a_spec, b_spec)
-    tbl = VarTable(("x", "y", "z") + names)
+    tbl, (a_p, b_p), _ = param_ring(("x", "y", "z"), *param_pair(alpha, beta))
     one = RatFunc(Poly.const(tbl, 1))
     zero = RatFunc(Poly.zero(tbl))
-    a = RatFunc(_param_poly(tbl, a_spec))
-    b = RatFunc(_param_poly(tbl, b_spec))
+    a, b = RatFunc(a_p), RatFunc(b_p)
     c1 = (a - b) / (one - a)
     c2 = (one - b) / (one - a)
 
@@ -445,7 +440,7 @@ def verify_plane_automorphism(alpha, beta) -> CertifiedReport:
     report.add("tangent-(beta,1)-to-(alpha,1)",
                (d_moved[0] - c2 * a).is_zero() and (d_moved[1] - c2).is_zero(),
                witness=f"scalar {c2}")
-    if a_spec == b_spec:
+    if a_p == b_p:
         report.add("identity-when-beta-equals-alpha",
                    c1.is_zero() and (c2 - one).is_zero())
     return report
@@ -454,17 +449,14 @@ def verify_plane_automorphism(alpha, beta) -> CertifiedReport:
 def isomorphism_chain_report(alpha1, alpha2, beta1, beta2) -> CertifiedReport:
     """Certified chain from modified-plane(alpha1,alpha2) to
     modified-plane(beta1,beta2) through the surface family."""
-    a1 = _cook_param(alpha1, "a")
-    a2 = _cook_param(alpha2, "b")
-    b1 = _cook_param(beta1, "c")
-    b2 = _cook_param(beta2, "d")
+    a1, a2, b1, b2 = map(_cook_param, (alpha1, alpha2, beta1, beta2), "abcd")
     report = CertifiedReport("prop-4.2")
 
     def node_w(p, q):
-        return f"modified_plane({param_str(p)},{param_str(q)})"
+        return f"modified_plane({p},{q})"
 
     def node_s(p, q):
-        return f"surface({param_str(p)},{param_str(q)})"
+        return f"surface({p},{q})"
 
     links = [
         (node_w(a1, a2), node_s(a1, a2), "plane-projection-chart",
@@ -577,16 +569,13 @@ def verify_coordinate_change() -> CertifiedReport:
     report.add("change-invertible", compose(fwd, inv).is_identity(),
                witness="names (x,u,y,v) denote (x+u, ix-iu, y+v, iy-iv)")
 
-    sigma = swap_real_structure(s.alpha, s)
+    sigma = swap_real_structure(s)
     lhs = compose(fwd, sigma.map)
     rhs = compose(RingMap.conjugation(new), fwd)
     report.add("conjugation-becomes-coordinatewise",
                agree_modulo(lhs, rhs, Ideal([], new), ()))
 
-    transformed = []
-    for g in s.generators:
-        image = inv(g)
-        transformed.append(image.num)  # denominator is a nonzero constant
+    transformed = [inv(g).num for g in s.generators]  # denominators are nonzero constants
     t1, t2, t3 = transformed
     h1, h2, h3 = displayed_real_equations(new, s.alpha)
     real_ok = all(
@@ -623,10 +612,7 @@ def verify_coordinate_change() -> CertifiedReport:
     spec_h = Ideal([p.specialize({ALPHA: 2}) for p in (h1, h2, h3)], new)
     report.add("ideal-equality-at-2", spec_t.equal(spec_h))
 
-    new_pres = SurfacePresentation(
-        table=new, ideal=ideal_h, alpha=s.alpha, beta=s.beta,
-        denominators=_param_units(new, (s.alpha, s.beta)),
-    )
+    new_pres = replace(s, table=new, ideal=ideal_h)  # same names, so same denominators
     try:
         equivalent = are_equivalent_structures(
             s, new_pres, sigma, standard_conjugation(new_pres), fwd
@@ -685,11 +671,8 @@ def modified_plane_config(alpha, beta=None) -> PointConfiguration:
 
     Symbolic parameters are real: conjugation fixes them.
     """
-    a, b = param_pair(alpha, beta)
-    tbl = VarTable(GEOMETRY_COORDS + _param_names(a, b))
+    tbl, (ap, bp), units = param_ring(GEOMETRY_COORDS, *param_pair(alpha, beta))
     x, y, z = (Poly.var(tbl, n) for n in GEOMETRY_COORDS)
-    ap = _param_poly(tbl, a)
-    bp = _param_poly(tbl, b)
     i_const = Poly.const(tbl, IMAG)
     zero = Poly.zero(tbl)
     one = Poly.const(tbl, 1)
@@ -701,7 +684,7 @@ def modified_plane_config(alpha, beta=None) -> PointConfiguration:
         Center(bp, -(bp * IMAG)),
     )
     removed = (z, x + y * IMAG, x - y * IMAG)
-    return PointConfiguration(tbl, centers, removed, _param_units(tbl, (a, b)))
+    return PointConfiguration(tbl, centers, removed, units)
 
 
 @dataclass
@@ -780,7 +763,7 @@ def real_locus_report(alpha) -> tuple[CertifiedReport, FixedPointReport]:
     report.add("isotropic-lines-swapped", lines_swapped)
     centers = [c.label() for c in config.centers]
     fp = FixedPointReport(
-        alpha=param_str(param_pair(alpha)[0]),
+        alpha=str(param_pair(alpha)[0]),
         fixed_centers=[centers[k] for k in action.fixed],
         swapped_center_pairs=[[centers[i], centers[j]] for i, j in action.two_cycles],
         swapped_boundary_lines=[[str(plus), str(minus)]],
@@ -808,7 +791,7 @@ def cocycle_examples_report(alpha=2) -> CertifiedReport:
     """
     report = CertifiedReport("sec-2-cocycle")
     s = make_surface(alpha)
-    rho = swap_real_structure(s.alpha, s)
+    rho = swap_real_structure(s)
     tau = swap_map(s, s, conjugate=False)
     report.add("pair-swap-twist-is-cocycle", is_cocycle(s, tau, rho))
 

@@ -186,10 +186,13 @@ TWENTY_VALUES = "--values=-7,-5,-3,-2,-3/2,-1/2,-1/3,-2/3,1/5,1/3,2/5,1/2,2/3,3/
      "94b880199075e0e49ff07367f0f1223edcb2fbb76857325cfc1aa2b25c6e2cc3"),
     (["classify", "2", "1/2"],
      "c3029da00799abcb8881917eb24ea593dfb62e856dd8c27657704c6235607e22"),
-], ids=["grid", "grid-20-values", "classify"])
+    (["enumerate", "--alpha", "symbolic"],
+     "478bcaca6a4c703434db1d7c469886a3b6f5f25258cde92557a68af21effec10"),
+], ids=["grid", "grid-20-values", "classify", "enumerate-symbolic"])
 def test_classification_json_bytes_are_pinned(capsys, argv, digest):
     # sha256 of the JSON these commands printed before the matching memo and
-    # the integer witness solve; a faster search must not move a byte
+    # the integer witness solve (enumerate: before one function built every
+    # parameter ring); a faster search must not move a byte
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -200,11 +203,16 @@ def test_classification_json_bytes_are_pinned(capsys, argv, digest):
      "b119a1fbb56af0e14a198f405f603450486894dcca30a1380841c1fc4a8bc392"),
     (["verify", "all", "--alpha", "symbolic", "--beta", "symbolic"],
      "adaf3bbc17f2e154a59c96e61abbcf3cfa8bd08648bb25331ec2d3f035391b2f"),
-], ids=["rational", "symbolic"])
+    (["verify", "all", "--alpha", "symbolic"],
+     "6a5b4a48b29ccdafb97a86ea0aa234cc4386839a0bd6c28d6d2c86d80063c05c"),
+    (["verify", "all", "--alpha=-7/3", "--beta=5/2"],
+     "44d34a38473ca925317480f26f39b79af565a3c1ccc8e65cfa9cb55b9c6ab73c"),
+], ids=["rational", "symbolic", "mixed-symbolic", "negative-rational"])
 def test_verify_json_bytes_are_pinned(capsys, argv, digest):
     # sha256 of the JSON these commands printed, with every elapsed_ms set to
-    # 0, before ring maps substituted over one common denominator; the
-    # witnesses print substituted numerators, so no byte may move
+    # 0, before ring maps substituted over one common denominator (the first
+    # two) and before one function built every parameter ring (the last
+    # two); the witnesses print substituted numerators, so no byte may move
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from realforms.checks import run_check
+from realforms.classification import classify
 from realforms.errors import (
     ForbiddenParameter,
     NotAntiInvolution,
@@ -12,6 +14,8 @@ from realforms.errors import (
     NotIsomorphism,
 )
 from realforms.gaussian import I, GaussianRational
+from realforms.groebner import Ideal, member_with_denominators
+from realforms.intersection import enumerate_negative_classes
 from realforms.ring import Poly, RatFunc, RingMap, VarTable, compose
 from realforms.surfaces import (
     AntiRegularMap,
@@ -27,6 +31,8 @@ from realforms.surfaces import (
     lift_real_structure,
     make_surface,
     modified_plane_config,
+    param_pair,
+    param_ring,
     real_locus_report,
     sigma_report,
     standard_conjugation,
@@ -92,6 +98,49 @@ def test_forbidden_parameters():
             make_surface(2, bad)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: param_pair(0.1),
+    lambda: param_pair(2, 0.5),
+    lambda: param_pair(None),
+    lambda: param_pair(GaussianRational(2, 1)),
+    lambda: make_surface(0.5),
+    lambda: modified_plane_config(0.1),
+    lambda: classify(0.5, 2),
+    lambda: enumerate_negative_classes(0.1),
+], ids=["param_pair", "param_pair-beta", "param_pair-none", "param_pair-nonreal",
+        "make_surface", "modified_plane_config", "classify", "enumerate"])
+def test_inexact_parameters_are_refused(call):
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        call()
+
+
+def test_float_parameter_is_a_check_error():
+    assert run_check("def-3.1", alpha=0.5).status == "error"
+
+
+def test_param_pair_accepts_exact_real_scalars():
+    assert param_pair(GaussianRational(Fraction(5, 2), 0), -3) == (Fraction(5, 2), Fraction(-3))
+    assert param_pair("symbolic", "symbolic") == ("a", "a")
+    assert param_pair("symbolic", "b") == ("a", "b")
+
+
+def test_param_ring_lists_each_symbolic_unit_once():
+    table, (a, three, a_again), units = param_ring(("x",), "a", Fraction(3), "a")
+    assert table.names == ("x", "a")
+    assert a == a_again == Poly.var(table, "a")
+    assert three == Poly.const(table, 3)
+    assert units == (a, 1 - a)
+    config = modified_plane_config("symbolic")
+    alpha = Poly.var(config.table, "a")
+    assert config.units == (alpha, 1 - alpha)
+    s = make_surface("symbolic")
+    x, alpha = s.var("x"), s.var("a")
+    assert s.denominators == (alpha, 1 - alpha)
+    # x*(a*(1-a))^k lies in (x*a^2) from k = 2 on; a unit listed twice
+    # would square the product and report k = 1
+    assert member_with_denominators(x, Ideal([x * alpha ** 2], s.table), s.denominators) == 2
+
+
 def test_origin_residue_relation():
     s = make_surface(2, 3)
     residue = [g.specialize({"x": 0, "u": 0}) for g in s.generators]
@@ -137,7 +186,7 @@ def test_swap_sends_generators_to_swapped_generators():
 def test_sigma_is_an_involution():
     assert sigma_report(2).passed
     assert sigma_report("symbolic").passed
-    rho = swap_real_structure(Fraction(1, 2))
+    rho = swap_real_structure(make_surface(Fraction(1, 2)))
     square = compose(rho.map, rho.map)
     ideal = rho.surface.ideal
     for name in rho.surface.table.names:
@@ -148,7 +197,7 @@ def test_sigma_is_an_involution():
 def test_swap_structure_needs_diagonal_parameters():
     s = make_surface(2, 3)
     with pytest.raises(NotAntiInvolution):
-        swap_real_structure(2, s)
+        swap_real_structure(s)
 
 
 def test_symbolic_parameters_are_real():
@@ -158,7 +207,7 @@ def test_symbolic_parameters_are_real():
     for s in (diagonal, make_surface("symbolic", "b")):
         rho = standard_conjugation(s)
         assert rho.map(s.var("a")).num == s.var("a")
-    rho = swap_real_structure("a", diagonal)
+    rho = swap_real_structure(diagonal)
     assert rho.map(diagonal.var("x")).num == diagonal.var("u")
 
 
@@ -287,14 +336,14 @@ def test_cocycle_examples():
 
 def test_identity_twist_is_a_cocycle():
     s = make_surface(2, 2)
-    rho = swap_real_structure(2, s)
+    rho = swap_real_structure(s)
     identity = RingMap.identity(s.table)
     assert is_cocycle(s, identity, rho)
 
 
 def test_equivalence_of_structures_examples():
     s = make_surface(2, 2)
-    rho = swap_real_structure(2, s)
+    rho = swap_real_structure(s)
     identity = RingMap.identity(s.table)
     assert are_equivalent_structures(s, s, rho, rho, identity)
 
