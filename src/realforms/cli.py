@@ -19,17 +19,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 
 from . import checks, classification, intersection, surfaces
 from .errors import ForbiddenParameter
+from .gaussian import RATIONAL_TEXT
 from .groebner import step_budget
 from .intersection import DEFAULT_D_MAX
 from .reports import ERROR, FAIL, PASS
-
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 DEFAULT_GRID_VALUES = (
     Fraction(-3), Fraction(-2), Fraction(-1, 2), Fraction(-1, 3),
@@ -43,7 +41,7 @@ def parameter(text: str):
     text = text.strip()
     if text == "symbolic":
         return text
-    if not _RATIONAL_RE.match(text):
+    if not RATIONAL_TEXT.fullmatch(text):
         raise argparse.ArgumentTypeError(
             f"expected an integer, a fraction like 3/4, or 'symbolic', got {text!r}"
         )

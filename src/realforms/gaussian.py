@@ -9,6 +9,7 @@ as Fractions through ``re`` and ``im``.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -225,6 +226,12 @@ def _sub_mul(s: GaussianRational | None, fa: int, fb: int, ga: int, gb: int,
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
+
+RATIONAL_TEXT = re.compile(r"[+-]?\d+(?:/\d+)?")
+"""An exact rational as text, ``p`` or ``p/q`` with an optional sign, as
+``coefficient_str`` prints it; ``ring.parse_poly`` and the command line read
+it, and ``Fraction`` parses the match.  A decimal such as ``1.5`` never
+matches."""
 
 
 def coefficient_str(c: GaussianRational) -> str:

@@ -323,10 +323,9 @@ DEFAULT_CHART_SAMPLES = ((1, 1), (2, 1), (-1, 1), (-1, 2), (3, -1))
 def smoothness_report(alpha) -> CertifiedReport:
     """Jacobian rank 2 at exact sample points of the diagonal surface."""
     report = CertifiedReport("def-3.4-fiber")
-    scalar = _as_scalar(alpha)
-    if not scalar.is_real():
-        raise TypeError(f"not a rational parameter: {alpha!r}")
-    alpha = scalar.re
+    if isinstance(alpha, str):
+        raise TypeError(f"not an exact scalar: {alpha!r}")
+    alpha, _ = param_pair(alpha)
     surface = make_surface(alpha, alpha)
     for x0, u0 in DEFAULT_CHART_SAMPLES:
         point = surface_chart_point(alpha, x0, u0)

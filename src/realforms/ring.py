@@ -21,12 +21,13 @@ compose by substitution chaining; conjugation flags compose by XOR.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from operator import add, sub
 from typing import Iterable, Mapping
 
-from .gaussian import GaussianRational, ONE, ZERO, _reduce, coefficient_str, coerce
+from .gaussian import RATIONAL_TEXT, GaussianRational, ONE, ZERO, _reduce, coefficient_str, coerce
 
 class VarTable:
     """Ordered names of real indeterminates."""
@@ -360,141 +361,71 @@ def poly_str(p: Poly) -> str:
     return "".join(out)
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# Spaces next to an operator or a parenthesis carry no meaning.  Any space
+# left stands between two words, such as "x y", which no factor matches.
+_SPACE = re.compile(r"\s*([-+*/^()])\s*")
 
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, ch: str):
-        if not self.take(ch):
-            raise ValueError(f"expected {ch!r} at position {self.pos} in {self.text!r}")
-
-    def number(self) -> int:
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ValueError(f"expected digits at position {start} in {self.text!r}")
-        return int(self.text[start:self.pos])
-
-    def name(self) -> str:
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            raise ValueError(f"expected a name at position {start} in {self.text!r}")
-        return self.text[start:self.pos]
+_RATIONAL = RATIONAL_TEXT.pattern
+_FACTOR = re.compile(rf"""
+    (?P<sep>[-+*]?)
+    (?: (?=\d)(?P<rational>{_RATIONAL})
+      | \((?P<real>{_RATIONAL})\)(?P<imag>i)?
+      | \(\((?P<re>{_RATIONAL})\)(?P<sign>[-+])\((?P<im>{_RATIONAL})\)i\)
+      | (?P<unit>i)(?!\w)
+      | (?P<name>[^\W\d]\w*)(?:\^(?P<power>\d+))?
+    )""", re.VERBOSE)
 
 
-def _parse_rational(tk: _Tokens) -> Fraction:
-    sign = 1
-    if tk.take("-"):
-        sign = -1
-    elif tk.take("+"):
-        pass
-    num = tk.number()
-    if tk.take("/"):
-        den = tk.number()
-        return Fraction(sign * num, den)
-    return Fraction(sign * num)
-
-
-def _parse_paren_scalar(tk: _Tokens) -> GaussianRational:
-    """Parse after '(': rational ')' ['i'] or '(q)+(q)i' group form."""
-    if tk.peek() == "(":
-        # mixed form ((p)+(q)i)
-        tk.expect("(")
-        re = _parse_rational(tk)
-        tk.expect(")")
-        sign = 1
-        if tk.take("-"):
-            sign = -1
-        else:
-            tk.expect("+")
-        tk.expect("(")
-        im = _parse_rational(tk)
-        tk.expect(")")
-        if not tk.take("i"):
-            raise ValueError("expected i in mixed scalar")
-        tk.expect(")")
-        return GaussianRational(re, sign * im)
-    value = _parse_rational(tk)
-    tk.expect(")")
-    if tk.take("i"):
-        return GaussianRational(0, value)
-    return GaussianRational(value)
-
-
-def _parse_factor(tk: _Tokens, table: VarTable) -> Poly:
-    ch = tk.peek()
-    if ch == "(":
-        tk.expect("(")
-        return Poly.const(table, _parse_paren_scalar(tk))
-    if ch.isdigit():
-        return Poly.const(table, _parse_rational(tk))
-    if ch == "i" and not _next_is_name_char(tk):
-        tk.expect("i")
-        return Poly.const(table, GaussianRational(0, 1))
-    name = tk.name()
-    if name not in table._index:
-        raise ValueError(f"unknown variable {name!r}")
-    power = 1
-    if tk.take("^"):
-        power = tk.number()
-    return Poly.var(table, name, power)
-
-
-def _next_is_name_char(tk: _Tokens) -> bool:
-    # distinguishes the imaginary unit from a variable name starting with i
-    pos = tk.pos
-    tk.peek()
-    here = tk.pos
-    ok = here + 1 < len(tk.text) and (tk.text[here + 1].isalnum() or tk.text[here + 1] == "_")
-    tk.pos = pos
-    return ok
+def _factor(m: re.Match, table: VarTable) -> Poly:
+    """The Poly of one matched factor."""
+    name = m["name"]
+    if name:
+        if name not in table._index:
+            raise ValueError(f"unknown variable {name!r}")
+        return Poly.var(table, name, int(m["power"] or 1))
+    if m["unit"]:
+        value = GaussianRational(0, 1)
+    elif m["re"]:
+        im = Fraction(m["im"])
+        value = GaussianRational(Fraction(m["re"]), -im if m["sign"] == "-" else im)
+    elif m["real"]:
+        q = Fraction(m["real"])
+        value = GaussianRational(0, q) if m["imag"] else q
+    else:
+        value = Fraction(m["rational"])
+    return Poly.const(table, value)
 
 
 def parse_poly(text: str, table: VarTable) -> Poly:
-    """Parse the canonical text form back into a Poly (round-trips poly_str)."""
-    tk = _Tokens(text)
-    result = Poly.zero(table)
-    first = True
+    """Parse the canonical text form back into a Poly (round-trips poly_str).
+
+    A term is an optional sign and factors joined by ``*``; terms are joined
+    by ``+`` or ``-``.  A factor is a rational ``p/q`` (see
+    ``gaussian.RATIONAL_TEXT``, unsigned here), a scalar ``(q)``, ``(q)i`` or
+    ``((p)+(q)i)``, the unit ``i``, or a table variable with an optional
+    power ``name^n``.  Spaces may stand between tokens.  Malformed text, an
+    unknown variable and a zero denominator raise ValueError.
+    """
+    s = _SPACE.sub(r"\1", text).strip()
+    result = term = Poly.zero(table)
+    pos, seps = 0, ("", "+", "-")
     while True:
-        ch = tk.peek()
-        if not ch:
-            if first:
-                raise ValueError("empty polynomial text")
-            break
-        sign = 1
-        if tk.take("-"):
-            sign = -1
-        elif tk.take("+"):
-            pass
-        elif not first:
-            raise ValueError(f"expected +/- at position {tk.pos} in {text!r}")
-        term = _parse_factor(tk, table)
-        while tk.take("*"):
-            term = term * _parse_factor(tk, table)
-        result = result + term * sign
-        first = False
-    return result
+        m = _FACTOR.match(s, pos)
+        if m is None or m["sep"] not in seps:
+            raise ValueError(f"malformed polynomial text {text!r} at {s[pos:]!r}")
+        seps = ("+", "-", "*")
+        try:
+            factor = _factor(m, table)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+        if m["sep"] == "*":
+            term = term * factor
+        else:
+            result = result + term
+            term = -factor if m["sep"] == "-" else factor
+        pos = m.end()
+        if pos == len(s):
+            return result + term
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,15 @@ def param_pair(alpha, beta=None) -> tuple:
     Gaussian rational; 0 and 1 raise ForbiddenParameter, and a float or any
     other inexact value raises TypeError) or a symbolic name ("symbolic"
     means "a" for alpha and "b" for beta).  An equal raw spec means the
-    diagonal surface, even for "symbolic".
+    diagonal surface, even for "symbolic"; two different specs that name the
+    same symbol, such as ("b", "symbolic"), raise ValueError.
     """
     a = _cook_param(alpha, ALPHA)
-    b = a if beta is None or beta == alpha else _cook_param(beta, BETA)
+    if beta is None or beta == alpha:
+        return a, a
+    b = _cook_param(beta, BETA)
+    if isinstance(b, str) and a == b:
+        raise ValueError(f"parameters {alpha!r} and {beta!r} both name {b!r}")
     return a, b
 
 

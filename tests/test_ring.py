@@ -157,6 +157,45 @@ def test_parse_print_round_trip_random():
         assert parse_poly(poly_str(p), TABLE) == p
 
 
+NAMED_I_TABLE = VarTable(("x", "y", "z", "ix"))
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("+x", "x"),
+    ("3 / 4", "3/4"),
+    ("( - 1 / 3 )*x", "-1/3*x"),
+    ("x ^ 2", "x^2"),
+    ("((1/2)-(3)i)*x", "((1/2)+(-3)i)*x"),
+    ("(1/2)*(3)i*x", "(3/2)i*x"),
+    ("ix", "ix"),
+    ("i*x", "i*x"),
+    ("x - (0)i", "x"),
+    (" -3/4 ", "-3/4"),
+    ("٣*x", "3*x"),  # an Arabic-Indic digit three
+    ("", ValueError),
+    ("x +", ValueError),
+    ("x y", ValueError),
+    ("x^", ValueError),
+    ("((1)+(2))", ValueError),
+    ("(1/2", ValueError),
+    ("x**2", ValueError),
+    ("x - - y", ValueError),
+    ("i x", ValueError),
+    ("(2)ix", ValueError),
+    ("x^-1", ValueError),
+    ("2x", ValueError),
+    ("x^2^3", ValueError),
+    ("x^²", ValueError),  # a superscript two is not a decimal digit
+    ("2/0", ValueError),
+])
+def test_parse_poly_grammar(text, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            parse_poly(text, NAMED_I_TABLE)
+    else:
+        assert poly_str(parse_poly(text, NAMED_I_TABLE)) == expected
+
+
 def test_parse_rejects_unknown_variable():
     with pytest.raises(Exception):
         parse_poly("x + w", TABLE)

@@ -124,6 +124,12 @@ def test_param_pair_accepts_exact_real_scalars():
     assert param_pair("symbolic", "b") == ("a", "b")
 
 
+@pytest.mark.parametrize("alpha, beta", [("b", "symbolic"), ("symbolic", "a")])
+def test_param_pair_refuses_two_specs_naming_one_symbol(alpha, beta):
+    with pytest.raises(ValueError, match="both name"):
+        param_pair(alpha, beta)
+
+
 def test_param_ring_lists_each_symbolic_unit_once():
     table, (a, three, a_again), units = param_ring(("x",), "a", Fraction(3), "a")
     assert table.names == ("x", "a")
