@@ -7,6 +7,12 @@ invertible linear map of the plane defined over the rationals.  The search
 is exact: matchings by backtracking over the 12-vertex graphs, once per graph
 shape, witnesses by solving the center equations over the rationals with
 integer elimination.
+
+The graph shape (labels, weights, conjugation action) comes from one
+symbolic enumeration per d_max in a process.  Its lines are polynomial
+identities in the parameter and its avoided centers have unit values, built
+from a and 1 - a, so the shape holds at every admissible value; each graph
+then reads only its five centers at its own value.
 """
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ from .intersection import (
 )
 from .reports import CertifiedReport
 from .ring import Poly
-from .surfaces import lift_real_structure, param_pair
+from .surfaces import lift_real_structure, modified_plane_config, param_pair
 
 ORIGIN_LABEL = "E(0,0)"
 PINNED_LABELS = (LABEL_AT_INFINITY, ORIGIN_LABEL)
@@ -73,13 +79,27 @@ class CurveIncidenceGraph:
         }
 
 
-def incidence_graph(alpha, d_max: int = DEFAULT_D_MAX) -> CurveIncidenceGraph:
-    result = enumerate_negative_classes(alpha, d_max)
+@cache
+def _graph_shape(d_max: int) -> tuple:
+    """Labels, weights, conjugation action and, per vertex, the index of its
+    blow-up center (None for a line), from one symbolic enumeration.
+
+    Each symbolic line through its centers is a polynomial identity in the
+    parameter, and each center it avoids has a value that is a constant
+    times powers of a and 1 - a, so the table holds at every admissible
+    value.  A class left unrealized or undetermined would be settled for
+    generic parameters only, so it raises ValueError.
+    """
+    result = enumerate_negative_classes("symbolic", d_max)
+    if result.unrealized or result.undetermined:
+        raise ValueError(
+            f"the symbolic table at d_max {d_max} is not settled for every "
+            f"parameter value: unrealized {[str(c) for c, _ in result.unrealized]}, "
+            f"undetermined {[str(c) for c in result.undetermined]}")
     vertices = result.vertices()
-    config = result.config
     labels = tuple(r.label for r in vertices)
     weights = tuple(tuple(row) for row in intersection_matrix(vertices))
-    center_action = lift_real_structure(config).permutation
+    center_action = lift_real_structure(result.config).permutation
 
     action = []
     for r in vertices:
@@ -96,19 +116,25 @@ def incidence_graph(alpha, d_max: int = DEFAULT_D_MAX) -> CurveIncidenceGraph:
                 if s.form is not None and s.form == conj_form
             )
         action.append(target)
+    center_index = tuple(r.through[0] if r.kind == KIND_EXCEPTIONAL else None
+                         for r in vertices)
+    return labels, weights, tuple(action), center_index
 
-    centers = []
-    for r in vertices:
-        if r.kind == KIND_EXCEPTIONAL:
-            c = config.centers[r.through[0]]
-            centers.append((c.x, c.y))
-        else:
-            centers.append(None)
+
+def incidence_graph(alpha, d_max: int = DEFAULT_D_MAX) -> CurveIncidenceGraph:
+    """The incidence graph of the diagonal surface at alpha.
+
+    Its shape comes from the symbolic table, enumerated once per d_max in a
+    process (see _graph_shape); only the five centers are read at alpha.
+    """
+    labels, weights, action, center_index = _graph_shape(d_max)
+    centers = modified_plane_config(alpha, alpha).centers
     return CurveIncidenceGraph(
         labels=labels,
         weights=weights,
-        real_action=tuple(action),
-        centers=tuple(centers),
+        real_action=action,
+        centers=tuple(None if k is None else (centers[k].x, centers[k].y)
+                      for k in center_index),
     )
 
 

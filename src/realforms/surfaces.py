@@ -41,13 +41,17 @@ def _cook_param(spec, default_name: str):
     if isinstance(spec, str):
         if spec == "symbolic":
             return default_name
-        if not spec.isidentifier() or spec in COORDS:
+        # a parameter named i would print and parse as the imaginary unit
+        if not spec.isidentifier() or spec in COORDS or spec == "i":
             raise ValueError(f"bad symbolic parameter name {spec!r}")
         return spec
-    value = coerce(spec)
-    if value is None or not value.is_real():
-        raise TypeError(f"not an exact scalar: {spec!r}")
-    value = value.re
+    if isinstance(spec, Fraction):
+        value = spec
+    else:
+        value = coerce(spec)
+        if value is None or not value.is_real():
+            raise TypeError(f"not an exact scalar: {spec!r}")
+        value = value.re
     if value in (0, 1):
         raise ForbiddenParameter(f"parameter value {value} is excluded")
     return value
@@ -59,7 +63,8 @@ def param_pair(alpha, beta=None) -> tuple:
     Each value becomes a Fraction (from an int, a Fraction or a real
     Gaussian rational; 0 and 1 raise ForbiddenParameter, and a float or any
     other inexact value raises TypeError) or a symbolic name ("symbolic"
-    means "a" for alpha and "b" for beta).  An equal raw spec means the
+    means "a" for alpha and "b" for beta; a name that is no identifier, a
+    coordinate or "i" raises ValueError).  An equal raw spec means the
     diagonal surface, even for "symbolic"; two different specs that name the
     same symbol, such as ("b", "symbolic"), raise ValueError.
     """

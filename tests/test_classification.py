@@ -13,6 +13,7 @@ from realforms.classification import (
     ORIGIN_LABEL,
     PINNED_LABELS,
     ClassificationResult,
+    CurveIncidenceGraph,
     admissible_matchings,
     classification_report,
     classify,
@@ -24,7 +25,14 @@ from realforms.classification import (
 )
 from realforms.errors import ForbiddenParameter
 from realforms.gaussian import GaussianRational, row_reduce
-from realforms.intersection import LABEL_AT_INFINITY
+from realforms.intersection import (
+    KIND_EXCEPTIONAL,
+    LABEL_AT_INFINITY,
+    canonical_form,
+    enumerate_negative_classes,
+    intersection_matrix,
+)
+from realforms.surfaces import lift_real_structure
 
 GRID = sorted({
     Fraction(p) for p in (
@@ -87,7 +95,81 @@ def brute_force_matchings(src, dst):
     return sorted(found)
 
 
+def enumerated_graph(alpha, d_max):
+    """The incidence graph built from an enumeration at alpha itself, with
+    the action read from that table's own centers and conjugate forms."""
+    result = enumerate_negative_classes(alpha, d_max)
+    vertices = result.vertices()
+    config = result.config
+    center_action = lift_real_structure(config).permutation
+    action = []
+    for r in vertices:
+        if r.kind == KIND_EXCEPTIONAL:
+            target_center = center_action[r.through[0]]
+            target = next(
+                i for i, s in enumerate(vertices)
+                if s.kind == KIND_EXCEPTIONAL and s.through == (target_center,)
+            )
+        else:
+            conj_form = canonical_form(r.form.conjugate())
+            target = next(
+                i for i, s in enumerate(vertices)
+                if s.form is not None and s.form == conj_form
+            )
+        action.append(target)
+    centers = []
+    for r in vertices:
+        if r.kind == KIND_EXCEPTIONAL:
+            c = config.centers[r.through[0]]
+            centers.append((c.x, c.y))
+        else:
+            centers.append(None)
+    return CurveIncidenceGraph(
+        labels=tuple(r.label for r in vertices),
+        weights=tuple(tuple(row) for row in intersection_matrix(vertices)),
+        real_action=tuple(action),
+        centers=tuple(centers),
+    )
+
+
 # -- incidence graphs ---------------------------------------------------------
+
+
+# -1 makes a + 1 vanish, which the symbolic labels of two lines contain
+@pytest.mark.parametrize("value", [
+    -1, Fraction(-1, 2), Fraction(1, 2), 2, 3, Fraction(1, 3), Fraction(-7, 3),
+    "symbolic", "b",
+])
+def test_graph_from_the_symbolic_shape_equals_the_enumerated_graph(value):
+    for d_max in range(1, 7):
+        assert incidence_graph(value, d_max) == enumerated_graph(value, d_max)
+
+
+def test_graph_shape_refuses_an_unsettled_symbolic_table(monkeypatch):
+    enumerate_real = classification.enumerate_negative_classes
+
+    def unsettled(alpha, d_max):
+        result = enumerate_real(alpha, d_max)
+        *kept, line = result.records
+        return dataclasses.replace(result, records=tuple(kept),
+                                   undetermined=(line.cls,))
+
+    classification._graph_shape.cache_clear()
+    monkeypatch.setattr(classification, "enumerate_negative_classes", unsettled)
+    try:
+        with pytest.raises(ValueError, match="not settled"):
+            incidence_graph(2)
+    finally:
+        classification._graph_shape.cache_clear()
+
+
+def test_graph_shape_is_enumerated_once_per_d_max():
+    classification._graph_shape.cache_clear()
+    for value in (2, Fraction(-7, 3), "symbolic"):
+        incidence_graph(value, 3)
+    info = classification._graph_shape.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
 
 
 def test_graph_shape():

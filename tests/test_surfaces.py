@@ -124,6 +124,17 @@ def test_param_pair_accepts_exact_real_scalars():
     assert param_pair("symbolic", "b") == ("a", "b")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: param_pair("i"),
+    lambda: param_pair(2, "i"),
+    lambda: make_surface("i"),
+], ids=["param_pair", "param_pair-beta", "make_surface"])
+def test_imaginary_unit_is_not_a_symbolic_name(call):
+    # a parameter named i would print as the unit and parse back as it
+    with pytest.raises(ValueError, match="bad symbolic parameter name 'i'"):
+        call()
+
+
 @pytest.mark.parametrize("alpha, beta", [("b", "symbolic"), ("symbolic", "a")])
 def test_param_pair_refuses_two_specs_naming_one_symbol(alpha, beta):
     with pytest.raises(ValueError, match="both name"):
