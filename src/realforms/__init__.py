@@ -34,7 +34,6 @@ from .groebner import (
 )
 from .reports import CertifiedReport, CheckItem, SuiteEntry, SuiteReport
 from .surfaces import (
-    AntiRegularMap,
     Center,
     PointConfiguration,
     RealStructure,
@@ -94,11 +93,10 @@ __all__ = [
     # reports
     "CertifiedReport", "CheckItem", "SuiteEntry", "SuiteReport",
     # surfaces
-    "AntiRegularMap", "Center", "PointConfiguration", "RealStructure",
-    "SurfacePresentation", "are_equivalent_structures", "is_cocycle",
-    "make_surface", "modified_plane_config", "real_locus_report",
-    "standard_conjugation", "swap_real_structure", "verify_coordinate_change",
-    "verify_swap_isomorphism",
+    "Center", "PointConfiguration", "RealStructure", "SurfacePresentation",
+    "are_equivalent_structures", "is_cocycle", "make_surface",
+    "modified_plane_config", "real_locus_report", "standard_conjugation",
+    "swap_real_structure", "verify_coordinate_change", "verify_swap_isomorphism",
     # intersection theory
     "DivisorClass", "EnumerationResult", "NegativeCurveRecord",
     "enumerate_negative_classes", "exceptional_class", "intersection_matrix",

@@ -375,9 +375,7 @@ class ClassificationResult:
         }
 
 
-def classify(alpha, beta, d_max: int = DEFAULT_D_MAX,
-             src_graph: CurveIncidenceGraph | None = None,
-             dst_graph: CurveIncidenceGraph | None = None) -> ClassificationResult:
+def classify(alpha, beta, d_max: int = DEFAULT_D_MAX) -> ClassificationResult:
     """Decide whether two parameter values give equivalent real surfaces.
 
     Exact throughout: every admissible graph matching is examined for a
@@ -386,8 +384,14 @@ def classify(alpha, beta, d_max: int = DEFAULT_D_MAX,
     an equal raw pair means the one-parameter diagonal surface.
     """
     alpha, beta = param_pair(alpha, beta)
-    src = src_graph if src_graph is not None else incidence_graph(alpha, d_max)
-    dst = dst_graph if dst_graph is not None else incidence_graph(beta, d_max)
+    return _classify(alpha, beta, d_max,
+                     incidence_graph(alpha, d_max), incidence_graph(beta, d_max))
+
+
+def _classify(alpha, beta, d_max: int, src: CurveIncidenceGraph,
+              dst: CurveIncidenceGraph) -> ClassificationResult:
+    """classify over cooked parameters (see param_pair) and the graphs
+    incidence_graph built for them at this d_max."""
     matchings = admissible_matchings(src, dst)
     witnesses = []
     traces = []
@@ -472,7 +476,7 @@ def classification_report(alpha, beta, d_max: int = DEFAULT_D_MAX) -> CertifiedR
     alpha, beta = param_pair(alpha, beta)
     src = incidence_graph(alpha, d_max)
     dst = incidence_graph(beta, d_max)
-    result = classify(alpha, beta, d_max, src, dst)
+    result = _classify(alpha, beta, d_max, src, dst)
     expected = equivalence_criterion(result.alpha, result.beta)
     report.add(
         "verdict-matches-criterion",

@@ -154,15 +154,13 @@ def _cmd_classify(args) -> int:
 
 def run_grid(values, d_max: int = DEFAULT_D_MAX) -> dict:
     """Classify every ordered pair of values; flag verdict/criterion splits."""
-    values = sorted(set(values))
+    values = sorted({surfaces.param_pair(v)[0] for v in values})
     graphs = {v: classification.incidence_graph(v, d_max=d_max) for v in values}
     cells = []
     disagreements = 0
     for a in values:
         for b in values:
-            result = classification.classify(
-                a, b, d_max=d_max, src_graph=graphs[a], dst_graph=graphs[b]
-            )
+            result = classification._classify(a, b, d_max, graphs[a], graphs[b])
             criterion = classification.equivalence_criterion(a, b)
             agrees = result.equivalent == criterion
             disagreements += 0 if agrees else 1

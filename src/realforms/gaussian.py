@@ -24,6 +24,8 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             self.a, self.b, self.d = re, im, 1
             return
+        if not (isinstance(re, _RATIONAL) and isinstance(im, _RATIONAL)):
+            raise TypeError(f"not an exact scalar: {re!r} + {im!r}*i")
         re = re if type(re) is Fraction else Fraction(re)
         im = im if type(im) is Fraction else Fraction(im)
         dr, di = re.denominator, im.denominator

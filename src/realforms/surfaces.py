@@ -34,6 +34,11 @@ from .ring import Poly, RatFunc, RingMap, VarTable, compose
 ALPHA = "a"
 BETA = "b"
 COORDS = ("x", "y", "u", "v")
+GEOMETRY_COORDS = ("x", "y", "z")
+# Every variable of a library table: the surface, the plane and its
+# modification (inverse t, scales T1-T3).  Also i, which would print and
+# parse as the imaginary unit.
+RESERVED_NAMES = frozenset(COORDS + GEOMETRY_COORDS + ("t", "T1", "T2", "T3", "i"))
 
 
 def _cook_param(spec, default_name: str):
@@ -41,8 +46,7 @@ def _cook_param(spec, default_name: str):
     if isinstance(spec, str):
         if spec == "symbolic":
             return default_name
-        # a parameter named i would print and parse as the imaginary unit
-        if not spec.isidentifier() or spec in COORDS or spec == "i":
+        if not spec.isidentifier() or spec in RESERVED_NAMES:
             raise ValueError(f"bad symbolic parameter name {spec!r}")
         return spec
     if isinstance(spec, Fraction):
@@ -63,8 +67,8 @@ def param_pair(alpha, beta=None) -> tuple:
     Each value becomes a Fraction (from an int, a Fraction or a real
     Gaussian rational; 0 and 1 raise ForbiddenParameter, and a float or any
     other inexact value raises TypeError) or a symbolic name ("symbolic"
-    means "a" for alpha and "b" for beta; a name that is no identifier, a
-    coordinate or "i" raises ValueError).  An equal raw spec means the
+    means "a" for alpha and "b" for beta; a name that is no identifier or is
+    in RESERVED_NAMES raises ValueError).  An equal raw spec means the
     diagonal surface, even for "symbolic"; two different specs that name the
     same symbol, such as ("b", "symbolic"), raise ValueError.
     """
@@ -197,13 +201,6 @@ def _images_in_ideal(m: RingMap, generators: Sequence[Poly], ideal: Ideal,
         yield image, member_with_denominators(image.num, ideal, denominators)
 
 
-def _maps_into_ideal(m: RingMap, source_ideal: Ideal, target_ideal: Ideal,
-                     denominators: Sequence[Poly]) -> bool:
-    """Does the substitution send every source generator into the target ideal?"""
-    return all(k is not None for _, k in _images_in_ideal(
-        m, source_ideal.generators, target_ideal, denominators))
-
-
 def agree_modulo(left: RingMap, right: RingMap, ideal: Ideal,
                  denominators: Sequence[Poly]) -> bool:
     """Do two maps between the same tables agree modulo the ideal?
@@ -220,23 +217,19 @@ def agree_modulo(left: RingMap, right: RingMap, ideal: Ideal,
     return True
 
 
-@dataclass(frozen=True)
-class AntiRegularMap:
-    """Anti-regular map between presentations, stored as its pullback."""
-
-    domain: SurfacePresentation
-    codomain: SurfacePresentation
-    map: RingMap
-
-    def __post_init__(self):
-        if not self.map.conjugates_coefficients:
-            raise NotAntiInvolution("pullback must conjugate coefficients")
-        if self.map.source != self.codomain.table or self.map.target != self.domain.table:
-            raise ValueError("pullback must go from codomain ring to domain ring")
-        if not _maps_into_ideal(
-            self.map, self.codomain.ideal, self.domain.ideal, self.domain.denominators,
-        ):
-            raise NotIsomorphism("pullback does not send the ideal into the ideal")
+def _check_pullback(m: RingMap, codomain: SurfacePresentation,
+                    domain: SurfacePresentation, anti: bool, error: type) -> None:
+    """Raise error unless m is the pullback of a morphism from domain to
+    codomain: it conjugates coefficients exactly when anti is set, goes from
+    the codomain ring to the domain ring, and sends every codomain generator
+    into the domain ideal once the domain denominators are inverted."""
+    if m.conjugates_coefficients != anti:
+        raise error("pullback must " + ("" if anti else "not ") + "conjugate coefficients")
+    if m.source != codomain.table or m.target != domain.table:
+        raise error("pullback must go from codomain ring to domain ring")
+    if any(k is None for _, k in _images_in_ideal(
+            m, codomain.generators, domain.ideal, domain.denominators)):
+        raise error("pullback does not send the ideal into the ideal")
 
 
 @dataclass(frozen=True)
@@ -247,7 +240,7 @@ class RealStructure:
     map: RingMap
 
     def __post_init__(self):
-        AntiRegularMap(self.surface, self.surface, self.map)
+        _check_pullback(self.map, self.surface, self.surface, True, NotAntiInvolution)
         square = compose(self.map, self.map)
         if not agree_modulo(square, RingMap.identity(self.surface.table),
                             self.surface.ideal, self.surface.denominators):
@@ -501,43 +494,29 @@ def isomorphism_chain_report(alpha1, alpha2, beta1, beta2) -> CertifiedReport:
 # ---------------------------------------------------------------------------
 
 
-def _as_map(rho) -> RingMap:
-    if isinstance(rho, (RealStructure, AntiRegularMap)):
-        return rho.map
-    return rho
-
-
-def is_cocycle(presentation: SurfacePresentation, tau: RingMap, rho) -> bool:
+def is_cocycle(presentation: SurfacePresentation, tau: RingMap,
+               rho: RealStructure) -> bool:
     """Does tau satisfy (tau . rho)^2 = id modulo the presentation ideal?
 
-    tau must be a regular self-map whose pullback preserves the ideal;
-    rho is a real structure (or its pullback map) on the same presentation.
+    tau must be a regular self-map whose pullback preserves the ideal, or
+    NotAutomorphism is raised; rho is a real structure on the same
+    presentation.
     """
-    rho_map = _as_map(rho)
-    if tau.conjugates_coefficients:
-        raise NotAutomorphism("tau must be regular, not anti-regular")
-    if not _maps_into_ideal(tau, presentation.ideal, presentation.ideal,
-                            presentation.denominators):
-        raise NotAutomorphism("pullback of tau does not preserve the ideal")
-    composite = compose(tau, rho_map, tau, rho_map)
+    _check_pullback(tau, presentation, presentation, False, NotAutomorphism)
+    composite = compose(tau, rho.map, tau, rho.map)
     return agree_modulo(composite, RingMap.identity(presentation.table),
                         presentation.ideal, presentation.denominators)
 
 
 def are_equivalent_structures(domain: SurfacePresentation, codomain: SurfacePresentation,
-                              rho, rho_prime, theta: RingMap) -> bool:
+                              rho: RealStructure, rho_prime: RealStructure,
+                              theta: RingMap) -> bool:
     """Does theta intertwine the two real structures: theta . rho = rho' . theta
     modulo the domain ideal?  theta is given by its pullback (codomain ring to
-    domain ring) and must send the codomain ideal into the domain ideal."""
-    rho_map = _as_map(rho)
-    rho_prime_map = _as_map(rho_prime)
-    if theta.conjugates_coefficients:
-        raise NotIsomorphism("theta must be a regular map")
-    if theta.source != codomain.table or theta.target != domain.table:
-        raise NotIsomorphism("theta pullback must map the codomain ring to the domain ring")
-    if not _maps_into_ideal(theta, codomain.ideal, domain.ideal, domain.denominators):
-        raise NotIsomorphism("pullback of theta does not send ideal into ideal")
-    return agree_modulo(compose(theta, rho_map), compose(rho_prime_map, theta),
+    domain ring) and must send the codomain ideal into the domain ideal, or
+    NotIsomorphism is raised."""
+    _check_pullback(theta, codomain, domain, False, NotIsomorphism)
+    return agree_modulo(compose(theta, rho.map), compose(rho_prime.map, theta),
                         domain.ideal, domain.denominators)
 
 
@@ -669,9 +648,6 @@ class PointConfiguration:
         """Are the two centers certifiably distinct for every admissible
         parameter value?"""
         return any(certified_unit(delta, self.units) for delta in (p.x - q.x, p.y - q.y))
-
-
-GEOMETRY_COORDS = ("x", "y", "z")
 
 
 def modified_plane_config(alpha, beta=None) -> PointConfiguration:
@@ -809,11 +785,11 @@ def cocycle_examples_report(alpha=2) -> CertifiedReport:
     whole_line = free_presentation(line)
     x = RatFunc.var(line, "x")
     doubling = RingMap(line, line, [x * 2])
-    conj = RingMap.conjugation(line)
+    conj = standard_conjugation(whole_line)
     report.add(
         "coordinate-doubling-is-not-a-cocycle",
         not is_cocycle(whole_line, doubling, conj),
-        witness=str(compose(doubling, conj, doubling, conj).images[0]),
+        witness=str(compose(doubling, conj.map, doubling, conj.map).images[0]),
     )
 
     translation = RingMap(line, line, [x + IMAG])

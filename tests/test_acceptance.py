@@ -14,10 +14,15 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from realforms.classification import classify, equivalence_criterion, incidence_graph
+from realforms.classification import (
+    _classify,
+    classify,
+    equivalence_criterion,
+    incidence_graph,
+)
 from realforms.gaussian import GaussianRational, I
 from realforms.groebner import LEX, buchberger, normal_form
-from realforms.intersection import enumerate_negative_classes
+from realforms.intersection import DEFAULT_D_MAX, enumerate_negative_classes
 from realforms.modification import (
     match_fiber_to_surface,
     rees_presentation,
@@ -206,7 +211,7 @@ def test_grid_verdicts_match_closed_form_criterion():
         checked = 0
         for a in GRID_VALUES:
             for b in GRID_VALUES:
-                result = classify(a, b, src_graph=graphs[a], dst_graph=graphs[b])
+                result = _classify(a, b, DEFAULT_D_MAX, graphs[a], graphs[b])
                 expected = a == b or a * b == 1
                 assert result.equivalent == expected == equivalence_criterion(a, b)
                 if result.equivalent:

@@ -14,6 +14,7 @@ from realforms.classification import (
     PINNED_LABELS,
     ClassificationResult,
     CurveIncidenceGraph,
+    _classify,
     admissible_matchings,
     classification_report,
     classify,
@@ -26,6 +27,7 @@ from realforms.classification import (
 from realforms.errors import ForbiddenParameter
 from realforms.gaussian import GaussianRational, row_reduce
 from realforms.intersection import (
+    DEFAULT_D_MAX,
     KIND_EXCEPTIONAL,
     LABEL_AT_INFINITY,
     canonical_form,
@@ -420,6 +422,13 @@ def test_classify_rejects_forbidden_values():
         classify(2, 1)
 
 
+def test_classify_builds_its_own_graphs():
+    # a graph for another value would turn the verdict of (2, 1/2) around
+    with pytest.raises(TypeError):
+        classify(2, Fraction(1, 2), src_graph=incidence_graph(3))
+    assert classify(2, Fraction(1, 2)).equivalent
+
+
 def test_witness_structure_identities():
     """Every equivalent verdict carries a witness whose matrix is invertible,
     preserves the sum of squares up to its recorded scalar, and is returned
@@ -466,7 +475,7 @@ def test_verdict_equals_criterion_on_grid():
     checked = 0
     for a in GRID:
         for b in GRID:
-            result = classify(a, b, src_graph=graphs[a], dst_graph=graphs[b])
+            result = _classify(a, b, DEFAULT_D_MAX, graphs[a], graphs[b])
             assert result.equivalent == equivalence_criterion(a, b), (a, b)
             if result.equivalent:
                 assert result.witness is not None
@@ -479,8 +488,8 @@ def test_classify_symmetric_verdicts():
     graphs = {v: incidence_graph(v) for v in values}
     for a in values:
         for b in values:
-            fwd = classify(a, b, src_graph=graphs[a], dst_graph=graphs[b])
-            rev = classify(b, a, src_graph=graphs[b], dst_graph=graphs[a])
+            fwd = _classify(a, b, DEFAULT_D_MAX, graphs[a], graphs[b])
+            rev = _classify(b, a, DEFAULT_D_MAX, graphs[b], graphs[a])
             assert fwd.equivalent == rev.equivalent
 
 
@@ -505,7 +514,7 @@ def test_classification_report_rechecks_the_witness(monkeypatch):
 
     from realforms import classification
 
-    classify_real = classification.classify
+    classify_real = classification._classify
 
     def tampered(*args, **kwargs):
         result = classify_real(*args, **kwargs)
@@ -513,7 +522,7 @@ def test_classification_report_rechecks_the_witness(monkeypatch):
         result.witness = dataclasses.replace(result.witness, matrix=((p + 1, q), (r, s)))
         return result
 
-    monkeypatch.setattr(classification, "classify", tampered)
+    monkeypatch.setattr(classification, "_classify", tampered)
     report = classification.classification_report(2, Fraction(1, 2))
     (status,) = [i.status for i in report.items if i.claim_id == "witness-valid"]
     assert status == "fail"

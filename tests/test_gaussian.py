@@ -25,6 +25,13 @@ def test_construction_normalizes_to_fractions():
     assert GaussianRational() == ZERO
 
 
+@pytest.mark.parametrize("parts", [(0.1,), (1, 0.5), ("1/2",), (None,)],
+                         ids=["float", "float-imaginary", "string", "none"])
+def test_construction_refuses_inexact_parts(parts):
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        GaussianRational(*parts)
+
+
 def test_predicates():
     assert ZERO.is_zero() and not ONE.is_zero()
     assert ONE.is_one() and not I.is_one()

@@ -10,15 +10,17 @@ from realforms.classification import classify
 from realforms.errors import (
     ForbiddenParameter,
     NotAntiInvolution,
+    NotAutomorphism,
     NotConjugationStable,
     NotIsomorphism,
 )
 from realforms.gaussian import I, GaussianRational
 from realforms.groebner import Ideal, member_with_denominators
 from realforms.intersection import enumerate_negative_classes
+from realforms.modification import fiber_presentation, rees_presentation, standard_modification
 from realforms.ring import Poly, RatFunc, RingMap, VarTable, compose
 from realforms.surfaces import (
-    AntiRegularMap,
+    RESERVED_NAMES,
     RealStructure,
     are_equivalent_structures,
     cocycle_examples_report,
@@ -135,6 +137,24 @@ def test_imaginary_unit_is_not_a_symbolic_name(call):
         call()
 
 
+@pytest.mark.parametrize("name", sorted(RESERVED_NAMES))
+def test_reserved_names_are_not_symbolic_names(name):
+    with pytest.raises(ValueError, match=f"bad symbolic parameter name '{name}'"):
+        param_pair(name)
+    with pytest.raises(ValueError, match=f"bad symbolic parameter name '{name}'"):
+        param_pair(2, name)
+
+
+def test_reserved_names_cover_every_library_table():
+    tables = [
+        make_surface("symbolic", "b").table,
+        modified_plane_config("symbolic").table,
+        rees_presentation(standard_modification("symbolic")).table,
+        fiber_presentation("symbolic").table,
+    ]
+    assert {n for t in tables for n in t.names} - RESERVED_NAMES == {"a", "b"}
+
+
 @pytest.mark.parametrize("alpha, beta", [("b", "symbolic"), ("symbolic", "a")])
 def test_param_pair_refuses_two_specs_naming_one_symbol(alpha, beta):
     with pytest.raises(ValueError, match="both name"):
@@ -232,6 +252,22 @@ def test_anti_regular_map_rejects_regular_pullback():
     s = make_surface(2, 2)
     with pytest.raises(NotAntiInvolution):
         RealStructure(s, swap_map(s, s, conjugate=False))
+
+
+def test_real_structure_must_preserve_the_ideal():
+    # x <-> u alone sends y*u - x*(x-1)*(x-2) to y*x - u*(u-1)*(u-2)
+    s = make_surface(2, 2)
+    names = {"x": "u", "u": "x"}
+    images = [RatFunc.var(s.table, names.get(n, n)) for n in s.table.names]
+    half_swap = RingMap(s.table, s.table, images, conjugates_coefficients=True)
+    with pytest.raises(NotAntiInvolution, match="ideal"):
+        RealStructure(s, half_swap)
+
+
+def test_real_structure_must_map_its_own_table():
+    s = make_surface(2, 2)
+    with pytest.raises(NotAntiInvolution, match="codomain ring"):
+        RealStructure(s, RingMap.conjugation(make_surface("symbolic").table))
 
 
 def test_standard_conjugation_on_rational_surface():
@@ -338,6 +374,15 @@ def test_isomorphism_chain():
     assert isomorphism_chain_report("symbolic", "symbolic", "symbolic", "symbolic").passed
 
 
+def test_chain_target_is_shifted_off_the_excluded_values():
+    # alpha + 2 and beta + 2 land on 0 and 1, so both shift on to 2
+    report = run_check("prop-4.2", alpha=-2, beta=-1)
+    assert report.passed
+    last = report.items[-1]
+    assert last.claim_id == "link-6"
+    assert (last.witness["from"], last.witness["to"]) == ("surface(2,2)", "modified_plane(2,2)")
+
+
 # -- cocycle and equivalence predicates -------------------------------------------
 
 
@@ -366,14 +411,21 @@ def test_equivalence_of_structures_examples():
 
     line = VarTable(("x",))
     whole_line = free_presentation(line)
-    conj = RingMap.conjugation(line)
+    conj = standard_conjugation(whole_line)
     x = RatFunc.var(line, "x")
     translation = RingMap(line, line, [x + I])
     assert not are_equivalent_structures(whole_line, whole_line, conj, conj, translation)
     real_translation = RingMap(line, line, [x + 1])
     assert are_equivalent_structures(whole_line, whole_line, conj, conj, real_translation)
     with pytest.raises(NotIsomorphism):
-        are_equivalent_structures(whole_line, whole_line, conj, conj, conj)
+        are_equivalent_structures(whole_line, whole_line, conj, conj, conj.map)
+
+
+def test_cocycle_twist_over_another_table_is_not_an_automorphism():
+    s = make_surface(2, 2)
+    rho = swap_real_structure(s)
+    with pytest.raises(NotAutomorphism, match="codomain ring"):
+        is_cocycle(s, RingMap.identity(make_surface("symbolic").table), rho)
 
 
 # -- point configurations ----------------------------------------------------------
