@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import checks, classification, intersection, surfaces
 from .errors import ForbiddenParameter
@@ -232,7 +233,9 @@ def _cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="realforms",
         description="Exact verification of a family of real surface structures.",

@@ -3,7 +3,15 @@
 All computations are exact.  An Ideal caches one reduced Groebner basis per
 monomial order.  Membership, containment and equality are decided in graded
 reverse lex, the cheapest order for them (Bayer-Stillman); bases and normal
-forms asked for without an order are lex.
+forms asked for without an order are lex.  Membership accepts a constant
+multiple of a generator, then a polynomial the raw generators divide to
+zero, before it builds a basis.
+
+Buchberger queues its pairs in a heap keyed by the order key of their lcm and
+prunes them by the Gebauer-Moeller criteria when an element enters (Gebauer
+and Moeller, "On an installation of Buchberger's algorithm", J. Symbolic
+Comput. 6, 1988), so no pair is scanned again when it is popped.  Reduced
+bases are unique, so the pruning changes the steps spent, not the bases.
 
 Division takes prepared divisors: each divisor's leading monomial, and the
 other terms of its monic multiple as Gaussian-integer numerators over one
@@ -230,6 +238,16 @@ def _divide(terms: dict, prepared: Sequence[tuple], ranks: _Ranks,
     return remainder
 
 
+def _is_multiple(terms: dict, of: dict) -> bool:
+    """Are nonzero terms a constant multiple of the terms of another?"""
+    if terms.keys() != of.keys():
+        return False
+    items = iter(of.items())
+    e, c = next(items)
+    ratio = terms[e] / c
+    return all(terms[e] == ratio * c for e, c in items)
+
+
 def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder = LEX) -> Poly:
     """Full multivariate division remainder of p by the basis list."""
     _check_tables(p.table, basis)
@@ -263,8 +281,15 @@ def _s_terms(f: tuple, g: tuple) -> dict:
 def buchberger(generators: Sequence[Poly], order: MonomialOrder = LEX) -> list[Poly]:
     """Reduced Groebner basis (monic, sorted descending by leading monomial).
 
-    Classic Buchberger with the product and chain criteria and normal pair
-    selection.  Raises BudgetExceeded when the step budget runs out.
+    Buchberger with normal pair selection: the pairs wait in a heap keyed by
+    the order key of the lcm of their leading monomials.  The Gebauer-Moeller
+    criteria prune pairs when an element enters, not when a pair is popped:
+    of its new pairs, those whose lcm another new pair's lcm divides (M), all
+    but one of equal lcm (F) and those with coprime leading monomials
+    (product criterion) are never queued, and a queued pair goes when the
+    new leading monomial divides its lcm and gives neither lcm of the chain
+    (B).  Each pair popped spends one step of the budget, as does each
+    division step.  Raises BudgetExceeded when the budget runs out.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -277,69 +302,56 @@ def buchberger(generators: Sequence[Poly], order: MonomialOrder = LEX) -> list[P
     basis: list[dict] = []  # monic terms of each element
     prepared: list = []  # each element as a divisor, built when it enters
     lead: list = []
+    # elements whose leading monomial no later one divides: the ones new
+    # pairs are formed with, and at the end the minimal basis
+    active: list[int] = []
+    pairs: list = []  # heap of (order key of the lcm, i, j, lcm)
 
     def admit(remainder: dict):
         lt, monic = _monic(remainder, ranks)
+        h = len(basis)
         basis.append(monic)
         prepared.append(_prepare(lt, monic))
         lead.append(lt)
+        # M and F: a new pair goes when the lcm of a later new pair, or of
+        # one kept, divides its lcm, so of equal lcms only the last stays.
+        # Coprime pairs are kept through this filter, since they prune others
+        new = [(g, tuple(map(max, lead[g], lt))) for g in active]
+        kept = []
+        for n, (g, lcm) in enumerate(new):
+            coprime = not any(map(min, lead[g], lt))
+            if coprime or not (any(_divides(m, lcm) for _, m in new[n + 1:])
+                               or any(_divides(m, lcm) for _, _, m in kept)):
+                kept.append((coprime, g, lcm))
+        # B: a queued pair (i, j) goes when lt divides its lcm and differs
+        # from it in lcm(lead[i], lt) and in lcm(lead[j], lt)
+        pairs[:] = [
+            p for p in pairs
+            if not _divides(lt, p[3])
+            or tuple(map(max, lead[p[1]], lt)) == p[3]
+            or tuple(map(max, lead[p[2]], lt)) == p[3]
+        ]
+        heapify(pairs)
+        for coprime, g, lcm in kept:
+            if not coprime:
+                heappush(pairs, (key(lcm), g, h, lcm))
+        active[:] = [g for g in active if not _divides(lt, lead[g])]
+        active.append(h)
 
     for g in gens:
         r = _divide(g.terms, prepared, ranks, budget)
         if r:
             admit(r)
 
-    pairs: set = set()
-    lcms: dict = {}  # pair -> lcm of its leading monomials, and its sort key
-    done: set = set()
-
-    def add_pair(i: int, j: int):
-        lcm = tuple(map(max, lead[i], lead[j]))
-        pairs.add((i, j))
-        lcms[i, j] = (lcm, key(lcm))
-
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            add_pair(i, j)
-
     while pairs:
-        i, j = min(pairs, key=lambda ij: lcms[ij][1])
-        pairs.remove((i, j))
-        done.add((i, j))
+        _, i, j, _ = heappop(pairs)
         budget.spend()
-        lcm = lcms.pop((i, j))[0]
-        # product criterion: coprime leading monomials
-        if all(a + b == c for a, b, c in zip(lead[i], lead[j], lcm)):
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(lead[k], lcm):
-                continue
-            p1 = (min(i, k), max(i, k))
-            p2 = (min(j, k), max(j, k))
-            if p1 in done and p2 in done:
-                skip = True
-                break
-        if skip:
-            continue
-        s = _s_terms(prepared[i], prepared[j])
-        r = _divide(s, prepared, ranks, budget)
-        if not r:
-            continue
-        admit(r)
-        new_index = len(basis) - 1
-        for k in range(new_index):
-            add_pair(k, new_index)
-
-    # minimalize: drop elements whose leading monomial another one divides
-    order_idx = sorted(range(len(basis)), key=lambda k: key(lead[k]))
-    keep: list[int] = []
-    for k in order_idx:
-        if not any(_divides(lead[m], lead[k]) for m in keep):
-            keep.append(k)
+        r = _divide(_s_terms(prepared[i], prepared[j]), prepared, ranks, budget)
+        if r:
+            admit(r)
 
     # tail-reduce each element against the others
+    keep = sorted(active, key=lambda k: key(lead[k]))
     reduced: list[tuple] = []
     for k in keep:
         others = [prepared[m] for m in keep if m != k]
@@ -410,7 +422,10 @@ class Ideal:
             return True
         if not self.generators:
             return False
-        # cheap sufficient test: divide by the raw generators first
+        # cheap sufficient tests first: a constant multiple of a generator,
+        # then division by the raw generators
+        if any(_is_multiple(p.terms, g.terms) for g in self.generators):
+            return True
         if self._remainder(p, order, reduced=False).is_zero():
             return True
         return self.normal_form(p, order).is_zero()

@@ -306,13 +306,20 @@ def jacobian_rank_at(presentation, point: dict) -> int:
         generators = presentation.ideal.generators
     values = {n: _as_scalar(v) for n, v in point.items()}
     coords = [n for n in generators[0].table.names if n in values]
+    return _rank_at(generators, _jacobian(generators, coords), values)
+
+
+def _jacobian(generators, coords) -> list[list]:
+    """The partial derivatives of each generator in the coordinates."""
+    return [[g.derivative(n) for n in coords] for g in generators]
+
+
+def _rank_at(generators, jacobian, values: dict) -> int:
+    """Rank of a Jacobian at a point every generator vanishes at."""
     for g in generators:
         if not g.evaluate(values).is_zero():
             raise PointNotOnVariety(f"relation {g} does not vanish at the point")
-    rows = [
-        [g.derivative(n).evaluate(values) for n in coords]
-        for g in generators
-    ]
+    rows = [[d.evaluate(values) for d in row] for row in jacobian]
     _, pivots = row_reduce(rows)
     return len(pivots)
 
@@ -326,10 +333,11 @@ def smoothness_report(alpha) -> CertifiedReport:
     if isinstance(alpha, str):
         raise TypeError(f"not an exact scalar: {alpha!r}")
     alpha, _ = param_pair(alpha)
-    surface = make_surface(alpha, alpha)
+    generators = make_surface(alpha, alpha).ideal.generators
+    jacobian = _jacobian(generators, generators[0].table.names)
     for x0, u0 in DEFAULT_CHART_SAMPLES:
         point = surface_chart_point(alpha, x0, u0)
-        rank = jacobian_rank_at(surface, point)
+        rank = _rank_at(generators, jacobian, point)
         report.add(
             f"jacobian-rank-2-at-({x0},{u0})",
             rank == 2,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -181,6 +182,39 @@ def test_sweep_runs_once_for_all_parameters():
     assert first.candidates_scanned == second.candidates_scanned == 1331
     # the per-parameter realisation still runs: the line forms differ
     assert [str(r.form) for r in first.records] != [str(r.form) for r in second.records]
+
+
+def _survivors_by_class_methods(d_max):
+    """The sweep with every test on a DivisorClass, as it was written first."""
+    iso_plus = line_class(0, 1, 2)
+    iso_minus = line_class(0, 3, 4)
+    conic_components = (line_class(1, 3), line_class(2, 4))
+    conic = DivisorClass(2, (0, 1, 1, 1, 1))
+    survivors = []
+    scanned = 0
+    for d in range(1, d_max + 1):
+        cap = 1 if d == 1 else d - 1
+        for mults in product(range(cap + 1), repeat=5):
+            scanned += 1
+            cls = DivisorClass(d, mults)
+            if cls.self_intersection() > -1:
+                continue
+            if cls.doubled_genus() < 0:
+                continue
+            if cls != iso_plus and cls.intersect(iso_plus) < 0:
+                continue
+            if cls != iso_minus and cls.intersect(iso_minus) < 0:
+                continue
+            if cls not in conic_components and cls.intersect(conic) < 0:
+                continue
+            survivors.append(cls)
+    return tuple(survivors), scanned
+
+
+@pytest.mark.parametrize("d_max", range(1, 7))
+def test_integer_sweep_matches_the_class_method_sweep(d_max):
+    assert intersection._combinatorial_survivors(d_max) == \
+        _survivors_by_class_methods(d_max)
 
 
 def test_cached_survivors_are_immutable():

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from realforms.gaussian import I, GaussianRational
 from realforms.ring import (
@@ -111,6 +112,59 @@ def test_specialize_and_evaluate():
     assert p.specialize({"x": 1}).is_zero()
     with pytest.raises(TypeError):
         p.specialize({"x": "not-a-scalar"})
+
+
+def _random_polys(table: VarTable):
+    scalar = st.builds(
+        GaussianRational,
+        st.fractions(min_value=-6, max_value=6, max_denominator=4),
+        st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    )
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * len(table)), scalar)
+    return st.lists(term, max_size=5).map(
+        lambda terms: sum((Poly(table, {e: c}) for e, c in terms), Poly.zero(table)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_evaluate_equals_the_specialized_constant(data):
+    """Also with some variables left without a value: both then raise
+    ValueError unless those terms cancel."""
+    p = data.draw(_random_polys(TABLE))
+    names = data.draw(st.lists(st.sampled_from(TABLE.names), unique=True))
+    values = {
+        name: GaussianRational(data.draw(st.fractions(-5, 5, max_denominator=5)),
+                               data.draw(st.fractions(-5, 5, max_denominator=5)))
+        for name in names
+    }
+
+    def outcome(f):
+        try:
+            return f()
+        except ValueError:
+            return ValueError
+
+    assert outcome(lambda: p.evaluate(values)) == \
+        outcome(lambda: p.specialize(values).constant_value())
+
+
+def test_evaluate_refuses_an_unknown_name():
+    # the error of specialize: VarTable.index raises KeyError
+    with pytest.raises(KeyError):
+        Poly.var(TABLE, "x").evaluate({"x": 1, "y": 2, "z": 3, "w": 4})
+
+
+def test_evaluate_refuses_a_non_scalar():
+    with pytest.raises(TypeError, match="not a scalar for y"):
+        Poly.var(TABLE, "x").evaluate({"x": 1, "y": 0.5, "z": 3})
+
+
+def test_evaluate_refuses_a_variable_left_without_a_value():
+    x, y = Poly.var(TABLE, "x"), Poly.var(TABLE, "y")
+    with pytest.raises(ValueError, match="not a constant polynomial"):
+        (x * y + 1).evaluate({"x": 1})
+    # a term that cancels leaves no variable behind
+    assert (x * y - y + 2).evaluate({"x": 1}) == GaussianRational(2)
 
 
 def test_derivative():
