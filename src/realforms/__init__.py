@@ -29,7 +29,6 @@ from .groebner import (
     buchberger,
     certified_unit,
     exact_quotient,
-    member_with_denominators,
     normal_form,
 )
 from .reports import CertifiedReport, CheckItem, SuiteEntry, SuiteReport
@@ -67,7 +66,6 @@ from .classification import (
     incidence_graph,
 )
 from .modification import (
-    FiberPresentation,
     ModificationSpec,
     ReesPresentation,
     fiber_presentation,
@@ -89,7 +87,7 @@ __all__ = [
     "GaussianRational", "Poly", "RatFunc", "RingMap", "VarTable", "compose",
     "parse_poly",
     "Ideal", "MonomialOrder", "buchberger", "certified_unit",
-    "exact_quotient", "member_with_denominators", "normal_form",
+    "exact_quotient", "normal_form",
     # reports
     "CertifiedReport", "CheckItem", "SuiteEntry", "SuiteReport",
     # surfaces
@@ -106,7 +104,7 @@ __all__ = [
     "admissible_matchings", "classify", "equivalence_criterion",
     "incidence_graph",
     # modification
-    "FiberPresentation", "ModificationSpec", "ReesPresentation",
+    "ModificationSpec", "ReesPresentation",
     "fiber_presentation", "jacobian_rank_at", "match_fiber_to_surface",
     "rees_presentation", "standard_modification",
     # check registry

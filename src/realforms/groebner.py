@@ -5,7 +5,9 @@ monomial order.  Membership, containment and equality are decided in graded
 reverse lex, the cheapest order for them (Bayer-Stillman); bases and normal
 forms asked for without an order are lex.  Membership accepts a constant
 multiple of a generator, then a polynomial the raw generators divide to
-zero, before it builds a basis.
+zero, before it builds a basis.  Membership is plain, in the polynomial ring
+itself: nothing is localised, because every ideal the checks test is
+saturated by the units they could invert.
 
 Buchberger queues its pairs in a heap keyed by the order key of their lcm and
 prunes them by the Gebauer-Moeller criteria when an element enters (Gebauer
@@ -37,8 +39,6 @@ from .ring import Poly, VarTable, _numerators, _poly, _scaled_terms
 
 DEFAULT_STEP_BUDGET = 2_000_000
 BUDGET_ENV_VAR = "REALFORMS_STEP_BUDGET"
-# highest power of the denominators' product member_with_denominators tries
-MAX_DENOMINATOR_POWER = 6
 
 
 def step_budget() -> int:
@@ -488,24 +488,3 @@ def certified_unit(p: Poly, units: Sequence[Poly]) -> bool:
             return False
     return not p.constant_value().is_zero()
 
-
-def member_with_denominators(p: Poly, ideal: Ideal,
-                             denominators: Sequence[Poly]) -> int | None:
-    """Least k up to MAX_DENOMINATOR_POWER with (d1*...*dm)^k * p in the
-    ideal, or None.
-
-    Realizes membership over the localization at the multiplicative set the
-    denominators generate, as far as the power bound reaches.
-    """
-    _check_tables(ideal.table, (p,))
-    product = Poly.const(ideal.table, 1)
-    for d in denominators:
-        product = product * d
-    candidate = p
-    for k in range(MAX_DENOMINATOR_POWER + 1):
-        if ideal.member(candidate):
-            return k
-        if product.is_constant() and product:
-            return None  # a nonzero constant factor changes no membership
-        candidate = candidate * product
-    return None

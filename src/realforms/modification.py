@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import FNotInIdeal, PointNotOnVariety
 from .gaussian import GaussianRational, coerce, row_reduce
-from .groebner import Ideal, member_with_denominators
+from .groebner import Ideal
 from .reports import CertifiedReport
 from .ring import Poly, RatFunc, RingMap, VarTable, compose
 from .surfaces import (
@@ -57,23 +57,21 @@ def _transport(p: Poly, table: VarTable) -> Poly:
 
 @dataclass(frozen=True)
 class ModificationSpec:
-    """Plane ideal, chosen divisor, and parameter constraints."""
+    """Plane ideal and a chosen divisor that lies in it."""
 
     table: VarTable
     base_vars: tuple[str, ...]
     generators: tuple[Poly, ...]
     divisor: Poly
-    units: tuple[Poly, ...]
 
     def __post_init__(self):
-        ideal = Ideal(list(self.generators), self.table)
-        if member_with_denominators(self.divisor, ideal, self.units) is None:
+        if not Ideal(list(self.generators), self.table).member(self.divisor):
             raise FNotInIdeal("the divisor must lie in the center ideal")
 
 
 def standard_modification(alpha=ALPHA) -> ModificationSpec:
     """The distinguished modification of the plane."""
-    table, (a,), units = param_ring(("x", "y"), param_pair(alpha)[0])
+    table, (a,), _ = param_ring(("x", "y"), param_pair(alpha)[0])
     x = Poly.var(table, "x")
     y = Poly.var(table, "y")
     tangency = (x - 1) * (x - a)
@@ -82,7 +80,6 @@ def standard_modification(alpha=ALPHA) -> ModificationSpec:
         base_vars=("x", "y"),
         generators=(x * x + y * y, x * tangency, y * tangency),
         divisor=x * x + y * y,
-        units=units,
     )
 
 
@@ -125,10 +122,9 @@ def rees_report(spec: ModificationSpec | None = None) -> CertifiedReport:
     report = CertifiedReport("def-3.4-rees")
     if spec is None:
         spec = standard_modification()
-    ideal = Ideal(list(spec.generators), spec.table)
     report.add(
         "divisor-in-center-ideal",
-        member_with_denominators(spec.divisor, ideal, spec.units) is not None,
+        Ideal(list(spec.generators), spec.table).member(spec.divisor),
         witness=str(spec.divisor),
     )
     rees = rees_presentation(spec)
@@ -161,23 +157,9 @@ def rees_report(spec: ModificationSpec | None = None) -> CertifiedReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FiberPresentation:
-    table: VarTable
-    ideal: Ideal
-    alpha: object
-    denominators: tuple[Poly, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": str(self.alpha),
-            "variables": list(self.table.names),
-            "relations": [str(g) for g in self.ideal.generators],
-        }
-
-
-def fiber_presentation(alpha) -> FiberPresentation:
-    """The affine chart of the modification where the first scale is 1."""
+def fiber_presentation(alpha) -> SurfacePresentation:
+    """The affine chart of the modification where the first scale is 1, as a
+    presentation over (x, y, T2, T3) and the symbolic parameter (beta = alpha)."""
     cooked, _ = param_pair(alpha)
     spec = standard_modification(cooked)
     rees = rees_presentation(spec)
@@ -191,17 +173,10 @@ def fiber_presentation(alpha) -> FiberPresentation:
         h = g.specialize({first: 1})
         if not h.is_zero():
             basis.append(_transport(h, small))
-    x = Poly.var(small, "x")
-    y = Poly.var(small, "y")
-    return FiberPresentation(
-        table=small,
-        ideal=Ideal(basis, small),
-        alpha=cooked,
-        denominators=(x * x + y * y,),
-    )
+    return SurfacePresentation(table=small, ideal=Ideal(basis, small), alpha=cooked, beta=cooked)
 
 
-def fiber_to_surface_map(fiber: FiberPresentation,
+def fiber_to_surface_map(fiber: SurfacePresentation,
                          surface: SurfacePresentation) -> RingMap:
     """Pullback along the chart identification from the surface to the fiber."""
     tbl = surface.table
@@ -220,7 +195,7 @@ def fiber_to_surface_map(fiber: FiberPresentation,
 
 
 def surface_to_fiber_map(surface: SurfacePresentation,
-                         fiber: FiberPresentation) -> RingMap:
+                         fiber: SurfacePresentation) -> RingMap:
     """Pullback along the inverse identification from the fiber to the surface."""
     tbl = fiber.table
     x = RatFunc.var(tbl, "x")
@@ -242,12 +217,9 @@ def match_fiber_to_surface(alpha) -> CertifiedReport:
     to_surface = fiber_to_surface_map(fiber, surface)
     to_fiber = surface_to_fiber_map(surface, fiber)
 
-    surface_denoms = tuple(surface.denominators) + (
-        Poly.var(surface.table, "x"), Poly.var(surface.table, "u"),
-    )
-
-    powers = [k for _, k in _images_in_ideal(
-        to_surface, fiber.ideal.generators, surface.ideal, surface_denoms)]
+    # each relation's numerator lies in the surface ideal itself: power 0
+    powers = [0 if ok else None for _, ok in _images_in_ideal(
+        to_surface, fiber.generators, surface.ideal)]
     report.add("fiber-relations-pull-back", None not in powers, witness={"powers": powers})
 
     vanish = all(to_fiber(g).is_zero() for g in surface.generators)
@@ -262,12 +234,10 @@ def match_fiber_to_surface(alpha) -> CertifiedReport:
                witness=str(divisor_image.num))
 
     report.add("roundtrip-fixes-fiber-chart", agree_modulo(
-        compose(to_surface, to_fiber), RingMap.identity(fiber.table),
-        fiber.ideal, fiber.denominators,
+        compose(to_surface, to_fiber), RingMap.identity(fiber.table), fiber.ideal,
     ))
     report.add("roundtrip-fixes-surface-chart", agree_modulo(
-        compose(to_fiber, to_surface), RingMap.identity(surface.table),
-        surface.ideal, surface_denoms,
+        compose(to_fiber, to_surface), RingMap.identity(surface.table), surface.ideal,
     ))
     return report
 

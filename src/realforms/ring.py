@@ -41,7 +41,11 @@ class VarTable:
         self._index = {n: k for k, n in enumerate(self.names)}
 
     def index(self, name: str) -> int:
-        return self._index[name]
+        """Position of a name; ValueError names an unknown one and the table."""
+        try:
+            return self._index[name]
+        except KeyError:
+            raise ValueError(f"unknown variable {name!r}; the table has {self.names}") from None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -408,9 +412,7 @@ def _factor(m: re.Match, table: VarTable) -> Poly:
     """The Poly of one matched factor."""
     name = m["name"]
     if name:
-        if name not in table._index:
-            raise ValueError(f"unknown variable {name!r}")
-        return Poly.var(table, name, int(m["power"] or 1))
+        return Poly.var(table, name, int(m["power"] or 1))  # ValueError if unknown
     if m["unit"]:
         value = GaussianRational(0, 1)
     elif m["re"]:

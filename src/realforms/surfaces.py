@@ -27,7 +27,7 @@ from .errors import (
     NotConjugationStable,
 )
 from .gaussian import GaussianRational, I as IMAG, coerce
-from .groebner import Ideal, certified_unit, exact_quotient, member_with_denominators
+from .groebner import Ideal, certified_unit, exact_quotient
 from .reports import CertifiedReport
 from .ring import Poly, RatFunc, RingMap, VarTable, compose
 
@@ -112,7 +112,6 @@ class SurfacePresentation:
     ideal: Ideal
     alpha: object  # Fraction or symbolic name
     beta: object
-    denominators: tuple[Poly, ...]
 
     @property
     def generators(self) -> tuple[Poly, ...]:
@@ -158,27 +157,20 @@ def make_surface(alpha, beta=None) -> SurfacePresentation:
     which are real indeterminates appended to the ring.
     """
     alpha, beta = param_pair(alpha, beta)
-    table, _, units = param_ring(COORDS, alpha, beta)
+    table, _, _ = param_ring(COORDS, alpha, beta)
     gens = surface_generators(table, alpha, beta)
     return SurfacePresentation(
         table=table,
         ideal=Ideal(list(gens), table),
         alpha=alpha,
         beta=beta,
-        denominators=units,
     )
 
 
 def free_presentation(table: VarTable) -> SurfacePresentation:
-    """The whole affine space over the table (the zero ideal, no
-    denominators), for the generic predicates below."""
-    return SurfacePresentation(
-        table=table,
-        ideal=Ideal([], table),
-        alpha=None,
-        beta=None,
-        denominators=(),
-    )
+    """The whole affine space over the table (the zero ideal), for the
+    generic predicates below."""
+    return SurfacePresentation(table=table, ideal=Ideal([], table), alpha=None, beta=None)
 
 
 def _fiber(s: SurfacePresentation, point: dict,
@@ -191,30 +183,26 @@ def _fiber(s: SurfacePresentation, point: dict,
     return fiber, ideal.equal(Ideal(list(expected), s.table))
 
 
-def _images_in_ideal(m: RingMap, generators: Sequence[Poly], ideal: Ideal,
-                     denominators: Sequence[Poly]) -> Iterator[tuple[RatFunc, int | None]]:
-    """Yield each generator's image under the substitution with the least
-    power k of the denominators' product that brings its numerator into the
-    ideal (None when no power up to the bound does)."""
+def _images_in_ideal(m: RingMap, generators: Sequence[Poly],
+                     ideal: Ideal) -> Iterator[tuple[RatFunc, bool]]:
+    """Yield each generator's image under the substitution and whether its
+    numerator lies in the ideal."""
     for g in generators:
         image = m(g)
-        yield image, member_with_denominators(image.num, ideal, denominators)
+        yield image, ideal.member(image.num)
 
 
-def agree_modulo(left: RingMap, right: RingMap, ideal: Ideal,
-                 denominators: Sequence[Poly]) -> bool:
+def agree_modulo(left: RingMap, right: RingMap, ideal: Ideal) -> bool:
     """Do two maps between the same tables agree modulo the ideal?
 
-    The conjugation flags must match, and each pair of images must differ
-    by a member of the ideal once the given denominators are inverted.
+    The conjugation flags must match, and for each pair of images l, r the
+    cross difference l.num*r.den - r.num*l.den must lie in the ideal itself;
+    nothing is inverted.
     """
     if left.conjugates_coefficients != right.conjugates_coefficients:
         return False
-    for l, r in zip(left.images, right.images):
-        delta = l.num * r.den - r.num * l.den
-        if member_with_denominators(delta, ideal, denominators) is None:
-            return False
-    return True
+    return all(ideal.member(l.num * r.den - r.num * l.den)
+               for l, r in zip(left.images, right.images))
 
 
 def _check_pullback(m: RingMap, codomain: SurfacePresentation,
@@ -222,13 +210,12 @@ def _check_pullback(m: RingMap, codomain: SurfacePresentation,
     """Raise error unless m is the pullback of a morphism from domain to
     codomain: it conjugates coefficients exactly when anti is set, goes from
     the codomain ring to the domain ring, and sends every codomain generator
-    into the domain ideal once the domain denominators are inverted."""
+    to a numerator that lies in the domain ideal itself."""
     if m.conjugates_coefficients != anti:
         raise error("pullback must " + ("" if anti else "not ") + "conjugate coefficients")
     if m.source != codomain.table or m.target != domain.table:
         raise error("pullback must go from codomain ring to domain ring")
-    if any(k is None for _, k in _images_in_ideal(
-            m, codomain.generators, domain.ideal, domain.denominators)):
+    if not all(ok for _, ok in _images_in_ideal(m, codomain.generators, domain.ideal)):
         raise error("pullback does not send the ideal into the ideal")
 
 
@@ -242,8 +229,7 @@ class RealStructure:
     def __post_init__(self):
         _check_pullback(self.map, self.surface, self.surface, True, NotAntiInvolution)
         square = compose(self.map, self.map)
-        if not agree_modulo(square, RingMap.identity(self.surface.table),
-                            self.surface.ideal, self.surface.denominators):
+        if not agree_modulo(square, RingMap.identity(self.surface.table), self.surface.ideal):
             raise NotAntiInvolution("square is not the identity modulo the ideal")
 
 
@@ -287,9 +273,9 @@ def verify_swap_isomorphism(alpha, beta) -> CertifiedReport:
     s_ab = make_surface(alpha, beta)
     s_ba = make_surface(s_ab.beta, s_ab.alpha)
     m = swap_map(s_ba, s_ab, conjugate=False)  # pullback: functions on s_ba -> s_ab
-    images = _images_in_ideal(m, s_ba.generators, s_ab.ideal, s_ab.denominators)
-    for n, (image, k) in enumerate(images, start=1):
-        report.add(f"swap-generator-{n}", k is not None, witness=str(image.num))
+    images = _images_in_ideal(m, s_ba.generators, s_ab.ideal)
+    for n, (image, ok) in enumerate(images, start=1):
+        report.add(f"swap-generator-{n}", ok, witness=str(image.num))
     back = swap_map(s_ab, s_ba, conjugate=False)
     round_trip = compose(m, back)
     report.add("swap-involution", round_trip.is_identity())
@@ -313,8 +299,7 @@ def sigma_report(alpha) -> CertifiedReport:
     report.add("pullback-g1-is-g2", im_g1.is_polynomial() and im_g1.as_poly() == g2)
     report.add("pullback-g3-fixed", im_g3.is_polynomial() and im_g3.as_poly() == g3)
     square = compose(rho.map, rho.map)
-    report.add("involution",
-               agree_modulo(square, RingMap.identity(s.table), s.ideal, s.denominators))
+    report.add("involution", agree_modulo(square, RingMap.identity(s.table), s.ideal))
     return report
 
 
@@ -504,8 +489,7 @@ def is_cocycle(presentation: SurfacePresentation, tau: RingMap,
     """
     _check_pullback(tau, presentation, presentation, False, NotAutomorphism)
     composite = compose(tau, rho.map, tau, rho.map)
-    return agree_modulo(composite, RingMap.identity(presentation.table),
-                        presentation.ideal, presentation.denominators)
+    return agree_modulo(composite, RingMap.identity(presentation.table), presentation.ideal)
 
 
 def are_equivalent_structures(domain: SurfacePresentation, codomain: SurfacePresentation,
@@ -516,8 +500,7 @@ def are_equivalent_structures(domain: SurfacePresentation, codomain: SurfacePres
     domain ring) and must send the codomain ideal into the domain ideal, or
     NotIsomorphism is raised."""
     _check_pullback(theta, codomain, domain, False, NotIsomorphism)
-    return agree_modulo(compose(theta, rho.map), compose(rho_prime.map, theta),
-                        domain.ideal, domain.denominators)
+    return agree_modulo(compose(theta, rho.map), compose(rho_prime.map, theta), domain.ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +545,7 @@ def verify_coordinate_change() -> CertifiedReport:
     lhs = compose(fwd, sigma.map)
     rhs = compose(RingMap.conjugation(new), fwd)
     report.add("conjugation-becomes-coordinatewise",
-               agree_modulo(lhs, rhs, Ideal([], new), ()))
+               agree_modulo(lhs, rhs, Ideal([], new)))
 
     transformed = [inv(g).num for g in s.generators]  # denominators are nonzero constants
     t1, t2, t3 = transformed
@@ -601,7 +584,7 @@ def verify_coordinate_change() -> CertifiedReport:
     spec_h = Ideal([p.specialize({ALPHA: 2}) for p in (h1, h2, h3)], new)
     report.add("ideal-equality-at-2", spec_t.equal(spec_h))
 
-    new_pres = replace(s, table=new, ideal=ideal_h)  # same names, so same denominators
+    new_pres = replace(s, table=new, ideal=ideal_h)  # same names and parameters
     try:
         equivalent = are_equivalent_structures(
             s, new_pres, sigma, standard_conjugation(new_pres), fwd

@@ -20,7 +20,6 @@ from realforms.groebner import (
     certified_unit,
     elimination_order,
     exact_quotient,
-    member_with_denominators,
     normal_form,
     step_budget,
 )
@@ -248,38 +247,6 @@ def test_certified_unit():
     assert certified_unit(Poly.const(XY, Fraction(-7, 2)), units)
     assert not certified_unit(Poly.zero(XY), units)
     assert not certified_unit(a + 1, units)
-
-
-def test_member_with_denominators():
-    # y*v - a*b is in (y*v*x - a*b*x) only after clearing the unit x
-    table = VarTable(("x", "y"))
-    ideal = Ideal([parse_poly("x*y - x", table)])
-    target = parse_poly("y - 1", table)
-    assert member_with_denominators(target, ideal, [Poly.var(table, "x")]) == 1
-    assert member_with_denominators(
-        parse_poly("y", table), ideal, [Poly.var(table, "x")]
-    ) is None
-    inside = parse_poly("x*y - x", table)
-    assert member_with_denominators(inside, ideal, [Poly.var(table, "x")]) == 0
-
-
-def test_member_with_no_denominators_asks_once(monkeypatch):
-    # with no denominators every power of their product is 1, so a negative
-    # answer needs one membership test, not one per power
-    table = VarTable(("x", "y"))
-    ideal = Ideal([parse_poly("x*y - x", table)])
-    calls = []
-    member = Ideal.member
-
-    def counted(self, p):
-        calls.append(p)
-        return member(self, p)
-
-    monkeypatch.setattr(Ideal, "member", counted)
-    assert member_with_denominators(parse_poly("y", table), ideal, []) is None
-    assert len(calls) == 1
-    assert member_with_denominators(parse_poly("x*y - x", table), ideal, []) == 0
-    assert len(calls) == 2
 
 
 # -- budget ----------------------------------------------------------------------

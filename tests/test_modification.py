@@ -59,7 +59,7 @@ def test_rees_blowup_chart_example():
     table = VarTable(("x", "y"))
     x, y = Poly.var(table, "x"), Poly.var(table, "y")
     spec = ModificationSpec(
-        table=table, base_vars=("x", "y"), generators=(x, y), divisor=x, units=()
+        table=table, base_vars=("x", "y"), generators=(x, y), divisor=x
     )
     rees = rees_presentation(spec)
     big = rees.table
@@ -75,7 +75,7 @@ def test_divisor_must_lie_in_center_ideal():
     with pytest.raises(FNotInIdeal):
         ModificationSpec(
             table=table, base_vars=("x", "y"),
-            generators=(x, y), divisor=x + 1, units=(),
+            generators=(x, y), divisor=x + 1,
         )
 
 
@@ -84,7 +84,7 @@ def test_spec_from_parsed_polynomials():
     spec = ModificationSpec(
         table=table, base_vars=("x", "y"),
         generators=(parse_poly("x^2 + y^2", table), parse_poly("x", table)),
-        divisor=parse_poly("x^2 + y^2", table), units=(),
+        divisor=parse_poly("x^2 + y^2", table),
     )
     assert spec.divisor == Poly.var(table, "x") ** 2 + Poly.var(table, "y") ** 2
     assert len(spec.generators) == 2
@@ -106,10 +106,8 @@ def test_fiber_presentation_shape():
     fiber = fiber_presentation(2)
     assert "T1" not in fiber.table.names
     assert {"x", "y", "T2", "T3"} <= set(fiber.table.names)
-    assert fiber.ideal.generators
-    data = fiber.to_json()
-    assert data["alpha"] == "2"
-    assert data["relations"]
+    assert fiber.generators
+    assert fiber.alpha == fiber.beta == 2
 
 
 def test_match_fiber_to_surface_samples():

@@ -45,8 +45,20 @@ def test_var_table_validation():
     with pytest.raises(ValueError):
         VarTable(("x", "x"))
     assert TABLE.index("y") == 1
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"unknown variable 'w'; the table has \('x', 'y', 'z'\)"):
         TABLE.index("w")
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: Poly.var(TABLE, "w"),
+    lambda p: p.specialize({"w": 1}),
+    lambda p: p.evaluate({"x": 1, "y": 2, "z": 3, "w": 4}),
+    lambda p: p.derivative("w"),
+    lambda p: p.degree_in("w"),
+], ids=["var", "specialize", "evaluate", "derivative", "degree_in"])
+def test_unknown_variable_is_a_value_error_naming_the_table(call):
+    with pytest.raises(ValueError, match=r"unknown variable 'w'; the table has \('x', 'y', 'z'\)"):
+        call(parse_poly("x*y + z", TABLE))
 
 
 # -- polynomial arithmetic ----------------------------------------------------
@@ -149,8 +161,8 @@ def test_evaluate_equals_the_specialized_constant(data):
 
 
 def test_evaluate_refuses_an_unknown_name():
-    # the error of specialize: VarTable.index raises KeyError
-    with pytest.raises(KeyError):
+    # the error of specialize: VarTable.index raises ValueError
+    with pytest.raises(ValueError, match="unknown variable 'w'"):
         Poly.var(TABLE, "x").evaluate({"x": 1, "y": 2, "z": 3, "w": 4})
 
 
@@ -251,7 +263,7 @@ def test_parse_poly_grammar(text, expected):
 
 
 def test_parse_rejects_unknown_variable():
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="unknown variable 'w'"):
         parse_poly("x + w", TABLE)
 
 

@@ -1,6 +1,7 @@
 """Surface presentations, real structures, charts, and equivalence predicates."""
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,15 @@ from realforms.errors import (
     NotIsomorphism,
 )
 from realforms.gaussian import I, GaussianRational
-from realforms.groebner import Ideal, member_with_denominators
+from realforms.groebner import Ideal
 from realforms.intersection import enumerate_negative_classes
 from realforms.modification import fiber_presentation, rees_presentation, standard_modification
 from realforms.ring import Poly, RatFunc, RingMap, VarTable, compose
 from realforms.surfaces import (
     RESERVED_NAMES,
     RealStructure,
+    _check_pullback,
+    agree_modulo,
     are_equivalent_structures,
     cocycle_examples_report,
     coordinate_change_maps,
@@ -170,12 +173,6 @@ def test_param_ring_lists_each_symbolic_unit_once():
     config = modified_plane_config("symbolic")
     alpha = Poly.var(config.table, "a")
     assert config.units == (alpha, 1 - alpha)
-    s = make_surface("symbolic")
-    x, alpha = s.var("x"), s.var("a")
-    assert s.denominators == (alpha, 1 - alpha)
-    # x*(a*(1-a))^k lies in (x*a^2) from k = 2 on; a unit listed twice
-    # would square the product and report k = 1
-    assert member_with_denominators(x, Ideal([x * alpha ** 2], s.table), s.denominators) == 2
 
 
 def test_origin_residue_relation():
@@ -426,6 +423,72 @@ def test_cocycle_twist_over_another_table_is_not_an_automorphism():
     rho = swap_real_structure(s)
     with pytest.raises(NotAutomorphism, match="codomain ring"):
         is_cocycle(s, RingMap.identity(make_surface("symbolic").table), rho)
+
+
+# -- plain membership ----------------------------------------------------------------
+
+
+def _saturated_by(pres, unit: Poly) -> bool:
+    """Is the presentation ideal I equal to its saturation by the unit, the
+    elimination of t from I + (1 - t*unit) (Rabinowitsch)?  Then p*unit^k in
+    I implies p in I, so inverting the unit changes no membership."""
+    big = VarTable(("t",) + pres.table.names)
+    lift = RingMap.from_images(pres.table, big, {})
+    gens = [lift(g).num for g in pres.generators]
+    t = Poly.var(big, "t")
+    saturation = Ideal(gens + [1 - t * lift(unit).num], big).eliminate(("t",))
+    return saturation.equal(Ideal(gens, big))
+
+
+def _param_units(pres) -> Poly:
+    """The product of p*(1 - p) over the symbolic parameters."""
+    product = Poly.const(pres.table, 1)
+    for name in sorted({pres.alpha, pres.beta}, key=str):
+        if isinstance(name, str):
+            product = product * pres.var(name) * (1 - pres.var(name))
+    return product
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    ("symbolic", None), ("symbolic", "symbolic"), (2, None), (Fraction(-7, 3), None),
+])
+def test_surface_ideal_is_saturated_by_its_units(alpha, beta):
+    s = make_surface(alpha, beta)
+    assert _saturated_by(s, s.var("x") * s.var("u") * _param_units(s))
+
+
+@pytest.mark.parametrize("alpha", ["symbolic", 2])
+def test_fiber_ideal_is_saturated_by_its_units(alpha):
+    fiber = fiber_presentation(alpha)
+    x, y = fiber.var("x"), fiber.var("y")
+    assert _saturated_by(fiber, (x * x + y * y) * _param_units(fiber))
+
+
+def test_saturation_control_ideal_not_saturated():
+    # (x*y) : x^oo = (y), so y passes once x is inverted but is no member
+    plane = free_presentation(VarTable(("x", "y")))
+    x, y = plane.var("x"), plane.var("y")
+    assert not _saturated_by(replace(plane, ideal=Ideal([x * y], plane.table)), x)
+
+
+def test_membership_after_a_unit_is_refused():
+    # x lies in (x*a^2) only once the unit a is inverted: now refused
+    table, (a,), units = param_ring(("x",), "a")
+    assert a in units
+    x = Poly.var(table, "x")
+    ideal = Ideal([x * a ** 2], table)
+    identity = RingMap.identity(table)
+    kill_x = RingMap.from_images(table, table, {"x": RatFunc(Poly.zero(table))})
+    assert not agree_modulo(identity, kill_x, ideal)
+    kill_member = RingMap.from_images(table, table, {"x": RatFunc(x - x * a ** 2)})
+    assert agree_modulo(identity, kill_member, ideal)
+
+    line = free_presentation(table)
+    domain = replace(line, ideal=ideal)
+    codomain = replace(line, ideal=Ideal([x], table))
+    with pytest.raises(NotAutomorphism, match="ideal into the ideal"):
+        _check_pullback(identity, codomain, domain, False, NotAutomorphism)
+    _check_pullback(identity, domain, codomain, False, NotAutomorphism)
 
 
 # -- point configurations ----------------------------------------------------------
