@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import classification, intersection, modification, surfaces
-from .reports import CertifiedReport, SuiteEntry, SuiteReport
+from .reports import RUN_MEMO, CertifiedReport, SuiteEntry, SuiteReport
 
 DEFAULT_ALPHA = Fraction(2)
 DEFAULT_BETA = Fraction(3)
@@ -26,13 +26,15 @@ class CheckSpec:
 
 
 def _def_3_1(alpha, beta, d_max) -> CertifiedReport:
-    report = surfaces.generators_report(alpha, beta)
+    report = CertifiedReport("def-3.1")
+    report.extend(surfaces.generators_report(alpha, beta))
     report.extend(surfaces.sigma_report(alpha), prefix="conjugation-")
     return report
 
 
 def _prop_4_1(alpha, beta, d_max) -> CertifiedReport:
-    report = surfaces.verify_xy_projection_chart(alpha, beta)
+    report = CertifiedReport("prop-4.1")
+    report.extend(surfaces.verify_xy_projection_chart(alpha, beta))
     report.extend(surfaces.verify_plane_automorphism(alpha, beta), prefix="plane-map-")
     return report
 
@@ -58,7 +60,8 @@ def _prop_5_1(alpha, beta, d_max) -> CertifiedReport:
 
 
 def _def_3_4_fiber(alpha, beta, d_max) -> CertifiedReport:
-    report = modification.match_fiber_to_surface(alpha)
+    report = CertifiedReport("def-3.4-fiber")
+    report.extend(modification.match_fiber_to_surface(alpha))
     if not isinstance(alpha, str):
         report.extend(modification.smoothness_report(alpha), prefix="smooth-")
     return report
@@ -177,15 +180,27 @@ def run_check(check_id: str, alpha=None, beta=None, d_max=None) -> CertifiedRepo
 
 def run_suite(check_ids=None, alpha=None, beta=None, d_max=None,
               version: str = "0") -> SuiteReport:
-    ids = [resolve_check_id(c) for c in (check_ids or available_checks())]
+    """Run the checks (default all) once each, in first-seen order.
+
+    The checks of one run share sub-results: a surface, a chart or
+    plane-map sub-report, a real structure or a Rees presentation that an
+    earlier check built is handed to a later one, so an entry's elapsed_ms
+    counts only work no earlier check of the run did.  Nothing is kept
+    across calls: each run starts with an empty memo and drops it at the end.
+    """
+    ids = dict.fromkeys(resolve_check_id(c) for c in (check_ids or available_checks()))
     entries = []
-    for check_id in ids:
-        start = time.monotonic()
-        report = run_check(check_id, alpha=alpha, beta=beta, d_max=d_max)
-        entries.append(SuiteEntry(
-            check_id=check_id,
-            status=report.status,
-            witness=report.to_json(),
-            elapsed_ms=int((time.monotonic() - start) * 1000),
-        ))
+    token = RUN_MEMO.set({})
+    try:
+        for check_id in ids:
+            start = time.monotonic()
+            report = run_check(check_id, alpha=alpha, beta=beta, d_max=d_max)
+            entries.append(SuiteEntry(
+                check_id=check_id,
+                status=report.status,
+                witness=report.to_json(),
+                elapsed_ms=int((time.monotonic() - start) * 1000),
+            ))
+    finally:
+        RUN_MEMO.reset(token)
     return SuiteReport(version=version, entries=entries)

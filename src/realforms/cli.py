@@ -97,10 +97,12 @@ def _tool_version() -> str:
 def _cmd_verify(args) -> int:
     selected = [c for c in args.checks if c.strip().lower() != "all"]
     try:
-        ids = [checks.resolve_check_id(c) for c in selected] or None
+        ids = [checks.resolve_check_id(c) for c in selected]
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
+    if len(selected) < len(args.checks):  # 'all' anywhere selects every check
+        ids = None
     # an excluded value is a usage error even when no selected check reads it
     for value in (args.alpha, args.beta):
         if value is not None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import FNotInIdeal, PointNotOnVariety
 from .gaussian import GaussianRational, coerce, row_reduce
 from .groebner import Ideal
-from .reports import CertifiedReport
+from .reports import CertifiedReport, shared_in_run
 from .ring import Poly, RatFunc, RingMap, VarTable, compose
 from .surfaces import (
     ALPHA,
@@ -98,6 +98,12 @@ class ReesPresentation:
         }
 
 
+def _spec_key(spec: ModificationSpec) -> tuple:
+    return (spec.table.names, spec.base_vars,
+            tuple(str(g) for g in spec.generators), str(spec.divisor))
+
+
+@shared_in_run(_spec_key)
 def rees_presentation(spec: ModificationSpec) -> ReesPresentation:
     """Eliminate the inverse variable from T_i - g_i*t, 1 - f*t."""
     k = len(spec.generators)

@@ -4,10 +4,17 @@ A CertifiedReport is a flat list of claim items; a claim either passed, failed
 (computation disagreed with the claim), or errored (the computation could not
 be carried out).  Reports serialize to plain JSON-compatible dicts with
 deterministic key order; the ``paper_ref`` key of the JSON is the check id.
+
+``shared_in_run`` lets the checks of one suite run share sub-results: the
+suite opens a memo in ``RUN_MEMO`` and resets it when the run ends, so no
+result outlives the run that made it.
 """
 from __future__ import annotations
 
+import functools
+from contextvars import ContextVar
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 PASS = "pass"
@@ -68,6 +75,35 @@ class CertifiedReport:
             "status": self.status,
             "items": [item.to_json() for item in self.items],
         }
+
+
+# The memo of the suite run in progress; None outside a run.
+RUN_MEMO: ContextVar[dict | None] = ContextVar("realforms_run_memo", default=None)
+
+
+def shared_in_run(key: Callable) -> Callable:
+    """Decorate a function whose result the checks of one run may share.
+
+    key(*args, **kwargs) names the result.  Inside a run, calls with equal
+    keys compute once; outside a run every call computes afresh.  A shared
+    report is handed out as a fresh CertifiedReport over the same items, so a
+    caller that extends its copy changes no other caller's.
+    """
+    def decorate(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            memo = RUN_MEMO.get()
+            if memo is None:
+                return fn(*args, **kwargs)
+            name = (fn, key(*args, **kwargs))
+            if name not in memo:
+                memo[name] = fn(*args, **kwargs)
+            result = memo[name]
+            if isinstance(result, CertifiedReport):
+                return CertifiedReport(result.check_id, list(result.items))
+            return result
+        return wrapper
+    return decorate
 
 
 @dataclass

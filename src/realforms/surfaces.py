@@ -28,7 +28,7 @@ from .errors import (
 )
 from .gaussian import GaussianRational, I as IMAG, coerce
 from .groebner import Ideal, certified_unit, exact_quotient
-from .reports import CertifiedReport
+from .reports import CertifiedReport, shared_in_run
 from .ring import Poly, RatFunc, RingMap, VarTable, compose
 
 ALPHA = "a"
@@ -73,9 +73,11 @@ def param_pair(alpha, beta=None) -> tuple:
     same symbol, such as ("b", "symbolic"), raise ValueError.
     """
     a = _cook_param(alpha, ALPHA)
-    if beta is None or beta == alpha:
+    if beta is None:
         return a, a
     b = _cook_param(beta, BETA)
+    if beta == alpha:
+        return a, a
     if isinstance(b, str) and a == b:
         raise ValueError(f"parameters {alpha!r} and {beta!r} both name {b!r}")
     return a, b
@@ -150,11 +152,14 @@ def surface_generators(table: VarTable, alpha, beta) -> tuple[Poly, Poly, Poly]:
     return g1, g2, g3
 
 
+@shared_in_run(param_pair)
 def make_surface(alpha, beta=None) -> SurfacePresentation:
     """Build the surface presentation; beta defaults to alpha.
 
     Parameters are exact rationals (0 and 1 rejected) or symbolic names,
-    which are real indeterminates appended to the ring.
+    which are real indeterminates appended to the ring.  Within one suite
+    run, equal cooked parameters give the same presentation, and with it the
+    bases its ideal has computed.
     """
     alpha, beta = param_pair(alpha, beta)
     table, _, _ = param_ring(COORDS, alpha, beta)
@@ -244,6 +249,9 @@ def swap_map(pres_source: SurfacePresentation, pres_target: SurfacePresentation,
     return RingMap(pres_source.table, table_t, images, conjugates_coefficients=conjugate)
 
 
+# keyed by the parameters alone: within a run make_surface hands out one
+# presentation per cooked pair, and the checks build no other
+@shared_in_run(lambda surface: (surface.alpha, surface.beta))
 def swap_real_structure(surface: SurfacePresentation) -> RealStructure:
     """The real structure on the surface that exchanges the two coordinate
     pairs, (x, y, u, v) -> conj(u, v, x, y).
@@ -266,6 +274,7 @@ def standard_conjugation(surface: SurfacePresentation) -> RealStructure:
 # ---------------------------------------------------------------------------
 
 
+@shared_in_run(param_pair)
 def verify_swap_isomorphism(alpha, beta) -> CertifiedReport:
     """The swap (x,y,u,v) -> (u,v,x,y) maps the surface onto the
     parameter-swapped surface; composed with itself it is the identity."""
@@ -319,6 +328,7 @@ def generators_report(alpha, beta) -> CertifiedReport:
     return report
 
 
+@shared_in_run(param_pair)
 def verify_modified_plane_chart(alpha, beta) -> CertifiedReport:
     """Chart identities for the projection (x,y,u,v) -> (x+u, i*x-i*u).
 
@@ -354,6 +364,7 @@ def verify_modified_plane_chart(alpha, beta) -> CertifiedReport:
     return report
 
 
+@shared_in_run(param_pair)
 def verify_xy_projection_chart(alpha, beta) -> CertifiedReport:
     """Chart identities for the projection to the first coordinate pair.
 
@@ -389,6 +400,7 @@ def verify_xy_projection_chart(alpha, beta) -> CertifiedReport:
     return report
 
 
+@shared_in_run(param_pair)
 def verify_plane_automorphism(alpha, beta) -> CertifiedReport:
     """The projective plane map [x:y:z] -> [x + c1*y : c2*y : z] with
     c1 = (alpha-beta)/(1-alpha), c2 = (1-beta)/(1-alpha) fixes the four base

@@ -87,6 +87,40 @@ def test_verify_text_format(capsys):
     assert "summary: 1 pass, 0 fail, 0 error" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("lem-3.5", "all"),
+    ("all", "lem-3.5"),
+    ("lemma-3.5", "ALL", "prop-4.2"),
+])
+def test_verify_all_anywhere_selects_every_check(capsys, argv):
+    code, data, _ = run_json(capsys, "verify", *argv)
+    assert code == 0
+    assert [e["check_id"] for e in data["checks"]] == sorted(checks.available_checks())
+    assert data["summary"] == {"pass": 13, "fail": 0, "error": 0}
+
+
+def test_verify_all_still_refuses_an_unknown_id(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "bogus-id")
+    assert code == 2
+    assert out == ""
+    assert "unknown check" in err
+
+
+def test_verify_runs_a_repeated_id_once(capsys):
+    code, out, _ = run_cli(capsys, "verify", "lem-3.5", "lemma-3.5", "lem-3.5",
+                           "--format", "text")
+    assert code == 0
+    assert "summary: 1 pass, 0 fail, 0 error" in out
+    code, data, _ = run_json(capsys, "verify", "prop-4.1", "lem-3.5", "proposition-4.1")
+    assert [e["check_id"] for e in data["checks"]] == ["lem-3.5", "prop-4.1"]
+    assert data["summary"]["pass"] == 2
+
+
+def test_run_suite_keeps_first_seen_order_of_distinct_ids():
+    suite = checks.run_suite(["prop-4.1", "lem-3.5", "proposition-4.1", "lem-3.5"])
+    assert [e.check_id for e in suite.entries] == ["prop-4.1", "lem-3.5"]
+
+
 def test_verify_bad_rational_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "all", "--alpha", "0.5"])

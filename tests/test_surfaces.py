@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -112,8 +113,14 @@ def test_forbidden_parameters():
     lambda: modified_plane_config(0.1),
     lambda: classify(0.5, 2),
     lambda: enumerate_negative_classes(0.1),
+    # an inexact beta equal to alpha is cooked, not taken for the diagonal
+    lambda: param_pair(2, 2.0),
+    lambda: param_pair(2, 2 + 0j),
+    lambda: param_pair(2, Decimal(2)),
+    lambda: classify(2, 2.0),
 ], ids=["param_pair", "param_pair-beta", "param_pair-none", "param_pair-nonreal",
-        "make_surface", "modified_plane_config", "classify", "enumerate"])
+        "make_surface", "modified_plane_config", "classify", "enumerate",
+        "equal-float-beta", "equal-complex-beta", "equal-decimal-beta", "classify-equal-float"])
 def test_inexact_parameters_are_refused(call):
     with pytest.raises(TypeError, match="not an exact scalar"):
         call()
@@ -127,6 +134,7 @@ def test_param_pair_accepts_exact_real_scalars():
     assert param_pair(GaussianRational(Fraction(5, 2), 0), -3) == (Fraction(5, 2), Fraction(-3))
     assert param_pair("symbolic", "symbolic") == ("a", "a")
     assert param_pair("symbolic", "b") == ("a", "b")
+    assert param_pair(2, Fraction(2)) == param_pair(2, GaussianRational(2)) == (2, 2)
 
 
 @pytest.mark.parametrize("call", [
