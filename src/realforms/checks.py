@@ -54,11 +54,6 @@ def _prop_4_2(alpha, beta, d_max) -> CertifiedReport:
     )
 
 
-def _prop_5_1(alpha, beta, d_max) -> CertifiedReport:
-    report, _ = surfaces.real_locus_report(alpha)
-    return report
-
-
 def _def_3_4_fiber(alpha, beta, d_max) -> CertifiedReport:
     report = CertifiedReport("def-3.4-fiber")
     report.extend(modification.match_fiber_to_surface(alpha))
@@ -101,7 +96,7 @@ _SPECS = (
     CheckSpec(
         "prop-5.1",
         "fixed centers and swapped boundary of the conjugation on the configuration",
-        _prop_5_1,
+        lambda alpha, beta, d_max: surfaces.real_locus_report(alpha),
     ),
     CheckSpec(
         "lem-6.1",

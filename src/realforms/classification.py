@@ -71,13 +71,6 @@ class CurveIncidenceGraph:
     def size(self) -> int:
         return len(self.labels)
 
-    def to_json(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "weights": [list(row) for row in self.weights],
-            "real_action": list(self.real_action),
-        }
-
 
 @cache
 def _graph_shape(d_max: int) -> tuple:
@@ -99,7 +92,7 @@ def _graph_shape(d_max: int) -> tuple:
     vertices = result.vertices()
     labels = tuple(r.label for r in vertices)
     weights = tuple(tuple(row) for row in intersection_matrix(vertices))
-    center_action = lift_real_structure(result.config).permutation
+    center_action = lift_real_structure(result.config)
 
     action = []
     for r in vertices:

@@ -19,9 +19,9 @@ Division takes prepared divisors: each divisor's leading monomial, and the
 other terms of its monic multiple as Gaussian-integer numerators over one
 common denominator.  Buchberger prepares each basis element once, when it
 enters the basis, and memoises the order key of each monomial for the length
-of the run; an Ideal keeps its prepared generators and prepared reduced basis
-per order, next to the bases.  Neither changes which divisor a step uses, so
-step counts and results are those of preparing afresh at every division.
+of the run, which changes no divisor a step uses: step counts and results are
+those of preparing afresh at every division.  An Ideal keeps only its bases;
+every remainder it takes goes through normal_form.
 
 A global reduction-step budget guards against runaway eliminations; it can be
 overridden with the REALFORMS_STEP_BUDGET environment variable.
@@ -93,16 +93,13 @@ class MonomialOrder:
 
         return key
 
-    def cache_token(self):
-        return (self.kind, self.front)
-
     def __eq__(self, other):
         if not isinstance(other, MonomialOrder):
             return NotImplemented
-        return self.cache_token() == other.cache_token()
+        return (self.kind, self.front) == (other.kind, other.front)
 
     def __hash__(self):
-        return hash(self.cache_token())
+        return hash((self.kind, self.front))
 
     def __repr__(self):
         if self.kind != "elim":
@@ -190,10 +187,6 @@ def _prepare(lt: tuple, monic: dict) -> tuple:
     return lt, den, [n for n in numerators if n[0] != lt]
 
 
-def _prepare_all(polys: Iterable[Poly], ranks: _Ranks) -> list:
-    return [_prepare(*_monic(g.terms, ranks)) for g in polys if not g.is_zero()]
-
-
 def _divide(terms: dict, prepared: Sequence[tuple], ranks: _Ranks,
             budget: _Budget, quotient: dict | None = None) -> dict:
     """Terms of the full division remainder by prepared divisors; each term
@@ -253,7 +246,8 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder = LEX) -> P
     _check_tables(p.table, basis)
     ranks = _Ranks(order.key_fn(p.table))
     budget = _Budget(step_budget(), "normal_form", order, p.table, len(basis))
-    return _poly(p.table, _divide(p.terms, _prepare_all(basis, ranks), ranks, budget))
+    prepared = [_prepare(*_monic(g.terms, ranks)) for g in basis if not g.is_zero()]
+    return _poly(p.table, _divide(p.terms, prepared, ranks, budget))
 
 
 def _s_terms(f: tuple, g: tuple) -> dict:
@@ -374,7 +368,7 @@ class Ideal:
     the zero polynomial.
     """
 
-    __slots__ = ("table", "generators", "_bases", "_divisors")
+    __slots__ = ("table", "generators", "_bases")
 
     def __init__(self, generators: Sequence[Poly], table: VarTable | None = None):
         gens = tuple(generators)
@@ -388,33 +382,16 @@ class Ideal:
         self.table = table
         self.generators = gens
         self._bases: dict = {}
-        # (order token, reduced) -> ranks and prepared divisors
-        self._divisors: dict = {}
 
     def groebner(self, order: MonomialOrder = LEX) -> tuple[Poly, ...]:
-        token = order.cache_token()
-        cached = self._bases.get(token)
+        cached = self._bases.get(order)
         if cached is None:
-            cached = tuple(buchberger(self.generators, order))
-            self._bases[token] = cached
+            cached = self._bases[order] = tuple(buchberger(self.generators, order))
         return cached
-
-    def _remainder(self, p: Poly, order: MonomialOrder, reduced: bool) -> Poly:
-        """normal_form of p by the reduced basis in the order, or by the
-        generators, with the divisors prepared on first use."""
-        divisors = self.groebner(order) if reduced else self.generators
-        slot = (order.cache_token(), reduced)
-        cached = self._divisors.get(slot)
-        if cached is None:
-            ranks = _Ranks(order.key_fn(self.table))
-            cached = self._divisors[slot] = (ranks, _prepare_all(divisors, ranks))
-        ranks, prepared = cached
-        budget = _Budget(step_budget(), "normal_form", order, p.table, len(divisors))
-        return _poly(p.table, _divide(p.terms, prepared, ranks, budget))
 
     def normal_form(self, p: Poly, order: MonomialOrder = LEX) -> Poly:
         _check_tables(self.table, (p,))
-        return self._remainder(p, order, reduced=True)
+        return normal_form(p, self.groebner(order), order)
 
     def member(self, p: Poly, order: MonomialOrder = GREVLEX) -> bool:
         _check_tables(self.table, (p,))
@@ -426,7 +403,7 @@ class Ideal:
         # then division by the raw generators
         if any(_is_multiple(p.terms, g.terms) for g in self.generators):
             return True
-        if self._remainder(p, order, reduced=False).is_zero():
+        if normal_form(p, self.generators, order).is_zero():
             return True
         return self.normal_form(p, order).is_zero()
 

@@ -202,19 +202,14 @@ class Poly:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _scalars(self, values: Mapping[str, object]) -> dict:
-        """The values as Q(i) scalars, keyed by variable index."""
+    def specialize(self, values: Mapping[str, object]) -> "Poly":
+        """Substitute scalars for a subset of the variables."""
         cooked = {}
         for name, v in values.items():
             c = coerce(v)
             if c is None:
                 raise TypeError(f"not a scalar for {name}: {v!r}")
             cooked[self.table.index(name)] = c
-        return cooked
-
-    def specialize(self, values: Mapping[str, object]) -> "Poly":
-        """Substitute scalars for a subset of the variables."""
-        cooked = self._scalars(values)
         terms: dict = {}
         for e, c in self.terms.items():
             coef = c
@@ -233,30 +228,13 @@ class Poly:
         return _poly(self.table, terms)
 
     def evaluate(self, values: Mapping[str, object]) -> GaussianRational:
-        """The value at scalars for the variables, summed term by term, with
-        the value and errors of specialize(values).constant_value().
+        """The value at scalars for the variables: specialize(values),
+        which must leave a constant.
 
         Raises ValueError when a variable left without a value survives in a
         term that does not cancel.
         """
-        cooked = self._scalars(values)
-        free = [k for k in range(len(self.table)) if k not in cooked]
-        total = ZERO
-        left: dict = {}  # exponents of the free variables -> coefficient
-        for e, c in self.terms.items():
-            for k, val in cooked.items():
-                n = e[k]
-                if n:
-                    c = c * (val if n == 1 else val ** n)
-            if free and any(e[k] for k in free):
-                rest = tuple([e[k] for k in free])
-                s = left.get(rest)
-                left[rest] = c if s is None else s + c
-            else:
-                total = total + c
-        if any(not c.is_zero() for c in left.values()):
-            raise ValueError("not a constant polynomial")
-        return total
+        return self.specialize(values).constant_value()
 
     def derivative(self, name: str) -> "Poly":
         k = self.table.index(name)

@@ -668,22 +668,9 @@ def modified_plane_config(alpha, beta=None) -> PointConfiguration:
     return PointConfiguration(tbl, centers, removed, units)
 
 
-@dataclass
-class InducedActionReport:
-    permutation: tuple[int, ...]
-    fixed: tuple[int, ...]
-    two_cycles: tuple[tuple[int, int], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "permutation": list(self.permutation),
-            "fixed": list(self.fixed),
-            "two_cycles": [list(c) for c in self.two_cycles],
-        }
-
-
-def lift_real_structure(config: PointConfiguration) -> InducedActionReport:
-    """Conjugation permutes the centers; return the induced permutation.
+def lift_real_structure(config: PointConfiguration) -> tuple[int, ...]:
+    """Conjugation permutes the centers; return the induced permutation, the
+    index of the conjugate of each center.
 
     Raises NotConjugationStable when some conjugated center is missing from
     the configuration.
@@ -696,70 +683,57 @@ def lift_real_structure(config: PointConfiguration) -> InducedActionReport:
         if target is None:
             raise NotConjugationStable(f"conjugate of center {k} is not a center")
         permutation.append(target)
-    fixed = tuple(k for k, m in enumerate(permutation) if m == k)
-    cycles = tuple(
-        (k, m) for k, m in enumerate(permutation) if m > k and permutation[m] == k
-    )
-    return InducedActionReport(tuple(permutation), fixed, cycles)
+    return tuple(permutation)
 
 
-@dataclass
-class FixedPointReport:
-    alpha: str
-    fixed_centers: list[str]
-    swapped_center_pairs: list[list[str]]
-    swapped_boundary_lines: list[list[str]]
-    conclusion: str
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "fixed_centers": self.fixed_centers,
-            "swapped_center_pairs": self.swapped_center_pairs,
-            "swapped_boundary_lines": self.swapped_boundary_lines,
-            "conclusion": self.conclusion,
-        }
-
-
-def real_locus_report(alpha) -> tuple[CertifiedReport, FixedPointReport]:
+def real_locus_report(alpha) -> CertifiedReport:
     """For a real parameter the conjugation fixes exactly the origin among the
     centers and swaps the two isotropic boundary lines; the surviving real
-    locus is the real plane blown up at one point, minus a point."""
+    locus is the real plane blown up at one point, minus a point.
+
+    The conjugation-stable witness is the lifted permutation with its fixed
+    centers and two-cycles; the conclusion witness names the fixed centers,
+    the swapped center pairs and the swapped boundary lines."""
     report = CertifiedReport("prop-5.1")
     config = modified_plane_config(alpha, alpha)
-    action = lift_real_structure(config)
-    perm = action.permutation
+    perm = lift_real_structure(config)
+    fixed = tuple(k for k, m in enumerate(perm) if m == k)
+    cycles = tuple((k, m) for k, m in enumerate(perm) if m > k and perm[m] == k)
     every = list(range(len(config.centers)))
     report.add(
         "conjugation-stable",
         sorted(perm) == every and all(perm[m] == k for k, m in enumerate(perm)),
-        witness=action.to_json(),
+        witness={
+            "permutation": list(perm),
+            "fixed": list(fixed),
+            "two_cycles": [list(c) for c in cycles],
+        },
     )
-    report.add("fixed-centers", action.fixed == (0,))
-    report.add("swapped-pairs", set(action.two_cycles) == {(1, 3), (2, 4)})
+    report.add("fixed-centers", fixed == (0,))
+    report.add("swapped-pairs", set(cycles) == {(1, 3), (2, 4)})
     z, plus, minus = config.removed
     infinity_real = z.conjugate() == z
     lines_swapped = plus.conjugate() == minus and minus.conjugate() == plus
     report.add("boundary-line-at-infinity-real", infinity_real)
     report.add("isotropic-lines-swapped", lines_swapped)
     centers = [c.label() for c in config.centers]
-    fp = FixedPointReport(
-        alpha=str(param_pair(alpha)[0]),
-        fixed_centers=[centers[k] for k in action.fixed],
-        swapped_center_pairs=[[centers[i], centers[j]] for i, j in action.two_cycles],
-        swapped_boundary_lines=[[str(plus), str(minus)]],
-        conclusion="real locus is the real affine plane blown up at the origin",
-    )
+    fixed_centers = [centers[k] for k in fixed]
     # Swapped centers and the swapped isotropic lines carry no real points
     # but the origin, so the real locus is the real affine plane (the line
     # at infinity is real and removed) blown up at the fixed centers.
-    covered = sorted(action.fixed + tuple(k for cycle in action.two_cycles for k in cycle))
+    covered = sorted(fixed + tuple(k for cycle in cycles for k in cycle))
     report.add(
         "conclusion",
-        fp.fixed_centers == ["(0,0)"] and covered == every and infinity_real and lines_swapped,
-        witness=fp.to_json(),
+        fixed_centers == ["(0,0)"] and covered == every and infinity_real and lines_swapped,
+        witness={
+            "alpha": str(param_pair(alpha)[0]),
+            "fixed_centers": fixed_centers,
+            "swapped_center_pairs": [[centers[i], centers[j]] for i, j in cycles],
+            "swapped_boundary_lines": [[str(plus), str(minus)]],
+            "conclusion": "real locus is the real affine plane blown up at the origin",
+        },
     )
-    return report, fp
+    return report
 
 
 def cocycle_examples_report(alpha=2) -> CertifiedReport:

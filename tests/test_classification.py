@@ -103,7 +103,7 @@ def enumerated_graph(alpha, d_max):
     result = enumerate_negative_classes(alpha, d_max)
     vertices = result.vertices()
     config = result.config
-    center_action = lift_real_structure(config).permutation
+    center_action = lift_real_structure(config)
     action = []
     for r in vertices:
         if r.kind == KIND_EXCEPTIONAL:

@@ -138,6 +138,33 @@ def test_multiple_of_a_generator_is_a_member_without_a_basis():
     assert ideal._bases
 
 
+def test_membership_divides_through_normal_form(monkeypatch):
+    """Every remainder an Ideal takes is a normal_form call: none for a
+    constant multiple of a generator, one by the generators for a member
+    they divide to zero, and a second by the grevlex basis for a member
+    they do not."""
+    from realforms import groebner
+
+    divisions = []
+
+    def counted(p, basis, order=LEX):
+        divisions.append((tuple(basis), order))
+        return normal_form(p, basis, order)
+
+    monkeypatch.setattr(groebner, "normal_form", counted)
+    g1, g2 = p2("x^2 - y"), p2("x^3 - x")
+    ideal = Ideal([g1, g2])
+    assert ideal.member(g2 * GaussianRational(3, -1))
+    assert divisions == []
+    assert ideal.member(g1 * p2("y"))
+    assert divisions == [((g1, g2), GREVLEX)]
+    # g2 - x*g1; no leading monomial of a generator divides x*y
+    divisions.clear()
+    assert ideal.member(p2("x*y - x"))
+    assert divisions == [((g1, g2), GREVLEX), (ideal.groebner(GREVLEX), GREVLEX)]
+    assert ideal.groebner(GREVLEX) != (g1, g2)
+
+
 def test_ideal_equality():
     ideal = Ideal([p2("x^2 - y"), p2("x*y - 1")])
     assert ideal.equal(Ideal(list(buchberger(ideal.generators))))

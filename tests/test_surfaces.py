@@ -524,16 +524,24 @@ def test_config_requires_certifiably_distinct_centers():
     assert modified_plane_config(2, 2)
 
 
+def claim_witness(report, claim_id: str):
+    return next(item.witness for item in report.items if item.claim_id == claim_id)
+
+
 def test_real_locus_fixed_points():
-    report, fixed = real_locus_report(2)
+    report = real_locus_report(2)
     assert report.passed
-    assert fixed.fixed_centers == ["(0,0)"]
-    assert len(fixed.swapped_center_pairs) == 2
-    sym_report, sym_fixed = real_locus_report("symbolic")
+    fixed = claim_witness(report, "conclusion")
+    assert fixed["fixed_centers"] == ["(0,0)"]
+    assert len(fixed["swapped_center_pairs"]) == 2
+    assert claim_witness(report, "conjugation-stable") == {
+        "permutation": [0, 3, 4, 1, 2], "fixed": [0], "two_cycles": [[1, 3], [2, 4]]}
+    sym_report = real_locus_report("symbolic")
     assert sym_report.passed
-    assert sym_fixed.fixed_centers == ["(0,0)"]
-    assert sym_fixed.alpha == "a"
-    assert real_locus_report(Fraction(-7, 3))[1].alpha == "-7/3"
+    sym_fixed = claim_witness(sym_report, "conclusion")
+    assert sym_fixed["fixed_centers"] == ["(0,0)"]
+    assert sym_fixed["alpha"] == "a"
+    assert claim_witness(real_locus_report(Fraction(-7, 3)), "conclusion")["alpha"] == "-7/3"
 
 
 @pytest.mark.parametrize("permutation, failing", [
@@ -544,23 +552,14 @@ def test_real_locus_fixed_points():
 def test_real_locus_report_checks_the_lifted_action(monkeypatch, permutation, failing):
     from realforms import surfaces
 
-    def lifted(config):
-        fixed = tuple(k for k, m in enumerate(permutation) if m == k)
-        cycles = tuple((k, m) for k, m in enumerate(permutation)
-                       if m > k and permutation[m] == k)
-        return surfaces.InducedActionReport(permutation, fixed, cycles)
-
-    monkeypatch.setattr(surfaces, "lift_real_structure", lifted)
-    report, _ = surfaces.real_locus_report(2)
+    monkeypatch.setattr(surfaces, "lift_real_structure", lambda config: permutation)
+    report = surfaces.real_locus_report(2)
     assert claim_status(report, failing) == "fail"
 
 
 def test_lift_real_structure_permutation():
     config = modified_plane_config(2, 2)
-    action = lift_real_structure(config)
-    assert action.permutation == (0, 3, 4, 1, 2)
-    assert action.fixed == (0,)
-    assert set(action.two_cycles) == {(1, 3), (2, 4)}
+    assert lift_real_structure(config) == (0, 3, 4, 1, 2)
 
 
 def test_lift_real_structure_rejects_unstable_configuration():
