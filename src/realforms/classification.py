@@ -5,8 +5,9 @@ isomorphism of their negative-curve incidence graphs, commuting with the
 conjugation actions and fixing the structural vertices, is realized by an
 invertible linear map of the plane defined over the rationals.  The search
 is exact: matchings by backtracking over the 12-vertex graphs, once per graph
-shape, witnesses by solving the center equations over the rationals with
-integer elimination.
+shape; witnesses by one integer elimination per matching, with the two matrix
+rows as two right-hand columns, then determinant and circle tests on integers
+and a re-check of the centers in Q(i) from the graphs' terms, not the rows.
 
 The graph shape (labels, weights, conjugation action) comes from one
 symbolic enumeration per d_max in a process.  Its lines are polynomial
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .gaussian import ZERO, GaussianRational
 from .intersection import (
@@ -54,12 +56,17 @@ class CurveIncidenceGraph:
     centers: tuple[object, ...]  # (Poly, Poly) for exceptional vertices, else None
     # {monomial: (x coefficient, y coefficient)} per exceptional vertex, else None
     center_terms: tuple[object, ...] = field(init=False, repr=False, compare=False)
+    # the same over one denominator: (d, {monomial: d * (Re x, Im x, Re y, Im y)})
+    center_numerators: tuple[object, ...] = field(init=False, repr=False, compare=False)
 
     __hash__ = None  # the centers hold Polys, which have no hash
 
     def __post_init__(self):
-        object.__setattr__(self, "center_terms", tuple(
-            None if c is None else _named_terms(*c) for c in self.centers))
+        # tuple(list), not tuple(generator), which resizes and so never reuses freed tuples
+        terms = [None if c is None else _named_terms(*c) for c in self.centers]
+        object.__setattr__(self, "center_terms", tuple(terms))
+        object.__setattr__(self, "center_numerators", tuple(
+            [None if t is None else _numerators(t) for t in terms]))
 
     def shape(self) -> tuple:
         """Everything the matching search reads: labels, weights, action."""
@@ -126,8 +133,8 @@ def incidence_graph(alpha, d_max: int = DEFAULT_D_MAX) -> CurveIncidenceGraph:
         labels=labels,
         weights=weights,
         real_action=action,
-        centers=tuple(None if k is None else (centers[k].x, centers[k].y)
-                      for k in center_index),
+        centers=tuple([None if k is None else (centers[k].x, centers[k].y)
+                       for k in center_index]),
     )
 
 
@@ -206,35 +213,27 @@ def matching_as_labels(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
 # ---------------------------------------------------------------------------
 
 
-def _rational_solution(equations) -> tuple[Fraction, Fraction] | None:
-    """The unique rational (p, q) with cx*p + cy*q = t for every Q(i)
-    equation (cx, cy, t), or None when there is none or more than one.
-
-    Each equation gives two integer rows (a, b, r), its real and imaginary
-    parts over a common denominator.  Two rows whose 2x2 minor D is nonzero
-    fix the only candidate by Cramer's rule, p = P/D and q = Q/D; it is the
-    solution exactly when every row satisfies a*P + b*Q = r*D.
-    """
-    rows = []
-    for cx, cy, t in equations:
-        sx, sy, st = cy.d * t.d, cx.d * t.d, cx.d * cy.d
-        rows.append((cx.a * sx, cy.a * sy, t.a * st))
-        rows.append((cx.b * sx, cy.b * sy, t.b * st))
+def _rational_solution(rows) -> tuple | None:
+    """The unique rational ((p, q), (r, s)) with a*p + b*q = u and a*r + b*s = v
+    for every integer row (a, b, u, v), or None.  Two rows whose 2x2 minor D is
+    nonzero fix the only candidate of both columns by Cramer's rule, p = P/D,
+    q = Q/D, r = R/D and s = S/D; it is the solution exactly when every row
+    has a*P + b*Q = u*D and a*R + b*S = v*D."""
     first = next((row for row in rows if row[0] or row[1]), None)
     if first is None:
         return None
-    a1, b1, r1 = first
-    for a2, b2, r2 in rows:
+    a1, b1, u1, v1 = first
+    for a2, b2, u2, v2 in rows:
         det = a1 * b2 - a2 * b1
         if det:
             break
     else:  # the coefficient columns have rank below 2
         return None
-    p = r1 * b2 - r2 * b1
-    q = a1 * r2 - a2 * r1
-    if any(a * p + b * q != r * det for a, b, r in rows):
+    p, q = u1 * b2 - u2 * b1, a1 * u2 - a2 * u1
+    r, s = v1 * b2 - v2 * b1, a1 * v2 - a2 * v1
+    if any(a * p + b * q != u * det or a * r + b * s != v * det for a, b, u, v in rows):
         return None
-    return Fraction(p, det), Fraction(q, det)
+    return (Fraction(p, det), Fraction(q, det)), (Fraction(r, det), Fraction(s, det))
 
 
 def _named_terms(x: Poly, y: Poly) -> dict:
@@ -244,33 +243,22 @@ def _named_terms(x: Poly, y: Poly) -> dict:
     for k, p in enumerate((x, y)):
         names = p.table.names
         for exps, coeff in p.terms.items():
-            key = tuple(sorted((name, e) for name, e in zip(names, exps) if e))
+            key = () if not any(exps) else tuple(  # most centers are constant
+                sorted((name, e) for name, e in zip(names, exps) if e))
             pair = out.setdefault(key, [ZERO, ZERO])
             pair[k] = coeff
     return {key: tuple(pair) for key, pair in out.items()}
 
 
-def _center_equations(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
-                       matching: tuple[int, ...]):
-    """The matching's center equations, one per monomial, or None when it
-    pairs an exceptional vertex with a vertex that has no center.
-
-    An equation (cx, cy, tx, ty) of Q(i) coefficients says that the matrix
-    [[p, q], [r, s]] carries a source center onto its matched target center
-    in that monomial: cx*p + cy*q = tx and cx*r + cy*s = ty.
-    """
-    zero = (ZERO, ZERO)
-    equations = []
-    for i, j in enumerate(matching):
-        c = src.center_terms[i]
-        t = dst.center_terms[j]
-        if c is None or t is None:
-            if c is not t:
-                return None
-            continue
-        for key in sorted(c.keys() | t.keys()):
-            equations.append(c.get(key, zero) + t.get(key, zero))
-    return equations
+def _numerators(terms: dict) -> tuple[int, dict]:
+    """A center's terms over their common denominator d, as integers."""
+    d, out = 1, {}
+    for x, y in terms.values():
+        d = lcm(d, x.d, y.d)
+    for key, (x, y) in terms.items():
+        sx, sy = d // x.d, d // y.d
+        out[key] = (x.a * sx, x.b * sx, y.a * sy, y.b * sy)
+    return d, out
 
 
 def solve_linear_witness(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
@@ -278,19 +266,26 @@ def solve_linear_witness(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
     """Rational 2x2 matrix realizing the matching on blow-up centers, or None.
 
     The matrix rows act on the plane coordinates; equations come from each
-    center of the source being carried to the matched center of the target.
-    Center coordinates may involve a symbolic parameter, so every equation is
-    expanded monomial by monomial (the unknown matrix entries are rational
-    constants) and then split into real and imaginary parts.
+    center of the source being carried to the matched center of the target,
+    monomial by monomial (a center may involve a symbolic parameter, and the
+    matrix entries are rational constants), as real and imaginary integer rows.
     """
-    equations = _center_equations(src, dst, matching)
-    if equations is None:
-        return None
-    top = _rational_solution([(cx, cy, tx) for cx, cy, tx, _ in equations])
-    if top is None:
-        return None
-    bottom = _rational_solution([(cx, cy, ty) for cx, cy, _, ty in equations])
-    return None if bottom is None else (top, bottom)
+    rows = []
+    for i, j in enumerate(matching):
+        c, t = src.center_numerators[i], dst.center_numerators[j]
+        if c is None or t is None:
+            if c is not t:
+                return None
+            continue
+        (dc, c), (dt, t) = c, t
+        for key, (xa, xb, ya, yb) in c.items():
+            ua, ub, va, vb = t.get(key, (0, 0, 0, 0))
+            rows.append((xa * dt, ya * dt, ua * dc, va * dc))
+            rows.append((xb * dt, yb * dt, ub * dc, vb * dc))
+        for key in t:  # a target term the source lacks reads 0 = t[key]
+            if key not in c and any(t[key]):
+                return None
+    return _rational_solution(rows)
 
 
 @dataclass(frozen=True)
@@ -312,23 +307,28 @@ def _witness_checks(matrix, src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
                     matching: tuple[int, ...]) -> tuple[bool, Fraction | None, dict]:
     (p, q), (r, s) = matrix
     details: dict = {"matrix": [[str(p), str(q)], [str(r), str(s)]]}
-    det = p * s - q * r
+    # the determinant and circle tests on the matrix [[P, Q], [R, S]] / m
+    m = lcm(p.denominator, q.denominator, r.denominator, s.denominator)
+    P, Q, R, S = (e.numerator * (m // e.denominator) for e in (p, q, r, s))
+    det = Fraction(P * S - Q * R, m * m)
     details["determinant"] = str(det)
     if det == 0:
         return False, None, details
-    gp, gq = GaussianRational(p), GaussianRational(q)
-    gr, gs = GaussianRational(r), GaussianRational(s)
-    equations = _center_equations(src, dst, matching)
-    centers_ok = equations is not None and all(
+    # the centers again, in Q(i) on center_terms rather than on the solver's rows
+    gp, gq, gr, gs = (GaussianRational(e) for e in (p, q, r, s))
+    pairs = [(src.center_terms[i], dst.center_terms[j]) for i, j in enumerate(matching)]
+    zero = (ZERO, ZERO)
+    centers_ok = all(c is t for c, t in pairs if c is None or t is None) and all(
         cx * gp + cy * gq == tx and cx * gr + cy * gs == ty
-        for cx, cy, tx, ty in equations
-    )
+        for c, t in pairs if c is not None
+        for key in c.keys() | t.keys()
+        for (cx, cy), (tx, ty) in [(c.get(key, zero), t.get(key, zero))])
     details["centers_carried"] = centers_ok
-    cross = p * q + r * s
-    scalar = p * p + r * r
-    circle_ok = cross == 0 and scalar == q * q + s * s and scalar != 0
+    squares = P * P + R * R  # m*m times the pullback scalar
+    circle_ok = P * Q + R * S == 0 and squares == Q * Q + S * S and squares != 0
     details["sum_of_squares_preserved"] = circle_ok
     if circle_ok:
+        scalar = Fraction(squares, m * m)
         details["sum_of_squares_scalar"] = str(scalar)
     ok = centers_ok and circle_ok
     return ok, (scalar if ok else None), details

@@ -73,10 +73,15 @@ def positive_int(text: str) -> int:
 
 
 def value_list(text: str) -> tuple[Fraction, ...]:
-    parts = [piece for piece in text.split(",") if piece.strip()]
-    if not parts:
+    """Parse --values: comma-separated rationals, none of them empty."""
+    if not text.strip():
         raise argparse.ArgumentTypeError("empty value list")
-    return tuple(rational_parameter(piece) for piece in parts)
+    pieces = text.split(",")
+    for position, piece in enumerate(pieces, 1):
+        if not piece.strip():
+            raise argparse.ArgumentTypeError(
+                f"empty item {position} of {len(pieces)} in {text!r}")
+    return tuple(rational_parameter(piece) for piece in pieces)
 
 
 def _dump(data: dict) -> str:
@@ -159,6 +164,7 @@ def run_grid(values, d_max: int = DEFAULT_D_MAX) -> dict:
     """Classify every ordered pair of values; flag verdict/criterion splits."""
     values = sorted({surfaces.param_pair(v)[0] for v in values})
     graphs = {v: classification.incidence_graph(v, d_max=d_max) for v in values}
+    texts = {v: str(v) for v in values}
     cells = []
     disagreements = 0
     for a in values:
@@ -168,8 +174,8 @@ def run_grid(values, d_max: int = DEFAULT_D_MAX) -> dict:
             agrees = result.equivalent == criterion
             disagreements += 0 if agrees else 1
             cells.append({
-                "alpha": str(a),
-                "beta": str(b),
+                "alpha": texts[a],
+                "beta": texts[b],
                 "equivalent": result.equivalent,
                 "criterion": criterion,
                 "agrees": agrees,
@@ -180,7 +186,7 @@ def run_grid(values, d_max: int = DEFAULT_D_MAX) -> dict:
         "tool": "realforms",
         "version": _tool_version(),
         "d_max": d_max,
-        "values": [str(v) for v in values],
+        "values": list(texts.values()),
         "cells": cells,
         "pairs": len(cells),
         "disagreements": disagreements,

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +25,7 @@ from realforms.classification import (
     matchings_report,
     solve_linear_witness,
 )
+from realforms.checks import run_check
 from realforms.errors import ForbiddenParameter
 from realforms.gaussian import GaussianRational, row_reduce
 from realforms.intersection import (
@@ -332,60 +334,95 @@ def _row_reduce_solution(equations):
     return (work[0][2], work[1][2]) if pivots == [0, 1] else None
 
 
+def _integer_rows(equations):
+    """Integer rows (a, b, u, v) of Q(i) equations (cx, cy, t, w), built by
+    hand: the real and imaginary parts, each equation over the lcm of its
+    denominators."""
+    rows = []
+    for equation in equations:
+        m = lcm(*(z.d for z in equation))
+        for part in ("re", "im"):
+            rows.append(tuple(int(getattr(z, part) * m) for z in equation))
+    return rows
+
+
 # zero twice, so that zero coefficients and proportional rows come up often
 SMALL = st.sampled_from([Fraction(v) for v in ("0", "0", "1", "-1", "2", "1/2", "-2/3", "5/4")])
 ENTRIES = st.builds(GaussianRational, SMALL, SMALL)
-KINDS = ("consistent", "inconsistent", "free", "rank 1", "rank 0")
+RANKS = ("any", "rank 1", "rank 0")
+COLUMN_KINDS = ("consistent", "inconsistent", "free")
 
 
 @st.composite
 def center_systems(draw):
-    """Q(i) systems cx*p + cy*q = t of every kind the witness solve meets."""
-    kind = draw(st.sampled_from(KINDS))
-    p, q, ratio = draw(SMALL), draw(SMALL), draw(SMALL)
+    """Q(i) systems cx*p + cy*q = t, cx*r + cy*s = w of every kind the
+    witness solve meets: one coefficient matrix, full rank or not, and two
+    right-hand columns, each of its own kind."""
+    rank = draw(st.sampled_from(RANKS))
+    ratio = draw(SMALL)
     size = draw(st.integers(min_value=1, max_value=4))
-    equations = []
+    coefficients = []
     for _ in range(size):
         cx, cy = draw(ENTRIES), draw(ENTRIES)
-        if kind == "rank 1":
+        if rank == "rank 1":
             cy = cx * ratio
-        elif kind == "rank 0":
+        elif rank == "rank 0":
             cx = cy = GaussianRational(0)
-        t = draw(ENTRIES) if kind == "free" else cx * p + cy * q
-        equations.append((cx, cy, t))
-    if kind == "inconsistent":
-        k = draw(st.integers(min_value=0, max_value=size - 1))
-        cx, cy, t = equations[k]
-        equations[k] = (cx, cy, t + draw(ENTRIES.filter(bool)))
+        coefficients.append((cx, cy))
+    kinds, hidden, columns = [], [], []
+    for _ in range(2):
+        kind = draw(st.sampled_from(COLUMN_KINDS))
+        p, q = draw(SMALL), draw(SMALL)
+        column = [draw(ENTRIES) if kind == "free" else cx * p + cy * q
+                  for cx, cy in coefficients]
+        if kind == "inconsistent":
+            k = draw(st.integers(min_value=0, max_value=size - 1))
+            column[k] = column[k] + draw(ENTRIES.filter(bool))
+        kinds.append(kind)
+        hidden.append((p, q))
+        columns.append(column)
+    equations = [(cx, cy, t, w) for (cx, cy), t, w in zip(coefficients, *columns)]
     if draw(st.booleans()):
         equations.append(equations[draw(st.integers(min_value=0, max_value=size - 1))])
-    return kind, (p, q), equations
+    return rank, tuple(kinds), tuple(hidden), equations
 
 
 G = GaussianRational
 HALF = Fraction(1, 2)
+UNCHECKED = (None, None)
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(center_systems())
-@example(("rank 0", None, [(G(0), G(0), G(0))]))
-@example(("rank 0", None, [(G(0), G(0), G(1, 1))]))
-@example(("rank 1", None, [(G(1), G(2), G(3)), (G(1), G(2), G(3))]))
-@example(("minimal", None, [(G(1, 1), G(HALF, -1), G(3, HALF))]))
-@example(("minimal", None, [(G(2), G(0, 1), G(HALF, Fraction(-1, 3)))]))
-@example(("inconsistent", None, [(G(1), G(0), G(1)), (G(0), G(1), G(1)), (G(1), G(1), G(3))]))
+@example(("rank 0", UNCHECKED, UNCHECKED, [(G(0), G(0), G(0), G(0))]))
+@example(("rank 0", UNCHECKED, UNCHECKED, [(G(0), G(0), G(1, 1), G(0))]))
+@example(("rank 1", UNCHECKED, UNCHECKED,
+          [(G(1), G(2), G(3), G(1)), (G(1), G(2), G(3), G(1))]))
+@example(("any", UNCHECKED, UNCHECKED,
+          [(G(1, 1), G(HALF, -1), G(3, HALF), G(0, 2))]))
+@example(("any", UNCHECKED, UNCHECKED,
+          [(G(2), G(0, 1), G(HALF, Fraction(-1, 3)), G(-1, HALF))]))
+# the top column is consistent and the bottom is not, then the other way round
+@example(("any", UNCHECKED, UNCHECKED,
+          [(G(1), G(0), G(1), G(1)), (G(0), G(1), G(1), G(1)), (G(1), G(1), G(2), G(3))]))
+@example(("any", UNCHECKED, UNCHECKED,
+          [(G(1), G(0), G(1), G(1)), (G(0), G(1), G(1), G(1)), (G(1), G(1), G(3), G(2))]))
 def test_integer_solve_matches_row_reduce_oracle(case):
-    kind, hidden, equations = case
-    found = classification._rational_solution(equations)
-    assert found == _row_reduce_solution(equations)
-    if kind in ("rank 1", "rank 0"):
+    rank, kinds, hidden, equations = case
+    found = classification._rational_solution(_integer_rows(equations))
+    top = _row_reduce_solution([(cx, cy, t) for cx, cy, t, _ in equations])
+    bottom = _row_reduce_solution([(cx, cy, w) for cx, cy, _, w in equations])
+    assert found == (None if top is None or bottom is None else (top, bottom))
+    if rank != "any":
         assert found is None
     if found is not None:
-        assert all(type(v) is Fraction for v in found)
-        p, q = found
-        assert all(cx * p + cy * q == t for cx, cy, t in equations)
-        if kind == "consistent":
-            assert found == hidden
+        assert all(type(v) is Fraction for column in found for v in column)
+        (p, q), (r, s) = found
+        assert all(cx * p + cy * q == t and cx * r + cy * s == w
+                   for cx, cy, t, w in equations)
+        for kind, column, expected in zip(kinds, found, hidden):
+            if kind == "consistent":
+                assert column == expected
 
 
 def test_classify_reciprocal_and_diagonal():
@@ -526,6 +563,40 @@ def test_classification_report_rechecks_the_witness(monkeypatch):
     report = classification.classification_report(2, Fraction(1, 2))
     (status,) = [i.status for i in report.items if i.claim_id == "witness-valid"]
     assert status == "fail"
+
+
+@pytest.mark.parametrize("shift", ["negate s", "zero p"])
+def test_witness_checks_do_not_trust_the_solver(monkeypatch, shift):
+    # The solver hands back each matrix with one entry moved.  With s
+    # negated every matrix stays invertible and keeps x^2 + y^2, so only the
+    # Q(i) center re-check can refuse it; with p zeroed every matrix is
+    # singular, which stops the checks before the centers are read.
+    solve = classification.solve_linear_witness
+
+    def shifted(*args):
+        matrix = solve(*args)
+        if matrix is None:
+            return None
+        (p, q), (r, s) = matrix
+        return ((p, q), (r, -s)) if shift == "negate s" else ((p - p, q), (r, s))
+
+    monkeypatch.setattr(classification, "solve_linear_witness", shifted)
+    result = classify(2, Fraction(1, 2))
+    assert not result.equivalent
+    checked = [t for t in result.traces if t["outcome"] != "no linear solution"]
+    assert len(checked) == 2
+    for trace in checked:
+        assert trace["outcome"] == "solution fails checks"
+        details = trace["details"]
+        if shift == "negate s":
+            assert details["centers_carried"] is False
+            assert details["sum_of_squares_preserved"] is True
+        else:
+            assert details["determinant"] == "0"
+            assert "centers_carried" not in details
+    report = run_check("prop-6.3", alpha=2, beta=Fraction(1, 2))
+    assert report.status == "fail"
+    assert "verdict-matches-criterion" in [i.claim_id for i in report.failures()]
 
 
 def test_result_serialization():

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -222,7 +223,10 @@ TWENTY_VALUES = "--values=-7,-5,-3,-2,-3/2,-1/2,-1/3,-2/3,1/5,1/3,2/5,1/2,2/3,3/
      "c3029da00799abcb8881917eb24ea593dfb62e856dd8c27657704c6235607e22"),
     (["enumerate", "--alpha", "symbolic"],
      "478bcaca6a4c703434db1d7c469886a3b6f5f25258cde92557a68af21effec10"),
-], ids=["grid", "grid-20-values", "classify", "enumerate-symbolic"])
+    # -1 is its own reciprocal, so every one of the four matchings has a witness
+    (["classify", "-1", "-1"],
+     "3ab3091ae5c8b5702e174e26f68fbfed0dc61a48b444e7d2a0e66a8a0a06ef8a"),
+], ids=["grid", "grid-20-values", "classify", "enumerate-symbolic", "classify-self-reciprocal"])
 def test_classification_json_bytes_are_pinned(capsys, argv, digest):
     # sha256 of the JSON these commands printed before the matching memo and
     # the integer witness solve (enumerate: before one function built every
@@ -251,6 +255,39 @@ def test_verify_json_bytes_are_pinned(capsys, argv, digest):
     assert code == 0
     out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_grid_solves_each_admissible_matching_once(monkeypatch):
+    solve = cli.classification.solve_linear_witness
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return solve(*args)
+
+    monkeypatch.setattr(cli.classification, "solve_linear_witness", counting)
+    payload = cli.run_grid([2, Fraction(1, 2), 3])
+    assert payload["pairs"] == 9 and payload["disagreements"] == 0
+    assert len(calls) == 36  # 9 pairs x 4 matchings
+
+
+@pytest.mark.parametrize("values, position", [
+    ("2,,3", "item 2 of 3"),
+    ("2,3,", "item 3 of 3"),
+    (",2", "item 1 of 2"),
+    ("2, ,3", "item 2 of 3"),
+])
+def test_grid_empty_value_item_is_usage_error(capsys, values, position):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["grid", "--values", values])
+    assert exc.value.code == 2
+    assert f"empty {position}" in capsys.readouterr().err
+
+
+def test_grid_values_allow_spaces_around_items(capsys):
+    code, data, _ = run_json(capsys, "grid", "--values", " 2 , 1/2 ")
+    assert code == 0
+    assert data["values"] == ["1/2", "2"]
 
 
 def test_grid_with_excluded_value_exits_2(capsys):
