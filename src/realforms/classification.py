@@ -13,7 +13,8 @@ The graph shape (labels, weights, conjugation action) comes from one
 symbolic enumeration per d_max in a process.  Its lines are polynomial
 identities in the parameter and its avoided centers have unit values, built
 from a and 1 - a, so the shape holds at every admissible value; each graph
-then reads only its five centers at its own value.
+then reads only its five centers at its own value, which that symbolic
+configuration already proved pairwise distinct for every admissible value.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .intersection import (
 )
 from .reports import CertifiedReport
 from .ring import Poly
-from .surfaces import lift_real_structure, modified_plane_config, param_pair
+from .surfaces import lift_real_structure, modified_plane_parts, param_pair
 
 ORIGIN_LABEL = "E(0,0)"
 PINNED_LABELS = (LABEL_AT_INFINITY, ORIGIN_LABEL)
@@ -126,9 +127,12 @@ def incidence_graph(alpha, d_max: int = DEFAULT_D_MAX) -> CurveIncidenceGraph:
 
     Its shape comes from the symbolic table, enumerated once per d_max in a
     process (see _graph_shape); only the five centers are read at alpha.
+    Nor are they proved distinct again: modified_plane_config(a, a), behind
+    the shape, proved that over Q(i)[a] with the units a and 1 - a, so at
+    every alpha that param_pair admits (it refuses 0 and 1).
     """
     labels, weights, action, center_index = _graph_shape(d_max)
-    centers = modified_plane_config(alpha, alpha).centers
+    centers = modified_plane_parts(alpha, alpha)[1]
     return CurveIncidenceGraph(
         labels=labels,
         weights=weights,
@@ -151,11 +155,12 @@ def admissible_matchings(src: CurveIncidenceGraph,
     The search depends on the two graph shapes only, so it runs once per
     pair of shapes in a process; every call gets a fresh list.
     """
-    return list(_shape_matchings(src.shape(), dst.shape()))
+    return [m for m, _, _ in _shape_matchings(src.shape(), dst.shape())]
 
 
 @cache
-def _shape_matchings(src_shape: tuple, dst_shape: tuple) -> tuple[tuple[int, ...], ...]:
+def _shape_matchings(src_shape: tuple, dst_shape: tuple) -> tuple[tuple, ...]:
+    """The admissible matchings, each with its label pairs as is and sorted."""
     src_labels, src_weights, src_action = src_shape
     dst_labels, dst_weights, dst_action = dst_shape
     n = len(src_labels)
@@ -200,7 +205,8 @@ def _shape_matchings(src_shape: tuple, dst_shape: tuple) -> tuple[tuple[int, ...
             used.remove(j)
 
     backtrack(0)
-    return tuple(sorted(out))
+    labelled = [(m, tuple(zip(src_labels, [dst_labels[j] for j in m]))) for m in sorted(out)]
+    return tuple([(m, pairs, tuple(sorted(pairs))) for m, pairs in labelled])
 
 
 def matching_as_labels(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
@@ -385,11 +391,11 @@ def _classify(alpha, beta, d_max: int, src: CurveIncidenceGraph,
               dst: CurveIncidenceGraph) -> ClassificationResult:
     """classify over cooked parameters (see param_pair) and the graphs
     incidence_graph built for them at this d_max."""
-    matchings = admissible_matchings(src, dst)
+    matchings = _shape_matchings(src.shape(), dst.shape())
     witnesses = []
     traces = []
-    for m in matchings:
-        label_map = matching_as_labels(src, dst, m)
+    for m, label_pairs, sorted_pairs in matchings:
+        label_map = dict(label_pairs)
         matrix = solve_linear_witness(src, dst, m)
         if matrix is None:
             traces.append({"matching": label_map, "outcome": "no linear solution"})
@@ -403,7 +409,7 @@ def _classify(alpha, beta, d_max: int, src: CurveIncidenceGraph,
             matrix=(tuple(matrix[0]), tuple(matrix[1])),
             scalar=scalar,
             matching=m,
-            matching_labels=tuple(sorted(label_map.items())),
+            matching_labels=sorted_pairs,
         )
         witnesses.append(witness)
         traces.append({"matching": label_map, "outcome": "witness",
@@ -428,7 +434,11 @@ def equivalence_criterion(alpha, beta) -> bool:
     equals itself, and two independent generic values are never equal nor
     reciprocal.
     """
-    alpha, beta = param_pair(alpha, beta)
+    return _criterion(*param_pair(alpha, beta))
+
+
+def _criterion(alpha, beta) -> bool:
+    """equivalence_criterion over cooked parameters (see param_pair)."""
     if isinstance(alpha, str) or isinstance(beta, str):
         return alpha == beta
     return alpha == beta or alpha * beta == 1
@@ -470,7 +480,7 @@ def classification_report(alpha, beta, d_max: int = DEFAULT_D_MAX) -> CertifiedR
     src = incidence_graph(alpha, d_max)
     dst = incidence_graph(beta, d_max)
     result = _classify(alpha, beta, d_max, src, dst)
-    expected = equivalence_criterion(result.alpha, result.beta)
+    expected = _criterion(result.alpha, result.beta)
     report.add(
         "verdict-matches-criterion",
         result.equivalent == expected,

@@ -35,6 +35,7 @@ DEFAULT_GRID_VALUES = (
     Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(2),
     Fraction(5, 2), Fraction(3),
 )
+_quote = json.encoder.encode_basestring_ascii  # the C function of json's compact encoder
 
 
 def parameter(text: str):
@@ -84,8 +85,38 @@ def value_list(text: str) -> tuple[Fraction, ...]:
     return tuple(rational_parameter(piece) for piece in pieces)
 
 
-def _dump(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=2)
+def _dump(data) -> str:
+    """The bytes of json.dumps(data, sort_keys=True, indent=2), for text keys:
+    with an indent json runs pure Python, so this lays the text out itself."""
+    out: list[str] = []
+    _write(data, out, "\n")
+    return "".join(out)
+
+
+def _write(value, out: list, newline: str) -> None:
+    """Append value's JSON to out; newline starts each of its inner lines."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, dict) and value:
+        inner = newline + "  "
+        opening = "{" + inner
+        for key in sorted(value):
+            out.append(opening + _quote(key) + ": ")
+            _write(value[key], out, inner)
+            opening = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        opening = "[" + inner
+        for item in value:
+            out.append(opening)
+            _write(item, out, inner)
+            opening = "," + inner
+        out.append(newline + "]")
+    else:  # numbers, empty containers, and json's TypeError for anything else
+        out.append(json.dumps(value))
 
 
 def _tool_version() -> str:
@@ -163,19 +194,19 @@ def _cmd_classify(args) -> int:
 def run_grid(values, d_max: int = DEFAULT_D_MAX) -> dict:
     """Classify every ordered pair of values; flag verdict/criterion splits."""
     values = sorted({surfaces.param_pair(v)[0] for v in values})
-    graphs = {v: classification.incidence_graph(v, d_max=d_max) for v in values}
-    texts = {v: str(v) for v in values}
+    # each value with its graph and its text, so that no cell hashes a Fraction
+    rows = [(v, classification.incidence_graph(v, d_max=d_max), str(v)) for v in values]
     cells = []
     disagreements = 0
-    for a in values:
-        for b in values:
-            result = classification._classify(a, b, d_max, graphs[a], graphs[b])
-            criterion = classification.equivalence_criterion(a, b)
+    for a, src, a_text in rows:
+        for b, dst, b_text in rows:
+            result = classification._classify(a, b, d_max, src, dst)
+            criterion = classification._criterion(a, b)
             agrees = result.equivalent == criterion
             disagreements += 0 if agrees else 1
             cells.append({
-                "alpha": texts[a],
-                "beta": texts[b],
+                "alpha": a_text,
+                "beta": b_text,
                 "equivalent": result.equivalent,
                 "criterion": criterion,
                 "agrees": agrees,
@@ -186,7 +217,7 @@ def run_grid(values, d_max: int = DEFAULT_D_MAX) -> dict:
         "tool": "realforms",
         "version": _tool_version(),
         "d_max": d_max,
-        "values": list(texts.values()),
+        "values": [text for _, _, text in rows],
         "cells": cells,
         "pairs": len(cells),
         "disagreements": disagreements,

@@ -12,7 +12,7 @@ family, and the match is certified by explicit mutually inverse maps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import FNotInIdeal, PointNotOnVariety
 from .gaussian import GaussianRational, coerce, row_reduce
@@ -63,9 +63,12 @@ class ModificationSpec:
     base_vars: tuple[str, ...]
     generators: tuple[Poly, ...]
     divisor: Poly
+    # the ideal of the generators, built once and read by rees_report
+    center_ideal: Ideal = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not Ideal(list(self.generators), self.table).member(self.divisor):
+        object.__setattr__(self, "center_ideal", Ideal(list(self.generators), self.table))
+        if not self.center_ideal.member(self.divisor):
             raise FNotInIdeal("the divisor must lie in the center ideal")
 
 
@@ -130,7 +133,7 @@ def rees_report(spec: ModificationSpec | None = None) -> CertifiedReport:
         spec = standard_modification()
     report.add(
         "divisor-in-center-ideal",
-        Ideal(list(spec.generators), spec.table).member(spec.divisor),
+        spec.center_ideal.member(spec.divisor),
         witness=str(spec.divisor),
     )
     rees = rees_presentation(spec)

@@ -274,7 +274,6 @@ def standard_conjugation(surface: SurfacePresentation) -> RealStructure:
 # ---------------------------------------------------------------------------
 
 
-@shared_in_run(param_pair)
 def verify_swap_isomorphism(alpha, beta) -> CertifiedReport:
     """The swap (x,y,u,v) -> (u,v,x,y) maps the surface onto the
     parameter-swapped surface; composed with itself it is the identity."""
@@ -652,6 +651,11 @@ def modified_plane_config(alpha, beta=None) -> PointConfiguration:
 
     Symbolic parameters are real: conjugation fixes them.
     """
+    return PointConfiguration(*modified_plane_parts(alpha, beta))
+
+
+def modified_plane_parts(alpha, beta=None) -> tuple:
+    """modified_plane_config's parts, before it proves the centers distinct."""
     tbl, (ap, bp), units = param_ring(GEOMETRY_COORDS, *param_pair(alpha, beta))
     x, y, z = (Poly.var(tbl, n) for n in GEOMETRY_COORDS)
     i_const = Poly.const(tbl, IMAG)
@@ -665,7 +669,7 @@ def modified_plane_config(alpha, beta=None) -> PointConfiguration:
         Center(bp, -(bp * IMAG)),
     )
     removed = (z, x + y * IMAG, x - y * IMAG)
-    return PointConfiguration(tbl, centers, removed, units)
+    return tbl, centers, removed, units
 
 
 def lift_real_structure(config: PointConfiguration) -> tuple[int, ...]:

@@ -36,6 +36,7 @@ from realforms.intersection import (
     enumerate_negative_classes,
     intersection_matrix,
 )
+from realforms.ring import Poly
 from realforms.surfaces import lift_real_structure
 
 GRID = sorted({
@@ -213,6 +214,33 @@ def test_graph_is_unhashable_but_comparable():
     assert g == incidence_graph(2)
     assert g != incidence_graph(3)  # same shape, other centers
     assert g.shape() == incidence_graph(3).shape()
+
+
+def test_grid_graphs_rest_on_the_symbolic_distinctness_proof(monkeypatch):
+    from realforms import cli
+    from realforms.surfaces import PointConfiguration, modified_plane_config
+
+    incidence_graph(2)  # warm _graph_shape, whose enumeration builds one
+    built = []
+    post_init = PointConfiguration.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PointConfiguration, "__post_init__", counting)
+    payload = cli.run_grid([2, Fraction(1, 2), 3])
+    assert payload["pairs"] == 9 and payload["disagreements"] == 0
+    assert built == []
+    modified_plane_config(2, 2)  # the counter sees a configuration built
+    assert len(built) == 1
+
+
+def test_the_symbolic_configuration_inverts_only_a_and_one_minus_a():
+    # so its distinctness proof holds at every value param_pair admits
+    config = enumerate_negative_classes("symbolic").config
+    a = Poly.var(config.table, "a")
+    assert config.units == (a, 1 - a)
 
 
 def test_graph_rejects_forbidden_parameter():

@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import realforms
 from realforms import checks, cli
@@ -255,6 +256,42 @@ def test_verify_json_bytes_are_pinned(capsys, argv, digest):
     assert code == 0
     out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- the JSON writer ----------------------------------------------------------------
+
+# quote, backslash, slash, control characters, DEL, non-ASCII and beyond the BMP
+JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x08\x1f\n\t\x7f\u00e9\u2028\U0001f600')
+                    | st.characters(), max_size=6)
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False, allow_infinity=False) | JSON_TEXT)
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(JSON_PAYLOADS)
+def test_dump_writes_the_bytes_of_json_dumps(payload):
+    assert cli._dump(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("argv", [["grid"], ["classify", "-1", "-1"], ["verify", "all"]])
+def test_dump_of_live_payloads_equals_json_dumps(capsys, monkeypatch, argv):
+    payloads = []
+    dump = cli._dump
+
+    def recording(data):
+        payloads.append(data)
+        return dump(data)
+
+    monkeypatch.setattr(cli, "_dump", recording)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    (payload,) = payloads
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def test_grid_solves_each_admissible_matching_once(monkeypatch):

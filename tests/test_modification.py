@@ -79,6 +79,35 @@ def test_divisor_must_lie_in_center_ideal():
         )
 
 
+def test_spec_over_the_standard_generators_refuses_an_outside_divisor():
+    spec = standard_modification(2)
+    x = Poly.var(spec.table, "x")
+    with pytest.raises(FNotInIdeal):
+        # x is 1 at the center (1, i), where every generator vanishes
+        ModificationSpec(table=spec.table, base_vars=spec.base_vars,
+                         generators=spec.generators, divisor=x)
+
+
+def test_rees_claim_asks_the_spec_ideal(monkeypatch):
+    spec = standard_modification(2)
+    asked = []
+    member = Ideal.member
+
+    def recording(self, p, *args, **kwargs):
+        asked.append((self, p))
+        return member(self, p, *args, **kwargs)
+
+    monkeypatch.setattr(Ideal, "member", recording)
+    assert rees_report(spec).passed
+    assert [ideal for ideal, p in asked if p is spec.divisor] == [spec.center_ideal]
+    # the claim is computed: an ideal without the divisor fails it
+    x = Poly.var(spec.table, "x")
+    object.__setattr__(spec, "center_ideal", Ideal([x], spec.table))
+    (status,) = [i.status for i in rees_report(spec).items
+                 if i.claim_id == "divisor-in-center-ideal"]
+    assert status == "fail"
+
+
 def test_spec_from_parsed_polynomials():
     table = VarTable(("x", "y"))
     spec = ModificationSpec(
