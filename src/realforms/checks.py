@@ -2,27 +2,20 @@
 
 Each check id names one certified statement about the surface family; a
 runner takes the shared knobs (alpha, beta, sweep bound) and returns a
-CertifiedReport.  Long-form aliases are accepted everywhere a check id is.
+CertifiedReport.  CHECKS maps each id to its runner; README's table of
+checks says what each one certifies.  Long-form aliases are accepted
+everywhere a check id is.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from . import classification, intersection, modification, surfaces
 from .reports import RUN_MEMO, CertifiedReport, SuiteEntry, SuiteReport
 
 DEFAULT_ALPHA = Fraction(2)
 DEFAULT_BETA = Fraction(3)
-
-
-@dataclass(frozen=True)
-class CheckSpec:
-    check_id: str
-    summary: str
-    runner: Callable
 
 
 def _def_3_1(alpha, beta, d_max) -> CertifiedReport:
@@ -62,75 +55,22 @@ def _def_3_4_fiber(alpha, beta, d_max) -> CertifiedReport:
     return report
 
 
-_SPECS = (
-    CheckSpec(
-        "def-3.1",
-        "presentation of the surface family and its pair-swap conjugation",
-        _def_3_1,
-    ),
-    CheckSpec(
-        "rem-3.2",
-        "the coordinate-pair swap maps the surface onto the parameter-swapped surface",
-        lambda alpha, beta, d_max: surfaces.verify_swap_isomorphism(alpha, beta),
-    ),
-    CheckSpec(
-        "rem-3.3",
-        "a linear change of coordinates turns the conjugation into the standard one",
-        lambda alpha, beta, d_max: surfaces.verify_coordinate_change(),
-    ),
-    CheckSpec(
-        "lem-3.5",
-        "the chart identities of the projection to the modified plane",
-        lambda alpha, beta, d_max: surfaces.verify_modified_plane_chart(alpha, beta),
-    ),
-    CheckSpec(
-        "prop-4.1",
-        "chart identities of the coordinate-pair projection and the plane map",
-        _prop_4_1,
-    ),
-    CheckSpec(
-        "prop-4.2",
-        "certified isomorphism chain between two modified planes",
-        _prop_4_2,
-    ),
-    CheckSpec(
-        "prop-5.1",
-        "fixed centers and swapped boundary of the conjugation on the configuration",
-        lambda alpha, beta, d_max: surfaces.real_locus_report(alpha),
-    ),
-    CheckSpec(
-        "lem-6.1",
-        "complete table of negative curves on the five-point blow-up",
-        lambda alpha, beta, d_max: intersection.negative_curves_report(alpha, d_max),
-    ),
-    CheckSpec(
-        "lem-6.2",
-        "boundary chain invariants and admissible graph matchings",
-        lambda alpha, beta, d_max: classification.matchings_report(alpha, beta, d_max),
-    ),
-    CheckSpec(
-        "prop-6.3",
-        "equivalence verdict against the closed-form criterion",
-        lambda alpha, beta, d_max: classification.classification_report(alpha, beta, d_max),
-    ),
-    CheckSpec(
-        "sec-2-cocycle",
-        "worked examples for the cocycle and equivalence predicates",
-        lambda alpha, beta, d_max: surfaces.cocycle_examples_report(alpha),
-    ),
-    CheckSpec(
-        "def-3.4-rees",
-        "presentation of the modified plane by scale variables",
-        lambda alpha, beta, d_max: modification.rees_report(),
-    ),
-    CheckSpec(
-        "def-3.4-fiber",
-        "the scale-one chart matches the diagonal surface",
-        _def_3_4_fiber,
-    ),
-)
-
-CHECKS = {spec.check_id: spec for spec in _SPECS}
+CHECKS = {
+    "def-3.1": _def_3_1,
+    "rem-3.2": lambda alpha, beta, d_max: surfaces.verify_swap_isomorphism(alpha, beta),
+    "rem-3.3": lambda alpha, beta, d_max: surfaces.verify_coordinate_change(),
+    "lem-3.5": lambda alpha, beta, d_max: surfaces.verify_modified_plane_chart(alpha, beta),
+    "prop-4.1": _prop_4_1,
+    "prop-4.2": _prop_4_2,
+    "prop-5.1": lambda alpha, beta, d_max: surfaces.real_locus_report(alpha),
+    "lem-6.1": lambda alpha, beta, d_max: intersection.negative_curves_report(alpha, d_max),
+    "lem-6.2": lambda alpha, beta, d_max: classification.matchings_report(alpha, beta, d_max),
+    "prop-6.3": lambda alpha, beta, d_max: classification.classification_report(
+        alpha, beta, d_max),
+    "sec-2-cocycle": lambda alpha, beta, d_max: surfaces.cocycle_examples_report(alpha),
+    "def-3.4-rees": lambda alpha, beta, d_max: modification.rees_report(),
+    "def-3.4-fiber": _def_3_4_fiber,
+}
 
 _LONG_PREFIXES = {"def": "definition", "rem": "remark", "lem": "lemma",
                   "prop": "proposition", "sec": "section"}
@@ -146,7 +86,7 @@ ALIASES = {_long_form(check_id): check_id for check_id in CHECKS}
 
 
 def available_checks() -> list[str]:
-    return [spec.check_id for spec in _SPECS]
+    return list(CHECKS)
 
 
 def resolve_check_id(name: str) -> str:
@@ -161,12 +101,12 @@ def resolve_check_id(name: str) -> str:
 def run_check(check_id: str, alpha=None, beta=None, d_max=None) -> CertifiedReport:
     """Run one check; exceptions become an error item, never a crash."""
     check_id = resolve_check_id(check_id)
-    spec = CHECKS[check_id]
+    runner = CHECKS[check_id]
     alpha = DEFAULT_ALPHA if alpha is None else alpha
     beta = DEFAULT_BETA if beta is None else beta
     d_max = intersection.DEFAULT_D_MAX if d_max is None else d_max
     try:
-        return spec.runner(alpha, beta, d_max)
+        return runner(alpha, beta, d_max)
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         report = CertifiedReport(check_id)
         report.add_error("execution", witness=f"{type(exc).__name__}: {exc}")

@@ -9,12 +9,13 @@ shape; witnesses by one integer elimination per matching, with the two matrix
 rows as two right-hand columns, then determinant and circle tests on integers
 and a re-check of the centers in Q(i) from the graphs' terms, not the rows.
 
-The graph shape (labels, weights, conjugation action) comes from one
-symbolic enumeration per d_max in a process.  Its lines are polynomial
-identities in the parameter and its avoided centers have unit values, built
-from a and 1 - a, so the shape holds at every admissible value; each graph
-then reads only its five centers at its own value, which that symbolic
-configuration already proved pairwise distinct for every admissible value.
+Each graph is the symbolic graph read at its own parameter value.  One
+symbolic enumeration per d_max in a process gives the labels, weights,
+conjugation action and the terms of the five centers.  Its lines are
+polynomial identities in the parameter and its avoided centers have unit
+values, built from a and 1 - a, so the shape holds at every admissible
+value; its configuration proved the centers pairwise distinct for every
+admissible value, so a graph only evaluates the centers' terms.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .intersection import (
 )
 from .reports import CertifiedReport
 from .ring import Poly
-from .surfaces import lift_real_structure, modified_plane_parts, param_pair
+from .surfaces import ALPHA, lift_real_structure, param_pair
 
 ORIGIN_LABEL = "E(0,0)"
 PINNED_LABELS = (LABEL_AT_INFINITY, ORIGIN_LABEL)
@@ -47,27 +48,24 @@ class CurveIncidenceGraph:
     action; exceptional vertices carry their blow-up centers.
 
     ``center_terms`` holds each center's coordinates term by term, keyed by
-    the named monomial, so that centers from different tables (one per
-    parameter value) compare coefficientwise; it is derived from ``centers``.
+    the named monomial, so that centers of different parameter values
+    compare coefficientwise.
     """
 
     labels: tuple[str, ...]
     weights: tuple[tuple[int, ...], ...]
     real_action: tuple[int, ...]
-    centers: tuple[object, ...]  # (Poly, Poly) for exceptional vertices, else None
     # {monomial: (x coefficient, y coefficient)} per exceptional vertex, else None
-    center_terms: tuple[object, ...] = field(init=False, repr=False, compare=False)
+    center_terms: tuple[object, ...]
     # the same over one denominator: (d, {monomial: d * (Re x, Im x, Re y, Im y)})
     center_numerators: tuple[object, ...] = field(init=False, repr=False, compare=False)
 
-    __hash__ = None  # the centers hold Polys, which have no hash
+    __hash__ = None  # the center terms are dicts, which have no hash
 
     def __post_init__(self):
         # tuple(list), not tuple(generator), which resizes and so never reuses freed tuples
-        terms = [None if c is None else _named_terms(*c) for c in self.centers]
-        object.__setattr__(self, "center_terms", tuple(terms))
         object.__setattr__(self, "center_numerators", tuple(
-            [None if t is None else _numerators(t) for t in terms]))
+            [None if t is None else _numerators(t) for t in self.center_terms]))
 
     def shape(self) -> tuple:
         """Everything the matching search reads: labels, weights, action."""
@@ -82,8 +80,9 @@ class CurveIncidenceGraph:
 
 @cache
 def _graph_shape(d_max: int) -> tuple:
-    """Labels, weights, conjugation action and, per vertex, the index of its
-    blow-up center (None for a line), from one symbolic enumeration.
+    """Labels, weights, conjugation action and, per vertex, the named terms
+    of its blow-up center in a (None for a line), from one symbolic
+    enumeration.
 
     Each symbolic line through its centers is a polynomial identity in the
     parameter, and each center it avoids has a value that is a constant
@@ -117,29 +116,25 @@ def _graph_shape(d_max: int) -> tuple:
                 if s.form is not None and s.form == conj_form
             )
         action.append(target)
-    center_index = tuple(r.through[0] if r.kind == KIND_EXCEPTIONAL else None
+    centers = [_named_terms(c.x, c.y) for c in result.config.centers]
+    center_terms = tuple(centers[r.through[0]] if r.kind == KIND_EXCEPTIONAL else None
                          for r in vertices)
-    return labels, weights, tuple(action), center_index
+    return labels, weights, tuple(action), center_terms
 
 
 def incidence_graph(alpha, d_max: int = DEFAULT_D_MAX) -> CurveIncidenceGraph:
-    """The incidence graph of the diagonal surface at alpha.
+    """The incidence graph of the diagonal surface at alpha: the symbolic
+    graph of _graph_shape, enumerated once per d_max in a process, with its
+    centers' terms read at alpha.
 
-    Its shape comes from the symbolic table, enumerated once per d_max in a
-    process (see _graph_shape); only the five centers are read at alpha.
-    Nor are they proved distinct again: modified_plane_config(a, a), behind
-    the shape, proved that over Q(i)[a] with the units a and 1 - a, so at
-    every alpha that param_pair admits (it refuses 0 and 1).
+    The centers are not proved distinct again: modified_plane_config(a, a),
+    behind the shape, proved that over Q(i)[a] with the units a and 1 - a,
+    so at every alpha that param_pair admits (it refuses 0 and 1).
     """
-    labels, weights, action, center_index = _graph_shape(d_max)
-    centers = modified_plane_parts(alpha, alpha)[1]
-    return CurveIncidenceGraph(
-        labels=labels,
-        weights=weights,
-        real_action=action,
-        centers=tuple([None if k is None else (centers[k].x, centers[k].y)
-                       for k in center_index]),
-    )
+    labels, weights, action, center_terms = _graph_shape(d_max)
+    value = param_pair(alpha)[0]
+    return CurveIncidenceGraph(labels, weights, action, tuple(
+        [None if t is None else _terms_at(t, value) for t in center_terms]))
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +249,21 @@ def _named_terms(x: Poly, y: Poly) -> dict:
             pair = out.setdefault(key, [ZERO, ZERO])
             pair[k] = coeff
     return {key: tuple(pair) for key, pair in out.items()}
+
+
+def _terms_at(terms: dict, value) -> dict:
+    """A symbolic center's terms, each a constant or in a alone, read at a
+    cooked parameter: a name renames a, a rational sums c * value**k into
+    the constant term."""
+    if isinstance(value, str):
+        return {tuple([(value, k) for _, k in key]): pair for key, pair in terms.items()}
+    x = y = None
+    for key, (cx, cy) in terms.items():
+        if key:
+            s = value ** dict(key)[ALPHA]
+            cx, cy = cx * s, cy * s
+        x, y = (cx, cy) if x is None else (x + cx, y + cy)
+    return {(): (x, y)} if x or y else {}
 
 
 def _numerators(terms: dict) -> tuple[int, dict]:

@@ -91,7 +91,6 @@ class ReesPresentation:
     table: VarTable
     ideal: Ideal
     scale_vars: tuple[str, ...]
-    spec: ModificationSpec
 
     def to_json(self) -> dict:
         return {
@@ -123,7 +122,7 @@ def rees_presentation(spec: ModificationSpec) -> ReesPresentation:
     eliminated = Ideal(relations, big).eliminate((INVERSE_NAME,))
     small = VarTable(base + scale + extras)
     basis = [_transport(g, small) for g in eliminated.generators]
-    return ReesPresentation(small, Ideal(basis, small), scale, spec)
+    return ReesPresentation(small, Ideal(basis, small), scale)
 
 
 def rees_report(spec: ModificationSpec | None = None) -> CertifiedReport:
@@ -277,14 +276,12 @@ def jacobian_rank_at(presentation, point: dict) -> int:
     """Exact rank of the Jacobian of the presentation's relations at a point.
 
     The point must satisfy every relation (PointNotOnVariety otherwise) and
-    must give a value to every variable occurring in them.
+    must give a value to every variable occurring in them.  An Ideal and a
+    SurfacePresentation both carry their generators and table.
     """
-    if isinstance(presentation, Ideal):
-        generators = presentation.generators
-    else:
-        generators = presentation.ideal.generators
+    generators = presentation.generators
     values = {n: _as_scalar(v) for n, v in point.items()}
-    coords = [n for n in generators[0].table.names if n in values]
+    coords = [n for n in presentation.table.names if n in values]
     return _rank_at(generators, _jacobian(generators, coords), values)
 
 

@@ -651,11 +651,6 @@ def modified_plane_config(alpha, beta=None) -> PointConfiguration:
 
     Symbolic parameters are real: conjugation fixes them.
     """
-    return PointConfiguration(*modified_plane_parts(alpha, beta))
-
-
-def modified_plane_parts(alpha, beta=None) -> tuple:
-    """modified_plane_config's parts, before it proves the centers distinct."""
     tbl, (ap, bp), units = param_ring(GEOMETRY_COORDS, *param_pair(alpha, beta))
     x, y, z = (Poly.var(tbl, n) for n in GEOMETRY_COORDS)
     i_const = Poly.const(tbl, IMAG)
@@ -669,7 +664,7 @@ def modified_plane_parts(alpha, beta=None) -> tuple:
         Center(bp, -(bp * IMAG)),
     )
     removed = (z, x + y * IMAG, x - y * IMAG)
-    return tbl, centers, removed, units
+    return PointConfiguration(tbl, centers, removed, units)
 
 
 def lift_real_structure(config: PointConfiguration) -> tuple[int, ...]:

@@ -33,6 +33,7 @@ from realforms.ring import Poly, VarTable, parse_poly
 from realforms.surfaces import (
     isomorphism_chain_report,
     make_surface,
+    modified_plane_config,
     sigma_report,
     verify_coordinate_change,
     verify_modified_plane_chart,
@@ -187,22 +188,21 @@ GRID_VALUES = (
 )
 
 
-def _constant_point(center):
-    cx, cy = center
-    return cx.evaluate({}), cy.evaluate({})
+def _points(value):
+    """The blow-up centers at a rational value, from the configuration."""
+    return {(c.x.evaluate({}), c.y.evaluate({}))
+            for c in modified_plane_config(value, value).centers}
 
 
-def _assert_witness_verifies(witness, src_graph, dst_graph):
+def _assert_witness_verifies(witness, alpha, beta):
     (p, q), (r, s) = witness.matrix
     assert p * s - q * r != 0
     assert p * q + r * s == 0
     scalar = p * p + r * r
     assert scalar == q * q + s * s == witness.scalar
     assert scalar != 0
-    src_pts = {_constant_point(c) for c in src_graph.centers if c is not None}
-    dst_pts = {_constant_point(c) for c in dst_graph.centers if c is not None}
-    mapped = {(x * p + y * q, x * r + y * s) for x, y in src_pts}
-    assert mapped == dst_pts
+    mapped = {(x * p + y * q, x * r + y * s) for x, y in _points(alpha)}
+    assert mapped == _points(beta)
 
 
 def test_grid_verdicts_match_closed_form_criterion():
@@ -216,7 +216,7 @@ def test_grid_verdicts_match_closed_form_criterion():
                 assert result.equivalent == expected == equivalence_criterion(a, b)
                 if result.equivalent:
                     assert result.witness is not None
-                    _assert_witness_verifies(result.witness, graphs[a], graphs[b])
+                    _assert_witness_verifies(result.witness, a, b)
                 checked += 1
         assert checked == 100
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from realforms import checks, surfaces
-from realforms.checks import CheckSpec, run_check, run_suite
+from realforms.checks import run_check, run_suite
 from realforms.modification import rees_presentation, standard_modification
 from realforms.reports import RUN_MEMO, shared_in_run
 from realforms.surfaces import make_surface, param_pair, verify_modified_plane_chart
@@ -73,7 +73,7 @@ def test_no_memo_is_open_after_a_runner_raises(monkeypatch):
         seen.append(RUN_MEMO.get())
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(checks.CHECKS, "lem-3.5", CheckSpec("lem-3.5", "raises", raising))
+    monkeypatch.setitem(checks.CHECKS, "lem-3.5", raising)
     (entry,) = run_suite(["lem-3.5"]).entries
     assert entry.status == "error"
     assert isinstance(seen[0], dict)  # open while the run lasts

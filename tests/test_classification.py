@@ -122,18 +122,18 @@ def enumerated_graph(alpha, d_max):
                 if s.form is not None and s.form == conj_form
             )
         action.append(target)
-    centers = []
+    center_terms = []
     for r in vertices:
         if r.kind == KIND_EXCEPTIONAL:
             c = config.centers[r.through[0]]
-            centers.append((c.x, c.y))
+            center_terms.append(classification._named_terms(c.x, c.y))
         else:
-            centers.append(None)
+            center_terms.append(None)
     return CurveIncidenceGraph(
         labels=tuple(r.label for r in vertices),
         weights=tuple(tuple(row) for row in intersection_matrix(vertices)),
         real_action=tuple(action),
-        centers=tuple(centers),
+        center_terms=tuple(center_terms),
     )
 
 
@@ -207,7 +207,7 @@ def test_real_action_is_weight_preserving_involution():
 
 
 def test_graph_is_unhashable_but_comparable():
-    # the centers hold Polys, so the graph declares itself unhashable
+    # the center terms are dicts, so the graph declares itself unhashable
     g = incidence_graph(2)
     with pytest.raises(TypeError, match="CurveIncidenceGraph"):
         hash(g)
@@ -234,6 +234,26 @@ def test_grid_graphs_rest_on_the_symbolic_distinctness_proof(monkeypatch):
     assert built == []
     modified_plane_config(2, 2)  # the counter sees a configuration built
     assert len(built) == 1
+
+
+def test_grid_graphs_build_no_polynomial_ring(monkeypatch):
+    # each graph evaluates the symbolic centers' terms at its value
+    from realforms import cli, surfaces
+
+    incidence_graph(2)  # warm _graph_shape
+    calls = []
+    param_ring = surfaces.param_ring
+
+    def counting(*args):
+        calls.append(args)
+        return param_ring(*args)
+
+    monkeypatch.setattr(surfaces, "param_ring", counting)
+    payload = cli.run_grid([2, Fraction(1, 2), 3])
+    assert payload["pairs"] == 9 and payload["disagreements"] == 0
+    assert calls == []
+    surfaces.modified_plane_config(2, 2)  # the counter sees a ring built
+    assert len(calls) == 1
 
 
 def test_the_symbolic_configuration_inverts_only_a_and_one_minus_a():

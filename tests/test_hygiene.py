@@ -1,4 +1,5 @@
-"""Dead names in the library: unused imports and unreferenced module-level names.
+"""Dead names in the library: unused imports, unreferenced module-level names
+and dataclass fields that nothing reads.
 
 A static scan with the standard-library ``ast`` module.  A name counts as used
 when it is read somewhere (a plain name, an attribute, or inside a quoted
@@ -92,3 +93,25 @@ def test_every_module_level_name_is_referenced_or_exported():
     dead = [f"{name}: {n}" for name, tree in modules.items()
             for n in sorted(_defined(tree) - referenced)]
     assert dead == []
+
+
+def _dataclass_fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, field) for every field a dataclass in the module declares."""
+    fields = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or not any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            continue
+        fields += [(node.name, item.target.id) for item in node.body
+                   if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    return fields
+
+
+def test_every_dataclass_field_is_read():
+    modules = _modules()
+    read = {node.attr for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{name}.{cls}.{attr}" for name, tree in modules.items()
+              for cls, attr in _dataclass_fields(tree) if attr not in read]
+    assert unread == []

@@ -190,6 +190,8 @@ def test_jacobian_rank_zero_locus():
     ideal = Ideal([Poly.var(table, "x") * Poly.var(table, "y")])
     assert jacobian_rank_at(ideal, {"x": 0, "y": 0}) == 0
     assert jacobian_rank_at(ideal, {"x": 0, "y": 5}) == 1
+    # the zero ideal has no relations, so its Jacobian has no rows
+    assert jacobian_rank_at(Ideal([], table), {"x": 0, "y": 0}) == 0
 
 
 def test_jacobian_requires_point_on_variety():

@@ -524,20 +524,15 @@ def test_config_requires_certifiably_distinct_centers():
     assert modified_plane_config(2, 2)
 
 
-def test_config_proves_the_builders_centers_distinct(monkeypatch):
-    from realforms import surfaces
+def test_config_proves_the_builders_centers_distinct():
     from realforms.errors import IdenticalPoints
+    from realforms.surfaces import PointConfiguration
 
-    build = surfaces.modified_plane_parts
-
-    def collided(alpha, beta=None):
-        table, centers, removed, units = build(alpha, beta)
-        return table, centers[:4] + (centers[2],), removed, units
-
-    monkeypatch.setattr(surfaces, "modified_plane_parts", collided)
     for value in (2, "symbolic"):
+        config = modified_plane_config(value, value)
+        collided = config.centers[:4] + (config.centers[2],)
         with pytest.raises(IdenticalPoints, match="centers 2 and 4"):
-            modified_plane_config(value, value)
+            PointConfiguration(config.table, collided, config.removed, config.units)
 
 
 def claim_witness(report, claim_id: str):
