@@ -99,18 +99,26 @@ def resolve_check_id(name: str) -> str:
 
 
 def run_check(check_id: str, alpha=None, beta=None, d_max=None) -> CertifiedReport:
-    """Run one check; exceptions become an error item, never a crash."""
+    """Run one check; exceptions become an error item, never a crash.
+
+    Outside a suite the check is a run of its own: its parts share
+    sub-results, so def-3.4-fiber builds its surface once.
+    """
     check_id = resolve_check_id(check_id)
     runner = CHECKS[check_id]
     alpha = DEFAULT_ALPHA if alpha is None else alpha
     beta = DEFAULT_BETA if beta is None else beta
     d_max = intersection.DEFAULT_D_MAX if d_max is None else d_max
+    token = RUN_MEMO.set({}) if RUN_MEMO.get() is None else None
     try:
         return runner(alpha, beta, d_max)
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         report = CertifiedReport(check_id)
         report.add_error("execution", witness=f"{type(exc).__name__}: {exc}")
         return report
+    finally:
+        if token is not None:
+            RUN_MEMO.reset(token)
 
 
 def run_suite(check_ids=None, alpha=None, beta=None, d_max=None,

@@ -398,10 +398,12 @@ def classify(alpha, beta, d_max: int = DEFAULT_D_MAX) -> ClassificationResult:
 
 
 def _classify(alpha, beta, d_max: int, src: CurveIncidenceGraph,
-              dst: CurveIncidenceGraph) -> ClassificationResult:
+              dst: CurveIncidenceGraph, matchings: tuple | None = None) -> ClassificationResult:
     """classify over cooked parameters (see param_pair) and the graphs
-    incidence_graph built for them at this d_max."""
-    matchings = _shape_matchings(src.shape(), dst.shape())
+    incidence_graph built for them at this d_max; a caller that has looked
+    up the graphs' _shape_matchings may pass them."""
+    if matchings is None:
+        matchings = _shape_matchings(src.shape(), dst.shape())
     witnesses = []
     traces = []
     for m, label_pairs, sorted_pairs in matchings:

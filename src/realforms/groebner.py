@@ -23,6 +23,13 @@ of the run, which changes no divisor a step uses: step counts and results are
 those of preparing afresh at every division.  An Ideal keeps only its bases;
 every remainder it takes goes through normal_form.
 
+The elimination order may put parameter names in a last block of their own.
+A Groebner basis in such an order, over Q[parameters], specializes to a
+Groebner basis at every parameter value where the leading coefficients of its
+elements in the other variables do not vanish (Gianni, EUROCAL '87;
+Kalkbrener, "On the stability of Groebner bases under specializations",
+J. Symbolic Comput. 24, 1997).
+
 A global reduction-step budget guards against runaway eliminations; it can be
 overridden with the REALFORMS_STEP_BUDGET environment variable.
 """
@@ -56,25 +63,32 @@ def step_budget() -> int:
 
 class MonomialOrder:
     """lex or graded reverse lex over the VarTable order, or a block order
-    with front variables first.
+    with front variables first and optional parameters last.
 
     grevlex compares total degree first; ties go to the monomial with the
     smaller exponent in the last variable where the two differ.  The block
     order compares the front exponents lexicographically; ties are broken by
-    graded reverse lex on the remaining exponents.  Any monomial containing a
-    front variable outranks every monomial free of them, which is what
-    elimination needs, and the graded tail keeps eliminations tractable.
+    graded reverse lex on the middle exponents, those of the variables that
+    are neither front nor parameter, and then by graded reverse lex on the
+    parameter exponents.  Any monomial containing a front variable outranks
+    every monomial free of them, which is what elimination needs, and the
+    graded middle keeps eliminations tractable.  A parameter exponent only
+    breaks ties, so a basis over Q[parameters] specializes (see the module
+    docstring).
     """
 
-    __slots__ = ("kind", "front")
+    __slots__ = ("kind", "front", "params")
 
-    def __init__(self, kind: str, front: Iterable[str] = ()):
+    def __init__(self, kind: str, front: Iterable[str] = (), params: Iterable[str] = ()):
         if kind not in ("lex", "grevlex", "elim"):
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.front = tuple(front)
+        self.params = tuple(params)
         if kind == "elim" and not self.front:
             raise ValueError("elimination order needs front variables")
+        if self.params and kind != "elim":
+            raise ValueError("only the elimination order takes parameters")
 
     def key_fn(self, table: VarTable) -> Callable[[tuple], tuple]:
         """Sort key of an exponent vector: a flat tuple of ints that is
@@ -84,35 +98,40 @@ class MonomialOrder:
         if self.kind == "grevlex":
             return lambda exps: (sum(exps), *map(neg, reversed(exps)))
         front_idx = tuple(table.index(n) for n in self.front)
-        front_set = set(front_idx)
-        back_rev = tuple(k for k in reversed(range(len(table))) if k not in front_set)
+        param_rev = tuple(reversed([table.index(n) for n in self.params]))
+        outside = set(front_idx) | set(param_rev)
+        back_rev = tuple(k for k in reversed(range(len(table))) if k not in outside)
 
         def key(exps: tuple) -> tuple:
             back = [exps[k] for k in back_rev]
-            return (*[exps[k] for k in front_idx], sum(back), *map(neg, back))
+            last = [exps[k] for k in param_rev]
+            return (*[exps[k] for k in front_idx], sum(back), *map(neg, back),
+                    sum(last), *map(neg, last))
 
         return key
 
     def __eq__(self, other):
         if not isinstance(other, MonomialOrder):
             return NotImplemented
-        return (self.kind, self.front) == (other.kind, other.front)
+        return (self.kind, self.front, self.params) == (other.kind, other.front, other.params)
 
     def __hash__(self):
-        return hash((self.kind, self.front))
+        return hash((self.kind, self.front, self.params))
 
     def __repr__(self):
         if self.kind != "elim":
             return f"MonomialOrder({self.kind})"
-        return f"MonomialOrder(elim, front={self.front!r})"
+        if not self.params:
+            return f"MonomialOrder(elim, front={self.front!r})"
+        return f"MonomialOrder(elim, front={self.front!r}, params={self.params!r})"
 
 
 LEX = MonomialOrder("lex")
 GREVLEX = MonomialOrder("grevlex")
 
 
-def elimination_order(front: Iterable[str]) -> MonomialOrder:
-    return MonomialOrder("elim", front)
+def elimination_order(front: Iterable[str], params: Iterable[str] = ()) -> MonomialOrder:
+    return MonomialOrder("elim", front, params)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +157,10 @@ class _Budget:
         self.left -= 1
         if self.left < 0:
             order = self.order.kind
-            if self.order.front:
-                order += f" (front {', '.join(self.order.front)})"
+            blocks = [f"{name} {', '.join(names)}" for name, names in (
+                ("front", self.order.front), ("parameters", self.order.params)) if names]
+            if blocks:
+                order += f" ({'; '.join(blocks)})"
             raise BudgetExceeded(
                 f"Groebner step budget exhausted: {self.limit} steps spent in "
                 f"{self.task}, {order} order, variables ({', '.join(self.table.names)}), "
@@ -414,12 +435,13 @@ class Ideal:
         _check_tables(self.table, (other,))
         return self.contains_ideal(other) and other.contains_ideal(self)
 
-    def eliminate(self, front: Iterable[str]) -> "Ideal":
-        """Intersection with the subring omitting the front variables."""
+    def eliminate(self, front: Iterable[str], params: Iterable[str] = ()) -> "Ideal":
+        """Intersection with the subring omitting the front variables, from
+        the basis in the elimination order with the given parameters last."""
         front = tuple(front)
         if not front:
             return Ideal(list(self.generators), self.table)
-        order = elimination_order(front)
+        order = elimination_order(front, params)
         basis = self.groebner(order)
         front_idx = [self.table.index(n) for n in front]
         kept = [g for g in basis if all(all(e[k] == 0 for k in front_idx) for e in g.terms)]

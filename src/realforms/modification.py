@@ -9,14 +9,23 @@ The distinguished example here modifies the plane along
 I = (x^2 + y^2, x*(x-1)*(x-a), y*(x-1)*(x-a)) with f = x^2 + y^2; its fibers
 over admissible parameter values match the diagonal member of the surface
 family, and the match is certified by explicit mutually inverse maps.
+
+Its presentation is eliminated once per process, over Q[a] with the
+parameter last in the order (standard_rees).  Every leading coefficient of
+that basis in the other variables is certified a unit built from a and
+1 - a, so by Kalkbrener ("On the stability of Groebner bases under
+specializations", J. Symbolic Comput. 24, 1997) it specializes to a Groebner
+basis at every admissible value, and a fiber at a rational value reads it
+there with no elimination of its own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import FNotInIdeal, PointNotOnVariety
 from .gaussian import GaussianRational, coerce, row_reduce
-from .groebner import Ideal
+from .groebner import GREVLEX, Ideal, buchberger, certified_unit, elimination_order
 from .reports import CertifiedReport, shared_in_run
 from .ring import Poly, RatFunc, RingMap, VarTable, compose
 from .surfaces import (
@@ -105,13 +114,13 @@ def _spec_key(spec: ModificationSpec) -> tuple:
             tuple(str(g) for g in spec.generators), str(spec.divisor))
 
 
-@shared_in_run(_spec_key)
-def rees_presentation(spec: ModificationSpec) -> ReesPresentation:
-    """Eliminate the inverse variable from T_i - g_i*t, 1 - f*t."""
+def _eliminate_inverse(spec: ModificationSpec) -> tuple[ReesPresentation, Ideal]:
+    """The presentation, and the ideal of T_i - g_i*t, 1 - f*t whose basis in
+    the order eliminating t, with the spec's parameters last, gives it."""
     k = len(spec.generators)
     scale = tuple(f"{SCALE_PREFIX}{i + 1}" for i in range(k))
     base = tuple(spec.base_vars)
-    # any non-base names (symbolic parameters) go last, where lex is cheapest
+    # any non-base names (symbolic parameters) form the last block of the order
     extras = tuple(n for n in spec.table.names if n not in base)
     big = VarTable((INVERSE_NAME,) + base + scale + extras)
     t = Poly.var(big, INVERSE_NAME)
@@ -119,23 +128,61 @@ def rees_presentation(spec: ModificationSpec) -> ReesPresentation:
     for i, g in enumerate(spec.generators):
         relations.append(Poly.var(big, scale[i]) - _transport(g, big) * t)
     relations.append(Poly.const(big, 1) - _transport(spec.divisor, big) * t)
-    eliminated = Ideal(relations, big).eliminate((INVERSE_NAME,))
+    ideal = Ideal(relations, big)
+    eliminated = ideal.eliminate((INVERSE_NAME,), extras)
     small = VarTable(base + scale + extras)
     basis = [_transport(g, small) for g in eliminated.generators]
-    return ReesPresentation(small, Ideal(basis, small), scale)
+    return ReesPresentation(small, Ideal(basis, small), scale), ideal
+
+
+@shared_in_run(_spec_key)
+def rees_presentation(spec: ModificationSpec) -> ReesPresentation:
+    """Eliminate the inverse variable from T_i - g_i*t, 1 - f*t."""
+    return _eliminate_inverse(spec)[0]
+
+
+@cache
+def standard_rees() -> tuple[ModificationSpec, ReesPresentation]:
+    """The standard modification over Q[a] and its presentation, eliminated
+    once per process on first use.
+
+    The whole basis, t included, is taken with a last in the order.  Each
+    element's leading coefficient in the other variables must be a unit
+    built from a and 1 - a (they are 1, a and a^2), so the basis
+    specializes to a Groebner basis at every admissible value (Kalkbrener,
+    J. Symbolic Comput. 24, 1997); one that is not raises ValueError.
+    """
+    spec = standard_modification()
+    rees, ideal = _eliminate_inverse(spec)
+    table = ideal.table
+    a = Poly.var(table, ALPHA)
+    order = elimination_order((INVERSE_NAME,), (ALPHA,))
+    key = order.key_fn(table)
+    # a is the last variable: the coefficient of a term's monomial in the
+    # others is read from its exponents before the last
+    n = len(table) - 1
+    for g in ideal.groebner(order):
+        lead = max(g.terms, key=key)[:n]
+        lc = Poly(table, {(0,) * n + e[n:]: c for e, c in g.terms.items() if e[:n] == lead})
+        if not certified_unit(lc, (a, 1 - a)):
+            raise ValueError(
+                f"leading coefficient {lc} of {g} is not certified a unit, so the "
+                f"symbolic basis does not specialize at every admissible value")
+    return spec, rees
 
 
 def rees_report(spec: ModificationSpec | None = None) -> CertifiedReport:
     """Structural facts of the distinguished modification's presentation."""
     report = CertifiedReport("def-3.4-rees")
     if spec is None:
-        spec = standard_modification()
+        spec, rees = standard_rees()
+    else:
+        rees = rees_presentation(spec)
     report.add(
         "divisor-in-center-ideal",
         spec.center_ideal.member(spec.divisor),
         witness=str(spec.divisor),
     )
-    rees = rees_presentation(spec)
     report.add(
         "presentation-computed",
         len(rees.ideal.generators) > 0,
@@ -167,17 +214,28 @@ def rees_report(spec: ModificationSpec | None = None) -> CertifiedReport:
 
 def fiber_presentation(alpha) -> SurfacePresentation:
     """The affine chart of the modification where the first scale is 1, as a
-    presentation over (x, y, T2, T3) and the symbolic parameter (beta = alpha)."""
+    presentation over (x, y, T2, T3) and the symbolic parameter (beta = alpha).
+
+    Read from the symbolic presentation of standard_rees: at a symbolic name
+    its relations are taken as they are, renamed; at a rational value they
+    specialize to a Groebner basis of the presentation there, which one
+    grevlex Buchberger run inter-reduces into the reduced basis that an
+    elimination at that value would give.
+    """
     cooked, _ = param_pair(alpha)
-    spec = standard_modification(cooked)
-    rees = rees_presentation(spec)
-    first = rees.scale_vars[0]
-    kept = rees.scale_vars[1:]
-    base = tuple(spec.base_vars)
-    extras = tuple(n for n in spec.table.names if n not in base)
-    small = VarTable(base + kept + extras)
+    spec, rees = standard_rees()
+    first, *kept = rees.scale_vars
+    params = (cooked,) if isinstance(cooked, str) else ()
+    table = VarTable(spec.base_vars + rees.scale_vars + params)
+    if params:
+        # the parameter is the last variable of both tables: rename it
+        relations = [Poly(table, g.terms) for g in rees.ideal.generators]
+    else:
+        relations = buchberger([_transport(g.specialize({ALPHA: cooked}), table)
+                                for g in rees.ideal.generators], GREVLEX)
+    small = VarTable(spec.base_vars + tuple(kept) + params)
     basis = []
-    for g in rees.ideal.generators:
+    for g in relations:
         h = g.specialize({first: 1})
         if not h.is_zero():
             basis.append(_transport(h, small))

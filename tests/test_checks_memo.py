@@ -129,6 +129,14 @@ def test_checks_outside_a_run_compute_afresh(monkeypatch):
     assert make_surface(2) is not make_surface(2)
 
 
+def test_a_lone_check_is_a_run_of_its_own(monkeypatch):
+    # the fiber match and the smoothness spot checks share W(2, 2)
+    built = _count_surface_builds(monkeypatch)
+    assert run_check("def-3.4-fiber").passed
+    assert built == [(Fraction(2), Fraction(2))]
+    assert RUN_MEMO.get() is None
+
+
 def test_memo_keys_are_cooked_parameters(open_memo):
     assert make_surface(2, 3) is make_surface(Fraction(2), Fraction(3))
     assert make_surface("symbolic", "symbolic") is make_surface("a", "a")

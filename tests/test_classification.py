@@ -256,6 +256,25 @@ def test_grid_graphs_build_no_polynomial_ring(monkeypatch):
     assert len(calls) == 1
 
 
+def test_grid_looks_the_matchings_up_once(monkeypatch):
+    # every graph has the symbolic shape, so no cell hashes the shapes again
+    from realforms import cli
+
+    lookups = []
+    shape_matchings = classification._shape_matchings
+
+    def counting(src_shape, dst_shape):
+        lookups.append(src_shape == dst_shape)
+        return shape_matchings(src_shape, dst_shape)
+
+    monkeypatch.setattr(classification, "_shape_matchings", counting)
+    payload = cli.run_grid([2, Fraction(1, 2), 3])
+    assert payload["pairs"] == 9 and payload["disagreements"] == 0
+    assert lookups == [True]
+    assert cli.run_grid([])["pairs"] == 0
+    assert lookups == [True]
+
+
 def test_the_symbolic_configuration_inverts_only_a_and_one_minus_a():
     # so its distinctness proof holds at every value param_pair admits
     config = enumerate_negative_classes("symbolic").config

@@ -212,6 +212,26 @@ def test_elimination_order_blocks():
         MonomialOrder("mystery-order")
 
 
+def test_elimination_order_puts_parameters_last():
+    table = VarTable(("t", "x", "y", "a"))
+    order = elimination_order(("t",), ("a",))
+    key = order.key_fn(table)
+    # the front first, then the middle block, whatever the parameter power
+    assert key((1, 0, 0, 0)) > key((0, 3, 0, 9))
+    assert key((0, 0, 1, 0)) > key((0, 0, 0, 9))
+    assert key((0, 1, 0, 0)) > key((0, 0, 1, 9))
+    # the parameter breaks ties only
+    assert key((0, 1, 0, 1)) > key((0, 1, 0, 0))
+    # with no parameter the order is the elimination order of today
+    plain = elimination_order(("t",))
+    assert plain == MonomialOrder("elim", ("t",), ())
+    assert plain != order
+    assert repr(plain) == "MonomialOrder(elim, front=('t',))"
+    assert repr(order) == "MonomialOrder(elim, front=('t',), params=('a',))"
+    with pytest.raises(ValueError, match="only the elimination order takes parameters"):
+        MonomialOrder("grevlex", (), ("a",))
+
+
 def test_grevlex_order():
     key = GREVLEX.key_fn(XYZ)
     # total degree first
@@ -330,6 +350,15 @@ def test_rees_elimination_step_count(monkeypatch):
     with pytest.raises(BudgetExceeded, match=r"127 steps spent in buchberger, "
                                              r"elim \(front t\) order"):
         rees_presentation(spec)
+
+
+def test_rees_elimination_puts_the_parameters_last(monkeypatch):
+    # over Q[a] the basis is taken with a in a last block of its own, the
+    # order whose bases specialize at every value of a
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1")
+    with pytest.raises(BudgetExceeded, match=r"elim \(front t; parameters a\) order, "
+                                             r"variables \(t, x, y, T1, T2, T3, a\)"):
+        rees_presentation(standard_modification("symbolic"))
 
 
 # -- randomized properties ---------------------------------------------------------

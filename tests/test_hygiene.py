@@ -5,7 +5,9 @@ A static scan with the standard-library ``ast`` module.  A name counts as used
 when it is read somewhere (a plain name, an attribute, or inside a quoted
 annotation) or, for the package itself, when ``realforms.__all__`` lists it.
 A module-level name also counts as referenced when another module imports it
-by name, since the import itself must then be used.
+by name, since the import itself must then be used.  A dataclass field counts
+as read when an attribute of its name is read as a value: a call of a method
+of that name is no read of it, and neither is ``self.name`` in another class.
 """
 from __future__ import annotations
 
@@ -108,10 +110,82 @@ def _dataclass_fields(tree: ast.Module) -> list[tuple[str, str]]:
     return fields
 
 
+class _FieldReads(ast.NodeVisitor):
+    """Attributes a tree reads as values, not as methods it calls: those read
+    off ``self`` inside a class as (class, name), every other one by name."""
+
+    def __init__(self):
+        self.owner = None
+        self.called: set[int] = set()
+        self.own: set[tuple[str, str]] = set()
+        self.anywhere: set[str] = set()
+
+    def visit_ClassDef(self, node):
+        outer, self.owner = self.owner, node.name
+        self.generic_visit(node)
+        self.owner = outer
+
+    def visit_Call(self, node):
+        self.called.add(id(node.func))
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load) and id(node) not in self.called:
+            if self.owner and isinstance(node.value, ast.Name) and node.value.id == "self":
+                self.own.add((self.owner, node.attr))
+            else:
+                self.anywhere.add(node.attr)
+        self.generic_visit(node)
+
+
+def _unread_fields(modules: dict[str, ast.Module]) -> list[str]:
+    """Every dataclass field that nothing reads: a call of a method of the
+    same name is no read, nor is a read of ``self.name`` in another class."""
+    reads = _FieldReads()
+    for tree in modules.values():
+        reads.visit(tree)
+    return [f"{name}.{cls}.{attr}" for name, tree in modules.items()
+            for cls, attr in _dataclass_fields(tree)
+            if attr not in reads.anywhere and (cls, attr) not in reads.own]
+
+
 def test_every_dataclass_field_is_read():
-    modules = _modules()
-    read = {node.attr for tree in modules.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    unread = [f"{name}.{cls}.{attr}" for name, tree in modules.items()
-              for cls, attr in _dataclass_fields(tree) if attr not in read]
-    assert unread == []
+    assert _unread_fields(_modules()) == []
+
+
+def test_a_called_method_is_no_read_of_a_field_of_its_name():
+    source = """
+from dataclasses import dataclass
+
+@dataclass
+class Report:
+    summary: str
+
+class Suite:
+    def summary(self):
+        return 0
+
+def total(suite):
+    return suite.summary()
+"""
+    assert _unread_fields({"synthetic": ast.parse(source)}) == ["synthetic.Report.summary"]
+    read = source + "\ndef text(report):\n    return report.summary\n"
+    assert _unread_fields({"synthetic": ast.parse(read)}) == []
+
+
+def test_a_read_off_self_in_another_class_is_no_read():
+    source = """
+from dataclasses import dataclass
+
+@dataclass
+class Chart:
+    table: str
+
+@dataclass
+class Fiber:
+    table: str
+
+    def names(self):
+        return self.table
+"""
+    assert _unread_fields({"synthetic": ast.parse(source)}) == ["synthetic.Chart.table"]

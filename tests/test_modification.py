@@ -1,13 +1,17 @@
 """Rees-style presentation of the modified plane, its fibers, and smoothness."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from realforms import groebner, modification
+from realforms.checks import run_check
 from realforms.errors import FNotInIdeal, ForbiddenParameter, PointNotOnVariety
 from realforms.gaussian import GaussianRational, I
-from realforms.groebner import Ideal
+from realforms.groebner import Ideal, elimination_order, normal_form
 from realforms.modification import (
     ModificationSpec,
     fiber_presentation,
@@ -18,11 +22,12 @@ from realforms.modification import (
     rees_report,
     smoothness_report,
     standard_modification,
+    standard_rees,
     surface_chart_point,
     surface_to_fiber_map,
 )
 from realforms.ring import Poly, VarTable, parse_poly
-from realforms.surfaces import make_surface
+from realforms.surfaces import ALPHA, SurfacePresentation, make_surface, param_pair
 
 
 # -- presentation of the modification ------------------------------------------
@@ -119,6 +124,116 @@ def test_spec_from_parsed_polynomials():
     assert len(spec.generators) == 2
     rees = rees_presentation(spec)
     assert rees.ideal.member(Poly.var(rees.table, "T1") - 1)
+
+
+# -- the symbolic presentation, read at each value --------------------------------
+
+
+def _admissible_values(count: int, seed: int = 23) -> list:
+    rng = random.Random(seed)
+    values = [Fraction(-9, 8), Fraction(1, 9), Fraction(1000, 999)]
+    while len(values) < count:
+        value = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+        if value not in (0, 1) and value not in values:
+            values.append(value)
+    return values
+
+
+def _fiber_by_elimination(alpha) -> SurfacePresentation:
+    """The fiber as the elimination at alpha itself gives it."""
+    cooked, _ = param_pair(alpha)
+    spec = standard_modification(cooked)
+    rees = rees_presentation(spec)
+    extras = tuple(n for n in spec.table.names if n not in spec.base_vars)
+    small = VarTable(spec.base_vars + rees.scale_vars[1:] + extras)
+    basis = [modification._transport(h, small) for h in (
+        g.specialize({rees.scale_vars[0]: 1}) for g in rees.ideal.generators)
+        if not h.is_zero()]
+    return SurfacePresentation(small, Ideal(basis, small), cooked, cooked)
+
+
+@pytest.fixture
+def cold_rees():
+    standard_rees.cache_clear()
+    yield
+    standard_rees.cache_clear()
+
+
+@pytest.mark.parametrize("alpha", _admissible_values(40) + ["symbolic", "c"])
+def test_fiber_read_from_the_symbolic_basis_equals_the_elimination_at_alpha(alpha):
+    fiber = fiber_presentation(alpha)
+    expected = _fiber_by_elimination(alpha)
+    assert fiber.table == expected.table
+    assert fiber.generators == expected.generators
+    assert (fiber.alpha, fiber.beta) == (expected.alpha, expected.beta)
+
+
+def test_symbolic_basis_is_a_groebner_basis_with_the_parameter_last():
+    _, ideal = modification._eliminate_inverse(standard_modification())
+    order = elimination_order((modification.INVERSE_NAME,), (ALPHA,))
+    basis = ideal.groebner(order)
+    key = order.key_fn(ideal.table)
+    one = GaussianRational(1)
+    assert len(basis) == 8
+    for f, g in combinations(basis, 2):
+        lf, lg = max(f.terms, key=key), max(g.terms, key=key)
+        assert f.terms[lf].is_one() and g.terms[lg].is_one()
+        lcm = tuple(map(max, lf, lg))
+        s = (Poly(ideal.table, {tuple(m - e for m, e in zip(lcm, lf)): one}) * f
+             - Poly(ideal.table, {tuple(m - e for m, e in zip(lcm, lg)): one}) * g)
+        assert normal_form(s, basis, order).is_zero()
+
+
+def test_a_process_eliminates_the_symbolic_presentation_once(cold_rees, monkeypatch):
+    eliminated = []
+    eliminate = modification._eliminate_inverse
+
+    def counting(spec):
+        eliminated.append(spec.table.names)
+        return eliminate(spec)
+
+    monkeypatch.setattr(modification, "_eliminate_inverse", counting)
+    assert rees_report().passed
+    assert run_check("def-3.4-rees").passed
+    for alpha in (2, Fraction(-9, 8), "symbolic"):
+        assert run_check("def-3.4-fiber", alpha=alpha).passed
+    assert eliminated == [("x", "y", ALPHA)]
+
+
+def test_a_warm_rational_fiber_runs_no_elimination(monkeypatch):
+    standard_rees()
+    orders = []
+    buchberger = groebner.buchberger
+
+    def recording(generators, order=groebner.LEX):
+        orders.append(order.kind)
+        return buchberger(generators, order)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    monkeypatch.setattr(modification, "buchberger", recording)
+    assert run_check("def-3.4-fiber", alpha=Fraction(-7, 3)).passed
+    assert "grevlex" in orders
+    assert "elim" not in orders
+
+
+def test_a_leading_coefficient_left_uncertified_refuses_the_basis(cold_rees, monkeypatch):
+    certified_unit = modification.certified_unit
+    monkeypatch.setattr(modification, "certified_unit",
+                        lambda p, units: certified_unit(p, units[1:]))  # drop a
+    with pytest.raises(ValueError, match="leading coefficient a of .* is not certified"):
+        standard_rees()
+    report = run_check("def-3.4-fiber", alpha=2)
+    assert report.status == "error"
+    assert [i.claim_id for i in report.items] == ["execution"]
+    assert "is not certified a unit" in report.items[0].witness
+
+
+def test_the_leading_coefficients_need_only_the_unit_a(cold_rees, monkeypatch):
+    # they are 1, a and a^2: 1 - a is offered but no coefficient takes it
+    certified_unit = modification.certified_unit
+    monkeypatch.setattr(modification, "certified_unit",
+                        lambda p, units: certified_unit(p, units[:1]))  # drop 1 - a
+    assert standard_rees()[1].ideal.generators
 
 
 def test_standard_modification_forbids_bad_parameters():
