@@ -126,9 +126,9 @@ def run_suite(check_ids=None, alpha=None, beta=None, d_max=None,
     """Run the checks (default all) once each, in first-seen order.
 
     The checks of one run share sub-results: a surface, a chart or
-    plane-map sub-report, a real structure or a Rees presentation that an
-    earlier check built is handed to a later one, so an entry's elapsed_ms
-    counts only work no earlier check of the run did.  Nothing is kept
+    plane-map sub-report or a real structure that an earlier check built is
+    handed to a later one, so an entry's elapsed_ms counts only work no
+    earlier check of the run did.  Nothing is kept
     across calls: each run starts with an empty memo and drops it at the end.
     """
     ids = dict.fromkeys(resolve_check_id(c) for c in (check_ids or available_checks()))

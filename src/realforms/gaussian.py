@@ -55,9 +55,6 @@ class GaussianRational:
     def is_real(self) -> bool:
         return not self.b
 
-    def is_rational_integer(self) -> bool:
-        return not self.b and self.d == 1
-
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
 

@@ -26,7 +26,7 @@ from functools import cache
 from .errors import FNotInIdeal, PointNotOnVariety
 from .gaussian import GaussianRational, coerce, row_reduce
 from .groebner import GREVLEX, Ideal, buchberger, certified_unit, elimination_order
-from .reports import CertifiedReport, shared_in_run
+from .reports import CertifiedReport
 from .ring import Poly, RatFunc, RingMap, VarTable, compose
 from .surfaces import (
     ALPHA,
@@ -109,11 +109,6 @@ class ReesPresentation:
         }
 
 
-def _spec_key(spec: ModificationSpec) -> tuple:
-    return (spec.table.names, spec.base_vars,
-            tuple(str(g) for g in spec.generators), str(spec.divisor))
-
-
 def _eliminate_inverse(spec: ModificationSpec) -> tuple[ReesPresentation, Ideal]:
     """The presentation, and the ideal of T_i - g_i*t, 1 - f*t whose basis in
     the order eliminating t, with the spec's parameters last, gives it."""
@@ -135,7 +130,6 @@ def _eliminate_inverse(spec: ModificationSpec) -> tuple[ReesPresentation, Ideal]
     return ReesPresentation(small, Ideal(basis, small), scale), ideal
 
 
-@shared_in_run(_spec_key)
 def rees_presentation(spec: ModificationSpec) -> ReesPresentation:
     """Eliminate the inverse variable from T_i - g_i*t, 1 - f*t."""
     return _eliminate_inverse(spec)[0]

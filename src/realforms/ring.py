@@ -180,19 +180,11 @@ class Poly:
 
     __hash__ = None  # mutable dict inside; use sorted term tuples if needed
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         k = self.table.index(name)
         if not self.terms:
             return -1
         return max(e[k] for e in self.terms)
-
-    def coefficient(self, exps: tuple) -> GaussianRational:
-        return self.terms.get(tuple(exps), ZERO)
 
     # -- conjugation ---------------------------------------------------------
 

@@ -447,40 +447,36 @@ def verify_plane_automorphism(alpha, beta) -> CertifiedReport:
 
 def isomorphism_chain_report(alpha1, alpha2, beta1, beta2) -> CertifiedReport:
     """Certified chain from modified-plane(alpha1,alpha2) to
-    modified-plane(beta1,beta2) through the surface family."""
-    a1, a2, b1, b2 = map(_cook_param, (alpha1, alpha2, beta1, beta2), "abcd")
+    modified-plane(beta1,beta2) through the surface family.
+
+    Each pair is cooked by param_pair, so two equal specs, even two
+    "symbolic", give a diagonal end.  A link's sub-reports come from its
+    two end nodes (kind, p, q).
+    """
+    a1, a2 = param_pair(alpha1, alpha2)
+    b1, b2 = param_pair(beta1, beta2)
+    w, s = "modified_plane", "surface"
+    nodes = [(w, a1, a2), (s, a1, a2), (s, a1, a1), (s, a1, b1),
+             (s, b1, a1), (s, b1, b2), (w, b1, b2)]
+    chart, plane, swap = ("plane-projection-chart", "xy-chart + plane automorphism",
+                          "coordinate-pair swap")
+    vias = [chart, plane, plane, swap, plane, chart]
     report = CertifiedReport("prop-4.2")
-
-    def node_w(p, q):
-        return f"modified_plane({p},{q})"
-
-    def node_s(p, q):
-        return f"surface({p},{q})"
-
-    links = [
-        (node_w(a1, a2), node_s(a1, a2), "plane-projection-chart",
-         [verify_modified_plane_chart(a1, a2)]),
-        (node_s(a1, a2), node_s(a1, a1), "xy-chart + plane automorphism",
-         [verify_xy_projection_chart(a1, a2), verify_xy_projection_chart(a1, a1),
-          verify_plane_automorphism(a1, a2)]),
-        (node_s(a1, a1), node_s(a1, b1), "xy-chart + plane automorphism",
-         [verify_xy_projection_chart(a1, b1), verify_plane_automorphism(a1, b1)]),
-        (node_s(a1, b1), node_s(b1, a1), "coordinate-pair swap",
-         [verify_swap_isomorphism(a1, b1)]),
-        (node_s(b1, a1), node_s(b1, b2), "xy-chart + plane automorphism",
-         [verify_xy_projection_chart(b1, a1), verify_xy_projection_chart(b1, b2),
-          verify_plane_automorphism(b1, a1), verify_plane_automorphism(b1, b2)]),
-        (node_s(b1, b2), node_w(b1, b2), "plane-projection-chart",
-         [verify_modified_plane_chart(b1, b2)]),
-    ]
-    for k, (src, dst, via, subreports) in enumerate(links, start=1):
-        ok = all(r.passed for r in subreports)
+    for k, (via, src, dst) in enumerate(zip(vias, nodes, nodes[1:]), start=1):
+        if via == chart:
+            subreports = [verify_modified_plane_chart(*src[1:])]
+        elif via == swap:
+            subreports = [verify_swap_isomorphism(*src[1:])]
+        else:
+            ends = (src[1:], dst[1:])
+            subreports = ([verify_xy_projection_chart(p, t) for p, t in ends]
+                          + [verify_plane_automorphism(p, t) for p, t in ends if t != p])
         failures = [item.claim_id for r in subreports for item in r.failures()]
         report.add(
             f"link-{k}",
-            ok,
-            witness={"from": src, "to": dst, "via": via,
-                     **({"failures": failures} if failures else {})},
+            all(r.passed for r in subreports),
+            witness={"from": "{}({},{})".format(*src), "to": "{}({},{})".format(*dst),
+                     "via": via, **({"failures": failures} if failures else {})},
         )
     return report
 

@@ -7,7 +7,6 @@ import pytest
 
 from realforms import checks, surfaces
 from realforms.checks import run_check, run_suite
-from realforms.modification import rees_presentation, standard_modification
 from realforms.reports import RUN_MEMO, shared_in_run
 from realforms.surfaces import make_surface, param_pair, verify_modified_plane_chart
 
@@ -58,6 +57,41 @@ def test_a_failing_shared_sub_report_fails_every_check_that_reads_it(monkeypatch
     assert links["link-2"]["status"] == "fail"
     assert links["link-2"]["witness"]["failures"] == ["injected-fault"]
     assert [k for k, item in links.items() if item["status"] != "pass"] == ["link-2"]
+
+
+def test_a_fault_in_the_diagonal_xy_chart_fails_both_links_that_read_it(monkeypatch):
+    alpha, beta = Fraction(5, 4), Fraction(9, 8)
+    original = surfaces.verify_xy_projection_chart.__wrapped__
+
+    @shared_in_run(param_pair)
+    def broken(a, b):
+        report = original(a, b)
+        if param_pair(a, b) == (alpha, alpha):
+            report.add("injected-fault", False)
+        return report
+
+    monkeypatch.setattr(surfaces, "verify_xy_projection_chart", broken)
+    report = run_check("prop-4.2", alpha=alpha, beta=beta)
+    assert [item.claim_id for item in report.failures()] == ["link-2", "link-3"]
+
+
+def test_the_symbolic_chain_starts_on_the_diagonal(monkeypatch):
+    built = _count_surface_builds(monkeypatch)
+    original = surfaces.verify_modified_plane_chart.__wrapped__
+    charts = []
+
+    @shared_in_run(param_pair)
+    def counting(a, b):
+        charts.append(param_pair(a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(surfaces, "verify_modified_plane_chart", counting)
+    suite = run_suite(alpha="symbolic", beta="symbolic")
+    assert all(entry.status == "pass" for entry in suite.entries)
+    assert built and not any("b" in pair for pair in built)
+    assert len(built) == len(set(built))
+    # prop-4.2's first link reads the chart lem-3.5 certified
+    assert charts == [("a", "a"), ("c", "d")]
 
 
 def test_no_memo_is_open_outside_a_run():
@@ -143,9 +177,6 @@ def test_memo_keys_are_cooked_parameters(open_memo):
     assert make_surface(2) is make_surface(2, 2)
     assert make_surface(2) is not make_surface(3)
     assert make_surface("symbolic", "b") is not make_surface("a", "a")
-    spec = standard_modification()
-    assert rees_presentation(spec) is rees_presentation(standard_modification("symbolic"))
-    assert rees_presentation(spec) is not rees_presentation(standard_modification(2))
 
 
 def test_a_shared_report_is_handed_out_as_a_fresh_copy(open_memo):

@@ -237,25 +237,40 @@ def test_classification_json_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, digest", [
-    (["verify", "all"],
-     "b119a1fbb56af0e14a198f405f603450486894dcca30a1380841c1fc4a8bc392"),
-    (["verify", "all", "--alpha", "symbolic", "--beta", "symbolic"],
-     "adaf3bbc17f2e154a59c96e61abbcf3cfa8bd08648bb25331ec2d3f035391b2f"),
-    (["verify", "all", "--alpha", "symbolic"],
-     "6a5b4a48b29ccdafb97a86ea0aa234cc4386839a0bd6c28d6d2c86d80063c05c"),
-    (["verify", "all", "--alpha=-7/3", "--beta=5/2"],
-     "44d34a38473ca925317480f26f39b79af565a3c1ccc8e65cfa9cb55b9c6ab73c"),
-], ids=["rational", "symbolic", "mixed-symbolic", "negative-rational"])
-def test_verify_json_bytes_are_pinned(capsys, argv, digest):
-    # sha256 of the JSON these commands printed, with every elapsed_ms set to
-    # 0, before ring maps substituted over one common denominator (the first
-    # two) and before one function built every parameter ring (the last
-    # two); the witnesses print substituted numerators, so no byte may move
-    code, out, _ = run_cli(capsys, *argv)
+VERIFY_MODES = {
+    "rational": [],
+    "symbolic": ["--alpha", "symbolic", "--beta", "symbolic"],
+    "mixed-symbolic": ["--alpha", "symbolic"],
+    "negative-rational": ["--alpha=-7/3", "--beta=5/2"],
+}
+
+
+@pytest.mark.parametrize("mode, digest", [
+    ("rational", "b119a1fbb56af0e14a198f405f603450486894dcca30a1380841c1fc4a8bc392"),
+    # prop-4.2 chains from the diagonal W(a, a), as every other check reads it
+    ("symbolic", "61429da2bb61b05a5a792eeb4db022989c2e90e718b08cb98448861b6534db44"),
+    ("mixed-symbolic", "6a5b4a48b29ccdafb97a86ea0aa234cc4386839a0bd6c28d6d2c86d80063c05c"),
+    ("negative-rational", "44d34a38473ca925317480f26f39b79af565a3c1ccc8e65cfa9cb55b9c6ab73c"),
+], ids=list(VERIFY_MODES))
+def test_verify_json_bytes_are_pinned(capsys, mode, digest):
+    # sha256 of the JSON `verify all` printed in each mode, with every
+    # elapsed_ms set to 0, before ring maps substituted over one common
+    # denominator (the first two) and before one function built every
+    # parameter ring (the last two); the witnesses print substituted
+    # numerators, so no byte may move
+    code, out, _ = run_cli(capsys, "verify", "all", *VERIFY_MODES[mode])
     assert code == 0
     out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode", VERIFY_MODES)
+def test_adjacent_chain_links_meet(capsys, mode):
+    code, data, _ = run_json(capsys, "verify", "prop-4.2", *VERIFY_MODES[mode])
+    assert code == 0
+    links = [item["witness"] for item in data["checks"][0]["witness"]["items"]]
+    assert len(links) == 6
+    assert all(link["to"] == after["from"] for link, after in zip(links, links[1:]))
 
 
 # -- the JSON writer ----------------------------------------------------------------

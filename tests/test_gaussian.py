@@ -36,8 +36,6 @@ def test_predicates():
     assert ZERO.is_zero() and not ONE.is_zero()
     assert ONE.is_one() and not I.is_one()
     assert ONE.is_real() and not I.is_real()
-    assert GaussianRational(7).is_rational_integer()
-    assert not GaussianRational(Fraction(1, 2)).is_rational_integer()
     assert not bool(ZERO) and bool(I)
 
 

@@ -77,7 +77,6 @@ def test_shifted_quadratic_expansion():
     assert (x - 1) * (x - a) == expanded
     assert expanded.degree_in("x") == 2
     assert expanded.degree_in("a") == 1
-    assert expanded.total_degree() == 2
 
 
 def test_constant_and_zero_predicates():

@@ -379,6 +379,21 @@ def test_isomorphism_chain():
     assert isomorphism_chain_report("symbolic", "symbolic", "symbolic", "symbolic").passed
 
 
+def test_a_diagonal_chain_keeps_its_link_kinds():
+    # every node is surface(a,a), yet link 4 is still the swap
+    chain = isomorphism_chain_report("symbolic", "symbolic", "symbolic", "symbolic")
+    witness = {item.claim_id: item.witness for item in chain.items}
+    assert witness["link-1"]["from"] == "modified_plane(a,a)"
+    assert witness["link-4"]["via"] == "coordinate-pair swap"
+
+
+def test_explicit_names_give_a_two_parameter_chain():
+    chain = isomorphism_chain_report("a", "b", "c", "d")
+    assert chain.passed
+    assert chain.items[0].witness["from"] == "modified_plane(a,b)"
+    assert chain.items[-1].witness["to"] == "modified_plane(c,d)"
+
+
 def test_chain_target_is_shifted_off_the_excluded_values():
     # alpha + 2 and beta + 2 land on 0 and 1, so both shift on to 2
     report = run_check("prop-4.2", alpha=-2, beta=-1)
