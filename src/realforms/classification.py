@@ -5,9 +5,9 @@ isomorphism of their negative-curve incidence graphs, commuting with the
 conjugation actions and fixing the structural vertices, is realized by an
 invertible linear map of the plane defined over the rationals.  The search
 is exact: matchings by backtracking over the 12-vertex graphs, once per graph
-shape; witnesses by one integer elimination per matching, with the two matrix
-rows as two right-hand columns, then determinant and circle tests on integers
-and a re-check of the centers in Q(i) from the graphs' terms, not the rows.
+shape; witnesses by one integer 2x2 minor per matching, on pivot rows fixed
+once per source graph, then determinant and circle tests on integers and a
+re-check of the centers in Q(i) from the graphs' terms, not the rows.
 
 Each graph is the symbolic graph read at its own parameter value.  One
 symbolic enumeration per d_max in a process gives the labels, weights,
@@ -19,6 +19,7 @@ admissible value, so a graph only evaluates the centers' terms.
 """
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -49,7 +50,9 @@ class CurveIncidenceGraph:
 
     ``center_terms`` holds each center's coordinates term by term, keyed by
     the named monomial, so that centers of different parameter values
-    compare coefficientwise.
+    compare coefficientwise.  Derived once per graph: ``center_numerators``,
+    the terms over one denominator, and ``solve_source``, the graph's side of
+    every witness solve from it: rows, pivot rows and key sets.
     """
 
     labels: tuple[str, ...]
@@ -59,13 +62,16 @@ class CurveIncidenceGraph:
     center_terms: tuple[object, ...]
     # the same over one denominator: (d, {monomial: d * (Re x, Im x, Re y, Im y)})
     center_numerators: tuple[object, ...] = field(init=False, repr=False, compare=False)
+    # (rows, pivot rows or None, key set per vertex), see _solve_source
+    solve_source: tuple = field(init=False, repr=False, compare=False)
 
     __hash__ = None  # the center terms are dicts, which have no hash
 
     def __post_init__(self):
         # tuple(list), not tuple(generator), which resizes and so never reuses freed tuples
-        object.__setattr__(self, "center_numerators", tuple(
-            [None if t is None else _numerators(t) for t in self.center_terms]))
+        numerators = tuple([None if t is None else _numerators(t) for t in self.center_terms])
+        object.__setattr__(self, "center_numerators", numerators)
+        object.__setattr__(self, "solve_source", _solve_source(numerators))
 
     def shape(self) -> tuple:
         """Everything the matching search reads: labels, weights, action."""
@@ -214,29 +220,6 @@ def matching_as_labels(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
 # ---------------------------------------------------------------------------
 
 
-def _rational_solution(rows) -> tuple | None:
-    """The unique rational ((p, q), (r, s)) with a*p + b*q = u and a*r + b*s = v
-    for every integer row (a, b, u, v), or None.  Two rows whose 2x2 minor D is
-    nonzero fix the only candidate of both columns by Cramer's rule, p = P/D,
-    q = Q/D, r = R/D and s = S/D; it is the solution exactly when every row
-    has a*P + b*Q = u*D and a*R + b*S = v*D."""
-    first = next((row for row in rows if row[0] or row[1]), None)
-    if first is None:
-        return None
-    a1, b1, u1, v1 = first
-    for a2, b2, u2, v2 in rows:
-        det = a1 * b2 - a2 * b1
-        if det:
-            break
-    else:  # the coefficient columns have rank below 2
-        return None
-    p, q = u1 * b2 - u2 * b1, a1 * u2 - a2 * u1
-    r, s = v1 * b2 - v2 * b1, a1 * v2 - a2 * v1
-    if any(a * p + b * q != u * det or a * r + b * s != v * det for a, b, u, v in rows):
-        return None
-    return (Fraction(p, det), Fraction(q, det)), (Fraction(r, det), Fraction(s, det))
-
-
 def _named_terms(x: Poly, y: Poly) -> dict:
     """The coordinates (x, y) of a center term by term: named monomial ->
     (x coefficient, y coefficient), a missing coefficient being zero."""
@@ -277,6 +260,43 @@ def _numerators(terms: dict) -> tuple[int, dict]:
     return d, out
 
 
+def _solve_source(numerators: tuple) -> tuple:
+    """A graph's side of every witness solve in which it is the source: its
+    rows (vertex, key, part, a, b, d), the real part (0) and then the
+    imaginary (1) of the term's x and y numerators over their denominator d;
+    the pivot rows, the first with a or b nonzero and the first whose minor
+    with it is nonzero (a target's denominator dt > 0 only scales a and b,
+    so which minors vanish depends on the source alone); and each vertex's
+    key set, the keys of its nonzero terms (None for a line)."""
+    rows, keys = [], []
+    for i, c in enumerate(numerators):
+        if c is None:
+            keys.append(None)
+            continue
+        d, terms = c
+        keys.append(frozenset([key for key, n in terms.items() if any(n)]))
+        for key, (xa, xb, ya, yb) in terms.items():
+            rows.append((i, key, 0, xa, ya, d))
+            rows.append((i, key, 1, xb, yb, d))
+    first = next((row for row in rows if row[3] or row[4]), None)
+    second = None if first is None else next(
+        (row for row in rows if first[3] * row[4] - row[3] * first[4]), None)
+    return tuple(rows), None if second is None else (first, second), tuple(keys)
+
+
+@cache
+def _refuses(src_keys: tuple, dst_keys: tuple, matching: tuple[int, ...]) -> bool:
+    """Whether the matching fails before any row is read: a center matched to
+    a line or a line to a center, or a nonzero target term that the source
+    lacks (its equation reads 0 = t).  Keyed by the matching and the two key
+    signatures, which every rational graph shares, and never by values."""
+    for i, j in enumerate(matching):
+        c, t = src_keys[i], dst_keys[j]
+        if (c is None) != (t is None) or c is not None and not t <= c:
+            return True
+    return False
+
+
 def solve_linear_witness(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
                          matching: tuple[int, ...]):
     """Rational 2x2 matrix realizing the matching on blow-up centers, or None.
@@ -284,24 +304,32 @@ def solve_linear_witness(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
     The matrix rows act on the plane coordinates; equations come from each
     center of the source being carried to the matched center of the target,
     monomial by monomial (a center may involve a symbolic parameter, and the
-    matrix entries are rational constants), as real and imaginary integer rows.
+    matrix entries are rational constants), as real and imaginary integer
+    rows (a, b, u, v) with a*p + b*q = u and a*r + b*s = v, the source's side
+    prepared once per graph (see _solve_source).  The pivot rows' minor D
+    fixes the only candidate by Cramer's rule, p = P/D, q = Q/D, r = R/D and
+    s = S/D; it is the solution exactly when every row has a*P + b*Q = u*D
+    and a*R + b*S = v*D.
     """
-    rows = []
-    for i, j in enumerate(matching):
-        c, t = src.center_numerators[i], dst.center_numerators[j]
-        if c is None or t is None:
-            if c is not t:
-                return None
-            continue
-        (dc, c), (dt, t) = c, t
-        for key, (xa, xb, ya, yb) in c.items():
-            ua, ub, va, vb = t.get(key, (0, 0, 0, 0))
-            rows.append((xa * dt, ya * dt, ua * dc, va * dc))
-            rows.append((xb * dt, yb * dt, ub * dc, vb * dc))
-        for key in t:  # a target term the source lacks reads 0 = t[key]
-            if key not in c and any(t[key]):
-                return None
-    return _rational_solution(rows)
+    rows, pivots, keys = src.solve_source
+    if pivots is None or _refuses(keys, dst.solve_source[2], matching):
+        return None
+    targets = dst.center_numerators
+
+    def equation(i, key, part, a, b, d):
+        dt, t = targets[matching[i]]
+        t = t.get(key, (0, 0, 0, 0))
+        return a * dt, b * dt, t[part] * d, t[part + 2] * d
+
+    (a1, b1, u1, v1), (a2, b2, u2, v2) = [equation(*row) for row in pivots]
+    det = a1 * b2 - a2 * b1
+    p, q = u1 * b2 - u2 * b1, a1 * u2 - a2 * u1
+    r, s = v1 * b2 - v2 * b1, a1 * v2 - a2 * v1
+    for row in rows:
+        a, b, u, v = equation(*row)
+        if a * p + b * q != u * det or a * r + b * s != v * det:
+            return None
+    return (Fraction(p, det), Fraction(q, det)), (Fraction(r, det), Fraction(s, det))
 
 
 @dataclass(frozen=True)
@@ -362,14 +390,27 @@ def _witness_key(w: IsoWitness):
 
 @dataclass
 class ClassificationResult:
+    """A classify verdict, its witnesses best first, and every matching's
+    outcome as data; traces renders them only when read."""
+
     alpha: object  # Fraction, or parameter name when symbolic
     beta: object
     equivalent: bool
     witness: IsoWitness | None
     witnesses: tuple[IsoWitness, ...]
     matchings_admissible: int
-    traces: tuple[dict, ...]
+    # (label pairs, outcome, details or None) per admissible matching
+    outcomes: tuple[tuple, ...]
     d_max: int
+
+    @property
+    def traces(self) -> tuple[dict, ...]:
+        """Per admissible matching, its label map, outcome and the checks'
+        details, as dicts rendered afresh from ``outcomes`` on each read."""
+        return tuple([{"matching": dict(pairs), "outcome": outcome} if details is None
+                      else {"matching": dict(pairs), "outcome": outcome,
+                            "details": deepcopy(details)}
+                      for pairs, outcome, details in self.outcomes])
 
     def to_json(self) -> dict:
         return {
@@ -405,17 +446,15 @@ def _classify(alpha, beta, d_max: int, src: CurveIncidenceGraph,
     if matchings is None:
         matchings = _shape_matchings(src.shape(), dst.shape())
     witnesses = []
-    traces = []
+    outcomes = []
     for m, label_pairs, sorted_pairs in matchings:
-        label_map = dict(label_pairs)
         matrix = solve_linear_witness(src, dst, m)
         if matrix is None:
-            traces.append({"matching": label_map, "outcome": "no linear solution"})
+            outcomes.append((label_pairs, "no linear solution", None))
             continue
         ok, scalar, details = _witness_checks(matrix, src, dst, m)
         if not ok:
-            traces.append({"matching": label_map, "outcome": "solution fails checks",
-                           "details": details})
+            outcomes.append((label_pairs, "solution fails checks", details))
             continue
         witness = IsoWitness(
             matrix=(tuple(matrix[0]), tuple(matrix[1])),
@@ -424,8 +463,7 @@ def _classify(alpha, beta, d_max: int, src: CurveIncidenceGraph,
             matching_labels=sorted_pairs,
         )
         witnesses.append(witness)
-        traces.append({"matching": label_map, "outcome": "witness",
-                       "details": details})
+        outcomes.append((label_pairs, "witness", details))
     witnesses.sort(key=_witness_key)
     return ClassificationResult(
         alpha=alpha,
@@ -434,7 +472,7 @@ def _classify(alpha, beta, d_max: int, src: CurveIncidenceGraph,
         witness=witnesses[0] if witnesses else None,
         witnesses=tuple(witnesses),
         matchings_admissible=len(matchings),
-        traces=tuple(traces),
+        outcomes=tuple(outcomes),
         d_max=d_max,
     )
 

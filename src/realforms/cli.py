@@ -193,7 +193,9 @@ def _cmd_classify(args) -> int:
 
 def run_grid(values, d_max: int = DEFAULT_D_MAX) -> dict:
     """Classify every ordered pair of values; flag verdict/criterion splits."""
-    values = sorted({surfaces.param_pair(v)[0] for v in values})
+    # the rationals in numeric order, then the names, which no Fraction orders against
+    values = sorted({surfaces.param_pair(v)[0] for v in values},
+                    key=lambda v: (isinstance(v, str), v))
     # each value with its graph and its text, so that no cell hashes a Fraction
     rows = [(v, classification.incidence_graph(v, d_max=d_max), str(v)) for v in values]
     # every graph at one d_max has the symbolic shape, so the matchings of

@@ -4,7 +4,6 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -141,10 +140,13 @@ def enumerated_graph(alpha, d_max):
 
 
 # -1 makes a + 1 vanish, which the symbolic labels of two lines contain
-@pytest.mark.parametrize("value", [
+GRAPH_VALUES = [
     -1, Fraction(-1, 2), Fraction(1, 2), 2, 3, Fraction(1, 3), Fraction(-7, 3),
     "symbolic", "b",
-])
+]
+
+
+@pytest.mark.parametrize("value", GRAPH_VALUES)
 def test_graph_from_the_symbolic_shape_equals_the_enumerated_graph(value):
     for d_max in range(1, 7):
         assert incidence_graph(value, d_max) == enumerated_graph(value, d_max)
@@ -401,16 +403,81 @@ def _row_reduce_solution(equations):
     return (work[0][2], work[1][2]) if pivots == [0, 1] else None
 
 
-def _integer_rows(equations):
-    """Integer rows (a, b, u, v) of Q(i) equations (cx, cy, t, w), built by
-    hand: the real and imaginary parts, each equation over the lcm of its
-    denominators."""
+def reference_solve(src, dst, matching):
+    """The witness solve row by row, as it was before each graph prepared its
+    side: integer rows built afresh per matching, then one 2x2 minor and
+    Cramer's rule on the first pivot pair found among them."""
     rows = []
-    for equation in equations:
-        m = lcm(*(z.d for z in equation))
-        for part in ("re", "im"):
-            rows.append(tuple(int(getattr(z, part) * m) for z in equation))
-    return rows
+    for i, j in enumerate(matching):
+        c, t = src.center_numerators[i], dst.center_numerators[j]
+        if c is None or t is None:
+            if c is not t:
+                return None
+            continue
+        (dc, c), (dt, t) = c, t
+        for key, (xa, xb, ya, yb) in c.items():
+            ua, ub, va, vb = t.get(key, (0, 0, 0, 0))
+            rows.append((xa * dt, ya * dt, ua * dc, va * dc))
+            rows.append((xb * dt, yb * dt, ub * dc, vb * dc))
+        for key in t:  # a target term the source lacks reads 0 = t[key]
+            if key not in c and any(t[key]):
+                return None
+    first = next((row for row in rows if row[0] or row[1]), None)
+    if first is None:
+        return None
+    a1, b1, u1, v1 = first
+    for a2, b2, u2, v2 in rows:
+        det = a1 * b2 - a2 * b1
+        if det:
+            break
+    else:  # the coefficient columns have rank below 2
+        return None
+    p, q = u1 * b2 - u2 * b1, a1 * u2 - a2 * u1
+    r, s = v1 * b2 - v2 * b1, a1 * v2 - a2 * v1
+    if any(a * p + b * q != u * det or a * r + b * s != v * det for a, b, u, v in rows):
+        return None
+    return (Fraction(p, det), Fraction(q, det)), (Fraction(r, det), Fraction(s, det))
+
+
+@pytest.mark.parametrize("d_max", range(1, 7))
+def test_prepared_solve_equals_the_row_by_row_solve(d_max):
+    graphs = [incidence_graph(value, d_max) for value in GRAPH_VALUES]
+    for src in graphs:
+        for dst in graphs:
+            for m in admissible_matchings(src, dst):
+                assert solve_linear_witness(src, dst, m) == reference_solve(src, dst, m)
+
+
+def _with_term(graph, label, key, value):
+    """The graph with one more term at the center of the labelled vertex;
+    dataclasses.replace derives the solve's side of it afresh."""
+    terms = list(graph.center_terms)
+    k = graph.index_of(label)
+    terms[k] = {**terms[k], key: value}
+    return dataclasses.replace(graph, center_terms=tuple(terms))
+
+
+def test_prepared_solve_refuses_only_a_nonzero_term_the_source_lacks():
+    g = incidence_graph(2)
+    identity = tuple(range(g.size()))
+    one = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    key = (("z", 1),)
+    extra = _with_term(g, "E(1,i)", key, (GaussianRational(1), GaussianRational(0)))
+    zero = _with_term(g, "E(1,i)", key, (GaussianRational(0), GaussianRational(0)))
+    # g and extra differ in key signature, zero shares g's; interleaved, each
+    # pair must get its own answer from the memo of refusals
+    for src, dst, expected in [(g, g, one), (g, extra, None), (g, zero, one),
+                               (g, extra, None), (g, g, one), (zero, g, one),
+                               (extra, extra, one), (extra, g, None)]:
+        assert solve_linear_witness(src, dst, identity) == expected
+        assert reference_solve(src, dst, identity) == expected
+
+
+def _center_graph(center_terms):
+    """A graph of centers only, one vertex each: the solve reads nothing else."""
+    n = len(center_terms)
+    return CurveIncidenceGraph(tuple(map(str, range(n))), ((0,) * n,) * n,
+                               tuple(range(n)), tuple(center_terms))
 
 
 # zero twice, so that zero coefficients and proportional rows come up often
@@ -476,7 +543,12 @@ UNCHECKED = (None, None)
           [(G(1), G(0), G(1), G(1)), (G(0), G(1), G(1), G(1)), (G(1), G(1), G(3), G(2))]))
 def test_integer_solve_matches_row_reduce_oracle(case):
     rank, kinds, hidden, equations = case
-    found = classification._rational_solution(_integer_rows(equations))
+    # each equation is one center: (cx, cy) in the source, (t, w) in the target
+    src = _center_graph([{(): (cx, cy)} for cx, cy, _, _ in equations])
+    dst = _center_graph([{(): (t, w)} for _, _, t, w in equations])
+    identity = tuple(range(len(equations)))
+    found = solve_linear_witness(src, dst, identity)
+    assert found == reference_solve(src, dst, identity)
     top = _row_reduce_solution([(cx, cy, t) for cx, cy, t, _ in equations])
     bottom = _row_reduce_solution([(cx, cy, w) for cx, cy, _, w in equations])
     assert found == (None if top is None or bottom is None else (top, bottom))
@@ -517,6 +589,26 @@ def test_classify_inequivalent_pair_keeps_traces():
     assert result.matchings_admissible == 4
     assert len(result.traces) == 4
     assert all(t["outcome"] == "no linear solution" for t in result.traces)
+
+
+def test_traces_are_rendered_afresh_on_each_read():
+    src, dst = incidence_graph(2), incidence_graph(3)
+    expected = [{"matching": matching_as_labels(src, dst, m), "outcome": "no linear solution"}
+                for m in admissible_matchings(src, dst)]
+    result = classify(2, 3)
+    traces = result.traces
+    assert list(traces) == expected
+    assert not any(a is b for a, b in zip(traces, result.traces))
+    traces[0]["outcome"] = "edited"
+    traces[1]["matching"].clear()
+    assert result.to_json()["traces"] == expected
+
+    result = classify(3, Fraction(1, 3))
+    before = result.to_json()
+    (witness, *_) = [t for t in result.traces if t["outcome"] == "witness"]
+    witness["details"]["matrix"][0][0] = "edited"
+    witness["details"].clear()
+    assert result.to_json() == before
 
 
 def test_classify_rejects_forbidden_values():

@@ -323,6 +323,31 @@ def test_grid_solves_each_admissible_matching_once(monkeypatch):
     assert len(calls) == 36  # 9 pairs x 4 matchings
 
 
+def test_grid_cells_build_no_traces(monkeypatch):
+    result_type = cli.classification.ClassificationResult
+    render = result_type.traces.fget
+    reads = []
+
+    def counting(result):
+        reads.append(result)
+        return render(result)
+
+    monkeypatch.setattr(result_type, "traces", property(counting))
+    payload = cli.run_grid([2, Fraction(1, 2), 3])
+    assert payload["pairs"] == 9 and reads == []
+    assert len(cli.classification.classify(2, 3).traces) == 4 and len(reads) == 1
+
+
+def test_grid_orders_rationals_then_names():
+    payload = cli.run_grid(["symbolic", 2, "b", Fraction(1, 2)])
+    assert payload["values"] == ["1/2", "2", "a", "b"]
+    cooked = {"1/2": Fraction(1, 2), "2": Fraction(2), "a": "a", "b": "b"}
+    assert payload["pairs"] == 16 and payload["disagreements"] == 0
+    for cell in payload["cells"]:
+        criterion = cli.classification._criterion(cooked[cell["alpha"]], cooked[cell["beta"]])
+        assert cell["equivalent"] is cell["criterion"] is criterion
+
+
 @pytest.mark.parametrize("values, position", [
     ("2,,3", "item 2 of 3"),
     ("2,3,", "item 3 of 3"),
