@@ -5,9 +5,9 @@ isomorphism of their negative-curve incidence graphs, commuting with the
 conjugation actions and fixing the structural vertices, is realized by an
 invertible linear map of the plane defined over the rationals.  The search
 is exact: matchings by backtracking over the 12-vertex graphs, once per graph
-shape; witnesses by one integer 2x2 minor per matching, on pivot rows fixed
-once per source graph, then determinant and circle tests on integers and a
-re-check of the centers in Q(i) from the graphs' terms, not the rows.
+shape; witnesses by one solve per matching over Q[a, b] for all pairs, read
+at each pair by one integer evaluation, then determinant and circle tests on
+integers and a re-check of the centers in Q(i) on the graphs' terms.
 
 Each graph is the symbolic graph read at its own parameter value.  One
 symbolic enumeration per d_max in a process gives the labels, weights,
@@ -20,7 +20,7 @@ admissible value, so a graph only evaluates the centers' terms.
 from __future__ import annotations
 
 from copy import deepcopy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -36,8 +36,8 @@ from .intersection import (
     intersection_matrix,
 )
 from .reports import CertifiedReport
-from .ring import Poly
-from .surfaces import ALPHA, lift_real_structure, param_pair
+from .ring import Poly, VarTable
+from .surfaces import ALPHA, BETA, lift_real_structure, param_pair, param_ring
 
 ORIGIN_LABEL = "E(0,0)"
 PINNED_LABELS = (LABEL_AT_INFINITY, ORIGIN_LABEL)
@@ -50,9 +50,7 @@ class CurveIncidenceGraph:
 
     ``center_terms`` holds each center's coordinates term by term, keyed by
     the named monomial, so that centers of different parameter values
-    compare coefficientwise.  Derived once per graph: ``center_numerators``,
-    the terms over one denominator, and ``solve_source``, the graph's side of
-    every witness solve from it: rows, pivot rows and key sets.
+    compare coefficientwise.
     """
 
     labels: tuple[str, ...]
@@ -60,18 +58,8 @@ class CurveIncidenceGraph:
     real_action: tuple[int, ...]
     # {monomial: (x coefficient, y coefficient)} per exceptional vertex, else None
     center_terms: tuple[object, ...]
-    # the same over one denominator: (d, {monomial: d * (Re x, Im x, Re y, Im y)})
-    center_numerators: tuple[object, ...] = field(init=False, repr=False, compare=False)
-    # (rows, pivot rows or None, key set per vertex), see _solve_source
-    solve_source: tuple = field(init=False, repr=False, compare=False)
 
     __hash__ = None  # the center terms are dicts, which have no hash
-
-    def __post_init__(self):
-        # tuple(list), not tuple(generator), which resizes and so never reuses freed tuples
-        numerators = tuple([None if t is None else _numerators(t) for t in self.center_terms])
-        object.__setattr__(self, "center_numerators", numerators)
-        object.__setattr__(self, "solve_source", _solve_source(numerators))
 
     def shape(self) -> tuple:
         """Everything the matching search reads: labels, weights, action."""
@@ -249,87 +237,103 @@ def _terms_at(terms: dict, value) -> dict:
     return {(): (x, y)} if x or y else {}
 
 
-def _numerators(terms: dict) -> tuple[int, dict]:
-    """A center's terms over their common denominator d, as integers."""
-    d, out = 1, {}
-    for x, y in terms.values():
-        d = lcm(d, x.d, y.d)
-    for key, (x, y) in terms.items():
-        sx, sy = d // x.d, d // y.d
-        out[key] = (x.a * sx, x.b * sx, y.a * sy, y.b * sy)
-    return d, out
-
-
-def _solve_source(numerators: tuple) -> tuple:
-    """A graph's side of every witness solve in which it is the source: its
-    rows (vertex, key, part, a, b, d), the real part (0) and then the
-    imaginary (1) of the term's x and y numerators over their denominator d;
-    the pivot rows, the first with a or b nonzero and the first whose minor
-    with it is nonzero (a target's denominator dt > 0 only scales a and b,
-    so which minors vanish depends on the source alone); and each vertex's
-    key set, the keys of its nonzero terms (None for a line)."""
-    rows, keys = [], []
-    for i, c in enumerate(numerators):
-        if c is None:
-            keys.append(None)
-            continue
-        d, terms = c
-        keys.append(frozenset([key for key, n in terms.items() if any(n)]))
-        for key, (xa, xb, ya, yb) in terms.items():
-            rows.append((i, key, 0, xa, ya, d))
-            rows.append((i, key, 1, xb, yb, d))
-    first = next((row for row in rows if row[3] or row[4]), None)
-    second = None if first is None else next(
-        (row for row in rows if first[3] * row[4] - row[3] * first[4]), None)
-    return tuple(rows), None if second is None else (first, second), tuple(keys)
+def _center_parts(terms: dict, table: VarTable, name: str) -> tuple:
+    """A center's (x, y) as Polys in a real variable: real, then imaginary parts."""
+    var = Poly.var(table, name)
+    re, im = [Poly.zero(table)] * 2, [Poly.zero(table)] * 2
+    for key, pair in terms.items():
+        power = var ** dict(key)[ALPHA] if key else 1
+        for k, c in enumerate(pair):
+            re[k], im[k] = re[k] + power * c.re, im[k] + power * c.im
+    return tuple(re), tuple(im)
 
 
 @cache
-def _refuses(src_keys: tuple, dst_keys: tuple, matching: tuple[int, ...]) -> bool:
-    """Whether the matching fails before any row is read: a center matched to
-    a line or a line to a center, or a nonzero target term that the source
-    lacks (its equation reads 0 = t).  Keyed by the matching and the two key
-    signatures, which every rational graph shares, and never by values."""
-    for i, j in enumerate(matching):
-        c, t = src_keys[i], dst_keys[j]
-        if (c is None) != (t is None) or c is not None and not t <= c:
-            return True
-    return False
+def _witness_engine(d_max: int) -> dict:
+    """_solve_rows for every admissible matching of _graph_shape(d_max), built
+    on first use: the source's centers in a and the target's in b, real and
+    imaginary parts apart over Q[a, b], as a and b are real."""
+    labels, weights, action, center_terms = _graph_shape(d_max)
+    table = VarTable((ALPHA, BETA))
+    src, dst = [[None if t is None else _center_parts(t, table, name) for t in center_terms]
+                for name in (ALPHA, BETA)]
+    engine = {}
+    for m, _, _ in _shape_matchings((labels, weights, action), (labels, weights, action)):
+        pairs = [(src[i], dst[j]) for i, j in enumerate(m)]
+        if any((c is None) != (t is None) for c, t in pairs):  # a center to a line
+            engine[m] = ((0, 0), (((0, 0, 1),),), (), 1)  # the locus 1: no pair solves it
+        else:
+            engine[m] = _solve_rows([(*ab, *uv) for c, t in pairs if c for ab, uv in zip(c, t)])
+    return engine
 
 
-def solve_linear_witness(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
-                         matching: tuple[int, ...]):
-    """Rational 2x2 matrix realizing the matching on blow-up centers, or None.
+def _solve_rows(rows: list) -> tuple:
+    """Cramer's rule over Q[a, b] on rows (A, B, U, V), each for A*p + B*q = U
+    and A*r + B*s = V, on the first pivot pair whose minor D is a nonzero
+    constant (else ValueError): p = P/D, q = Q/D, r = R/D, s = S/D.  Where all
+    residuals A*P + B*Q - U*D and A*R + B*S - V*D vanish, these solve every
+    row.  Returns the degrees in a and b, the locus (the distinct nonzero
+    residuals), and (P, Q, R, S) with their integer denominator, each
+    polynomial as sorted integer terms (i, j, c) for c * a**i * b**j."""
+    minors = ((r1, r2, r1[0] * r2[1] - r2[0] * r1[1])
+              for k, r1 in enumerate(rows) for r2 in rows[k + 1:])
+    pivot = next((m for m in minors if m[2] and m[2].is_constant()), None)
+    if pivot is None:
+        raise ValueError("no pivot pair of the witness rows has a nonzero constant minor")
+    (a1, b1, u1, v1), (a2, b2, u2, v2), det = pivot
+    entries = (u1 * b2 - u2 * b1, a1 * u2 - a2 * u1, v1 * b2 - v2 * b1, a1 * v2 - a2 * v1)
+    p, q, r, s = entries
+    locus = list(dict.fromkeys([_primitive(e) for a, b, u, v in rows
+                                for e in (a * p + b * q - u * det, a * r + b * s - v * det) if e]))
+    d = det.constant_value().re
+    scale = lcm(*[c.d for e in entries for c in e.terms.values()]) * d.denominator
+    entries = [_integer_terms(e, scale) for e in entries]
+    degrees = tuple([max([t[k] for poly in locus + entries for t in poly], default=0)
+                     for k in (0, 1)])
+    return degrees, tuple(locus), tuple(entries), (scale * d).numerator
 
-    The matrix rows act on the plane coordinates; equations come from each
-    center of the source being carried to the matched center of the target,
-    monomial by monomial (a center may involve a symbolic parameter, and the
-    matrix entries are rational constants), as real and imaginary integer
-    rows (a, b, u, v) with a*p + b*q = u and a*r + b*s = v, the source's side
-    prepared once per graph (see _solve_source).  The pivot rows' minor D
-    fixes the only candidate by Cramer's rule, p = P/D, q = Q/D, r = R/D and
-    s = S/D; it is the solution exactly when every row has a*P + b*Q = u*D
-    and a*R + b*S = v*D.
-    """
-    rows, pivots, keys = src.solve_source
-    if pivots is None or _refuses(keys, dst.solve_source[2], matching):
+
+def _integer_terms(p: Poly, scale) -> tuple:
+    """scale * p as sorted terms (i, j, c), scale clearing every denominator."""
+    return tuple(sorted([(*e, int(c.re * scale)) for e, c in p.terms.items()]))
+
+
+def _primitive(p: Poly) -> tuple:
+    """p's terms (see _integer_terms) made monic, then coprime integers."""
+    p = p * p.terms[max(p.terms)].inverse()
+    return _integer_terms(p, lcm(*[c.d for c in p.terms.values()]))
+
+
+def _value(poly: tuple, a: tuple, b: tuple, degrees: tuple):
+    """An integer polynomial (see _solve_rows) at a = na/da and b = nb/db,
+    homogenised to the degrees (ka, kb): its value times da**ka * db**kb."""
+    (na, da), (nb, db), (ka, kb) = a, b, degrees
+    value = 0
+    for i, j, c in poly:
+        value += c * na ** i * da ** (ka - i) * nb ** j * db ** (kb - j)
+    return value
+
+
+def solve_linear_witness(alpha, beta, d_max: int, matching: tuple[int, ...]):
+    """Rational 2x2 matrix, acting on the plane coordinates, that carries the
+    centers of the graph at the cooked parameter alpha to the matched centers
+    at beta, or None: _witness_engine's solve read at the pair, a rational
+    pair as (numerator, denominator)s and a pair with a name as param_ring's
+    Polys over 1.  An entry that moves with a name is no constant matrix."""
+    if isinstance(alpha, str) or isinstance(beta, str):
+        a, b = [(v, 1) for v in param_ring((), alpha, beta)[1]]
+    else:
+        a, b = (alpha.numerator, alpha.denominator), (beta.numerator, beta.denominator)
+    degrees, locus, entries, den = _witness_engine(d_max)[matching]
+    if any([_value(poly, a, b, degrees) for poly in locus]):
         return None
-    targets = dst.center_numerators
-
-    def equation(i, key, part, a, b, d):
-        dt, t = targets[matching[i]]
-        t = t.get(key, (0, 0, 0, 0))
-        return a * dt, b * dt, t[part] * d, t[part + 2] * d
-
-    (a1, b1, u1, v1), (a2, b2, u2, v2) = [equation(*row) for row in pivots]
-    det = a1 * b2 - a2 * b1
-    p, q = u1 * b2 - u2 * b1, a1 * u2 - a2 * u1
-    r, s = v1 * b2 - v2 * b1, a1 * v2 - a2 * v1
-    for row in rows:
-        a, b, u, v = equation(*row)
-        if a * p + b * q != u * det or a * r + b * s != v * det:
-            return None
-    return (Fraction(p, det), Fraction(q, det)), (Fraction(r, det), Fraction(s, det))
+    values = [_value(poly, a, b, degrees) for poly in entries]
+    if any([isinstance(v, Poly) and not v.is_constant() for v in values]):
+        return None
+    scale = den * a[1] ** degrees[0] * b[1] ** degrees[1]
+    p, q, r, s = [Fraction(v.constant_value().re if isinstance(v, Poly) else v, scale)
+                  for v in values]
+    return (p, q), (r, s)
 
 
 @dataclass(frozen=True)
@@ -448,7 +452,7 @@ def _classify(alpha, beta, d_max: int, src: CurveIncidenceGraph,
     witnesses = []
     outcomes = []
     for m, label_pairs, sorted_pairs in matchings:
-        matrix = solve_linear_witness(src, dst, m)
+        matrix = solve_linear_witness(alpha, beta, d_max, m)
         if matrix is None:
             outcomes.append((label_pairs, "no linear solution", None))
             continue

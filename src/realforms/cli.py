@@ -11,7 +11,7 @@ Four subcommands:
 Exit codes: 0 when everything asked for passed, 1 when a check or a grid
 comparison failed or standard output was closed before the report was
 written, 2 for usage errors (an unknown check id, a malformed rational, an
-excluded parameter value, ``--d-max`` below 1, or a malformed
+excluded parameter value, a malformed or zero ``--d-max``, or a malformed
 ``REALFORMS_STEP_BUDGET``).
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import cache
 
 from . import checks, classification, intersection, surfaces
 from .errors import ForbiddenParameter
-from .gaussian import RATIONAL_TEXT
+from .gaussian import DIGITS_TEXT, RATIONAL_TEXT
 from .groebner import step_budget
 from .intersection import DEFAULT_D_MAX
 from .reports import ERROR, FAIL, PASS
@@ -63,14 +63,10 @@ def rational_parameter(text: str) -> Fraction:
 
 
 def positive_int(text: str) -> int:
-    """Parse --d-max: a positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+    """Parse --d-max: a positive integer in ASCII digits."""
+    if not DIGITS_TEXT.fullmatch(text.strip()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def value_list(text: str) -> tuple[Fraction, ...]:

@@ -41,7 +41,7 @@ from operator import add, le, neg, sub
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded
-from .gaussian import _reduce, _sub_mul
+from .gaussian import DIGITS_TEXT, _reduce, _sub_mul
 from .ring import Poly, VarTable, _numerators, _poly, _scaled_terms
 
 DEFAULT_STEP_BUDGET = 2_000_000
@@ -52,13 +52,10 @@ def step_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_STEP_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive")
-    return value
+    if not DIGITS_TEXT.fullmatch(raw.strip()) or int(raw) <= 0:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer in ASCII digits, "
+                         f"got {raw!r}")
+    return int(raw)
 
 
 class MonomialOrder:

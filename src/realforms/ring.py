@@ -370,11 +370,11 @@ _SPACE = re.compile(r"\s*([-+*/^()])\s*")
 _RATIONAL = RATIONAL_TEXT.pattern
 _FACTOR = re.compile(rf"""
     (?P<sep>[-+*]?)
-    (?: (?=\d)(?P<rational>{_RATIONAL})
+    (?: (?=[0-9])(?P<rational>{_RATIONAL})
       | \((?P<real>{_RATIONAL})\)(?P<imag>i)?
       | \(\((?P<re>{_RATIONAL})\)(?P<sign>[-+])\((?P<im>{_RATIONAL})\)i\)
       | (?P<unit>i)(?!\w)
-      | (?P<name>[^\W\d]\w*)(?:\^(?P<power>\d+))?
+      | (?P<name>[^\W\d]\w*)(?:\^(?P<power>[0-9]+))?
     )""", re.VERBOSE)
 
 

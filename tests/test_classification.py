@@ -2,8 +2,14 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,8 +41,8 @@ from realforms.intersection import (
     enumerate_negative_classes,
     intersection_matrix,
 )
-from realforms.ring import Poly
-from realforms.surfaces import lift_real_structure
+from realforms.ring import Poly, VarTable
+from realforms.surfaces import lift_real_structure, param_pair
 
 GRID = sorted({
     Fraction(p) for p in (
@@ -378,9 +384,9 @@ def test_matching_label_map():
 
 def test_witness_for_reciprocal_pair():
     src = incidence_graph(2)
-    dst = incidence_graph(Fraction(1, 2))
-    matchings = admissible_matchings(src, dst)
-    matrices = [solve_linear_witness(src, dst, m) for m in matchings]
+    matchings = admissible_matchings(src, incidence_graph(Fraction(1, 2)))
+    matrices = [solve_linear_witness(Fraction(2), Fraction(1, 2), DEFAULT_D_MAX, m)
+                for m in matchings]
     found = [m for m in matrices if m is not None]
     half = Fraction(1, 2)
     assert ((half, Fraction(0)), (Fraction(0), half)) in found
@@ -389,7 +395,7 @@ def test_witness_for_reciprocal_pair():
 def test_no_witness_for_inequivalent_pair():
     src, dst = incidence_graph(2), incidence_graph(3)
     for m in admissible_matchings(src, dst):
-        assert solve_linear_witness(src, dst, m) is None
+        assert solve_linear_witness(Fraction(2), Fraction(3), DEFAULT_D_MAX, m) is None
 
 
 def _row_reduce_solution(equations):
@@ -403,18 +409,25 @@ def _row_reduce_solution(equations):
     return (work[0][2], work[1][2]) if pivots == [0, 1] else None
 
 
+def _numerators(terms):
+    """A center's terms over their common denominator d, as integers."""
+    d = lcm(*[e.d for pair in terms.values() for e in pair])
+    return d, {key: (x.a * (d // x.d), x.b * (d // x.d), y.a * (d // y.d), y.b * (d // y.d))
+               for key, (x, y) in terms.items()}
+
+
 def reference_solve(src, dst, matching):
-    """The witness solve row by row, as it was before each graph prepared its
-    side: integer rows built afresh per matching, then one 2x2 minor and
-    Cramer's rule on the first pivot pair found among them."""
+    """The witness solve row by row on two graphs: integer rows built afresh
+    per matching from the graphs' center terms, monomial by monomial, then
+    one 2x2 minor and Cramer's rule on the first pivot pair found among them."""
     rows = []
     for i, j in enumerate(matching):
-        c, t = src.center_numerators[i], dst.center_numerators[j]
+        c, t = src.center_terms[i], dst.center_terms[j]
         if c is None or t is None:
             if c is not t:
                 return None
             continue
-        (dc, c), (dt, t) = c, t
+        (dc, c), (dt, t) = _numerators(c), _numerators(t)
         for key, (xa, xb, ya, yb) in c.items():
             ua, ub, va, vb = t.get(key, (0, 0, 0, 0))
             rows.append((xa * dt, ya * dt, ua * dc, va * dc))
@@ -440,44 +453,204 @@ def reference_solve(src, dst, matching):
 
 
 @pytest.mark.parametrize("d_max", range(1, 7))
-def test_prepared_solve_equals_the_row_by_row_solve(d_max):
-    graphs = [incidence_graph(value, d_max) for value in GRAPH_VALUES]
-    for src in graphs:
-        for dst in graphs:
+def test_engine_solve_equals_the_row_by_row_solve(d_max):
+    # every ordered pair of GRAPH_VALUES: rational, symbolic and mixed
+    cooked = [param_pair(value)[0] for value in GRAPH_VALUES]
+    graphs = [incidence_graph(value, d_max) for value in cooked]
+    for alpha, src in zip(cooked, graphs):
+        for beta, dst in zip(cooked, graphs):
             for m in admissible_matchings(src, dst):
-                assert solve_linear_witness(src, dst, m) == reference_solve(src, dst, m)
+                assert (solve_linear_witness(alpha, beta, d_max, m)
+                        == reference_solve(src, dst, m)), (alpha, beta, m)
 
 
-def _with_term(graph, label, key, value):
-    """The graph with one more term at the center of the labelled vertex;
-    dataclasses.replace derives the solve's side of it afresh."""
-    terms = list(graph.center_terms)
-    k = graph.index_of(label)
-    terms[k] = {**terms[k], key: value}
-    return dataclasses.replace(graph, center_terms=tuple(terms))
+def test_engine_solve_equals_the_row_by_row_solve_on_a_seeded_grid():
+    rng = random.Random(7)
+    values = {Fraction(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(40)} - {0, 1}
+    values = sorted(values | {1 / v for v in values})
+    graphs = [incidence_graph(v) for v in values]
+    matchings = admissible_matchings(graphs[0], graphs[0])
+    for alpha, src in zip(values, graphs):
+        for beta, dst in zip(values, graphs):
+            for m in matchings:
+                assert (solve_linear_witness(alpha, beta, DEFAULT_D_MAX, m)
+                        == reference_solve(src, dst, m)), (alpha, beta, m)
 
 
-def test_prepared_solve_refuses_only_a_nonzero_term_the_source_lacks():
+def test_engine_loci_are_the_criterion():
+    # identity and conjugation matchings: a = b, entries 1 and +-1; the two
+    # swaps of E(1,i) with E(a,ai): ab = 1, entries b and +-b
+    engine = classification._witness_engine(DEFAULT_D_MAX)
     g = incidence_graph(2)
-    identity = tuple(range(g.size()))
-    one = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    key = (("z", 1),)
-    extra = _with_term(g, "E(1,i)", key, (GaussianRational(1), GaussianRational(0)))
-    zero = _with_term(g, "E(1,i)", key, (GaussianRational(0), GaussianRational(0)))
-    # g and extra differ in key signature, zero shares g's; interleaved, each
-    # pair must get its own answer from the memo of refusals
-    for src, dst, expected in [(g, g, one), (g, extra, None), (g, zero, one),
-                               (g, extra, None), (g, g, one), (zero, g, one),
-                               (extra, extra, one), (extra, g, None)]:
-        assert solve_linear_witness(src, dst, identity) == expected
-        assert reference_solve(src, dst, identity) == expected
+    loci = {}
+    for m, (_, locus, entries, den) in engine.items():
+        loci[g.labels[m[g.index_of("E(1,i)")]]] = (locus, entries, den)
+    a_minus_b = ((0, 1, -1), (1, 0, 1))
+    ab_minus_1 = ((0, 0, -1), (1, 1, 1))
+    one, b = ((0, 0, 1),), ((0, 1, 1),)
+    minus = lambda poly: tuple([(i, j, -c) for i, j, c in poly])  # noqa: E731
+    assert loci == {
+        "E(1,i)": ((a_minus_b,), (one, (), (), one), 1),
+        "E(1,-i)": ((a_minus_b,), (one, (), (), minus(one)), 1),
+        "E(a,ai)": ((ab_minus_1,), (b, (), (), b), 1),
+        "E(a,-ai)": ((ab_minus_1,), (b, (), (), minus(b)), 1),
+    }
+
+
+def test_engine_agrees_with_a_sympy_solve_over_q_a_b():
+    # an independent solve: sympy's consistency locus (the 3x3 minors of each
+    # augmented real system) and its solution on that locus, per matching
+    sympy = pytest.importorskip("sympy")
+    A, B = sympy.symbols("a b", real=True)
+    labels, _, _, centers = classification._graph_shape(DEFAULT_D_MAX)
+
+    def center(terms, var):
+        x = y = sympy.Integer(0)
+        for key, (cx, cy) in terms.items():
+            power = var ** dict(key).get("a", 0)
+            x += (cx.re + sympy.I * cx.im) * power
+            y += (cy.re + sympy.I * cy.im) * power
+        return x, y
+
+    def expr(terms):  # an integer polynomial of the engine, in A and B
+        return sum((c * A ** i * B ** j for i, j, c in terms), sympy.Integer(0))
+
+    generators = []
+    for m, (_, locus, entries, den) in classification._witness_engine(DEFAULT_D_MAX).items():
+        rows = []  # (coefficient of p or r, of q or s, right-hand x, right-hand y)
+        for i, j in enumerate(m):
+            assert (centers[i] is None) == (centers[j] is None)
+            if centers[i] is not None:
+                (cx, cy), (tx, ty) = center(centers[i], A), center(centers[j], B)
+                rows += [[part(sympy.expand(e)) for e in (cx, cy, tx, ty)]
+                         for part in (sympy.re, sympy.im)]
+        rows = [row for row in rows if any(row)]
+        minors = [sympy.Matrix([rows[k][:2] + [rows[k][col]] for k in triple]).det()
+                  for col in (2, 3) for triple in combinations(range(len(rows)), 3)]
+        oracle = sympy.groebner([e for e in minors if e != 0], A, B, order="lex")
+        assert oracle == sympy.groebner([expr(poly) for poly in locus], A, B, order="lex")
+        (generator,) = oracle.exprs
+        generators.append(generator)
+        # on the locus, sympy's unique solution is the engine's (p, q, r, s)
+        (root,) = sympy.solve(generator, A)
+        on_locus = [[e.subs(A, root) for e in row] for row in rows]
+        for col, unknowns, found in ((2, "p q", entries[:2]), (3, "r s", entries[2:])):
+            x, y = sympy.symbols(unknowns)
+            (solution,) = sympy.linsolve([row[0] * x + row[1] * y - row[col] for row in on_locus],
+                                         [x, y])
+            assert [sympy.simplify(v - expr(e).subs(A, root) / den)
+                    for v, e in zip(solution, found)] == [0, 0]
+    union = sympy.Mul(*set(generators))
+    assert sympy.cancel(union / ((A - B) * (A * B - 1))).is_number
+
+
+def _shape_with_centers(monkeypatch, centers_of):
+    """Patch _graph_shape(d_max) to carry centers_of(its center terms); the
+    engine reads it once cleared (see cold_engine)."""
+    graph_shape = classification._graph_shape
+
+    def altered(d_max):
+        *shape, centers = graph_shape(d_max)
+        return (*shape, centers_of(centers))
+
+    monkeypatch.setattr(classification, "_graph_shape", altered)
+
+
+@pytest.fixture
+def cold_engine():
+    classification._witness_engine.cache_clear()
+    yield
+    classification._witness_engine.cache_clear()
+
+
+def test_engine_refuses_a_shape_without_a_constant_pivot_minor(monkeypatch, cold_engine):
+    # every center times a: each minor of the source rows is a multiple of a**2
+    def times_a(centers):
+        return tuple([None if t is None else {(("a", dict(key).get("a", 0) + 1),): pair
+                                              for key, pair in t.items()}
+                      for t in centers])
+
+    _shape_with_centers(monkeypatch, times_a)
+    with pytest.raises(ValueError, match="constant minor"):
+        classification._witness_engine(3)
+
+
+def test_a_center_matched_to_a_line_has_no_solution_anywhere(monkeypatch, cold_engine):
+    # without the center of E(1,-i), the three matchings that move E(1,-i)
+    # send a center to a line or a line to a center; the identity still solves
+    labels = classification._graph_shape(3)[0]
+    k = labels.index("E(1,-i)")
+
+    def without_one(centers):
+        return centers[:k] + (None,) + centers[k + 1:]
+
+    _shape_with_centers(monkeypatch, without_one)
+    engine = classification._witness_engine(3)
+    identity = tuple(range(len(labels)))
+    for m, (_, locus, entries, _) in engine.items():
+        if m == identity:
+            assert entries
+        else:
+            assert (locus, entries) == ((((0, 0, 1),),), ())
+    assert solve_linear_witness(Fraction(2), Fraction(2), 3, identity) == (
+        (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    for m in engine:
+        if m != identity:
+            assert solve_linear_witness(Fraction(2), Fraction(2), 3, m) is None
+
+
+def test_an_entry_that_moves_with_a_name_is_no_linear_solution(monkeypatch):
+    # rows p = b and s = b with no residual: every pair is on the locus, a
+    # rational or mixed pair reads the matrix b * I, and a name for beta
+    # leaves an entry that is no constant
+    table = VarTable(("a", "b"))
+    zero, one, b = Poly.zero(table), Poly.const(table, 1), Poly.var(table, "b")
+    solve = classification._solve_rows([(one, zero, b, zero), (zero, one, zero, b)])
+    assert solve[1] == ()
+    identity = (0, 1)
+    monkeypatch.setattr(classification, "_witness_engine", lambda d_max: {identity: solve})
+    three = ((Fraction(3), Fraction(0)), (Fraction(0), Fraction(3)))
+    assert solve_linear_witness(Fraction(2), Fraction(3), 1, identity) == three
+    assert solve_linear_witness("a", Fraction(3), 1, identity) == three
+    assert solve_linear_witness(Fraction(3), "b", 1, identity) is None
+    assert solve_linear_witness("a", "b", 1, identity) is None
+
+
+def test_importing_realforms_builds_no_engine():
+    # the engine, like the graph shape it reads, is built on first use
+    code = ("import realforms, realforms.cli\n"
+            "from realforms import classification as c\n"
+            "assert c._witness_engine.cache_info().currsize == 0\n"
+            "assert c._graph_shape.cache_info().currsize == 0\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def _center_graph(center_terms):
-    """A graph of centers only, one vertex each: the solve reads nothing else."""
+    """A graph of centers only, one vertex each: reference_solve reads nothing else."""
     n = len(center_terms)
     return CurveIncidenceGraph(tuple(map(str, range(n))), ((0,) * n,) * n,
                                tuple(range(n)), tuple(center_terms))
+
+
+def _engine_solve(equations):
+    """The engine's row-solve step on the constant rows of the equations, read
+    at a point; a system of rank below 2 has no pivot pair, so None."""
+    table = VarTable(("a", "b"))
+    rows = [tuple([Poly.const(table, getattr(e, part)) for e in equation])
+            for equation in equations for part in ("re", "im")]
+    try:
+        degrees, locus, entries, den = classification._solve_rows(rows)
+    except ValueError:
+        return None
+    point = (1, 1)  # constant rows: any point reads the same values
+    if any(classification._value(poly, point, point, degrees) for poly in locus):
+        return None
+    p, q, r, s = [Fraction(classification._value(poly, point, point, degrees), den)
+                  for poly in entries]
+    return (p, q), (r, s)
 
 
 # zero twice, so that zero coefficients and proportional rows come up often
@@ -546,9 +719,8 @@ def test_integer_solve_matches_row_reduce_oracle(case):
     # each equation is one center: (cx, cy) in the source, (t, w) in the target
     src = _center_graph([{(): (cx, cy)} for cx, cy, _, _ in equations])
     dst = _center_graph([{(): (t, w)} for _, _, t, w in equations])
-    identity = tuple(range(len(equations)))
-    found = solve_linear_witness(src, dst, identity)
-    assert found == reference_solve(src, dst, identity)
+    found = _engine_solve(equations)
+    assert found == reference_solve(src, dst, tuple(range(len(equations))))
     top = _row_reduce_solution([(cx, cy, t) for cx, cy, t, _ in equations])
     bottom = _row_reduce_solution([(cx, cy, w) for cx, cy, _, w in equations])
     assert found == (None if top is None or bottom is None else (top, bottom))

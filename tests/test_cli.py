@@ -314,7 +314,7 @@ def test_grid_solves_each_admissible_matching_once(monkeypatch):
     calls = []
 
     def counting(*args):
-        calls.append(args[2])
+        calls.append(args[3])
         return solve(*args)
 
     monkeypatch.setattr(cli.classification, "solve_linear_witness", counting)
@@ -424,7 +424,30 @@ def test_d_max_below_one_is_usage_error(capsys, argv):
     assert "--d-max" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("raw", ["abc", "0"])
+@pytest.mark.parametrize("argv", [
+    ("classify", "٣", "2"),  # an Arabic-Indic digit three
+    ("classify", "2", "1/２"),  # a fullwidth digit two
+    ("grid", "--values", "٢,٣"),
+    ("verify", "lem-6.1", "--alpha", "٣"),
+    ("enumerate", "--d-max", "1_0"),
+    ("enumerate", "--d-max", "٣"),
+    ("enumerate", "--d-max", "+5"),
+    ("classify", "2", "3", "--d-max", "3.0"),
+])
+def test_exact_text_reads_ascii_digits_only(capsys, argv):
+    # one spelling per value: no other script's digits, no underscores, no sign on a count
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_d_max_reads_ascii_digits_with_spaces_around():
+    assert cli.positive_int(" 12 ") == 12
+    assert cli.positive_int("007") == 7
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "1_000_000", "١٠٠٠٠٠٠", "+2000000", "-5"])
 def test_malformed_step_budget_is_usage_error(capsys, monkeypatch, raw):
     monkeypatch.setenv("REALFORMS_STEP_BUDGET", raw)
     code, out, err = run_cli(capsys, "verify", "rem-3.3")

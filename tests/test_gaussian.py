@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realforms.gaussian import I, ONE, ZERO, GaussianRational, coefficient_str, row_reduce
+from realforms.gaussian import (
+    DIGITS_TEXT, I, ONE, RATIONAL_TEXT, ZERO, GaussianRational, coefficient_str, row_reduce,
+)
 
 
 def rand_value(rng: random.Random) -> GaussianRational:
@@ -100,6 +103,22 @@ def test_coefficient_str_forms():
     assert coefficient_str(-I) == "-i"
     assert coefficient_str(GaussianRational(0, Fraction(2, 3))) == "(2/3)i"
     assert coefficient_str(GaussianRational(1, 1)) == "((1)+(1)i)"
+
+
+@pytest.mark.parametrize("text, rational, count", [
+    ("3", True, True),
+    ("-3/4", True, False),
+    ("+2", True, False),
+    ("٣", False, False),  # an Arabic-Indic digit three
+    ("1/２", False, False),  # a fullwidth digit two
+    ("1_0", False, False),
+    ("1.5", False, False),
+])
+def test_exact_text_reads_ascii_digits_only(text, rational, count):
+    # compiled without re.ASCII, which ring copies by .pattern and so would drop
+    assert bool(RATIONAL_TEXT.fullmatch(text)) is rational
+    assert bool(re.fullmatch(RATIONAL_TEXT.pattern, text)) is rational
+    assert bool(DIGITS_TEXT.fullmatch(text)) is count
 
 
 def test_row_reduce_over_fractions_and_gaussians():

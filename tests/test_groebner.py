@@ -310,6 +310,13 @@ def test_step_budget_override(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV_VAR, "-5")
     with pytest.raises(ValueError):
         step_budget()
+    # the grammar of --d-max: ASCII digits, no underscore, no sign
+    for raw in ("1_000_000", "١٠٠٠٠٠٠", "+2000000"):
+        monkeypatch.setenv(BUDGET_ENV_VAR, raw)
+        with pytest.raises(ValueError, match="ASCII digits"):
+            step_budget()
+    monkeypatch.setenv(BUDGET_ENV_VAR, " 123 ")
+    assert step_budget() == 123
 
 
 def test_budget_exhaustion_raises(monkeypatch):

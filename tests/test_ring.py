@@ -236,7 +236,9 @@ NAMED_I_TABLE = VarTable(("x", "y", "z", "ix"))
     ("i*x", "i*x"),
     ("x - (0)i", "x"),
     (" -3/4 ", "-3/4"),
-    ("٣*x", "3*x"),  # an Arabic-Indic digit three
+    ("٣*x", ValueError),  # an Arabic-Indic digit three: ASCII digits only
+    ("x^٣", ValueError),
+    ("1/２", ValueError),  # a fullwidth digit two
     ("", ValueError),
     ("x +", ValueError),
     ("x y", ValueError),
