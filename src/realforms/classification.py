@@ -7,7 +7,8 @@ invertible linear map of the plane defined over the rationals.  The search
 is exact: matchings by backtracking over the 12-vertex graphs, once per graph
 shape; witnesses by one solve per matching over Q[a, b] for all pairs, read
 at each pair by one integer evaluation, then determinant and circle tests on
-integers and a re-check of the centers in Q(i) on the graphs' terms.
+integers and a re-check of the centers that compares integers over the Q(i)
+terms of the graphs.
 
 Each graph is the symbolic graph read at its own parameter value.  One
 symbolic enumeration per d_max in a process gives the labels, weights,
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .gaussian import ZERO, GaussianRational
+from .gaussian import ZERO
 from .intersection import (
     DEFAULT_D_MAX,
     KIND_EXCEPTIONAL,
@@ -362,12 +363,11 @@ def _witness_checks(matrix, src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
     details["determinant"] = str(det)
     if det == 0:
         return False, None, details
-    # the centers again, in Q(i) on center_terms rather than on the solver's rows
-    gp, gq, gr, gs = (GaussianRational(e) for e in (p, q, r, s))
+    # the centers again, on center_terms rather than on the solver's rows
     pairs = [(src.center_terms[i], dst.center_terms[j]) for i, j in enumerate(matching)]
     zero = (ZERO, ZERO)
     centers_ok = all(c is t for c, t in pairs if c is None or t is None) and all(
-        cx * gp + cy * gq == tx and cx * gr + cy * gs == ty
+        _carries(cx, cy, P, Q, m, tx) and _carries(cx, cy, R, S, m, ty)
         for c, t in pairs if c is not None
         for key in c.keys() | t.keys()
         for (cx, cy), (tx, ty) in [(c.get(key, zero), t.get(key, zero))])
@@ -382,9 +382,17 @@ def _witness_checks(matrix, src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
     return ok, (scalar if ok else None), details
 
 
+def _carries(cx, cy, P: int, Q: int, m: int, t) -> bool:
+    """cx*P + cy*Q == m*t in Q(i), each value (a + b*i)/d: real and imaginary
+    parts compared as integers over the common denominator cx.d * cy.d * t.d."""
+    fx, fy, ft = cy.d * t.d, cx.d * t.d, m * cx.d * cy.d
+    return (cx.a * P * fx + cy.a * Q * fy == t.a * ft
+            and cx.b * P * fx + cy.b * Q * fy == t.b * ft)
+
+
 def _witness_key(w: IsoWitness):
-    flat = [e for row in w.matrix for e in row]
-    return tuple((abs(e), 0 if e >= 0 else 1) for e in flat)
+    """Entry by entry: the absolute value, then 0 for a sign + and 1 for -."""
+    return tuple([(-e, 1) if e.numerator < 0 else (e, 0) for row in w.matrix for e in row])
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +503,8 @@ def _criterion(alpha, beta) -> bool:
     """equivalence_criterion over cooked parameters (see param_pair)."""
     if isinstance(alpha, str) or isinstance(beta, str):
         return alpha == beta
-    return alpha == beta or alpha * beta == 1
+    n, d = alpha.numerator * beta.numerator, alpha.denominator * beta.denominator
+    return alpha == beta or n == d  # alpha * beta == 1, as both are in lowest terms
 
 
 def matchings_report(alpha, beta, d_max: int = DEFAULT_D_MAX) -> CertifiedReport:

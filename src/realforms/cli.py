@@ -85,30 +85,34 @@ def _dump(data) -> str:
     """The bytes of json.dumps(data, sort_keys=True, indent=2), for text keys:
     with an indent json runs pure Python, so this lays the text out itself."""
     out: list[str] = []
-    _write(data, out, "\n")
+    _write(data, out, "\n", {})
     return "".join(out)
 
 
-def _write(value, out: list, newline: str) -> None:
-    """Append value's JSON to out; newline starts each of its inner lines."""
+def _write(value, out: list, newline: str, layouts: dict) -> None:
+    """Append value's JSON to out; newline starts each of its inner lines, and
+    layouts keeps, per newline and dict key order, the sorted keys' openings."""
     if isinstance(value, str):
         out.append(_quote(value))
     elif value is None or value is True or value is False:
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, dict) and value:
         inner = newline + "  "
-        opening = "{" + inner
-        for key in sorted(value):
-            out.append(opening + _quote(key) + ": ")
-            _write(value[key], out, inner)
-            opening = "," + inner
+        layout = layouts.get((newline, *value))
+        if layout is None:
+            layout = layouts[(newline, *value)] = [
+                (key, ("{" if k == 0 else ",") + inner + _quote(key) + ": ")
+                for k, key in enumerate(sorted(value))]
+        for key, opening in layout:
+            out.append(opening)
+            _write(value[key], out, inner, layouts)
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
         opening = "[" + inner
         for item in value:
             out.append(opening)
-            _write(item, out, inner)
+            _write(item, out, inner, layouts)
             opening = "," + inner
         out.append(newline + "]")
     else:  # numbers, empty containers, and json's TypeError for anything else

@@ -226,11 +226,10 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
-RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
-"""An exact rational as text, ``p`` or ``p/q`` with an optional sign and
-ASCII digits, as ``coefficient_str`` prints it; ``ring.parse_poly`` and the
-command line read it, and ``Fraction`` parses the match.  A decimal such as
-``1.5`` never matches, nor does a digit of another script, such as ``٣``."""
+RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+"""An exact rational as text, ``p`` or ``p/q`` in ASCII digits with an optional
+``-``, as ``coefficient_str`` prints it; ``ring.parse_poly``, the command line
+and ``Fraction`` read it.  ``1.5``, ``+2`` and ``٣`` (another script) never match."""
 DIGITS_TEXT = re.compile(r"[0-9]+")
 """A count as text, ASCII digits only: ``--d-max`` and the step budget."""
 

@@ -32,7 +32,7 @@ from realforms.classification import (
 )
 from realforms.checks import run_check
 from realforms.errors import ForbiddenParameter
-from realforms.gaussian import GaussianRational, row_reduce
+from realforms.gaussian import ZERO, GaussianRational, row_reduce
 from realforms.intersection import (
     DEFAULT_D_MAX,
     KIND_EXCEPTIONAL,
@@ -928,6 +928,110 @@ def test_witness_checks_do_not_trust_the_solver(monkeypatch, shift):
     report = run_check("prop-6.3", alpha=2, beta=Fraction(1, 2))
     assert report.status == "fail"
     assert "verdict-matches-criterion" in [i.claim_id for i in report.failures()]
+
+
+def reference_witness_checks(matrix, src, dst, matching):
+    """The re-check with the centers in Q(i): the determinant and circle tests
+    on integers over the matrix's common denominator, then each center
+    equation in GaussianRational arithmetic on the graphs' center terms."""
+    (p, q), (r, s) = matrix
+    details: dict = {"matrix": [[str(p), str(q)], [str(r), str(s)]]}
+    m = lcm(p.denominator, q.denominator, r.denominator, s.denominator)
+    P, Q, R, S = (e.numerator * (m // e.denominator) for e in (p, q, r, s))
+    det = Fraction(P * S - Q * R, m * m)
+    details["determinant"] = str(det)
+    if det == 0:
+        return False, None, details
+    gp, gq, gr, gs = (GaussianRational(e) for e in (p, q, r, s))
+    pairs = [(src.center_terms[i], dst.center_terms[j]) for i, j in enumerate(matching)]
+    zero = (ZERO, ZERO)
+    centers_ok = all(c is t for c, t in pairs if c is None or t is None) and all(
+        cx * gp + cy * gq == tx and cx * gr + cy * gs == ty
+        for c, t in pairs if c is not None
+        for key in c.keys() | t.keys()
+        for (cx, cy), (tx, ty) in [(c.get(key, zero), t.get(key, zero))])
+    details["centers_carried"] = centers_ok
+    squares = P * P + R * R
+    circle_ok = P * Q + R * S == 0 and squares == Q * Q + S * S and squares != 0
+    details["sum_of_squares_preserved"] = circle_ok
+    if circle_ok:
+        scalar = Fraction(squares, m * m)
+        details["sum_of_squares_scalar"] = str(scalar)
+    ok = centers_ok and circle_ok
+    return ok, (scalar if ok else None), details
+
+
+def tampered(matrix):
+    """The matrix, each entry moved by +1 and by -1, s negated, p zeroed, the
+    rows swapped, and the matrix scaled by 2."""
+    (p, q), (r, s) = matrix
+    out = [matrix]
+    for k in range(4):
+        for step in (1, -1):
+            e = [p, q, r, s]
+            e[k] += step
+            out.append(((e[0], e[1]), (e[2], e[3])))
+    return out + [((p, q), (r, -s)), ((p - p, q), (r, s)), ((r, s), (p, q)),
+                  ((2 * p, 2 * q), (2 * r, 2 * s))]
+
+
+# a matrix for the pairs with no solve, so that every pair's centers are read
+UNIT = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+
+
+@pytest.mark.parametrize("d_max", range(1, 7))
+def test_integer_witness_checks_equal_the_q_i_re_check(d_max):
+    # every ordered pair of GRAPH_VALUES, symbolic/symbolic and a/b among them
+    cooked = [param_pair(value)[0] for value in GRAPH_VALUES]
+    graphs = [incidence_graph(value, d_max) for value in cooked]
+    verdicts = set()
+    for alpha, src in zip(cooked, graphs):
+        for beta, dst in zip(cooked, graphs):
+            for m in admissible_matchings(src, dst):
+                matrix = solve_linear_witness(alpha, beta, d_max, m)
+                for t in [UNIT] if matrix is None else tampered(matrix):
+                    found = classification._witness_checks(t, src, dst, m)
+                    assert found == reference_witness_checks(t, src, dst, m), (alpha, beta, m, t)
+                    verdicts.add((matrix is None, found[0], found[2].get("centers_carried")))
+    # solves that pass, and tampered and unit matrices that the centers refuse
+    assert {(False, True, True), (False, False, False), (True, False, False)} <= verdicts
+
+
+def test_witness_checks_read_every_term_of_both_centers():
+    # a term only the target has, or only the source, is a term not carried,
+    # and so is a center matched to a line; the graphs' shapes are not read
+    i, b1, a1 = GaussianRational(0, 1), (("b", 1),), (("a", 1),)
+    center = {(): (GaussianRational(1), i)}
+    cases = [
+        ([center], [center], (0,), True),
+        ([center], [{**center, b1: (GaussianRational(1), ZERO)}], (0,), False),
+        ([{**center, a1: (ZERO, GaussianRational(Fraction(1, 2), 3))}], [center], (0,), False),
+        ([center, None], [None, center], (0, 1), False),
+        ([center, None], [None, center], (1, 0), True),
+    ]
+    for source, target, matching, carried in cases:
+        src, dst = _center_graph(source), _center_graph(target)
+        found = classification._witness_checks(UNIT, src, dst, matching)
+        assert found == reference_witness_checks(UNIT, src, dst, matching)
+        assert found[2]["centers_carried"] is carried
+
+
+def test_integer_criterion_equals_the_fraction_criterion():
+    rng = random.Random(29)
+    values = {Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(80)}
+    values |= {Fraction(v) for v in ("-1", "-3", "-1/3", "2/3", "3/2", "-2/3", "-3/2", "7")}
+    values -= {0, 1}
+    values |= {1 / v for v in values}
+    equivalent = 0
+    for alpha in values:
+        for beta in values:
+            expected = alpha == beta or alpha * beta == 1
+            assert classification._criterion(alpha, beta) is expected, (alpha, beta)
+            equivalent += expected
+    assert equivalent == 2 * len(values) - 1  # each value with itself and its reciprocal, -1 once
+    for alpha, beta, expected in (("a", "a", True), ("a", "b", False), ("a", Fraction(2), False),
+                                  (Fraction(-1), "b", False), ("b", "b", True)):
+        assert classification._criterion(alpha, beta) is expected
 
 
 def test_result_serialization():

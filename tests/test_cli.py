@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: output schema, determinism, exit codes."""
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import realforms
 from realforms import checks, cli
@@ -289,6 +290,11 @@ JSON_PAYLOADS = st.recursive(
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(JSON_PAYLOADS)
+# one key set in two insertion orders, each met twice, and again one level deeper
+@example([{"b": 1, "a": 2}, {"a": 3, "b": 4}, {"b": 5, "a": 6}, {"a": 7, "b": 8},
+          {"b": [{"a": 9, "b": 0}, {"b": 1, "a": 2}]}])
+# key sets that differ, overlap, nest and are empty, side by side in one list
+@example([{"a": 1}, {"a": 1, "b": 2}, {"b": 2}, {}, {"a": {"a": {"b": None}}}, {"c": [], "a": 0}])
 def test_dump_writes_the_bytes_of_json_dumps(payload):
     assert cli._dump(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
@@ -433,9 +439,12 @@ def test_d_max_below_one_is_usage_error(capsys, argv):
     ("enumerate", "--d-max", "٣"),
     ("enumerate", "--d-max", "+5"),
     ("classify", "2", "3", "--d-max", "3.0"),
+    ("classify", "+2", "3"),
+    ("grid", "--values", "2,+1/2"),
 ])
 def test_exact_text_reads_ascii_digits_only(capsys, argv):
-    # one spelling per value: no other script's digits, no underscores, no sign on a count
+    # one spelling per value: no other script's digits, no underscores, no plus
+    # sign, and no sign at all on a count
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
@@ -485,8 +494,10 @@ def test_long_form_check_ids_resolve(long_form, check_id):
 
 
 def test_parameter_parsing_forms():
-    assert cli.parameter("5/2") == cli.parameter("+5/2")
+    assert cli.parameter("5/2") == Fraction(5, 2)
     assert cli.parameter("-3") == -3
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli.parameter("+5/2")  # coefficient_str never prints a plus sign
     assert cli.parameter("symbolic") == "symbolic"
     with pytest.raises(Exception):
         cli.parameter("1/0")

@@ -108,7 +108,7 @@ def test_coefficient_str_forms():
 @pytest.mark.parametrize("text, rational, count", [
     ("3", True, True),
     ("-3/4", True, False),
-    ("+2", True, False),
+    ("+2", False, False),  # one value, one spelling: no plus sign
     ("٣", False, False),  # an Arabic-Indic digit three
     ("1/２", False, False),  # a fullwidth digit two
     ("1_0", False, False),

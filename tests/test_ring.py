@@ -254,6 +254,7 @@ NAMED_I_TABLE = VarTable(("x", "y", "z", "ix"))
     ("x^2^3", ValueError),
     ("x^²", ValueError),  # a superscript two is not a decimal digit
     ("2/0", ValueError),
+    ("(+2)*x", ValueError),  # a rational has no plus sign; a term may have one
 ])
 def test_parse_poly_grammar(text, expected):
     if expected is ValueError:
