@@ -64,6 +64,7 @@ from .classification import (
     classify,
     equivalence_criterion,
     incidence_graph,
+    solve_linear_witness,
 )
 from .modification import (
     ModificationSpec,
@@ -102,7 +103,7 @@ __all__ = [
     # classification
     "ClassificationResult", "CurveIncidenceGraph", "IsoWitness",
     "admissible_matchings", "classify", "equivalence_criterion",
-    "incidence_graph",
+    "incidence_graph", "solve_linear_witness",
     # modification
     "ModificationSpec", "ReesPresentation",
     "fiber_presentation", "jacobian_rank_at", "match_fiber_to_surface",

@@ -6,7 +6,8 @@ conjugation actions and fixing the structural vertices, is realized by an
 invertible linear map of the plane defined over the rationals.  The search
 is exact: matchings by backtracking over the 12-vertex graphs, once per graph
 shape; witnesses by one solve per matching over Q[a, b] for all pairs, read
-at each pair by one integer evaluation, then determinant and circle tests on
+at each pair by one integer evaluation of each distinct locus and of the
+entries only where the locus vanishes, then determinant and circle tests on
 integers and a re-check of the centers that compares integers over the Q(i)
 terms of the graphs.
 
@@ -318,23 +319,47 @@ def _value(poly: tuple, a: tuple, b: tuple, degrees: tuple):
 def solve_linear_witness(alpha, beta, d_max: int, matching: tuple[int, ...]):
     """Rational 2x2 matrix, acting on the plane coordinates, that carries the
     centers of the graph at the cooked parameter alpha to the matched centers
-    at beta, or None: _witness_engine's solve read at the pair, a rational
-    pair as (numerator, denominator)s and a pair with a name as param_ring's
-    Polys over 1.  An entry that moves with a name is no constant matrix."""
-    if isinstance(alpha, str) or isinstance(beta, str):
+    at beta, or None: _cell_witnesses for the one matching."""
+    return _cell_witnesses(alpha, beta, d_max, (matching,))[0]
+
+
+def _cell_witnesses(alpha, beta, d_max: int, matchings) -> list:
+    """Per matching, in order, _witness_engine's solve read at the cooked
+    pair (alpha, beta): a rational pair as (numerator, denominator)s and a
+    pair with a name as param_ring's Polys over 1.  Each distinct locus
+    polynomial is evaluated once per call, and a matching reads its entries
+    only where every one of its locus polynomials vanishes; else it gets
+    None.  An entry that moves with a name is no constant matrix."""
+    named = isinstance(alpha, str) or isinstance(beta, str)
+    if named:
         a, b = [(v, 1) for v in param_ring((), alpha, beta)[1]]
     else:
         a, b = (alpha.numerator, alpha.denominator), (beta.numerator, beta.denominator)
-    degrees, locus, entries, den = _witness_engine(d_max)[matching]
-    if any([_value(poly, a, b, degrees) for poly in locus]):
-        return None
-    values = [_value(poly, a, b, degrees) for poly in entries]
-    if any([isinstance(v, Poly) and not v.is_constant() for v in values]):
-        return None
-    scale = den * a[1] ** degrees[0] * b[1] ** degrees[1]
-    p, q, r, s = [Fraction(v.constant_value().re if isinstance(v, Poly) else v, scale)
-                  for v in values]
-    return (p, q), (r, s)
+    engine = _witness_engine(d_max)
+    # locus polynomial -> its value is nonzero at the pair, for this call only;
+    # homogenising to any matching's degrees keeps a value's zero or nonzero
+    off: dict = {}
+    out = []
+    for m in matchings:
+        degrees, locus, entries, den = engine[m]
+        for poly in locus:
+            nonzero = off.get(poly)
+            if nonzero is None:
+                nonzero = off[poly] = bool(_value(poly, a, b, degrees))
+            if nonzero:
+                out.append(None)
+                break
+        else:
+            values = [_value(poly, a, b, degrees) for poly in entries]
+            if named:  # a Poly entry, or 0 for an empty one
+                if any([isinstance(v, Poly) and not v.is_constant() for v in values]):
+                    out.append(None)
+                    continue
+                values = [v.constant_value().re if isinstance(v, Poly) else v for v in values]
+            scale = den * a[1] ** degrees[0] * b[1] ** degrees[1]
+            p, q, r, s = [Fraction(v, scale) for v in values]
+            out.append(((p, q), (r, s)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -454,13 +479,15 @@ def _classify(alpha, beta, d_max: int, src: CurveIncidenceGraph,
               dst: CurveIncidenceGraph, matchings: tuple | None = None) -> ClassificationResult:
     """classify over cooked parameters (see param_pair) and the graphs
     incidence_graph built for them at this d_max; a caller that has looked
-    up the graphs' _shape_matchings may pass them."""
+    up the graphs' _shape_matchings may pass them.  One _cell_witnesses call
+    decides every matching: each distinct locus once, and a matching off its
+    locus gets "no linear solution" with no entry read."""
     if matchings is None:
         matchings = _shape_matchings(src.shape(), dst.shape())
+    matrices = _cell_witnesses(alpha, beta, d_max, [m for m, _, _ in matchings])
     witnesses = []
     outcomes = []
-    for m, label_pairs, sorted_pairs in matchings:
-        matrix = solve_linear_witness(alpha, beta, d_max, m)
+    for (m, label_pairs, sorted_pairs), matrix in zip(matchings, matrices):
         if matrix is None:
             outcomes.append((label_pairs, "no linear solution", None))
             continue
@@ -469,7 +496,7 @@ def _classify(alpha, beta, d_max: int, src: CurveIncidenceGraph,
             outcomes.append((label_pairs, "solution fails checks", details))
             continue
         witness = IsoWitness(
-            matrix=(tuple(matrix[0]), tuple(matrix[1])),
+            matrix=matrix,
             scalar=scalar,
             matching=m,
             matching_labels=sorted_pairs,

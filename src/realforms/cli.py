@@ -36,6 +36,8 @@ DEFAULT_GRID_VALUES = (
     Fraction(5, 2), Fraction(3),
 )
 _quote = json.encoder.encode_basestring_ascii  # the C function of json's compact encoder
+# read only after an identity test, as 1 == True and 0 == False
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def parameter(text: str):
@@ -91,12 +93,10 @@ def _dump(data) -> str:
 
 def _write(value, out: list, newline: str, layouts: dict) -> None:
     """Append value's JSON to out; newline starts each of its inner lines, and
-    layouts keeps, per newline and dict key order, the sorted keys' openings."""
-    if isinstance(value, str):
-        out.append(_quote(value))
-    elif value is None or value is True or value is False:
-        out.append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, dict) and value:
+    layouts keeps, per newline and dict key order, the sorted keys' openings.
+    A str, None or bool in a dict or a list is written with its opening in
+    one piece, with no call of its own."""
+    if isinstance(value, dict) and value:
         inner = newline + "  "
         layout = layouts.get((newline, *value))
         if layout is None:
@@ -104,17 +104,32 @@ def _write(value, out: list, newline: str, layouts: dict) -> None:
                 (key, ("{" if k == 0 else ",") + inner + _quote(key) + ": ")
                 for k, key in enumerate(sorted(value))]
         for key, opening in layout:
-            out.append(opening)
-            _write(value[key], out, inner, layouts)
+            item = value[key]
+            if isinstance(item, str):
+                out.append(opening + _quote(item))
+            elif item is None or item is True or item is False:
+                out.append(opening + _LITERALS[item])
+            else:
+                out.append(opening)
+                _write(item, out, inner, layouts)
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
         opening = "[" + inner
         for item in value:
-            out.append(opening)
-            _write(item, out, inner, layouts)
+            if isinstance(item, str):
+                out.append(opening + _quote(item))
+            elif item is None or item is True or item is False:
+                out.append(opening + _LITERALS[item])
+            else:
+                out.append(opening)
+                _write(item, out, inner, layouts)
             opening = "," + inner
         out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append(_LITERALS[value])
     else:  # numbers, empty containers, and json's TypeError for anything else
         out.append(json.dumps(value))
 

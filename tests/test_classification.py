@@ -477,6 +477,72 @@ def test_engine_solve_equals_the_row_by_row_solve_on_a_seeded_grid():
                         == reference_solve(src, dst, m)), (alpha, beta, m)
 
 
+def reference_classify(alpha, beta, d_max):
+    """classify matching by matching: reference_solve on the two graphs for
+    each admissible matching, then the same checks, outcomes and order."""
+    src, dst = incidence_graph(alpha, d_max), incidence_graph(beta, d_max)
+    witnesses, outcomes = [], []
+    for m in admissible_matchings(src, dst):
+        pairs = tuple(zip(src.labels, [dst.labels[j] for j in m]))
+        matrix = reference_solve(src, dst, m)
+        if matrix is None:
+            outcomes.append((pairs, "no linear solution", None))
+            continue
+        ok, scalar, details = classification._witness_checks(matrix, src, dst, m)
+        if not ok:
+            outcomes.append((pairs, "solution fails checks", details))
+            continue
+        witnesses.append(classification.IsoWitness(matrix, scalar, m, tuple(sorted(pairs))))
+        outcomes.append((pairs, "witness", details))
+    witnesses.sort(key=classification._witness_key)
+    return ClassificationResult(alpha, beta, bool(witnesses), witnesses[0] if witnesses else None,
+                                tuple(witnesses), len(outcomes), tuple(outcomes), d_max)
+
+
+def assert_classify_equals_the_reference(values, d_max):
+    graphs = [incidence_graph(value, d_max) for value in values]
+    for alpha, src in zip(values, graphs):
+        for beta, dst in zip(values, graphs):
+            found = _classify(alpha, beta, d_max, src, dst)
+            expected = reference_classify(alpha, beta, d_max)
+            assert found == expected, (alpha, beta)
+            assert found.traces == expected.traces, (alpha, beta)
+            assert found.to_json() == expected.to_json(), (alpha, beta)
+
+
+@pytest.mark.parametrize("d_max", range(1, 7))
+def test_cell_reader_equals_the_per_matching_reference(d_max):
+    # every ordered pair of GRAPH_VALUES: -1 with itself is on both loci, and
+    # names meet names, rationals and themselves
+    assert_classify_equals_the_reference([param_pair(v)[0] for v in GRAPH_VALUES], d_max)
+
+
+@pytest.mark.parametrize("seed, d_max", [(13, DEFAULT_D_MAX), (17, 1)])
+def test_cell_reader_equals_the_per_matching_reference_on_seeded_grids(seed, d_max):
+    rng = random.Random(seed)
+    values = {Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(20)} - {0, 1}
+    values = sorted(values | {1 / v for v in values} | {Fraction(-1)})
+    assert_classify_equals_the_reference(values, d_max)
+
+
+@pytest.mark.parametrize("alpha, beta", [(2, 3), (2, Fraction(1, 2)), (3, 3), (-1, -1)])
+def test_a_cell_evaluates_each_locus_once(monkeypatch, alpha, beta):
+    # the identity and the conjugation share a - b, the two swaps ab - 1:
+    # one evaluation of each per cell, whether it vanishes or not
+    a_minus_b, ab_minus_1 = ((0, 1, -1), (1, 0, 1)), ((0, 0, -1), (1, 1, 1))
+    value, evaluated = classification._value, []
+
+    def counting(poly, *args):
+        evaluated.append(poly)
+        return value(poly, *args)
+
+    monkeypatch.setattr(classification, "_value", counting)
+    result = classify(alpha, beta)
+    loci = [poly for poly in evaluated if poly in (a_minus_b, ab_minus_1)]
+    assert sorted(loci) == sorted([a_minus_b, ab_minus_1])
+    assert len(evaluated) - len(loci) == 4 * len(result.witnesses)
+
+
 def test_engine_loci_are_the_criterion():
     # identity and conjugation matchings: a = b, entries 1 and +-1; the two
     # swaps of E(1,i) with E(a,ai): ab = 1, entries b and +-b
@@ -902,16 +968,18 @@ def test_witness_checks_do_not_trust_the_solver(monkeypatch, shift):
     # negated every matrix stays invertible and keeps x^2 + y^2, so only the
     # Q(i) center re-check can refuse it; with p zeroed every matrix is
     # singular, which stops the checks before the centers are read.
-    solve = classification.solve_linear_witness
+    cell_witnesses = classification._cell_witnesses
 
-    def shifted(*args):
-        matrix = solve(*args)
+    def move(matrix):
         if matrix is None:
             return None
         (p, q), (r, s) = matrix
         return ((p, q), (r, -s)) if shift == "negate s" else ((p - p, q), (r, s))
 
-    monkeypatch.setattr(classification, "solve_linear_witness", shifted)
+    def shifted(*args):
+        return [move(matrix) for matrix in cell_witnesses(*args)]
+
+    monkeypatch.setattr(classification, "_cell_witnesses", shifted)
     result = classify(2, Fraction(1, 2))
     assert not result.equivalent
     checked = [t for t in result.traces if t["outcome"] != "no linear solution"]

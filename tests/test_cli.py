@@ -295,11 +295,17 @@ JSON_PAYLOADS = st.recursive(
           {"b": [{"a": 9, "b": 0}, {"b": 1, "a": 2}]}])
 # key sets that differ, overlap, nest and are empty, side by side in one list
 @example([{"a": 1}, {"a": 1, "b": 2}, {"b": 2}, {}, {"a": {"a": {"b": None}}}, {"c": [], "a": 0}])
+# text, null and booleans straight in lists and dicts, beside nested containers
+@example(["x", None, True, False, [None, "y", []], {"k": False}, "", {}])
+@example({"s": "x", "n": None, "t": True, "f": False, "l": ["z", {"e": ""}], "d": {"": None}})
+# the empty string and strings that need escapes, as leaves and as keys
+@example({"": "", "q\"": ["\\", "\n\t\x00", "\u00e9\u2028", "\U0001f600"], "/": "\x7f"})
 def test_dump_writes_the_bytes_of_json_dumps(payload):
     assert cli._dump(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("argv", [["grid"], ["classify", "-1", "-1"], ["verify", "all"]])
+@pytest.mark.parametrize("argv", [["grid"], ["grid", "--values=-1,2,1/2,3"],
+                                  ["classify", "-1", "-1"], ["verify", "all"]])
 def test_dump_of_live_payloads_equals_json_dumps(capsys, monkeypatch, argv):
     payloads = []
     dump = cli._dump
@@ -316,17 +322,35 @@ def test_dump_of_live_payloads_equals_json_dumps(capsys, monkeypatch, argv):
 
 
 def test_grid_solves_each_admissible_matching_once(monkeypatch):
-    solve = cli.classification.solve_linear_witness
-    calls = []
+    # one reading of the engine per cell decides its four matchings: each
+    # locus evaluated once, and the four entries read only for a matching
+    # whose locus vanishes, a = b for two matchings and ab = 1 for the other two
+    engine = cli.classification._witness_engine(cli.DEFAULT_D_MAX)
+    loci = sorted({poly for _, locus, _, _ in engine.values() for poly in locus})
+    cell_witnesses, value = cli.classification._cell_witnesses, cli.classification._value
+    cells, evaluated = [], []
 
-    def counting(*args):
-        calls.append(args[3])
-        return solve(*args)
+    def counting_cell(alpha, beta, d_max, matchings):
+        evaluated.clear()
+        matrices = cell_witnesses(alpha, beta, d_max, matchings)
+        cells.append((alpha, beta, list(matchings), list(evaluated), matrices))
+        return matrices
 
-    monkeypatch.setattr(cli.classification, "solve_linear_witness", counting)
+    def counting_value(poly, *args):
+        evaluated.append(poly)
+        return value(poly, *args)
+
+    monkeypatch.setattr(cli.classification, "_cell_witnesses", counting_cell)
+    monkeypatch.setattr(cli.classification, "_value", counting_value)
     payload = cli.run_grid([2, Fraction(1, 2), 3])
     assert payload["pairs"] == 9 and payload["disagreements"] == 0
-    assert len(calls) == 36  # 9 pairs x 4 matchings
+    assert len(cells) == 9 and len(loci) == 2
+    for alpha, beta, matchings, polys, matrices in cells:
+        assert sorted(matchings) == sorted(engine)  # each admissible matching once
+        assert sorted(p for p in polys if p in loci) == loci
+        candidates = 2 * (alpha == beta) + 2 * (alpha * beta == 1)
+        assert len([m for m in matrices if m is not None]) == candidates
+        assert len([p for p in polys if p not in loci]) == 4 * candidates
 
 
 def test_grid_cells_build_no_traces(monkeypatch):
