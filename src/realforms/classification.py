@@ -7,9 +7,10 @@ invertible linear map of the plane defined over the rationals.  The search
 is exact: matchings by backtracking over the 12-vertex graphs, once per graph
 shape; witnesses by one solve per matching over Q[a, b] for all pairs, read
 at each pair by one integer evaluation of each distinct locus and of the
-entries only where the locus vanishes, then determinant and circle tests on
-integers and a re-check of the centers that compares integers over the Q(i)
-terms of the graphs.
+entries only where the locus vanishes, then one re-check of each candidate
+in integers: its determinant, the circle, and the centers on each graph's
+own integer center rows.  Fractions and text are built only for a witness
+and for traces that are read.
 
 Each graph is the symbolic graph read at its own parameter value.  One
 symbolic enumeration per d_max in a process gives the labels, weights,
@@ -21,7 +22,6 @@ admissible value, so a graph only evaluates the centers' terms.
 """
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -32,6 +32,7 @@ from .intersection import (
     DEFAULT_D_MAX,
     KIND_EXCEPTIONAL,
     LABEL_AT_INFINITY,
+    _check_d_max,
     boundary_zigzag_report,
     canonical_form,
     enumerate_negative_classes,
@@ -50,18 +51,20 @@ class CurveIncidenceGraph:
     """Weighted graph of the twelve distinguished curves with its conjugation
     action; exceptional vertices carry their blow-up centers.
 
-    ``center_terms`` holds each center's coordinates term by term, keyed by
+    ``center_rows`` holds each center's coordinates term by term, keyed by
     the named monomial, so that centers of different parameter values
-    compare coefficientwise.
+    compare coefficientwise: each term (x, y) as the integers (ax, bx, ay,
+    by, d) with x = (ax + bx*i)/d and y = (ay + by*i)/d, built once per graph
+    so that a witness re-check compares integers only.
     """
 
     labels: tuple[str, ...]
     weights: tuple[tuple[int, ...], ...]
     real_action: tuple[int, ...]
-    # {monomial: (x coefficient, y coefficient)} per exceptional vertex, else None
-    center_terms: tuple[object, ...]
+    # {monomial: (ax, bx, ay, by, d)} per exceptional vertex, else None
+    center_rows: tuple[object, ...]
 
-    __hash__ = None  # the center terms are dicts, which have no hash
+    __hash__ = None  # the center rows are dicts, which have no hash
 
     def shape(self) -> tuple:
         """Everything the matching search reads: labels, weights, action."""
@@ -121,16 +124,17 @@ def _graph_shape(d_max: int) -> tuple:
 def incidence_graph(alpha, d_max: int = DEFAULT_D_MAX) -> CurveIncidenceGraph:
     """The incidence graph of the diagonal surface at alpha: the symbolic
     graph of _graph_shape, enumerated once per d_max in a process, with its
-    centers' terms read at alpha.
+    centers' terms read at alpha as integer rows (see _center_rows).
 
     The centers are not proved distinct again: modified_plane_config(a, a),
     behind the shape, proved that over Q(i)[a] with the units a and 1 - a,
     so at every alpha that param_pair admits (it refuses 0 and 1).
     """
+    _check_d_max(d_max)
     labels, weights, action, center_terms = _graph_shape(d_max)
     value = param_pair(alpha)[0]
     return CurveIncidenceGraph(labels, weights, action, tuple(
-        [None if t is None else _terms_at(t, value) for t in center_terms]))
+        [None if t is None else _center_rows(_terms_at(t, value)) for t in center_terms]))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +243,17 @@ def _terms_at(terms: dict, value) -> dict:
     return {(): (x, y)} if x or y else {}
 
 
+def _center_rows(terms: dict) -> dict:
+    """A center's Q(i) terms (see _named_terms) as integer rows: each (x, y)
+    as (ax, bx, ay, by, d), x = (ax + bx*i)/d and y = (ay + by*i)/d."""
+    rows = {}
+    for key, (x, y) in terms.items():
+        d = lcm(x.d, y.d)
+        fx, fy = d // x.d, d // y.d
+        rows[key] = (x.a * fx, x.b * fx, y.a * fy, y.b * fy, d)
+    return rows
+
+
 def _center_parts(terms: dict, table: VarTable, name: str) -> tuple:
     """A center's (x, y) as Polys in a real variable: real, then imaginary parts."""
     var = Poly.var(table, name)
@@ -318,9 +333,15 @@ def _value(poly: tuple, a: tuple, b: tuple, degrees: tuple):
 
 def solve_linear_witness(alpha, beta, d_max: int, matching: tuple[int, ...]):
     """Rational 2x2 matrix, acting on the plane coordinates, that carries the
-    centers of the graph at the cooked parameter alpha to the matched centers
-    at beta, or None: _cell_witnesses for the one matching."""
-    return _cell_witnesses(alpha, beta, d_max, (matching,))[0]
+    centers of the graph at alpha to the matched centers at beta, or None:
+    _cell_witnesses for the one matching, over the pair param_pair cooks.
+    A matching that is not admissible at d_max raises ValueError."""
+    alpha, beta = param_pair(alpha, beta)
+    _check_d_max(d_max)
+    if matching not in _witness_engine(d_max):
+        raise ValueError(f"matching {matching} is not admissible at d_max {d_max}")
+    candidate = _cell_witnesses(alpha, beta, d_max, (matching,))[0]
+    return None if candidate is None else _matrix(candidate)
 
 
 def _cell_witnesses(alpha, beta, d_max: int, matchings) -> list:
@@ -329,7 +350,10 @@ def _cell_witnesses(alpha, beta, d_max: int, matchings) -> list:
     pair with a name as param_ring's Polys over 1.  Each distinct locus
     polynomial is evaluated once per call, and a matching reads its entries
     only where every one of its locus polynomials vanishes; else it gets
-    None.  An entry that moves with a name is no constant matrix."""
+    None.  An entry that moves with a name is no constant matrix.  A
+    candidate is the integers (P, Q, R, S, m) of the matrix [[P, Q], [R, S]]
+    / m, with no Fraction: a named pair clears its entries' denominators
+    into m."""
     named = isinstance(alpha, str) or isinstance(beta, str)
     if named:
         a, b = [(v, 1) for v in param_ring((), alpha, beta)[1]]
@@ -351,15 +375,23 @@ def _cell_witnesses(alpha, beta, d_max: int, matchings) -> list:
                 break
         else:
             values = [_value(poly, a, b, degrees) for poly in entries]
+            scale = den * a[1] ** degrees[0] * b[1] ** degrees[1]
             if named:  # a Poly entry, or 0 for an empty one
                 if any([isinstance(v, Poly) and not v.is_constant() for v in values]):
                     out.append(None)
                     continue
                 values = [v.constant_value().re if isinstance(v, Poly) else v for v in values]
-            scale = den * a[1] ** degrees[0] * b[1] ** degrees[1]
-            p, q, r, s = [Fraction(v, scale) for v in values]
-            out.append(((p, q), (r, s)))
+                clear = lcm(*[v.denominator for v in values])
+                values = [(v * clear).numerator for v in values]
+                scale *= clear
+            out.append((*values, scale))
     return out
+
+
+def _matrix(candidate: tuple) -> tuple:
+    """The candidate (P, Q, R, S, m) as the Fraction matrix [[P, Q], [R, S]] / m."""
+    P, Q, R, S, m = candidate
+    return (Fraction(P, m), Fraction(Q, m)), (Fraction(R, m), Fraction(S, m))
 
 
 @dataclass(frozen=True)
@@ -379,40 +411,87 @@ class IsoWitness:
 
 def _witness_checks(matrix, src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
                     matching: tuple[int, ...]) -> tuple[bool, Fraction | None, dict]:
+    """The re-check of a Fraction matrix on the two graphs: (passes, the
+    pullback scalar of the sum of squares or None, the details dict).  The
+    matrix is taken to integers over its common denominator, and _checks
+    tests those."""
     (p, q), (r, s) = matrix
-    details: dict = {"matrix": [[str(p), str(q)], [str(r), str(s)]]}
-    # the determinant and circle tests on the matrix [[P, Q], [R, S]] / m
     m = lcm(p.denominator, q.denominator, r.denominator, s.denominator)
-    P, Q, R, S = (e.numerator * (m // e.denominator) for e in (p, q, r, s))
-    det = Fraction(P * S - Q * R, m * m)
-    details["determinant"] = str(det)
-    if det == 0:
-        return False, None, details
-    # the centers again, on center_terms rather than on the solver's rows
-    pairs = [(src.center_terms[i], dst.center_terms[j]) for i, j in enumerate(matching)]
-    zero = (ZERO, ZERO)
-    centers_ok = all(c is t for c, t in pairs if c is None or t is None) and all(
-        _carries(cx, cy, P, Q, m, tx) and _carries(cx, cy, R, S, m, ty)
-        for c, t in pairs if c is not None
-        for key in c.keys() | t.keys()
-        for (cx, cy), (tx, ty) in [(c.get(key, zero), t.get(key, zero))])
-    details["centers_carried"] = centers_ok
+    facts = _checks((*[e.numerator * (m // e.denominator) for e in (p, q, r, s)], m),
+                    src, dst, matching)
+    scalar = _scalar(facts)
+    return scalar is not None, scalar, _details(facts)
+
+
+def _checks(candidate: tuple, src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
+            matching: tuple[int, ...]) -> tuple:
+    """The one re-check of a candidate (P, Q, R, S, m) on the graphs' own
+    center rows, never the solver's, all in integers: the determinant
+    P*S - Q*R is nonzero, the sum of squares is preserved up to a nonzero
+    scalar, and each center (x, y) goes to its matched center (tx, ty):
+    x*P + y*Q == m*tx and x*R + y*S == m*ty in Q(i), cross-multiplied over
+    the two rows' denominators.  Returns the facts (P, Q, R, S, m,
+    determinant numerator, centers carried, circle preserved); the two tests
+    read False, unrun, when the determinant is 0."""
+    P, Q, R, S, m = candidate
+    det = P * S - Q * R
+    if not det:
+        return (*candidate, det, False, False)
     squares = P * P + R * R  # m*m times the pullback scalar
     circle_ok = P * Q + R * S == 0 and squares == Q * Q + S * S and squares != 0
-    details["sum_of_squares_preserved"] = circle_ok
-    if circle_ok:
-        scalar = Fraction(squares, m * m)
-        details["sum_of_squares_scalar"] = str(scalar)
-    ok = centers_ok and circle_ok
-    return ok, (scalar if ok else None), details
+    return (*candidate, det, _carried(candidate, src, dst, matching), circle_ok)
 
 
-def _carries(cx, cy, P: int, Q: int, m: int, t) -> bool:
-    """cx*P + cy*Q == m*t in Q(i), each value (a + b*i)/d: real and imaginary
-    parts compared as integers over the common denominator cx.d * cy.d * t.d."""
-    fx, fy, ft = cy.d * t.d, cx.d * t.d, m * cx.d * cy.d
-    return (cx.a * P * fx + cy.a * Q * fy == t.a * ft
-            and cx.b * P * fx + cy.b * Q * fy == t.b * ft)
+def _scalar(facts: tuple) -> Fraction | None:
+    """The pullback scalar of the sum of squares of a candidate that passes
+    every test of _checks, else None."""
+    P, _, R, _, m, _, centers_ok, circle_ok = facts
+    return Fraction(P * P + R * R, m * m) if centers_ok and circle_ok else None
+
+
+_ZERO_ROW = (0, 0, 0, 0, 1)
+
+
+def _carried(candidate: tuple, src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
+             matching: tuple[int, ...]) -> bool:
+    """The centers test of _checks: a center matched to a line, or a term that
+    only one of two matched centers has (read as a zero row), is not carried."""
+    P, Q, R, S, m = candidate
+    target_rows = dst.center_rows
+    for c, j in zip(src.center_rows, matching):
+        t = target_rows[j]
+        if c is None or t is None:
+            if c is not t:
+                return False
+            continue
+        if c.keys() != t.keys():
+            keys = c.keys() | t.keys()
+            c, t = [{key: rows.get(key, _ZERO_ROW) for key in keys} for rows in (c, t)]
+        for key, (ax, bx, ay, by, d) in c.items():
+            tax, tbx, tay, tby, e = t[key]
+            dm = d * m
+            if ((ax * P + ay * Q) * e != tax * dm or (bx * P + by * Q) * e != tbx * dm
+                    or (ax * R + ay * S) * e != tay * dm or (bx * R + by * S) * e != tby * dm):
+                return False
+    return True
+
+
+def _details(facts: tuple) -> dict:
+    """The details dict of a trace, rendered from _checks' facts: the matrix
+    and the determinant, then, for a nonzero determinant, both tests and
+    the scalar of a preserved circle."""
+    P, Q, R, S, m, det, centers_ok, circle_ok = facts
+    details: dict = {
+        "matrix": [[str(Fraction(P, m)), str(Fraction(Q, m))],
+                   [str(Fraction(R, m)), str(Fraction(S, m))]],
+        "determinant": str(Fraction(det, m * m)),
+    }
+    if det:
+        details["centers_carried"] = centers_ok
+        details["sum_of_squares_preserved"] = circle_ok
+        if circle_ok:
+            details["sum_of_squares_scalar"] = str(Fraction(P * P + R * R, m * m))
+    return details
 
 
 def _witness_key(w: IsoWitness):
@@ -436,18 +515,19 @@ class ClassificationResult:
     witness: IsoWitness | None
     witnesses: tuple[IsoWitness, ...]
     matchings_admissible: int
-    # (label pairs, outcome, details or None) per admissible matching
+    # (label pairs, outcome, _checks' integer facts or None) per admissible matching
     outcomes: tuple[tuple, ...]
     d_max: int
 
     @property
     def traces(self) -> tuple[dict, ...]:
-        """Per admissible matching, its label map, outcome and the checks'
-        details, as dicts rendered afresh from ``outcomes`` on each read."""
-        return tuple([{"matching": dict(pairs), "outcome": outcome} if details is None
+        """Per admissible matching, its label map, outcome and, for a checked
+        candidate, the details that _details renders from its integer facts,
+        as dicts built afresh on each read."""
+        return tuple([{"matching": dict(pairs), "outcome": outcome} if facts is None
                       else {"matching": dict(pairs), "outcome": outcome,
-                            "details": deepcopy(details)}
-                      for pairs, outcome, details in self.outcomes])
+                            "details": _details(facts)}
+                      for pairs, outcome, facts in self.outcomes])
 
     def to_json(self) -> dict:
         return {
@@ -470,6 +550,7 @@ def classify(alpha, beta, d_max: int = DEFAULT_D_MAX) -> ClassificationResult:
     witness survives all checks.  Parameters may be rational or symbolic;
     an equal raw pair means the one-parameter diagonal surface.
     """
+    _check_d_max(d_max)
     alpha, beta = param_pair(alpha, beta)
     return _classify(alpha, beta, d_max,
                      incidence_graph(alpha, d_max), incidence_graph(beta, d_max))
@@ -481,29 +562,32 @@ def _classify(alpha, beta, d_max: int, src: CurveIncidenceGraph,
     incidence_graph built for them at this d_max; a caller that has looked
     up the graphs' _shape_matchings may pass them.  One _cell_witnesses call
     decides every matching: each distinct locus once, and a matching off its
-    locus gets "no linear solution" with no entry read."""
+    locus gets "no linear solution" with no entry read.  A candidate is
+    re-checked in integers, and only a passing one becomes Fractions."""
     if matchings is None:
         matchings = _shape_matchings(src.shape(), dst.shape())
-    matrices = _cell_witnesses(alpha, beta, d_max, [m for m, _, _ in matchings])
+    candidates = _cell_witnesses(alpha, beta, d_max, [m for m, _, _ in matchings])
     witnesses = []
     outcomes = []
-    for (m, label_pairs, sorted_pairs), matrix in zip(matchings, matrices):
-        if matrix is None:
+    for (m, label_pairs, sorted_pairs), candidate in zip(matchings, candidates):
+        if candidate is None:
             outcomes.append((label_pairs, "no linear solution", None))
             continue
-        ok, scalar, details = _witness_checks(matrix, src, dst, m)
-        if not ok:
-            outcomes.append((label_pairs, "solution fails checks", details))
+        facts = _checks(candidate, src, dst, m)
+        scalar = _scalar(facts)
+        if scalar is None:
+            outcomes.append((label_pairs, "solution fails checks", facts))
             continue
         witness = IsoWitness(
-            matrix=matrix,
+            matrix=_matrix(candidate),
             scalar=scalar,
             matching=m,
             matching_labels=sorted_pairs,
         )
         witnesses.append(witness)
-        outcomes.append((label_pairs, "witness", details))
-    witnesses.sort(key=_witness_key)
+        outcomes.append((label_pairs, "witness", facts))
+    if len(witnesses) > 1:
+        witnesses.sort(key=_witness_key)
     return ClassificationResult(
         alpha=alpha,
         beta=beta,
@@ -530,8 +614,9 @@ def _criterion(alpha, beta) -> bool:
     """equivalence_criterion over cooked parameters (see param_pair)."""
     if isinstance(alpha, str) or isinstance(beta, str):
         return alpha == beta
-    n, d = alpha.numerator * beta.numerator, alpha.denominator * beta.denominator
-    return alpha == beta or n == d  # alpha * beta == 1, as both are in lowest terms
+    na, da, nb, db = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    # alpha * beta == 1 or alpha == beta, as both are in lowest terms
+    return na * nb == da * db or (na == nb and da == db)
 
 
 def matchings_report(alpha, beta, d_max: int = DEFAULT_D_MAX) -> CertifiedReport:

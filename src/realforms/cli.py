@@ -208,6 +208,7 @@ def _cmd_classify(args) -> int:
 
 def run_grid(values, d_max: int = DEFAULT_D_MAX) -> dict:
     """Classify every ordered pair of values; flag verdict/criterion splits."""
+    intersection._check_d_max(d_max)
     # the rationals in numeric order, then the names, which no Fraction orders against
     values = sorted({surfaces.param_pair(v)[0] for v in values},
                     key=lambda v: (isinstance(v, str), v))

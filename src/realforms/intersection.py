@@ -27,6 +27,16 @@ NUM_CENTERS = 5
 DEFAULT_D_MAX = 6
 
 
+def _check_d_max(d_max) -> None:
+    """Refuse a degree bound that is not an int of at least 1, before any
+    cache keyed by it is read: a bool or a float equal to an int would hit
+    that int's entry, and below 1 the sweep would miss the lines."""
+    if isinstance(d_max, bool) or not isinstance(d_max, int):
+        raise TypeError(f"d_max must be an int, got {d_max!r}")
+    if d_max < 1:
+        raise ValueError(f"d_max must be at least 1, got {d_max}")
+
+
 @dataclass(frozen=True)
 class DivisorClass:
     """Class d*H - sum(m_i * E_i) in the blown-up plane's divisor lattice."""
@@ -284,10 +294,10 @@ def enumerate_negative_classes(alpha, d_max: int = DEFAULT_D_MAX) -> Enumeration
     not depend on alpha and run once per d_max.  Exceptional classes are included
     unconditionally (the centers are certified pairwise distinct when the
     configuration is built).
-    Raises ValueError when d_max is below 1: the sweep would miss the lines.
+    Raises TypeError when d_max is no int (a bool included) and ValueError
+    when it is below 1: the sweep would miss the lines.
     """
-    if d_max < 1:
-        raise ValueError(f"d_max must be at least 1, got {d_max}")
+    _check_d_max(d_max)
     config = modified_plane_config(alpha, alpha)
     survivors, scanned = _combinatorial_survivors(d_max)
 

@@ -33,10 +33,12 @@ from realforms.classification import (
 from realforms.checks import run_check
 from realforms.errors import ForbiddenParameter
 from realforms.gaussian import ZERO, GaussianRational, row_reduce
+from realforms.cli import run_grid
 from realforms.intersection import (
     DEFAULT_D_MAX,
     KIND_EXCEPTIONAL,
     LABEL_AT_INFINITY,
+    _combinatorial_survivors,
     canonical_form,
     enumerate_negative_classes,
     intersection_matrix,
@@ -127,19 +129,30 @@ def enumerated_graph(alpha, d_max):
                 if s.form is not None and s.form == conj_form
             )
         action.append(target)
-    center_terms = []
+    center_rows = []
     for r in vertices:
         if r.kind == KIND_EXCEPTIONAL:
             c = config.centers[r.through[0]]
-            center_terms.append(classification._named_terms(c.x, c.y))
+            center_rows.append(classification._center_rows(classification._named_terms(c.x, c.y)))
         else:
-            center_terms.append(None)
+            center_rows.append(None)
     return CurveIncidenceGraph(
         labels=tuple(r.label for r in vertices),
         weights=tuple(tuple(row) for row in intersection_matrix(vertices)),
         real_action=tuple(action),
-        center_terms=tuple(center_terms),
+        center_rows=tuple(center_rows),
     )
+
+
+def center_terms(graph, vertex):
+    """The Q(i) terms of a vertex's center, read back from the graph's
+    integer rows, or None for a line."""
+    rows = graph.center_rows[vertex]
+    if rows is None:
+        return None
+    return {key: (GaussianRational(Fraction(ax, d), Fraction(bx, d)),
+                  GaussianRational(Fraction(ay, d), Fraction(by, d)))
+            for key, (ax, bx, ay, by, d) in rows.items()}
 
 
 # -- incidence graphs ---------------------------------------------------------
@@ -156,6 +169,19 @@ GRAPH_VALUES = [
 def test_graph_from_the_symbolic_shape_equals_the_enumerated_graph(value):
     for d_max in range(1, 7):
         assert incidence_graph(value, d_max) == enumerated_graph(value, d_max)
+
+
+@pytest.mark.parametrize("value", GRAPH_VALUES)
+def test_center_rows_are_the_q_i_terms_at_the_value(value):
+    # the integer rows read back as the symbolic centers' terms at the value
+    cooked = param_pair(value)[0]
+    g = incidence_graph(value)
+    shape_terms = classification._graph_shape(DEFAULT_D_MAX)[3]
+    for vertex, terms in enumerate(shape_terms):
+        expected = None if terms is None else classification._terms_at(terms, cooked)
+        assert center_terms(g, vertex) == expected, (value, vertex)
+        for row in (g.center_rows[vertex] or {}).values():
+            assert all(type(n) is int for n in row) and row[4] > 0
 
 
 def test_graph_shape_refuses_an_unsettled_symbolic_table(monkeypatch):
@@ -333,7 +359,7 @@ def test_matchings_memo_searches_a_changed_shape_again():
     origin, plus = g.index_of(ORIGIN_LABEL), g.index_of("L(x+iy)")
     weights[origin][plus] = weights[plus][origin] = 2
     altered = dataclasses.replace(g, weights=tuple(tuple(row) for row in weights))
-    assert altered.center_terms == g.center_terms
+    assert altered.center_rows == g.center_rows
     admissible_matchings(g, g)
     misses = classification._shape_matchings.cache_info().misses
     found = admissible_matchings(altered, altered)
@@ -422,7 +448,7 @@ def reference_solve(src, dst, matching):
     one 2x2 minor and Cramer's rule on the first pivot pair found among them."""
     rows = []
     for i, j in enumerate(matching):
-        c, t = src.center_terms[i], dst.center_terms[j]
+        c, t = center_terms(src, i), center_terms(dst, j)
         if c is None or t is None:
             if c is not t:
                 return None
@@ -479,24 +505,24 @@ def test_engine_solve_equals_the_row_by_row_solve_on_a_seeded_grid():
 
 def reference_classify(alpha, beta, d_max):
     """classify matching by matching: reference_solve on the two graphs for
-    each admissible matching, then the same checks, outcomes and order."""
+    each admissible matching, then the Q(i) re-check, the same outcomes and
+    order.  Returns the verdict, the witnesses and the traces."""
     src, dst = incidence_graph(alpha, d_max), incidence_graph(beta, d_max)
-    witnesses, outcomes = [], []
+    witnesses, traces = [], []
     for m in admissible_matchings(src, dst):
-        pairs = tuple(zip(src.labels, [dst.labels[j] for j in m]))
+        trace = {"matching": matching_as_labels(src, dst, m)}
+        traces.append(trace)
         matrix = reference_solve(src, dst, m)
         if matrix is None:
-            outcomes.append((pairs, "no linear solution", None))
+            trace["outcome"] = "no linear solution"
             continue
-        ok, scalar, details = classification._witness_checks(matrix, src, dst, m)
-        if not ok:
-            outcomes.append((pairs, "solution fails checks", details))
-            continue
-        witnesses.append(classification.IsoWitness(matrix, scalar, m, tuple(sorted(pairs))))
-        outcomes.append((pairs, "witness", details))
+        ok, scalar, trace["details"] = reference_witness_checks(matrix, src, dst, m)
+        trace["outcome"] = "witness" if ok else "solution fails checks"
+        if ok:
+            pairs = tuple(sorted(trace["matching"].items()))
+            witnesses.append(classification.IsoWitness(matrix, scalar, m, pairs))
     witnesses.sort(key=classification._witness_key)
-    return ClassificationResult(alpha, beta, bool(witnesses), witnesses[0] if witnesses else None,
-                                tuple(witnesses), len(outcomes), tuple(outcomes), d_max)
+    return bool(witnesses), tuple(witnesses), tuple(traces)
 
 
 def assert_classify_equals_the_reference(values, d_max):
@@ -504,10 +530,17 @@ def assert_classify_equals_the_reference(values, d_max):
     for alpha, src in zip(values, graphs):
         for beta, dst in zip(values, graphs):
             found = _classify(alpha, beta, d_max, src, dst)
-            expected = reference_classify(alpha, beta, d_max)
-            assert found == expected, (alpha, beta)
-            assert found.traces == expected.traces, (alpha, beta)
-            assert found.to_json() == expected.to_json(), (alpha, beta)
+            equivalent, witnesses, traces = reference_classify(alpha, beta, d_max)
+            assert found.equivalent is equivalent, (alpha, beta)
+            assert found.witnesses == witnesses, (alpha, beta)
+            assert found.witness == (witnesses[0] if witnesses else None), (alpha, beta)
+            assert found.traces == traces, (alpha, beta)
+            assert found.to_json() == {
+                "alpha": str(alpha), "beta": str(beta), "equivalent": equivalent,
+                "witness": witnesses[0].to_json() if witnesses else None,
+                "witnesses": [w.to_json() for w in witnesses],
+                "matchings_admissible": len(traces), "traces": list(traces), "d_max": d_max,
+            }, (alpha, beta)
 
 
 @pytest.mark.parametrize("d_max", range(1, 7))
@@ -694,11 +727,13 @@ def test_importing_realforms_builds_no_engine():
     assert done.returncode == 0, done.stderr
 
 
-def _center_graph(center_terms):
-    """A graph of centers only, one vertex each: reference_solve reads nothing else."""
-    n = len(center_terms)
-    return CurveIncidenceGraph(tuple(map(str, range(n))), ((0,) * n,) * n,
-                               tuple(range(n)), tuple(center_terms))
+def _center_graph(terms):
+    """A graph of centers only, one vertex each, from their Q(i) terms (None
+    for a line): reference_solve and the re-check read nothing else."""
+    n = len(terms)
+    return CurveIncidenceGraph(tuple(map(str, range(n))), ((0,) * n,) * n, tuple(range(n)),
+                               tuple([None if t is None else classification._center_rows(t)
+                                      for t in terms]))
 
 
 def _engine_solve(equations):
@@ -970,14 +1005,14 @@ def test_witness_checks_do_not_trust_the_solver(monkeypatch, shift):
     # singular, which stops the checks before the centers are read.
     cell_witnesses = classification._cell_witnesses
 
-    def move(matrix):
-        if matrix is None:
+    def move(candidate):
+        if candidate is None:
             return None
-        (p, q), (r, s) = matrix
-        return ((p, q), (r, -s)) if shift == "negate s" else ((p - p, q), (r, s))
+        P, Q, R, S, m = candidate
+        return (P, Q, R, -S, m) if shift == "negate s" else (0, Q, R, S, m)
 
     def shifted(*args):
-        return [move(matrix) for matrix in cell_witnesses(*args)]
+        return [move(candidate) for candidate in cell_witnesses(*args)]
 
     monkeypatch.setattr(classification, "_cell_witnesses", shifted)
     result = classify(2, Fraction(1, 2))
@@ -1011,7 +1046,7 @@ def reference_witness_checks(matrix, src, dst, matching):
     if det == 0:
         return False, None, details
     gp, gq, gr, gs = (GaussianRational(e) for e in (p, q, r, s))
-    pairs = [(src.center_terms[i], dst.center_terms[j]) for i, j in enumerate(matching)]
+    pairs = [(center_terms(src, i), center_terms(dst, j)) for i, j in enumerate(matching)]
     zero = (ZERO, ZERO)
     centers_ok = all(c is t for c, t in pairs if c is None or t is None) and all(
         cx * gp + cy * gq == tx and cx * gr + cy * gs == ty
@@ -1082,6 +1117,96 @@ def test_witness_checks_read_every_term_of_both_centers():
         found = classification._witness_checks(UNIT, src, dst, matching)
         assert found == reference_witness_checks(UNIT, src, dst, matching)
         assert found[2]["centers_carried"] is carried
+
+
+def _rendered(monkeypatch, candidate, src, dst, matching):
+    """The outcome and details a trace renders for one integer candidate
+    (P, Q, R, S, m) that the solver is made to hand back for the matching."""
+    monkeypatch.setattr(classification, "_cell_witnesses", lambda *args: [candidate])
+    pairs = tuple(zip(src.labels, [dst.labels[j] for j in matching]))
+    result = _classify(Fraction(2), Fraction(2), DEFAULT_D_MAX, src, dst,
+                       ((matching, pairs, tuple(sorted(pairs))),))
+    (trace,) = result.traces
+    return trace["outcome"], trace["details"]
+
+
+@pytest.mark.parametrize("failure", ["determinant 0", "moved center", "broken circle"])
+def test_rendered_details_equal_the_q_i_re_check(monkeypatch, failure):
+    # one candidate per way the re-check refuses: a singular matrix stops
+    # before the centers; the other swap's witness for 2 -> 1/2 keeps the
+    # circle but moves the centers; diag(2, 1) carries a center on the
+    # x-axis to its double and breaks the circle
+    if failure == "broken circle":
+        src = _center_graph([{(): (GaussianRational(1), ZERO)}])
+        dst = _center_graph([{(): (GaussianRational(2), ZERO)}])
+        matching, candidate = (0,), (2, 0, 0, 1, 1)
+    else:
+        src, dst = incidence_graph(2), incidence_graph(Fraction(1, 2))
+        matching = classify(2, Fraction(1, 2)).witness.matching
+        candidate = (1, 2, 2, 4, 3) if failure == "determinant 0" else (1, 0, 0, -1, 2)
+    outcome, details = _rendered(monkeypatch, candidate, src, dst, matching)
+    matrix = classification._matrix(candidate)
+    expected = reference_witness_checks(matrix, src, dst, matching)
+    assert outcome == "solution fails checks"
+    assert details == expected[2]
+    assert list(details) == list(expected[2])
+    assert classification._witness_checks(matrix, src, dst, matching) == expected
+    carried, circle = {"determinant 0": (None, None), "moved center": (False, True),
+                       "broken circle": (True, False)}[failure]
+    assert details.get("centers_carried") is carried
+    assert details.get("sum_of_squares_preserved") is circle
+
+
+def test_solve_linear_witness_cooks_its_pair():
+    # excluded, inexact and reserved values are refused as classify refuses
+    # them, and raw values and the symbolic spelling are cooked
+    identity = tuple(range(incidence_graph(2).size()))
+    for alpha, beta, error in ((Fraction(1), Fraction(1), ForbiddenParameter),
+                               (0, 0, ForbiddenParameter), (2.0, 2, TypeError),
+                               ("x", "x", ValueError)):
+        with pytest.raises(error):
+            solve_linear_witness(alpha, beta, DEFAULT_D_MAX, identity)
+    assert solve_linear_witness(2, 2, DEFAULT_D_MAX, identity) == UNIT
+    assert solve_linear_witness("symbolic", "symbolic", DEFAULT_D_MAX, identity) == UNIT
+    assert solve_linear_witness(2, 3, DEFAULT_D_MAX, identity) is None
+
+
+def test_solve_linear_witness_refuses_a_matching_that_is_not_admissible():
+    g = incidence_graph(2)
+    identity = tuple(range(g.size()))
+    # the boundary line and the origin curve swapped: no matching moves them
+    infinity, origin = g.index_of(LABEL_AT_INFINITY), g.index_of(ORIGIN_LABEL)
+    swapped = list(identity)
+    swapped[infinity], swapped[origin] = origin, infinity
+    for matching in (tuple(swapped), (0, 1), ()):
+        with pytest.raises(ValueError, match=r"is not admissible at d_max 3"):
+            solve_linear_witness(2, 2, 3, matching)
+    assert solve_linear_witness(2, 2, 3, identity) == UNIT
+
+
+@pytest.mark.parametrize("d_max, error", [
+    (True, TypeError), (False, TypeError), (1.0, TypeError), (2.5, TypeError),
+    ("3", TypeError), (None, TypeError), (0, ValueError), (-2, ValueError),
+])
+def test_library_entries_refuse_a_d_max_that_is_no_positive_int(d_max, error):
+    # refused before any cache keyed by d_max is read: True == 1 and 1.0 == 1
+    # would otherwise be served the d_max 1 entries and printed as given
+    classify(2, 3, d_max=1)
+    caches = (classification._graph_shape, classification._witness_engine,
+              _combinatorial_survivors)
+    before = [cached.cache_info() for cached in caches]
+    entries = (
+        lambda: classify(2, 3, d_max=d_max),
+        lambda: incidence_graph(2, d_max),
+        lambda: run_grid([2, 3], d_max=d_max),
+        lambda: run_grid([], d_max=d_max),
+        lambda: enumerate_negative_classes(2, d_max),
+        lambda: solve_linear_witness(2, 2, d_max, tuple(range(12))),
+    )
+    for entry in entries:
+        with pytest.raises(error, match="d_max"):
+            entry()
+    assert [cached.cache_info() for cached in caches] == before
 
 
 def test_integer_criterion_equals_the_fraction_criterion():
