@@ -124,6 +124,7 @@ class GaussianRational:
         return other * self.inverse()
 
     def __pow__(self, exponent: int):
+        check_exponent(exponent)
         if exponent < 0:
             return self.inverse() ** (-exponent)
         # square-and-multiply on the Gaussian-integer numerator, one gcd
@@ -168,6 +169,12 @@ def coerce(value) -> GaussianRational | None:
     if isinstance(value, _RATIONAL):
         return GaussianRational(value)
     return None
+
+
+def check_exponent(exponent) -> None:
+    """TypeError naming an exponent of ``**`` that is no int; a bool is none."""
+    if type(exponent) is not int:
+        raise TypeError(f"exponent {exponent!r} is not an int")
 
 
 def _make(a: int, b: int, d: int) -> GaussianRational:

@@ -16,8 +16,10 @@ RingMap is a substitution homomorphism: one RatFunc image per source-table
 variable, plus a flag that conjugates coefficients before substituting.  It
 substitutes over one common denominator, the product of the image
 denominators to the highest powers that occur, and maps a numerator and its
-denominator together, so no fraction is added or divided on the way.  Maps
-compose by substitution chaining; conjugation flags compose by XOR.
+denominator together, so no fraction is added or divided on the way.  The
+substitution runs on Gaussian-integer numerators with the product loop of
+Poly multiplication.  Maps compose by substitution chaining; conjugation
+flags compose by XOR.
 """
 from __future__ import annotations
 
@@ -27,7 +29,9 @@ from math import gcd
 from operator import add, sub
 from typing import Iterable, Mapping
 
-from .gaussian import RATIONAL_TEXT, GaussianRational, ONE, ZERO, _reduce, coefficient_str, coerce
+from .gaussian import (
+    RATIONAL_TEXT, GaussianRational, ONE, ZERO, _reduce, check_exponent, coefficient_str, coerce,
+)
 
 class VarTable:
     """Ordered names of real indeterminates."""
@@ -68,8 +72,21 @@ class Poly:
     __slots__ = ("table", "terms")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple, GaussianRational] | None = None):
+        """Terms map exponent tuples, one nonnegative int per table variable,
+        to scalars; zero coefficients are dropped.  A malformed exponent tuple
+        raises ValueError, a coefficient that is no scalar TypeError."""
+        n = len(table)
+        cooked = {}
+        for e, c in (terms or {}).items():
+            if type(e) is not tuple or len(e) != n or any(type(k) is not int or k < 0 for k in e):
+                raise ValueError(f"exponents {e!r} are not {n} nonnegative ints")
+            value = coerce(c)
+            if value is None:
+                raise TypeError(f"not a scalar: {c!r}")
+            if value:
+                cooked[e] = value
         self.table = table
-        self.terms = {e: c for e, c in (terms or {}).items() if not c.is_zero()}
+        self.terms = cooked
 
     # -- constructors ------------------------------------------------------
 
@@ -87,6 +104,9 @@ class Poly:
 
     @staticmethod
     def var(table: VarTable, name: str, power: int = 1) -> "Poly":
+        check_exponent(power)
+        if power < 0:
+            raise ValueError(f"negative power {power} of {name}")
         exps = [0] * len(table)
         exps[table.index(name)] = power
         return _poly(table, {tuple(exps): ONE})
@@ -154,6 +174,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
+        check_exponent(exponent)
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
         if not exponent:
@@ -294,8 +315,40 @@ def _numerators(terms: dict) -> tuple[int, list]:
     return D, [(e, c.a * (D // c.d), c.b * (D // c.d)) for e, c in terms.items()]
 
 
+def _int_product(n1: list, n2: list) -> list:
+    """The product of two Gaussian-integer polynomials given as lists of
+    (exponents, re, im) without zero terms, in the same form: the one product
+    loop of Poly multiplication and of RingMap substitution."""
+    if len(n1) < len(n2):
+        n1, n2 = n2, n1
+    if len(n2) == 1:
+        # Z[i] has no zero divisors, and distinct monomials stay distinct
+        (e2, a2, b2), = n2
+        return [(tuple(map(add, e1, e2)), a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+                for e1, a1, b1 in n1]
+    acc: dict = {}
+    for e2, a2, b2 in n2:
+        _int_add_scaled(acc, n1, a2, b2, e2)
+    return [(e, a, b) for e, (a, b) in acc.items() if a or b]
+
+
+def _int_add_scaled(acc: dict, terms: list, a: int, b: int, shift: tuple | None = None) -> None:
+    """acc += (a + b i) * x^shift * terms, for acc a dict exponents -> [re, im]
+    and terms a list of (exponents, re, im); no shift when shift is None."""
+    get = acc.get
+    for e, ta, tb in terms:
+        if shift:
+            e = tuple(map(add, e, shift))
+        s = get(e)
+        if s is None:
+            acc[e] = [a * ta - b * tb, a * tb + b * ta]
+        else:
+            s[0] += a * ta - b * tb
+            s[1] += a * tb + b * ta
+
+
 def _product_terms(t1: dict, t2: dict) -> dict:
-    """Terms of the product, accumulated as Gaussian-integer numerators over
+    """Terms of the product, multiplied as Gaussian-integer numerators over
     the product of the two common denominators and reduced once per term."""
     if len(t1) < len(t2):
         t1, t2 = t2, t1
@@ -307,15 +360,7 @@ def _product_terms(t1: dict, t2: dict) -> dict:
     D1, n1 = _numerators(t1)
     D2, n2 = _numerators(t2)
     D = D1 * D2
-    re: dict = {}
-    im: dict = {}
-    get, iget = re.get, im.get
-    for e2, a2, b2 in n2:
-        for e1, a1, b1 in n1:
-            e = tuple(map(add, e1, e2))
-            re[e] = get(e, 0) + a1 * a2 - b1 * b2
-            im[e] = iget(e, 0) + a1 * b2 + b1 * a2
-    return {e: _reduce(a, im[e], D) for e, a in re.items() if a or im[e]}
+    return {e: _reduce(a, b, D) for e, a, b in _int_product(n1, n2)}
 
 
 def _scaled_terms(terms: dict, c: GaussianRational) -> dict:
@@ -501,7 +546,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        return RatFunc(*_sum_parts(self, other, add))
 
     __radd__ = __add__
 
@@ -512,7 +557,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return RatFunc(*_sum_parts(self, other, sub))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -540,6 +585,7 @@ class RatFunc:
         return other / self
 
     def __pow__(self, exponent: int):
+        check_exponent(exponent)
         if exponent < 0:
             return (RatFunc(self.den, self.num)) ** (-exponent)
         return RatFunc(self.num ** exponent, self.den ** exponent)
@@ -567,6 +613,26 @@ class RatFunc:
 
     def __repr__(self):
         return f"<RatFunc {self}>"
+
+
+def _is_unit(p: Poly) -> bool:
+    """Is p the constant 1?"""
+    if len(p.terms) != 1:
+        return False
+    (e, c), = p.terms.items()
+    return c.is_one() and not any(e)
+
+
+def _sum_parts(f: RatFunc, g: RatFunc, op) -> tuple[Poly, Poly]:
+    """(f.num*g.den op g.num*f.den, f.den*g.den) for op add or sub, with
+    each product by a denominator 1 left out."""
+    if _is_unit(g.den):
+        if _is_unit(f.den):
+            return op(f.num, g.num), f.den
+        return op(f.num, g.num * f.den), f.den
+    if _is_unit(f.den):
+        return op(f.num * g.den, g.num), g.den
+    return op(f.num * g.den, g.num * f.den), f.den * g.den
 
 
 def _strip(num: Poly, den: Poly):
@@ -666,8 +732,6 @@ class RingMap:
             raise TypeError(f"cannot substitute into {value!r}")
         if value.table != self.source:
             raise ValueError("VarTable mismatch")
-        if self.conjugates_coefficients:
-            parts = tuple(p.conjugate() for p in parts)
         num, den = self._subst(parts)
         if den.is_zero():
             raise ZeroDivisionError("denominator maps to zero")
@@ -675,12 +739,19 @@ class RingMap:
 
     def _subst(self, parts: tuple) -> list:
         """The images of the parts of a fraction, each times one common
-        denominator D, so that their quotient is the image of the fraction.
+        denominator D, so that their quotient is the image of the fraction;
+        the parts' coefficients are conjugated first when the map says so.
 
         For images N_k/D_k, with top_k the highest power of variable k in
         either part, a term c*prod x_k^e_k maps to
         c*prod N_k^e_k*D_k^(top_k-e_k), and D = prod D_k^top_k.  A Poly
         p/1 thus maps to the pair (image of p times D, D).
+
+        The work is in Gaussian integers: image parts are primitive Z[i]
+        polynomials, so each factor N_k^e*D_k^(top_k-e) is built once per
+        call on (exponents, re, im) terms, and a part's terms are read as
+        numerators over its coefficients' common denominator.  The sum is
+        reduced to Q(i) once per output term.
 
         When every D_k is a positive integer times a monomial, so is every
         power of it, and stripping divides such a common factor out: the
@@ -688,39 +759,51 @@ class RingMap:
         gives.  Otherwise the pair may differ from that sum's by a common
         polynomial factor; the value is the same.
         """
-        images = self.images
-        top: dict = {}  # highest power of each variable that occurs
+        top = [0] * len(self.source)
         for p in parts:
             for e in p.terms:
                 for k, power in enumerate(e):
-                    if power > top.get(k, 0):
+                    if power > top[k]:
                         top[k] = power
-        one = {(0,) * len(self.target): ONE}
-        factors: dict = {}  # (k, e_k) -> N_k^e_k * D_k^(top_k - e_k), None for 1
+        ks = [k for k, t in enumerate(top) if t]
+        images = self.images
+        powers: dict = {}  # (k, 0) or (k, 1) -> [None, X, X^2, ...] for X = N_k or D_k
+        factors: dict = {}  # (k, e) -> N_k^e*D_k^(top_k-e), None for 1
 
-        def factor(k: int, power: int) -> Poly | None:
-            key = (k, power)
-            if key not in factors:
-                image = images[k]
-                f = image.num ** power if power else None
-                rest = top[k] - power
-                if rest and image.den.terms != one:
-                    g = image.den ** rest
-                    f = g if f is None else f * g
-                factors[key] = f
-            return factors[key]
+        def power(key: tuple, x: Poly, n: int) -> list:
+            xs = powers.get(key)
+            if xs is None:
+                xs = powers[key] = [None, [(m, c.a, c.b) for m, c in x.terms.items()]]
+            while len(xs) <= n:
+                xs.append(_int_product(xs[-1], xs[1]))
+            return xs[n]
 
+        def factor(k: int, e: int) -> list | None:
+            if (k, e) not in factors:
+                image, rest = images[k], top[k] - e
+                f = power((k, 0), image.num, e) if e else None
+                if rest and not _is_unit(image.den):
+                    g = power((k, 1), image.den, rest)
+                    f = g if f is None else _int_product(f, g)
+                factors[k, e] = f
+            return factors[k, e]
+
+        one = [((0,) * len(self.target), 1, 0)]
         out = []
         for p in parts:
-            acc: dict = {}
-            for e, c in p.terms.items():
-                mono = None
-                for k in top:
+            D, numerators = _numerators(p.terms)
+            if self.conjugates_coefficients:
+                numerators = [(e, a, -b) for e, a, b in numerators]
+            acc: dict = {}  # exponents -> [re, im]
+            for e, ca, cb in numerators:
+                mono = None  # None for 1
+                for k in ks:
                     f = factor(k, e[k])
                     if f is not None:
-                        mono = f if mono is None else mono * f
-                _sum_terms(acc, _scaled_terms(one if mono is None else mono.terms, c), 1)
-            out.append(_poly(self.target, acc))
+                        mono = f if mono is None else _int_product(mono, f)
+                _int_add_scaled(acc, one if mono is None else mono, ca, cb)
+            out.append(_poly(self.target, {
+                e: _reduce(a, b, D) for e, (a, b) in acc.items() if a or b}))
         return out
 
     def is_identity(self) -> bool:

@@ -2,18 +2,22 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realforms.gaussian import I, GaussianRational
+from realforms.gaussian import I, ONE, GaussianRational
 from realforms.ring import (
     Poly,
     RatFunc,
     RingMap,
     VarTable,
+    _poly,
+    _scaled_terms,
+    _sum_terms,
     compose,
     parse_poly,
     poly_str,
@@ -36,6 +40,15 @@ def rand_poly(rng: random.Random, table: VarTable, terms: int = 4) -> Poly:
         exps = tuple(rng.randint(0, 3) for _ in table.names)
         p = p + Poly(table, {exps: rand_scalar(rng)})
     return p
+
+
+def gaussian_integer_poly(rng: random.Random, terms: int = 3) -> Poly:
+    """A nonzero polynomial with coefficients in Z[i]."""
+    p = Poly.var(TABLE, "y")
+    for _ in range(terms):
+        exps = tuple(rng.randint(0, 3) for _ in TABLE.names)
+        p = p + Poly(TABLE, {exps: GaussianRational(rng.randint(-6, 6), rng.randint(-6, 6))})
+    return p if p else Poly.var(TABLE, "x")
 
 
 # -- tables -----------------------------------------------------------------
@@ -97,6 +110,49 @@ def test_mixed_scalar_arithmetic():
     assert x ** 0 == Poly.const(TABLE, 1)
 
 
+@pytest.mark.parametrize("terms", [
+    {(1,): ONE},  # one exponent on a table of three variables
+    {(1, 0, 0, 0): ONE},
+    {(0, -1, 0): ONE},
+    {(1.0, 0, 0): ONE},
+    {(True, 0, 0): ONE},
+    {"x": ONE},
+], ids=["short", "long", "negative", "float", "bool", "string"])
+def test_poly_refuses_a_malformed_exponent_tuple(terms):
+    with pytest.raises(ValueError, match="are not 3 nonnegative ints"):
+        Poly(TABLE, terms)
+
+
+def test_poly_coerces_its_coefficients():
+    assert Poly(TABLE, {(0, 0, 0): 3}) == Poly.const(TABLE, 3)
+    assert Poly(TABLE, {(1, 0, 0): Fraction(1, 2)}) == Poly.var(TABLE, "x") * Fraction(1, 2)
+    assert Poly(TABLE, {(1, 0, 0): 0, (0, 1, 0): Fraction(0)}).is_zero()
+    assert poly_str(Poly(TABLE, {(2, 0, 1): -2})) == "-2*x^2*z"
+    for bad in (0.5, "1", None):
+        with pytest.raises(TypeError, match="not a scalar"):
+            Poly(TABLE, {(0, 0, 0): bad})
+
+
+def test_var_refuses_a_negative_or_non_int_power():
+    with pytest.raises(ValueError, match="negative power -1 of x"):
+        Poly.var(TABLE, "x", -1)
+    for power in (1.0, Fraction(1), True):
+        with pytest.raises(TypeError, match=f"exponent {re.escape(repr(power))} is not an int"):
+            Poly.var(TABLE, "x", power)
+    assert Poly.var(TABLE, "x", 0) == Poly.const(TABLE, 1)
+
+
+@pytest.mark.parametrize("base", [
+    lambda: Poly.var(TABLE, "x"),
+    lambda: RatFunc.var(TABLE, "x"),
+    lambda: GaussianRational(Fraction(1, 2), 3),
+], ids=["Poly", "RatFunc", "GaussianRational"])
+@pytest.mark.parametrize("exponent", [2.0, Fraction(2), True, "2"])
+def test_power_refuses_an_exponent_that_is_no_int(base, exponent):
+    with pytest.raises(TypeError, match=f"exponent {re.escape(repr(exponent))} is not an int"):
+        base() ** exponent
+
+
 def test_table_mismatch_rejected():
     x = Poly.var(TABLE, "x")
     other = Poly.var(VarTable(("x", "y")), "x")
@@ -125,15 +181,15 @@ def test_specialize_and_evaluate():
         p.specialize({"x": "not-a-scalar"})
 
 
-def _random_polys(table: VarTable):
+def _random_polys(table: VarTable, terms: int = 5, degree: int = 3, size: int = 6):
     scalar = st.builds(
         GaussianRational,
-        st.fractions(min_value=-6, max_value=6, max_denominator=4),
-        st.fractions(min_value=-6, max_value=6, max_denominator=4),
+        st.fractions(min_value=-size, max_value=size, max_denominator=4),
+        st.fractions(min_value=-size, max_value=size, max_denominator=4),
     )
-    term = st.tuples(st.tuples(*[st.integers(0, 3)] * len(table)), scalar)
-    return st.lists(term, max_size=5).map(
-        lambda terms: sum((Poly(table, {e: c}) for e, c in terms), Poly.zero(table)))
+    term = st.tuples(st.tuples(*[st.integers(0, degree)] * len(table)), scalar)
+    return st.lists(term, max_size=terms).map(
+        lambda ts: sum((Poly(table, {e: c}) for e, c in ts), Poly.zero(table)))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -500,3 +556,218 @@ def test_substitution_with_fraction_images():
         got = m(p)
         assert got == term_by_term(m, p)
         _assert_primitive_parts(got)
+
+
+# -- the integer substitution kernel against the Poly-based one ----------------
+
+
+def reference_subst(m: RingMap, parts: tuple) -> list:
+    """RingMap._subst as it was on Poly and Q(i) arithmetic: every factor a
+    Poly power, and every monomial a product of factors built afresh."""
+    images = m.images
+    top: dict = {}
+    for p in parts:
+        for e in p.terms:
+            for k, power in enumerate(e):
+                if power > top.get(k, 0):
+                    top[k] = power
+    one = {(0,) * len(m.target): ONE}
+    factors: dict = {}
+
+    def factor(k: int, power: int) -> Poly | None:
+        key = (k, power)
+        if key not in factors:
+            image = images[k]
+            f = image.num ** power if power else None
+            rest = top[k] - power
+            if rest and image.den.terms != one:
+                g = image.den ** rest
+                f = g if f is None else f * g
+            factors[key] = f
+        return factors[key]
+
+    out = []
+    for p in parts:
+        acc: dict = {}
+        for e, c in p.terms.items():
+            mono = None
+            for k in top:
+                f = factor(k, e[k])
+                if f is not None:
+                    mono = f if mono is None else mono * f
+            _sum_terms(acc, _scaled_terms(one if mono is None else mono.terms, c), 1)
+        out.append(_poly(m.target, acc))
+    return out
+
+
+def assert_same_pairs(m: RingMap, value):
+    """_subst gives the reference's polynomials, which the reference computes
+    on parts conjugated beforehand when the map conjugates, and m(value) the
+    RatFunc pair of the reference's; or both refuse a denominator that maps
+    to 0."""
+    parts = (value.num, value.den) if isinstance(value, RatFunc) else \
+        (value, Poly.const(value.table, 1))
+    conjugated = tuple(p.conjugate() for p in parts) if m.conjugates_coefficients else parts
+    expected = reference_subst(m, conjugated)
+    assert m._subst(parts) == expected
+    if expected[1].is_zero():
+        with pytest.raises(ZeroDivisionError, match="denominator maps to zero"):
+            m(value)
+        return
+    got, want = m(value), RatFunc(*expected)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+def rand_conjugating_map(rng: random.Random) -> RingMap:
+    return RingMap(TABLE, TABLE, rand_fraction_map(rng).images, conjugates_coefficients=True)
+
+
+def oracle_inputs(rng: random.Random) -> list:
+    """A Poly with rational and Gaussian coefficients, a RatFunc, zero, a
+    constant Poly and a constant RatFunc."""
+    return [
+        rand_poly(rng, TABLE, terms=4) + Poly.var(TABLE, "x") * rand_scalar(rng),
+        RatFunc(rand_poly(rng, TABLE, terms=3),
+                rand_poly(rng, TABLE, terms=2) + Poly.var(TABLE, "z")),
+        Poly.zero(TABLE),
+        RatFunc(Poly.zero(TABLE), Poly.var(TABLE, "y")),
+        Poly.const(TABLE, GaussianRational(Fraction(-3, 4), Fraction(5, 6))),
+        RatFunc.const(TABLE, Fraction(7, 2)),
+    ]
+
+
+@pytest.mark.parametrize("make_map", [rand_affine_map, rand_fraction_map, rand_conjugating_map])
+def test_integer_substitution_gives_the_reference_pairs(make_map):
+    rng = random.Random(f"subst-oracle-{make_map.__name__}")
+    for _ in range(8):
+        m = make_map(rng)
+        for value in oracle_inputs(rng):
+            assert_same_pairs(m, value)
+
+
+def test_integer_substitution_gives_the_reference_pairs_on_the_paper_maps(monkeypatch):
+    # the maps a rational verify all substitutes with: the charts, the fiber
+    # maps and every link of the chain, each on its own inputs
+    from realforms.checks import run_check
+
+    seen = []
+    real_call = RingMap.__call__
+
+    def recording(self, value):
+        seen.append((self, value))
+        return real_call(self, value)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RingMap, "__call__", recording)
+        for check in ("def-3.4-fiber", "prop-4.2", "lem-3.5"):
+            run_check(check, alpha=Fraction(-7, 3), beta=Fraction(5, 2))
+    assert len(seen) > 30
+    for m, value in seen:
+        assert_same_pairs(m, value)
+
+
+def _small_polys(table: VarTable, terms: int):
+    return _random_polys(table, terms=terms, degree=2, size=4)
+
+
+@st.composite
+def _ring_maps(draw):
+    images = []
+    for _ in TABLE.names:
+        den = draw(_small_polys(TABLE, 2))
+        images.append(RatFunc(draw(_small_polys(TABLE, 3)),
+                              Poly.const(TABLE, 1) if den.is_zero() else den))
+    return RingMap(TABLE, TABLE, images, conjugates_coefficients=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_ring_maps(), _small_polys(TABLE, 4), _small_polys(TABLE, 3), st.booleans())
+def test_integer_substitution_gives_the_reference_pairs_random(m, num, den, fraction):
+    assert_same_pairs(m, num)
+    if fraction and not den.is_zero():
+        assert_same_pairs(m, RatFunc(num, den))
+
+
+# -- sums with a denominator 1 ----------------------------------------------------
+
+
+def test_sums_with_a_unit_denominator_give_the_general_pair():
+    # a RatFunc keeps the denominator 1 only when its numerator has Z[i]
+    # coefficients, so the unit operands are built from such polynomials
+    rng = random.Random(3131)
+    one = Poly.const(TABLE, 1)
+    cases: dict = {}
+    for _ in range(30):
+        polys = [rand_poly(rng, TABLE, terms=3) + Poly.var(TABLE, "y") for _ in range(2)]
+        dens = [rand_poly(rng, TABLE, terms=2) + Poly.var(TABLE, "z") for _ in range(2)]
+        fractions = [RatFunc(p, d) for p, d in zip(polys, dens)]
+        units = [RatFunc(gaussian_integer_poly(rng)) for _ in range(2)]
+        assert all(u.den == one for u in units) and all(f.den != one for f in fractions)
+        for f, g in ((units[0], units[1]), (units[0], fractions[1]),
+                     (fractions[0], units[1]), (fractions[0], fractions[1])):
+            for op, sign in ((f.__add__, 1), (f.__sub__, -1)):
+                got = op(g)
+                want = RatFunc(f.num * g.den + g.num * f.den * sign, f.den * g.den)
+                assert (got.num, got.den) == (want.num, want.den)
+                case = (f.den == one, g.den == one)
+                cases[case] = cases.get(case, 0) + 1
+    assert cases == {(True, True): 60, (True, False): 60, (False, True): 60, (False, False): 60}
+    x = RatFunc.var(TABLE, "x")
+    assert (x - x).is_zero() and (x - x).den == Poly.const(TABLE, 1)
+    assert str(x + 1) == "x + 1" and str(1 - x) == "-x + 1"
+
+
+def multilinear_poly(rng: random.Random) -> Poly:
+    """Three random terms of degree at most 1 in each variable."""
+    p = Poly.zero(TABLE)
+    for _ in range(3):
+        p = p + Poly(TABLE, {tuple(rng.randint(0, 1) for _ in TABLE.names): rand_scalar(rng)})
+    return p
+
+
+def test_substitution_agrees_with_sympy():
+    # an independent substitution in sympy's polynomial ring over Q(i): the
+    # terms are added as fractions one by one, with no common denominator,
+    # and m(value) - expected is 0 when its cross-multiplied numerator is
+    # (sympy.cancel takes seconds a case on these, in multivariate gcds)
+    sympy = pytest.importorskip("sympy")
+    R = sympy.ring(",".join(TABLE.names), sympy.QQ_I)[0]
+
+    def scalar(c: GaussianRational, conjugate: bool):
+        value = (sympy.Rational(c.re.numerator, c.re.denominator)
+                 + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+        return R.domain.from_sympy(sympy.conjugate(value) if conjugate else value)
+
+    def ring_poly(p: Poly):
+        return R.from_dict({e: scalar(c, False) for e, c in p.terms.items()}) if p else R(0)
+
+    def substitute(p: Poly, images, conjugate: bool):
+        num, den = R(0), R(1)
+        for e, c in p.terms.items():
+            tn, td = R(scalar(c, conjugate)), R(1)
+            for (n, d), k in zip(images, e):
+                tn, td = tn * n ** k, td * d ** k
+            num, den = num * td + tn * den, den * td
+        return num, den
+
+    rng = random.Random(5252)
+    checked = 0
+    for make_map in (rand_affine_map, rand_fraction_map, rand_conjugating_map):
+        for _ in range(4):
+            m = make_map(rng)
+            images = [(ring_poly(im.num), ring_poly(im.den)) for im in m.images]
+            conjugate = m.conjugates_coefficients
+            for value in (multilinear_poly(rng) + Poly.var(TABLE, "x"),
+                          RatFunc(multilinear_poly(rng), multilinear_poly(rng) + Poly.var(TABLE, "z"))):
+                if isinstance(value, RatFunc):
+                    a, b = substitute(value.num, images, conjugate)
+                    c, d = substitute(value.den, images, conjugate)
+                    expected_num, expected_den = a * d, b * c
+                else:
+                    expected_num, expected_den = substitute(value, images, conjugate)
+                if not expected_den:
+                    continue
+                got = m(value)
+                assert ring_poly(got.num) * expected_den - ring_poly(got.den) * expected_num == 0
+                checked += 1
+    assert checked >= 20
