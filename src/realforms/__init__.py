@@ -64,13 +64,11 @@ from .classification import (
     classify,
     equivalence_criterion,
     incidence_graph,
-    solve_linear_witness,
 )
 from .modification import (
     ModificationSpec,
     ReesPresentation,
     fiber_presentation,
-    jacobian_rank_at,
     match_fiber_to_surface,
     rees_presentation,
     standard_modification,
@@ -103,10 +101,10 @@ __all__ = [
     # classification
     "ClassificationResult", "CurveIncidenceGraph", "IsoWitness",
     "admissible_matchings", "classify", "equivalence_criterion",
-    "incidence_graph", "solve_linear_witness",
+    "incidence_graph",
     # modification
     "ModificationSpec", "ReesPresentation",
-    "fiber_presentation", "jacobian_rank_at", "match_fiber_to_surface",
+    "fiber_presentation", "match_fiber_to_surface",
     "rees_presentation", "standard_modification",
     # check registry
     "available_checks", "resolve_check_id", "run_check", "run_suite",

@@ -14,18 +14,20 @@ and for traces that are read.
 
 Each graph is the symbolic graph read at its own parameter value.  One
 symbolic enumeration per d_max in a process gives the labels, weights,
-conjugation action and the terms of the five centers.  Its lines are
-polynomial identities in the parameter and its avoided centers have unit
-values, built from a and 1 - a, so the shape holds at every admissible
-value; its configuration proved the centers pairwise distinct for every
-admissible value, so a graph only evaluates the centers' terms.
+conjugation action and the five centers, each held once as integer rows
+per power of a.  Its lines are polynomial identities in the parameter and
+its avoided centers have unit values, built from a and 1 - a, so the shape
+holds at every admissible value; its configuration proved the centers
+pairwise distinct for every admissible value, so a graph only reads the
+rows at its value.  The engine's polynomials and each graph's rows come
+from those same rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 
 from .gaussian import ZERO
 from .intersection import (
@@ -54,8 +56,10 @@ class CurveIncidenceGraph:
     ``center_rows`` holds each center's coordinates term by term, keyed by
     the named monomial, so that centers of different parameter values
     compare coefficientwise: each term (x, y) as the integers (ax, bx, ay,
-    by, d) with x = (ax + bx*i)/d and y = (ay + by*i)/d, built once per graph
-    so that a witness re-check compares integers only.
+    by, d) with x = (ax + bx*i)/d and y = (ay + by*i)/d over the least such
+    d, read once per graph from the symbolic shape's rows (see _rows_at) so
+    that a witness re-check compares integers only.  A rational value has
+    one term, keyed (), and a zero center none.
     """
 
     labels: tuple[str, ...]
@@ -79,9 +83,9 @@ class CurveIncidenceGraph:
 
 @cache
 def _graph_shape(d_max: int) -> tuple:
-    """Labels, weights, conjugation action and, per vertex, the named terms
-    of its blow-up center in a (None for a line), from one symbolic
-    enumeration.
+    """Labels, weights, conjugation action and, per vertex, the integer rows
+    of its blow-up center in a (see _center_rows; None for a line), from one
+    symbolic enumeration.
 
     Each symbolic line through its centers is a polynomial identity in the
     parameter, and each center it avoids has a value that is a constant
@@ -115,26 +119,26 @@ def _graph_shape(d_max: int) -> tuple:
                 if s.form is not None and s.form == conj_form
             )
         action.append(target)
-    centers = [_named_terms(c.x, c.y) for c in result.config.centers]
-    center_terms = tuple(centers[r.through[0]] if r.kind == KIND_EXCEPTIONAL else None
-                         for r in vertices)
-    return labels, weights, tuple(action), center_terms
+    centers = [_center_rows(c.x, c.y) for c in result.config.centers]
+    center_rows = tuple(centers[r.through[0]] if r.kind == KIND_EXCEPTIONAL else None
+                        for r in vertices)
+    return labels, weights, tuple(action), center_rows
 
 
 def incidence_graph(alpha, d_max: int = DEFAULT_D_MAX) -> CurveIncidenceGraph:
     """The incidence graph of the diagonal surface at alpha: the symbolic
     graph of _graph_shape, enumerated once per d_max in a process, with its
-    centers' terms read at alpha as integer rows (see _center_rows).
+    centers' rows read at alpha in integers (see _rows_at).
 
     The centers are not proved distinct again: modified_plane_config(a, a),
     behind the shape, proved that over Q(i)[a] with the units a and 1 - a,
     so at every alpha that param_pair admits (it refuses 0 and 1).
     """
     _check_d_max(d_max)
-    labels, weights, action, center_terms = _graph_shape(d_max)
+    labels, weights, action, center_rows = _graph_shape(d_max)
     value = param_pair(alpha)[0]
     return CurveIncidenceGraph(labels, weights, action, tuple(
-        [None if t is None else _center_rows(_terms_at(t, value)) for t in center_terms]))
+        [None if rows is None else _rows_at(rows, value) for rows in center_rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -204,64 +208,58 @@ def _shape_matchings(src_shape: tuple, dst_shape: tuple) -> tuple[tuple, ...]:
     return tuple([(m, pairs, tuple(sorted(pairs))) for m, pairs in labelled])
 
 
-def matching_as_labels(src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
-                       matching: tuple[int, ...]) -> dict:
-    return {src.labels[i]: dst.labels[j] for i, j in enumerate(matching)}
-
-
 # ---------------------------------------------------------------------------
 # linear witnesses
 # ---------------------------------------------------------------------------
 
 
-def _named_terms(x: Poly, y: Poly) -> dict:
-    """The coordinates (x, y) of a center term by term: named monomial ->
-    (x coefficient, y coefficient), a missing coefficient being zero."""
-    out: dict = {}
-    for k, p in enumerate((x, y)):
-        names = p.table.names
-        for exps, coeff in p.terms.items():
-            key = () if not any(exps) else tuple(  # most centers are constant
-                sorted((name, e) for name, e in zip(names, exps) if e))
-            pair = out.setdefault(key, [ZERO, ZERO])
-            pair[k] = coeff
-    return {key: tuple(pair) for key, pair in out.items()}
-
-
-def _terms_at(terms: dict, value) -> dict:
-    """A symbolic center's terms, each a constant or in a alone, read at a
-    cooked parameter: a name renames a, a rational sums c * value**k into
-    the constant term."""
-    if isinstance(value, str):
-        return {tuple([(value, k) for _, k in key]): pair for key, pair in terms.items()}
-    x = y = None
-    for key, (cx, cy) in terms.items():
-        if key:
-            s = value ** dict(key)[ALPHA]
-            cx, cy = cx * s, cy * s
-        x, y = (cx, cy) if x is None else (x + cx, y + cy)
-    return {(): (x, y)} if x or y else {}
-
-
-def _center_rows(terms: dict) -> dict:
-    """A center's Q(i) terms (see _named_terms) as integer rows: each (x, y)
-    as (ax, bx, ay, by, d), x = (ax + bx*i)/d and y = (ay + by*i)/d."""
+def _center_rows(x: Poly, y: Poly) -> dict:
+    """A center (x, y) in a alone as integer rows keyed by the power k of a:
+    the coefficients of a**k as (ax, bx, ay, by, d), x's being (ax + bx*i)/d
+    and y's (ay + by*i)/d over the least such d."""
+    k_of = x.table.index(ALPHA)
+    pairs: dict = {}
+    for n, p in enumerate((x, y)):
+        for exps, c in p.terms.items():
+            pairs.setdefault(exps[k_of], [ZERO, ZERO])[n] = c
     rows = {}
-    for key, (x, y) in terms.items():
-        d = lcm(x.d, y.d)
-        fx, fy = d // x.d, d // y.d
-        rows[key] = (x.a * fx, x.b * fx, y.a * fy, y.b * fy, d)
+    for k, (cx, cy) in pairs.items():
+        d = lcm(cx.d, cy.d)
+        fx, fy = d // cx.d, d // cy.d
+        rows[k] = (cx.a * fx, cx.b * fx, cy.a * fy, cy.b * fy, d)
     return rows
 
 
-def _center_parts(terms: dict, table: VarTable, name: str) -> tuple:
-    """A center's (x, y) as Polys in a real variable: real, then imaginary parts."""
+def _rows_at(rows: dict, value) -> dict:
+    """A center's rows (see _center_rows) read at a cooked parameter, keyed
+    by the named monomial: a name keys power k as ((name, k),), and a
+    rational n/q sums the rows, in integers, into one row keyed () over the
+    least denominator.  A zero center has no row."""
+    if isinstance(value, str):
+        return {((value, k),) if k else (): row for k, row in rows.items()}
+    n, q = value.numerator, value.denominator
+    top = max(rows, default=0)
+    den = lcm(*[row[4] for row in rows.values()])
+    sums = [0, 0, 0, 0]
+    for k, (ax, bx, ay, by, d) in rows.items():
+        f = den // d * n ** k * q ** (top - k)
+        sums = [sums[0] + ax * f, sums[1] + bx * f, sums[2] + ay * f, sums[3] + by * f]
+    if not any(sums):
+        return {}
+    den *= q ** top
+    g = gcd(*sums, den)
+    return {(): (sums[0] // g, sums[1] // g, sums[2] // g, sums[3] // g, den // g)}
+
+
+def _center_parts(rows: dict, table: VarTable, name: str) -> tuple:
+    """A center's rows (see _center_rows) as Polys in a real variable: its
+    (x, y) real parts, then its imaginary parts."""
     var = Poly.var(table, name)
     re, im = [Poly.zero(table)] * 2, [Poly.zero(table)] * 2
-    for key, pair in terms.items():
-        power = var ** dict(key)[ALPHA] if key else 1
-        for k, c in enumerate(pair):
-            re[k], im[k] = re[k] + power * c.re, im[k] + power * c.im
+    for k, (ax, bx, ay, by, d) in rows.items():
+        power = var ** k
+        re = [re[0] + power * Fraction(ax, d), re[1] + power * Fraction(ay, d)]
+        im = [im[0] + power * Fraction(bx, d), im[1] + power * Fraction(by, d)]
     return tuple(re), tuple(im)
 
 
@@ -270,10 +268,10 @@ def _witness_engine(d_max: int) -> dict:
     """_solve_rows for every admissible matching of _graph_shape(d_max), built
     on first use: the source's centers in a and the target's in b, real and
     imaginary parts apart over Q[a, b], as a and b are real."""
-    labels, weights, action, center_terms = _graph_shape(d_max)
+    labels, weights, action, center_rows = _graph_shape(d_max)
     table = VarTable((ALPHA, BETA))
-    src, dst = [[None if t is None else _center_parts(t, table, name) for t in center_terms]
-                for name in (ALPHA, BETA)]
+    src, dst = [[None if rows is None else _center_parts(rows, table, name)
+                 for rows in center_rows] for name in (ALPHA, BETA)]
     engine = {}
     for m, _, _ in _shape_matchings((labels, weights, action), (labels, weights, action)):
         pairs = [(src[i], dst[j]) for i, j in enumerate(m)]
@@ -329,19 +327,6 @@ def _value(poly: tuple, a: tuple, b: tuple, degrees: tuple):
     for i, j, c in poly:
         value += c * na ** i * da ** (ka - i) * nb ** j * db ** (kb - j)
     return value
-
-
-def solve_linear_witness(alpha, beta, d_max: int, matching: tuple[int, ...]):
-    """Rational 2x2 matrix, acting on the plane coordinates, that carries the
-    centers of the graph at alpha to the matched centers at beta, or None:
-    _cell_witnesses for the one matching, over the pair param_pair cooks.
-    A matching that is not admissible at d_max raises ValueError."""
-    alpha, beta = param_pair(alpha, beta)
-    _check_d_max(d_max)
-    if matching not in _witness_engine(d_max):
-        raise ValueError(f"matching {matching} is not admissible at d_max {d_max}")
-    candidate = _cell_witnesses(alpha, beta, d_max, (matching,))[0]
-    return None if candidate is None else _matrix(candidate)
 
 
 def _cell_witnesses(alpha, beta, d_max: int, matchings) -> list:
@@ -407,20 +392,6 @@ class IsoWitness:
             "sum_of_squares_scalar": str(self.scalar),
             "matching": {a: b for a, b in self.matching_labels},
         }
-
-
-def _witness_checks(matrix, src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
-                    matching: tuple[int, ...]) -> tuple[bool, Fraction | None, dict]:
-    """The re-check of a Fraction matrix on the two graphs: (passes, the
-    pullback scalar of the sum of squares or None, the details dict).  The
-    matrix is taken to integers over its common denominator, and _checks
-    tests those."""
-    (p, q), (r, s) = matrix
-    m = lcm(p.denominator, q.denominator, r.denominator, s.denominator)
-    facts = _checks((*[e.numerator * (m // e.denominator) for e in (p, q, r, s)], m),
-                    src, dst, matching)
-    scalar = _scalar(facts)
-    return scalar is not None, scalar, _details(facts)
 
 
 def _checks(candidate: tuple, src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
@@ -633,7 +604,7 @@ def matchings_report(alpha, beta, d_max: int = DEFAULT_D_MAX) -> CertifiedReport
     report.add(
         "admissible-matchings-count",
         len(matchings) == 4,
-        witness=[matching_as_labels(src, dst, m) for m in matchings],
+        witness=[dict(pairs) for _, pairs, _ in _shape_matchings(src.shape(), dst.shape())],
     )
     pinned_ok = all(
         m[src.index_of(label)] == dst.index_of(label)
@@ -669,11 +640,13 @@ def classification_report(alpha, beta, d_max: int = DEFAULT_D_MAX) -> CertifiedR
     )
     if result.witness is not None:
         # an independent re-check of the returned matrix on the same graphs
-        valid, scalar, _ = _witness_checks(result.witness.matrix, src, dst,
-                                           result.witness.matching)
-        report.add("witness-valid", valid and scalar == result.witness.scalar,
-                   witness=result.witness.to_json())
         (p, q), (r, s) = result.witness.matrix
+        m = lcm(p.denominator, q.denominator, r.denominator, s.denominator)
+        facts = _checks((*[e.numerator * (m // e.denominator) for e in (p, q, r, s)], m),
+                        src, dst, result.witness.matching)
+        scalar = _scalar(facts)
+        report.add("witness-valid", scalar is not None and scalar == result.witness.scalar,
+                   witness=result.witness.to_json())
         report.add(
             "witness-invertible", p * s - q * r != 0,
             witness=str(p * s - q * r),

@@ -324,24 +324,6 @@ def surface_chart_point(alpha, x0, u0) -> dict:
     return {"x": x0, "y": y0, "u": u0, "v": v0}
 
 
-def jacobian_rank_at(presentation, point: dict) -> int:
-    """Exact rank of the Jacobian of the presentation's relations at a point.
-
-    The point must satisfy every relation (PointNotOnVariety otherwise) and
-    must give a value to every variable occurring in them.  An Ideal and a
-    SurfacePresentation both carry their generators and table.
-    """
-    generators = presentation.generators
-    values = {n: _as_scalar(v) for n, v in point.items()}
-    coords = [n for n in presentation.table.names if n in values]
-    return _rank_at(generators, _jacobian(generators, coords), values)
-
-
-def _jacobian(generators, coords) -> list[list]:
-    """The partial derivatives of each generator in the coordinates."""
-    return [[g.derivative(n) for n in coords] for g in generators]
-
-
 def _rank_at(generators, jacobian, values: dict) -> int:
     """Rank of a Jacobian at a point every generator vanishes at."""
     for g in generators:
@@ -362,7 +344,7 @@ def smoothness_report(alpha) -> CertifiedReport:
         raise TypeError(f"not an exact scalar: {alpha!r}")
     alpha, _ = param_pair(alpha)
     generators = make_surface(alpha, alpha).ideal.generators
-    jacobian = _jacobian(generators, generators[0].table.names)
+    jacobian = [[g.derivative(n) for n in generators[0].table.names] for g in generators]
     for x0, u0 in DEFAULT_CHART_SAMPLES:
         point = surface_chart_point(alpha, x0, u0)
         rank = _rank_at(generators, jacobian, point)

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -26,9 +26,7 @@ from realforms.classification import (
     classify,
     equivalence_criterion,
     incidence_graph,
-    matching_as_labels,
     matchings_report,
-    solve_linear_witness,
 )
 from realforms.checks import run_check
 from realforms.errors import ForbiddenParameter
@@ -44,7 +42,7 @@ from realforms.intersection import (
     intersection_matrix,
 )
 from realforms.ring import Poly, VarTable
-from realforms.surfaces import lift_real_structure, param_pair
+from realforms.surfaces import lift_real_structure, modified_plane_config, param_pair
 
 GRID = sorted({
     Fraction(p) for p in (
@@ -107,6 +105,28 @@ def brute_force_matchings(src, dst):
     return sorted(found)
 
 
+def named_terms(x, y):
+    """A center's coordinates term by term: named monomial -> (x
+    coefficient, y coefficient), a missing coefficient being zero."""
+    terms = {}
+    for k, p in enumerate((x, y)):
+        for exps, c in p.terms.items():
+            key = tuple(sorted((n, e) for n, e in zip(p.table.names, exps) if e))
+            terms.setdefault(key, [ZERO, ZERO])[k] = c
+    return {key: tuple(pair) for key, pair in terms.items()}
+
+
+def q_i_rows(terms):
+    """Q(i) center terms as the integer rows of CurveIncidenceGraph: each
+    (x, y) as (ax, bx, ay, by, d) over the least denominator d."""
+    rows = {}
+    for key, (x, y) in terms.items():
+        parts = (x.re, x.im, y.re, y.im)
+        d = lcm(*[e.denominator for e in parts])
+        rows[key] = (*[int(e * d) for e in parts], d)
+    return rows
+
+
 def enumerated_graph(alpha, d_max):
     """The incidence graph built from an enumeration at alpha itself, with
     the action read from that table's own centers and conjugate forms."""
@@ -133,7 +153,7 @@ def enumerated_graph(alpha, d_max):
     for r in vertices:
         if r.kind == KIND_EXCEPTIONAL:
             c = config.centers[r.through[0]]
-            center_rows.append(classification._center_rows(classification._named_terms(c.x, c.y)))
+            center_rows.append(q_i_rows(named_terms(c.x, c.y)))
         else:
             center_rows.append(None)
     return CurveIncidenceGraph(
@@ -171,17 +191,39 @@ def test_graph_from_the_symbolic_shape_equals_the_enumerated_graph(value):
         assert incidence_graph(value, d_max) == enumerated_graph(value, d_max)
 
 
-@pytest.mark.parametrize("value", GRAPH_VALUES)
-def test_center_rows_are_the_q_i_terms_at_the_value(value):
-    # the integer rows read back as the symbolic centers' terms at the value
-    cooked = param_pair(value)[0]
+# the exceptional vertices, in the order modified_plane_config lists its centers
+CENTER_LABELS = ("E(0,0)", "E(1,i)", "E(a,ai)", "E(1,-i)", "E(a,-ai)")
+
+
+@pytest.mark.parametrize("value", [v for v in GRAPH_VALUES if not isinstance(v, str)])
+def test_center_rows_are_the_centers_at_the_value(value):
+    # each rational graph's rows read back as the centers of the modified
+    # plane at the value, read straight off its configuration, in lowest terms
+    centers = modified_plane_config(value, value).centers
+    for d_max in range(1, 7):
+        g = incidence_graph(value, d_max)
+        for vertex, label in enumerate(g.labels):
+            if label not in CENTER_LABELS:
+                assert g.center_rows[vertex] is None, (value, d_max, label)
+                continue
+            c = centers[CENTER_LABELS.index(label)]
+            x, y = c.x.constant_value(), c.y.constant_value()
+            assert center_terms(g, vertex) == ({(): (x, y)} if x or y else {}), (value, label)
+            for row in g.center_rows[vertex].values():
+                assert all(type(n) is int for n in row) and row[4] > 0 and gcd(*row) == 1
+
+
+@pytest.mark.parametrize("value, name", [("symbolic", "a"), ("b", "b")])
+def test_a_name_keys_each_power_of_a_center(value, name):
     g = incidence_graph(value)
-    shape_terms = classification._graph_shape(DEFAULT_D_MAX)[3]
-    for vertex, terms in enumerate(shape_terms):
-        expected = None if terms is None else classification._terms_at(terms, cooked)
-        assert center_terms(g, vertex) == expected, (value, vertex)
-        for row in (g.center_rows[vertex] or {}).values():
-            assert all(type(n) is int for n in row) and row[4] > 0
+    a = ((name, 1),)
+    assert {label: g.center_rows[g.index_of(label)] for label in CENTER_LABELS} == {
+        "E(0,0)": {},
+        "E(1,i)": {(): (1, 0, 0, 1, 1)},
+        "E(a,ai)": {a: (1, 0, 0, 1, 1)},
+        "E(1,-i)": {(): (1, 0, 0, -1, 1)},
+        "E(a,-ai)": {a: (1, 0, 0, -1, 1)},
+    }
 
 
 def test_graph_shape_refuses_an_unsettled_symbolic_table(monkeypatch):
@@ -398,20 +440,32 @@ def test_matchings_invert_when_swapping_roles():
 
 
 def test_matching_label_map():
-    g = incidence_graph(2)
-    identity = tuple(range(g.size()))
-    labels = matching_as_labels(g, g, identity)
-    assert labels[ORIGIN_LABEL] == ORIGIN_LABEL
-    assert len(labels) == 12
+    # lem-6.2 lists each admissible matching as its label map
+    src, dst = incidence_graph(2), incidence_graph(Fraction(1, 2))
+    (item,) = [i for i in matchings_report(2, Fraction(1, 2)).items
+               if i.claim_id == "admissible-matchings-count"]
+    assert item.witness == [{src.labels[i]: dst.labels[j] for i, j in enumerate(m)}
+                            for m in admissible_matchings(src, dst)]
+    for labels in item.witness:
+        assert labels[ORIGIN_LABEL] == ORIGIN_LABEL
+        assert labels[LABEL_AT_INFINITY] == LABEL_AT_INFINITY
+        assert len(labels) == 12
 
 
 # -- witnesses -------------------------------------------------------------------
 
 
+def solve(alpha, beta, d_max, matching):
+    """The engine's witness for one matching at a cooked pair, as a Fraction
+    matrix, or None."""
+    candidate = classification._cell_witnesses(alpha, beta, d_max, (matching,))[0]
+    return None if candidate is None else classification._matrix(candidate)
+
+
 def test_witness_for_reciprocal_pair():
     src = incidence_graph(2)
     matchings = admissible_matchings(src, incidence_graph(Fraction(1, 2)))
-    matrices = [solve_linear_witness(Fraction(2), Fraction(1, 2), DEFAULT_D_MAX, m)
+    matrices = [solve(Fraction(2), Fraction(1, 2), DEFAULT_D_MAX, m)
                 for m in matchings]
     found = [m for m in matrices if m is not None]
     half = Fraction(1, 2)
@@ -421,7 +475,7 @@ def test_witness_for_reciprocal_pair():
 def test_no_witness_for_inequivalent_pair():
     src, dst = incidence_graph(2), incidence_graph(3)
     for m in admissible_matchings(src, dst):
-        assert solve_linear_witness(Fraction(2), Fraction(3), DEFAULT_D_MAX, m) is None
+        assert solve(Fraction(2), Fraction(3), DEFAULT_D_MAX, m) is None
 
 
 def _row_reduce_solution(equations):
@@ -486,7 +540,7 @@ def test_engine_solve_equals_the_row_by_row_solve(d_max):
     for alpha, src in zip(cooked, graphs):
         for beta, dst in zip(cooked, graphs):
             for m in admissible_matchings(src, dst):
-                assert (solve_linear_witness(alpha, beta, d_max, m)
+                assert (solve(alpha, beta, d_max, m)
                         == reference_solve(src, dst, m)), (alpha, beta, m)
 
 
@@ -499,7 +553,7 @@ def test_engine_solve_equals_the_row_by_row_solve_on_a_seeded_grid():
     for alpha, src in zip(values, graphs):
         for beta, dst in zip(values, graphs):
             for m in matchings:
-                assert (solve_linear_witness(alpha, beta, DEFAULT_D_MAX, m)
+                assert (solve(alpha, beta, DEFAULT_D_MAX, m)
                         == reference_solve(src, dst, m)), (alpha, beta, m)
 
 
@@ -510,7 +564,7 @@ def reference_classify(alpha, beta, d_max):
     src, dst = incidence_graph(alpha, d_max), incidence_graph(beta, d_max)
     witnesses, traces = [], []
     for m in admissible_matchings(src, dst):
-        trace = {"matching": matching_as_labels(src, dst, m)}
+        trace = {"matching": {src.labels[i]: dst.labels[j] for i, j in enumerate(m)}}
         traces.append(trace)
         matrix = reference_solve(src, dst, m)
         if matrix is None:
@@ -603,12 +657,11 @@ def test_engine_agrees_with_a_sympy_solve_over_q_a_b():
     A, B = sympy.symbols("a b", real=True)
     labels, _, _, centers = classification._graph_shape(DEFAULT_D_MAX)
 
-    def center(terms, var):
+    def center(rows, var):
         x = y = sympy.Integer(0)
-        for key, (cx, cy) in terms.items():
-            power = var ** dict(key).get("a", 0)
-            x += (cx.re + sympy.I * cx.im) * power
-            y += (cy.re + sympy.I * cy.im) * power
+        for k, (ax, bx, ay, by, d) in rows.items():
+            x += (ax + sympy.I * bx) * var ** k / d
+            y += (ay + sympy.I * by) * var ** k / d
         return x, y
 
     def expr(terms):  # an integer polynomial of the engine, in A and B
@@ -644,7 +697,7 @@ def test_engine_agrees_with_a_sympy_solve_over_q_a_b():
 
 
 def _shape_with_centers(monkeypatch, centers_of):
-    """Patch _graph_shape(d_max) to carry centers_of(its center terms); the
+    """Patch _graph_shape(d_max) to carry centers_of(its center rows); the
     engine reads it once cleared (see cold_engine)."""
     graph_shape = classification._graph_shape
 
@@ -665,9 +718,8 @@ def cold_engine():
 def test_engine_refuses_a_shape_without_a_constant_pivot_minor(monkeypatch, cold_engine):
     # every center times a: each minor of the source rows is a multiple of a**2
     def times_a(centers):
-        return tuple([None if t is None else {(("a", dict(key).get("a", 0) + 1),): pair
-                                              for key, pair in t.items()}
-                      for t in centers])
+        return tuple([None if rows is None else {k + 1: row for k, row in rows.items()}
+                      for rows in centers])
 
     _shape_with_centers(monkeypatch, times_a)
     with pytest.raises(ValueError, match="constant minor"):
@@ -691,11 +743,11 @@ def test_a_center_matched_to_a_line_has_no_solution_anywhere(monkeypatch, cold_e
             assert entries
         else:
             assert (locus, entries) == ((((0, 0, 1),),), ())
-    assert solve_linear_witness(Fraction(2), Fraction(2), 3, identity) == (
+    assert solve(Fraction(2), Fraction(2), 3, identity) == (
         (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     for m in engine:
         if m != identity:
-            assert solve_linear_witness(Fraction(2), Fraction(2), 3, m) is None
+            assert solve(Fraction(2), Fraction(2), 3, m) is None
 
 
 def test_an_entry_that_moves_with_a_name_is_no_linear_solution(monkeypatch):
@@ -704,15 +756,15 @@ def test_an_entry_that_moves_with_a_name_is_no_linear_solution(monkeypatch):
     # leaves an entry that is no constant
     table = VarTable(("a", "b"))
     zero, one, b = Poly.zero(table), Poly.const(table, 1), Poly.var(table, "b")
-    solve = classification._solve_rows([(one, zero, b, zero), (zero, one, zero, b)])
-    assert solve[1] == ()
+    solved = classification._solve_rows([(one, zero, b, zero), (zero, one, zero, b)])
+    assert solved[1] == ()
     identity = (0, 1)
-    monkeypatch.setattr(classification, "_witness_engine", lambda d_max: {identity: solve})
+    monkeypatch.setattr(classification, "_witness_engine", lambda d_max: {identity: solved})
     three = ((Fraction(3), Fraction(0)), (Fraction(0), Fraction(3)))
-    assert solve_linear_witness(Fraction(2), Fraction(3), 1, identity) == three
-    assert solve_linear_witness("a", Fraction(3), 1, identity) == three
-    assert solve_linear_witness(Fraction(3), "b", 1, identity) is None
-    assert solve_linear_witness("a", "b", 1, identity) is None
+    assert solve(Fraction(2), Fraction(3), 1, identity) == three
+    assert solve("a", Fraction(3), 1, identity) == three
+    assert solve(Fraction(3), "b", 1, identity) is None
+    assert solve("a", "b", 1, identity) is None
 
 
 def test_importing_realforms_builds_no_engine():
@@ -732,8 +784,7 @@ def _center_graph(terms):
     for a line): reference_solve and the re-check read nothing else."""
     n = len(terms)
     return CurveIncidenceGraph(tuple(map(str, range(n))), ((0,) * n,) * n, tuple(range(n)),
-                               tuple([None if t is None else classification._center_rows(t)
-                                      for t in terms]))
+                               tuple([None if t is None else q_i_rows(t) for t in terms]))
 
 
 def _engine_solve(equations):
@@ -866,8 +917,8 @@ def test_classify_inequivalent_pair_keeps_traces():
 
 def test_traces_are_rendered_afresh_on_each_read():
     src, dst = incidence_graph(2), incidence_graph(3)
-    expected = [{"matching": matching_as_labels(src, dst, m), "outcome": "no linear solution"}
-                for m in admissible_matchings(src, dst)]
+    expected = [{"matching": {src.labels[i]: dst.labels[j] for i, j in enumerate(m)},
+                 "outcome": "no linear solution"} for m in admissible_matchings(src, dst)]
     result = classify(2, 3)
     traces = result.traces
     assert list(traces) == expected
@@ -889,6 +940,23 @@ def test_classify_rejects_forbidden_values():
         classify(0, 2)
     with pytest.raises(ForbiddenParameter):
         classify(2, 1)
+
+
+def test_classify_cooks_its_pair():
+    # excluded, inexact and reserved values are refused, and raw values and
+    # the symbolic spelling are cooked before the engine reads them
+    for alpha, beta, error in ((Fraction(1), Fraction(1), ForbiddenParameter),
+                               (0, 0, ForbiddenParameter), (2.0, 2, TypeError),
+                               ("x", "x", ValueError)):
+        with pytest.raises(error):
+            classify(alpha, beta)
+    unit = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    for alpha, beta in ((2, 2), ("symbolic", "symbolic")):
+        result = classify(alpha, beta)
+        assert result.equivalent
+        assert unit in [w.matrix for w in result.witnesses]
+        assert result.to_json() == classify(*param_pair(alpha, beta)).to_json()
+    assert not classify(2, 3).equivalent
 
 
 def test_classify_builds_its_own_graphs():
@@ -1064,6 +1132,18 @@ def reference_witness_checks(matrix, src, dst, matching):
     return ok, (scalar if ok else None), details
 
 
+def witness_checks(matrix, src, dst, matching):
+    """The library's re-check of a Fraction matrix, as classification_report
+    runs it: _checks on its integers over the entries' common denominator,
+    read as (passes, scalar or None, details)."""
+    (p, q), (r, s) = matrix
+    m = lcm(p.denominator, q.denominator, r.denominator, s.denominator)
+    facts = classification._checks(
+        (*[e.numerator * (m // e.denominator) for e in (p, q, r, s)], m), src, dst, matching)
+    scalar = classification._scalar(facts)
+    return scalar is not None, scalar, classification._details(facts)
+
+
 def tampered(matrix):
     """The matrix, each entry moved by +1 and by -1, s negated, p zeroed, the
     rows swapped, and the matrix scaled by 2."""
@@ -1091,9 +1171,9 @@ def test_integer_witness_checks_equal_the_q_i_re_check(d_max):
     for alpha, src in zip(cooked, graphs):
         for beta, dst in zip(cooked, graphs):
             for m in admissible_matchings(src, dst):
-                matrix = solve_linear_witness(alpha, beta, d_max, m)
+                matrix = solve(alpha, beta, d_max, m)
                 for t in [UNIT] if matrix is None else tampered(matrix):
-                    found = classification._witness_checks(t, src, dst, m)
+                    found = witness_checks(t, src, dst, m)
                     assert found == reference_witness_checks(t, src, dst, m), (alpha, beta, m, t)
                     verdicts.add((matrix is None, found[0], found[2].get("centers_carried")))
     # solves that pass, and tampered and unit matrices that the centers refuse
@@ -1114,7 +1194,7 @@ def test_witness_checks_read_every_term_of_both_centers():
     ]
     for source, target, matching, carried in cases:
         src, dst = _center_graph(source), _center_graph(target)
-        found = classification._witness_checks(UNIT, src, dst, matching)
+        found = witness_checks(UNIT, src, dst, matching)
         assert found == reference_witness_checks(UNIT, src, dst, matching)
         assert found[2]["centers_carried"] is carried
 
@@ -1150,38 +1230,11 @@ def test_rendered_details_equal_the_q_i_re_check(monkeypatch, failure):
     assert outcome == "solution fails checks"
     assert details == expected[2]
     assert list(details) == list(expected[2])
-    assert classification._witness_checks(matrix, src, dst, matching) == expected
+    assert witness_checks(matrix, src, dst, matching) == expected
     carried, circle = {"determinant 0": (None, None), "moved center": (False, True),
                        "broken circle": (True, False)}[failure]
     assert details.get("centers_carried") is carried
     assert details.get("sum_of_squares_preserved") is circle
-
-
-def test_solve_linear_witness_cooks_its_pair():
-    # excluded, inexact and reserved values are refused as classify refuses
-    # them, and raw values and the symbolic spelling are cooked
-    identity = tuple(range(incidence_graph(2).size()))
-    for alpha, beta, error in ((Fraction(1), Fraction(1), ForbiddenParameter),
-                               (0, 0, ForbiddenParameter), (2.0, 2, TypeError),
-                               ("x", "x", ValueError)):
-        with pytest.raises(error):
-            solve_linear_witness(alpha, beta, DEFAULT_D_MAX, identity)
-    assert solve_linear_witness(2, 2, DEFAULT_D_MAX, identity) == UNIT
-    assert solve_linear_witness("symbolic", "symbolic", DEFAULT_D_MAX, identity) == UNIT
-    assert solve_linear_witness(2, 3, DEFAULT_D_MAX, identity) is None
-
-
-def test_solve_linear_witness_refuses_a_matching_that_is_not_admissible():
-    g = incidence_graph(2)
-    identity = tuple(range(g.size()))
-    # the boundary line and the origin curve swapped: no matching moves them
-    infinity, origin = g.index_of(LABEL_AT_INFINITY), g.index_of(ORIGIN_LABEL)
-    swapped = list(identity)
-    swapped[infinity], swapped[origin] = origin, infinity
-    for matching in (tuple(swapped), (0, 1), ()):
-        with pytest.raises(ValueError, match=r"is not admissible at d_max 3"):
-            solve_linear_witness(2, 2, 3, matching)
-    assert solve_linear_witness(2, 2, 3, identity) == UNIT
 
 
 @pytest.mark.parametrize("d_max, error", [
@@ -1201,7 +1254,6 @@ def test_library_entries_refuse_a_d_max_that_is_no_positive_int(d_max, error):
         lambda: run_grid([2, 3], d_max=d_max),
         lambda: run_grid([], d_max=d_max),
         lambda: enumerate_negative_classes(2, d_max),
-        lambda: solve_linear_witness(2, 2, d_max, tuple(range(12))),
     )
     for entry in entries:
         with pytest.raises(error, match="d_max"):

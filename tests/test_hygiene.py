@@ -3,18 +3,23 @@ and dataclass fields that nothing reads.
 
 A static scan with the standard-library ``ast`` module.  A name counts as used
 when it is read somewhere (a plain name, an attribute, or inside a quoted
-annotation) or, for the package itself, when ``realforms.__all__`` lists it.
-A module-level name also counts as referenced when another module imports it
-by name, since the import itself must then be used.  A dataclass field counts
+annotation) or, for an import in the package itself, when
+``realforms.__all__`` lists it.  A module-level name also counts as
+referenced when a module other than the package's ``__init__`` imports it by
+name, since the import itself must then be used.  Being listed in
+``__all__`` is no use of its own: an exported name counts only when a module
+other than ``__init__`` reads it or the README names it.  A dataclass field counts
 as read when an attribute of its name is read as a value: a call of a method
 of that name is no read of it, and neither is ``self.name`` in another class.
 """
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "realforms"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -88,13 +93,28 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def test_every_module_level_name_is_referenced_or_exported():
-    modules = _modules()
-    referenced = _exported(modules).union(
-        *(_read_names(t) | _imported_by_name(t) for t in modules.values()))
-    dead = [f"{name}: {n}" for name, tree in modules.items()
-            for n in sorted(_defined(tree) - referenced)]
-    assert dead == []
+def _unreferenced(modules, readme: str) -> list[str]:
+    """Module-level names that no module reads, that no module but
+    ``__init__`` imports by name, and that the README does not name."""
+    referenced = set().union(*(_read_names(t) | (set() if name == "__init__" else
+                                                 _imported_by_name(t))
+                               for name, t in modules.items()))
+    documented = {n for n in _exported(modules) if re.search(rf"\b{n}\b", readme)}
+    return [f"{name}: {n}" for name, tree in modules.items()
+            for n in sorted(_defined(tree) - referenced - documented)]
+
+
+def test_every_module_level_name_is_referenced_or_documented():
+    assert _unreferenced(_modules(), README.read_text(encoding="utf-8")) == []
+
+
+def test_an_export_that_nothing_reads_is_unreferenced():
+    init = ast.parse('from .tools import helper, used\n__all__ = ["helper", "used"]\n')
+    tools = ast.parse("def helper():\n    return 0\n\ndef used():\n    return 1\n")
+    caller = ast.parse("from .tools import used\n\nused()\n")
+    modules = {"__init__": init, "tools": tools, "caller": caller}
+    assert _unreferenced(modules, "") == ["tools: helper"]
+    assert _unreferenced(modules, "Call `helper()` for a zero.") == []
 
 
 def _dataclass_fields(tree: ast.Module) -> list[tuple[str, str]]:
