@@ -27,7 +27,7 @@ from .errors import FNotInIdeal, PointNotOnVariety
 from .gaussian import GaussianRational, coerce, row_reduce
 from .groebner import GREVLEX, Ideal, buchberger, certified_unit, elimination_order
 from .reports import CertifiedReport
-from .ring import Poly, RatFunc, RingMap, VarTable, compose
+from .ring import Poly, RatFunc, RingMap, VarTable, _specialize_all, compose
 from .surfaces import (
     ALPHA,
     SurfacePresentation,
@@ -325,11 +325,14 @@ def surface_chart_point(alpha, x0, u0) -> dict:
 
 
 def _rank_at(generators, jacobian, values: dict) -> int:
-    """Rank of a Jacobian at a point every generator vanishes at."""
-    for g in generators:
-        if not g.evaluate(values).is_zero():
+    """Rank of a Jacobian at a point every generator vanishes at; the
+    generators and the entries are evaluated in one pass."""
+    at = _specialize_all([*generators, *(d for row in jacobian for d in row)], values)
+    for g, v in zip(generators, at):
+        if not v.constant_value().is_zero():
             raise PointNotOnVariety(f"relation {g} does not vanish at the point")
-    rows = [[d.evaluate(values) for d in row] for row in jacobian]
+    entries = iter(at[len(generators):])
+    rows = [[next(entries).constant_value() for _ in row] for row in jacobian]
     _, pivots = row_reduce(rows)
     return len(pivots)
 

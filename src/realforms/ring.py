@@ -18,16 +18,22 @@ substitutes over one common denominator, the product of the image
 denominators to the highest powers that occur, and maps a numerator and its
 denominator together, so no fraction is added or divided on the way.  The
 substitution runs on Gaussian-integer numerators with the product loop of
-Poly multiplication.  Maps compose by substitution chaining; conjugation
-flags compose by XOR.
+Poly multiplication, and a map keeps the integer powers of its images, and
+their products, for its own lifetime, so applying it again (to each image of
+another map in compose, say) builds none of them twice.  Maps compose by
+substitution chaining; conjugation flags compose by XOR.
+
+Substituting scalars (specialize, evaluate) runs on the same kind of
+numerators: one pass over one or more polys shares one power table per
+variable and reduces each output coefficient to Q(i) once.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 from math import gcd
-from operator import add, sub
-from typing import Iterable, Mapping
+from operator import add, mul, sub
+from typing import Iterable, Mapping, Sequence
 
 from .gaussian import (
     RATIONAL_TEXT, GaussianRational, ONE, ZERO, _reduce, check_exponent, coefficient_str, coerce,
@@ -216,29 +222,10 @@ class Poly:
     # -- evaluation -----------------------------------------------------------
 
     def specialize(self, values: Mapping[str, object]) -> "Poly":
-        """Substitute scalars for a subset of the variables."""
-        cooked = {}
-        for name, v in values.items():
-            c = coerce(v)
-            if c is None:
-                raise TypeError(f"not a scalar for {name}: {v!r}")
-            cooked[self.table.index(name)] = c
-        terms: dict = {}
-        for e, c in self.terms.items():
-            coef = c
-            new_e = list(e)
-            for k, val in cooked.items():
-                if e[k]:
-                    coef = coef * val ** e[k]
-                    new_e[k] = 0
-            key = tuple(new_e)
-            s = terms.get(key)
-            s = coef if s is None else s + coef
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return _poly(self.table, terms)
+        """Substitute scalars for a subset of the variables (see
+        _specialize_all).  A value that is no scalar raises TypeError, an
+        unknown name ValueError."""
+        return _specialize_all((self,), values)[0]
 
     def evaluate(self, values: Mapping[str, object]) -> GaussianRational:
         """The value at scalars for the variables: specialize(values),
@@ -296,10 +283,10 @@ def _sum_terms(acc: dict, terms: dict, sign: int) -> dict:
     return acc
 
 
-def _denominator(terms: dict) -> int:
+def _denominator(coefficients: Iterable[GaussianRational]) -> int:
     """Least common denominator of the coefficients."""
     D = 1
-    for c in terms.values():
+    for c in coefficients:
         d = c.d
         if d != 1 and D % d:
             D = D // gcd(D, d) * d
@@ -309,7 +296,7 @@ def _denominator(terms: dict) -> int:
 def _numerators(terms: dict) -> tuple[int, list]:
     """Common denominator D of the coefficients, and the (exponents, re, im)
     numerators over D."""
-    D = _denominator(terms)
+    D = _denominator(terms.values())
     if D == 1:
         return 1, [(e, c.a, c.b) for e, c in terms.items()]
     return D, [(e, c.a * (D // c.d), c.b * (D // c.d)) for e, c in terms.items()]
@@ -368,6 +355,94 @@ def _scaled_terms(terms: dict, c: GaussianRational) -> dict:
     if c.is_one():
         return dict(terms)
     return {e: k * c for e, k in terms.items()}
+
+
+def _specialize_all(polys: Sequence[Poly], values: Mapping[str, object]) -> list[Poly]:
+    """Each of the polys, over one table, with scalars substituted for the
+    named variables, in one pass that shares one power table per variable.
+
+    For a value N_k/d_k, with N_k in Z[i], d_k a positive integer and top_k
+    the highest power of variable k in any of the polys, a term c*x_k^e maps
+    to c*N_k^e*d_k^(top_k-e) over d_k^top_k; the table of a real value holds
+    integers, that of any other value (re, im) pairs, and a value 1 has none.
+    The terms are read as Gaussian-integer numerators over one common
+    denominator of all the coefficients, summed per remaining monomial over
+    that denominator times prod d_k^top_k, and reduced to Q(i) once per
+    output term.  A value that is no scalar raises TypeError, an unknown
+    name ValueError.
+    """
+    if not polys:
+        return []
+    table = polys[0].table
+    cooked = {}
+    for name, v in values.items():
+        c = coerce(v)
+        if c is None:
+            raise TypeError(f"not a scalar for {name}: {v!r}")
+        cooked[table.index(name)] = c
+    for p in polys:
+        p._check(polys[0])
+    n = len(table)
+    kept = [1] * n  # 0 at each substituted position
+    reals, others = [], []  # (k, [N_k^e*d_k^(top_k-e) for e = 0..top_k])
+    scale = 1
+    occurs = False
+    for k, c in cooked.items():
+        kept[k] = 0
+        t = max([e[k] for p in polys for e in p.terms], default=0)
+        if not t:
+            continue
+        occurs = True
+        if c.is_one():
+            continue
+        a, b, d = c.a, c.b, c.d
+        if b:
+            row = [(1, 0)]
+            for _ in range(t):
+                ra, rb = row[-1]
+                row.append((ra * a - rb * b, ra * b + rb * a))
+            if d != 1:
+                row = [(ra * d ** (t - e), rb * d ** (t - e)) for e, (ra, rb) in enumerate(row)]
+            others.append((k, row))
+        else:
+            row = [d ** t]
+            for _ in range(t):
+                row.append(row[-1] // d * a)
+            reals.append((k, row))
+        scale *= d ** t
+    if not occurs:  # no substituted variable occurs: each poly is its own image
+        return [_poly(table, dict(p.terms)) for p in polys]
+    kept = None if len(cooked) == n else tuple(kept)
+    zero_exp = (0,) * n
+    D = _denominator(c for p in polys for c in p.terms.values())
+    q = D * scale
+    out = []
+    for p in polys:
+        # exponents -> [re, im]; a sum that cancels is dropped, so the terms
+        # come out in the order that adding them one by one gives
+        acc: dict = {}
+        get = acc.get
+        for e, c in p.terms.items():
+            m = D // c.d
+            for k, row in reals:
+                m *= row[e[k]]
+            ca, cb = c.a * m, c.b * m
+            for k, row in others:
+                fa, fb = row[e[k]]
+                ca, cb = ca * fa - cb * fb, ca * fb + cb * fa
+            if not (ca or cb):
+                continue
+            key = zero_exp if kept is None else tuple(map(mul, e, kept))
+            s = get(key)
+            if s is None:
+                acc[key] = [ca, cb]
+            elif s[0] + ca or s[1] + cb:
+                s[0] += ca
+                s[1] += cb
+            else:
+                del acc[key]
+        out.append(_poly(table, {e: _reduce(a, b, q) for e, (a, b) in acc.items()}))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +559,7 @@ def _int_content_scale(polys) -> tuple[int, int]:
     L/G makes the polynomials primitive over Z[i] (G is 1 for zero input)."""
     L = 1
     for p in polys:
-        D = _denominator(p.terms)
+        D = _denominator(p.terms.values())
         L = L // gcd(L, D) * D
     G = 0
     for p in polys:
@@ -682,7 +757,7 @@ class RingMap:
     Spec(target) -> Spec(source).
     """
 
-    __slots__ = ("source", "target", "images", "conjugates_coefficients")
+    __slots__ = ("source", "target", "images", "conjugates_coefficients", "_powers", "_factors")
 
     def __init__(self, source: VarTable, target: VarTable, images, conjugates_coefficients=False):
         self.source = source
@@ -698,6 +773,9 @@ class RingMap:
             raise ValueError("one image per source variable required")
         self.images = tuple(imgs)
         self.conjugates_coefficients = bool(conjugates_coefficients)
+        # the integer tables of _subst, kept for the map's lifetime
+        self._powers: dict = {}  # (k, 0) or (k, 1) -> [None, X, X^2, ...] for X = N_k or D_k
+        self._factors: dict = {}  # (k, e, top_k - e) -> N_k^e*D_k^(top_k-e), None for 1
 
     @staticmethod
     def from_images(source: VarTable, target: VarTable,
@@ -748,10 +826,13 @@ class RingMap:
         p/1 thus maps to the pair (image of p times D, D).
 
         The work is in Gaussian integers: image parts are primitive Z[i]
-        polynomials, so each factor N_k^e*D_k^(top_k-e) is built once per
-        call on (exponents, re, im) terms, and a part's terms are read as
-        numerators over its coefficients' common denominator.  The sum is
-        reduced to Q(i) once per output term.
+        polynomials, so the powers N_k^e and D_k^e and each factor
+        N_k^e*D_k^(top_k-e) are built on (exponents, re, im) terms once per
+        map and kept on it for its lifetime: a factor is keyed by
+        (k, e, top_k-e), as top_k changes from one call to the next.  The
+        tables grow in place, so one map is not for two threads at once.  A
+        part's terms are read as numerators over its coefficients' common
+        denominator, and the sum is reduced to Q(i) once per output term.
 
         When every D_k is a positive integer times a monomial, so is every
         power of it, and stripping divides such a common factor out: the
@@ -766,9 +847,7 @@ class RingMap:
                     if power > top[k]:
                         top[k] = power
         ks = [k for k, t in enumerate(top) if t]
-        images = self.images
-        powers: dict = {}  # (k, 0) or (k, 1) -> [None, X, X^2, ...] for X = N_k or D_k
-        factors: dict = {}  # (k, e) -> N_k^e*D_k^(top_k-e), None for 1
+        images, powers, factors = self.images, self._powers, self._factors
 
         def power(key: tuple, x: Poly, n: int) -> list:
             xs = powers.get(key)
@@ -779,14 +858,15 @@ class RingMap:
             return xs[n]
 
         def factor(k: int, e: int) -> list | None:
-            if (k, e) not in factors:
-                image, rest = images[k], top[k] - e
+            key = (k, e, top[k] - e)
+            if key not in factors:
+                image, rest = images[k], key[2]
                 f = power((k, 0), image.num, e) if e else None
                 if rest and not _is_unit(image.den):
                     g = power((k, 1), image.den, rest)
                     f = g if f is None else _int_product(f, g)
-                factors[k, e] = f
-            return factors[k, e]
+                factors[key] = f
+            return factors[key]
 
         one = [((0,) * len(self.target), 1, 0)]
         out = []

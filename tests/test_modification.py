@@ -10,7 +10,7 @@ import pytest
 from realforms import groebner, modification
 from realforms.checks import run_check
 from realforms.errors import FNotInIdeal, ForbiddenParameter, PointNotOnVariety
-from realforms.gaussian import GaussianRational, I
+from realforms.gaussian import GaussianRational, I, row_reduce
 from realforms.groebner import Ideal, elimination_order, normal_form
 from realforms.modification import (
     ModificationSpec,
@@ -315,6 +315,27 @@ def test_jacobian_rank_zero_locus():
     assert rank_at(ideal, {"x": 0, "y": 5}) == 1
     # the zero ideal has no relations, so its Jacobian has no rows
     assert rank_at(Ideal([], table), {"x": 0, "y": 0}) == 0
+
+
+@pytest.mark.parametrize("alpha", [Fraction(7, 3), Fraction(-1, 8), Fraction(1000, 999)])
+def test_rank_in_one_pass_equals_the_rank_of_values_taken_one_by_one(alpha):
+    surface = make_surface(alpha, alpha)
+    generators = surface.generators
+    jacobian = [[g.derivative(n) for n in surface.table.names] for g in generators]
+    odd = (Fraction(1, 2), Fraction(-3, 5))
+    for x0, u0 in modification.DEFAULT_CHART_SAMPLES + (odd,):
+        point = surface_chart_point(alpha, x0, u0)
+        assert all(g.specialize(point).is_zero() for g in generators)
+        rows = [[d.specialize(point).constant_value() for d in row] for row in jacobian]
+        rank = len(row_reduce(rows)[1])
+        assert rank == 2
+        assert rank_at(surface, point) == rank
+        off = dict(point, v=point["v"] + Fraction(1, 7))
+        with pytest.raises(PointNotOnVariety):
+            rank_at(surface, off)
+    point = surface_chart_point(alpha, *odd)
+    assert all(point[n].d > 1 for n in ("x", "y", "u", "v"))  # no coordinate is an integer
+    assert rank_at(Ideal([], surface.table), point) == 0
 
 
 def test_jacobian_requires_point_on_variety():

@@ -17,6 +17,7 @@ from realforms.ring import (
     VarTable,
     _poly,
     _scaled_terms,
+    _specialize_all,
     _sum_terms,
     compose,
     parse_poly,
@@ -232,6 +233,98 @@ def test_evaluate_refuses_a_variable_left_without_a_value():
         (x * y + 1).evaluate({"x": 1})
     # a term that cancels leaves no variable behind
     assert (x * y - y + 2).evaluate({"x": 1}) == GaussianRational(2)
+
+
+# -- scalar substitution against Fraction pairs ------------------------------------
+
+
+def pair_mul(p: tuple, q: tuple) -> tuple:
+    """(a + b i)(c + d i) on pairs of Fractions."""
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def reference_specialize(p: Poly, values: dict) -> dict:
+    """The terms of p with scalars for some variables, each coefficient a
+    (re, im) pair of Fractions: term by term, a power as repeated products,
+    with no realforms arithmetic."""
+    positions = {TABLE.names.index(name): v for name, v in values.items()}
+    out: dict = {}
+    for e, c in p.terms.items():
+        coef = (Fraction(c.a, c.d), Fraction(c.b, c.d))
+        for k, (vr, vi) in positions.items():
+            for _ in range(e[k]):
+                coef = pair_mul(coef, (vr, vi))
+        key = tuple(0 if k in positions else x for k, x in enumerate(e))
+        s = out.get(key, (Fraction(0), Fraction(0)))
+        out[key] = (s[0] + coef[0], s[1] + coef[1])
+    return {e: s for e, s in out.items() if s != (0, 0)}
+
+
+def as_pairs(p: Poly) -> dict:
+    """The terms of p as Fraction pairs; every coefficient must be canonical."""
+    for c in p.terms.values():
+        assert c.d > 0 and gcd(c.a, c.b, c.d) == 1 and (c.a or c.b), c
+    return {e: (Fraction(c.a, c.d), Fraction(c.b, c.d)) for e, c in p.terms.items()}
+
+
+def reference_point(rng: random.Random, names) -> dict:
+    """Fraction pairs for the names: non-real, non-integer, real, zero and one."""
+    kinds = (
+        lambda: (Fraction(rng.randint(-9, 9), rng.randint(2, 7)),
+                 Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 7))),
+        lambda: (Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(0)),
+        lambda: (Fraction(0), Fraction(0)),
+        lambda: (Fraction(0), Fraction(rng.randint(1, 5), rng.randint(1, 3))),
+        lambda: (Fraction(1), Fraction(0)),
+    )
+    return {name: rng.choice(kinds)() for name in names}
+
+
+def test_scalar_substitution_gives_the_fraction_pairs():
+    # several polys at one point in one pass, and each alone through
+    # specialize and evaluate: all substituted, some, or none
+    rng = random.Random("specialize-pairs")
+    seen = {"all": 0, "some": 0, "zero coordinate": 0, "one": 0, "non-real": 0}
+    for _ in range(80):
+        polys = [rand_poly(rng, TABLE, terms=6) for _ in range(rng.randint(1, 4))]
+        names = rng.sample(TABLE.names, rng.randint(0, len(TABLE.names)))
+        point = reference_point(rng, names)
+        values = {n: GaussianRational(re, im) for n, (re, im) in point.items()}
+        expected = [reference_specialize(p, point) for p in polys]
+        assert [as_pairs(q) for q in _specialize_all(polys, values)] == expected
+        for p, want in zip(polys, expected):
+            assert as_pairs(p.specialize(values)) == want
+            if len(names) == len(TABLE.names):
+                assert set(want) <= {(0, 0, 0)}
+                got = p.evaluate(values)
+                assert (Fraction(got.a, got.d), Fraction(got.b, got.d)) == \
+                    want.get((0, 0, 0), (0, 0))
+        seen["all" if len(names) == len(TABLE.names) else "some"] += 1
+        seen["zero coordinate"] += (0, 0) in point.values()
+        seen["one"] += (1, 0) in point.values()
+        seen["non-real"] += any(im and re.denominator > 1 for re, im in point.values())
+    assert min(seen.values()) >= 10, seen
+    assert _specialize_all([], {"x": 1}) == []
+    # no substituted variable occurs: each poly comes back equal, as a new Poly
+    x, y = Poly.var(TABLE, "x"), Poly.var(TABLE, "y")
+    polys = [x * Fraction(1, 3) + 1, y * I]
+    got = _specialize_all(polys, {"z": Fraction(5, 2)})
+    assert got == polys and all(g.terms is not p.terms for g, p in zip(got, polys))
+
+
+def test_scalar_substitution_refuses_bad_values():
+    x, y = Poly.var(TABLE, "x"), Poly.var(TABLE, "y")
+    for call in (lambda v: _specialize_all([x, x * y], v), x.specialize, x.evaluate):
+        with pytest.raises(TypeError, match="not a scalar for y"):
+            call({"x": 1, "y": 0.5})
+        with pytest.raises(ValueError, match="unknown variable 'w'"):
+            call({"x": 1, "w": 2})
+    # y survives in a term that does not cancel
+    with pytest.raises(ValueError, match="not a constant polynomial"):
+        (x * y + x).evaluate({"x": Fraction(1, 3), "z": 0})
+    assert (x * y + x).evaluate({"x": 0}) == 0
+    with pytest.raises(ValueError, match="VarTable mismatch"):
+        _specialize_all([x, Poly.var(PARAM_TABLE, "x")], {"x": 1})
 
 
 def test_derivative():
@@ -686,6 +779,46 @@ def test_integer_substitution_gives_the_reference_pairs_random(m, num, den, frac
     assert_same_pairs(m, num)
     if fraction and not den.is_zero():
         assert_same_pairs(m, RatFunc(num, den))
+
+
+# -- a map's tables kept from one call to the next ------------------------------------
+
+
+def fresh(m: RingMap) -> RingMap:
+    """A new map with the images and flag of m, so with no tables built yet."""
+    return RingMap(m.source, m.target, m.images, m.conjugates_coefficients)
+
+
+def test_a_map_applied_again_gives_a_fresh_maps_pairs():
+    # the highest power of each variable rises and then falls from one call
+    # to the next, so a factor N_k^e*D_k^(top_k-e) kept from an earlier call
+    # is right only for the same top_k
+    rng = random.Random("kept-tables")
+    x, y, z = (Poly.var(TABLE, n) for n in TABLE.names)
+    for make_map in (rand_fraction_map, rand_conjugating_map, rand_affine_map):
+        for _ in range(3):
+            m = make_map(rng)
+            for degree in (1, 2, 3, 4, 2, 1, 3, 0):
+                p = x ** degree + y ** (degree // 2) * z + rand_poly(rng, TABLE, terms=2)
+                values = [p, RatFunc(p, z ** degree + 2)] if degree < 4 else [p]
+                for value in values:
+                    got, want = m(value), fresh(m)(value)
+                    assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_compose_gives_each_image_through_a_fresh_map():
+    rng = random.Random("compose-tables")
+    for f_maker, g_maker in ((rand_fraction_map, rand_fraction_map),
+                             (rand_affine_map, rand_conjugating_map),
+                             (rand_conjugating_map, rand_fraction_map)):
+        for _ in range(3):
+            f, g = f_maker(rng), g_maker(rng)
+            composite = compose(f, g)
+            assert composite.conjugates_coefficients == \
+                f.conjugates_coefficients ^ g.conjugates_coefficients
+            for got, image in zip(composite.images, f.images):
+                want = fresh(g)(image)
+                assert (got.num, got.den) == (want.num, want.den)
 
 
 # -- sums with a denominator 1 ----------------------------------------------------
