@@ -4,13 +4,14 @@ Two parameter values give isomorphic real surfaces exactly when a weighted
 isomorphism of their negative-curve incidence graphs, commuting with the
 conjugation actions and fixing the structural vertices, is realized by an
 invertible linear map of the plane defined over the rationals.  The search
-is exact: matchings by backtracking over the 12-vertex graphs, once per graph
-shape; witnesses by one solve per matching over Q[a, b] for all pairs, read
+is exact: matchings by backtracking over the 12-vertex graphs, once per
+d_max; witnesses by one solve per matching over Q[a, b] for all pairs, read
 at each pair by one integer evaluation of each distinct locus and of the
 entries only where the locus vanishes, then one re-check of each candidate
 in integers: its determinant, the circle, and the centers on each graph's
-own integer center rows.  Fractions and text are built only for a witness
-and for traces that are read.
+own integer center rows.  A result stores the re-check's facts and its
+witnesses; Fractions are built only for a witness, and text only for
+traces that are read.
 
 Each graph is the symbolic graph read at its own parameter value.  One
 symbolic enumeration per d_max in a process gives the labels, weights,
@@ -158,6 +159,14 @@ def admissible_matchings(src: CurveIncidenceGraph,
 
 
 @cache
+def _matchings(d_max: int) -> tuple[tuple, ...]:
+    """_shape_matchings of any two graphs that incidence_graph builds at
+    d_max: each has the symbolic shape of _graph_shape(d_max)."""
+    shape = _graph_shape(d_max)[:3]
+    return _shape_matchings(shape, shape)
+
+
+@cache
 def _shape_matchings(src_shape: tuple, dst_shape: tuple) -> tuple[tuple, ...]:
     """The admissible matchings, each with its label pairs as is and sorted."""
     src_labels, src_weights, src_action = src_shape
@@ -265,15 +274,15 @@ def _center_parts(rows: dict, table: VarTable, name: str) -> tuple:
 
 @cache
 def _witness_engine(d_max: int) -> dict:
-    """_solve_rows for every admissible matching of _graph_shape(d_max), built
-    on first use: the source's centers in a and the target's in b, real and
+    """_solve_rows for every matching of _matchings(d_max), built on first
+    use: the source's centers in a and the target's in b, real and
     imaginary parts apart over Q[a, b], as a and b are real."""
-    labels, weights, action, center_rows = _graph_shape(d_max)
+    center_rows = _graph_shape(d_max)[3]
     table = VarTable((ALPHA, BETA))
     src, dst = [[None if rows is None else _center_parts(rows, table, name)
                  for rows in center_rows] for name in (ALPHA, BETA)]
     engine = {}
-    for m, _, _ in _shape_matchings((labels, weights, action), (labels, weights, action)):
+    for m, _, _ in _matchings(d_max):
         pairs = [(src[i], dst[j]) for i, j in enumerate(m)]
         if any((c is None) != (t is None) for c, t in pairs):  # a center to a line
             engine[m] = ((0, 0), (((0, 0, 1),),), (), 1)  # the locus 1: no pair solves it
@@ -465,11 +474,6 @@ def _details(facts: tuple) -> dict:
     return details
 
 
-def _witness_key(w: IsoWitness):
-    """Entry by entry: the absolute value, then 0 for a sign + and 1 for -."""
-    return tuple([(-e, 1) if e.numerator < 0 else (e, 0) for row in w.matrix for e in row])
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -477,28 +481,40 @@ def _witness_key(w: IsoWitness):
 
 @dataclass
 class ClassificationResult:
-    """A classify verdict, its witnesses best first, and every matching's
-    outcome as data; traces renders them only when read."""
+    """A classify result: its witnesses best first and, per admissible
+    matching, the re-check's integer facts.  The verdict, the witness, the
+    count and the traces are read from these two."""
 
     alpha: object  # Fraction, or parameter name when symbolic
     beta: object
-    equivalent: bool
-    witness: IsoWitness | None
     witnesses: tuple[IsoWitness, ...]
-    matchings_admissible: int
-    # (label pairs, outcome, _checks' integer facts or None) per admissible matching
+    # (label pairs, _checks' integer facts or None) per admissible matching
     outcomes: tuple[tuple, ...]
     d_max: int
 
     @property
+    def equivalent(self) -> bool:
+        return bool(self.witnesses)
+
+    @property
+    def witness(self) -> IsoWitness | None:
+        return self.witnesses[0] if self.witnesses else None
+
+    @property
+    def matchings_admissible(self) -> int:
+        return len(self.outcomes)
+
+    @property
     def traces(self) -> tuple[dict, ...]:
-        """Per admissible matching, its label map, outcome and, for a checked
-        candidate, the details that _details renders from its integer facts,
-        as dicts built afresh on each read."""
-        return tuple([{"matching": dict(pairs), "outcome": outcome} if facts is None
-                      else {"matching": dict(pairs), "outcome": outcome,
-                            "details": _details(facts)}
-                      for pairs, outcome, facts in self.outcomes])
+        """Per admissible matching, its label map, the outcome its facts give
+        and, for a checked candidate, the details that _details renders from
+        them, as dicts built afresh on each read."""
+        return tuple([{"matching": dict(pairs), "outcome": "no linear solution"}
+                      if facts is None else
+                      {"matching": dict(pairs),
+                       "outcome": "solution fails checks" if _scalar(facts) is None else "witness",
+                       "details": _details(facts)}
+                      for pairs, facts in self.outcomes])
 
     def to_json(self) -> dict:
         return {
@@ -528,44 +544,33 @@ def classify(alpha, beta, d_max: int = DEFAULT_D_MAX) -> ClassificationResult:
 
 
 def _classify(alpha, beta, d_max: int, src: CurveIncidenceGraph,
-              dst: CurveIncidenceGraph, matchings: tuple | None = None) -> ClassificationResult:
+              dst: CurveIncidenceGraph) -> ClassificationResult:
     """classify over cooked parameters (see param_pair) and the graphs
-    incidence_graph built for them at this d_max; a caller that has looked
-    up the graphs' _shape_matchings may pass them.  One _cell_witnesses call
-    decides every matching: each distinct locus once, and a matching off its
-    locus gets "no linear solution" with no entry read.  A candidate is
-    re-checked in integers, and only a passing one becomes Fractions."""
-    if matchings is None:
-        matchings = _shape_matchings(src.shape(), dst.shape())
+    incidence_graph built for them at this d_max, whose matchings are
+    _matchings(d_max).  One _cell_witnesses call decides every matching:
+    each distinct locus once, and a matching off its locus keeps no facts,
+    with no entry read.  A candidate is re-checked in integers, and only a
+    passing one becomes Fractions.  Witnesses are ordered entry by entry on
+    |e / m| * L, then + before -, in integers, L being the lcm of the
+    passing candidates' scales m."""
+    matchings = _matchings(d_max)
     candidates = _cell_witnesses(alpha, beta, d_max, [m for m, _, _ in matchings])
-    witnesses = []
+    passing = []  # (candidate, its IsoWitness)
     outcomes = []
     for (m, label_pairs, sorted_pairs), candidate in zip(matchings, candidates):
-        if candidate is None:
-            outcomes.append((label_pairs, "no linear solution", None))
-            continue
-        facts = _checks(candidate, src, dst, m)
-        scalar = _scalar(facts)
-        if scalar is None:
-            outcomes.append((label_pairs, "solution fails checks", facts))
-            continue
-        witness = IsoWitness(
-            matrix=_matrix(candidate),
-            scalar=scalar,
-            matching=m,
-            matching_labels=sorted_pairs,
-        )
-        witnesses.append(witness)
-        outcomes.append((label_pairs, "witness", facts))
-    if len(witnesses) > 1:
-        witnesses.sort(key=_witness_key)
+        facts = None if candidate is None else _checks(candidate, src, dst, m)
+        outcomes.append((label_pairs, facts))
+        scalar = None if facts is None else _scalar(facts)
+        if scalar is not None:
+            passing.append((candidate, IsoWitness(_matrix(candidate), scalar, m, sorted_pairs)))
+    if len(passing) > 1:
+        L = lcm(*[candidate[4] for candidate, _ in passing])
+        passing.sort(key=lambda item: [(abs(e * (L // item[0][4])), e * item[0][4] < 0)
+                                       for e in item[0][:4]])
     return ClassificationResult(
         alpha=alpha,
         beta=beta,
-        equivalent=bool(witnesses),
-        witness=witnesses[0] if witnesses else None,
-        witnesses=tuple(witnesses),
-        matchings_admissible=len(matchings),
+        witnesses=tuple([witness for _, witness in passing]),
         outcomes=tuple(outcomes),
         d_max=d_max,
     )

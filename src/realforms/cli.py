@@ -214,17 +214,11 @@ def run_grid(values, d_max: int = DEFAULT_D_MAX) -> dict:
                     key=lambda v: (isinstance(v, str), v))
     # each value with its graph and its text, so that no cell hashes a Fraction
     rows = [(v, classification.incidence_graph(v, d_max=d_max), str(v)) for v in values]
-    # every graph at one d_max has the symbolic shape, so the matchings of
-    # the first graph with itself serve every cell
-    matchings = ()
-    if rows:
-        shape = rows[0][1].shape()
-        matchings = classification._shape_matchings(shape, shape)
     cells = []
     disagreements = 0
     for a, src, a_text in rows:
         for b, dst, b_text in rows:
-            result = classification._classify(a, b, d_max, src, dst, matchings)
+            result = classification._classify(a, b, d_max, src, dst)
             criterion = classification._criterion(a, b)
             agrees = result.equivalent == criterion
             disagreements += 0 if agrees else 1

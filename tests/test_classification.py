@@ -333,7 +333,8 @@ def test_grid_graphs_build_no_polynomial_ring(monkeypatch):
 
 
 def test_grid_looks_the_matchings_up_once(monkeypatch):
-    # every graph has the symbolic shape, so no cell hashes the shapes again
+    # every graph at one d_max has the symbolic shape, so the matchings are
+    # looked up once per d_max and no cell hashes the shapes again
     from realforms import cli
 
     lookups = []
@@ -344,11 +345,17 @@ def test_grid_looks_the_matchings_up_once(monkeypatch):
         return shape_matchings(src_shape, dst_shape)
 
     monkeypatch.setattr(classification, "_shape_matchings", counting)
+    classification._matchings.cache_clear()
     payload = cli.run_grid([2, Fraction(1, 2), 3])
     assert payload["pairs"] == 9 and payload["disagreements"] == 0
     assert lookups == [True]
     assert cli.run_grid([])["pairs"] == 0
     assert lookups == [True]
+    # warm: neither a grid nor a classify reads the shapes at all
+    lookups.clear()
+    assert cli.run_grid([2, Fraction(1, 2), 3]) == payload
+    assert classify(2, 3).matchings_admissible == 4
+    assert lookups == []
 
 
 def test_the_symbolic_configuration_inverts_only_a_and_one_minus_a():
@@ -575,8 +582,14 @@ def reference_classify(alpha, beta, d_max):
         if ok:
             pairs = tuple(sorted(trace["matching"].items()))
             witnesses.append(classification.IsoWitness(matrix, scalar, m, pairs))
-    witnesses.sort(key=classification._witness_key)
+    witnesses.sort(key=witness_order)
     return bool(witnesses), tuple(witnesses), tuple(traces)
+
+
+def witness_order(witness):
+    """The order of a result's witnesses, entry by entry: the absolute
+    value, then + before -."""
+    return [(abs(e), e < 0) for row in witness.matrix for e in row]
 
 
 def assert_classify_equals_the_reference(values, d_max):
@@ -772,6 +785,7 @@ def test_importing_realforms_builds_no_engine():
     code = ("import realforms, realforms.cli\n"
             "from realforms import classification as c\n"
             "assert c._witness_engine.cache_info().currsize == 0\n"
+            "assert c._matchings.cache_info().currsize == 0\n"
             "assert c._graph_shape.cache_info().currsize == 0\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -1056,7 +1070,9 @@ def test_classification_report_rechecks_the_witness(monkeypatch):
     def tampered(*args, **kwargs):
         result = classify_real(*args, **kwargs)
         (p, q), (r, s) = result.witness.matrix
-        result.witness = dataclasses.replace(result.witness, matrix=((p + 1, q), (r, s)))
+        moved = dataclasses.replace(result.witness, matrix=((p + 1, q), (r, s)))
+        result.witnesses = (moved, *result.witnesses[1:])
+        assert result.witness == moved  # the witness is read from the witnesses
         return result
 
     monkeypatch.setattr(classification, "_classify", tampered)
@@ -1199,14 +1215,21 @@ def test_witness_checks_read_every_term_of_both_centers():
         assert found[2]["centers_carried"] is carried
 
 
+def _classify_candidates(monkeypatch, candidates, src, dst, matching):
+    """_classify on the graphs with the matchings lookup made to list the
+    matching once per integer candidate (P, Q, R, S, m), and the solver made
+    to hand back the candidates."""
+    pairs = tuple(zip(src.labels, [dst.labels[j] for j in matching]))
+    listed = ((matching, pairs, tuple(sorted(pairs))),) * len(candidates)
+    monkeypatch.setattr(classification, "_matchings", lambda d_max: listed)
+    monkeypatch.setattr(classification, "_cell_witnesses", lambda *args: list(candidates))
+    return _classify(Fraction(2), Fraction(2), DEFAULT_D_MAX, src, dst)
+
+
 def _rendered(monkeypatch, candidate, src, dst, matching):
     """The outcome and details a trace renders for one integer candidate
     (P, Q, R, S, m) that the solver is made to hand back for the matching."""
-    monkeypatch.setattr(classification, "_cell_witnesses", lambda *args: [candidate])
-    pairs = tuple(zip(src.labels, [dst.labels[j] for j in matching]))
-    result = _classify(Fraction(2), Fraction(2), DEFAULT_D_MAX, src, dst,
-                       ((matching, pairs, tuple(sorted(pairs))),))
-    (trace,) = result.traces
+    (trace,) = _classify_candidates(monkeypatch, [candidate], src, dst, matching).traces
     return trace["outcome"], trace["details"]
 
 
@@ -1237,6 +1260,73 @@ def test_rendered_details_equal_the_q_i_re_check(monkeypatch, failure):
     assert details.get("sum_of_squares_preserved") is circle
 
 
+# a zero center has no rows, so every matrix carries it
+_ZERO_CENTER = _center_graph([{}])
+
+
+def test_witnesses_are_ordered_by_magnitude_then_sign(monkeypatch):
+    # real cells with two and four witnesses
+    rng = random.Random(41)
+    values = {Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(12)} - {0, 1}
+    values = sorted(values | {1 / v for v in values} | {Fraction(-1)})
+    cells = [(Fraction(7, 3), Fraction(3, 7)), (Fraction(-1), Fraction(-1)),
+             (Fraction(2), Fraction(2)), (Fraction(2), Fraction(1, 2))]
+    cells += [(a, b) for a in values for b in values if a == b or a * b == 1]
+    for alpha, beta in cells:
+        witnesses = classify(alpha, beta).witnesses
+        assert len(witnesses) == (4 if alpha == beta == -1 else 2), (alpha, beta)
+        assert list(witnesses) == sorted(witnesses, key=witness_order), (alpha, beta)
+    assert [w.to_json()["matrix"] for w in classify(-1, -1).witnesses] == [
+        [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]],
+        [["-1", "0"], ["0", "1"]], [["-1", "0"], ["0", "-1"]]]
+    # a real cell's candidates share one scale m, and its witnesses' entries
+    # one magnitude, so these read as well with the sign first or with bare
+    # numerators; these candidates do not: over different scales, -1/3
+    # comes before 1/2 on its magnitude, though its numerator -2 is the
+    # larger in magnitude and its sign is -; a negative scale turns a sign
+    candidates = [(1, 0, 0, 1, 2), (-2, 0, 0, -2, 6), (1, 0, 0, -1, 3), (0, 5, -5, 0, 10),
+                  (-1, 0, 0, 1, 3), (2, 0, 0, 2, 6), (3, 0, 0, 3, 2), (1, 0, 0, 1, -4)]
+    result = _classify_candidates(monkeypatch, candidates, _ZERO_CENTER, _ZERO_CENTER, (0,))
+    matrices = [classification._matrix(c) for c in candidates]
+    found = [w.matrix for w in result.witnesses]
+    assert sorted(found) == sorted(matrices)
+    assert found == [w.matrix for w in sorted(result.witnesses, key=witness_order)]
+    assert [m[0][0] for m in found] == [
+        Fraction(v) for v in ("0", "-1/4", "1/3", "1/3", "-1/3", "-1/3", "1/2", "3/2")]
+
+
+def test_a_result_stores_its_witnesses_and_facts_only(monkeypatch):
+    # the verdict, the witness, the count and each trace's outcome are read
+    # from the witnesses and the re-check's facts
+    names = [f.name for f in dataclasses.fields(ClassificationResult)]
+    assert names == ["alpha", "beta", "witnesses", "outcomes", "d_max"]
+
+    def outcome(facts):
+        if facts is None:
+            return "no linear solution"
+        P, Q, R, S, m, det, centers_ok, circle_ok = facts
+        return "witness" if det and centers_ok and circle_ok else "solution fails checks"
+
+    results = [classify(a, b) for a, b in ((2, 3), (2, Fraction(1, 2)), (-1, -1),
+                                           (Fraction(7, 3), Fraction(3, 7)),
+                                           ("symbolic", "symbolic"), ("symbolic", "b"))]
+    # a passing candidate, a broken circle and a determinant 0
+    results.append(_classify_candidates(monkeypatch, [(1, 0, 0, 1, 1), (2, 0, 0, 1, 1),
+                                                      (1, 2, 2, 4, 3)],
+                                        _ZERO_CENTER, _ZERO_CENTER, (0,)))
+    seen = set()
+    for result in results:
+        assert result.equivalent is bool(result.witnesses)
+        assert result.witness == (result.witnesses[0] if result.witnesses else None)
+        assert result.matchings_admissible == len(result.outcomes) == len(result.traces)
+        outcomes = [outcome(facts) for _, facts in result.outcomes]
+        assert [t["outcome"] for t in result.traces] == outcomes
+        assert [t["matching"] for t in result.traces] == [dict(p) for p, _ in result.outcomes]
+        assert outcomes.count("witness") == len(result.witnesses)
+        seen.update(outcomes)
+    assert seen == {"no linear solution", "witness", "solution fails checks"}
+
+
 @pytest.mark.parametrize("d_max, error", [
     (True, TypeError), (False, TypeError), (1.0, TypeError), (2.5, TypeError),
     ("3", TypeError), (None, TypeError), (0, ValueError), (-2, ValueError),
@@ -1246,7 +1336,7 @@ def test_library_entries_refuse_a_d_max_that_is_no_positive_int(d_max, error):
     # would otherwise be served the d_max 1 entries and printed as given
     classify(2, 3, d_max=1)
     caches = (classification._graph_shape, classification._witness_engine,
-              _combinatorial_survivors)
+              classification._matchings, _combinatorial_survivors)
     before = [cached.cache_info() for cached in caches]
     entries = (
         lambda: classify(2, 3, d_max=d_max),
