@@ -9,9 +9,11 @@ Four subcommands:
 * ``enumerate``  -- list the negative curves found on the five-point blow-up.
 
 Exit codes: 0 when everything asked for passed, 1 when a check or a grid
-comparison failed or standard output was closed before the report was
-written, 2 for usage errors (an unknown check id, a malformed rational, an
-excluded parameter value, a malformed or zero ``--d-max``, or a malformed
+comparison failed, the Groebner step budget ran out in ``classify``,
+``grid`` or ``enumerate`` (``error: <message>`` on standard error), or
+standard output was closed before the report was written, 2 for usage
+errors (an unknown check id, a malformed rational, an excluded parameter
+value, a malformed or zero ``--d-max``, or a malformed
 ``REALFORMS_STEP_BUDGET``).
 """
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import checks, classification, intersection, surfaces
-from .errors import ForbiddenParameter
+from .errors import BudgetExceeded, ForbiddenParameter
 from .gaussian import DIGITS_TEXT, RATIONAL_TEXT
 from .groebner import step_budget
 from .intersection import DEFAULT_D_MAX
@@ -356,6 +358,9 @@ def main(argv=None) -> int:
     except ForbiddenParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # The reader closed standard output (``realforms grid | head``).
         # Point it at devnull so that the flush at interpreter exit does not

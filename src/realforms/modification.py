@@ -225,14 +225,10 @@ def fiber_presentation(alpha) -> SurfacePresentation:
         # the parameter is the last variable of both tables: rename it
         relations = [Poly(table, g.terms) for g in rees.ideal.generators]
     else:
-        relations = buchberger([_transport(g.specialize({ALPHA: cooked}), table)
-                                for g in rees.ideal.generators], GREVLEX)
+        at = _specialize_all(rees.ideal.generators, {ALPHA: cooked})
+        relations = buchberger([_transport(g, table) for g in at], GREVLEX)
     small = VarTable(spec.base_vars + tuple(kept) + params)
-    basis = []
-    for g in relations:
-        h = g.specialize({first: 1})
-        if not h.is_zero():
-            basis.append(_transport(h, small))
+    basis = [_transport(h, small) for h in _specialize_all(relations, {first: 1}) if h]
     return SurfacePresentation(table=small, ideal=Ideal(basis, small), alpha=cooked, beta=cooked)
 
 

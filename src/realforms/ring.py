@@ -23,9 +23,9 @@ their products, for its own lifetime, so applying it again (to each image of
 another map in compose, say) builds none of them twice.  Maps compose by
 substitution chaining; conjugation flags compose by XOR.
 
-Substituting scalars (specialize, evaluate) runs on the same kind of
-numerators: one pass over one or more polys shares one power table per
-variable and reduces each output coefficient to Q(i) once.
+Substituting scalars (specialize, evaluate): real values share one integer
+power table per variable in one pass over one or more polys, which reduces
+each output coefficient to Q(i) once; other values go through RingMap.
 """
 from __future__ import annotations
 
@@ -359,17 +359,17 @@ def _scaled_terms(terms: dict, c: GaussianRational) -> dict:
 
 def _specialize_all(polys: Sequence[Poly], values: Mapping[str, object]) -> list[Poly]:
     """Each of the polys, over one table, with scalars substituted for the
-    named variables, in one pass that shares one power table per variable.
+    named variables.
 
-    For a value N_k/d_k, with N_k in Z[i], d_k a positive integer and top_k
-    the highest power of variable k in any of the polys, a term c*x_k^e maps
-    to c*N_k^e*d_k^(top_k-e) over d_k^top_k; the table of a real value holds
-    integers, that of any other value (re, im) pairs, and a value 1 has none.
-    The terms are read as Gaussian-integer numerators over one common
-    denominator of all the coefficients, summed per remaining monomial over
-    that denominator times prod d_k^top_k, and reduced to Q(i) once per
-    output term.  A value that is no scalar raises TypeError, an unknown
-    name ValueError.
+    Real values share one integer table per variable, in one pass over all
+    the polys: for a value a_k/d_k and top_k the highest power of variable k
+    in any of them, a term c*x_k^e maps to c*a_k^e*d_k^(top_k-e) over
+    d_k^top_k.  The terms are read as Gaussian-integer numerators over one
+    common denominator of all the coefficients, summed per remaining
+    monomial over that denominator times prod d_k^top_k, and reduced to
+    Q(i) once per output term.  When any value is not real, each poly goes
+    through a RingMap with constant images instead.  A value that is no
+    scalar raises TypeError, an unknown name ValueError.
     """
     if not polys:
         return []
@@ -382,36 +382,23 @@ def _specialize_all(polys: Sequence[Poly], values: Mapping[str, object]) -> list
         cooked[table.index(name)] = c
     for p in polys:
         p._check(polys[0])
+    if any(c.b for c in cooked.values()):
+        at = RingMap.from_images(table, table, {
+            table.names[k]: RatFunc.const(table, c) for k, c in cooked.items()})
+        return [at(p).as_poly() for p in polys]
     n = len(table)
     kept = [1] * n  # 0 at each substituted position
-    reals, others = [], []  # (k, [N_k^e*d_k^(top_k-e) for e = 0..top_k])
+    rows = []  # (k, [a_k^e*d_k^(top_k-e) for e = 0..top_k])
     scale = 1
-    occurs = False
     for k, c in cooked.items():
         kept[k] = 0
+        a, d = c.a, c.d
         t = max([e[k] for p in polys for e in p.terms], default=0)
-        if not t:
-            continue
-        occurs = True
-        if c.is_one():
-            continue
-        a, b, d = c.a, c.b, c.d
-        if b:
-            row = [(1, 0)]
-            for _ in range(t):
-                ra, rb = row[-1]
-                row.append((ra * a - rb * b, ra * b + rb * a))
-            if d != 1:
-                row = [(ra * d ** (t - e), rb * d ** (t - e)) for e, (ra, rb) in enumerate(row)]
-            others.append((k, row))
-        else:
-            row = [d ** t]
-            for _ in range(t):
-                row.append(row[-1] // d * a)
-            reals.append((k, row))
-        scale *= d ** t
-    if not occurs:  # no substituted variable occurs: each poly is its own image
-        return [_poly(table, dict(p.terms)) for p in polys]
+        row = [d ** t]
+        for _ in range(t):
+            row.append(row[-1] // d * a)
+        rows.append((k, row))
+        scale *= row[0]
     kept = None if len(cooked) == n else tuple(kept)
     zero_exp = (0,) * n
     D = _denominator(c for p in polys for c in p.terms.values())
@@ -424,15 +411,12 @@ def _specialize_all(polys: Sequence[Poly], values: Mapping[str, object]) -> list
         get = acc.get
         for e, c in p.terms.items():
             m = D // c.d
-            for k, row in reals:
+            for k, row in rows:
                 m *= row[e[k]]
-            ca, cb = c.a * m, c.b * m
-            for k, row in others:
-                fa, fb = row[e[k]]
-                ca, cb = ca * fa - cb * fb, ca * fb + cb * fa
-            if not (ca or cb):
+            if not m:
                 continue
             key = zero_exp if kept is None else tuple(map(mul, e, kept))
+            ca, cb = c.a * m, c.b * m
             s = get(key)
             if s is None:
                 acc[key] = [ca, cb]

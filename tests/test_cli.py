@@ -551,6 +551,24 @@ def test_closed_stdout_exits_quietly(argv):
     assert proc.returncode == 1  # output was lost; 2 is kept for usage errors
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "2", "1/2"],
+    ["grid"],
+    ["enumerate", "--alpha", "symbolic"],
+])
+def test_exhausted_step_budget_is_an_error_line_and_exit_1(argv):
+    # a fresh process, so no cached constant spares the Groebner engine
+    src = os.path.dirname(os.path.dirname(os.path.abspath(realforms.__file__)))
+    env = dict(os.environ, REALFORMS_STEP_BUDGET="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "realforms", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 1  # the input was fine: not a usage error
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: Groebner step budget exhausted: "), proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 TRACED_VERIFY = """
 import json
 import sys

@@ -15,6 +15,8 @@ from realforms.intersection import (
     KIND_EXCEPTIONAL,
     KIND_LINE,
     DivisorClass,
+    NegativeCurveRecord,
+    _realize_line,
     boundary_zigzag_report,
     canonical_form,
     conic_pencil_report,
@@ -26,8 +28,8 @@ from realforms.intersection import (
     line_through,
     negative_curves_report,
 )
-from realforms.ring import Poly
-from realforms.surfaces import modified_plane_config
+from realforms.ring import Poly, VarTable
+from realforms.surfaces import Center, PointConfiguration, modified_plane_config
 
 EXPECTED_LABELS = [
     "E(0,0)", "E(1,i)", "E(a,ai)", "E(1,-i)", "E(a,-ai)",
@@ -316,3 +318,70 @@ def test_enumeration_json_shape():
     assert data["records"][0]["class"] == {
         "degree": 0, "multiplicities": [-1, 0, 0, 0, 0]
     }
+
+
+# -- the refutation branches of the sweep -----------------------------------
+
+HAND_TABLE = VarTable(("x", "y", "z", "a"))
+A = Poly.var(HAND_TABLE, "a")
+
+
+def hand_config(*centers) -> PointConfiguration:
+    """Five affine centers over (x, y, z, a), each coordinate an int or a
+    Poly in a, with a and 1 - a as the units."""
+    def lift(v):
+        return v if isinstance(v, Poly) else Poly.const(HAND_TABLE, v)
+    return PointConfiguration(HAND_TABLE, tuple(Center(lift(x), lift(y)) for x, y in centers),
+                              (), (A, 1 - A))
+
+
+def test_realize_line_gives_each_reason():
+    config = modified_plane_config("symbolic", "symbolic")
+    for cls in (DivisorClass(1, (2, 0, 0, 0, 0)), line_class(0)):
+        assert _realize_line(config, cls) == "a line cannot have a multiple point"
+    # the line x + iy through (0,0) and (1,i) is 2 at (1,-i)
+    assert _realize_line(config, line_class(0, 1, 3)) == \
+        "the line through centers 0 and 1 misses center 3"
+    # the first three centers lie on y = 0
+    collinear = hand_config((0, 0), (1, 0), (2, 0), (3, 1), (4, 2))
+    assert _realize_line(collinear, line_class(0, 1)) == \
+        "the line through centers 0 and 1 also passes through center 2"
+    # y = 0 is a + 2 at the third center: not zero, but no product of the
+    # units a and 1 - a, so neither answer is certified
+    assert _realize_line(hand_config((0, 0), (1, 0), (2, A + 2), (3, 1), (4, 2)),
+                         line_class(0, 1)) is None
+    # at a (a unit) the line is realized, and the record names the values
+    record = _realize_line(hand_config((0, 0), (1, 0), (2, A), (3, 1), (4, 2)),
+                           line_class(0, 1))
+    assert isinstance(record, NegativeCurveRecord)
+    assert record.through == (0, 1) and record.kind == KIND_LINE
+    assert record.avoids == ((2, "a"), (3, "1"), (4, "2"))
+
+
+def test_enumeration_files_each_survivor_by_its_outcome(monkeypatch):
+    survivors, scanned = intersection._combinatorial_survivors(intersection.DEFAULT_D_MAX)
+    conic = DivisorClass(2, (0, 1, 1, 1, 1))
+    misses, meets, open_line = line_class(0, 1, 3), line_class(1, 2), line_class(0, 2)
+    extra = (conic, misses, meets, open_line)
+    monkeypatch.setattr(intersection, "_combinatorial_survivors",
+                        lambda d_max: (survivors + extra, scanned))
+    realize = intersection._realize_line
+    monkeypatch.setattr(intersection, "_realize_line",
+                        lambda config, cls: None if cls == open_line else realize(config, cls))
+    result = enumerate_negative_classes("symbolic")
+    # a class of degree 2 is never tried, and an inconclusive line is kept open
+    assert result.undetermined == (conic, open_line)
+    assert result.unrealized == (
+        (misses, "the line through centers 0 and 1 misses center 3"),
+        (meets, "the line through centers 1 and 2 also passes through center 0"),
+    )
+    assert [r.label for r in result.records] == EXPECTED_LABELS
+    items = negative_curves_report("symbolic").items
+    assert [i.claim_id for i in items if i.status != "pass"] == ["no-unexpected-classes"]
+    (witness,) = [i.witness for i in items if i.claim_id == "no-unexpected-classes"]
+    assert witness["undetermined"] == [str(conic), str(open_line)]
+    assert witness["unrealized"] == [str(misses), str(meets)]
+    # refuted lines alone leave nothing open
+    monkeypatch.setattr(intersection, "_combinatorial_survivors",
+                        lambda d_max: (survivors + (misses, meets), scanned))
+    assert negative_curves_report("symbolic").passed

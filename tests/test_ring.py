@@ -327,6 +327,49 @@ def test_scalar_substitution_refuses_bad_values():
         _specialize_all([x, Poly.var(PARAM_TABLE, "x")], {"x": 1})
 
 
+def gaussian_specialize(p: Poly, values: dict) -> dict:
+    """The terms of p with scalars for some variables: term by term in
+    GaussianRational arithmetic, a power as repeated products."""
+    positions = {TABLE.index(name): v for name, v in values.items()}
+    out: dict = {}
+    for e, c in p.terms.items():
+        for k, v in positions.items():
+            for _ in range(e[k]):
+                c = c * v
+        key = tuple(0 if k in positions else x for k, x in enumerate(e))
+        out[key] = out.get(key, GaussianRational(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("value", [
+    I, GaussianRational(Fraction(1, 2), Fraction(1, 2)), ONE, GaussianRational(Fraction(-5, 3)),
+], ids=["i", "(1+i)/2", "one", "real"])
+def test_specialize_agrees_with_a_gaussian_term_by_term_oracle(value):
+    # the value for one variable; on odd trials a real or non-real value for
+    # a second; on every third trial the first occurs in no term.  evaluate
+    # gives all three variables a value
+    rng = random.Random(f"gaussian-oracle-{value}")
+    for trial in range(60):
+        name, other, absent = rng.sample(TABLE.names, 3)
+        polys = [rand_poly(rng, TABLE, terms=6) for _ in range(rng.randint(1, 3))]
+        if trial % 3 == 0:  # the named variable occurs in no term
+            k = TABLE.index(name)
+            polys = [sum((Poly(TABLE, {e[:k] + (0,) + e[k + 1:]: c})
+                          for e, c in p.terms.items()), Poly.zero(TABLE)) for p in polys]
+            assert all(e[k] == 0 for p in polys for e in p.terms)
+        values = {name: value}
+        if trial % 2:
+            values[other] = rng.choice([rand_scalar(rng), GaussianRational(rng.randint(-3, 3))])
+        expected = [gaussian_specialize(p, values) for p in polys]
+        assert [q.terms for q in _specialize_all(polys, values)] == expected
+        assert [as_pairs(p.specialize(values)) for p in polys] == \
+            [as_pairs(Poly(TABLE, terms)) for terms in expected]
+        point = {**values, other: values.get(other, ONE), absent: rand_scalar(rng)}
+        for p in polys:
+            want = gaussian_specialize(p, point).get((0, 0, 0), GaussianRational(0))
+            assert p.evaluate(point) == want
+
+
 def test_derivative():
     x = Poly.var(TABLE, "x")
     y = Poly.var(TABLE, "y")
