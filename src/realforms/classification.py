@@ -25,7 +25,6 @@ from those same rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -41,7 +40,7 @@ from .intersection import (
     enumerate_negative_classes,
     intersection_matrix,
 )
-from .reports import CertifiedReport
+from .reports import CertifiedReport, FrozenRecord, Record
 from .ring import Poly, VarTable
 from .surfaces import ALPHA, BETA, lift_real_structure, param_pair, param_ring
 
@@ -49,8 +48,7 @@ ORIGIN_LABEL = "E(0,0)"
 PINNED_LABELS = (LABEL_AT_INFINITY, ORIGIN_LABEL)
 
 
-@dataclass(frozen=True)
-class CurveIncidenceGraph:
+class CurveIncidenceGraph(FrozenRecord):
     """Weighted graph of the twelve distinguished curves with its conjugation
     action; exceptional vertices carry their blow-up centers.
 
@@ -63,13 +61,16 @@ class CurveIncidenceGraph:
     one term, keyed (), and a zero center none.
     """
 
-    labels: tuple[str, ...]
-    weights: tuple[tuple[int, ...], ...]
-    real_action: tuple[int, ...]
-    # {monomial: (ax, bx, ay, by, d)} per exceptional vertex, else None
-    center_rows: tuple[object, ...]
-
+    __slots__ = ("labels", "weights", "real_action", "center_rows")
     __hash__ = None  # the center rows are dicts, which have no hash
+
+    def __init__(self, labels: tuple[str, ...], weights: tuple[tuple[int, ...], ...],
+                 real_action: tuple[int, ...], center_rows: tuple[object, ...]):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "real_action", real_action)
+        # {monomial: (ax, bx, ay, by, d)} per exceptional vertex, else None
+        object.__setattr__(self, "center_rows", center_rows)
 
     def shape(self) -> tuple:
         """Everything the matching search reads: labels, weights, action."""
@@ -388,12 +389,16 @@ def _matrix(candidate: tuple) -> tuple:
     return (Fraction(P, m), Fraction(Q, m)), (Fraction(R, m), Fraction(S, m))
 
 
-@dataclass(frozen=True)
-class IsoWitness:
-    matrix: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-    scalar: Fraction  # pullback factor of the sum of squares
-    matching: tuple[int, ...]
-    matching_labels: tuple[tuple[str, str], ...]
+class IsoWitness(FrozenRecord):
+    __slots__ = ("matrix", "scalar", "matching", "matching_labels")
+
+    def __init__(self, matrix: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]],
+                 scalar: Fraction, matching: tuple[int, ...],
+                 matching_labels: tuple[tuple[str, str], ...]):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "scalar", scalar)  # pullback factor of the sum of squares
+        object.__setattr__(self, "matching", matching)
+        object.__setattr__(self, "matching_labels", matching_labels)
 
     def to_json(self) -> dict:
         return {
@@ -479,18 +484,18 @@ def _details(facts: tuple) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClassificationResult:
+class ClassificationResult(Record):
     """A classify result: its witnesses best first and, per admissible
     matching, the re-check's integer facts.  The verdict, the witness, the
     count and the traces are read from these two."""
 
-    alpha: object  # Fraction, or parameter name when symbolic
-    beta: object
-    witnesses: tuple[IsoWitness, ...]
-    # (label pairs, _checks' integer facts or None) per admissible matching
-    outcomes: tuple[tuple, ...]
-    d_max: int
+    __slots__ = ("alpha", "beta", "witnesses", "outcomes", "d_max")
+
+    def __init__(self, alpha: object, beta: object, witnesses: tuple[IsoWitness, ...],
+                 outcomes: tuple[tuple, ...], d_max: int):
+        self.alpha, self.beta = alpha, beta  # Fraction, or parameter name when symbolic
+        # (label pairs, _checks' integer facts or None) per admissible matching
+        self.witnesses, self.outcomes, self.d_max = witnesses, outcomes, d_max
 
     @property
     def equivalent(self) -> bool:

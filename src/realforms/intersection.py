@@ -12,14 +12,13 @@ parameter value at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
 from .errors import IdenticalPoints, NotACurveClass
 from .gaussian import I as IMAG
 from .groebner import certified_unit
-from .reports import CertifiedReport
+from .reports import CertifiedReport, FrozenRecord, Record
 from .ring import Poly
 from .surfaces import Center, PointConfiguration, modified_plane_config
 
@@ -37,16 +36,16 @@ def _check_d_max(d_max) -> None:
         raise ValueError(f"d_max must be at least 1, got {d_max}")
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(FrozenRecord):
     """Class d*H - sum(m_i * E_i) in the blown-up plane's divisor lattice."""
 
-    degree: int
-    mults: tuple[int, ...]
+    __slots__ = ("degree", "mults")
 
-    def __post_init__(self):
-        if len(self.mults) != NUM_CENTERS:
+    def __init__(self, degree: int, mults: tuple[int, ...]):
+        if len(mults) != NUM_CENTERS:
             raise ValueError(f"expected {NUM_CENTERS} multiplicities")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "mults", mults)
 
     def intersect(self, other: "DivisorClass") -> int:
         return self.degree * other.degree - sum(
@@ -158,14 +157,17 @@ ASSUMPTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class NegativeCurveRecord:
-    label: str
-    cls: DivisorClass
-    kind: str
-    form: Poly | None  # projective defining form for degree-1 records
-    through: tuple[int, ...]  # center indices the curve passes through
-    avoids: tuple[tuple[int, str], ...]  # center index -> certified unit value
+class NegativeCurveRecord(FrozenRecord):
+    __slots__ = ("label", "cls", "kind", "form", "through", "avoids")
+
+    def __init__(self, label: str, cls: DivisorClass, kind: str, form: Poly | None,
+                 through: tuple[int, ...], avoids: tuple[tuple[int, str], ...]):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "form", form)  # projective defining form for degree-1 records
+        object.__setattr__(self, "through", through)  # center indices the curve passes through
+        object.__setattr__(self, "avoids", avoids)  # center index -> certified unit value
 
     @property
     def self_intersection(self) -> int:
@@ -183,15 +185,17 @@ class NegativeCurveRecord:
         }
 
 
-@dataclass
-class EnumerationResult:
-    config: PointConfiguration
-    records: tuple[NegativeCurveRecord, ...]
-    line_at_infinity: NegativeCurveRecord
-    candidates_scanned: int
-    unrealized: tuple[tuple[DivisorClass, str], ...]
-    undetermined: tuple[DivisorClass, ...]
-    d_max: int
+class EnumerationResult(Record):
+    __slots__ = ("config", "records", "line_at_infinity", "candidates_scanned",
+                 "unrealized", "undetermined", "d_max")
+
+    def __init__(self, config: PointConfiguration, records: tuple[NegativeCurveRecord, ...],
+                 line_at_infinity: NegativeCurveRecord, candidates_scanned: int,
+                 unrealized: tuple[tuple[DivisorClass, str], ...],
+                 undetermined: tuple[DivisorClass, ...], d_max: int):
+        self.config, self.records, self.line_at_infinity = config, records, line_at_infinity
+        self.candidates_scanned, self.unrealized = candidates_scanned, unrealized
+        self.undetermined, self.d_max = undetermined, d_max
 
     def vertices(self) -> tuple[NegativeCurveRecord, ...]:
         return self.records + (self.line_at_infinity,)
@@ -218,8 +222,10 @@ def _realize_line(config: PointConfiguration, cls: DivisorClass):
     certifiably not realized, or None when the attempt is inconclusive.
     """
     through = tuple(i for i, m in enumerate(cls.mults) if m == 1)
-    if any(m not in (0, 1) for m in cls.mults) or len(through) < 2:
+    if any(m not in (0, 1) for m in cls.mults):
         return "a line cannot have a multiple point"
+    if len(through) < 2:
+        return "a line through fewer than two centers is not negative"
     form = line_through(config.centers[through[0]], config.centers[through[1]])
     for k in through[2:]:
         if not form_at_center(form, config.centers[k]).is_zero():

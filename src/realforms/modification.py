@@ -20,13 +20,12 @@ there with no elimination of its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
 from .errors import FNotInIdeal, PointNotOnVariety
 from .gaussian import GaussianRational, coerce, row_reduce
 from .groebner import GREVLEX, Ideal, buchberger, certified_unit, elimination_order
-from .reports import CertifiedReport
+from .reports import CertifiedReport, FrozenRecord, Record
 from .ring import Poly, RatFunc, RingMap, VarTable, _specialize_all, compose
 from .surfaces import (
     ALPHA,
@@ -64,20 +63,22 @@ def _transport(p: Poly, table: VarTable) -> Poly:
     return Poly(table, terms)
 
 
-@dataclass(frozen=True)
-class ModificationSpec:
+class ModificationSpec(FrozenRecord):
     """Plane ideal and a chosen divisor that lies in it."""
 
-    table: VarTable
-    base_vars: tuple[str, ...]
-    generators: tuple[Poly, ...]
-    divisor: Poly
-    # the ideal of the generators, built once and read by rees_report
-    center_ideal: Ideal = field(init=False, repr=False, compare=False)
+    _fields = ("table", "base_vars", "generators", "divisor")
+    # center_ideal, the ideal of the generators, is built once and read by
+    # rees_report; it is no field, so equality and repr leave it out
+    __slots__ = _fields + ("center_ideal",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "center_ideal", Ideal(list(self.generators), self.table))
-        if not self.center_ideal.member(self.divisor):
+    def __init__(self, table: VarTable, base_vars: tuple[str, ...],
+                 generators: tuple[Poly, ...], divisor: Poly):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "base_vars", base_vars)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "center_ideal", Ideal(list(generators), table))
+        if not self.center_ideal.member(divisor):
             raise FNotInIdeal("the divisor must lie in the center ideal")
 
 
@@ -95,11 +96,11 @@ def standard_modification(alpha=ALPHA) -> ModificationSpec:
     )
 
 
-@dataclass
-class ReesPresentation:
-    table: VarTable
-    ideal: Ideal
-    scale_vars: tuple[str, ...]
+class ReesPresentation(Record):
+    __slots__ = ("table", "ideal", "scale_vars")
+
+    def __init__(self, table: VarTable, ideal: Ideal, scale_vars: tuple[str, ...]):
+        self.table, self.ideal, self.scale_vars = table, ideal, scale_vars
 
     def to_json(self) -> dict:
         return {

@@ -8,12 +8,15 @@ deterministic key order; the ``paper_ref`` key of the JSON is the check id.
 ``shared_in_run`` lets the checks of one suite run share sub-results: the
 suite opens a memo in ``RUN_MEMO`` and resets it when the run ends, so no
 result outlives the run that made it.
+
+``Record`` and ``FrozenRecord`` are the slotted bases of every record in the
+package; a record's methods are written out, not generated at import.
 """
 from __future__ import annotations
 
 import functools
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable
 
 
@@ -22,11 +25,53 @@ FAIL = "fail"
 ERROR = "error"
 
 
-@dataclass
-class CheckItem:
-    claim_id: str
-    status: str
-    witness: object = None
+class Record:
+    """A mutable record: its fields are its ``__slots__`` in order, or the
+    ``_fields`` it names when a slot is no field.  Two records of one class
+    are equal when their fields are, read by one C-level getter per class,
+    and a record has no hash."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._values = attrgetter(*cls._fields) if cls._fields else None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class FrozenRecord(Record):
+    """A record that hashes like the tuple of its fields and refuses
+    assignment: its ``__init__`` sets each field with ``object.__setattr__``.
+    Its ``__init__`` takes the fields in order, so ``copy`` and ``pickle``
+    rebuild it through its constructor."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} of a frozen record is read-only")
+
+    __delattr__ = __setattr__
+
+
+class CheckItem(Record):
+    __slots__ = ("claim_id", "status", "witness")
+
+    def __init__(self, claim_id: str, status: str, witness: object = None):
+        self.claim_id, self.status, self.witness = claim_id, status, witness
 
     def to_json(self) -> dict:
         out = {"claim_id": self.claim_id, "status": self.status}
@@ -35,10 +80,11 @@ class CheckItem:
         return out
 
 
-@dataclass
-class CertifiedReport:
-    check_id: str
-    items: list[CheckItem] = field(default_factory=list)
+class CertifiedReport(Record):
+    __slots__ = ("check_id", "items")
+
+    def __init__(self, check_id: str, items: list[CheckItem] | None = None):
+        self.check_id, self.items = check_id, [] if items is None else items
 
     def add(self, claim_id: str, ok: bool, witness: object = None) -> CheckItem:
         item = CheckItem(claim_id, PASS if ok else FAIL, witness)
@@ -106,12 +152,12 @@ def shared_in_run(key: Callable) -> Callable:
     return decorate
 
 
-@dataclass
-class SuiteEntry:
-    check_id: str
-    status: str
-    witness: object
-    elapsed_ms: int
+class SuiteEntry(Record):
+    __slots__ = ("check_id", "status", "witness", "elapsed_ms")
+
+    def __init__(self, check_id: str, status: str, witness: object, elapsed_ms: int):
+        self.check_id, self.status, self.witness = check_id, status, witness
+        self.elapsed_ms = elapsed_ms
 
     def to_json(self) -> dict:
         return {
@@ -123,10 +169,11 @@ class SuiteEntry:
         }
 
 
-@dataclass
-class SuiteReport:
-    version: str
-    entries: list[SuiteEntry] = field(default_factory=list)
+class SuiteReport(Record):
+    __slots__ = ("version", "entries")
+
+    def __init__(self, version: str, entries: list[SuiteEntry] | None = None):
+        self.version, self.entries = version, [] if entries is None else entries
 
     def sorted_entries(self) -> list[SuiteEntry]:
         return sorted(self.entries, key=lambda e: e.check_id)

@@ -14,7 +14,6 @@ identities and residual claims as ideal equalities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .gaussian import GaussianRational, I as IMAG, coerce
 from .groebner import Ideal, certified_unit, exact_quotient
-from .reports import CertifiedReport, shared_in_run
+from .reports import CertifiedReport, FrozenRecord, shared_in_run
 from .ring import Poly, RatFunc, RingMap, VarTable, _specialize_all, compose
 
 ALPHA = "a"
@@ -106,14 +105,16 @@ def param_ring(base: tuple[str, ...], *cooked) -> tuple:
     return table, tuple(_param_poly(table, c) for c in cooked), tuple(units)
 
 
-@dataclass(frozen=True)
-class SurfacePresentation:
+class SurfacePresentation(FrozenRecord):
     """A surface in affine 4-space given by explicit generators."""
 
-    table: VarTable
-    ideal: Ideal
-    alpha: object  # Fraction or symbolic name
-    beta: object
+    __slots__ = ("table", "ideal", "alpha", "beta")
+
+    def __init__(self, table: VarTable, ideal: Ideal, alpha: object, beta: object):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "alpha", alpha)  # Fraction or symbolic name
+        object.__setattr__(self, "beta", beta)
 
     @property
     def generators(self) -> tuple[Poly, ...]:
@@ -224,17 +225,16 @@ def _check_pullback(m: RingMap, codomain: SurfacePresentation,
         raise error("pullback does not send the ideal into the ideal")
 
 
-@dataclass(frozen=True)
-class RealStructure:
+class RealStructure(FrozenRecord):
     """Anti-regular self-map squaring to the identity modulo the ideal."""
 
-    surface: SurfacePresentation
-    map: RingMap
+    __slots__ = ("surface", "map")
 
-    def __post_init__(self):
-        _check_pullback(self.map, self.surface, self.surface, True, NotAntiInvolution)
-        square = compose(self.map, self.map)
-        if not agree_modulo(square, RingMap.identity(self.surface.table), self.surface.ideal):
+    def __init__(self, surface: SurfacePresentation, map: RingMap):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "map", map)
+        _check_pullback(map, surface, surface, True, NotAntiInvolution)
+        if not agree_modulo(compose(map, map), RingMap.identity(surface.table), surface.ideal):
             raise NotAntiInvolution("square is not the identity modulo the ideal")
 
 
@@ -590,7 +590,7 @@ def verify_coordinate_change() -> CertifiedReport:
     at_2 = _specialize_all([*transformed, h1, h2, h3], {ALPHA: 2})
     report.add("ideal-equality-at-2", Ideal(at_2[:-3], new).equal(Ideal(at_2[-3:], new)))
 
-    new_pres = replace(s, table=new, ideal=ideal_h)  # same names and parameters
+    new_pres = SurfacePresentation(new, ideal_h, s.alpha, s.beta)  # same names and parameters
     try:
         equivalent = are_equivalent_structures(
             s, new_pres, sigma, standard_conjugation(new_pres), fwd
@@ -607,28 +607,31 @@ def verify_coordinate_change() -> CertifiedReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Center:
+class Center(FrozenRecord):
     """A blow-up center: a point (x, y) of the affine plane."""
 
-    x: Poly
-    y: Poly
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: Poly, y: Poly):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def label(self) -> str:
         return f"({self.x},{self.y})"
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
-    table: VarTable
-    centers: tuple[Center, ...]
-    removed: tuple[Poly, ...]  # projective boundary forms removed from the blow-up
-    units: tuple[Poly, ...]
+class PointConfiguration(FrozenRecord):
+    __slots__ = ("table", "centers", "removed", "units")
 
-    def __post_init__(self):
-        for i in range(len(self.centers)):
-            for j in range(i + 1, len(self.centers)):
-                if not self.distinct(self.centers[i], self.centers[j]):
+    def __init__(self, table: VarTable, centers: tuple[Center, ...], removed: tuple[Poly, ...],
+                 units: tuple[Poly, ...]):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "removed", removed)  # projective boundary forms removed
+        object.__setattr__(self, "units", units)
+        for i in range(len(centers)):
+            for j in range(i + 1, len(centers)):
+                if not self.distinct(centers[i], centers[j]):
                     raise IdenticalPoints(
                         f"centers {i} and {j} are not certifiably distinct"
                     )

@@ -1,7 +1,6 @@
 """Graph matchings, rational witnesses, and the equivalence classification."""
 from __future__ import annotations
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -20,6 +19,7 @@ from realforms.classification import (
     PINNED_LABELS,
     ClassificationResult,
     CurveIncidenceGraph,
+    IsoWitness,
     _classify,
     admissible_matchings,
     classification_report,
@@ -36,6 +36,7 @@ from realforms.intersection import (
     DEFAULT_D_MAX,
     KIND_EXCEPTIONAL,
     LABEL_AT_INFINITY,
+    EnumerationResult,
     _combinatorial_survivors,
     canonical_form,
     enumerate_negative_classes,
@@ -232,8 +233,9 @@ def test_graph_shape_refuses_an_unsettled_symbolic_table(monkeypatch):
     def unsettled(alpha, d_max):
         result = enumerate_real(alpha, d_max)
         *kept, line = result.records
-        return dataclasses.replace(result, records=tuple(kept),
-                                   undetermined=(line.cls,))
+        return EnumerationResult(result.config, tuple(kept), result.line_at_infinity,
+                                 result.candidates_scanned, result.unrealized,
+                                 (line.cls,), result.d_max)
 
     classification._graph_shape.cache_clear()
     monkeypatch.setattr(classification, "enumerate_negative_classes", unsettled)
@@ -298,13 +300,13 @@ def test_grid_graphs_rest_on_the_symbolic_distinctness_proof(monkeypatch):
 
     incidence_graph(2)  # warm _graph_shape, whose enumeration builds one
     built = []
-    post_init = PointConfiguration.__post_init__
+    init = PointConfiguration.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(PointConfiguration, "__post_init__", counting)
+    monkeypatch.setattr(PointConfiguration, "__init__", counting)
     payload = cli.run_grid([2, Fraction(1, 2), 3])
     assert payload["pairs"] == 9 and payload["disagreements"] == 0
     assert built == []
@@ -407,7 +409,8 @@ def test_matchings_memo_searches_a_changed_shape_again():
     weights = [list(row) for row in g.weights]
     origin, plus = g.index_of(ORIGIN_LABEL), g.index_of("L(x+iy)")
     weights[origin][plus] = weights[plus][origin] = 2
-    altered = dataclasses.replace(g, weights=tuple(tuple(row) for row in weights))
+    altered = CurveIncidenceGraph(g.labels, tuple(tuple(row) for row in weights),
+                                  g.real_action, g.center_rows)
     assert altered.center_rows == g.center_rows
     admissible_matchings(g, g)
     misses = classification._shape_matchings.cache_info().misses
@@ -1061,16 +1064,15 @@ def test_classification_report():
 
 
 def test_classification_report_rechecks_the_witness(monkeypatch):
-    import dataclasses
-
     from realforms import classification
 
     classify_real = classification._classify
 
     def tampered(*args, **kwargs):
         result = classify_real(*args, **kwargs)
-        (p, q), (r, s) = result.witness.matrix
-        moved = dataclasses.replace(result.witness, matrix=((p + 1, q), (r, s)))
+        w = result.witness
+        (p, q), (r, s) = w.matrix
+        moved = IsoWitness(((p + 1, q), (r, s)), w.scalar, w.matching, w.matching_labels)
         result.witnesses = (moved, *result.witnesses[1:])
         assert result.witness == moved  # the witness is read from the witnesses
         return result
@@ -1298,8 +1300,8 @@ def test_witnesses_are_ordered_by_magnitude_then_sign(monkeypatch):
 def test_a_result_stores_its_witnesses_and_facts_only(monkeypatch):
     # the verdict, the witness, the count and each trace's outcome are read
     # from the witnesses and the re-check's facts
-    names = [f.name for f in dataclasses.fields(ClassificationResult)]
-    assert names == ["alpha", "beta", "witnesses", "outcomes", "d_max"]
+    names = ClassificationResult.__slots__
+    assert names == ("alpha", "beta", "witnesses", "outcomes", "d_max")
 
     def outcome(facts):
         if facts is None:

@@ -337,8 +337,12 @@ def hand_config(*centers) -> PointConfiguration:
 
 def test_realize_line_gives_each_reason():
     config = modified_plane_config("symbolic", "symbolic")
-    for cls in (DivisorClass(1, (2, 0, 0, 0, 0)), line_class(0)):
-        assert _realize_line(config, cls) == "a line cannot have a multiple point"
+    assert _realize_line(config, DivisorClass(1, (2, 0, 0, 0, 0))) == \
+        "a line cannot have a multiple point"
+    # (1; 1,0,0,0,0) has no multiple point: its square is 0
+    for cls in (line_class(0), line_class()):
+        assert _realize_line(config, cls) == \
+            "a line through fewer than two centers is not negative"
     # the line x + iy through (0,0) and (1,i) is 2 at (1,-i)
     assert _realize_line(config, line_class(0, 1, 3)) == \
         "the line through centers 0 and 1 misses center 3"

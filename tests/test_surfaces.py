@@ -1,7 +1,6 @@
 """Surface presentations, real structures, charts, and equivalence predicates."""
 from __future__ import annotations
 
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -24,6 +23,7 @@ from realforms.ring import Poly, RatFunc, RingMap, VarTable, compose
 from realforms.surfaces import (
     RESERVED_NAMES,
     RealStructure,
+    SurfacePresentation,
     _check_pullback,
     agree_modulo,
     are_equivalent_structures,
@@ -491,7 +491,8 @@ def test_saturation_control_ideal_not_saturated():
     # (x*y) : x^oo = (y), so y passes once x is inverted but is no member
     plane = free_presentation(VarTable(("x", "y")))
     x, y = plane.var("x"), plane.var("y")
-    assert not _saturated_by(replace(plane, ideal=Ideal([x * y], plane.table)), x)
+    xy = SurfacePresentation(plane.table, Ideal([x * y], plane.table), plane.alpha, plane.beta)
+    assert not _saturated_by(xy, x)
 
 
 def test_membership_after_a_unit_is_refused():
@@ -507,8 +508,8 @@ def test_membership_after_a_unit_is_refused():
     assert agree_modulo(identity, kill_member, ideal)
 
     line = free_presentation(table)
-    domain = replace(line, ideal=ideal)
-    codomain = replace(line, ideal=Ideal([x], table))
+    domain = SurfacePresentation(line.table, ideal, line.alpha, line.beta)
+    codomain = SurfacePresentation(line.table, Ideal([x], table), line.alpha, line.beta)
     with pytest.raises(NotAutomorphism, match="ideal into the ideal"):
         _check_pullback(identity, codomain, domain, False, NotAutomorphism)
     _check_pullback(identity, domain, codomain, False, NotAutomorphism)
