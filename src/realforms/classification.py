@@ -52,25 +52,17 @@ class CurveIncidenceGraph(FrozenRecord):
     """Weighted graph of the twelve distinguished curves with its conjugation
     action; exceptional vertices carry their blow-up centers.
 
-    ``center_rows`` holds each center's coordinates term by term, keyed by
-    the named monomial, so that centers of different parameter values
-    compare coefficientwise: each term (x, y) as the integers (ax, bx, ay,
-    by, d) with x = (ax + bx*i)/d and y = (ay + by*i)/d over the least such
-    d, read once per graph from the symbolic shape's rows (see _rows_at) so
-    that a witness re-check compares integers only.  A rational value has
-    one term, keyed (), and a zero center none.
+    ``center_rows`` holds, per vertex, None or an exceptional vertex's center
+    as {monomial: (ax, bx, ay, by, d)}: each term (x, y) of its coordinates,
+    keyed by the named monomial, with x = (ax + bx*i)/d and y = (ay + by*i)/d
+    over the least such d, so centers of different parameter values compare
+    coefficientwise.  They are read once per graph from the symbolic shape's
+    rows (see _rows_at), so a witness re-check compares integers only.  A
+    rational value has one term, keyed (), and a zero center none.
     """
 
     __slots__ = ("labels", "weights", "real_action", "center_rows")
     __hash__ = None  # the center rows are dicts, which have no hash
-
-    def __init__(self, labels: tuple[str, ...], weights: tuple[tuple[int, ...], ...],
-                 real_action: tuple[int, ...], center_rows: tuple[object, ...]):
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "real_action", real_action)
-        # {monomial: (ax, bx, ay, by, d)} per exceptional vertex, else None
-        object.__setattr__(self, "center_rows", center_rows)
 
     def shape(self) -> tuple:
         """Everything the matching search reads: labels, weights, action."""
@@ -390,15 +382,9 @@ def _matrix(candidate: tuple) -> tuple:
 
 
 class IsoWitness(FrozenRecord):
-    __slots__ = ("matrix", "scalar", "matching", "matching_labels")
+    """An isomorphism's matrix, its sum-of-squares pullback ``scalar``, and its matching."""
 
-    def __init__(self, matrix: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]],
-                 scalar: Fraction, matching: tuple[int, ...],
-                 matching_labels: tuple[tuple[str, str], ...]):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "scalar", scalar)  # pullback factor of the sum of squares
-        object.__setattr__(self, "matching", matching)
-        object.__setattr__(self, "matching_labels", matching_labels)
+    __slots__ = ("matrix", "scalar", "matching", "matching_labels")
 
     def to_json(self) -> dict:
         return {

@@ -44,8 +44,7 @@ class DivisorClass(FrozenRecord):
     def __init__(self, degree: int, mults: tuple[int, ...]):
         if len(mults) != NUM_CENTERS:
             raise ValueError(f"expected {NUM_CENTERS} multiplicities")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "mults", mults)
+        super().__init__(degree, mults)
 
     def intersect(self, other: "DivisorClass") -> int:
         return self.degree * other.degree - sum(
@@ -158,16 +157,10 @@ ASSUMPTIONS = (
 
 
 class NegativeCurveRecord(FrozenRecord):
-    __slots__ = ("label", "cls", "kind", "form", "through", "avoids")
+    """A negative curve: ``form`` defines a degree-1 record's line, ``through``
+    indexes the centers on it, ``avoids`` the others with certified unit values."""
 
-    def __init__(self, label: str, cls: DivisorClass, kind: str, form: Poly | None,
-                 through: tuple[int, ...], avoids: tuple[tuple[int, str], ...]):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "form", form)  # projective defining form for degree-1 records
-        object.__setattr__(self, "through", through)  # center indices the curve passes through
-        object.__setattr__(self, "avoids", avoids)  # center index -> certified unit value
+    __slots__ = ("label", "cls", "kind", "form", "through", "avoids")
 
     @property
     def self_intersection(self) -> int:
@@ -188,14 +181,6 @@ class NegativeCurveRecord(FrozenRecord):
 class EnumerationResult(Record):
     __slots__ = ("config", "records", "line_at_infinity", "candidates_scanned",
                  "unrealized", "undetermined", "d_max")
-
-    def __init__(self, config: PointConfiguration, records: tuple[NegativeCurveRecord, ...],
-                 line_at_infinity: NegativeCurveRecord, candidates_scanned: int,
-                 unrealized: tuple[tuple[DivisorClass, str], ...],
-                 undetermined: tuple[DivisorClass, ...], d_max: int):
-        self.config, self.records, self.line_at_infinity = config, records, line_at_infinity
-        self.candidates_scanned, self.unrealized = candidates_scanned, unrealized
-        self.undetermined, self.d_max = undetermined, d_max
 
     def vertices(self) -> tuple[NegativeCurveRecord, ...]:
         return self.records + (self.line_at_infinity,)
@@ -222,7 +207,9 @@ def _realize_line(config: PointConfiguration, cls: DivisorClass):
     certifiably not realized, or None when the attempt is inconclusive.
     """
     through = tuple(i for i, m in enumerate(cls.mults) if m == 1)
-    if any(m not in (0, 1) for m in cls.mults):
+    if min(cls.mults) < 0:
+        return "a line cannot have a negative multiplicity"
+    if max(cls.mults) > 1:
         return "a line cannot have a multiple point"
     if len(through) < 2:
         return "a line through fewer than two centers is not negative"

@@ -73,10 +73,7 @@ class ModificationSpec(FrozenRecord):
 
     def __init__(self, table: VarTable, base_vars: tuple[str, ...],
                  generators: tuple[Poly, ...], divisor: Poly):
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "base_vars", base_vars)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "divisor", divisor)
+        super().__init__(table, base_vars, generators, divisor)
         object.__setattr__(self, "center_ideal", Ideal(list(generators), table))
         if not self.center_ideal.member(divisor):
             raise FNotInIdeal("the divisor must lie in the center ideal")
@@ -98,9 +95,6 @@ def standard_modification(alpha=ALPHA) -> ModificationSpec:
 
 class ReesPresentation(Record):
     __slots__ = ("table", "ideal", "scale_vars")
-
-    def __init__(self, table: VarTable, ideal: Ideal, scale_vars: tuple[str, ...]):
-        self.table, self.ideal, self.scale_vars = table, ideal, scale_vars
 
     def to_json(self) -> dict:
         return {

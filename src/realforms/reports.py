@@ -27,15 +27,25 @@ ERROR = "error"
 
 class Record:
     """A mutable record: its fields are its ``__slots__`` in order, or the
-    ``_fields`` it names when a slot is no field.  Two records of one class
-    are equal when their fields are, read by one C-level getter per class,
-    and a record has no hash."""
+    ``_fields`` it names when a slot is no field, and its constructor takes
+    them by position or by name.  Two records of one class are equal when
+    their fields are, read by one C-level getter per class; none has a hash."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         cls._values = attrgetter(*cls._fields) if cls._fields else None
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            rest = fields[len(values):]
+            if len(values) > len(fields) or named.keys() != set(rest):
+                raise TypeError(f"{type(self).__qualname__} takes the fields ({', '.join(fields)})")
+            values += tuple(named[field] for field in rest)
+        for field, value in zip(fields, values):
+            object.__setattr__(self, field, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -49,9 +59,8 @@ class Record:
 
 class FrozenRecord(Record):
     """A record that hashes like the tuple of its fields and refuses
-    assignment: its ``__init__`` sets each field with ``object.__setattr__``.
-    Its ``__init__`` takes the fields in order, so ``copy`` and ``pickle``
-    rebuild it through its constructor."""
+    assignment.  Its constructor sets each field with ``object.__setattr__``,
+    and ``copy`` and ``pickle`` rebuild it through that constructor."""
 
     __slots__ = ()
 
@@ -154,10 +163,6 @@ def shared_in_run(key: Callable) -> Callable:
 
 class SuiteEntry(Record):
     __slots__ = ("check_id", "status", "witness", "elapsed_ms")
-
-    def __init__(self, check_id: str, status: str, witness: object, elapsed_ms: int):
-        self.check_id, self.status, self.witness = check_id, status, witness
-        self.elapsed_ms = elapsed_ms
 
     def to_json(self) -> dict:
         return {

@@ -106,15 +106,9 @@ def param_ring(base: tuple[str, ...], *cooked) -> tuple:
 
 
 class SurfacePresentation(FrozenRecord):
-    """A surface in affine 4-space given by explicit generators."""
+    """A surface in affine 4-space given by generators, at Fraction or symbolic parameters."""
 
     __slots__ = ("table", "ideal", "alpha", "beta")
-
-    def __init__(self, table: VarTable, ideal: Ideal, alpha: object, beta: object):
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "alpha", alpha)  # Fraction or symbolic name
-        object.__setattr__(self, "beta", beta)
 
     @property
     def generators(self) -> tuple[Poly, ...]:
@@ -231,8 +225,7 @@ class RealStructure(FrozenRecord):
     __slots__ = ("surface", "map")
 
     def __init__(self, surface: SurfacePresentation, map: RingMap):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "map", map)
+        super().__init__(surface, map)
         _check_pullback(map, surface, surface, True, NotAntiInvolution)
         if not agree_modulo(compose(map, map), RingMap.identity(surface.table), surface.ideal):
             raise NotAntiInvolution("square is not the identity modulo the ideal")
@@ -612,23 +605,18 @@ class Center(FrozenRecord):
 
     __slots__ = ("x", "y")
 
-    def __init__(self, x: Poly, y: Poly):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
     def label(self) -> str:
         return f"({self.x},{self.y})"
 
 
 class PointConfiguration(FrozenRecord):
+    """Blow-up centers, and the projective boundary forms ``removed``."""
+
     __slots__ = ("table", "centers", "removed", "units")
 
     def __init__(self, table: VarTable, centers: tuple[Center, ...], removed: tuple[Poly, ...],
                  units: tuple[Poly, ...]):
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "removed", removed)  # projective boundary forms removed
-        object.__setattr__(self, "units", units)
+        super().__init__(table, centers, removed, units)
         for i in range(len(centers)):
             for j in range(i + 1, len(centers)):
                 if not self.distinct(centers[i], centers[j]):

@@ -238,6 +238,24 @@ def test_classification_json_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv", [
+    ["grid"],
+    ["grid", "--values=-1,2,1/2,3,7/3,3/7"],
+    ["classify", "2", "1/2"],
+    ["classify", "-1", "-1"],
+    ["classify", "2", "3"],
+], ids=["grid", "grid-values", "classify", "classify-self-reciprocal", "classify-distinct"])
+def test_classification_json_is_the_same_at_every_d_max(capsys, argv):
+    # the twelve curves of the incidence graph have degree at most 1, so a
+    # deeper sweep may move no byte but the echoed d_max
+    outputs = {}
+    for d_max in range(1, 7):
+        code, data, _ = run_json(capsys, *argv, "--d-max", str(d_max))
+        assert code == 0 and data.pop("d_max") == d_max
+        outputs[d_max] = data
+    assert all(outputs[d_max] == outputs[6] for d_max in range(1, 6))
+
+
 VERIFY_MODES = {
     "rational": [],
     "symbolic": ["--alpha", "symbolic", "--beta", "symbolic"],

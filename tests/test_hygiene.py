@@ -13,6 +13,9 @@ that subclasses ``Record`` or ``FrozenRecord`` directly, and its fields are the
 names in its ``__slots__`` and ``_fields``.  A field counts as read when an
 attribute of its name is read as a value: a call of a method of that name is
 no read of it, and neither is ``self.name`` in another class.
+Outside ``reports``, whose ``Record`` constructor sets the fields of every
+record, no module calls ``object.__setattr__`` but to set a field that a
+record derives from its others.
 """
 from __future__ import annotations
 
@@ -241,3 +244,72 @@ class Fiber(reports.FrozenRecord):
         return self.table
 """
     assert _unread_fields({"synthetic": ast.parse(source)}) == ["synthetic.Chart.table"]
+
+
+# (module, class, field) of the one field set past a frozen record's guard
+# outside the shared constructor: a value the spec derives from its fields
+DERIVED_FIELDS = {("modification", "ModificationSpec", "center_ideal")}
+
+
+class _SetattrCalls(ast.NodeVisitor):
+    """(class, field) of every ``object.__setattr__`` call in a tree; the field
+    is the call's second argument when it is a string, else None."""
+
+    def __init__(self):
+        self.owner = None
+        self.calls: list[tuple[str | None, str | None]] = []
+
+    def visit_ClassDef(self, node):
+        outer, self.owner = self.owner, node.name
+        self.generic_visit(node)
+        self.owner = outer
+
+    def visit_Call(self, node):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+                and isinstance(func.value, ast.Name) and func.value.id == "object"):
+            field = node.args[1] if len(node.args) > 1 else None
+            self.calls.append((self.owner, field.value if isinstance(field, ast.Constant)
+                               else None))
+        self.generic_visit(node)
+
+
+def _stray_setattrs(modules: dict[str, ast.Module]) -> list[tuple]:
+    """Every ``object.__setattr__`` call outside ``reports`` that sets no
+    derived field."""
+    stray = []
+    for name, tree in modules.items():
+        calls = _SetattrCalls()
+        calls.visit(tree)
+        stray += [(name, *call) for call in calls.calls
+                  if name != "reports" and (name, *call) not in DERIVED_FIELDS]
+    return stray
+
+
+def test_only_the_shared_constructor_sets_fields_with_object_setattr():
+    modules = _modules()
+    assert _stray_setattrs(modules) == []
+    # the scan finds the calls it allows, so it cannot pass for finding none
+    found = {}
+    for name in ("reports", "modification"):
+        calls = _SetattrCalls()
+        calls.visit(modules[name])
+        found[name] = calls.calls
+    assert found == {"reports": [("Record", None)],
+                     "modification": [("ModificationSpec", "center_ideal")]}
+
+
+def test_a_record_that_sets_its_own_fields_is_found():
+    source = """
+from .reports import FrozenRecord
+
+class Point(FrozenRecord):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x, y):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+"""
+    assert _stray_setattrs({"synthetic": ast.parse(source)}) == [
+        ("synthetic", "Point", "x"), ("synthetic", "Point", "y")]
+    assert _stray_setattrs({"reports": ast.parse(source)}) == []

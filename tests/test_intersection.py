@@ -339,6 +339,9 @@ def test_realize_line_gives_each_reason():
     config = modified_plane_config("symbolic", "symbolic")
     assert _realize_line(config, DivisorClass(1, (2, 0, 0, 0, 0))) == \
         "a line cannot have a multiple point"
+    # (1; -1,1,1,0,0) has no multiple point, and a negative entry is named first
+    for cls in (DivisorClass(1, (-1, 1, 1, 0, 0)), DivisorClass(1, (-1, 2, 0, 0, 0))):
+        assert _realize_line(config, cls) == "a line cannot have a negative multiplicity"
     # (1; 1,0,0,0,0) has no multiple point: its square is 0
     for cls in (line_class(0), line_class()):
         assert _realize_line(config, cls) == \

@@ -7,7 +7,9 @@ holds dicts and has no hash.  Every other record compares by value and has
 no hash.  ``ModificationSpec`` leaves its built ``center_ideal`` out of
 equality, hashing and repr, and every repr names the class.  A record holds
 its slots and no instance dict, and importing the command line imports no
-``dataclasses``.
+``dataclasses``.  A record that only stores its fields has no constructor of
+its own: ``Record``'s takes the fields by position or by name and refuses a
+missing, unknown, repeated or surplus one with a TypeError naming the class.
 """
 from __future__ import annotations
 
@@ -229,3 +231,40 @@ def test_defaults_are_fresh_per_record():
     first, second = CertifiedReport("x"), CertifiedReport("x")
     assert first.items == [] and first.items is not second.items
     assert SuiteReport("v").entries == [] and SuiteReport("v").entries is not SuiteReport("v").entries
+
+
+# the records that only store their fields build through Record's constructor
+STORE_ONLY = (IsoWitness, CurveIncidenceGraph, NegativeCurveRecord, SurfacePresentation, Center,
+              EnumerationResult, ReesPresentation, SuiteEntry)
+
+
+def test_store_only_records_have_no_constructor_of_their_own():
+    assert all("__init__" not in cls.__dict__ for cls in STORE_ONLY)
+
+
+@pytest.mark.parametrize("cls", (Center, SuiteEntry), ids=lambda c: c.__name__)
+def test_the_shared_constructor_takes_fields_by_position_and_by_name(cls):
+    values = tuple(f"value of {f}" for f in FIELDS[cls])
+    named = dict(zip(FIELDS[cls], values))
+    by_position, by_name = cls(*values), cls(**named)
+    mixed = cls(values[0], **{f: named[f] for f in reversed(FIELDS[cls][1:])})
+    for record in (by_position, by_name, mixed):
+        assert tuple(getattr(record, f) for f in FIELDS[cls]) == values
+    assert by_position == by_name == mixed
+
+
+@pytest.mark.parametrize("cls", (Center, SuiteEntry), ids=lambda c: c.__name__)
+def test_the_shared_constructor_refuses_a_wrong_field(cls):
+    fields = FIELDS[cls]
+    values = tuple(range(len(fields)))
+    wrong = {
+        "missing": (values[:-1], {}),
+        "missing by name": ((), dict(zip(fields[1:], values[1:]))),
+        "unknown": (values, {"other": 0}),
+        "unknown in place of one": (values[:-1], {"other": 0}),
+        "repeated": (values, {fields[0]: 0}),
+        "surplus": (values + (0,), {}),
+    }
+    for args, named in wrong.values():
+        with pytest.raises(TypeError, match=rf"^{cls.__name__} takes the fields "):
+            cls(*args, **named)
