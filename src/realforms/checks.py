@@ -128,8 +128,12 @@ def run_suite(check_ids=None, alpha=None, beta=None, d_max=None,
     The checks of one run share sub-results: a surface, a chart or
     plane-map sub-report or a real structure that an earlier check built is
     handed to a later one, so an entry's elapsed_ms counts only work no
-    earlier check of the run did.  Nothing is kept
-    across calls: each run starts with an empty memo and drops it at the end.
+    earlier check of the run did.  No result is kept across calls: each run
+    starts with an empty memo and drops it at the end.  What is kept are
+    parameter-free constants, built once per process on first use:
+    modification.standard_rees, classification's _graph_shape, _matchings
+    and _witness_engine, cli.build_parser, and the symbolic templates of
+    surfaces._template.
     """
     ids = dict.fromkeys(resolve_check_id(c) for c in (check_ids or available_checks()))
     entries = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _RATIONAL = (int, Fraction)
 _new = object.__new__
@@ -260,26 +260,24 @@ def coefficient_str(c: GaussianRational) -> str:
     return f"(({c.re})+({c.im})i)"
 
 
-def row_reduce(rows) -> tuple[list[list], list[int]]:
-    """Reduced row-echelon form of a matrix over a field, and its pivot columns.
-
-    Entries may be any field elements with ``!= 0``, ``*``, ``-`` and
-    ``1 / v`` (Fraction and GaussianRational alike); the input is not changed.
-    """
-    work = [list(r) for r in rows]
-    pivots: list[int] = []
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+def integer_rank(rows) -> int:
+    """The rank of a matrix of Gaussian rationals by fraction-free
+    elimination: each row is scaled to Gaussian integers (re, im), and a row
+    below the pivot row p, pivot column c, becomes p[c]*row - row[c]*p."""
+    work = []
+    for row in rows:
+        d = lcm(*(v.d for v in row))
+        work.append([(v.a * (d // v.d), v.b * (d // v.d)) for v in row])
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col] != (0, 0)), None)
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        prow = work[rank] = [v * inv for v in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [v - factor * pv for v, pv in zip(work[r], prow)]
-        pivots.append(col)
-    return work, pivots
+        (pa, pb), prow = work[rank][col], work[rank]
+        for r in range(rank + 1, len(work)):
+            fa, fb = work[r][col]
+            work[r] = [(pa * a - pb * b - fa * qa + fb * qb, pa * b + pb * a - fa * qb - fb * qa)
+                       for (a, b), (qa, qb) in zip(work[r], prow)]
+        rank += 1
+    return rank

@@ -16,14 +16,18 @@ that basis in the other variables is certified a unit built from a and
 1 - a, so by Kalkbrener ("On the stability of Groebner bases under
 specializations", J. Symbolic Comput. 24, 1997) it specializes to a Groebner
 basis at every admissible value, and a fiber at a rational value reads it
-there with no elimination of its own.
+there with no elimination of its own.  In the same way the two maps that
+identify a fiber with the diagonal surface are built once per process over
+Q[a] (surfaces.at_parameters) and read at a rational value; their
+denominators are free of a.  Like standard_rees, these templates depend on
+no parameter value, and nothing else is kept from one call to the next.
 """
 from __future__ import annotations
 
 from functools import cache
 
 from .errors import FNotInIdeal, PointNotOnVariety
-from .gaussian import GaussianRational, coerce, row_reduce
+from .gaussian import GaussianRational, coerce, integer_rank
 from .groebner import GREVLEX, Ideal, buchberger, certified_unit, elimination_order
 from .reports import CertifiedReport, FrozenRecord, Record
 from .ring import Poly, RatFunc, RingMap, VarTable, _specialize_all, compose
@@ -33,6 +37,7 @@ from .surfaces import (
     _images_in_ideal,
     _param_poly,
     agree_modulo,
+    at_parameters,
     chart_yv,
     isotropic_inverse,
     isotropic_pair,
@@ -227,35 +232,35 @@ def fiber_presentation(alpha) -> SurfacePresentation:
     return SurfacePresentation(table=small, ideal=Ideal(basis, small), alpha=cooked, beta=cooked)
 
 
-def fiber_to_surface_map(fiber: SurfacePresentation,
-                         surface: SurfacePresentation) -> RingMap:
-    """Pullback along the chart identification from the surface to the fiber."""
-    tbl = surface.table
-    x = RatFunc.var(tbl, "x")
-    u = RatFunc.var(tbl, "u")
-    a = RatFunc(_param_poly(tbl, surface.alpha))
+def _fiber_to_surface_images(tbl: VarTable, alpha) -> dict:
+    x, u = RatFunc.var(tbl, "x"), RatFunc.var(tbl, "u")
+    a = RatFunc(_param_poly(tbl, alpha))
     plane_x, plane_y = isotropic_pair(x, u)
     cubic = plane_x * (plane_x - 1) * (plane_x - a)
     denom = 4 * x * u
-    return RingMap.from_images(fiber.table, tbl, {
-        "x": plane_x,
-        "y": plane_y,
-        "T2": cubic / denom,
-        "T3": plane_y * (plane_x - 1) * (plane_x - a) / denom,
-    })
+    return {"x": plane_x, "y": plane_y, "T2": cubic / denom,
+            "T3": plane_y * (plane_x - 1) * (plane_x - a) / denom}
+
+
+def fiber_to_surface_map(fiber: SurfacePresentation,
+                         surface: SurfacePresentation) -> RingMap:
+    """Pullback along the chart identification from the surface to the fiber."""
+    images = at_parameters(_fiber_to_surface_images, surface.table, surface.alpha)
+    return RingMap.from_images(fiber.table, surface.table, images)
+
+
+def _surface_to_fiber_images(tbl: VarTable, alpha) -> dict:
+    first, second = isotropic_inverse(RatFunc.var(tbl, "x"), RatFunc.var(tbl, "y"))
+    a = RatFunc(_param_poly(tbl, alpha))
+    y_img, v_img = chart_yv(first, second, a, a)
+    return {"x": first, "u": second, "y": y_img, "v": v_img}
 
 
 def surface_to_fiber_map(surface: SurfacePresentation,
                          fiber: SurfacePresentation) -> RingMap:
     """Pullback along the inverse identification from the fiber to the surface."""
-    tbl = fiber.table
-    x = RatFunc.var(tbl, "x")
-    y = RatFunc.var(tbl, "y")
-    a = RatFunc(_param_poly(tbl, fiber.alpha))
-    first, second = isotropic_inverse(x, y)
-    y_img, v_img = chart_yv(first, second, a, a)
-    return RingMap.from_images(surface.table, tbl,
-                               {"x": first, "u": second, "y": y_img, "v": v_img})
+    images = at_parameters(_surface_to_fiber_images, fiber.table, fiber.alpha)
+    return RingMap.from_images(surface.table, fiber.table, images)
 
 
 def match_fiber_to_surface(alpha) -> CertifiedReport:
@@ -323,9 +328,7 @@ def _rank_at(generators, jacobian, values: dict) -> int:
         if not v.constant_value().is_zero():
             raise PointNotOnVariety(f"relation {g} does not vanish at the point")
     entries = iter(at[len(generators):])
-    rows = [[next(entries).constant_value() for _ in row] for row in jacobian]
-    _, pivots = row_reduce(rows)
-    return len(pivots)
+    return integer_rank([[next(entries).constant_value() for _ in row] for row in jacobian])
 
 
 DEFAULT_CHART_SAMPLES = ((1, 1), (2, 1), (-1, 1), (-1, 2), (3, -1))

@@ -10,11 +10,15 @@ defining equations are
     y*v = (x-1)*(x-alpha)*(u-1)*(u-beta)
 
 Everything here is exact; chart identities are verified as rational-function
-identities and residual claims as ideal equalities.
+identities and residual claims as ideal equalities.  At rational parameters
+the generators and chart images are read from symbolic templates over
+Q[a, b], built once per process (at_parameters); the claims about them are
+still computed at the values.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -25,10 +29,10 @@ from .errors import (
     NotIsomorphism,
     NotConjugationStable,
 )
-from .gaussian import GaussianRational, I as IMAG, coerce
+from .gaussian import ONE, GaussianRational, I as IMAG, coerce
 from .groebner import Ideal, certified_unit, exact_quotient
 from .reports import CertifiedReport, FrozenRecord, shared_in_run
-from .ring import Poly, RatFunc, RingMap, VarTable, _specialize_all, compose
+from .ring import Poly, RatFunc, RingMap, VarTable, _poly, _specialize_all, compose
 
 ALPHA = "a"
 BETA = "b"
@@ -105,6 +109,39 @@ def param_ring(base: tuple[str, ...], *cooked) -> tuple:
     return table, tuple(_param_poly(table, c) for c in cooked), tuple(units)
 
 
+@cache
+def _template(build, base: tuple[str, ...], count: int) -> tuple:
+    """What build(table, *names) gives over base and the first count of the
+    names (a, b), made once per process on first use, and its polys, two per
+    RatFunc.  A denominator that involves a parameter raises ValueError: any
+    other is the same at every value, so a value reads each poly by a ring
+    homomorphism."""
+    table, _, _ = param_ring(base, *(ALPHA, BETA)[:count])
+    built = build(table, *table.names[len(base):])
+    if isinstance(built, tuple):
+        return built, built
+    for f in built.values():
+        if any(any(e[len(base):]) for e in f.den.terms):
+            raise ValueError(f"denominator {f.den} of a template involves a parameter")
+    return built, [p for f in built.values() for p in (f.num, f.den)]
+
+
+def at_parameters(build, table: VarTable, *cooked):
+    """build(table, *cooked), a tuple of Polys or a dict of RatFuncs, at
+    cooked parameters over their param_ring table.  A symbolic parameter
+    builds it; rational values read the template (_template) in one
+    substitution, and each fraction is stripped again."""
+    if any(isinstance(c, str) for c in cooked):
+        return build(table, *cooked)
+    built, parts = _template(build, table.names, len(cooked))
+    n = len(table)
+    at = iter([_poly(table, {e[:n]: c for e, c in p.terms.items()})
+               for p in _specialize_all(parts, dict(zip((ALPHA, BETA), cooked)))])
+    if isinstance(built, tuple):
+        return tuple(at)
+    return {name: RatFunc(next(at), next(at)) for name in built}
+
+
 class SurfacePresentation(FrozenRecord):
     """A surface in affine 4-space given by generators, at Fraction or symbolic parameters."""
 
@@ -152,13 +189,14 @@ def make_surface(alpha, beta=None) -> SurfacePresentation:
     """Build the surface presentation; beta defaults to alpha.
 
     Parameters are exact rationals (0 and 1 rejected) or symbolic names,
-    which are real indeterminates appended to the ring.  Within one suite
-    run, equal cooked parameters give the same presentation, and with it the
-    bases its ideal has computed.
+    which are real indeterminates appended to the ring; at rational values
+    the generators are read from their template (at_parameters).  Within one
+    suite run, equal cooked parameters give the same presentation, and with
+    it the bases its ideal has computed.
     """
     alpha, beta = param_pair(alpha, beta)
     table, _, _ = param_ring(COORDS, alpha, beta)
-    gens = surface_generators(table, alpha, beta)
+    gens = at_parameters(surface_generators, table, alpha, beta)
     return SurfacePresentation(
         table=table,
         ideal=Ideal(list(gens), table),
@@ -320,6 +358,18 @@ def generators_report(alpha, beta) -> CertifiedReport:
     return report
 
 
+def _uv_chart_images(tbl: VarTable, alpha, beta) -> dict:
+    a, b = RatFunc(_param_poly(tbl, alpha)), RatFunc(_param_poly(tbl, beta))
+    return dict(zip("yv", chart_yv(RatFunc.var(tbl, "x"), RatFunc.var(tbl, "u"), a, b)))
+
+
+def _xy_chart_images(tbl: VarTable, alpha, beta) -> dict:
+    x, y = RatFunc.var(tbl, "x"), RatFunc.var(tbl, "y")
+    a, b = RatFunc(_param_poly(tbl, alpha)), RatFunc(_param_poly(tbl, beta))
+    u_img = x * (x - 1) * (x - a) / y
+    return {"u": u_img, "v": (x - 1) * (x - a) * (u_img - 1) * (u_img - b) / y}
+
+
 @shared_in_run(param_pair)
 def verify_modified_plane_chart(alpha, beta) -> CertifiedReport:
     """Chart identities for the projection (x,y,u,v) -> (x+u, i*x-i*u).
@@ -333,8 +383,7 @@ def verify_modified_plane_chart(alpha, beta) -> CertifiedReport:
     tbl = s.table
     x, u = RatFunc.var(tbl, "x"), RatFunc.var(tbl, "u")
     a_p, b_p = _param_poly(tbl, s.alpha), _param_poly(tbl, s.beta)
-    y_img, v_img = chart_yv(x, u, RatFunc(a_p), RatFunc(b_p))
-    chart = RingMap.from_images(tbl, tbl, {"y": y_img, "v": v_img})
+    chart = RingMap.from_images(tbl, tbl, at_parameters(_uv_chart_images, tbl, s.alpha, s.beta))
     g3_image = chart(s.generators[2])
     report.add("chart-last-generator-vanishes", g3_image.is_zero(), witness=str(g3_image))
 
@@ -367,17 +416,13 @@ def verify_xy_projection_chart(alpha, beta) -> CertifiedReport:
     report = CertifiedReport("prop-4.1")
     s = make_surface(alpha, beta)
     tbl = s.table
-    x, y = RatFunc.var(tbl, "x"), RatFunc.var(tbl, "y")
-    a_p, b_p = _param_poly(tbl, s.alpha), _param_poly(tbl, s.beta)
-    a, b = RatFunc(a_p), RatFunc(b_p)
-    u_img = x * (x - 1) * (x - a) / y
-    v_img = (x - 1) * (x - a) * (u_img - 1) * (u_img - b) / y
-    chart = RingMap.from_images(tbl, tbl, {"x": x, "y": y, "u": u_img, "v": v_img})
+    chart = RingMap.from_images(tbl, tbl, at_parameters(_xy_chart_images, tbl, s.alpha, s.beta))
     for k, g in enumerate(s.generators):
         image = chart(g)
         report.add(f"chart-generator-{k + 1}-vanishes", image.is_zero())
 
     x_p, u_p, v_p = (Poly.var(tbl, n) for n in ("x", "u", "v"))
+    a_p, b_p = _param_poly(tbl, s.alpha), _param_poly(tbl, s.beta)
     at_y0 = s.generators[0].specialize({"y": 0})
     cubic = x_p * (x_p - 1) * (x_p - a_p)
     report.add("y0-locus-is-cubic", at_y0 == -cubic, witness=str(at_y0))
@@ -401,10 +446,14 @@ def verify_plane_automorphism(alpha, beta) -> CertifiedReport:
     report = CertifiedReport("prop-4.1")
     tbl, (a_p, b_p), _ = param_ring(("x", "y", "z"), *param_pair(alpha, beta))
     one = RatFunc(Poly.const(tbl, 1))
-    zero = RatFunc(Poly.zero(tbl))
     a, b = RatFunc(a_p), RatFunc(b_p)
-    c1 = (a - b) / (one - a)
     c2 = (one - b) / (one - a)
+    shown = f"scalar {c2}"  # the RatFunc pair, at a rational pair too
+    if a_p.is_constant() and b_p.is_constant():  # all numbers: decide in Q(i)
+        one, a, b = ONE, a_p.constant_value(), b_p.constant_value()
+        c2 = (one - b) / (one - a)
+    zero = one - one
+    c1 = (a - b) / (one - a)
 
     def apply_map(pt):
         px, py, pz = pt
@@ -427,11 +476,11 @@ def verify_plane_automorphism(alpha, beta) -> CertifiedReport:
     d_fixed = (one + c1 * one, c2 * one)
     report.add("tangent-(1,1)-fixed",
                (d_fixed[0] - c2).is_zero() and (d_fixed[1] - c2).is_zero(),
-               witness=f"scalar {c2}")
+               witness=shown)
     d_moved = (b + c1 * one, c2 * one)
     report.add("tangent-(beta,1)-to-(alpha,1)",
                (d_moved[0] - c2 * a).is_zero() and (d_moved[1] - c2).is_zero(),
-               witness=f"scalar {c2}")
+               witness=shown)
     if a_p == b_p:
         report.add("identity-when-beta-equals-alpha",
                    c1.is_zero() and (c2 - one).is_zero())

@@ -128,14 +128,17 @@ def test_no_memo_is_open_after_the_run_itself_raises(monkeypatch):
 
 
 def _count_surface_builds(monkeypatch) -> list:
+    """The cooked pair of every surface's generators: built at a symbolic
+    pair, read from the process's template at a rational one."""
     built = []
-    generators = surfaces.surface_generators
+    at_parameters = surfaces.at_parameters
 
-    def counting(table, alpha, beta):
-        built.append((alpha, beta))
-        return generators(table, alpha, beta)
+    def counting(build, table, *cooked):
+        if build is surfaces.surface_generators:
+            built.append(cooked)
+        return at_parameters(build, table, *cooked)
 
-    monkeypatch.setattr(surfaces, "surface_generators", counting)
+    monkeypatch.setattr(surfaces, "at_parameters", counting)
     return built
 
 

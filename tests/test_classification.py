@@ -30,7 +30,7 @@ from realforms.classification import (
 )
 from realforms.checks import run_check
 from realforms.errors import ForbiddenParameter
-from realforms.gaussian import ZERO, GaussianRational, row_reduce
+from realforms.gaussian import ZERO, GaussianRational
 from realforms.cli import run_grid
 from realforms.intersection import (
     DEFAULT_D_MAX,
@@ -44,6 +44,8 @@ from realforms.intersection import (
 )
 from realforms.ring import Poly, VarTable
 from realforms.surfaces import lift_real_structure, modified_plane_config, param_pair
+
+from test_gaussian import row_reduce  # the field-side oracle
 
 GRID = sorted({
     Fraction(p) for p in (

@@ -10,8 +10,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from realforms.gaussian import (
-    DIGITS_TEXT, I, ONE, RATIONAL_TEXT, ZERO, GaussianRational, coefficient_str, row_reduce,
+    DIGITS_TEXT, I, ONE, RATIONAL_TEXT, ZERO, GaussianRational, coefficient_str, integer_rank,
 )
+
+
+def row_reduce(rows) -> tuple[list[list], list[int]]:
+    """Reduced row-echelon form of a matrix over a field, and its pivot columns:
+    the field-side oracle of the library's integer eliminations.
+
+    Entries may be any field elements with ``!= 0``, ``*``, ``-`` and
+    ``1 / v`` (Fraction and GaussianRational alike); the input is not changed.
+    """
+    work = [list(r) for r in rows]
+    pivots: list[int] = []
+    cols = len(work[0]) if work else 0
+    for col in range(cols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = 1 / work[rank][col]
+        prow = work[rank] = [v * inv for v in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [v - factor * pv for v, pv in zip(work[r], prow)]
+        pivots.append(col)
+    return work, pivots
 
 
 def rand_value(rng: random.Random) -> GaussianRational:
@@ -132,6 +158,40 @@ def test_row_reduce_over_fractions_and_gaussians():
     assert pivots == [0]
     assert work == [[ONE, -I], [ZERO, ZERO]]
     assert row_reduce([]) == ([], [])
+
+
+def _rank_cases() -> list[list[list[GaussianRational]]]:
+    """Seeded 3x4 and 4x4 matrices over Q(i): planted dependent rows (Q(i)
+    combinations of earlier ones), zero columns, zero rows, and non-real
+    entries with denominators."""
+    rng = random.Random(4141)
+    cases = []
+    for rows, cols in [(3, 4), (4, 4)] * 60:
+        matrix = [[rand_value(rng) for _ in range(cols)] for _ in range(rows)]
+        for _ in range(rng.randint(0, 2)):
+            k = rng.randrange(rows)
+            matrix[k] = [ZERO] * cols if rng.random() < 0.3 else [
+                sum((rand_value(rng) * r[j] for r in matrix[:k] + matrix[k + 1:]), ZERO)
+                for j in range(cols)]
+        for j in rng.sample(range(cols), rng.randint(0, 2)):
+            for r in matrix:
+                r[j] = ZERO
+        rng.shuffle(matrix)
+        cases.append(matrix)
+    # a zero first column, and a pivot that is found only below the first row
+    cases.append([[ZERO, I, ONE, ZERO], [ZERO, ONE, -I, ZERO], [ZERO, ZERO, ZERO, I]])
+    cases.append([[ZERO, ONE, ONE], [I, ZERO, ONE], [ONE, ZERO, -I]])
+    return cases
+
+
+def test_integer_rank_equals_the_row_reduce_rank():
+    ranks = []
+    for rows in _rank_cases():
+        rank = integer_rank(rows)
+        assert rank == len(row_reduce(rows)[1]), rows
+        ranks.append(rank)
+    assert set(ranks) >= {1, 2, 3, 4}  # the planted rows and columns lower the rank
+    assert integer_rank([]) == 0 and integer_rank([[ZERO, ZERO]]) == 0
 
 
 # -- the (a + b*i)/d representation against a pair-of-Fractions oracle ---------

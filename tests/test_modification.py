@@ -10,7 +10,7 @@ import pytest
 from realforms import groebner, modification
 from realforms.checks import run_check
 from realforms.errors import FNotInIdeal, ForbiddenParameter, PointNotOnVariety
-from realforms.gaussian import GaussianRational, I, row_reduce
+from realforms.gaussian import GaussianRational, I
 from realforms.groebner import Ideal, elimination_order, normal_form
 from realforms.modification import (
     ModificationSpec,
@@ -27,6 +27,8 @@ from realforms.modification import (
 )
 from realforms.ring import Poly, VarTable, parse_poly
 from realforms.surfaces import ALPHA, SurfacePresentation, make_surface, param_pair
+
+from test_gaussian import row_reduce  # the field-side oracle
 
 
 # -- presentation of the modification ------------------------------------------

@@ -1,10 +1,17 @@
 """Surface presentations, real structures, charts, and equivalence predicates."""
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+from realforms import modification, surfaces
 
 from realforms.checks import run_check
 from realforms.classification import classify
@@ -19,7 +26,7 @@ from realforms.gaussian import I, GaussianRational
 from realforms.groebner import Ideal
 from realforms.intersection import enumerate_negative_classes
 from realforms.modification import fiber_presentation, rees_presentation, standard_modification
-from realforms.ring import Poly, RatFunc, RingMap, VarTable, compose
+from realforms.ring import Poly, RatFunc, RingMap, VarTable, compose, parse_poly
 from realforms.surfaces import (
     RESERVED_NAMES,
     RealStructure,
@@ -340,15 +347,17 @@ def test_xy_projection_chart():
 
 
 def test_y0_cubic_roots_are_evaluated(monkeypatch):
-    from realforms import surfaces
-
     generators = surfaces.surface_generators
 
     def off_by_x_squared(table, alpha, beta):
         g1, g2, g3 = generators(table, alpha, beta)
         return g1 + Poly.var(table, "x") ** 2, g2, g3
 
+    # templates are kept per build function, so the patched one makes and
+    # reads a template of its own
     monkeypatch.setattr(surfaces, "surface_generators", off_by_x_squared)
+    wrong = off_by_x_squared(VarTable(surfaces.COORDS), Fraction(2), Fraction(3))
+    assert make_surface(2, 3).generators[0] == wrong[0]
     assert claim_status(verify_xy_projection_chart(2, 3), "y0-cubic-roots") == "fail"
 
 
@@ -401,6 +410,104 @@ def test_chain_target_is_shifted_off_the_excluded_values():
     last = report.items[-1]
     assert last.claim_id == "link-6"
     assert (last.witness["from"], last.witness["to"]) == ("surface(2,2)", "modified_plane(2,2)")
+
+
+def test_plane_map_witness_prints_the_ratfunc_pair():
+    # 1 - alpha = -4/3 and 1 - beta = -1/4: the Q(i) scalar c2 is 3/16, but
+    # the witness prints the pair the RatFunc quotient keeps, signs and all
+    report = verify_plane_automorphism(Fraction(7, 3), Fraction(5, 4))
+    assert report.passed
+    witness = {item.claim_id: item.witness for item in report.items}
+    assert witness["tangent-(1,1)-fixed"] == "scalar (-3)/(-16)"
+    assert witness["tangent-(beta,1)-to-(alpha,1)"] == "scalar (-3)/(-16)"
+
+
+# -- symbolic templates -------------------------------------------------------------
+
+
+def _template_values() -> list[tuple[Fraction, Fraction]]:
+    """Seeded admissible pairs: small and large numerators and denominators,
+    negative values, and equal pairs."""
+    rng = random.Random(4040)
+    values = [Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 8), Fraction(1000, 999),
+              Fraction(-7), Fraction(7, 3)]
+    while len(values) < 36:
+        bound = rng.choice((9, 10 ** 6, 10 ** 12))
+        value = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        if value not in (0, 1) and value not in values:
+            values.append(value)
+    pairs = [(v, values[(k * 7 + 3) % len(values)]) for k, v in enumerate(values)]
+    return pairs + [(v, v) for v in values[::4]]
+
+
+TEMPLATE_PAIRS = _template_values()
+
+
+def _terms(obj):
+    """A Poly's terms, or a RatFunc's (numerator, denominator) terms."""
+    return (obj.num.terms, obj.den.terms) if isinstance(obj, RatFunc) else obj.terms
+
+
+def _read_equals_direct(build, table, *cooked):
+    read = surfaces.at_parameters(build, table, *cooked)
+    direct = build(table, *cooked)
+    assert type(read) is type(direct)
+    if isinstance(direct, dict):
+        assert list(read) == list(direct)
+        read, direct = read.values(), direct.values()
+    assert [_terms(f) for f in read] == [_terms(f) for f in direct], (build.__name__, cooked)
+
+
+def test_template_reads_equal_the_direct_constructions():
+    assert len({v for pair in TEMPLATE_PAIRS for v in pair}) >= 30
+    assert any(a == b for a, b in TEMPLATE_PAIRS)
+    surface = VarTable(surfaces.COORDS)
+    fiber = VarTable(("x", "y", "T2", "T3"))
+    for a, b in TEMPLATE_PAIRS:
+        for build in (surfaces.surface_generators, surfaces._uv_chart_images,
+                      surfaces._xy_chart_images):
+            _read_equals_direct(build, surface, a, b)
+        _read_equals_direct(modification._fiber_to_surface_images, surface, a)
+        _read_equals_direct(modification._surface_to_fiber_images, fiber, a)
+
+
+def test_a_symbolic_parameter_builds_directly():
+    calls = []
+
+    def build(table, alpha, beta):
+        calls.append((alpha, beta))
+        return surfaces.surface_generators(table, alpha, beta)
+
+    table, _, _ = param_ring(surfaces.COORDS, "a", Fraction(3))
+    surfaces.at_parameters(build, table, "a", Fraction(3))
+    surfaces.at_parameters(build, table, "a", Fraction(3))
+    assert calls == [("a", Fraction(3))] * 2
+    # rational values build the template once, over the names a and b
+    for value in (2, 5, 7):
+        surfaces.at_parameters(build, VarTable(surfaces.COORDS), Fraction(value), Fraction(3))
+    assert calls[2:] == [("a", "b")]
+
+
+@pytest.mark.parametrize("denominator", ["x - a", "a", "b*y", "x + b - 3"])
+def test_a_template_denominator_may_not_involve_a_parameter(denominator):
+    def build(table, alpha, beta):
+        x = RatFunc.var(table, "x")
+        return {"y": x / RatFunc(parse_poly(denominator, table))}
+
+    table = VarTable(surfaces.COORDS)
+    with pytest.raises(ValueError, match="involves a parameter"):
+        surfaces.at_parameters(build, table, Fraction(2), Fraction(3))
+    # a symbolic pair builds directly, so nothing is refused
+    symbolic, _, _ = param_ring(surfaces.COORDS, "a", "b")
+    assert surfaces.at_parameters(build, symbolic, "a", "b")["y"].den == parse_poly(
+        denominator, symbolic)
+
+
+def test_no_template_is_built_at_import():
+    code = ("import realforms.checks, realforms.cli, realforms.surfaces as s; "
+            "assert s._template.cache_info().currsize == 0")
+    env = dict(os.environ, PYTHONPATH=str(Path(surfaces.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 # -- cocycle and equivalence predicates -------------------------------------------
@@ -577,8 +684,6 @@ def test_real_locus_fixed_points():
     ((0, 1, 4, 3, 2), "conclusion"),  # real points at centers 1 and 3
 ])
 def test_real_locus_report_checks_the_lifted_action(monkeypatch, permutation, failing):
-    from realforms import surfaces
-
     monkeypatch.setattr(surfaces, "lift_real_structure", lambda config: permutation)
     report = surfaces.real_locus_report(2)
     assert claim_status(report, failing) == "fail"
