@@ -110,13 +110,11 @@ def line_through(c1: Center, c2: Center) -> Poly:
     return canonical_form(form)
 
 
-def form_at_center(form: Poly, center: Center) -> Poly:
-    """Evaluate a linear projective form at an affine center (z = 1)."""
-    return (
-        form.derivative("x") * center.x
-        + form.derivative("y") * center.y
-        + form.derivative("z")
-    )
+def form_at_center(form: Poly, center: Center, partials=None) -> Poly:
+    """Evaluate a linear projective form at an affine center (z = 1), from
+    its partials in x, y and z when they are given (taken once per line)."""
+    dx, dy, dz = partials or [form.derivative(n) for n in "xyz"]
+    return dx * center.x + dy * center.y + dz
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +212,9 @@ def _realize_line(config: PointConfiguration, cls: DivisorClass):
     if len(through) < 2:
         return "a line through fewer than two centers is not negative"
     form = line_through(config.centers[through[0]], config.centers[through[1]])
+    partials = [form.derivative(n) for n in "xyz"]
     for k in through[2:]:
-        if not form_at_center(form, config.centers[k]).is_zero():
+        if not form_at_center(form, config.centers[k], partials).is_zero():
             return (
                 f"the line through centers {through[0]} and {through[1]} "
                 f"misses center {k}"
@@ -224,7 +223,7 @@ def _realize_line(config: PointConfiguration, cls: DivisorClass):
     for k in range(NUM_CENTERS):
         if k in through:
             continue
-        value = form_at_center(form, config.centers[k])
+        value = form_at_center(form, config.centers[k], partials)
         if value.is_zero():
             return (
                 f"the line through centers {through[0]} and {through[1]} "

@@ -10,27 +10,24 @@ I = (x^2 + y^2, x*(x-1)*(x-a), y*(x-1)*(x-a)) with f = x^2 + y^2; its fibers
 over admissible parameter values match the diagonal member of the surface
 family, and the match is certified by explicit mutually inverse maps.
 
-Its presentation is eliminated once per process, over Q[a] with the
-parameter last in the order (standard_rees).  Every leading coefficient of
-that basis in the other variables is certified a unit built from a and
-1 - a, so by Kalkbrener ("On the stability of Groebner bases under
-specializations", J. Symbolic Comput. 24, 1997) it specializes to a Groebner
-basis at every admissible value, and a fiber at a rational value reads it
-there with no elimination of its own.  In the same way the two maps that
-identify a fiber with the diagonal surface are built once per process over
-Q[a] (surfaces.at_parameters) and read at a rational value; their
-denominators are free of a.  Like standard_rees, these templates depend on
-no parameter value, and nothing else is kept from one call to the next.
+Its presentation is eliminated once per process over Q[a] and certified to
+specialize to the reduced grevlex basis at every admissible value
+(standard_rees, after Kalkbrener, "On the stability of Groebner bases under
+specializations", J. Symbolic Comput. 24, 1997).  A fiber at a rational
+value reads it, and the two maps that identify a fiber with the diagonal
+surface, through templates (surfaces.at_parameters), with no elimination or
+Buchberger run of its own; nothing else is kept from one call to the next.
 """
 from __future__ import annotations
 
 from functools import cache
+from operator import le
 
 from .errors import FNotInIdeal, PointNotOnVariety
-from .gaussian import GaussianRational, coerce, integer_rank
-from .groebner import GREVLEX, Ideal, buchberger, certified_unit, elimination_order
+from .gaussian import ONE, GaussianRational, coerce, integer_rank
+from .groebner import GREVLEX, Ideal, certified_unit, elimination_order
 from .reports import CertifiedReport, FrozenRecord, Record
-from .ring import Poly, RatFunc, RingMap, VarTable, _specialize_all, compose
+from .ring import Poly, RatFunc, RingMap, VarTable, _numerators, _specialize_all, compose
 from .surfaces import (
     ALPHA,
     SurfacePresentation,
@@ -51,19 +48,14 @@ INVERSE_NAME = "t"
 
 
 def _transport(p: Poly, table: VarTable) -> Poly:
-    """Rewrite p over another table containing all its variables."""
-    positions = []
-    for name in p.table.names:
-        positions.append(table.index(name) if name in table.names else None)
+    """Rewrite p over another table that has every variable p uses (else
+    ValueError)."""
     terms: dict = {}
     for e, c in p.terms.items():
         new_e = [0] * len(table)
-        for k, exp in enumerate(e):
-            if not exp:
-                continue
-            if positions[k] is None:
-                raise ValueError(f"variable {p.table.names[k]} missing from target table")
-            new_e[positions[k]] = exp
+        for name, k in zip(p.table.names, e):
+            if k:
+                new_e[table.index(name)] = k
         terms[tuple(new_e)] = c
     return Poly(table, terms)
 
@@ -144,7 +136,10 @@ def standard_rees() -> tuple[ModificationSpec, ReesPresentation]:
     element's leading coefficient in the other variables must be a unit
     built from a and 1 - a (they are 1, a and a^2), so the basis
     specializes to a Groebner basis at every admissible value (Kalkbrener,
-    J. Symbolic Comput. 24, 1997); one that is not raises ValueError.
+    J. Symbolic Comput. 24, 1997).  Its relations, free of t, must also be
+    monic and reduced in grevlex on the variables before a, and a term that
+    vanishes at a value only drops, so they specialize to the reduced
+    grevlex basis, in Buchberger's order.  A failed test raises ValueError.
     """
     spec = standard_modification()
     rees, ideal = _eliminate_inverse(spec)
@@ -162,6 +157,14 @@ def standard_rees() -> tuple[ModificationSpec, ReesPresentation]:
             raise ValueError(
                 f"leading coefficient {lc} of {g} is not certified a unit, so the "
                 f"symbolic basis does not specialize at every admissible value")
+    relations = rees.ideal.generators  # over (x, y, T1, T2, T3, a)
+    leads = [max((e[:-1] for e in g.terms), key=GREVLEX.key_fn(rees.table)) for g in relations]
+    for i, g in enumerate(relations):
+        if {e[-1]: c for e, c in g.terms.items() if e[:-1] == leads[i]} != {0: ONE}:
+            raise ValueError(f"relation {g} is not monic in its grevlex leading monomial")
+        if any(all(map(le, lead, e)) for j, lead in enumerate(leads) if j != i for e in g.terms):
+            raise ValueError(f"a term of relation {g} is divisible by another's leading "
+                             f"monomial, so the relations are not reduced")
     return spec, rees
 
 
@@ -210,26 +213,25 @@ def fiber_presentation(alpha) -> SurfacePresentation:
     """The affine chart of the modification where the first scale is 1, as a
     presentation over (x, y, T2, T3) and the symbolic parameter (beta = alpha).
 
-    Read from the symbolic presentation of standard_rees: at a symbolic name
-    its relations are taken as they are, renamed; at a rational value they
-    specialize to a Groebner basis of the presentation there, which one
-    grevlex Buchberger run inter-reduces into the reduced basis that an
-    elimination at that value would give.
+    Its relations are those of standard_rees at the first scale 1, read
+    through a template at a rational value: the reduced grevlex basis there,
+    as standard_rees certifies, with no elimination or Buchberger run.
     """
     cooked, _ = param_pair(alpha)
     spec, rees = standard_rees()
-    first, *kept = rees.scale_vars
     params = (cooked,) if isinstance(cooked, str) else ()
-    table = VarTable(spec.base_vars + rees.scale_vars + params)
-    if params:
-        # the parameter is the last variable of both tables: rename it
-        relations = [Poly(table, g.terms) for g in rees.ideal.generators]
-    else:
-        at = _specialize_all(rees.ideal.generators, {ALPHA: cooked})
-        relations = buchberger([_transport(g, table) for g in at], GREVLEX)
-    small = VarTable(spec.base_vars + tuple(kept) + params)
-    basis = [_transport(h, small) for h in _specialize_all(relations, {first: 1}) if h]
+    small = VarTable(spec.base_vars + rees.scale_vars[1:] + params)
+    basis = list(at_parameters(_fiber_relations, small, cooked))
     return SurfacePresentation(table=small, ideal=Ideal(basis, small), alpha=cooked, beta=cooked)
+
+
+def _fiber_relations(table: VarTable, alpha) -> tuple:
+    """The nonzero relations of standard_rees at T1 = 1, over the table: the
+    other variables, then the parameter, renamed alpha."""
+    _, rees = standard_rees()
+    k = rees.table.index(rees.scale_vars[0])
+    at = _specialize_all(rees.ideal.generators, {rees.scale_vars[0]: 1})
+    return tuple(Poly(table, {e[:k] + e[k + 1:]: c for e, c in h.terms.items()}) for h in at if h)
 
 
 def _fiber_to_surface_images(tbl: VarTable, alpha) -> dict:
@@ -320,15 +322,51 @@ def surface_chart_point(alpha, x0, u0) -> dict:
     return {"x": x0, "y": y0, "u": u0, "v": v0}
 
 
-def _rank_at(generators, jacobian, values: dict) -> int:
-    """Rank of a Jacobian at a point every generator vanishes at; the
-    generators and the entries are evaluated in one pass."""
-    at = _specialize_all([*generators, *(d for row in jacobian for d in row)], values)
-    for g, v in zip(generators, at):
-        if not v.constant_value().is_zero():
+def _rank_at(generators, values: dict) -> int:
+    """Rank of the Jacobian at a point where every generator vanishes."""
+    return integer_rank(_jacobian_at(generators, values))
+
+
+def _jacobian_at(generators, values: dict) -> list:
+    """The Jacobian in every variable at a point where every generator must
+    vanish, each row times a positive integer.  One pass over the terms
+    takes each value and partial by the power rule in Gaussian integers: for
+    coordinates z_k/d_k and top_k the highest power of x_k, c*prod x_k^e_k
+    adds c*prod z_k^e_k*d_k^(top_k-e_k) to the value, and to the partial in
+    x_j that with e_j*d_j*z_j^(e_j-1)."""
+    names = generators[0].table.names if generators else ()
+    point = [_as_scalar(values[n]) for n in names]  # KeyError for a missing one
+    tops = list(map(max, *(e for g in generators for e in g.terms), [0] * len(names)))
+    zs, ds = [], []  # per variable, for e = 0..top_k: z_k^e as (re, im), and d_k^(top_k-e)
+    for v, top in zip(point, tops):
+        z, d = [(1, 0)], [1]
+        for _ in range(top):
+            z.append((z[-1][0] * v.a - z[-1][1] * v.b, z[-1][0] * v.b + z[-1][1] * v.a))
+            d.append(d[-1] * v.d)
+        zs.append(z)
+        ds.append(d[::-1])
+    rows = []
+    for g in generators:
+        _, numerators = _numerators(g.terms)  # over one denominator of the coefficients
+        re, im = [0] * (len(names) + 1), [0] * (len(names) + 1)  # the value, then each partial
+        for e, ca, cb in numerators:
+            m = 1
+            for d, k in zip(ds, e):
+                m *= d[k]
+            ks = [k for k in range(len(e)) if e[k]]
+            for j in [-1] + ks:  # -1: the value
+                f = m if j < 0 else m * e[j] * point[j].d
+                a, b = ca * f, cb * f
+                for k in ks:
+                    za, zb = zs[k][e[k] - (k == j)]
+                    if zb or za != 1:
+                        a, b = a * za - b * zb, a * zb + b * za
+                re[j + 1] += a
+                im[j + 1] += b
+        if re[0] or im[0]:
             raise PointNotOnVariety(f"relation {g} does not vanish at the point")
-    entries = iter(at[len(generators):])
-    return integer_rank([[next(entries).constant_value() for _ in row] for row in jacobian])
+        rows.append([GaussianRational(a, b) for a, b in zip(re[1:], im[1:])])
+    return rows
 
 
 DEFAULT_CHART_SAMPLES = ((1, 1), (2, 1), (-1, 1), (-1, 2), (3, -1))
@@ -341,10 +379,9 @@ def smoothness_report(alpha) -> CertifiedReport:
         raise TypeError(f"not an exact scalar: {alpha!r}")
     alpha, _ = param_pair(alpha)
     generators = make_surface(alpha, alpha).ideal.generators
-    jacobian = [[g.derivative(n) for n in generators[0].table.names] for g in generators]
     for x0, u0 in DEFAULT_CHART_SAMPLES:
         point = surface_chart_point(alpha, x0, u0)
-        rank = _rank_at(generators, jacobian, point)
+        rank = _rank_at(generators, point)
         report.add(
             f"jacobian-rank-2-at-({x0},{u0})",
             rank == 2,

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import gcd, prod
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -29,10 +31,10 @@ from .errors import (
     NotIsomorphism,
     NotConjugationStable,
 )
-from .gaussian import ONE, GaussianRational, I as IMAG, coerce
+from .gaussian import ONE, GaussianRational, I as IMAG, _reduce, coerce
 from .groebner import Ideal, certified_unit, exact_quotient
 from .reports import CertifiedReport, FrozenRecord, shared_in_run
-from .ring import Poly, RatFunc, RingMap, VarTable, _poly, _specialize_all, compose
+from .ring import Poly, RatFunc, RingMap, VarTable, _denominator, _poly, _specialize_all, compose
 
 ALPHA = "a"
 BETA = "b"
@@ -111,35 +113,71 @@ def param_ring(base: tuple[str, ...], *cooked) -> tuple:
 
 @cache
 def _template(build, base: tuple[str, ...], count: int) -> tuple:
-    """What build(table, *names) gives over base and the first count of the
-    names (a, b), made once per process on first use, and its polys, two per
-    RatFunc.  A denominator that involves a parameter raises ValueError: any
-    other is the same at every value, so a value reads each poly by a ring
-    homomorphism."""
+    """build(table, *names) over base and the first count of (a, b), made
+    once per process on first use and compiled: RatFunc names or None, a
+    denominator D, each parameter's top power, the parameter exponents, and
+    per poly its terms by base monomial as (exponents' index, re, im) over D.
+    A denominator with a parameter raises ValueError: a read is a ring map."""
     table, _, _ = param_ring(base, *(ALPHA, BETA)[:count])
     built = build(table, *table.names[len(base):])
-    if isinstance(built, tuple):
-        return built, built
-    for f in built.values():
-        if any(any(e[len(base):]) for e in f.den.terms):
-            raise ValueError(f"denominator {f.den} of a template involves a parameter")
-    return built, [p for f in built.values() for p in (f.num, f.den)]
+    n, names, polys = len(base), None, built
+    if not isinstance(built, tuple):
+        for f in built.values():
+            if any(any(e[n:]) for e in f.den.terms):
+                raise ValueError(f"denominator {f.den} of a template involves a parameter")
+        names, polys = tuple(built), [p for f in built.values() for p in (f.num, f.den)]
+    D = _denominator(c for p in polys for c in p.terms.values())
+    powers: dict = {}  # parameter exponents -> index
+    parts = []
+    for p in polys:
+        groups: dict = {}
+        for e, c in p.terms.items():
+            k = powers.setdefault(e[n:], len(powers))
+            groups.setdefault(e[:n], []).append((k, c.a * (D // c.d), c.b * (D // c.d)))
+        parts.append(tuple(groups.items()))
+    tops = tuple(max((es[k] for es in powers), default=0) for k in range(count))
+    return names, D, tops, tuple(powers), parts
 
 
 def at_parameters(build, table: VarTable, *cooked):
     """build(table, *cooked), a tuple of Polys or a dict of RatFuncs, at
-    cooked parameters over their param_ring table.  A symbolic parameter
-    builds it; rational values read the template (_template) in one
-    substitution, and each fraction is stripped again."""
+    cooked parameters over their param_ring table.  A symbolic one builds
+    it; rational values p_k/q_k read the template in one integer pass, with
+    exponents e of the parameters as prod p_k^e_k*q_k^(top_k-e_k).  A Poly's
+    terms are reduced to Q(i) once each; a RatFunc's two parts, over one
+    denominator, are made primitive in Z[i] with no common monomial (the form
+    RatFunc keeps), so nothing is divided."""
     if any(isinstance(c, str) for c in cooked):
         return build(table, *cooked)
-    built, parts = _template(build, table.names, len(cooked))
-    n = len(table)
-    at = iter([_poly(table, {e[:n]: c for e, c in p.terms.items()})
-               for p in _specialize_all(parts, dict(zip((ALPHA, BETA), cooked)))])
-    if isinstance(built, tuple):
-        return tuple(at)
-    return {name: RatFunc(next(at), next(at)) for name in built}
+    names, D, tops, powers, parts = _template(build, table.names, len(cooked))
+    rows = [[v.numerator ** e * v.denominator ** (t - e) for e in range(t + 1)]
+            for v, t in zip(cooked, tops)]
+    scales = [prod([row[e] for row, e in zip(rows, es)]) for es in powers]
+    sums = []
+    for groups in parts:
+        sums.append(terms := [])
+        for e, cs in groups:
+            a = b = 0
+            for k, ca, cb in cs:
+                m = scales[k]
+                a += ca * m
+                b += cb * m
+            if a or b:
+                terms.append((e, a, b))
+    if names is None:
+        q = D * prod([row[0] for row in rows])
+        return tuple(_poly(table, {e: _reduce(a, b, q) for e, a, b in terms}) for terms in sums)
+    out = {}
+    for name, num, den in zip(names, sums[::2], sums[1::2]):
+        if not num:  # zero, which RatFunc keeps over 1
+            den = [((0,) * len(table), 1, 0)]
+        moved = any(shift := tuple(map(min, den[0][0], *(e for e, _, _ in num + den))))
+        g = gcd(*(x for _, a, b in num + den for x in (a, b)))
+        f = out[name] = object.__new__(RatFunc)
+        f.num, f.den = (_poly(table, {tuple(map(sub, e, shift)) if moved else e:
+                                      _reduce(a // g, b // g, 1) for e, a, b in part})
+                        for part in (num, den))
+    return out
 
 
 class SurfacePresentation(FrozenRecord):

@@ -29,6 +29,9 @@ from realforms.ring import Poly, VarTable, parse_poly
 from realforms.surfaces import ALPHA, SurfacePresentation, make_surface, param_pair
 
 from test_gaussian import row_reduce  # the field-side oracle
+from test_surfaces import TEMPLATE_PAIRS
+
+TEMPLATE_PAIRS_ALPHAS = list(dict.fromkeys(v for pair in TEMPLATE_PAIRS for v in pair))
 
 
 # -- presentation of the modification ------------------------------------------
@@ -211,10 +214,60 @@ def test_a_warm_rational_fiber_runs_no_elimination(monkeypatch):
         return buchberger(generators, order)
 
     monkeypatch.setattr(groebner, "buchberger", recording)
-    monkeypatch.setattr(modification, "buchberger", recording)
     assert run_check("def-3.4-fiber", alpha=Fraction(-7, 3)).passed
-    assert "grevlex" in orders
-    assert "elim" not in orders
+    assert orders == []  # the read fiber basis is already the reduced grevlex basis
+
+
+def _planted(relations):
+    """standard_rees's elimination, with its relations replaced."""
+    eliminate = modification._eliminate_inverse
+
+    def planting(spec):
+        rees, ideal = eliminate(spec)
+        small = rees.table
+        planted = [parse_poly(r, small) for r in relations]
+        return modification.ReesPresentation(small, Ideal(planted, small), rees.scale_vars), ideal
+
+    return planting
+
+
+def test_the_symbolic_relations_are_reduced_and_monic_in_grevlex():
+    # standard_rees certifies them so; this pins what it certifies
+    relations = standard_rees()[1].ideal.generators
+    assert [str(g) for g in relations] == [
+        "x^2 - x*T2 - x*a - x - y*T3 + a", "-x*T3 + y*T2", "T1 - 1"]
+
+
+@pytest.mark.parametrize("relations, reason", [
+    # x*T1 is a tail term of the first relation, and T1 leads the third
+    (["x^2 - x*T2 - x*a - x - y*T3 + a + x*T1", "-x*T3 + y*T2", "T1 - 1"], "divisible"),
+    # two relations that share a leading monomial
+    (["x^2 - x*T2 - x*a - x - y*T3 + a", "x^2 - x", "T1 - 1"], "divisible"),
+    # a leading coefficient a, a unit that would have to be divided out
+    (["x^2*a - x*T2 - x*a - x - y*T3 + a", "-x*T3 + y*T2", "T1 - 1"], "not monic"),
+    (["x^2 - x*T2 - x*a - x - y*T3 + a", "-x*T3 + y*T2", "2*T1 - 2"], "not monic"),
+])
+def test_standard_rees_refuses_relations_that_are_not_reduced(cold_rees, monkeypatch,
+                                                              relations, reason):
+    monkeypatch.setattr(modification, "_eliminate_inverse", _planted(relations))
+    with pytest.raises(ValueError, match=reason):
+        standard_rees()
+
+
+@pytest.mark.parametrize("alpha", TEMPLATE_PAIRS_ALPHAS)
+def test_the_read_fiber_basis_is_the_reduced_grevlex_basis(alpha):
+    # the oracle: the Rees relations at alpha, a grevlex Buchberger run, then
+    # T1 = 1 with the zero element dropped
+    _, rees = standard_rees()
+    table = VarTable(rees.table.names[:-1])
+    at = [modification._transport(g, table) for g in
+          (g.specialize({ALPHA: alpha}) for g in rees.ideal.generators)]
+    small = VarTable(("x", "y", "T2", "T3"))
+    expected = [modification._transport(h, small) for h in
+                (g.specialize({"T1": 1}) for g in groebner.buchberger(at, groebner.GREVLEX))
+                if not h.is_zero()]
+    read = fiber_presentation(alpha).generators
+    assert [g.terms for g in read] == [g.terms for g in expected]
 
 
 def test_a_leading_coefficient_left_uncertified_refuses_the_basis(cold_rees, monkeypatch):
@@ -285,12 +338,18 @@ def test_surface_chart_point_lies_on_surface():
 
 
 def rank_at(presentation, point):
-    """_rank_at on the Jacobian of the presentation's relations in the
-    variables the point gives values to."""
-    generators = presentation.generators
-    names = [n for n in presentation.table.names if n in point]
-    jacobian = [[g.derivative(n) for n in names] for g in generators]
-    return modification._rank_at(generators, jacobian, point)
+    """_rank_at on the presentation's relations, whose Jacobian it takes in
+    every variable of the table at the point."""
+    return modification._rank_at(presentation.generators, point)
+
+
+def oracle_rank(generators, point) -> int:
+    """The Jacobian's rank the field-side way: derivative, then specialize,
+    then row_reduce."""
+    names = generators[0].table.names
+    rows = [[g.derivative(n).specialize(point).constant_value() for n in names]
+            for g in generators]
+    return len(row_reduce(rows)[1])
 
 
 def test_chart_point_rejects_inexact_scalars():
@@ -330,6 +389,7 @@ def test_rank_in_one_pass_equals_the_rank_of_values_taken_one_by_one(alpha):
         assert all(g.specialize(point).is_zero() for g in generators)
         rows = [[d.specialize(point).constant_value() for d in row] for row in jacobian]
         rank = len(row_reduce(rows)[1])
+        assert rank == oracle_rank(generators, point)
         assert rank == 2
         assert rank_at(surface, point) == rank
         off = dict(point, v=point["v"] + Fraction(1, 7))
@@ -370,3 +430,66 @@ def test_gaussian_chart_points():
     for g in surface.generators:
         assert g.evaluate(point).is_zero()
     assert rank_at(surface, point) == 2
+
+
+def _seeded_chart_points(count: int, seed: int = 4242) -> list:
+    """(alpha, point) on the diagonal surface: real and Gaussian chart
+    coordinates, integers and fractions, and a few that hit x = 1, x = alpha
+    or u = 1, where some partial derivatives vanish."""
+    rng = random.Random(seed)
+    alphas = _admissible_values(40, seed)
+
+    def scalar(gaussian: bool) -> GaussianRational:
+        re = Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 7, 10 ** 6)))
+        im = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 9))) if gaussian else 0
+        return GaussianRational(re, im)
+
+    points = []
+    while len(points) < count:
+        alpha = rng.choice(alphas)
+        gaussian = len(points) % 2 == 1
+        x0, u0 = scalar(gaussian), scalar(gaussian)
+        if len(points) % 9 == 0:
+            x0 = rng.choice((GaussianRational(1), GaussianRational(alpha)))
+        if len(points) % 11 == 0:
+            u0 = GaussianRational(1)
+        if x0 and u0:
+            points.append((alpha, surface_chart_point(alpha, x0, u0)))
+    return points
+
+
+def test_one_pass_rank_equals_the_field_side_rank_at_seeded_chart_points():
+    points = _seeded_chart_points(240)
+    assert sum(1 for _, p in points if all(v.is_real() for v in p.values())) >= 100
+    assert sum(1 for _, p in points if any(not v.is_real() for v in p.values())) >= 100
+    assert sum(1 for _, p in points if any(v.d > 1 for v in p.values())) >= 100
+    for alpha, point in points:
+        generators = make_surface(alpha, alpha).generators
+        rank = modification._rank_at(generators, point)
+        assert rank == oracle_rank(generators, point) == 2, (alpha, point)
+
+
+def test_one_pass_jacobian_is_the_jacobian_times_a_positive_integer_per_row():
+    # a rank test cannot see a column scaled by a nonzero factor, so the
+    # entries are compared: each row is the oracle's row times one integer
+    for alpha, point in _seeded_chart_points(120, seed=77):
+        generators = make_surface(alpha, alpha).generators
+        rows = modification._jacobian_at(generators, point)
+        names = generators[0].table.names
+        for g, row in zip(generators, rows):
+            expected = [g.derivative(n).specialize(point).constant_value() for n in names]
+            pivot = next((k for k, v in enumerate(expected) if v), None)
+            if pivot is None:  # the generator is singular there
+                assert not any(row), (alpha, point)
+                continue
+            scale = row[pivot] / expected[pivot]
+            assert scale.is_real() and scale.d == 1 and scale.a > 0, (alpha, point)
+            assert row == [v * scale for v in expected], (alpha, point)
+
+
+def test_one_pass_rank_needs_a_value_for_every_variable():
+    surface = make_surface(2, 2)
+    point = surface_chart_point(2, 3, -1)
+    del point["v"]
+    with pytest.raises(KeyError, match="v"):
+        rank_at(surface, point)

@@ -471,6 +471,20 @@ def test_template_reads_equal_the_direct_constructions():
         _read_equals_direct(modification._surface_to_fiber_images, fiber, a)
 
 
+def test_a_numerator_that_vanishes_at_a_value_reads_as_zero_over_one():
+    def build(table, alpha, beta):
+        x, u = RatFunc.var(table, "x"), RatFunc.var(table, "u")
+        a = RatFunc(surfaces._param_poly(table, alpha))
+        return {"y": (a - 2) * x / (u + 1), "v": (a - 2) * x * x / (x * u) + x}
+
+    table = VarTable(surfaces.COORDS)
+    for value in (Fraction(2), Fraction(5), Fraction(-1, 3)):
+        _read_equals_direct(build, table, value, Fraction(3))
+    read = surfaces.at_parameters(build, table, Fraction(2), Fraction(3))
+    assert read["y"].is_zero() and read["y"].den == Poly.const(table, 1)
+    assert str(read["v"]) == "x"  # the common monomial u of x*u/u is divided out
+
+
 def test_a_symbolic_parameter_builds_directly():
     calls = []
 
