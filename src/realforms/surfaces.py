@@ -117,7 +117,8 @@ def _template(build, base: tuple[str, ...], count: int) -> tuple:
     once per process on first use and compiled: RatFunc names or None, a
     denominator D, each parameter's top power, the parameter exponents, and
     per poly its terms by base monomial as (exponents' index, re, im) over D.
-    A denominator with a parameter raises ValueError: a read is a ring map."""
+    A denominator that involves a parameter raises ValueError, so a read is a
+    ring homomorphism at every value."""
     table, _, _ = param_ring(base, *(ALPHA, BETA)[:count])
     built = build(table, *table.names[len(base):])
     n, names, polys = len(base), None, built
