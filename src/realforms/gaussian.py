@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 _RATIONAL = (int, Fraction)
 _new = object.__new__
@@ -261,13 +261,10 @@ def coefficient_str(c: GaussianRational) -> str:
 
 
 def integer_rank(rows) -> int:
-    """The rank of a matrix of Gaussian rationals by fraction-free
-    elimination: each row is scaled to Gaussian integers (re, im), and a row
-    below the pivot row p, pivot column c, becomes p[c]*row - row[c]*p."""
-    work = []
-    for row in rows:
-        d = lcm(*(v.d for v in row))
-        work.append([(v.a * (d // v.d), v.b * (d // v.d)) for v in row])
+    """The rank of a matrix of Gaussian integers, each entry a pair (re, im),
+    by fraction-free elimination: a row below the pivot row p, pivot column
+    c, becomes p[c]*row - row[c]*p."""
+    work = list(rows)
     rank = 0
     for col in range(len(work[0]) if work else 0):
         pivot = next((r for r in range(rank, len(work)) if work[r][col] != (0, 0)), None)

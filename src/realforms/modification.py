@@ -329,11 +329,11 @@ def _rank_at(generators, values: dict) -> int:
 
 def _jacobian_at(generators, values: dict) -> list:
     """The Jacobian in every variable at a point where every generator must
-    vanish, each row times a positive integer.  One pass over the terms
-    takes each value and partial by the power rule in Gaussian integers: for
-    coordinates z_k/d_k and top_k the highest power of x_k, c*prod x_k^e_k
-    adds c*prod z_k^e_k*d_k^(top_k-e_k) to the value, and to the partial in
-    x_j that with e_j*d_j*z_j^(e_j-1)."""
+    vanish, each row times a positive integer, as Gaussian-integer pairs
+    (re, im).  One pass over the terms takes each value and partial by the
+    power rule in Gaussian integers: for coordinates z_k/d_k and top_k the
+    highest power of x_k, c*prod x_k^e_k adds c*prod z_k^e_k*d_k^(top_k-e_k)
+    to the value, and to the partial in x_j that with e_j*d_j*z_j^(e_j-1)."""
     names = generators[0].table.names if generators else ()
     point = [_as_scalar(values[n]) for n in names]  # KeyError for a missing one
     tops = list(map(max, *(e for g in generators for e in g.terms), [0] * len(names)))
@@ -365,7 +365,7 @@ def _jacobian_at(generators, values: dict) -> list:
                 im[j + 1] += b
         if re[0] or im[0]:
             raise PointNotOnVariety(f"relation {g} does not vanish at the point")
-        rows.append([GaussianRational(a, b) for a, b in zip(re[1:], im[1:])])
+        rows.append(list(zip(re[1:], im[1:])))
     return rows
 
 

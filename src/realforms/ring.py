@@ -23,9 +23,8 @@ their products, for its own lifetime, so applying it again (to each image of
 another map in compose, say) builds none of them twice.  Maps compose by
 substitution chaining; conjugation flags compose by XOR.
 
-Substituting scalars (specialize, evaluate): real values share one integer
-power table per variable in one pass over one or more polys, which reduces
-each output coefficient to Q(i) once; other values go through RingMap.
+Substituting scalars (specialize, evaluate) is one Q(i) term loop over one or
+more polys, for real and non-real values alike.
 """
 from __future__ import annotations
 
@@ -228,12 +227,9 @@ class Poly:
         return _specialize_all((self,), values)[0]
 
     def evaluate(self, values: Mapping[str, object]) -> GaussianRational:
-        """The value at scalars for the variables: specialize(values),
-        which must leave a constant.
-
-        Raises ValueError when a variable left without a value survives in a
-        term that does not cancel.
-        """
+        """The value at scalars for the variables: specialize(values), which
+        must leave a constant; ValueError when a variable left without a
+        value survives in a term that does not cancel."""
         return self.specialize(values).constant_value()
 
     def derivative(self, name: str) -> "Poly":
@@ -358,74 +354,40 @@ def _scaled_terms(terms: dict, c: GaussianRational) -> dict:
 
 
 def _specialize_all(polys: Sequence[Poly], values: Mapping[str, object]) -> list[Poly]:
-    """Each of the polys, over one table, with scalars substituted for the
-    named variables.
-
-    Real values share one integer table per variable, in one pass over all
-    the polys: for a value a_k/d_k and top_k the highest power of variable k
-    in any of them, a term c*x_k^e maps to c*a_k^e*d_k^(top_k-e) over
-    d_k^top_k.  The terms are read as Gaussian-integer numerators over one
-    common denominator of all the coefficients, summed per remaining
-    monomial over that denominator times prod d_k^top_k, and reduced to
-    Q(i) once per output term.  When any value is not real, each poly goes
-    through a RingMap with constant images instead.  A value that is no
-    scalar raises TypeError, an unknown name ValueError.
-    """
+    """Each of the polys, over one table, with scalars for the named
+    variables, term by term in Q(i): each power of a value is built once per
+    call, and a sum that cancels is dropped, so the terms come out in the
+    order that adding them one by one gives.  A value that is no scalar
+    raises TypeError, an unknown name ValueError."""
     if not polys:
         return []
     table = polys[0].table
-    cooked = {}
+    powers = []  # (k, [1, v_k, v_k^2, ...]) per named variable
+    kept = [1] * len(table)  # 0 at each named position
     for name, v in values.items():
-        c = coerce(v)
-        if c is None:
+        if (c := coerce(v)) is None:
             raise TypeError(f"not a scalar for {name}: {v!r}")
-        cooked[table.index(name)] = c
-    for p in polys:
-        p._check(polys[0])
-    if any(c.b for c in cooked.values()):
-        at = RingMap.from_images(table, table, {
-            table.names[k]: RatFunc.const(table, c) for k, c in cooked.items()})
-        return [at(p).as_poly() for p in polys]
-    n = len(table)
-    kept = [1] * n  # 0 at each substituted position
-    rows = []  # (k, [a_k^e*d_k^(top_k-e) for e = 0..top_k])
-    scale = 1
-    for k, c in cooked.items():
+        k = table.index(name)
+        powers.append((k, [ONE, c]))
         kept[k] = 0
-        a, d = c.a, c.d
-        t = max([e[k] for p in polys for e in p.terms], default=0)
-        row = [d ** t]
-        for _ in range(t):
-            row.append(row[-1] // d * a)
-        rows.append((k, row))
-        scale *= row[0]
-    kept = None if len(cooked) == n else tuple(kept)
-    zero_exp = (0,) * n
-    D = _denominator(c for p in polys for c in p.terms.values())
-    q = D * scale
     out = []
     for p in polys:
-        # exponents -> [re, im]; a sum that cancels is dropped, so the terms
-        # come out in the order that adding them one by one gives
-        acc: dict = {}
-        get = acc.get
+        p._check(polys[0])
+        terms: dict = {}
         for e, c in p.terms.items():
-            m = D // c.d
-            for k, row in rows:
-                m *= row[e[k]]
-            if not m:
-                continue
-            key = zero_exp if kept is None else tuple(map(mul, e, kept))
-            ca, cb = c.a * m, c.b * m
-            s = get(key)
-            if s is None:
-                acc[key] = [ca, cb]
-            elif s[0] + ca or s[1] + cb:
-                s[0] += ca
-                s[1] += cb
+            for k, vs in powers:
+                if n := e[k]:
+                    while len(vs) <= n:
+                        vs.append(vs[-1] * vs[1])
+                    c = c * vs[n]
+            key = tuple(map(mul, e, kept))
+            if (s := terms.get(key)) is not None:
+                c = s + c
+            if c:
+                terms[key] = c
             else:
-                del acc[key]
-        out.append(_poly(table, {e: _reduce(a, b, q) for e, (a, b) in acc.items()}))
+                terms.pop(key, None)
+        out.append(_poly(table, terms))
     return out
 
 
@@ -672,6 +634,21 @@ class RatFunc:
 
     def __repr__(self):
         return f"<RatFunc {self}>"
+
+
+def _int_ratfunc(table: VarTable, num: list, den: list) -> RatFunc:
+    """num/den, each part (exponents, re, im) Gaussian-integer terms with no
+    zero term, in the form RatFunc keeps: the shared monomial shifted out and
+    the gcd of all their integers divided out, with no fraction built."""
+    if not num:  # zero, which RatFunc keeps over 1
+        den = [((0,) * len(table), 1, 0)]
+    moved = any(shift := tuple(map(min, den[0][0], *(e for e, _, _ in num + den))))
+    g = gcd(*(x for _, a, b in num + den for x in (a, b)))
+    f = _new(RatFunc)
+    f.num, f.den = (_poly(table, {tuple(map(sub, e, shift)) if moved else e:
+                                  _reduce(a // g, b // g, 1) for e, a, b in part})
+                    for part in (num, den))
+    return f
 
 
 def _is_unit(p: Poly) -> bool:

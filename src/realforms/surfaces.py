@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, prod
-from operator import sub
+from math import prod
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -34,7 +33,9 @@ from .errors import (
 from .gaussian import ONE, GaussianRational, I as IMAG, _reduce, coerce
 from .groebner import Ideal, certified_unit, exact_quotient
 from .reports import CertifiedReport, FrozenRecord, shared_in_run
-from .ring import Poly, RatFunc, RingMap, VarTable, _denominator, _poly, _specialize_all, compose
+from .ring import (
+    Poly, RatFunc, RingMap, VarTable, _denominator, _int_ratfunc, _poly, _specialize_all, compose,
+)
 
 ALPHA = "a"
 BETA = "b"
@@ -146,8 +147,7 @@ def at_parameters(build, table: VarTable, *cooked):
     it; rational values p_k/q_k read the template in one integer pass, with
     exponents e of the parameters as prod p_k^e_k*q_k^(top_k-e_k).  A Poly's
     terms are reduced to Q(i) once each; a RatFunc's two parts, over one
-    denominator, are made primitive in Z[i] with no common monomial (the form
-    RatFunc keeps), so nothing is divided."""
+    denominator, go to ring._int_ratfunc, so nothing is divided."""
     if any(isinstance(c, str) for c in cooked):
         return build(table, *cooked)
     names, D, tops, powers, parts = _template(build, table.names, len(cooked))
@@ -168,17 +168,8 @@ def at_parameters(build, table: VarTable, *cooked):
     if names is None:
         q = D * prod([row[0] for row in rows])
         return tuple(_poly(table, {e: _reduce(a, b, q) for e, a, b in terms}) for terms in sums)
-    out = {}
-    for name, num, den in zip(names, sums[::2], sums[1::2]):
-        if not num:  # zero, which RatFunc keeps over 1
-            den = [((0,) * len(table), 1, 0)]
-        moved = any(shift := tuple(map(min, den[0][0], *(e for e, _, _ in num + den))))
-        g = gcd(*(x for _, a, b in num + den for x in (a, b)))
-        f = out[name] = object.__new__(RatFunc)
-        f.num, f.den = (_poly(table, {tuple(map(sub, e, shift)) if moved else e:
-                                      _reduce(a // g, b // g, 1) for e, a, b in part})
-                        for part in (num, den))
-    return out
+    return {name: _int_ratfunc(table, num, den)
+            for name, num, den in zip(names, sums[::2], sums[1::2])}
 
 
 class SurfacePresentation(FrozenRecord):

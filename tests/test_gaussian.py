@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,14 +184,24 @@ def _rank_cases() -> list[list[list[GaussianRational]]]:
     return cases
 
 
+def integer_rows(rows) -> list[list[tuple[int, int]]]:
+    """Each row times the lcm of its denominators, a positive integer that
+    keeps the rank, as Gaussian-integer pairs (re, im)."""
+    out = []
+    for row in rows:
+        d = lcm(*(v.d for v in row))
+        out.append([(v.a * (d // v.d), v.b * (d // v.d)) for v in row])
+    return out
+
+
 def test_integer_rank_equals_the_row_reduce_rank():
     ranks = []
     for rows in _rank_cases():
-        rank = integer_rank(rows)
+        rank = integer_rank(integer_rows(rows))
         assert rank == len(row_reduce(rows)[1]), rows
         ranks.append(rank)
     assert set(ranks) >= {1, 2, 3, 4}  # the planted rows and columns lower the rank
-    assert integer_rank([]) == 0 and integer_rank([[ZERO, ZERO]]) == 0
+    assert integer_rank([]) == 0 and integer_rank([[(0, 0), (0, 0)]]) == 0
 
 
 # -- the (a + b*i)/d representation against a pair-of-Fractions oracle ---------

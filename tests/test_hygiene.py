@@ -15,7 +15,9 @@ attribute of its name is read as a value: a call of a method of that name is
 no read of it, and neither is ``self.name`` in another class.
 Outside ``reports``, whose ``Record`` constructor sets the fields of every
 record, no module calls ``object.__setattr__`` but to set a field that a
-record derives from its others.
+record derives from its others.  Outside ``ring``, no module builds a RatFunc
+with ``object.__new__`` or assigns its ``num`` or ``den``: the form RatFunc
+keeps is made in ``ring`` only.
 """
 from __future__ import annotations
 
@@ -313,3 +315,71 @@ class Point(FrozenRecord):
     assert _stray_setattrs({"synthetic": ast.parse(source)}) == [
         ("synthetic", "Point", "x"), ("synthetic", "Point", "y")]
     assert _stray_setattrs({"reports": ast.parse(source)}) == []
+
+
+class _KeptFormWrites(ast.NodeVisitor):
+    """(function, write) of every write in a tree that sets a RatFunc's parts
+    past its constructor's _strip: ``new`` for an ``object.__new__(RatFunc)``
+    call, also through a module-level alias of ``object.__new__``, and
+    ``num`` or ``den`` for an assignment to an attribute of that name."""
+
+    def __init__(self, tree: ast.Module):
+        self.function = None
+        self.writes: list[tuple[str | None, str]] = []
+        self.new = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                    and _is_object_new(node.value) for t in node.targets
+                    if isinstance(t, ast.Name)}
+        self.visit(tree)
+
+    def visit_FunctionDef(self, node):
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
+
+    def visit_Call(self, node):
+        func = node.func
+        if (_is_object_new(func) or isinstance(func, ast.Name) and func.id in self.new) and [
+                a.id for a in node.args[:1] if isinstance(a, ast.Name)] == ["RatFunc"]:
+            self.writes.append((self.function, "new"))
+        self.generic_visit(node)
+
+    def visit_Assign(self, node):
+        for target in getattr(node, "targets", None) or [node.target]:
+            self.writes += [(self.function, t.attr) for t in ast.walk(target)
+                            if isinstance(t, ast.Attribute) and t.attr in ("num", "den")]
+        self.generic_visit(node)
+
+    visit_AnnAssign = visit_AugAssign = visit_Assign
+
+
+def _is_object_new(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+def test_only_ring_builds_the_kept_form_of_a_rational_function():
+    writes = {name: _KeptFormWrites(tree).writes for name, tree in _modules().items()}
+    assert {name: found for name, found in writes.items() if name != "ring" and found} == {}
+    # the scan finds the writes it allows, so it cannot pass for finding none
+    assert sorted(writes["ring"]) == [
+        ("__init__", "den"), ("__init__", "num"),
+        ("_int_ratfunc", "den"), ("_int_ratfunc", "new"), ("_int_ratfunc", "num")]
+
+
+def test_a_rational_function_built_past_its_constructor_is_found():
+    source = """
+from .ring import RatFunc
+
+_new = object.__new__
+
+def read(num, den, out):
+    f = out["x"] = object.__new__(RatFunc)
+    f.num, f.den = num, den
+    g = _new(RatFunc)
+    g.num = num
+    g.den: Poly = den
+    h = object.__new__(Poly)
+"""
+    assert _KeptFormWrites(ast.parse(source)).writes == [
+        ("read", "new"), ("read", "num"), ("read", "den"), ("read", "new"), ("read", "num"),
+        ("read", "den")]

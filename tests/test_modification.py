@@ -476,7 +476,9 @@ def test_one_pass_jacobian_is_the_jacobian_times_a_positive_integer_per_row():
         generators = make_surface(alpha, alpha).generators
         rows = modification._jacobian_at(generators, point)
         names = generators[0].table.names
-        for g, row in zip(generators, rows):
+        for g, pairs in zip(generators, rows):
+            assert all(type(x) is int for pair in pairs for x in pair), pairs
+            row = [GaussianRational(a, b) for a, b in pairs]
             expected = [g.derivative(n).specialize(point).constant_value() for n in names]
             pivot = next((k for k, v in enumerate(expected) if v), None)
             if pivot is None:  # the generator is singular there

@@ -370,6 +370,29 @@ def test_specialize_agrees_with_a_gaussian_term_by_term_oracle(value):
             assert p.evaluate(point) == want
 
 
+def test_non_real_values_take_the_term_loop_and_build_no_ring_map(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("scalar substitution built a RingMap")
+
+    monkeypatch.setattr(RingMap, "__init__", refuse)
+    rng = random.Random("no-ring-map")
+    half = GaussianRational(Fraction(1, 2), Fraction(1, 2))
+    for value in (I, half):
+        for _ in range(20):
+            name = rng.choice(TABLE.names)
+            p = rand_poly(rng, TABLE, terms=6) + Poly.var(TABLE, name, rng.randint(1, 3))
+            assert p.specialize({name: value}).terms == gaussian_specialize(p, {name: value})
+            point = {n: value for n in TABLE.names}
+            assert p.evaluate(point) == gaussian_specialize(p, point).get((0, 0, 0), 0)
+    # one batch with a real, a non-real and a purely imaginary value
+    polys = [rand_poly(rng, TABLE, terms=6) + Poly.var(TABLE, "x") for _ in range(4)]
+    values = {"x": Fraction(-5, 3), "y": half, "z": I}
+    assert [q.terms for q in _specialize_all(polys, values)] == \
+        [gaussian_specialize(p, values) for p in polys]
+    with pytest.raises(AssertionError, match="built a RingMap"):
+        RingMap.identity(TABLE)  # the patch is in place
+
+
 def test_derivative():
     x = Poly.var(TABLE, "x")
     y = Poly.var(TABLE, "y")
