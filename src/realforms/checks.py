@@ -64,9 +64,8 @@ CHECKS = {
     "prop-4.2": _prop_4_2,
     "prop-5.1": lambda alpha, beta, d_max: surfaces.real_locus_report(alpha),
     "lem-6.1": lambda alpha, beta, d_max: intersection.negative_curves_report(alpha, d_max),
-    "lem-6.2": lambda alpha, beta, d_max: classification.matchings_report(alpha, beta, d_max),
-    "prop-6.3": lambda alpha, beta, d_max: classification.classification_report(
-        alpha, beta, d_max),
+    "lem-6.2": lambda alpha, beta, d_max: classification.matchings_report(alpha, beta),
+    "prop-6.3": lambda alpha, beta, d_max: classification.classification_report(alpha, beta),
     "sec-2-cocycle": lambda alpha, beta, d_max: surfaces.cocycle_examples_report(alpha),
     "def-3.4-rees": lambda alpha, beta, d_max: modification.rees_report(),
     "def-3.4-fiber": _def_3_4_fiber,
@@ -132,9 +131,9 @@ def run_suite(check_ids=None, alpha=None, beta=None, d_max=None,
     starts with an empty memo and drops it at the end.  What is kept are
     parameter-free constants, built once per process on first use:
     modification.standard_rees, classification's _graph_shape, _matchings
-    and _witness_engine, cli.build_parser, and the symbolic templates of
-    surfaces._template, compiled for integer reads (a rational fiber reads
-    its basis through one).
+    and _witness_engine (one each, whatever d_max), cli.build_parser, and
+    the symbolic templates of surfaces._template, compiled for integer reads
+    (a rational fiber reads its basis through one).
     """
     ids = dict.fromkeys(resolve_check_id(c) for c in (check_ids or available_checks()))
     entries = []

@@ -5,7 +5,7 @@ isomorphism of their negative-curve incidence graphs, commuting with the
 conjugation actions and fixing the structural vertices, is realized by an
 invertible linear map of the plane defined over the rationals.  The search
 is exact: matchings by backtracking over the 12-vertex graphs, once per
-d_max; witnesses by one solve per matching over Q[a, b] for all pairs, read
+process; witnesses by one solve per matching over Q[a, b] for all pairs, read
 at each pair by one integer evaluation of each distinct locus and of the
 entries only where the locus vanishes, then one re-check of each candidate
 in integers: its determinant, the circle, and the centers on each graph's
@@ -14,7 +14,7 @@ witnesses; Fractions are built only for a witness, and text only for
 traces that are read.
 
 Each graph is the symbolic graph read at its own parameter value.  One
-symbolic enumeration per d_max in a process gives the labels, weights,
+symbolic enumeration to degree 1 per process gives the labels, weights,
 conjugation action and the five centers, each held once as integer rows
 per power of a.  Its lines are polynomial identities in the parameter and
 its avoided centers have unit values, built from a and 1 - a, so the shape
@@ -76,10 +76,14 @@ class CurveIncidenceGraph(FrozenRecord):
 
 
 @cache
-def _graph_shape(d_max: int) -> tuple:
+def _graph_shape() -> tuple:
     """Labels, weights, conjugation action and, per vertex, the integer rows
     of its blow-up center in a (see _center_rows; None for a line), from one
-    symbolic enumeration.
+    symbolic enumeration to degree 1.
+
+    Degree 1 serves every d_max: no class of degree d >= 2 passes the sweep,
+    as negativity and genus give sum(m) >= sum(m^2) - (d-1)(d-2) >= 3d - 1,
+    and the isotropic lines d >= m0+m1+m2 and d >= m0+m3+m4, so sum(m) <= 2d.
 
     Each symbolic line through its centers is a polynomial identity in the
     parameter, and each center it avoids has a value that is a constant
@@ -87,11 +91,11 @@ def _graph_shape(d_max: int) -> tuple:
     value.  A class left unrealized or undetermined would be settled for
     generic parameters only, so it raises ValueError.
     """
-    result = enumerate_negative_classes("symbolic", d_max)
+    result = enumerate_negative_classes("symbolic", 1)
     if result.unrealized or result.undetermined:
         raise ValueError(
-            f"the symbolic table at d_max {d_max} is not settled for every "
-            f"parameter value: unrealized {[str(c) for c, _ in result.unrealized]}, "
+            "the symbolic table is not settled for every parameter value: "
+            f"unrealized {[str(c) for c, _ in result.unrealized]}, "
             f"undetermined {[str(c) for c in result.undetermined]}")
     vertices = result.vertices()
     labels = tuple(r.label for r in vertices)
@@ -119,17 +123,16 @@ def _graph_shape(d_max: int) -> tuple:
     return labels, weights, tuple(action), center_rows
 
 
-def incidence_graph(alpha, d_max: int = DEFAULT_D_MAX) -> CurveIncidenceGraph:
+def incidence_graph(alpha) -> CurveIncidenceGraph:
     """The incidence graph of the diagonal surface at alpha: the symbolic
-    graph of _graph_shape, enumerated once per d_max in a process, with its
+    graph of _graph_shape, enumerated once per process, with its
     centers' rows read at alpha in integers (see _rows_at).
 
     The centers are not proved distinct again: modified_plane_config(a, a),
     behind the shape, proved that over Q(i)[a] with the units a and 1 - a,
     so at every alpha that param_pair admits (it refuses 0 and 1).
     """
-    _check_d_max(d_max)
-    labels, weights, action, center_rows = _graph_shape(d_max)
+    labels, weights, action, center_rows = _graph_shape()
     value = param_pair(alpha)[0]
     return CurveIncidenceGraph(labels, weights, action, tuple(
         [None if rows is None else _rows_at(rows, value) for rows in center_rows]))
@@ -152,10 +155,10 @@ def admissible_matchings(src: CurveIncidenceGraph,
 
 
 @cache
-def _matchings(d_max: int) -> tuple[tuple, ...]:
-    """_shape_matchings of any two graphs that incidence_graph builds at
-    d_max: each has the symbolic shape of _graph_shape(d_max)."""
-    shape = _graph_shape(d_max)[:3]
+def _matchings() -> tuple[tuple, ...]:
+    """_shape_matchings of any two graphs that incidence_graph builds: each
+    has the symbolic shape of _graph_shape."""
+    shape = _graph_shape()[:3]
     return _shape_matchings(shape, shape)
 
 
@@ -266,16 +269,16 @@ def _center_parts(rows: dict, table: VarTable, name: str) -> tuple:
 
 
 @cache
-def _witness_engine(d_max: int) -> dict:
-    """_solve_rows for every matching of _matchings(d_max), built on first
+def _witness_engine() -> dict:
+    """_solve_rows for every matching of _matchings, built on first
     use: the source's centers in a and the target's in b, real and
     imaginary parts apart over Q[a, b], as a and b are real."""
-    center_rows = _graph_shape(d_max)[3]
+    center_rows = _graph_shape()[3]
     table = VarTable((ALPHA, BETA))
     src, dst = [[None if rows is None else _center_parts(rows, table, name)
                  for rows in center_rows] for name in (ALPHA, BETA)]
     engine = {}
-    for m, _, _ in _matchings(d_max):
+    for m, _, _ in _matchings():
         pairs = [(src[i], dst[j]) for i, j in enumerate(m)]
         if any((c is None) != (t is None) for c, t in pairs):  # a center to a line
             engine[m] = ((0, 0), (((0, 0, 1),),), (), 1)  # the locus 1: no pair solves it
@@ -331,7 +334,7 @@ def _value(poly: tuple, a: tuple, b: tuple, degrees: tuple):
     return value
 
 
-def _cell_witnesses(alpha, beta, d_max: int, matchings) -> list:
+def _cell_witnesses(alpha, beta, matchings) -> list:
     """Per matching, in order, _witness_engine's solve read at the cooked
     pair (alpha, beta): a rational pair as (numerator, denominator)s and a
     pair with a name as param_ring's Polys over 1.  Each distinct locus
@@ -346,7 +349,7 @@ def _cell_witnesses(alpha, beta, d_max: int, matchings) -> list:
         a, b = [(v, 1) for v in param_ring((), alpha, beta)[1]]
     else:
         a, b = (alpha.numerator, alpha.denominator), (beta.numerator, beta.denominator)
-    engine = _witness_engine(d_max)
+    engine = _witness_engine()
     # locus polynomial -> its value is nonzero at the pair, for this call only;
     # homogenising to any matching's degrees keeps a value's zero or nonzero
     off: dict = {}
@@ -530,22 +533,21 @@ def classify(alpha, beta, d_max: int = DEFAULT_D_MAX) -> ClassificationResult:
     """
     _check_d_max(d_max)
     alpha, beta = param_pair(alpha, beta)
-    return _classify(alpha, beta, d_max,
-                     incidence_graph(alpha, d_max), incidence_graph(beta, d_max))
+    return _classify(alpha, beta, incidence_graph(alpha), incidence_graph(beta), d_max)
 
 
-def _classify(alpha, beta, d_max: int, src: CurveIncidenceGraph,
-              dst: CurveIncidenceGraph) -> ClassificationResult:
+def _classify(alpha, beta, src: CurveIncidenceGraph, dst: CurveIncidenceGraph,
+              d_max: int = DEFAULT_D_MAX) -> ClassificationResult:
     """classify over cooked parameters (see param_pair) and the graphs
-    incidence_graph built for them at this d_max, whose matchings are
-    _matchings(d_max).  One _cell_witnesses call decides every matching:
+    incidence_graph built for them, whose matchings are _matchings; d_max
+    is only echoed.  One _cell_witnesses call decides every matching:
     each distinct locus once, and a matching off its locus keeps no facts,
     with no entry read.  A candidate is re-checked in integers, and only a
     passing one becomes Fractions.  Witnesses are ordered entry by entry on
     |e / m| * L, then + before -, in integers, L being the lcm of the
     passing candidates' scales m."""
-    matchings = _matchings(d_max)
-    candidates = _cell_witnesses(alpha, beta, d_max, [m for m, _, _ in matchings])
+    matchings = _matchings()
+    candidates = _cell_witnesses(alpha, beta, [m for m, _, _ in matchings])
     passing = []  # (candidate, its IsoWitness)
     outcomes = []
     for (m, label_pairs, sorted_pairs), candidate in zip(matchings, candidates):
@@ -586,12 +588,11 @@ def _criterion(alpha, beta) -> bool:
     return na * nb == da * db or (na == nb and da == db)
 
 
-def matchings_report(alpha, beta, d_max: int = DEFAULT_D_MAX) -> CertifiedReport:
+def matchings_report(alpha, beta) -> CertifiedReport:
     """Boundary rigidity: the boundary chain invariants and the count of
     admissible graph matchings between the two parameter values."""
     report = boundary_zigzag_report(alpha)
-    src = incidence_graph(alpha, d_max)
-    dst = incidence_graph(beta, d_max)
+    src, dst = incidence_graph(alpha), incidence_graph(beta)
     for name, g in (("source", src), ("target", dst)):
         involution = all(g.real_action[g.real_action[i]] == i for i in range(g.size()))
         report.add(f"real-action-involution-{name}", involution,
@@ -615,13 +616,12 @@ def matchings_report(alpha, beta, d_max: int = DEFAULT_D_MAX) -> CertifiedReport
     return report
 
 
-def classification_report(alpha, beta, d_max: int = DEFAULT_D_MAX) -> CertifiedReport:
+def classification_report(alpha, beta) -> CertifiedReport:
     """Verdict against the closed-form criterion, with witness validation."""
     report = CertifiedReport("prop-6.3")
     alpha, beta = param_pair(alpha, beta)
-    src = incidence_graph(alpha, d_max)
-    dst = incidence_graph(beta, d_max)
-    result = _classify(alpha, beta, d_max, src, dst)
+    src, dst = incidence_graph(alpha), incidence_graph(beta)
+    result = _classify(alpha, beta, src, dst)
     expected = _criterion(result.alpha, result.beta)
     report.add(
         "verdict-matches-criterion",

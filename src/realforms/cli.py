@@ -215,12 +215,12 @@ def run_grid(values, d_max: int = DEFAULT_D_MAX) -> dict:
     values = sorted({surfaces.param_pair(v)[0] for v in values},
                     key=lambda v: (isinstance(v, str), v))
     # each value with its graph and its text, so that no cell hashes a Fraction
-    rows = [(v, classification.incidence_graph(v, d_max=d_max), str(v)) for v in values]
+    rows = [(v, classification.incidence_graph(v), str(v)) for v in values]
     cells = []
     disagreements = 0
     for a, src, a_text in rows:
         for b, dst, b_text in rows:
-            result = classification._classify(a, b, d_max, src, dst)
+            result = classification._classify(a, b, src, dst)
             criterion = classification._criterion(a, b)
             agrees = result.equivalent == criterion
             disagreements += 0 if agrees else 1

@@ -531,10 +531,6 @@ class RatFunc:
         self.num, self.den = _strip(num, den)
 
     @staticmethod
-    def const(table: VarTable, value) -> "RatFunc":
-        return RatFunc(Poly.const(table, value))
-
-    @staticmethod
     def var(table: VarTable, name: str) -> "RatFunc":
         return RatFunc(Poly.var(table, name))
 

@@ -211,7 +211,7 @@ def test_grid_verdicts_match_closed_form_criterion():
         checked = 0
         for a in GRID_VALUES:
             for b in GRID_VALUES:
-                result = _classify(a, b, DEFAULT_D_MAX, graphs[a], graphs[b])
+                result = _classify(a, b, graphs[a], graphs[b])
                 expected = a == b or a * b == 1
                 assert result.equivalent == expected == equivalence_criterion(a, b)
                 if result.equivalent:

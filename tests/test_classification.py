@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from realforms import classification
+from realforms import classification, intersection
 from realforms.classification import (
     ORIGIN_LABEL,
     PINNED_LABELS,
@@ -190,8 +190,10 @@ GRAPH_VALUES = [
 
 @pytest.mark.parametrize("value", GRAPH_VALUES)
 def test_graph_from_the_symbolic_shape_equals_the_enumerated_graph(value):
+    # the one graph, whatever the degree bound of the enumeration at the value
+    g = incidence_graph(value)
     for d_max in range(1, 7):
-        assert incidence_graph(value, d_max) == enumerated_graph(value, d_max)
+        assert g == enumerated_graph(value, d_max), (value, d_max)
 
 
 # the exceptional vertices, in the order modified_plane_config lists its centers
@@ -203,17 +205,19 @@ def test_center_rows_are_the_centers_at_the_value(value):
     # each rational graph's rows read back as the centers of the modified
     # plane at the value, read straight off its configuration, in lowest terms
     centers = modified_plane_config(value, value).centers
+    g = incidence_graph(value)
+    for vertex, label in enumerate(g.labels):
+        if label not in CENTER_LABELS:
+            assert g.center_rows[vertex] is None, (value, label)
+            continue
+        c = centers[CENTER_LABELS.index(label)]
+        x, y = c.x.constant_value(), c.y.constant_value()
+        assert center_terms(g, vertex) == ({(): (x, y)} if x or y else {}), (value, label)
+        for row in g.center_rows[vertex].values():
+            assert all(type(n) is int for n in row) and row[4] > 0 and gcd(*row) == 1
+    # and they are the rows of the graph enumerated at the value at every d_max
     for d_max in range(1, 7):
-        g = incidence_graph(value, d_max)
-        for vertex, label in enumerate(g.labels):
-            if label not in CENTER_LABELS:
-                assert g.center_rows[vertex] is None, (value, d_max, label)
-                continue
-            c = centers[CENTER_LABELS.index(label)]
-            x, y = c.x.constant_value(), c.y.constant_value()
-            assert center_terms(g, vertex) == ({(): (x, y)} if x or y else {}), (value, label)
-            for row in g.center_rows[vertex].values():
-                assert all(type(n) is int for n in row) and row[4] > 0 and gcd(*row) == 1
+        assert enumerated_graph(value, d_max).center_rows == g.center_rows, (value, d_max)
 
 
 @pytest.mark.parametrize("value, name", [("symbolic", "a"), ("b", "b")])
@@ -248,12 +252,40 @@ def test_graph_shape_refuses_an_unsettled_symbolic_table(monkeypatch):
         classification._graph_shape.cache_clear()
 
 
-def test_graph_shape_is_enumerated_once_per_d_max():
+def test_graph_shape_is_enumerated_once_per_process():
     classification._graph_shape.cache_clear()
     for value in (2, Fraction(-7, 3), "symbolic"):
-        incidence_graph(value, 3)
+        incidence_graph(value)
     info = classification._graph_shape.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+    # a classify or a grid at any d_max reads that same one shape
+    for d_max in (1, 3, 9):
+        classify(2, 3, d_max=d_max)
+        run_grid([2, Fraction(1, 2)], d_max=d_max)
+    info = classification._graph_shape.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_a_large_d_max_sweeps_to_degree_1_only(monkeypatch):
+    # the sweep admits no class above degree 1 (see _graph_shape), so a cold
+    # classify or grid at a large d_max sweeps to degree 1 and gives what
+    # d_max 6 gives, but for the echoed d_max
+    expected = [classify(2, 3, d_max=6).to_json(), run_grid([2, Fraction(1, 2)], d_max=6)]
+    survivors, swept = intersection._combinatorial_survivors, []
+
+    def recording(d_max):
+        swept.append(d_max)
+        return survivors(d_max)
+
+    for cached in (classification._graph_shape, classification._matchings,
+                   classification._witness_engine, survivors):
+        cached.cache_clear()
+    monkeypatch.setattr(intersection, "_combinatorial_survivors", recording)
+    found = [classify(2, 3, d_max=16).to_json(), run_grid([2, Fraction(1, 2)], d_max=18)]
+    assert swept == [1]
+    assert [payload.pop("d_max") for payload in found] == [16, 18]
+    assert [payload.pop("d_max") for payload in expected] == [6, 6]
+    assert found == expected
 
 
 
@@ -337,8 +369,8 @@ def test_grid_graphs_build_no_polynomial_ring(monkeypatch):
 
 
 def test_grid_looks_the_matchings_up_once(monkeypatch):
-    # every graph at one d_max has the symbolic shape, so the matchings are
-    # looked up once per d_max and no cell hashes the shapes again
+    # every graph has the symbolic shape, so the matchings are looked up
+    # once per process and no cell hashes the shapes again
     from realforms import cli
 
     lookups = []
@@ -390,11 +422,16 @@ def test_matchings_match_brute_force_oracle():
 
 @pytest.mark.parametrize("d_max", [1, 2, 3, 4, 5, 6, "symbolic"])
 def test_memoised_matchings_match_brute_force_at_every_d_max(d_max):
+    # the one graph's matchings are the brute-force matchings of the graphs
+    # enumerated at the values to each d_max
     if d_max == "symbolic":
         src = dst = incidence_graph("symbolic")
+        oracle = brute_force_matchings(src, dst)
     else:
-        src, dst = incidence_graph(2, d_max), incidence_graph(Fraction(1, 2), d_max)
-    assert admissible_matchings(src, dst) == brute_force_matchings(src, dst)
+        src, dst = incidence_graph(2), incidence_graph(Fraction(1, 2))
+        oracle = brute_force_matchings(enumerated_graph(2, d_max),
+                                       enumerated_graph(Fraction(1, 2), d_max))
+    assert admissible_matchings(src, dst) == oracle
 
 
 def test_matchings_memo_hands_out_fresh_lists():
@@ -467,17 +504,17 @@ def test_matching_label_map():
 # -- witnesses -------------------------------------------------------------------
 
 
-def solve(alpha, beta, d_max, matching):
+def solve(alpha, beta, matching):
     """The engine's witness for one matching at a cooked pair, as a Fraction
     matrix, or None."""
-    candidate = classification._cell_witnesses(alpha, beta, d_max, (matching,))[0]
+    candidate = classification._cell_witnesses(alpha, beta, (matching,))[0]
     return None if candidate is None else classification._matrix(candidate)
 
 
 def test_witness_for_reciprocal_pair():
     src = incidence_graph(2)
     matchings = admissible_matchings(src, incidence_graph(Fraction(1, 2)))
-    matrices = [solve(Fraction(2), Fraction(1, 2), DEFAULT_D_MAX, m)
+    matrices = [solve(Fraction(2), Fraction(1, 2), m)
                 for m in matchings]
     found = [m for m in matrices if m is not None]
     half = Fraction(1, 2)
@@ -487,7 +524,7 @@ def test_witness_for_reciprocal_pair():
 def test_no_witness_for_inequivalent_pair():
     src, dst = incidence_graph(2), incidence_graph(3)
     for m in admissible_matchings(src, dst):
-        assert solve(Fraction(2), Fraction(3), DEFAULT_D_MAX, m) is None
+        assert solve(Fraction(2), Fraction(3), m) is None
 
 
 def _row_reduce_solution(equations):
@@ -546,14 +583,16 @@ def reference_solve(src, dst, matching):
 
 @pytest.mark.parametrize("d_max", range(1, 7))
 def test_engine_solve_equals_the_row_by_row_solve(d_max):
-    # every ordered pair of GRAPH_VALUES: rational, symbolic and mixed
+    # every ordered pair of GRAPH_VALUES: rational, symbolic and mixed; the
+    # reference solves on the graphs enumerated at the values to d_max
     cooked = [param_pair(value)[0] for value in GRAPH_VALUES]
-    graphs = [incidence_graph(value, d_max) for value in cooked]
-    for alpha, src in zip(cooked, graphs):
-        for beta, dst in zip(cooked, graphs):
+    graphs = [incidence_graph(value) for value in cooked]
+    oracles = [enumerated_graph(value, d_max) for value in cooked]
+    for alpha, src, src_oracle in zip(cooked, graphs, oracles):
+        for beta, dst, dst_oracle in zip(cooked, graphs, oracles):
             for m in admissible_matchings(src, dst):
-                assert (solve(alpha, beta, d_max, m)
-                        == reference_solve(src, dst, m)), (alpha, beta, m)
+                assert (solve(alpha, beta, m)
+                        == reference_solve(src_oracle, dst_oracle, m)), (alpha, beta, m)
 
 
 def test_engine_solve_equals_the_row_by_row_solve_on_a_seeded_grid():
@@ -565,15 +604,14 @@ def test_engine_solve_equals_the_row_by_row_solve_on_a_seeded_grid():
     for alpha, src in zip(values, graphs):
         for beta, dst in zip(values, graphs):
             for m in matchings:
-                assert (solve(alpha, beta, DEFAULT_D_MAX, m)
+                assert (solve(alpha, beta, m)
                         == reference_solve(src, dst, m)), (alpha, beta, m)
 
 
-def reference_classify(alpha, beta, d_max):
+def reference_classify(src, dst):
     """classify matching by matching: reference_solve on the two graphs for
     each admissible matching, then the Q(i) re-check, the same outcomes and
     order.  Returns the verdict, the witnesses and the traces."""
-    src, dst = incidence_graph(alpha, d_max), incidence_graph(beta, d_max)
     witnesses, traces = [], []
     for m in admissible_matchings(src, dst):
         trace = {"matching": {src.labels[i]: dst.labels[j] for i, j in enumerate(m)}}
@@ -598,11 +636,13 @@ def witness_order(witness):
 
 
 def assert_classify_equals_the_reference(values, d_max):
-    graphs = [incidence_graph(value, d_max) for value in values]
-    for alpha, src in zip(values, graphs):
-        for beta, dst in zip(values, graphs):
-            found = _classify(alpha, beta, d_max, src, dst)
-            equivalent, witnesses, traces = reference_classify(alpha, beta, d_max)
+    # the reference classifies on the graphs enumerated at the values to d_max
+    graphs = [incidence_graph(value) for value in values]
+    oracles = [enumerated_graph(value, d_max) for value in values]
+    for alpha, src, src_oracle in zip(values, graphs, oracles):
+        for beta, dst, dst_oracle in zip(values, graphs, oracles):
+            found = _classify(alpha, beta, src, dst, d_max)
+            equivalent, witnesses, traces = reference_classify(src_oracle, dst_oracle)
             assert found.equivalent is equivalent, (alpha, beta)
             assert found.witnesses == witnesses, (alpha, beta)
             assert found.witness == (witnesses[0] if witnesses else None), (alpha, beta)
@@ -651,7 +691,7 @@ def test_a_cell_evaluates_each_locus_once(monkeypatch, alpha, beta):
 def test_engine_loci_are_the_criterion():
     # identity and conjugation matchings: a = b, entries 1 and +-1; the two
     # swaps of E(1,i) with E(a,ai): ab = 1, entries b and +-b
-    engine = classification._witness_engine(DEFAULT_D_MAX)
+    engine = classification._witness_engine()
     g = incidence_graph(2)
     loci = {}
     for m, (_, locus, entries, den) in engine.items():
@@ -673,7 +713,7 @@ def test_engine_agrees_with_a_sympy_solve_over_q_a_b():
     # augmented real system) and its solution on that locus, per matching
     sympy = pytest.importorskip("sympy")
     A, B = sympy.symbols("a b", real=True)
-    labels, _, _, centers = classification._graph_shape(DEFAULT_D_MAX)
+    labels, _, _, centers = classification._graph_shape()
 
     def center(rows, var):
         x = y = sympy.Integer(0)
@@ -686,7 +726,7 @@ def test_engine_agrees_with_a_sympy_solve_over_q_a_b():
         return sum((c * A ** i * B ** j for i, j, c in terms), sympy.Integer(0))
 
     generators = []
-    for m, (_, locus, entries, den) in classification._witness_engine(DEFAULT_D_MAX).items():
+    for m, (_, locus, entries, den) in classification._witness_engine().items():
         rows = []  # (coefficient of p or r, of q or s, right-hand x, right-hand y)
         for i, j in enumerate(m):
             assert (centers[i] is None) == (centers[j] is None)
@@ -715,12 +755,12 @@ def test_engine_agrees_with_a_sympy_solve_over_q_a_b():
 
 
 def _shape_with_centers(monkeypatch, centers_of):
-    """Patch _graph_shape(d_max) to carry centers_of(its center rows); the
-    engine reads it once cleared (see cold_engine)."""
+    """Patch _graph_shape to carry centers_of(its center rows); the engine
+    reads it once cleared (see cold_engine)."""
     graph_shape = classification._graph_shape
 
-    def altered(d_max):
-        *shape, centers = graph_shape(d_max)
+    def altered():
+        *shape, centers = graph_shape()
         return (*shape, centers_of(centers))
 
     monkeypatch.setattr(classification, "_graph_shape", altered)
@@ -741,31 +781,31 @@ def test_engine_refuses_a_shape_without_a_constant_pivot_minor(monkeypatch, cold
 
     _shape_with_centers(monkeypatch, times_a)
     with pytest.raises(ValueError, match="constant minor"):
-        classification._witness_engine(3)
+        classification._witness_engine()
 
 
 def test_a_center_matched_to_a_line_has_no_solution_anywhere(monkeypatch, cold_engine):
     # without the center of E(1,-i), the three matchings that move E(1,-i)
     # send a center to a line or a line to a center; the identity still solves
-    labels = classification._graph_shape(3)[0]
+    labels = classification._graph_shape()[0]
     k = labels.index("E(1,-i)")
 
     def without_one(centers):
         return centers[:k] + (None,) + centers[k + 1:]
 
     _shape_with_centers(monkeypatch, without_one)
-    engine = classification._witness_engine(3)
+    engine = classification._witness_engine()
     identity = tuple(range(len(labels)))
     for m, (_, locus, entries, _) in engine.items():
         if m == identity:
             assert entries
         else:
             assert (locus, entries) == ((((0, 0, 1),),), ())
-    assert solve(Fraction(2), Fraction(2), 3, identity) == (
+    assert solve(Fraction(2), Fraction(2), identity) == (
         (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     for m in engine:
         if m != identity:
-            assert solve(Fraction(2), Fraction(2), 3, m) is None
+            assert solve(Fraction(2), Fraction(2), m) is None
 
 
 def test_an_entry_that_moves_with_a_name_is_no_linear_solution(monkeypatch):
@@ -777,12 +817,12 @@ def test_an_entry_that_moves_with_a_name_is_no_linear_solution(monkeypatch):
     solved = classification._solve_rows([(one, zero, b, zero), (zero, one, zero, b)])
     assert solved[1] == ()
     identity = (0, 1)
-    monkeypatch.setattr(classification, "_witness_engine", lambda d_max: {identity: solved})
+    monkeypatch.setattr(classification, "_witness_engine", lambda: {identity: solved})
     three = ((Fraction(3), Fraction(0)), (Fraction(0), Fraction(3)))
-    assert solve(Fraction(2), Fraction(3), 1, identity) == three
-    assert solve("a", Fraction(3), 1, identity) == three
-    assert solve(Fraction(3), "b", 1, identity) is None
-    assert solve("a", "b", 1, identity) is None
+    assert solve(Fraction(2), Fraction(3), identity) == three
+    assert solve("a", Fraction(3), identity) == three
+    assert solve(Fraction(3), "b", identity) is None
+    assert solve("a", "b", identity) is None
 
 
 def test_importing_realforms_builds_no_engine():
@@ -1031,7 +1071,7 @@ def test_verdict_equals_criterion_on_grid():
     checked = 0
     for a in GRID:
         for b in GRID:
-            result = _classify(a, b, DEFAULT_D_MAX, graphs[a], graphs[b])
+            result = _classify(a, b, graphs[a], graphs[b])
             assert result.equivalent == equivalence_criterion(a, b), (a, b)
             if result.equivalent:
                 assert result.witness is not None
@@ -1044,8 +1084,8 @@ def test_classify_symmetric_verdicts():
     graphs = {v: incidence_graph(v) for v in values}
     for a in values:
         for b in values:
-            fwd = _classify(a, b, DEFAULT_D_MAX, graphs[a], graphs[b])
-            rev = _classify(b, a, DEFAULT_D_MAX, graphs[b], graphs[a])
+            fwd = _classify(a, b, graphs[a], graphs[b])
+            rev = _classify(b, a, graphs[b], graphs[a])
             assert fwd.equivalent == rev.equivalent
 
 
@@ -1184,17 +1224,20 @@ UNIT = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
 @pytest.mark.parametrize("d_max", range(1, 7))
 def test_integer_witness_checks_equal_the_q_i_re_check(d_max):
-    # every ordered pair of GRAPH_VALUES, symbolic/symbolic and a/b among them
+    # every ordered pair of GRAPH_VALUES, symbolic/symbolic and a/b among them;
+    # the reference re-checks on the graphs enumerated at the values to d_max
     cooked = [param_pair(value)[0] for value in GRAPH_VALUES]
-    graphs = [incidence_graph(value, d_max) for value in cooked]
+    graphs = [incidence_graph(value) for value in cooked]
+    oracles = [enumerated_graph(value, d_max) for value in cooked]
     verdicts = set()
-    for alpha, src in zip(cooked, graphs):
-        for beta, dst in zip(cooked, graphs):
+    for alpha, src, src_oracle in zip(cooked, graphs, oracles):
+        for beta, dst, dst_oracle in zip(cooked, graphs, oracles):
             for m in admissible_matchings(src, dst):
-                matrix = solve(alpha, beta, d_max, m)
+                matrix = solve(alpha, beta, m)
                 for t in [UNIT] if matrix is None else tampered(matrix):
                     found = witness_checks(t, src, dst, m)
-                    assert found == reference_witness_checks(t, src, dst, m), (alpha, beta, m, t)
+                    assert found == reference_witness_checks(t, src_oracle, dst_oracle, m), (
+                        alpha, beta, m, t)
                     verdicts.add((matrix is None, found[0], found[2].get("centers_carried")))
     # solves that pass, and tampered and unit matrices that the centers refuse
     assert {(False, True, True), (False, False, False), (True, False, False)} <= verdicts
@@ -1225,9 +1268,9 @@ def _classify_candidates(monkeypatch, candidates, src, dst, matching):
     to hand back the candidates."""
     pairs = tuple(zip(src.labels, [dst.labels[j] for j in matching]))
     listed = ((matching, pairs, tuple(sorted(pairs))),) * len(candidates)
-    monkeypatch.setattr(classification, "_matchings", lambda d_max: listed)
+    monkeypatch.setattr(classification, "_matchings", lambda: listed)
     monkeypatch.setattr(classification, "_cell_witnesses", lambda *args: list(candidates))
-    return _classify(Fraction(2), Fraction(2), DEFAULT_D_MAX, src, dst)
+    return _classify(Fraction(2), Fraction(2), src, dst)
 
 
 def _rendered(monkeypatch, candidate, src, dst, matching):
@@ -1336,15 +1379,14 @@ def test_a_result_stores_its_witnesses_and_facts_only(monkeypatch):
     ("3", TypeError), (None, TypeError), (0, ValueError), (-2, ValueError),
 ])
 def test_library_entries_refuse_a_d_max_that_is_no_positive_int(d_max, error):
-    # refused before any cache keyed by d_max is read: True == 1 and 1.0 == 1
-    # would otherwise be served the d_max 1 entries and printed as given
+    # refused before any cache is read: True == 1 and 1.0 == 1 would
+    # otherwise be served the d_max 1 entries and printed as given
     classify(2, 3, d_max=1)
     caches = (classification._graph_shape, classification._witness_engine,
               classification._matchings, _combinatorial_survivors)
     before = [cached.cache_info() for cached in caches]
     entries = (
         lambda: classify(2, 3, d_max=d_max),
-        lambda: incidence_graph(2, d_max),
         lambda: run_grid([2, 3], d_max=d_max),
         lambda: run_grid([], d_max=d_max),
         lambda: enumerate_negative_classes(2, d_max),

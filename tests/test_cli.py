@@ -343,14 +343,14 @@ def test_grid_solves_each_admissible_matching_once(monkeypatch):
     # one reading of the engine per cell decides its four matchings: each
     # locus evaluated once, and the four entries read only for a matching
     # whose locus vanishes, a = b for two matchings and ab = 1 for the other two
-    engine = cli.classification._witness_engine(cli.DEFAULT_D_MAX)
+    engine = cli.classification._witness_engine()
     loci = sorted({poly for _, locus, _, _ in engine.values() for poly in locus})
     cell_witnesses, value = cli.classification._cell_witnesses, cli.classification._value
     cells, evaluated = [], []
 
-    def counting_cell(alpha, beta, d_max, matchings):
+    def counting_cell(alpha, beta, matchings):
         evaluated.clear()
-        matrices = cell_witnesses(alpha, beta, d_max, matchings)
+        matrices = cell_witnesses(alpha, beta, matchings)
         cells.append((alpha, beta, list(matchings), list(evaluated), matrices))
         return matrices
 

@@ -213,6 +213,15 @@ def _survivors_by_class_methods(d_max):
     return tuple(survivors), scanned
 
 
+def test_the_sweep_admits_no_class_above_degree_1():
+    # negativity and genus give sum(m) >= 3d - 1, and the isotropic lines
+    # sum(m) <= 2d, so every degree bound finds the degree-1 survivors
+    lines = intersection._combinatorial_survivors(1)[0]
+    assert lines and all(cls.degree == 1 for cls in lines)
+    for d_max in range(1, 13):
+        assert intersection._combinatorial_survivors(d_max)[0] == lines, d_max
+
+
 @pytest.mark.parametrize("d_max", range(1, 7))
 def test_integer_sweep_matches_the_class_method_sweep(d_max):
     assert intersection._combinatorial_survivors(d_max) == \

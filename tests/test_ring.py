@@ -654,7 +654,7 @@ def term_by_term(m: RingMap, p: Poly) -> RatFunc:
     """m(p) as a sum of RatFunc terms, each a product of image powers."""
     total = RatFunc(Poly.zero(m.target))
     for e, c in p.terms.items():
-        term = RatFunc.const(m.target, c)
+        term = RatFunc(Poly.const(m.target, c))
         for image, power in zip(m.images, e):
             term = term * image ** power
         total = total + term
@@ -698,7 +698,7 @@ def test_substitution_into_fractions():
                 assert got.num == expected.num and got.den == expected.den
             _assert_primitive_parts(got)
     x, y = Poly.var(TABLE, "x"), Poly.var(TABLE, "y")
-    to_one = RingMap.from_images(TABLE, TABLE, {"y": RatFunc.const(TABLE, 1)})
+    to_one = RingMap.from_images(TABLE, TABLE, {"y": RatFunc(Poly.const(TABLE, 1))})
     with pytest.raises(ZeroDivisionError, match="denominator maps to zero"):
         to_one(RatFunc(x, y - 1))
     to_inverse = RingMap.from_images(TABLE, TABLE, {"x": RatFunc(Poly.const(TABLE, 1), y)})
@@ -791,7 +791,7 @@ def oracle_inputs(rng: random.Random) -> list:
         Poly.zero(TABLE),
         RatFunc(Poly.zero(TABLE), Poly.var(TABLE, "y")),
         Poly.const(TABLE, GaussianRational(Fraction(-3, 4), Fraction(5, 6))),
-        RatFunc.const(TABLE, Fraction(7, 2)),
+        RatFunc(Poly.const(TABLE, Fraction(7, 2))),
     ]
 
 
