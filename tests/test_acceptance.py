@@ -22,7 +22,7 @@ from realforms.classification import (
 )
 from realforms.gaussian import GaussianRational, I
 from realforms.groebner import LEX, buchberger, normal_form
-from realforms.intersection import DEFAULT_D_MAX, enumerate_negative_classes
+from realforms.intersection import enumerate_negative_classes
 from realforms.modification import (
     match_fiber_to_surface,
     rees_presentation,
