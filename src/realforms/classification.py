@@ -15,13 +15,14 @@ traces that are read.
 
 Each graph is the symbolic graph read at its own parameter value.  One
 symbolic enumeration to degree 1 per process gives the labels, weights,
-conjugation action and the five centers, each held once as integer rows
-per power of a.  Its lines are polynomial identities in the parameter and
+conjugation action and the five centers, compiled once as one batch for
+ring.read_at.  Its lines are polynomial identities in the parameter and
 its avoided centers have unit values, built from a and 1 - a, so the shape
 holds at every admissible value; its configuration proved the centers
 pairwise distinct for every admissible value, so a graph only reads the
-rows at its value.  The engine's polynomials and each graph's rows come
-from those same rows.
+centers at its value, all five in one read.  The engine's polynomials are
+the same centers read at the names a and b.  Its own loop (_value) reads a
+solve at a pair: on loci of two terms it is faster than the general reader.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from .gaussian import ZERO
 from .intersection import (
     DEFAULT_D_MAX,
     KIND_EXCEPTIONAL,
@@ -41,7 +41,7 @@ from .intersection import (
     intersection_matrix,
 )
 from .reports import CertifiedReport, FrozenRecord, Record
-from .ring import Poly, VarTable
+from .ring import Poly, VarTable, compile_reads, read_at
 from .surfaces import ALPHA, BETA, lift_real_structure, param_pair, param_ring
 
 ORIGIN_LABEL = "E(0,0)"
@@ -57,7 +57,7 @@ class CurveIncidenceGraph(FrozenRecord):
     keyed by the named monomial, with x = (ax + bx*i)/d and y = (ay + by*i)/d
     over the least such d, so centers of different parameter values compare
     coefficientwise.  They are read once per graph from the symbolic shape's
-    rows (see _rows_at), so a witness re-check compares integers only.  A
+    centers (see _centers_at), so a witness re-check compares integers only.  A
     rational value has one term, keyed (), and a zero center none.
     """
 
@@ -77,9 +77,10 @@ class CurveIncidenceGraph(FrozenRecord):
 
 @cache
 def _graph_shape() -> tuple:
-    """Labels, weights, conjugation action and, per vertex, the integer rows
-    of its blow-up center in a (see _center_rows; None for a line), from one
-    symbolic enumeration to degree 1.
+    """Labels, weights, conjugation action, per vertex the index of its
+    blow-up center (None for a line), and the centers' (x, y) in a as one
+    batch compiled twice by ring.compile_reads, with nothing kept and with a
+    kept (see _centers_at), from one symbolic enumeration to degree 1.
 
     Degree 1 serves every d_max: no class of degree d >= 2 passes the sweep,
     as negativity and genus give sum(m) >= sum(m^2) - (d-1)(d-2) >= 3d - 1,
@@ -117,25 +118,23 @@ def _graph_shape() -> tuple:
                 if s.form is not None and s.form == conj_form
             )
         action.append(target)
-    centers = [_center_rows(c.x, c.y) for c in result.config.centers]
-    center_rows = tuple(centers[r.through[0]] if r.kind == KIND_EXCEPTIONAL else None
-                        for r in vertices)
-    return labels, weights, tuple(action), center_rows
+    centers = [p for c in result.config.centers for p in (c.x, c.y)]
+    vertex_centers = tuple(r.through[0] if r.kind == KIND_EXCEPTIONAL else None for r in vertices)
+    return (labels, weights, tuple(action), vertex_centers,
+            (compile_reads(centers, ()), compile_reads(centers, (ALPHA,))))
 
 
 def incidence_graph(alpha) -> CurveIncidenceGraph:
     """The incidence graph of the diagonal surface at alpha: the symbolic
     graph of _graph_shape, enumerated once per process, with its
-    centers' rows read at alpha in integers (see _rows_at).
+    centers' rows read at alpha in integers (see _centers_at).
 
     The centers are not proved distinct again: modified_plane_config(a, a),
     behind the shape, proved that over Q(i)[a] with the units a and 1 - a,
     so at every alpha that param_pair admits (it refuses 0 and 1).
     """
-    labels, weights, action, center_rows = _graph_shape()
-    value = param_pair(alpha)[0]
-    return CurveIncidenceGraph(labels, weights, action, tuple(
-        [None if rows is None else _rows_at(rows, value) for rows in center_rows]))
+    shape = _graph_shape()
+    return CurveIncidenceGraph(*shape[:3], _centers_at(param_pair(alpha)[0], *shape[3:]))
 
 
 # ---------------------------------------------------------------------------
@@ -218,51 +217,34 @@ def _shape_matchings(src_shape: tuple, dst_shape: tuple) -> tuple[tuple, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _center_rows(x: Poly, y: Poly) -> dict:
-    """A center (x, y) in a alone as integer rows keyed by the power k of a:
-    the coefficients of a**k as (ax, bx, ay, by, d), x's being (ax + bx*i)/d
-    and y's (ay + by*i)/d over the least such d."""
-    k_of = x.table.index(ALPHA)
-    pairs: dict = {}
-    for n, p in enumerate((x, y)):
-        for exps, c in p.terms.items():
-            pairs.setdefault(exps[k_of], [ZERO, ZERO])[n] = c
-    rows = {}
-    for k, (cx, cy) in pairs.items():
-        d = lcm(cx.d, cy.d)
-        fx, fy = d // cx.d, d // cy.d
-        rows[k] = (cx.a * fx, cx.b * fx, cy.a * fy, cy.b * fy, d)
-    return rows
+def _centers_at(value, vertex_centers: tuple, forms: tuple) -> tuple:
+    """Per vertex, None or its center at a cooked parameter, all read at once
+    from _graph_shape's last two items: a rational as one row keyed (), a
+    name as a row per power k keyed ((name, k),), or () for k = 0.  A row is
+    (ax, bx, ay, by, d) for the term ((ax + bx*i)/d, (ay + by*i)/d) of (x, y)
+    over the least such d.  A zero center has no row."""
+    named = isinstance(value, str)
+    values = {} if named else {ALPHA: (value.numerator, value.denominator)}
+    den, parts = read_at(forms[named], values)  # forms: nothing kept, then a kept
+    centers = []
+    for x, y in zip(parts[::2], parts[1::2]):
+        rows = {e: [a, b, 0, 0] for e, a, b in x}
+        for e, a, b in y:
+            rows.setdefault(e, [0, 0, 0, 0])[2:] = a, b
+        for e, (ax, bx, ay, by) in rows.items():
+            g = gcd(ax, bx, ay, by, den)
+            rows[e] = (ax // g, bx // g, ay // g, by // g, den // g)
+        centers.append({((value, e[0]),) if e[0] else (): row for e, row in rows.items()}
+                       if named else rows)
+    return tuple([None if k is None else centers[k] for k in vertex_centers])
 
 
-def _rows_at(rows: dict, value) -> dict:
-    """A center's rows (see _center_rows) read at a cooked parameter, keyed
-    by the named monomial: a name keys power k as ((name, k),), and a
-    rational n/q sums the rows, in integers, into one row keyed () over the
-    least denominator.  A zero center has no row."""
-    if isinstance(value, str):
-        return {((value, k),) if k else (): row for k, row in rows.items()}
-    n, q = value.numerator, value.denominator
-    top = max(rows, default=0)
-    den = lcm(*[row[4] for row in rows.values()])
-    sums = [0, 0, 0, 0]
-    for k, (ax, bx, ay, by, d) in rows.items():
-        f = den // d * n ** k * q ** (top - k)
-        sums = [sums[0] + ax * f, sums[1] + bx * f, sums[2] + ay * f, sums[3] + by * f]
-    if not any(sums):
-        return {}
-    den *= q ** top
-    g = gcd(*sums, den)
-    return {(): (sums[0] // g, sums[1] // g, sums[2] // g, sums[3] // g, den // g)}
-
-
-def _center_parts(rows: dict, table: VarTable, name: str) -> tuple:
-    """A center's rows (see _center_rows) as Polys in a real variable: its
-    (x, y) real parts, then its imaginary parts."""
-    var = Poly.var(table, name)
+def _center_parts(rows: dict, table: VarTable) -> tuple:
+    """A center's rows at a name (see _centers_at) as Polys over the table:
+    its (x, y) real parts, then its imaginary parts."""
     re, im = [Poly.zero(table)] * 2, [Poly.zero(table)] * 2
-    for k, (ax, bx, ay, by, d) in rows.items():
-        power = var ** k
+    for key, (ax, bx, ay, by, d) in rows.items():
+        power = Poly.var(table, *key[0]) if key else Poly.const(table, 1)
         re = [re[0] + power * Fraction(ax, d), re[1] + power * Fraction(ay, d)]
         im = [im[0] + power * Fraction(bx, d), im[1] + power * Fraction(by, d)]
     return tuple(re), tuple(im)
@@ -273,10 +255,9 @@ def _witness_engine() -> dict:
     """_solve_rows for every matching of _matchings, built on first
     use: the source's centers in a and the target's in b, real and
     imaginary parts apart over Q[a, b], as a and b are real."""
-    center_rows = _graph_shape()[3]
-    table = VarTable((ALPHA, BETA))
-    src, dst = [[None if rows is None else _center_parts(rows, table, name)
-                 for rows in center_rows] for name in (ALPHA, BETA)]
+    table, centers = VarTable((ALPHA, BETA)), _graph_shape()[3:]
+    src, dst = [[None if rows is None else _center_parts(rows, table)
+                 for rows in _centers_at(name, *centers)] for name in (ALPHA, BETA)]
     engine = {}
     for m, _, _ in _matchings():
         pairs = [(src[i], dst[j]) for i, j in enumerate(m)]

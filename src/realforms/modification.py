@@ -17,6 +17,9 @@ specializations", J. Symbolic Comput. 24, 1997).  A fiber at a rational
 value reads it, and the two maps that identify a fiber with the diagonal
 surface, through templates (surfaces.at_parameters), with no elimination or
 Buchberger run of its own; nothing else is kept from one call to the next.
+
+The smoothness check compiles the generators and their partials once per
+report and reads the Jacobian at each sample point (ring.read_at).
 """
 from __future__ import annotations
 
@@ -27,7 +30,9 @@ from .errors import FNotInIdeal, PointNotOnVariety
 from .gaussian import ONE, GaussianRational, coerce, integer_rank
 from .groebner import GREVLEX, Ideal, certified_unit, elimination_order
 from .reports import CertifiedReport, FrozenRecord, Record
-from .ring import Poly, RatFunc, RingMap, VarTable, _numerators, _specialize_all, compose
+from .ring import (
+    Poly, RatFunc, RingMap, VarTable, _specialize_all, compile_reads, compose, read_at,
+)
 from .surfaces import (
     ALPHA,
     SurfacePresentation,
@@ -322,51 +327,29 @@ def surface_chart_point(alpha, x0, u0) -> dict:
     return {"x": x0, "y": y0, "u": u0, "v": v0}
 
 
-def _rank_at(generators, values: dict) -> int:
-    """Rank of the Jacobian at a point where every generator vanishes."""
-    return integer_rank(_jacobian_at(generators, values))
-
-
-def _jacobian_at(generators, values: dict) -> list:
-    """The Jacobian in every variable at a point where every generator must
-    vanish, each row times a positive integer, as Gaussian-integer pairs
-    (re, im).  One pass over the terms takes each value and partial by the
-    power rule in Gaussian integers: for coordinates z_k/d_k and top_k the
-    highest power of x_k, c*prod x_k^e_k adds c*prod z_k^e_k*d_k^(top_k-e_k)
-    to the value, and to the partial in x_j that with e_j*d_j*z_j^(e_j-1)."""
+def _jacobian(generators) -> tuple:
+    """The generators, their table's names and, for _jacobian_at, one batch
+    of the generators then their partials (ring.compile_reads)."""
     names = generators[0].table.names if generators else ()
+    partials = [g.derivative(n) for g in generators for n in names]
+    return generators, names, compile_reads([*generators, *partials], ()) if generators else None
+
+
+def _jacobian_at(jacobian: tuple, values: dict) -> list:
+    """The Jacobian (see _jacobian) at a point where every generator must
+    vanish, in one read (ring.read_at): per generator its row of partials as
+    Gaussian-integer pairs (re, im), every row times one positive integer."""
+    generators, names, form = jacobian
     point = [_as_scalar(values[n]) for n in names]  # KeyError for a missing one
-    tops = list(map(max, *(e for g in generators for e in g.terms), [0] * len(names)))
-    zs, ds = [], []  # per variable, for e = 0..top_k: z_k^e as (re, im), and d_k^(top_k-e)
-    for v, top in zip(point, tops):
-        z, d = [(1, 0)], [1]
-        for _ in range(top):
-            z.append((z[-1][0] * v.a - z[-1][1] * v.b, z[-1][0] * v.b + z[-1][1] * v.a))
-            d.append(d[-1] * v.d)
-        zs.append(z)
-        ds.append(d[::-1])
-    rows = []
-    for g in generators:
-        _, numerators = _numerators(g.terms)  # over one denominator of the coefficients
-        re, im = [0] * (len(names) + 1), [0] * (len(names) + 1)  # the value, then each partial
-        for e, ca, cb in numerators:
-            m = 1
-            for d, k in zip(ds, e):
-                m *= d[k]
-            ks = [k for k in range(len(e)) if e[k]]
-            for j in [-1] + ks:  # -1: the value
-                f = m if j < 0 else m * e[j] * point[j].d
-                a, b = ca * f, cb * f
-                for k in ks:
-                    za, zb = zs[k][e[k] - (k == j)]
-                    if zb or za != 1:
-                        a, b = a * za - b * zb, a * zb + b * za
-                re[j + 1] += a
-                im[j + 1] += b
-        if re[0] or im[0]:
+    if not generators:
+        return []
+    _, sums = read_at(form, {n: (GaussianRational(v.a, v.b) if v.b else v.a, v.d)
+                             for n, v in zip(names, point)})
+    for g, terms in zip(generators, sums):
+        if terms:
             raise PointNotOnVariety(f"relation {g} does not vanish at the point")
-        rows.append(list(zip(re[1:], im[1:])))
-    return rows
+    entries = [terms[0][1:] if terms else (0, 0) for terms in sums[len(generators):]]
+    return [entries[k:k + len(names)] for k in range(0, len(entries), len(names))]
 
 
 DEFAULT_CHART_SAMPLES = ((1, 1), (2, 1), (-1, 1), (-1, 2), (3, -1))
@@ -378,10 +361,10 @@ def smoothness_report(alpha) -> CertifiedReport:
     if isinstance(alpha, str):
         raise TypeError(f"not an exact scalar: {alpha!r}")
     alpha, _ = param_pair(alpha)
-    generators = make_surface(alpha, alpha).ideal.generators
+    jacobian = _jacobian(make_surface(alpha, alpha).ideal.generators)
     for x0, u0 in DEFAULT_CHART_SAMPLES:
         point = surface_chart_point(alpha, x0, u0)
-        rank = _rank_at(generators, point)
+        rank = integer_rank(_jacobian_at(jacobian, point))
         report.add(
             f"jacobian-rank-2-at-({x0},{u0})",
             rank == 2,

@@ -24,14 +24,15 @@ another map in compose, say) builds none of them twice.  Maps compose by
 substitution chaining; conjugation flags compose by XOR.
 
 Substituting scalars (specialize, evaluate) is one Q(i) term loop over one or
-more polys, for real and non-real values alike.
+more polys, for real and non-real values alike; a batch read often at exact
+values is compiled once and read in integers (compile_reads, read_at).
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
-from operator import add, mul, sub
+from math import gcd, prod
+from operator import add, getitem, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .gaussian import (
@@ -391,6 +392,59 @@ def _specialize_all(polys: Sequence[Poly], values: Mapping[str, object]) -> list
     return out
 
 
+def compile_reads(polys: Sequence[Poly], kept: Sequence[str]) -> tuple:
+    """A batch of polys over one table compiled for read_at alone: Gaussian-
+    integer numerators over one denominator D, grouped by the monomial in the
+    kept names, with each distinct exponent tuple of the read names (the other
+    names the batch uses) indexed once.  An unknown kept name: ValueError."""
+    table = polys[0].table
+    keep = [table.index(name) for name in kept]
+    read = [k for k in range(len(table)) if k not in keep and any(
+        e[k] for p in polys for e in p.terms)]
+    D = _denominator(c for p in polys for c in p.terms.values())
+    powers: dict = {}  # read exponents -> index
+    parts = []
+    for p in polys:
+        groups: dict = {}
+        for e, c in p.terms.items():
+            k = powers.setdefault(tuple([e[j] for j in read]), len(powers))
+            groups.setdefault(tuple([e[j] for j in keep]), []).append(
+                (k, c.a * (D // c.d), c.b * (D // c.d)))
+        parts.append(tuple(groups.items()))
+    tops = tuple(map(max, zip(*powers)))
+    return tuple([table.names[k] for k in read]), tops, D, tuple(powers), parts
+
+
+def read_at(form: tuple, values: Mapping[str, tuple]) -> tuple[int, list]:
+    """A compile_reads form at values p_k/q_k given by name as pairs (p_k,
+    q_k), q_k a positive int and p_k an int or a Gaussian-integer
+    GaussianRational: the denominator D*prod q_k^top_k and, per poly in term
+    order, its nonzero terms (kept exponents, re, im) over it, each power e of
+    name k read as p_k^e*q_k^(top_k-e), top_k its highest in the batch."""
+    names, tops, D, powers, parts = form
+    rows = []
+    for name, t in zip(names, tops):
+        p, q = values[name]
+        rows.append([p ** e * q ** (t - e) for e in range(t + 1)])
+        D *= q ** t
+    scales = [prod(map(getitem, rows, es)) for es in powers]
+    sums = []
+    for groups in parts:
+        sums.append(terms := [])
+        for e, cs in groups:
+            a = b = 0
+            for k, ca, cb in cs:
+                m = scales[k]
+                a += ca * m
+                b += cb * m
+            if a or b:
+                terms.append((e, a, b))
+    if scales and type(scales[0]) is not int:  # a and b in Z[i]: the term is a + b*i
+        sums = [[(e, re, im) for e, a, b in terms for re, im in [(a.a - b.b, a.b + b.a)]
+                 if re or im] for terms in sums]
+    return D, sums
+
+
 # ---------------------------------------------------------------------------
 # canonical text form
 # ---------------------------------------------------------------------------
@@ -429,19 +483,20 @@ def poly_str(p: Poly) -> str:
     return "".join(out)
 
 
+# parse_poly's grammar, compiled by its calls (re.compile caches it).
 # Spaces next to an operator or a parenthesis carry no meaning.  Any space
 # left stands between two words, such as "x y", which no factor matches.
-_SPACE = re.compile(r"\s*([-+*/^()])\s*")
+_SPACE = r"\s*([-+*/^()])\s*"
 
 _RATIONAL = RATIONAL_TEXT.pattern
-_FACTOR = re.compile(rf"""
+_FACTOR = rf"""(?x)
     (?P<sep>[-+*]?)
     (?: (?=[0-9])(?P<rational>{_RATIONAL})
       | \((?P<real>{_RATIONAL})\)(?P<imag>i)?
       | \(\((?P<re>{_RATIONAL})\)(?P<sign>[-+])\((?P<im>{_RATIONAL})\)i\)
       | (?P<unit>i)(?!\w)
       | (?P<name>[^\W\d]\w*)(?:\^(?P<power>[0-9]+))?
-    )""", re.VERBOSE)
+    )"""
 
 
 def _factor(m: re.Match, table: VarTable) -> Poly:
@@ -472,11 +527,12 @@ def parse_poly(text: str, table: VarTable) -> Poly:
     power ``name^n``.  Spaces may stand between tokens.  Malformed text, an
     unknown variable and a zero denominator raise ValueError.
     """
-    s = _SPACE.sub(r"\1", text).strip()
+    s = re.compile(_SPACE).sub(r"\1", text).strip()
+    factor_at = re.compile(_FACTOR).match
     result = term = Poly.zero(table)
     pos, seps = 0, ("", "+", "-")
     while True:
-        m = _FACTOR.match(s, pos)
+        m = factor_at(s, pos)
         if m is None or m["sep"] not in seps:
             raise ValueError(f"malformed polynomial text {text!r} at {s[pos:]!r}")
         seps = ("+", "-", "*")

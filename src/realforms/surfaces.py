@@ -12,14 +12,13 @@ defining equations are
 Everything here is exact; chart identities are verified as rational-function
 identities and residual claims as ideal equalities.  At rational parameters
 the generators and chart images are read from symbolic templates over
-Q[a, b], built once per process (at_parameters); the claims about them are
-still computed at the values.
+Q[a, b], built once per process and read in integers by ring.read_at
+(at_parameters); the claims about them are still computed at the values.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import prod
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -34,7 +33,8 @@ from .gaussian import ONE, GaussianRational, I as IMAG, _reduce, coerce
 from .groebner import Ideal, certified_unit, exact_quotient
 from .reports import CertifiedReport, FrozenRecord, shared_in_run
 from .ring import (
-    Poly, RatFunc, RingMap, VarTable, _denominator, _int_ratfunc, _poly, _specialize_all, compose,
+    Poly, RatFunc, RingMap, VarTable, _int_ratfunc, _poly, _specialize_all, compile_reads, compose,
+    read_at,
 )
 
 ALPHA = "a"
@@ -115,58 +115,34 @@ def param_ring(base: tuple[str, ...], *cooked) -> tuple:
 @cache
 def _template(build, base: tuple[str, ...], count: int) -> tuple:
     """build(table, *names) over base and the first count of (a, b), made
-    once per process on first use and compiled: RatFunc names or None, a
-    denominator D, each parameter's top power, the parameter exponents, and
-    per poly its terms by base monomial as (exponents' index, re, im) over D.
-    A denominator that involves a parameter raises ValueError, so a read is a
-    ring homomorphism at every value."""
+    once per process on first use: RatFunc names or None, and the polys
+    (each RatFunc's two parts) compiled by ring.compile_reads with the base
+    names kept.  A denominator that involves a parameter raises ValueError,
+    so a read is a ring homomorphism at every value."""
     table, _, _ = param_ring(base, *(ALPHA, BETA)[:count])
     built = build(table, *table.names[len(base):])
-    n, names, polys = len(base), None, built
+    names, polys = None, built
     if not isinstance(built, tuple):
         for f in built.values():
-            if any(any(e[n:]) for e in f.den.terms):
+            if any(any(e[len(base):]) for e in f.den.terms):
                 raise ValueError(f"denominator {f.den} of a template involves a parameter")
         names, polys = tuple(built), [p for f in built.values() for p in (f.num, f.den)]
-    D = _denominator(c for p in polys for c in p.terms.values())
-    powers: dict = {}  # parameter exponents -> index
-    parts = []
-    for p in polys:
-        groups: dict = {}
-        for e, c in p.terms.items():
-            k = powers.setdefault(e[n:], len(powers))
-            groups.setdefault(e[:n], []).append((k, c.a * (D // c.d), c.b * (D // c.d)))
-        parts.append(tuple(groups.items()))
-    tops = tuple(max((es[k] for es in powers), default=0) for k in range(count))
-    return names, D, tops, tuple(powers), parts
+    return names, compile_reads(polys, base)
 
 
 def at_parameters(build, table: VarTable, *cooked):
     """build(table, *cooked), a tuple of Polys or a dict of RatFuncs, at
     cooked parameters over their param_ring table.  A symbolic one builds
-    it; rational values p_k/q_k read the template in one integer pass, with
-    exponents e of the parameters as prod p_k^e_k*q_k^(top_k-e_k).  A Poly's
-    terms are reduced to Q(i) once each; a RatFunc's two parts, over one
-    denominator, go to ring._int_ratfunc, so nothing is divided."""
+    it; rational values read the template in one integer pass
+    (ring.read_at).  A Poly's terms are reduced to Q(i) once each; a
+    RatFunc's two parts, over one denominator, go to ring._int_ratfunc, so
+    nothing is divided."""
     if any(isinstance(c, str) for c in cooked):
         return build(table, *cooked)
-    names, D, tops, powers, parts = _template(build, table.names, len(cooked))
-    rows = [[v.numerator ** e * v.denominator ** (t - e) for e in range(t + 1)]
-            for v, t in zip(cooked, tops)]
-    scales = [prod([row[e] for row, e in zip(rows, es)]) for es in powers]
-    sums = []
-    for groups in parts:
-        sums.append(terms := [])
-        for e, cs in groups:
-            a = b = 0
-            for k, ca, cb in cs:
-                m = scales[k]
-                a += ca * m
-                b += cb * m
-            if a or b:
-                terms.append((e, a, b))
+    names, form = _template(build, table.names, len(cooked))
+    q, sums = read_at(form, {name: (v.numerator, v.denominator)
+                             for name, v in zip((ALPHA, BETA), cooked)})
     if names is None:
-        q = D * prod([row[0] for row in rows])
         return tuple(_poly(table, {e: _reduce(a, b, q) for e, a, b in terms}) for terms in sums)
     return {name: _int_ratfunc(table, num, den)
             for name, num, den in zip(names, sums[::2], sums[1::2])}

@@ -220,6 +220,18 @@ def test_center_rows_are_the_centers_at_the_value(value):
         assert enumerated_graph(value, d_max).center_rows == g.center_rows, (value, d_max)
 
 
+@pytest.mark.parametrize("value", [Fraction(7, 3), "symbolic"])
+def test_a_graph_reads_its_five_centers_in_one_read(monkeypatch, value):
+    incidence_graph(2)  # warm _graph_shape, which compiles the centers and reads none
+    reads = []
+    read_at = classification.read_at
+    monkeypatch.setattr(classification, "read_at",
+                        lambda *args: reads.append(args) or read_at(*args))
+    g = incidence_graph(value)
+    assert len(reads) == 1
+    assert sum(rows is not None for rows in g.center_rows) == 5
+
+
 @pytest.mark.parametrize("value, name", [("symbolic", "a"), ("b", "b")])
 def test_a_name_keys_each_power_of_a_center(value, name):
     g = incidence_graph(value)
@@ -713,13 +725,15 @@ def test_engine_agrees_with_a_sympy_solve_over_q_a_b():
     # augmented real system) and its solution on that locus, per matching
     sympy = pytest.importorskip("sympy")
     A, B = sympy.symbols("a b", real=True)
-    labels, _, _, centers = classification._graph_shape()
+    symbols = {"a": A, "b": B}
+    src, dst = (incidence_graph(name).center_rows for name in symbols)
 
-    def center(rows, var):
+    def center(rows):  # rows keyed ((name, k),), or () for k = 0
         x = y = sympy.Integer(0)
-        for k, (ax, bx, ay, by, d) in rows.items():
-            x += (ax + sympy.I * bx) * var ** k / d
-            y += (ay + sympy.I * by) * var ** k / d
+        for key, (ax, bx, ay, by, d) in rows.items():
+            power = symbols[key[0][0]] ** key[0][1] if key else 1
+            x += (ax + sympy.I * bx) * power / d
+            y += (ay + sympy.I * by) * power / d
         return x, y
 
     def expr(terms):  # an integer polynomial of the engine, in A and B
@@ -729,9 +743,9 @@ def test_engine_agrees_with_a_sympy_solve_over_q_a_b():
     for m, (_, locus, entries, den) in classification._witness_engine().items():
         rows = []  # (coefficient of p or r, of q or s, right-hand x, right-hand y)
         for i, j in enumerate(m):
-            assert (centers[i] is None) == (centers[j] is None)
-            if centers[i] is not None:
-                (cx, cy), (tx, ty) = center(centers[i], A), center(centers[j], B)
+            assert (src[i] is None) == (dst[j] is None)
+            if src[i] is not None:
+                (cx, cy), (tx, ty) = center(src[i]), center(dst[j])
                 rows += [[part(sympy.expand(e)) for e in (cx, cy, tx, ty)]
                          for part in (sympy.re, sympy.im)]
         rows = [row for row in rows if any(row)]
@@ -755,15 +769,12 @@ def test_engine_agrees_with_a_sympy_solve_over_q_a_b():
 
 
 def _shape_with_centers(monkeypatch, centers_of):
-    """Patch _graph_shape to carry centers_of(its center rows); the engine
-    reads it once cleared (see cold_engine)."""
-    graph_shape = classification._graph_shape
-
-    def altered():
-        *shape, centers = graph_shape()
-        return (*shape, centers_of(centers))
-
-    monkeypatch.setattr(classification, "_graph_shape", altered)
+    """Patch _centers_at to give centers_of(its centers, the value) at every
+    value, named or rational; the engine reads it once cleared (see
+    cold_engine)."""
+    centers_at = classification._centers_at
+    monkeypatch.setattr(classification, "_centers_at",
+                        lambda value, *shape: centers_of(centers_at(value, *shape), value))
 
 
 @pytest.fixture
@@ -775,8 +786,9 @@ def cold_engine():
 
 def test_engine_refuses_a_shape_without_a_constant_pivot_minor(monkeypatch, cold_engine):
     # every center times a: each minor of the source rows is a multiple of a**2
-    def times_a(centers):
-        return tuple([None if rows is None else {k + 1: row for k, row in rows.items()}
+    def times_a(centers, name):
+        return tuple([None if rows is None else
+                      {((name, key[0][1] + 1 if key else 1),): row for key, row in rows.items()}
                       for rows in centers])
 
     _shape_with_centers(monkeypatch, times_a)
@@ -790,7 +802,7 @@ def test_a_center_matched_to_a_line_has_no_solution_anywhere(monkeypatch, cold_e
     labels = classification._graph_shape()[0]
     k = labels.index("E(1,-i)")
 
-    def without_one(centers):
+    def without_one(centers, value):
         return centers[:k] + (None,) + centers[k + 1:]
 
     _shape_with_centers(monkeypatch, without_one)

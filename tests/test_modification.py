@@ -10,7 +10,7 @@ import pytest
 from realforms import groebner, modification
 from realforms.checks import run_check
 from realforms.errors import FNotInIdeal, ForbiddenParameter, PointNotOnVariety
-from realforms.gaussian import GaussianRational, I
+from realforms.gaussian import GaussianRational, I, integer_rank
 from realforms.groebner import Ideal, elimination_order, normal_form
 from realforms.modification import (
     ModificationSpec,
@@ -338,9 +338,10 @@ def test_surface_chart_point_lies_on_surface():
 
 
 def rank_at(presentation, point):
-    """_rank_at on the presentation's relations, whose Jacobian it takes in
-    every variable of the table at the point."""
-    return modification._rank_at(presentation.generators, point)
+    """The rank of the presentation's Jacobian in every variable of the
+    table at the point, as smoothness_report takes it."""
+    return integer_rank(modification._jacobian_at(modification._jacobian(presentation.generators),
+                                                  point))
 
 
 def oracle_rank(generators, point) -> int:
@@ -414,6 +415,18 @@ def test_smoothness_reports():
         assert len(report.items) == 5
 
 
+def test_a_rational_smoothness_report_compiles_its_jacobian_once(monkeypatch):
+    smoothness_report(2)  # warm the surface's template, which the reader also serves
+    calls = []
+    for name in ("compile_reads", "read_at"):
+        f = getattr(modification, name)
+        monkeypatch.setattr(modification, name,
+                            lambda *args, f=f, name=name: calls.append(name) or f(*args))
+    assert smoothness_report(Fraction(7, 3)).passed
+    assert len(modification.DEFAULT_CHART_SAMPLES) == 5
+    assert calls == ["compile_reads"] + ["read_at"] * 5
+
+
 def test_smoothness_report_rejects_inexact_parameters():
     # 0.1 is the binary fraction 3602879701896397/36028797018963968, not 1/10
     for bad in (0.1, "1/10"):
@@ -465,7 +478,7 @@ def test_one_pass_rank_equals_the_field_side_rank_at_seeded_chart_points():
     assert sum(1 for _, p in points if any(v.d > 1 for v in p.values())) >= 100
     for alpha, point in points:
         generators = make_surface(alpha, alpha).generators
-        rank = modification._rank_at(generators, point)
+        rank = integer_rank(modification._jacobian_at(modification._jacobian(generators), point))
         assert rank == oracle_rank(generators, point) == 2, (alpha, point)
 
 
@@ -474,7 +487,7 @@ def test_one_pass_jacobian_is_the_jacobian_times_a_positive_integer_per_row():
     # entries are compared: each row is the oracle's row times one integer
     for alpha, point in _seeded_chart_points(120, seed=77):
         generators = make_surface(alpha, alpha).generators
-        rows = modification._jacobian_at(generators, point)
+        rows = modification._jacobian_at(modification._jacobian(generators), point)
         names = generators[0].table.names
         for g, pairs in zip(generators, rows):
             assert all(type(x) is int for pair in pairs for x in pair), pairs

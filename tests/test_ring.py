@@ -1,10 +1,14 @@
 """Sparse polynomials, rational functions, and substitution homomorphisms."""
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +23,11 @@ from realforms.ring import (
     _scaled_terms,
     _specialize_all,
     _sum_terms,
+    compile_reads,
     compose,
     parse_poly,
     poly_str,
+    read_at,
 )
 
 TABLE = VarTable(("x", "y", "z"))
@@ -418,6 +424,80 @@ def test_conjugation_distributes_random():
         assert (p * q).conjugate() == p.conjugate() * q.conjugate()
 
 
+# -- compiled reads at exact values ---------------------------------------------
+
+
+READ_TABLE = VarTable(("x", "a", "y", "b", "z"))
+
+
+def _reader_batch(rng: random.Random, kept: tuple, values: dict) -> list:
+    """Random polys over READ_TABLE: zero polys among them, and in some a
+    kept monomial whose terms cancel at the values (c*m*a - c*a0*m at a = a0)."""
+    batch = []
+    for _ in range(rng.randint(1, 5)):
+        p = Poly.zero(READ_TABLE) if rng.random() < 0.2 else rand_poly(rng, READ_TABLE, 5)
+        read = [n for n in READ_TABLE.names if n not in kept]
+        if read and rng.random() < 0.5:
+            name = rng.choice(read)
+            # a kept monomial that rand_poly's exponents (at most 3) never give
+            m = Poly.const(READ_TABLE, rand_scalar(rng) or 1)
+            for n in kept:
+                m = m * Poly.var(READ_TABLE, n, 4)
+            p = p + m * (Poly.var(READ_TABLE, name) - values[name])
+        batch.append(p)
+    return batch
+
+
+def _reader_value(rng: random.Random, gaussian: bool) -> tuple:
+    """(p, q) as read_at takes it, q > 0 and p not always coprime to q, and
+    the value p/q as specialize takes it."""
+    q = rng.randint(1, 7)
+    re_, im = rng.randint(-9, 9), rng.randint(-5, 5) if gaussian else 0
+    p = GaussianRational(re_, im) if im else re_
+    return (p, q), GaussianRational(Fraction(re_, q), Fraction(im, q))
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
+def test_reads_equal_specialize_term_for_term(gaussian):
+    rng = random.Random(2046 + gaussian)
+    cancelled = zeros = 0
+    for _ in range(150):
+        kept = tuple(rng.sample(READ_TABLE.names, rng.randint(0, 3)))
+        pairs, values = {}, {}
+        for n in READ_TABLE.names:
+            if n not in kept:
+                pairs[n], values[n] = _reader_value(rng, gaussian)
+        batch = _reader_batch(rng, kept, values)
+        D, sums = read_at(compile_reads(batch, kept), pairs)
+        assert type(D) is int and D > 0
+        keep = [READ_TABLE.index(n) for n in kept]
+        for p, terms in zip(batch, sums, strict=True):
+            expected = {}
+            for e, c in p.specialize(values).terms.items():
+                assert not any(k for j, k in enumerate(e) if j not in keep), e
+                expected[tuple([e[j] for j in keep])] = c
+            assert all(type(a) is int and type(b) is int and (a or b) for _, a, b in terms)
+            read = {e: GaussianRational(Fraction(a, D), Fraction(b, D)) for e, a, b in terms}
+            assert len(read) == len(terms) and read == expected, (p, kept, values)
+            top = (4,) * len(kept)  # the kept monomial that cancels
+            if kept and any(tuple([e[j] for j in keep]) == top for e in p.terms):
+                assert top not in read
+                cancelled += 1
+            zeros += p.is_zero()
+    assert cancelled >= 10 and zeros >= 10
+
+
+def test_a_read_keeps_each_kept_monomial_in_the_order_of_the_terms():
+    table = VarTable(("x", "a"))
+    x, a = Poly.var(table, "x"), Poly.var(table, "a")
+    p = x ** 2 * a + 3 * x + Fraction(1, 2) * x ** 2 + a ** 3
+    D, (terms,) = read_at(compile_reads([p], ("x",)), {"a": (2, 3)})
+    # x^2*(2/3 + 1/2), 3*x, (2/3)^3 over D = 2 * 3^3
+    assert (D, terms) == (54, [((2,), 63, 0), ((1,), 162, 0), ((0,), 16, 0)])
+    with pytest.raises(ValueError, match="unknown variable"):
+        compile_reads([p], ("w",))
+
+
 # -- canonical text form -------------------------------------------------------
 
 
@@ -482,6 +562,22 @@ def test_parse_poly_grammar(text, expected):
 def test_parse_rejects_unknown_variable():
     with pytest.raises(ValueError, match="unknown variable 'w'"):
         parse_poly("x + w", TABLE)
+
+
+def test_importing_the_cli_compiles_no_parse_poly_pattern():
+    # parse_poly's grammar is compiled by its first call, not at import
+    code = ("import re\n"
+            "seen, compile = [], re.compile\n"
+            "re.compile = lambda pattern, flags=0: seen.append(pattern) or compile(pattern, flags)\n"
+            "import realforms.cli\n"
+            "from realforms import ring\n"
+            "grammar = {getattr(p, 'pattern', p) for p in (ring._SPACE, ring._FACTOR)}\n"
+            "assert not grammar & {getattr(p, 'pattern', p) for p in seen}, seen\n"
+            "assert str(ring.parse_poly('x^2 - i', ring.VarTable(('x',)))) == 'x^2 - i'\n"
+            "assert grammar <= set(seen), seen\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 # -- rational functions --------------------------------------------------------
