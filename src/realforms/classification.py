@@ -242,12 +242,11 @@ def _centers_at(value, vertex_centers: tuple, forms: tuple) -> tuple:
 def _center_parts(rows: dict, table: VarTable) -> tuple:
     """A center's rows at a name (see _centers_at) as Polys over the table:
     its (x, y) real parts, then its imaginary parts."""
-    re, im = [Poly.zero(table)] * 2, [Poly.zero(table)] * 2
+    parts = [Poly.zero(table)] * 4  # x's and y's real parts, then their imaginary parts
     for key, (ax, bx, ay, by, d) in rows.items():
         power = Poly.var(table, *key[0]) if key else Poly.const(table, 1)
-        re = [re[0] + power * Fraction(ax, d), re[1] + power * Fraction(ay, d)]
-        im = [im[0] + power * Fraction(bx, d), im[1] + power * Fraction(by, d)]
-    return tuple(re), tuple(im)
+        parts = [p + power * Fraction(n, d) for p, n in zip(parts, (ax, ay, bx, by))]
+    return tuple(parts[:2]), tuple(parts[2:])
 
 
 @cache
