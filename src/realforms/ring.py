@@ -393,10 +393,11 @@ def _specialize_all(polys: Sequence[Poly], values: Mapping[str, object]) -> list
 
 
 def compile_reads(polys: Sequence[Poly], kept: Sequence[str]) -> tuple:
-    """A batch of polys over one table compiled for read_at alone: Gaussian-
-    integer numerators over one denominator D, grouped by the monomial in the
-    kept names, with each distinct exponent tuple of the read names (the other
-    names the batch uses) indexed once.  An unknown kept name: ValueError."""
+    """A batch of polys over one table, compiled for read_at, which alone
+    reads it: numerators in Z[i] over one denominator D, grouped by the
+    monomial in the kept names, with each distinct exponent tuple of the read
+    names (the other names the batch uses) indexed once.  An unknown kept
+    name raises ValueError."""
     table = polys[0].table
     keep = [table.index(name) for name in kept]
     read = [k for k in range(len(table)) if k not in keep and any(
