@@ -441,8 +441,8 @@ def read_at(form: tuple, values: Mapping[str, tuple]) -> tuple[int, list]:
             if a or b:
                 terms.append((e, a, b))
     if scales and type(scales[0]) is not int:  # a and b in Z[i]: the term is a + b*i
-        sums = [[(e, re, im) for e, a, b in terms for re, im in [(a.a - b.b, a.b + b.a)]
-                 if re or im] for terms in sums]
+        sums = [[(e, x, y) for e, a, b in terms for x, y in [(a.a - b.b, a.b + b.a)]
+                 if x or y] for terms in sums]
     return D, sums
 
 
