@@ -133,7 +133,8 @@ def run_suite(check_ids=None, alpha=None, beta=None, d_max=None,
     modification.standard_rees, classification's _graph_shape, _matchings
     and _witness_engine (one each, whatever d_max), cli.build_parser, and
     the symbolic templates of surfaces._template, compiled for
-    ring.read_at (a rational fiber reads its basis through one).
+    ring.read_at (a rational fiber reads its basis through one, and the
+    fiber match and the chart claims the composites they decide on).
     """
     ids = dict.fromkeys(resolve_check_id(c) for c in (check_ids or available_checks()))
     entries = []

@@ -14,9 +14,9 @@ Its presentation is eliminated once per process over Q[a] and certified to
 specialize to the reduced grevlex basis at every admissible value
 (standard_rees, after Kalkbrener, "On the stability of Groebner bases under
 specializations", J. Symbolic Comput. 24, 1997).  A fiber at a rational
-value reads it, and the two maps that identify a fiber with the diagonal
-surface, through templates (surfaces.at_parameters), with no elimination or
-Buchberger run of its own; nothing else is kept from one call to the next.
+value reads it, and the composites of the two maps that identify a fiber with
+the diagonal surface, through templates (surfaces.at_parameters), with no
+elimination, Buchberger run or substitution of its own.
 
 The smoothness check compiles the generators and their partials once per
 report and reads the Jacobian at each sample point (ring.read_at).
@@ -29,14 +29,13 @@ from operator import le
 from .errors import FNotInIdeal, PointNotOnVariety
 from .gaussian import ONE, GaussianRational, coerce, integer_rank
 from .groebner import GREVLEX, Ideal, certified_unit, elimination_order
-from .reports import CertifiedReport, FrozenRecord, Record
+from .reports import CertifiedReport, FrozenRecord, Record, shared_in_run
 from .ring import (
     Poly, RatFunc, RingMap, VarTable, _specialize_all, compile_reads, compose, read_at,
 )
 from .surfaces import (
     ALPHA,
     SurfacePresentation,
-    _images_in_ideal,
     _param_poly,
     agree_modulo,
     at_parameters,
@@ -270,38 +269,66 @@ def surface_to_fiber_map(surface: SurfacePresentation,
     return RingMap.from_images(surface.table, fiber.table, images)
 
 
+@shared_in_run(param_pair)
+def _identification(alpha) -> tuple:
+    """The fiber, the diagonal surface, to_surface and to_fiber, built once
+    per run for the two builders below."""
+    fiber = fiber_presentation(alpha)
+    surface = make_surface(fiber.alpha)
+    return (fiber, surface, fiber_to_surface_map(fiber, surface),
+            surface_to_fiber_map(surface, fiber))
+
+
+def _fiber_composites(table: VarTable, alpha) -> dict:
+    """Over the fiber's table: to_fiber of each surface generator, then each
+    coordinate's image under the round trip compose(to_surface, to_fiber)."""
+    _, surface, to_surface, to_fiber = _identification(alpha)
+    round_trip = compose(to_surface, to_fiber)
+    return ({f"to_fiber(g{n})": to_fiber(g) for n, g in enumerate(surface.generators, 1)}
+            | {n: round_trip.image_of(n) for n in table.names if n != alpha})
+
+
+def _surface_composites(table: VarTable, alpha) -> dict:
+    """Over the surface's table: to_surface of each fiber relation and of
+    x^2 + y^2, then the coordinates under compose(to_fiber, to_surface)."""
+    fiber, _, to_surface, to_fiber = _identification(alpha)
+    images = {f"to_surface(h{n})": to_surface(h) for n, h in enumerate(fiber.generators, 1)}
+    images["to_surface(x^2 + y^2)"] = to_surface(sum(Poly.var(fiber.table, n) ** 2 for n in "xy"))
+    round_trip = compose(to_fiber, to_surface)
+    return images | {n: round_trip.image_of(n) for n in table.names if n != alpha}
+
+
 def match_fiber_to_surface(alpha) -> CertifiedReport:
     """Certify that the scale-one chart of the modification and the diagonal
     surface are isomorphic away from the chart divisors, by explicit mutually
-    inverse maps."""
+    inverse maps.  The claims read the maps' composites through templates
+    (surfaces.at_parameters): their denominators 1, x^2 + y^2, u and x are
+    free of a, so a read is the composite at the value, decided there."""
     report = CertifiedReport("def-3.4-fiber")
     fiber = fiber_presentation(alpha)
     surface = make_surface(fiber.alpha)
-    to_surface = fiber_to_surface_map(fiber, surface)
-    to_fiber = surface_to_fiber_map(surface, fiber)
+    on_fiber = at_parameters(_fiber_composites, fiber.table, fiber.alpha)
+    on_surface = at_parameters(_surface_composites, surface.table, surface.alpha)
 
     # each relation's numerator lies in the surface ideal itself: power 0
-    powers = [0 if ok else None for _, ok in _images_in_ideal(
-        to_surface, fiber.generators, surface.ideal)]
+    powers = [0 if surface.ideal.member(on_surface[f"to_surface(h{n})"].num) else None
+              for n in range(1, len(fiber.generators) + 1)]
     report.add("fiber-relations-pull-back", None not in powers, witness={"powers": powers})
 
-    vanish = all(to_fiber(g).is_zero() for g in surface.generators)
+    vanish = all(on_fiber[f"to_fiber(g{n})"].is_zero()
+                 for n in range(1, len(surface.generators) + 1))
     report.add("surface-relations-vanish-identically", vanish)
 
-    divisor_image = to_surface(
-        Poly.var(fiber.table, "x") ** 2 + Poly.var(fiber.table, "y") ** 2
-    )
+    divisor_image = on_surface["to_surface(x^2 + y^2)"]
     four_xu = 4 * Poly.var(surface.table, "x") * Poly.var(surface.table, "u")
     report.add("divisor-pulls-back-to-chart-product",
                divisor_image == RatFunc(four_xu),
                witness=str(divisor_image.num))
 
-    report.add("roundtrip-fixes-fiber-chart", agree_modulo(
-        compose(to_surface, to_fiber), RingMap.identity(fiber.table), fiber.ideal,
-    ))
-    report.add("roundtrip-fixes-surface-chart", agree_modulo(
-        compose(to_fiber, to_surface), RingMap.identity(surface.table), surface.ideal,
-    ))
+    # from_images reads the coordinates' images; a parameter maps to itself
+    for name, s, images in (("fiber", fiber, on_fiber), ("surface", surface, on_surface)):
+        report.add(f"roundtrip-fixes-{name}-chart", agree_modulo(
+            RingMap.from_images(s.table, s.table, images), RingMap.identity(s.table), s.ideal))
     return report
 
 

@@ -25,11 +25,11 @@ from realforms.modification import (
     surface_chart_point,
     surface_to_fiber_map,
 )
-from realforms.ring import Poly, VarTable, parse_poly
+from realforms.ring import Poly, RingMap, VarTable, parse_poly
 from realforms.surfaces import ALPHA, SurfacePresentation, make_surface, param_pair
 
 from test_gaussian import row_reduce  # the field-side oracle
-from test_surfaces import TEMPLATE_PAIRS
+from test_surfaces import TEMPLATE_PAIRS, claim_status, cold_templates  # noqa: F401 - a fixture
 
 TEMPLATE_PAIRS_ALPHAS = list(dict.fromkeys(v for pair in TEMPLATE_PAIRS for v in pair))
 
@@ -316,6 +316,34 @@ def test_match_fiber_to_surface_samples():
 
 def test_match_fiber_symbolic():
     assert match_fiber_to_surface("symbolic").passed
+
+
+def test_a_warm_rational_fiber_match_or_xy_chart_substitutes_no_ring_map(monkeypatch):
+    for check in ("def-3.4-fiber", "prop-4.1"):
+        assert run_check(check, alpha=2, beta=3).passed  # builds the templates
+    calls = []
+    call = RingMap.__call__
+    monkeypatch.setattr(RingMap, "__call__", lambda m, value: calls.append(m) or call(m, value))
+    for check in ("def-3.4-fiber", "prop-4.1"):
+        assert run_check(check, alpha=Fraction(-7, 3), beta=Fraction(5, 2)).passed
+    assert calls == []  # each composite is read from its template at the value
+
+
+@pytest.mark.parametrize("alpha", [Fraction(7, 3), "symbolic"])
+def test_a_wrong_identification_fails_the_fiber_match(monkeypatch, cold_templates, alpha):
+    """A u image off by 1 in the map to the fiber fails the surface relations
+    and both round trips, read through the templates of the composites as
+    when built at a name.  Templates are kept per build function, so a
+    patched definition reaches no composite compiled earlier in the process:
+    the fixture clears them before the test and after it, so no later test
+    reads a broken one."""
+    images = modification._surface_to_fiber_images
+    monkeypatch.setattr(modification, "_surface_to_fiber_images", lambda tbl, alpha: (
+        images(tbl, alpha) | {"u": images(tbl, alpha)["u"] + 1}))
+    report = match_fiber_to_surface(alpha)
+    for claim in ("surface-relations-vanish-identically", "roundtrip-fixes-fiber-chart",
+                  "roundtrip-fixes-surface-chart"):
+        assert claim_status(report, claim) == "fail"
 
 
 def test_chart_maps_send_zero_to_zero():

@@ -902,9 +902,14 @@ def test_integer_substitution_gives_the_reference_pairs(make_map):
 
 def test_integer_substitution_gives_the_reference_pairs_on_the_paper_maps(monkeypatch):
     # the maps a rational verify all substitutes with: the charts, the fiber
-    # maps and every link of the chain, each on its own inputs
+    # maps, every link of the chain, the real structures and the cocycle
+    # examples, each on its own inputs.  A rational claim reads its chart and
+    # fiber composites from templates, so they are built afresh here and
+    # their symbolic substitutions are recorded too
+    from realforms import surfaces
     from realforms.checks import run_check
 
+    surfaces._template.cache_clear()
     seen = []
     real_call = RingMap.__call__
 
@@ -914,7 +919,8 @@ def test_integer_substitution_gives_the_reference_pairs_on_the_paper_maps(monkey
 
     with monkeypatch.context() as patch:
         patch.setattr(RingMap, "__call__", recording)
-        for check in ("def-3.4-fiber", "prop-4.2", "lem-3.5"):
+        for check in ("def-3.4-fiber", "prop-4.2", "lem-3.5", "def-3.1", "rem-3.2",
+                      "sec-2-cocycle"):
             run_check(check, alpha=Fraction(-7, 3), beta=Fraction(5, 2))
     assert len(seen) > 30
     for m, value in seen:

@@ -73,6 +73,14 @@ def claim_status(report, claim_id: str) -> str:
     return matches[0]
 
 
+@pytest.fixture
+def cold_templates():
+    """No template before the test, and none built from its patches after."""
+    surfaces._template.cache_clear()
+    yield
+    surfaces._template.cache_clear()
+
+
 # -- presentations ----------------------------------------------------------
 
 
@@ -346,7 +354,7 @@ def test_xy_projection_chart():
         assert verify_xy_projection_chart(a, b).passed
 
 
-def test_y0_cubic_roots_are_evaluated(monkeypatch):
+def test_y0_cubic_roots_are_evaluated(monkeypatch, cold_templates):
     generators = surfaces.surface_generators
 
     def off_by_x_squared(table, alpha, beta):
@@ -354,7 +362,8 @@ def test_y0_cubic_roots_are_evaluated(monkeypatch):
         return g1 + Poly.var(table, "x") ** 2, g2, g3
 
     # templates are kept per build function, so the patched one makes and
-    # reads a template of its own
+    # reads a template of its own; the chart's composites, built from it,
+    # must not outlive the test
     monkeypatch.setattr(surfaces, "surface_generators", off_by_x_squared)
     wrong = off_by_x_squared(VarTable(surfaces.COORDS), Fraction(2), Fraction(3))
     assert make_surface(2, 3).generators[0] == wrong[0]
@@ -465,10 +474,31 @@ def test_template_reads_equal_the_direct_constructions():
     fiber = VarTable(("x", "y", "T2", "T3"))
     for a, b in TEMPLATE_PAIRS:
         for build in (surfaces.surface_generators, surfaces._uv_chart_images,
-                      surfaces._xy_chart_images):
+                      surfaces._xy_chart_images, surfaces._uv_chart_last_generator,
+                      surfaces._xy_chart_generators):
             _read_equals_direct(build, surface, a, b)
-        _read_equals_direct(modification._fiber_to_surface_images, surface, a)
-        _read_equals_direct(modification._surface_to_fiber_images, fiber, a)
+        # the composites against the maps built and substituted at the value
+        for build, table in ((modification._fiber_to_surface_images, surface),
+                             (modification._surface_to_fiber_images, fiber),
+                             (modification._fiber_composites, fiber),
+                             (modification._surface_composites, surface)):
+            _read_equals_direct(build, table, a)
+
+
+@pytest.mark.parametrize("alpha, beta", [(Fraction(7, 3), Fraction(5, 4)), ("symbolic", "b")])
+def test_a_wrong_xy_chart_image_fails_its_generators_at_a_value(monkeypatch, cold_templates,
+                                                                alpha, beta):
+    """A v image off by 1 leaves g1 vanishing under the xy chart, but not g2 or
+    g3, read through the template of the composites as when built at a
+    name.  Templates are kept per build function, so a patched definition
+    reaches no composite compiled earlier in the process: the fixture clears
+    them before the test and after it, so no later test reads a broken one."""
+    images = surfaces._xy_chart_images
+    monkeypatch.setattr(surfaces, "_xy_chart_images", lambda tbl, alpha, beta: (
+        images(tbl, alpha, beta) | {"v": images(tbl, alpha, beta)["v"] + 1}))
+    report = verify_xy_projection_chart(alpha, beta)
+    assert [claim_status(report, f"chart-generator-{k}-vanishes") for k in (1, 2, 3)] == [
+        "pass", "fail", "fail"]
 
 
 def test_a_numerator_that_vanishes_at_a_value_reads_as_zero_over_one():
