@@ -18,26 +18,27 @@ value reads it, and the composites of the two maps that identify a fiber with
 the diagonal surface, through templates (surfaces.at_parameters), with no
 elimination, Buchberger run or substitution of its own.
 
-The smoothness check compiles the generators and their partials once per
-report and reads the Jacobian at each sample point (ring.read_at).
+The smoothness check reads its sample points, the generators there and
+their partials from one template at the value (ring.read_at).
 """
 from __future__ import annotations
 
 from functools import cache
+from itertools import islice
 from operator import le
 
 from .errors import FNotInIdeal, PointNotOnVariety
-from .gaussian import ONE, GaussianRational, coerce, integer_rank
+from .gaussian import ONE, _reduce, integer_rank
 from .groebner import GREVLEX, Ideal, certified_unit, elimination_order
 from .reports import CertifiedReport, FrozenRecord, Record, shared_in_run
-from .ring import (
-    Poly, RatFunc, RingMap, VarTable, _specialize_all, compile_reads, compose, read_at,
-)
+from .ring import Poly, RatFunc, RingMap, VarTable, _specialize_all, compose, read_at
 from .surfaces import (
     ALPHA,
+    COORDS,
     SurfacePresentation,
+    _fixes_coordinates,
     _param_poly,
-    agree_modulo,
+    _template,
     at_parameters,
     chart_yv,
     isotropic_inverse,
@@ -45,6 +46,7 @@ from .surfaces import (
     make_surface,
     param_pair,
     param_ring,
+    surface_generators,
 )
 
 SCALE_PREFIX = "T"
@@ -213,6 +215,7 @@ def rees_report(spec: ModificationSpec | None = None) -> CertifiedReport:
 # ---------------------------------------------------------------------------
 
 
+@shared_in_run(param_pair)
 def fiber_presentation(alpha) -> SurfacePresentation:
     """The affine chart of the modification where the first scale is 1, as a
     presentation over (x, y, T2, T3) and the symbolic parameter (beta = alpha).
@@ -220,6 +223,7 @@ def fiber_presentation(alpha) -> SurfacePresentation:
     Its relations are those of standard_rees at the first scale 1, read
     through a template at a rational value: the reduced grevlex basis there,
     as standard_rees certifies, with no elimination or Buchberger run.
+    Within one suite run, equal cooked parameters give the same fiber.
     """
     cooked, _ = param_pair(alpha)
     spec, rees = standard_rees()
@@ -325,10 +329,9 @@ def match_fiber_to_surface(alpha) -> CertifiedReport:
                divisor_image == RatFunc(four_xu),
                witness=str(divisor_image.num))
 
-    # from_images reads the coordinates' images; a parameter maps to itself
+    # each coordinate's image against the coordinate; a parameter maps to itself
     for name, s, images in (("fiber", fiber, on_fiber), ("surface", surface, on_surface)):
-        report.add(f"roundtrip-fixes-{name}-chart", agree_modulo(
-            RingMap.from_images(s.table, s.table, images), RingMap.identity(s.table), s.ideal))
+        report.add(f"roundtrip-fixes-{name}-chart", _fixes_coordinates(images, s.ideal))
     return report
 
 
@@ -337,64 +340,45 @@ def match_fiber_to_surface(alpha) -> CertifiedReport:
 # ---------------------------------------------------------------------------
 
 
-def _as_scalar(value) -> GaussianRational:
-    c = coerce(value)
-    if c is None:
-        raise TypeError(f"not an exact scalar: {value!r}")
-    return c
-
-
-def surface_chart_point(alpha, x0, u0) -> dict:
-    """An exact point of the diagonal surface from chart coordinates with
-    x0*u0 != 0."""
-    alpha = _as_scalar(alpha)
-    x0 = _as_scalar(x0)
-    u0 = _as_scalar(u0)
-    y0, v0 = chart_yv(x0, u0, alpha, alpha)
-    return {"x": x0, "y": y0, "u": u0, "v": v0}
-
-
-def _jacobian(generators) -> tuple:
-    """The generators, their table's names and, for _jacobian_at, one batch
-    of the generators then their partials (ring.compile_reads)."""
-    names = generators[0].table.names if generators else ()
-    partials = [g.derivative(n) for g in generators for n in names]
-    return generators, names, compile_reads([*generators, *partials], ()) if generators else None
-
-
-def _jacobian_at(jacobian: tuple, values: dict) -> list:
-    """The Jacobian (see _jacobian) at a point where every generator must
-    vanish, in one read (ring.read_at): per generator its row of partials as
-    Gaussian-integer pairs (re, im), every row times one positive integer."""
-    generators, names, form = jacobian
-    point = [_as_scalar(values[n]) for n in names]  # KeyError for a missing one
-    if not generators:
-        return []
-    _, sums = read_at(form, {n: (GaussianRational(v.a, v.b) if v.b else v.a, v.d)
-                             for n, v in zip(names, point)})
-    for g, terms in zip(generators, sums):
-        if terms:
-            raise PointNotOnVariety(f"relation {g} does not vanish at the point")
-    entries = [terms[0][1:] if terms else (0, 0) for terms in sums[len(generators):]]
-    return [entries[k:k + len(names)] for k in range(0, len(entries), len(names))]
-
-
 DEFAULT_CHART_SAMPLES = ((1, 1), (2, 1), (-1, 1), (-1, 2), (3, -1))
 
 
+def _chart_samples(table: VarTable, alpha) -> tuple:
+    """Per chart sample (x0, u0) of DEFAULT_CHART_SAMPLES, over the table:
+    y0 and v0 of the point of the diagonal surface there (chart_yv, over the
+    integers u0 and x0), then the generators and their partials in each
+    coordinate at that point, all polynomials in alpha alone."""
+    gens = surface_generators(table, alpha, alpha)
+    gens += tuple(g.derivative(n) for g in gens for n in COORDS)
+    a = RatFunc(_param_poly(table, alpha))
+    out = []
+    for x0, u0 in DEFAULT_CHART_SAMPLES:
+        y0, v0 = chart_yv(x0, u0, a, a)
+        at = RingMap.from_images(table, table, {"y": y0, "v": v0})
+        out += [f.as_poly() for f in (y0, v0, *map(at, _specialize_all(gens, {"x": x0, "u": u0})))]
+    return tuple(out)
+
+
 def smoothness_report(alpha) -> CertifiedReport:
-    """Jacobian rank 2 at exact sample points of the diagonal surface."""
+    """Jacobian rank 2 at exact sample points of the diagonal surface, read
+    at alpha from the template of _chart_samples in one pass (ring.read_at)
+    as Gaussian-integer numerators over one positive denominator.  Every
+    generator must read 0, or PointNotOnVariety is raised; the rank is that
+    of the integer rows of partials (gaussian.integer_rank)."""
     report = CertifiedReport("def-3.4-fiber")
     if isinstance(alpha, str):
         raise TypeError(f"not an exact scalar: {alpha!r}")
     alpha, _ = param_pair(alpha)
-    jacobian = _jacobian(make_surface(alpha, alpha).ideal.generators)
+    D, sums = read_at(_template(_chart_samples, COORDS, 1)[1],
+                      {ALPHA: (alpha.numerator, alpha.denominator)})
+    generators = make_surface(alpha, alpha).generators
+    values = (terms[0][1:] if terms else (0, 0) for terms in sums)
     for x0, u0 in DEFAULT_CHART_SAMPLES:
-        point = surface_chart_point(alpha, x0, u0)
-        rank = integer_rank(_jacobian_at(jacobian, point))
-        report.add(
-            f"jacobian-rank-2-at-({x0},{u0})",
-            rank == 2,
-            witness={name: str(val) for name, val in point.items()},
-        )
+        y0, v0, *at = islice(values, 5)
+        for g, value in zip(generators, at):
+            if value != (0, 0):
+                raise PointNotOnVariety(f"relation {g} does not vanish at the point")
+        rows = [list(islice(values, len(COORDS))) for _ in at]
+        report.add(f"jacobian-rank-2-at-({x0},{u0})", integer_rank(rows) == 2, witness=dict(
+            zip(COORDS, map(str, (x0, _reduce(*y0, D), u0, _reduce(*v0, D))))))
     return report

@@ -11,16 +11,18 @@ defining equations are
 
 Everything here is exact; chart identities are verified as rational-function
 identities and residual claims as ideal equalities.  At rational parameters
-the generators, the chart images and the composites a claim reads (such as
-each generator under a chart) come from symbolic templates over Q[a, b],
-built once per process and read in integers by ring.read_at
-(at_parameters); each claim is decided on the read at the values.
+the generators, the chart images and every composite a claim reads (each
+generator under a chart, a swap or the pair-swap conjugation, the fibers
+over chart points, and the round trips and squares of the swaps) come from
+symbolic templates over Q[a, b], built once per process and read in
+integers by ring.read_at (at_parameters); each claim is decided on the read
+at the values, by the tests the symbolic path makes on what it builds.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import (
     ForbiddenParameter,
@@ -41,6 +43,7 @@ from .ring import (
 ALPHA = "a"
 BETA = "b"
 COORDS = ("x", "y", "u", "v")
+GENERATOR_NAMES = ("g1", "g2", "g3")
 GEOMETRY_COORDS = ("x", "y", "z")
 # Every variable of a library table: the surface, the plane and its
 # modification (inverse t, scales T1-T3).  Also i, which would print and
@@ -116,25 +119,28 @@ def param_ring(base: tuple[str, ...], *cooked) -> tuple:
 @cache
 def _template(build, base: tuple[str, ...], count: int) -> tuple:
     """build(table, *names) over base and the first count of (a, b), made
-    once per process on first use: RatFunc names or None, and the polys
-    (each RatFunc's two parts) compiled by ring.compile_reads with the base
-    names kept.  A denominator that involves a parameter raises ValueError,
-    so a read is a ring homomorphism at every value."""
+    once per process on first use: a dict's names, each with its number of
+    parts (a Poly's 1, a RatFunc's 2), or None, and the parts compiled by
+    ring.compile_reads with the base names kept.  A denominator that
+    involves a parameter raises ValueError, so a read is a ring
+    homomorphism at every value."""
     table, _, _ = param_ring(base, *(ALPHA, BETA)[:count])
     built = build(table, *table.names[len(base):])
     names, polys = None, built
     if not isinstance(built, tuple):
-        for f in built.values():
-            if any(any(e[len(base):]) for e in f.den.terms):
-                raise ValueError(f"denominator {f.den} of a template involves a parameter")
-        names, polys = tuple(built), [p for f in built.values() for p in (f.num, f.den)]
+        parts = [(f,) if isinstance(f, Poly) else (f.num, f.den) for f in built.values()]
+        for part in parts:
+            if len(part) == 2 and any(any(e[len(base):]) for e in part[1].terms):
+                raise ValueError(f"denominator {part[1]} of a template involves a parameter")
+        names = tuple(zip(built, map(len, parts)))
+        polys = [p for part in parts for p in part]
     return names, compile_reads(polys, base)
 
 
 def at_parameters(build, table: VarTable, *cooked):
-    """build(table, *cooked), a tuple of Polys or a dict of RatFuncs, at
-    cooked parameters over their param_ring table.  A symbolic one builds
-    it; rational values read the template in one integer pass
+    """build(table, *cooked), a tuple of Polys or a dict of Polys and
+    RatFuncs, at cooked parameters over their param_ring table.  A symbolic
+    one builds it; rational values read the template in one integer pass
     (ring.read_at).  A Poly's terms are reduced to Q(i) once each; a
     RatFunc's two parts, over one denominator, go to ring._int_ratfunc, so
     nothing is divided."""
@@ -143,10 +149,15 @@ def at_parameters(build, table: VarTable, *cooked):
     names, form = _template(build, table.names, len(cooked))
     q, sums = read_at(form, {name: (v.numerator, v.denominator)
                              for name, v in zip((ALPHA, BETA), cooked)})
+
+    def poly(terms):
+        return _poly(table, {e: _reduce(a, b, q) for e, a, b in terms})
+
     if names is None:
-        return tuple(_poly(table, {e: _reduce(a, b, q) for e, a, b in terms}) for terms in sums)
-    return {name: _int_ratfunc(table, num, den)
-            for name, num, den in zip(names, sums[::2], sums[1::2])}
+        return tuple(map(poly, sums))
+    parts = iter(sums)
+    return {name: _int_ratfunc(table, next(parts), next(parts)) if size == 2 else poly(next(parts))
+            for name, size in names}
 
 
 class SurfacePresentation(FrozenRecord):
@@ -218,23 +229,18 @@ def free_presentation(table: VarTable) -> SurfacePresentation:
     return SurfacePresentation(table=table, ideal=Ideal([], table), alpha=None, beta=None)
 
 
-def _fiber(s: SurfacePresentation, point: dict,
-           expected: Sequence[Poly]) -> tuple[list[Poly], bool]:
-    """The generators specialized to the fiber over a point, and whether
-    their nonzero members (a specialization can send a generator to zero)
-    generate the same ideal as the expected polynomials."""
-    fiber = _specialize_all(s.generators, point)
-    ideal = Ideal([p for p in fiber if not p.is_zero()], s.table)
-    return fiber, ideal.equal(Ideal(list(expected), s.table))
+def _fibers(generators: Sequence[Poly], points: dict) -> dict:
+    """The generators over each named point p, as "g1 over p" and so on."""
+    return {f"{name} over {label}": p for label, point in points.items()
+            for name, p in zip(GENERATOR_NAMES, _specialize_all(generators, point))}
 
 
-def _images_in_ideal(m: RingMap, generators: Sequence[Poly],
-                     ideal: Ideal) -> Iterator[tuple[RatFunc, bool]]:
-    """Yield each generator's image under the substitution and whether its
-    numerator lies in the ideal."""
-    for g in generators:
-        image = m(g)
-        yield image, ideal.member(image.num)
+def _fiber(links: dict, point: str, expected: str) -> tuple[list[Poly], bool]:
+    """The generators over the point (see _fibers) in a template's dict, and
+    whether their nonzero members (a specialization can send a generator to
+    zero) generate the same ideal as the expected entry."""
+    fiber = [links[f"{g} over {point}"] for g in GENERATOR_NAMES]
+    return fiber, Ideal([p for p in fiber if p], fiber[0].table).equal(Ideal([links[expected]]))
 
 
 def agree_modulo(left: RingMap, right: RingMap, ideal: Ideal) -> bool:
@@ -250,18 +256,39 @@ def agree_modulo(left: RingMap, right: RingMap, ideal: Ideal) -> bool:
                for l, r in zip(left.images, right.images))
 
 
+def _fixes_coordinates(images: dict, ideal: Ideal) -> bool:
+    """Does num - x*den lie in the ideal itself for each image num/den that
+    images gives a variable x of the ideal's table?  The rest are fixed."""
+    table = ideal.table
+    return all(ideal.member(f.num - Poly.var(table, n) * f.den)
+               for n in table.names if (f := images.get(n)) is not None)
+
+
 def _check_pullback(m: RingMap, codomain: SurfacePresentation,
-                    domain: SurfacePresentation, anti: bool, error: type) -> None:
+                    domain: SurfacePresentation, anti: bool, error: type, images=None) -> None:
     """Raise error unless m is the pullback of a morphism from domain to
     codomain: it conjugates coefficients exactly when anti is set, goes from
     the codomain ring to the domain ring, and sends every codomain generator
-    to a numerator that lies in the domain ideal itself."""
+    to a numerator that lies in the domain ideal itself.  The generators'
+    images are substituted after the first two tests unless given."""
     if m.conjugates_coefficients != anti:
         raise error("pullback must " + ("" if anti else "not ") + "conjugate coefficients")
     if m.source != codomain.table or m.target != domain.table:
         raise error("pullback must go from codomain ring to domain ring")
-    if not all(ok for _, ok in _images_in_ideal(m, codomain.generators, domain.ideal)):
+    if not all(domain.ideal.member(f.num) for f in images or map(m, codomain.generators)):
         raise error("pullback does not send the ideal into the ideal")
+
+
+def _holds_on(surface: SurfacePresentation, m: RingMap, anti: bool, error: type,
+              maps: tuple, read: tuple | None = None) -> bool:
+    """_check_pullback of m as a self-map of the surface, then: does
+    compose(*maps) fix each coordinate modulo the ideal?  read holds the
+    generators' images under m and the coordinates' under the composite as
+    a template reads them; without it both are substituted."""
+    pulled, composite = read or (None, None)
+    _check_pullback(m, surface, surface, anti, error, pulled)
+    composite = composite or dict(zip(surface.table.names, compose(*maps).images))
+    return _fixes_coordinates(composite, surface.ideal)
 
 
 class RealStructure(FrozenRecord):
@@ -270,9 +297,12 @@ class RealStructure(FrozenRecord):
     __slots__ = ("surface", "map")
 
     def __init__(self, surface: SurfacePresentation, map: RingMap):
+        self._set_checked(surface, map)
+
+    def _set_checked(self, surface: SurfacePresentation, map: RingMap, read=None) -> None:
+        """Set the fields of a real structure that _holds_on finds, on read."""
         super().__init__(surface, map)
-        _check_pullback(map, surface, surface, True, NotAntiInvolution)
-        if not agree_modulo(compose(map, map), RingMap.identity(surface.table), surface.ideal):
+        if not _holds_on(surface, map, True, NotAntiInvolution, (map, map), read):
             raise NotAntiInvolution("square is not the identity modulo the ideal")
 
 
@@ -287,19 +317,47 @@ def swap_map(pres_source: SurfacePresentation, pres_target: SurfacePresentation,
     return RingMap(pres_source.table, table_t, images, conjugates_coefficients=conjugate)
 
 
+def _pair_swap_links(tbl: VarTable, alpha) -> dict:
+    """Over W(alpha, alpha)'s table: the pair-swap conjugation rho and the
+    plain swap tau of each generator, then the coordinates' images under
+    rho.rho and (tau.rho)^2."""
+    ends = free_presentation(tbl)
+    rho, tau = (swap_map(ends, ends, conjugate=c) for c in (True, False))
+    gens = zip(GENERATOR_NAMES, surface_generators(tbl, alpha, alpha))
+    links = {f"{name}({g})": m(p) for g, p in gens for name, m in (("rho", rho), ("tau", tau))}
+    square, twisted = compose(rho, rho), compose(tau, rho, tau, rho)
+    for name, composite in (("rho.rho", square), ("(tau.rho)^2", twisted)):
+        links |= {f"{name}({n})": composite.image_of(n) for n in COORDS}
+    return links
+
+
 # keyed by the parameters alone: within a run make_surface hands out one
 # presentation per cooked pair, and the checks build no other
 @shared_in_run(lambda surface: (surface.alpha, surface.beta))
+def _pair_swap_reads(surface: SurfacePresentation) -> dict:
+    """_pair_swap_links at the surface's parameter as _holds_on reads it:
+    for rho and for tau, the generators' images, then the coordinates'
+    under rho.rho or (tau.rho)^2."""
+    links = at_parameters(_pair_swap_links, surface.table, surface.alpha)
+    return {m: ([links[f"{m}({g})"] for g in GENERATOR_NAMES],
+                {n: links[f"{c}({n})"] for n in COORDS})
+            for m, c in (("rho", "rho.rho"), ("tau", "(tau.rho)^2"))}
+
+
+@shared_in_run(lambda surface: (surface.alpha, surface.beta))
 def swap_real_structure(surface: SurfacePresentation) -> RealStructure:
     """The real structure on the surface that exchanges the two coordinate
-    pairs, (x, y, u, v) -> conj(u, v, x, y).
+    pairs, (x, y, u, v) -> conj(u, v, x, y), decided on _pair_swap_links.
 
     Raises NotAntiInvolution unless the surface is diagonal (beta = alpha);
     the parameter, rational or symbolic, is real.
     """
     if surface.alpha != surface.beta:
         raise NotAntiInvolution("the pair-swap conjugation needs beta = alpha")
-    return RealStructure(surface, swap_map(surface, surface, conjugate=True))
+    m = swap_map(surface, surface, conjugate=True)
+    rho = RealStructure.__new__(RealStructure)
+    rho._set_checked(surface, m, _pair_swap_reads(surface)["rho"])
+    return rho
 
 
 def standard_conjugation(surface: SurfacePresentation) -> RealStructure:
@@ -312,25 +370,41 @@ def standard_conjugation(surface: SurfacePresentation) -> RealStructure:
 # ---------------------------------------------------------------------------
 
 
+def _swap_links(tbl: VarTable, alpha, beta) -> dict:
+    """Over W(alpha, beta)'s table, which W(beta, alpha) shares: the swap's
+    pullback of each generator of W(beta, alpha), then the coordinates'
+    images under the round trip swap.swap."""
+    ends = free_presentation(tbl)
+    m = swap_map(ends, ends, conjugate=False)
+    round_trip = compose(m, m)
+    return ({f"swap({name})": m(g)
+             for name, g in zip(GENERATOR_NAMES, surface_generators(tbl, beta, alpha))}
+            | {n: round_trip.image_of(n) for n in COORDS})
+
+
 def verify_swap_isomorphism(alpha, beta) -> CertifiedReport:
     """The swap (x,y,u,v) -> (u,v,x,y) maps the surface onto the
-    parameter-swapped surface; composed with itself it is the identity."""
+    parameter-swapped surface; composed with itself it is the identity.
+    Both are decided on the composites _swap_links builds."""
     report = CertifiedReport("rem-3.2")
     s_ab = make_surface(alpha, beta)
     s_ba = make_surface(s_ab.beta, s_ab.alpha)
     m = swap_map(s_ba, s_ab, conjugate=False)  # pullback: functions on s_ba -> s_ab
-    images = _images_in_ideal(m, s_ba.generators, s_ab.ideal)
-    for n, (image, ok) in enumerate(images, start=1):
-        report.add(f"swap-generator-{n}", ok, witness=str(image.num))
     back = swap_map(s_ab, s_ba, conjugate=False)
-    round_trip = compose(m, back)
-    report.add("swap-involution", round_trip.is_identity())
+    links = at_parameters(_swap_links, s_ab.table, s_ab.alpha, s_ab.beta)
+    for n, image in enumerate((links[f"swap({g})"] for g in GENERATOR_NAMES), start=1):
+        report.add(f"swap-generator-{n}", s_ab.ideal.member(image.num), witness=str(image.num))
+    # compose(m, back) is the identity map: the tables and flag, then each image
+    chained = m.target == back.source and m.source == back.target
+    flipped = m.conjugates_coefficients != back.conjugates_coefficients
+    report.add("swap-involution", chained and not flipped
+               and _fixes_coordinates(links, free_presentation(s_ab.table).ideal))
     return report
 
 
 def sigma_report(alpha) -> CertifiedReport:
     """The pair-swap conjugation is an anti-regular involution and its
-    pullback permutes the generators as expected."""
+    pullback permutes the generators as expected, on _pair_swap_links."""
     report = CertifiedReport("def-3.1")
     try:
         rho = swap_real_structure(make_surface(alpha))
@@ -339,13 +413,11 @@ def sigma_report(alpha) -> CertifiedReport:
         return report
     report.add("swap-conjugation-exists", True)
     s = rho.surface
+    (im_g1, _, im_g3), square = _pair_swap_reads(s)["rho"]
     g1, g2, g3 = s.generators
-    im_g1 = rho.map(g1)
-    im_g3 = rho.map(g3)
     report.add("pullback-g1-is-g2", im_g1.is_polynomial() and im_g1.as_poly() == g2)
     report.add("pullback-g3-fixed", im_g3.is_polynomial() and im_g3.as_poly() == g3)
-    square = compose(rho.map, rho.map)
-    report.add("involution", agree_modulo(square, RingMap.identity(s.table), s.ideal))
+    report.add("involution", _fixes_coordinates(square, s.ideal))
     return report
 
 
@@ -360,7 +432,8 @@ def generators_report(alpha, beta) -> CertifiedReport:
     report.add("generator-1", g1 == y * u - x * (x - 1) * (x - a))
     report.add("generator-2", g2 == x * v - u * (u - 1) * (u - b))
     report.add("generator-3", g3 == y * v - (x - 1) * (x - a) * (u - 1) * (u - b))
-    residue, same = _fiber(s, {"x": 0, "u": 0}, [y * v - a * b])
+    links = at_parameters(_uv_chart_links, s.table, s.alpha, s.beta)
+    residue, same = _fiber(links, "(0,0)", "y*v - a*b")
     report.add("origin-residue", same, witness=str(residue[2]))
     return report
 
@@ -377,16 +450,36 @@ def _xy_chart_images(tbl: VarTable, alpha, beta) -> dict:
     return {"u": u_img, "v": (x - 1) * (x - a) * (u_img - 1) * (u_img - b) / y}
 
 
-def _uv_chart_last_generator(tbl: VarTable, alpha, beta) -> dict:
-    """g3 mapped through the uv chart: 0 over 1, as it vanishes."""
+def _uv_chart_links(tbl: VarTable, alpha, beta) -> dict:
+    """What lem-3.5 reads: g3 mapped through the uv chart (0 over 1, as it
+    vanishes), x^2 + y^2 pulled back along the projection (x + u, i*x - i*u),
+    the generators over (x, u) = (0, 0) and (1, 0), and the residual
+    relations expected there."""
+    gens = surface_generators(tbl, alpha, beta)
     chart = RingMap.from_images(tbl, tbl, _uv_chart_images(tbl, alpha, beta))
-    return {"g3": chart(surface_generators(tbl, alpha, beta)[2])}
+    plane, _, _ = param_ring(("x", "y"), alpha, beta)
+    plane_x, plane_y = isotropic_pair(RatFunc.var(tbl, "x"), RatFunc.var(tbl, "u"))
+    proj = RingMap.from_images(plane, tbl, {"x": plane_x, "y": plane_y})
+    y, v = Poly.var(tbl, "y"), Poly.var(tbl, "v")
+    a, b = _param_poly(tbl, alpha), _param_poly(tbl, beta)
+    return ({"chart(g3)": chart(gens[2]), "proj(x^2 + y^2)": proj(sum(
+                Poly.var(plane, n) ** 2 for n in "xy"))}
+            | _fibers(gens, {"(0,0)": {"x": 0, "u": 0}, "(1,0)": {"x": 1, "u": 0}})
+            | {"y*v - a*b": y * v - a * b, "v": v})
 
 
-def _xy_chart_generators(tbl: VarTable, alpha, beta) -> dict:
-    """Each generator mapped through the xy chart: all vanish."""
+def _xy_chart_links(tbl: VarTable, alpha, beta) -> dict:
+    """What prop-4.1 reads: each generator mapped through the xy chart (all
+    vanish), g1 at y = 0 and the cubic x*(x-1)*(x-alpha), the generators
+    over (x, y) = (1, 0), and the cubic curve expected there."""
+    gens = surface_generators(tbl, alpha, beta)
     chart = RingMap.from_images(tbl, tbl, _xy_chart_images(tbl, alpha, beta))
-    return {f"g{k}": chart(g) for k, g in enumerate(surface_generators(tbl, alpha, beta), 1)}
+    x, u, v = (Poly.var(tbl, n) for n in "xuv")
+    a, b = _param_poly(tbl, alpha), _param_poly(tbl, beta)
+    return ({f"chart({name})": chart(g) for name, g in zip(GENERATOR_NAMES, gens)}
+            | {"g1 at y = 0": gens[0].specialize({"y": 0}), "x*(x-1)*(x-a)": x * (x - 1) * (x - a)}
+            | _fibers(gens, {"(1,0)": {"x": 1, "y": 0}})
+            | {"v - u*(u-1)*(u-b)": v - u * (u - 1) * (u - b)})
 
 
 @shared_in_run(param_pair)
@@ -400,24 +493,17 @@ def verify_modified_plane_chart(alpha, beta) -> CertifiedReport:
     report = CertifiedReport("lem-3.5")
     s = make_surface(alpha, beta)
     tbl = s.table
-    x, u = RatFunc.var(tbl, "x"), RatFunc.var(tbl, "u")
-    a_p, b_p = _param_poly(tbl, s.alpha), _param_poly(tbl, s.beta)
-    g3_image = at_parameters(_uv_chart_last_generator, tbl, s.alpha, s.beta)["g3"]
+    links = at_parameters(_uv_chart_links, tbl, s.alpha, s.beta)
+    g3_image = links["chart(g3)"]
     report.add("chart-last-generator-vanishes", g3_image.is_zero(), witness=str(g3_image))
 
-    plane, _, _ = param_ring(("x", "y"), s.alpha, s.beta)
-    plane_x, plane_y = isotropic_pair(x, u)
-    proj = RingMap.from_images(plane, tbl, {"x": plane_x, "y": plane_y})
-    xx = Poly.var(plane, "x")
-    yy = Poly.var(plane, "y")
-    pulled = proj(xx * xx + yy * yy)
+    pulled = links["proj(x^2 + y^2)"]
     four_xu = 4 * Poly.var(tbl, "x") * Poly.var(tbl, "u")
     report.add("sum-of-squares-pullback", pulled == RatFunc(four_xu), witness=str(pulled.num))
 
-    y_p, v_p = s.var("y"), s.var("v")
-    origin, same = _fiber(s, {"x": 0, "u": 0}, [y_p * v_p - a_p * b_p])
+    origin, same = _fiber(links, "(0,0)", "y*v - a*b")
     report.add("fiber-over-origin", same, witness=[str(p) for p in origin])
-    one_zero, same = _fiber(s, {"x": 1, "u": 0}, [v_p])
+    one_zero, same = _fiber(links, "(1,0)", "v")
     report.add("fiber-over-(1,0)", same,
                witness={"residual": [str(p) for p in one_zero], "free": "y"})
     return report
@@ -434,14 +520,12 @@ def verify_xy_projection_chart(alpha, beta) -> CertifiedReport:
     report = CertifiedReport("prop-4.1")
     s = make_surface(alpha, beta)
     tbl = s.table
-    images = at_parameters(_xy_chart_generators, tbl, s.alpha, s.beta)
-    for k, image in enumerate(images.values(), 1):
+    links = at_parameters(_xy_chart_links, tbl, s.alpha, s.beta)
+    for k, image in enumerate((links[f"chart({g})"] for g in GENERATOR_NAMES), 1):
         report.add(f"chart-generator-{k}-vanishes", image.is_zero())
 
-    x_p, u_p, v_p = (Poly.var(tbl, n) for n in ("x", "u", "v"))
-    a_p, b_p = _param_poly(tbl, s.alpha), _param_poly(tbl, s.beta)
-    at_y0 = s.generators[0].specialize({"y": 0})
-    cubic = x_p * (x_p - 1) * (x_p - a_p)
+    x_p, a_p = Poly.var(tbl, "x"), _param_poly(tbl, s.alpha)
+    at_y0, cubic = links["g1 at y = 0"], links["x*(x-1)*(x-a)"]
     report.add("y0-locus-is-cubic", at_y0 == -cubic, witness=str(at_y0))
     # factor theorem: x - r divides the locus exactly when r is a root
     report.add(
@@ -449,7 +533,7 @@ def verify_xy_projection_chart(alpha, beta) -> CertifiedReport:
         all(exact_quotient(at_y0, x_p - r) is not None for r in (0, 1, a_p)),
         witness=["0", "1", str(s.alpha)],
     )
-    fiber, same = _fiber(s, {"x": 1, "y": 0}, [v_p - u_p * (u_p - 1) * (u_p - b_p)])
+    fiber, same = _fiber(links, "(1,0)", "v - u*(u-1)*(u-b)")
     report.add("fiber-over-(1,0)-is-cubic-curve", same, witness=[str(p) for p in fiber])
     return report
 
@@ -553,9 +637,7 @@ def is_cocycle(presentation: SurfacePresentation, tau: RingMap,
     NotAutomorphism is raised; rho is a real structure on the same
     presentation.
     """
-    _check_pullback(tau, presentation, presentation, False, NotAutomorphism)
-    composite = compose(tau, rho.map, tau, rho.map)
-    return agree_modulo(composite, RingMap.identity(presentation.table), presentation.ideal)
+    return _holds_on(presentation, tau, False, NotAutomorphism, (tau, rho.map, tau, rho.map))
 
 
 def are_equivalent_structures(domain: SurfacePresentation, codomain: SurfacePresentation,
@@ -797,9 +879,11 @@ def cocycle_examples_report(alpha=2) -> CertifiedReport:
     """
     report = CertifiedReport("sec-2-cocycle")
     s = make_surface(alpha)
-    rho = swap_real_structure(s)
+    swap_real_structure(s)  # raises unless the pair swap is a real structure on s
     tau = swap_map(s, s, conjugate=False)
-    report.add("pair-swap-twist-is-cocycle", is_cocycle(s, tau, rho))
+    # is_cocycle(s, tau, rho), on _pair_swap_links
+    report.add("pair-swap-twist-is-cocycle",
+               _holds_on(s, tau, False, NotAutomorphism, (), _pair_swap_reads(s)["tau"]))
 
     line = VarTable(("x",))
     whole_line = free_presentation(line)

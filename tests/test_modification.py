@@ -4,13 +4,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
-from realforms import groebner, modification
+from realforms import groebner, modification, surfaces
 from realforms.checks import run_check
 from realforms.errors import FNotInIdeal, ForbiddenParameter, PointNotOnVariety
-from realforms.gaussian import GaussianRational, I, integer_rank
+from realforms.gaussian import GaussianRational, I, coerce, integer_rank
 from realforms.groebner import Ideal, elimination_order, normal_form
 from realforms.modification import (
     ModificationSpec,
@@ -22,11 +23,10 @@ from realforms.modification import (
     smoothness_report,
     standard_modification,
     standard_rees,
-    surface_chart_point,
     surface_to_fiber_map,
 )
 from realforms.ring import Poly, RingMap, VarTable, parse_poly
-from realforms.surfaces import ALPHA, SurfacePresentation, make_surface, param_pair
+from realforms.surfaces import ALPHA, SurfacePresentation, chart_yv, make_surface, param_pair
 
 from test_gaussian import row_reduce  # the field-side oracle
 from test_surfaces import TEMPLATE_PAIRS, claim_status, cold_templates  # noqa: F401 - a fixture
@@ -346,6 +346,17 @@ def test_a_wrong_identification_fails_the_fiber_match(monkeypatch, cold_template
         assert claim_status(report, claim) == "fail"
 
 
+def test_a_symbolic_fiber_match_specializes_the_rees_relations_once(monkeypatch):
+    # match_fiber_to_surface and the identification its builders read share
+    # the run's fiber, so T1 = 1 is set in the Rees relations once
+    calls = []
+    relations = modification._fiber_relations
+    monkeypatch.setattr(modification, "_fiber_relations",
+                        lambda *args: calls.append(args) or relations(*args))
+    assert run_check("def-3.4-fiber", alpha="symbolic").passed
+    assert len(calls) == 1
+
+
 def test_chart_maps_send_zero_to_zero():
     fiber = fiber_presentation(2)
     surface = make_surface(2, 2)
@@ -358,6 +369,41 @@ def test_chart_maps_send_zero_to_zero():
 # -- smoothness -------------------------------------------------------------------
 
 
+def _as_scalar(value) -> GaussianRational:
+    c = coerce(value)
+    if c is None:
+        raise TypeError(f"not an exact scalar: {value!r}")
+    return c
+
+
+def surface_chart_point(alpha, x0, u0) -> dict:
+    """An exact point of the diagonal surface from chart coordinates with
+    x0*u0 != 0 (surfaces.chart_yv), built directly at the values."""
+    alpha, x0, u0 = (_as_scalar(v) for v in (alpha, x0, u0))
+    y0, v0 = chart_yv(x0, u0, alpha, alpha)
+    return {"x": x0, "y": y0, "u": u0, "v": v0}
+
+
+def jacobian_rows(generators, point) -> list:
+    """The Jacobian in every variable of the generators' table at a point
+    where each must vanish (else PointNotOnVariety), the direct way:
+    Poly.derivative, then Poly.evaluate at the exact point, each row cleared
+    to Gaussian-integer pairs (re, im) by the positive lcm of its
+    denominators."""
+    if not generators:
+        return []
+    point = {n: point[n] for n in generators[0].table.names}  # KeyError for a missing one
+    for g in generators:
+        if not g.evaluate(point).is_zero():
+            raise PointNotOnVariety(f"relation {g} does not vanish at the point")
+    rows = []
+    for g in generators:
+        values = [g.derivative(n).evaluate(point) for n in point]
+        d = lcm(*(v.d for v in values))
+        rows.append([(v.a * (d // v.d), v.b * (d // v.d)) for v in values])
+    return rows
+
+
 def test_surface_chart_point_lies_on_surface():
     surface = make_surface(2, 2)
     point = surface_chart_point(2, 3, -1)
@@ -367,9 +413,9 @@ def test_surface_chart_point_lies_on_surface():
 
 def rank_at(presentation, point):
     """The rank of the presentation's Jacobian in every variable of the
-    table at the point, as smoothness_report takes it."""
-    return integer_rank(modification._jacobian_at(modification._jacobian(presentation.generators),
-                                                  point))
+    table at the point, on the cleared integer rows, as smoothness_report
+    takes it on its read rows."""
+    return integer_rank(jacobian_rows(presentation.generators, point))
 
 
 def oracle_rank(generators, point) -> int:
@@ -444,15 +490,68 @@ def test_smoothness_reports():
 
 
 def test_a_rational_smoothness_report_compiles_its_jacobian_once(monkeypatch):
-    smoothness_report(2)  # warm the surface's template, which the reader also serves
+    # once per process: a warm report compiles nothing and reads its five
+    # sample points, their generators and partials, in one pass
+    smoothness_report(2)
     calls = []
-    for name in ("compile_reads", "read_at"):
-        f = getattr(modification, name)
-        monkeypatch.setattr(modification, name,
+    for module, name in ((surfaces, "compile_reads"), (modification, "read_at")):
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda *args, f=f, name=name: calls.append(name) or f(*args))
     assert smoothness_report(Fraction(7, 3)).passed
     assert len(modification.DEFAULT_CHART_SAMPLES) == 5
-    assert calls == ["compile_reads"] + ["read_at"] * 5
+    assert calls == ["read_at"]
+
+
+def _seeded_alphas(count: int, seed: int) -> list[Fraction]:
+    rng = random.Random(seed)
+    alphas = [Fraction(-1), Fraction(1000, 999)]
+    while len(alphas) < count:
+        value = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, rng.choice((9, 10 ** 6))))
+        if value not in (0, 1) and value not in alphas:
+            alphas.append(value)
+    return alphas
+
+
+def test_the_read_smoothness_samples_equal_the_field_side_jacobian():
+    # the oracle: each sample point built at the value, the Jacobian there
+    # by derivative and specialize, and its rank by row_reduce
+    for alpha in _seeded_alphas(24, seed=3535):
+        report = smoothness_report(alpha)
+        generators = make_surface(alpha, alpha).generators
+        expected = []
+        for x0, u0 in modification.DEFAULT_CHART_SAMPLES:
+            point = surface_chart_point(alpha, x0, u0)
+            rank = oracle_rank(generators, point)
+            expected.append((f"jacobian-rank-2-at-({x0},{u0})", "pass" if rank == 2 else "fail",
+                             {name: str(value) for name, value in point.items()}))
+        assert [(i.claim_id, i.status, i.witness) for i in report.items] == expected, alpha
+
+
+@pytest.mark.parametrize("alpha", [Fraction(7, 3), Fraction(-1)])
+def test_off_by_one_generators_fail_a_smoothness_sample(monkeypatch, cold_templates, alpha):
+    """g3 + 1 vanishes at no sample point, and the squares of the generators
+    vanish to second order, so their Jacobian has rank 0 at every point.
+    The samples are read through a template built from the patched
+    generators, so the fixture clears the templates before the test and
+    after it, and no later test reads a broken one."""
+    generators = surfaces.surface_generators
+
+    def shifted(tbl, a, b):
+        g1, g2, g3 = generators(tbl, a, b)
+        return g1, g2, g3 + 1
+
+    def squared(tbl, a, b):
+        return tuple(g * g for g in generators(tbl, a, b))
+
+    for module in (surfaces, modification):
+        monkeypatch.setattr(module, "surface_generators", shifted)
+    with pytest.raises(PointNotOnVariety, match="does not vanish"):
+        smoothness_report(alpha)
+    surfaces._template.cache_clear()
+    for module in (surfaces, modification):
+        monkeypatch.setattr(module, "surface_generators", squared)
+    assert [item.status for item in smoothness_report(alpha).items] == ["fail"] * 5
 
 
 def test_smoothness_report_rejects_inexact_parameters():
@@ -506,7 +605,7 @@ def test_one_pass_rank_equals_the_field_side_rank_at_seeded_chart_points():
     assert sum(1 for _, p in points if any(v.d > 1 for v in p.values())) >= 100
     for alpha, point in points:
         generators = make_surface(alpha, alpha).generators
-        rank = integer_rank(modification._jacobian_at(modification._jacobian(generators), point))
+        rank = integer_rank(jacobian_rows(generators, point))
         assert rank == oracle_rank(generators, point) == 2, (alpha, point)
 
 
@@ -515,7 +614,7 @@ def test_one_pass_jacobian_is_the_jacobian_times_a_positive_integer_per_row():
     # entries are compared: each row is the oracle's row times one integer
     for alpha, point in _seeded_chart_points(120, seed=77):
         generators = make_surface(alpha, alpha).generators
-        rows = modification._jacobian_at(modification._jacobian(generators), point)
+        rows = jacobian_rows(generators, point)
         names = generators[0].table.names
         for g, pairs in zip(generators, rows):
             assert all(type(x) is int for pair in pairs for x in pair), pairs

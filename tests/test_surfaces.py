@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from realforms import modification, surfaces
+from realforms import modification, ring, surfaces
 
 from realforms.checks import run_check
 from realforms.classification import classify
@@ -473,16 +473,144 @@ def test_template_reads_equal_the_direct_constructions():
     surface = VarTable(surfaces.COORDS)
     fiber = VarTable(("x", "y", "T2", "T3"))
     for a, b in TEMPLATE_PAIRS:
+        # the composites against the maps built and substituted at the value,
+        # and the fibers against the generators specialized there
         for build in (surfaces.surface_generators, surfaces._uv_chart_images,
-                      surfaces._xy_chart_images, surfaces._uv_chart_last_generator,
-                      surfaces._xy_chart_generators):
+                      surfaces._xy_chart_images, surfaces._uv_chart_links,
+                      surfaces._xy_chart_links, surfaces._swap_links):
             _read_equals_direct(build, surface, a, b)
-        # the composites against the maps built and substituted at the value
         for build, table in ((modification._fiber_to_surface_images, surface),
                              (modification._surface_to_fiber_images, fiber),
                              (modification._fiber_composites, fiber),
-                             (modification._surface_composites, surface)):
+                             (modification._surface_composites, surface),
+                             (surfaces._pair_swap_links, surface),
+                             (modification._chart_samples, surface)):
             _read_equals_direct(build, table, a)
+
+
+def _record(monkeypatch, calls: list) -> None:
+    """Record each RingMap substitution but those over the affine line, and
+    each specialization to scalars and each compile, in calls."""
+    line = VarTable(("x",))
+    call = RingMap.__call__
+
+    def recording(m, value):
+        if m.source != line:
+            calls.append("RingMap.__call__")
+        return call(m, value)
+
+    monkeypatch.setattr(RingMap, "__call__", recording)
+    for name in ("_specialize_all", "compile_reads"):
+        f = getattr(ring, name)
+        for module in (ring, surfaces, modification):
+            if getattr(module, name, None) is f:
+                monkeypatch.setattr(module, name,
+                                    lambda *args, f=f, name=name: calls.append(name) or f(*args))
+
+
+WARM_CHECKS = ("def-3.1", "rem-3.2", "lem-3.5", "prop-4.1", "prop-4.2", "sec-2-cocycle",
+               "def-3.4-fiber")
+
+
+def test_a_warm_rational_request_substitutes_specializes_and_compiles_nothing(monkeypatch):
+    # after one request of each kind, every composite a rational claim reads
+    # comes from a template, read at the value; only sec-2-cocycle's examples
+    # on the line, with no surface or parameter, substitute
+    for check in WARM_CHECKS:
+        assert run_check(check, alpha=2, beta=3).passed
+    calls = []
+    _record(monkeypatch, calls)
+    for check in WARM_CHECKS:
+        for alpha, beta in ((Fraction(-7, 3), Fraction(5, 2)), (Fraction(-1), Fraction(-1)),
+                            (Fraction(1000, 999), Fraction(1000, 999))):
+            assert run_check(check, alpha=alpha, beta=beta).passed, check
+    assert calls == []
+
+
+def test_the_line_examples_still_substitute(monkeypatch):
+    # the one table the warm test above leaves out is substituted on
+    line_calls = []
+    call = RingMap.__call__
+    monkeypatch.setattr(RingMap, "__call__", lambda m, value: line_calls.append(m.source)
+                        or call(m, value))
+    assert run_check("sec-2-cocycle", alpha=Fraction(7, 3)).passed
+    assert line_calls and set(line_calls) == {VarTable(("x",))}
+
+
+@pytest.mark.parametrize("alpha, beta", [(Fraction(7, 3), Fraction(7, 3)), ("symbolic", "b")])
+def test_a_swap_that_sends_y_to_u_fails_the_swap_generators(monkeypatch, cold_templates,
+                                                             alpha, beta):
+    """The swap's pullbacks are read through the template of _swap_links at a
+    value, built directly at a name.  Templates are kept per build function,
+    so a patched definition reaches no composite compiled earlier in the
+    process: the fixture clears them before the test and after it, so no
+    later test reads a broken one."""
+    swap = surfaces.swap_map
+
+    def y_to_u(source, target, conjugate):
+        m = swap(source, target, conjugate)
+        images = dict(zip(m.source.names, m.images)) | {"y": RatFunc.var(target.table, "u")}
+        return RingMap(source.table, target.table, list(images.values()), conjugate)
+
+    monkeypatch.setattr(surfaces, "swap_map", y_to_u)
+    report = verify_swap_isomorphism(alpha, beta)
+    # g2 of W(beta, alpha) has no y, so its pullback is still g1 of W(alpha, beta)
+    assert [claim_status(report, f"swap-generator-{n}") for n in (1, 2, 3)] == [
+        "fail", "pass", "fail"]
+    assert claim_status(report, "swap-involution") == "fail"
+
+
+def _collapsing_twist(swap):
+    """swap_map, but the plain swap sends every point to (1, 0, 1, 0) of
+    W(a, a): its pullback still sends the ideal into itself, but (tau.rho)^2
+    is no identity."""
+    def patched(source, target, conjugate):
+        if conjugate:
+            return swap(source, target, conjugate)
+        point = {"x": 1, "y": 0, "u": 1, "v": 0}
+        return RingMap.from_images(source.table, target.table, {
+            n: RatFunc(Poly.const(target.table, c)) for n, c in point.items()})
+    return patched
+
+
+def _flag_off(swap):
+    """swap_map, with the conjugation flag of the pair-swap conjugation off."""
+    return lambda source, target, conjugate: swap(source, target, False)
+
+
+def _wrong_conjugation_image(swap):
+    """swap_map, but the pair-swap conjugation sends v to y + 1."""
+    def patched(source, target, conjugate):
+        m = swap(source, target, conjugate)
+        if not conjugate:
+            return m
+        return RingMap.from_images(source.table, target.table, {
+            n: im + 1 if n == "v" else im for n, im in zip(m.source.names, m.images)})
+    return patched
+
+
+@pytest.mark.parametrize("alpha", [Fraction(7, 3), "symbolic"])
+@pytest.mark.parametrize("patch, failed", [
+    (_flag_off, "swap-conjugation-exists"),
+    (_wrong_conjugation_image, "swap-conjugation-exists"),
+    (_collapsing_twist, "pair-swap-twist-is-cocycle"),
+])
+def test_a_wrong_pair_swap_fails_its_claims(monkeypatch, cold_templates, alpha, patch, failed):
+    """The pair-swap conjugation and its twist are decided on the template
+    of _pair_swap_links at a value and built directly at a name; a flag off
+    or a wrong image fails def-3.1's conjugation or sec-2-cocycle's twist.
+    The fixture clears the templates before the test and after it, so no
+    later test reads one built from the patched map."""
+    monkeypatch.setattr(surfaces, "swap_map", patch(surfaces.swap_map))
+    if failed == "swap-conjugation-exists":
+        report = run_check("def-3.1", alpha=alpha, beta=alpha)
+        assert claim_status(report, "conjugation-swap-conjugation-exists") == "fail"
+        assert run_check("sec-2-cocycle", alpha=alpha).status == "error"
+    else:
+        assert sigma_report(alpha).passed
+        report = run_check("sec-2-cocycle", alpha=alpha)
+        assert claim_status(report, failed) == "fail"
+        assert claim_status(report, "coordinate-doubling-is-not-a-cocycle") == "pass"
 
 
 @pytest.mark.parametrize("alpha, beta", [(Fraction(7, 3), Fraction(5, 4)), ("symbolic", "b")])
