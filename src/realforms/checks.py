@@ -134,8 +134,8 @@ def run_suite(check_ids=None, alpha=None, beta=None, d_max=None,
     and _witness_engine (one each, whatever d_max), cli.build_parser, and
     the symbolic templates of surfaces._template, compiled for
     ring.read_at (a rational fiber reads its basis through one, and the
-    fiber match, the chart claims, the swap links, the pair-swap structure
-    and its twist, and the smoothness samples what they decide on).
+    fiber match, the chart claims and the smoothness samples what they
+    decide on; the swaps are relabellings, applied directly).
     """
     ids = dict.fromkeys(resolve_check_id(c) for c in (check_ids or available_checks()))
     entries = []

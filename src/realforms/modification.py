@@ -36,7 +36,7 @@ from .surfaces import (
     ALPHA,
     COORDS,
     SurfacePresentation,
-    _fixes_coordinates,
+    _images_agree,
     _param_poly,
     _template,
     at_parameters,
@@ -331,7 +331,8 @@ def match_fiber_to_surface(alpha) -> CertifiedReport:
 
     # each coordinate's image against the coordinate; a parameter maps to itself
     for name, s, images in (("fiber", fiber, on_fiber), ("surface", surface, on_surface)):
-        report.add(f"roundtrip-fixes-{name}-chart", _fixes_coordinates(images, s.ideal))
+        pairs = [(images[n], RatFunc.var(s.table, n)) for n in s.table.names if n in images]
+        report.add(f"roundtrip-fixes-{name}-chart", _images_agree(pairs, s.ideal))
     return report
 
 

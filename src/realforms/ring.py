@@ -13,15 +13,16 @@ no monomial factor.  Products of parts therefore run on integer
 coefficients.
 
 RingMap is a substitution homomorphism: one RatFunc image per source-table
-variable, plus a flag that conjugates coefficients before substituting.  It
-substitutes over one common denominator, the product of the image
-denominators to the highest powers that occur, and maps a numerator and its
-denominator together, so no fraction is added or divided on the way.  The
-substitution runs on Gaussian-integer numerators with the product loop of
-Poly multiplication, and a map keeps the integer powers of its images, and
-their products, for its own lifetime, so applying it again (to each image of
-another map in compose, say) builds none of them twice.  Maps compose by
-substitution chaining; conjugation flags compose by XOR.
+variable, plus a flag that conjugates coefficients before substituting.  A
+relabelling, whose images are distinct target variables over 1 (a swap,
+the identity, a conjugation), moves exponents.  Any other map substitutes
+over one common denominator, the product of the image denominators to the
+highest powers that occur, mapping a numerator and its denominator together,
+so no fraction is added or divided on the way.  It runs on Gaussian-integer
+numerators with the product loop of Poly multiplication, and a map keeps the
+integer powers of its images, and their products, for its own lifetime, so
+applying it again (to each image of another map in compose, say) builds none
+of them twice.  Maps compose by substitution chaining, flags by XOR.
 
 Substituting scalars (specialize, evaluate) is one Q(i) term loop over one or
 more polys, for real and non-real values alike; a batch read often at exact
@@ -32,7 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, prod
-from operator import add, getitem, mul, sub
+from operator import add, getitem, itemgetter, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .gaussian import (
@@ -589,7 +590,9 @@ class RatFunc:
 
     @staticmethod
     def var(table: VarTable, name: str) -> "RatFunc":
-        return RatFunc(Poly.var(table, name))
+        f = _new(RatFunc)  # x over 1 is in the kept form
+        f.num, f.den = Poly.var(table, name), _poly(table, {(0,) * len(table): ONE})
+        return f
 
     @property
     def table(self) -> VarTable:
@@ -771,7 +774,8 @@ class RingMap:
     Spec(target) -> Spec(source).
     """
 
-    __slots__ = ("source", "target", "images", "conjugates_coefficients", "_powers", "_factors")
+    __slots__ = ("source", "target", "images", "conjugates_coefficients", "_moves", "_powers",
+                 "_factors")
 
     def __init__(self, source: VarTable, target: VarTable, images, conjugates_coefficients=False):
         self.source = source
@@ -787,6 +791,7 @@ class RingMap:
             raise ValueError("one image per source variable required")
         self.images = tuple(imgs)
         self.conjugates_coefficients = bool(conjugates_coefficients)
+        self._moves = ...  # _relabelling's result, found on the first call
         # the integer tables of _subst, kept for the map's lifetime
         self._powers: dict = {}  # (k, 0) or (k, 1) -> [None, X, X^2, ...] for X = N_k or D_k
         self._factors: dict = {}  # (k, e, top_k - e) -> N_k^e*D_k^(top_k-e), None for 1
@@ -795,7 +800,10 @@ class RingMap:
     def from_images(source: VarTable, target: VarTable,
                     images: Mapping[str, RatFunc]) -> "RingMap":
         """The given images for some source names; every other source name
-        maps to the target variable of the same name."""
+        maps to the target variable of the same name.  A name the source
+        table does not have raises ValueError."""
+        if unknown := [n for n in images if n not in source.names]:
+            raise ValueError(f"images of unknown variables {unknown}; the table has {source.names}")
         return RingMap(source, target, [
             images[n] if n in images else RatFunc.var(target, n) for n in source.names
         ])
@@ -816,18 +824,34 @@ class RingMap:
     def __call__(self, value):
         """Apply the substitution to a Poly or RatFunc over the source table;
         a Poly p is taken as the fraction p/1."""
-        if isinstance(value, RatFunc):
-            parts = (value.num, value.den)
-        elif isinstance(value, Poly):
-            parts = (value, Poly.const(value.table, 1))
-        else:
+        if not isinstance(value, (Poly, RatFunc)):
             raise TypeError(f"cannot substitute into {value!r}")
         if value.table != self.source:
             raise ValueError("VarTable mismatch")
-        num, den = self._subst(parts)
+        if self._moves is ...:
+            self._moves = _relabelling(self.images, self.target)
+        if self._moves is not None:
+            return self._relabelled(value)
+        num, den = self._subst((value.num, value.den) if isinstance(value, RatFunc)
+                               else (value, Poly.const(value.table, 1)))
         if den.is_zero():
             raise ZeroDivisionError("denominator maps to zero")
         return RatFunc(num, den)
+
+    def _relabelled(self, value):
+        """value under a relabelling, conjugated when flagged: renaming and
+        conjugating keep a RatFunc's parts in its kept form, so none is stripped."""
+        move, conj = self._moves, self.conjugates_coefficients
+
+        def moved(p: Poly) -> Poly:
+            return _poly(self.target, {move(e + (0,)): c.conjugate() if conj else c
+                                       for e, c in p.terms.items()})
+
+        if isinstance(value, Poly):
+            return RatFunc(moved(value))
+        f = _new(RatFunc)
+        f.num, f.den = moved(value.num), moved(value.den)
+        return f
 
     def _subst(self, parts: tuple) -> list:
         """The images of the parts of a fraction, each times one common
@@ -911,6 +935,21 @@ class RingMap:
         arrow = "~>" if self.conjugates_coefficients else "->"
         pieces = ", ".join(f"{n} {arrow} {im}" for n, im in zip(self.source.names, self.images))
         return f"<RingMap {pieces}>"
+
+
+def _relabelling(images: tuple, target: VarTable):
+    """For a relabelling (images distinct target variables over 1), the map
+    from a source exponent tuple, a 0 appended, to the target's; else None."""
+    at: dict = {}  # target position -> source position
+    for k, f in enumerate(images):
+        if len(f.num.terms) != 1 or not _is_unit(f.den):
+            return None
+        (e, c), = f.num.terms.items()
+        if not c.is_one() or sum(e) != 1 or at.setdefault(e.index(1), k) != k:
+            return None
+    where = [at.get(j, len(images)) for j in range(len(target))]  # the appended 0 if none
+    # itemgetter of one position gives no tuple; one target variable keeps its exponent
+    return itemgetter(*where) if len(where) > 1 else lambda e: e[:len(where)]
 
 
 def compose(*maps: RingMap) -> RingMap:

@@ -11,12 +11,12 @@ defining equations are
 
 Everything here is exact; chart identities are verified as rational-function
 identities and residual claims as ideal equalities.  At rational parameters
-the generators, the chart images and every composite a claim reads (each
-generator under a chart, a swap or the pair-swap conjugation, the fibers
-over chart points, and the round trips and squares of the swaps) come from
-symbolic templates over Q[a, b], built once per process and read in
-integers by ring.read_at (at_parameters); each claim is decided on the read
-at the values, by the tests the symbolic path makes on what it builds.
+the generators, the chart images and the composites of the substituting
+maps that a claim reads (each generator under a chart, the fibers over chart
+points) come from symbolic templates over Q[a, b], built once per process
+and read in integers by ring.read_at (at_parameters); each claim is decided
+on the read at the values, by the tests the symbolic path makes.  The swaps
+are relabellings (ring.RingMap), applied directly at every parameter.
 """
 from __future__ import annotations
 
@@ -244,51 +244,30 @@ def _fiber(links: dict, point: str, expected: str) -> tuple[list[Poly], bool]:
 
 
 def agree_modulo(left: RingMap, right: RingMap, ideal: Ideal) -> bool:
-    """Do two maps between the same tables agree modulo the ideal?
-
-    The conjugation flags must match, and for each pair of images l, r the
-    cross difference l.num*r.den - r.num*l.den must lie in the ideal itself;
-    nothing is inverted.
-    """
-    if left.conjugates_coefficients != right.conjugates_coefficients:
-        return False
-    return all(ideal.member(l.num * r.den - r.num * l.den)
-               for l, r in zip(left.images, right.images))
+    """Do two maps between the same tables agree modulo the ideal: the same
+    conjugation flag, and images that agree in pairs (_images_agree)?"""
+    return (left.conjugates_coefficients == right.conjugates_coefficients
+            and _images_agree(zip(left.images, right.images), ideal))
 
 
-def _fixes_coordinates(images: dict, ideal: Ideal) -> bool:
-    """Does num - x*den lie in the ideal itself for each image num/den that
-    images gives a variable x of the ideal's table?  The rest are fixed."""
-    table = ideal.table
-    return all(ideal.member(f.num - Poly.var(table, n) * f.den)
-               for n in table.names if (f := images.get(n)) is not None)
+def _images_agree(pairs, ideal: Ideal) -> bool:
+    """Does the cross difference l.num*r.den - r.num*l.den lie in the ideal
+    itself for each pair of fractions l, r?  Nothing is inverted."""
+    return all(ideal.member(l.num * r.den - r.num * l.den) for l, r in pairs)
 
 
 def _check_pullback(m: RingMap, codomain: SurfacePresentation,
-                    domain: SurfacePresentation, anti: bool, error: type, images=None) -> None:
+                    domain: SurfacePresentation, anti: bool, error: type) -> None:
     """Raise error unless m is the pullback of a morphism from domain to
     codomain: it conjugates coefficients exactly when anti is set, goes from
     the codomain ring to the domain ring, and sends every codomain generator
-    to a numerator that lies in the domain ideal itself.  The generators'
-    images are substituted after the first two tests unless given."""
+    to a numerator that lies in the domain ideal itself."""
     if m.conjugates_coefficients != anti:
         raise error("pullback must " + ("" if anti else "not ") + "conjugate coefficients")
     if m.source != codomain.table or m.target != domain.table:
         raise error("pullback must go from codomain ring to domain ring")
-    if not all(domain.ideal.member(f.num) for f in images or map(m, codomain.generators)):
+    if not all(domain.ideal.member(m(g).num) for g in codomain.generators):
         raise error("pullback does not send the ideal into the ideal")
-
-
-def _holds_on(surface: SurfacePresentation, m: RingMap, anti: bool, error: type,
-              maps: tuple, read: tuple | None = None) -> bool:
-    """_check_pullback of m as a self-map of the surface, then: does
-    compose(*maps) fix each coordinate modulo the ideal?  read holds the
-    generators' images under m and the coordinates' under the composite as
-    a template reads them; without it both are substituted."""
-    pulled, composite = read or (None, None)
-    _check_pullback(m, surface, surface, anti, error, pulled)
-    composite = composite or dict(zip(surface.table.names, compose(*maps).images))
-    return _fixes_coordinates(composite, surface.ideal)
 
 
 class RealStructure(FrozenRecord):
@@ -297,67 +276,33 @@ class RealStructure(FrozenRecord):
     __slots__ = ("surface", "map")
 
     def __init__(self, surface: SurfacePresentation, map: RingMap):
-        self._set_checked(surface, map)
-
-    def _set_checked(self, surface: SurfacePresentation, map: RingMap, read=None) -> None:
-        """Set the fields of a real structure that _holds_on finds, on read."""
         super().__init__(surface, map)
-        if not _holds_on(surface, map, True, NotAntiInvolution, (map, map), read):
+        _check_pullback(map, surface, surface, True, NotAntiInvolution)
+        if not agree_modulo(compose(map, map), RingMap.identity(surface.table), surface.ideal):
             raise NotAntiInvolution("square is not the identity modulo the ideal")
 
 
 def swap_map(pres_source: SurfacePresentation, pres_target: SurfacePresentation,
              conjugate: bool) -> RingMap:
     """Pullback of the point map (x,y,u,v) -> (u,v,x,y), optionally conjugated."""
-    table_t = pres_target.table
-    images = []
-    swap_names = {"x": "u", "y": "v", "u": "x", "v": "y"}
-    for name in pres_source.table.names:
-        images.append(RatFunc.var(table_t, swap_names.get(name, name)))
-    return RingMap(pres_source.table, table_t, images, conjugates_coefficients=conjugate)
-
-
-def _pair_swap_links(tbl: VarTable, alpha) -> dict:
-    """Over W(alpha, alpha)'s table: the pair-swap conjugation rho and the
-    plain swap tau of each generator, then the coordinates' images under
-    rho.rho and (tau.rho)^2."""
-    ends = free_presentation(tbl)
-    rho, tau = (swap_map(ends, ends, conjugate=c) for c in (True, False))
-    gens = zip(GENERATOR_NAMES, surface_generators(tbl, alpha, alpha))
-    links = {f"{name}({g})": m(p) for g, p in gens for name, m in (("rho", rho), ("tau", tau))}
-    square, twisted = compose(rho, rho), compose(tau, rho, tau, rho)
-    for name, composite in (("rho.rho", square), ("(tau.rho)^2", twisted)):
-        links |= {f"{name}({n})": composite.image_of(n) for n in COORDS}
-    return links
+    swapped = {"x": "u", "y": "v", "u": "x", "v": "y"}
+    images = [RatFunc.var(pres_target.table, swapped.get(n, n)) for n in pres_source.table.names]
+    return RingMap(pres_source.table, pres_target.table, images, conjugates_coefficients=conjugate)
 
 
 # keyed by the parameters alone: within a run make_surface hands out one
 # presentation per cooked pair, and the checks build no other
 @shared_in_run(lambda surface: (surface.alpha, surface.beta))
-def _pair_swap_reads(surface: SurfacePresentation) -> dict:
-    """_pair_swap_links at the surface's parameter as _holds_on reads it:
-    for rho and for tau, the generators' images, then the coordinates'
-    under rho.rho or (tau.rho)^2."""
-    links = at_parameters(_pair_swap_links, surface.table, surface.alpha)
-    return {m: ([links[f"{m}({g})"] for g in GENERATOR_NAMES],
-                {n: links[f"{c}({n})"] for n in COORDS})
-            for m, c in (("rho", "rho.rho"), ("tau", "(tau.rho)^2"))}
-
-
-@shared_in_run(lambda surface: (surface.alpha, surface.beta))
 def swap_real_structure(surface: SurfacePresentation) -> RealStructure:
     """The real structure on the surface that exchanges the two coordinate
-    pairs, (x, y, u, v) -> conj(u, v, x, y), decided on _pair_swap_links.
+    pairs, (x, y, u, v) -> conj(u, v, x, y).
 
     Raises NotAntiInvolution unless the surface is diagonal (beta = alpha);
     the parameter, rational or symbolic, is real.
     """
     if surface.alpha != surface.beta:
         raise NotAntiInvolution("the pair-swap conjugation needs beta = alpha")
-    m = swap_map(surface, surface, conjugate=True)
-    rho = RealStructure.__new__(RealStructure)
-    rho._set_checked(surface, m, _pair_swap_reads(surface)["rho"])
-    return rho
+    return RealStructure(surface, swap_map(surface, surface, conjugate=True))
 
 
 def standard_conjugation(surface: SurfacePresentation) -> RealStructure:
@@ -370,41 +315,23 @@ def standard_conjugation(surface: SurfacePresentation) -> RealStructure:
 # ---------------------------------------------------------------------------
 
 
-def _swap_links(tbl: VarTable, alpha, beta) -> dict:
-    """Over W(alpha, beta)'s table, which W(beta, alpha) shares: the swap's
-    pullback of each generator of W(beta, alpha), then the coordinates'
-    images under the round trip swap.swap."""
-    ends = free_presentation(tbl)
-    m = swap_map(ends, ends, conjugate=False)
-    round_trip = compose(m, m)
-    return ({f"swap({name})": m(g)
-             for name, g in zip(GENERATOR_NAMES, surface_generators(tbl, beta, alpha))}
-            | {n: round_trip.image_of(n) for n in COORDS})
-
-
 def verify_swap_isomorphism(alpha, beta) -> CertifiedReport:
     """The swap (x,y,u,v) -> (u,v,x,y) maps the surface onto the
-    parameter-swapped surface; composed with itself it is the identity.
-    Both are decided on the composites _swap_links builds."""
+    parameter-swapped surface; composed with itself it is the identity."""
     report = CertifiedReport("rem-3.2")
     s_ab = make_surface(alpha, beta)
     s_ba = make_surface(s_ab.beta, s_ab.alpha)
     m = swap_map(s_ba, s_ab, conjugate=False)  # pullback: functions on s_ba -> s_ab
-    back = swap_map(s_ab, s_ba, conjugate=False)
-    links = at_parameters(_swap_links, s_ab.table, s_ab.alpha, s_ab.beta)
-    for n, image in enumerate((links[f"swap({g})"] for g in GENERATOR_NAMES), start=1):
+    for n, image in enumerate(map(m, s_ba.generators), start=1):
         report.add(f"swap-generator-{n}", s_ab.ideal.member(image.num), witness=str(image.num))
-    # compose(m, back) is the identity map: the tables and flag, then each image
-    chained = m.target == back.source and m.source == back.target
-    flipped = m.conjugates_coefficients != back.conjugates_coefficients
-    report.add("swap-involution", chained and not flipped
-               and _fixes_coordinates(links, free_presentation(s_ab.table).ideal))
+    back = swap_map(s_ab, s_ba, conjugate=False)
+    report.add("swap-involution", compose(m, back).is_identity())
     return report
 
 
 def sigma_report(alpha) -> CertifiedReport:
     """The pair-swap conjugation is an anti-regular involution and its
-    pullback permutes the generators as expected, on _pair_swap_links."""
+    pullback permutes the generators as expected."""
     report = CertifiedReport("def-3.1")
     try:
         rho = swap_real_structure(make_surface(alpha))
@@ -413,11 +340,12 @@ def sigma_report(alpha) -> CertifiedReport:
         return report
     report.add("swap-conjugation-exists", True)
     s = rho.surface
-    (im_g1, _, im_g3), square = _pair_swap_reads(s)["rho"]
     g1, g2, g3 = s.generators
+    im_g1, im_g3 = rho.map(g1), rho.map(g3)
     report.add("pullback-g1-is-g2", im_g1.is_polynomial() and im_g1.as_poly() == g2)
     report.add("pullback-g3-fixed", im_g3.is_polynomial() and im_g3.as_poly() == g3)
-    report.add("involution", _fixes_coordinates(square, s.ideal))
+    square = compose(rho.map, rho.map)
+    report.add("involution", agree_modulo(square, RingMap.identity(s.table), s.ideal))
     return report
 
 
@@ -637,7 +565,9 @@ def is_cocycle(presentation: SurfacePresentation, tau: RingMap,
     NotAutomorphism is raised; rho is a real structure on the same
     presentation.
     """
-    return _holds_on(presentation, tau, False, NotAutomorphism, (tau, rho.map, tau, rho.map))
+    _check_pullback(tau, presentation, presentation, False, NotAutomorphism)
+    composite = compose(tau, rho.map, tau, rho.map)
+    return agree_modulo(composite, RingMap.identity(presentation.table), presentation.ideal)
 
 
 def are_equivalent_structures(domain: SurfacePresentation, codomain: SurfacePresentation,
@@ -879,11 +809,9 @@ def cocycle_examples_report(alpha=2) -> CertifiedReport:
     """
     report = CertifiedReport("sec-2-cocycle")
     s = make_surface(alpha)
-    swap_real_structure(s)  # raises unless the pair swap is a real structure on s
+    rho = swap_real_structure(s)
     tau = swap_map(s, s, conjugate=False)
-    # is_cocycle(s, tau, rho), on _pair_swap_links
-    report.add("pair-swap-twist-is-cocycle",
-               _holds_on(s, tau, False, NotAutomorphism, (), _pair_swap_reads(s)["tau"]))
+    report.add("pair-swap-twist-is-cocycle", is_cocycle(s, tau, rho))
 
     line = VarTable(("x",))
     whole_line = free_presentation(line)

@@ -20,6 +20,7 @@ from realforms.ring import (
     RingMap,
     VarTable,
     _poly,
+    _relabelling,
     _scaled_terms,
     _specialize_all,
     _sum_terms,
@@ -695,6 +696,14 @@ def test_map_validation():
         m("not a polynomial")
 
 
+def test_images_of_names_the_source_table_lacks_are_refused():
+    t = VarTable(("x", "y"))
+    with pytest.raises(ValueError, match=r"\['z'\]; the table has \('x', 'y'\)"):
+        RingMap.from_images(t, t, {"z": RatFunc.var(t, "y")})
+    assert RingMap.from_images(t, t, {"x": RatFunc.var(t, "y")}).image_of("x") == \
+        RatFunc.var(t, "y")
+
+
 def rand_affine_map(rng: random.Random) -> RingMap:
     """Random affine substitution; low degree keeps composites small."""
     images = []
@@ -987,6 +996,62 @@ def test_compose_gives_each_image_through_a_fresh_map():
             for got, image in zip(composite.images, f.images):
                 want = fresh(g)(image)
                 assert (got.num, got.den) == (want.num, want.den)
+
+
+# -- relabellings ------------------------------------------------------------------
+
+
+def _counting_kernel(monkeypatch) -> list:
+    """Each map that RingMap._subst, the substitution kernel, runs on."""
+    calls = []
+    subst = RingMap._subst
+    monkeypatch.setattr(RingMap, "_subst", lambda m, parts: calls.append(m) or subst(m, parts))
+    return calls
+
+
+def _ordered(f: RatFunc) -> tuple:
+    return list(f.num.terms.items()), list(f.den.terms.items())
+
+
+def test_a_relabelling_gives_the_kernels_terms(monkeypatch):
+    # renamings onto TABLE and onto a larger table, with and without the flag,
+    # against the kernel on the same inputs: Polys and RatFuncs with Gaussian
+    # coefficients and denominators
+    kernel = _counting_kernel(monkeypatch)
+    rng = random.Random("relabelling-oracle")
+    wide = VarTable(("w", "z", "s", "y", "x"))
+    for target in (TABLE, wide):
+        for conjugate in (False, True):
+            for _ in range(6):
+                names = rng.sample(target.names, len(TABLE))
+                m = RingMap(TABLE, target, [RatFunc.var(target, n) for n in names], conjugate)
+                assert _relabelling(m.images, m.target) is not None
+                values = oracle_inputs(rng) + [
+                    gaussian_integer_poly(rng) * rand_scalar(rng),
+                    RatFunc(rand_poly(rng, TABLE), gaussian_integer_poly(rng) * I)]
+                for value in values:
+                    kernel.clear()
+                    got = m(value)
+                    assert kernel == []
+                    parts = (value.num, value.den) if isinstance(value, RatFunc) else \
+                        (value, Poly.const(TABLE, 1))
+                    num, den = m._subst(parts)
+                    assert _ordered(got) == _ordered(RatFunc(num, den))
+                    if isinstance(value, RatFunc):  # the kernel's own pair, unstripped
+                        assert _ordered(got) == (list(num.terms.items()), list(den.terms.items()))
+
+
+def test_maps_that_are_no_relabelling_take_the_kernel(monkeypatch):
+    kernel = _counting_kernel(monkeypatch)
+    rng = random.Random("no-relabelling")
+    x, y, z = (RatFunc.var(TABLE, n) for n in TABLE.names)
+    for images in ([y, y, z], [x * 2, y, z]):  # x and y onto y; an image 2*x
+        m = RingMap(TABLE, TABLE, images)
+        assert _relabelling(m.images, m.target) is None
+        for value in oracle_inputs(rng):
+            kernel.clear()
+            assert_same_pairs(m, value)  # m(value) is the reference's pair
+            assert kernel.count(m) == 2  # assert_same_pairs's own kernel call, and m(value)
 
 
 # -- sums with a denominator 1 ----------------------------------------------------

@@ -477,29 +477,31 @@ def test_template_reads_equal_the_direct_constructions():
         # and the fibers against the generators specialized there
         for build in (surfaces.surface_generators, surfaces._uv_chart_images,
                       surfaces._xy_chart_images, surfaces._uv_chart_links,
-                      surfaces._xy_chart_links, surfaces._swap_links):
+                      surfaces._xy_chart_links):
             _read_equals_direct(build, surface, a, b)
         for build, table in ((modification._fiber_to_surface_images, surface),
                              (modification._surface_to_fiber_images, fiber),
                              (modification._fiber_composites, fiber),
                              (modification._surface_composites, surface),
-                             (surfaces._pair_swap_links, surface),
                              (modification._chart_samples, surface)):
             _read_equals_direct(build, table, a)
 
 
 def _record(monkeypatch, calls: list) -> None:
-    """Record each RingMap substitution but those over the affine line, and
-    each specialization to scalars and each compile, in calls."""
+    """Record each kernel substitution (RingMap._subst) and each relabelling
+    (RingMap._relabelled) but those over the affine line, and each
+    specialization to scalars and each compile, in calls."""
     line = VarTable(("x",))
-    call = RingMap.__call__
 
-    def recording(m, value):
-        if m.source != line:
-            calls.append("RingMap.__call__")
-        return call(m, value)
+    def recording(name, method):
+        def record(m, value):
+            if m.source != line:
+                calls.append(name)
+            return method(m, value)
+        return record
 
-    monkeypatch.setattr(RingMap, "__call__", recording)
+    for name in ("_subst", "_relabelled"):
+        monkeypatch.setattr(RingMap, name, recording(name, getattr(RingMap, name)))
     for name in ("_specialize_all", "compile_reads"):
         f = getattr(ring, name)
         for module in (ring, surfaces, modification):
@@ -510,41 +512,44 @@ def _record(monkeypatch, calls: list) -> None:
 
 WARM_CHECKS = ("def-3.1", "rem-3.2", "lem-3.5", "prop-4.1", "prop-4.2", "sec-2-cocycle",
                "def-3.4-fiber")
+# the checks that apply the swap (prop-4.2's link 4), the pair-swap conjugation or its twist
+SWAP_FAMILY = ("def-3.1", "rem-3.2", "prop-4.2", "sec-2-cocycle")
 
 
 def test_a_warm_rational_request_substitutes_specializes_and_compiles_nothing(monkeypatch):
-    # after one request of each kind, every composite a rational claim reads
-    # comes from a template, read at the value; only sec-2-cocycle's examples
-    # on the line, with no surface or parameter, substitute
+    # after one request of each kind, every composite of a substituting map
+    # that a rational claim reads comes from a template, read at the value,
+    # and the swaps relabel; only sec-2-cocycle's examples on the line, with
+    # no surface or parameter, substitute
     for check in WARM_CHECKS:
         assert run_check(check, alpha=2, beta=3).passed
     calls = []
     _record(monkeypatch, calls)
+    relabellings = {}
     for check in WARM_CHECKS:
+        start = len(calls)
         for alpha, beta in ((Fraction(-7, 3), Fraction(5, 2)), (Fraction(-1), Fraction(-1)),
                             (Fraction(1000, 999), Fraction(1000, 999))):
             assert run_check(check, alpha=alpha, beta=beta).passed, check
-    assert calls == []
+        relabellings[check] = calls[start:].count("_relabelled")
+    assert [c for c in calls if c != "_relabelled"] == []
+    assert all(relabellings[check] for check in SWAP_FAMILY), relabellings
 
 
 def test_the_line_examples_still_substitute(monkeypatch):
-    # the one table the warm test above leaves out is substituted on
+    # the one table the warm test above leaves out goes through the kernel
     line_calls = []
-    call = RingMap.__call__
-    monkeypatch.setattr(RingMap, "__call__", lambda m, value: line_calls.append(m.source)
-                        or call(m, value))
+    subst = RingMap._subst
+    monkeypatch.setattr(RingMap, "_subst", lambda m, parts: line_calls.append(m.source)
+                        or subst(m, parts))
     assert run_check("sec-2-cocycle", alpha=Fraction(7, 3)).passed
     assert line_calls and set(line_calls) == {VarTable(("x",))}
 
 
 @pytest.mark.parametrize("alpha, beta", [(Fraction(7, 3), Fraction(7, 3)), ("symbolic", "b")])
-def test_a_swap_that_sends_y_to_u_fails_the_swap_generators(monkeypatch, cold_templates,
-                                                             alpha, beta):
-    """The swap's pullbacks are read through the template of _swap_links at a
-    value, built directly at a name.  Templates are kept per build function,
-    so a patched definition reaches no composite compiled earlier in the
-    process: the fixture clears them before the test and after it, so no
-    later test reads a broken one."""
+def test_a_swap_that_sends_y_to_u_fails_the_swap_generators(monkeypatch, alpha, beta):
+    """With y and u both sent to u the swap is no relabelling, so it takes
+    the substitution kernel, at a value as at a name."""
     swap = surfaces.swap_map
 
     def y_to_u(source, target, conjugate):
@@ -595,12 +600,11 @@ def _wrong_conjugation_image(swap):
     (_wrong_conjugation_image, "swap-conjugation-exists"),
     (_collapsing_twist, "pair-swap-twist-is-cocycle"),
 ])
-def test_a_wrong_pair_swap_fails_its_claims(monkeypatch, cold_templates, alpha, patch, failed):
-    """The pair-swap conjugation and its twist are decided on the template
-    of _pair_swap_links at a value and built directly at a name; a flag off
-    or a wrong image fails def-3.1's conjugation or sec-2-cocycle's twist.
-    The fixture clears the templates before the test and after it, so no
-    later test reads one built from the patched map."""
+def test_a_wrong_pair_swap_fails_its_claims(monkeypatch, alpha, patch, failed):
+    """The pair-swap conjugation and its twist are applied directly at a
+    value as at a name; a flag off (still a relabelling), a wrong image or a
+    twist onto one point fails def-3.1's conjugation or sec-2-cocycle's
+    twist."""
     monkeypatch.setattr(surfaces, "swap_map", patch(surfaces.swap_map))
     if failed == "swap-conjugation-exists":
         report = run_check("def-3.1", alpha=alpha, beta=alpha)
@@ -611,6 +615,28 @@ def test_a_wrong_pair_swap_fails_its_claims(monkeypatch, cold_templates, alpha, 
         report = run_check("sec-2-cocycle", alpha=alpha)
         assert claim_status(report, failed) == "fail"
         assert claim_status(report, "coordinate-doubling-is-not-a-cocycle") == "pass"
+
+
+def _swap_of_x_and_u(source, target, conjugate):
+    """swap_map, but only x and u are exchanged: still a relabelling."""
+    t = target.table
+    return RingMap(source.table, t, [RatFunc.var(t, {"x": "u", "u": "x"}.get(n, n))
+                                     for n in source.table.names], conjugate)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(7, 3), "symbolic"])
+def test_a_swap_of_x_and_u_alone_relabels_and_fails_the_swap_claims(monkeypatch, alpha):
+    monkeypatch.setattr(surfaces, "swap_map", _swap_of_x_and_u)
+    s = make_surface(alpha)
+    m = surfaces.swap_map(s, s, False)
+    assert ring._relabelling(m.images, m.target) is not None
+    report = run_check("rem-3.2", alpha=alpha, beta=alpha)
+    # g3 is symmetric in x and u on the diagonal surface, and x <-> u is an involution
+    assert [claim_status(report, f"swap-generator-{n}") for n in (1, 2, 3)] == [
+        "fail", "fail", "pass"]
+    assert claim_status(report, "swap-involution") == "pass"
+    report = run_check("def-3.1", alpha=alpha, beta=alpha)
+    assert claim_status(report, "conjugation-swap-conjugation-exists") == "fail"
 
 
 @pytest.mark.parametrize("alpha, beta", [(Fraction(7, 3), Fraction(5, 4)), ("symbolic", "b")])
