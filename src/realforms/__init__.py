@@ -14,7 +14,6 @@ from .errors import (
     FNotInIdeal,
     ForbiddenParameter,
     IdenticalPoints,
-    NotACurveClass,
     NotAntiInvolution,
     NotAutomorphism,
     NotConjugationStable,
@@ -79,7 +78,7 @@ __all__ = [
     "__version__",
     # errors
     "BudgetExceeded", "FNotInIdeal", "ForbiddenParameter",
-    "IdenticalPoints", "NotACurveClass", "NotAntiInvolution",
+    "IdenticalPoints", "NotAntiInvolution",
     "NotAutomorphism", "NotConjugationStable", "NotIsomorphism",
     "PointNotOnVariety",
     # arithmetic and algebra

@@ -132,10 +132,10 @@ def run_suite(check_ids=None, alpha=None, beta=None, d_max=None,
     parameter-free constants, built once per process on first use:
     modification.standard_rees, classification's _graph_shape, _matchings
     and _witness_engine (one each, whatever d_max), cli.build_parser, and
-    the symbolic templates of surfaces._template, compiled for
-    ring.read_at (a rational fiber reads its basis through one, and the
-    fiber match, the chart claims and the smoothness samples what they
-    decide on; the swaps are relabellings, applied directly).
+    the symbolic templates of surfaces._template, one per builder and shape
+    of the parameters, compiled for ring.read_at (a fiber reads its basis
+    through one, and the fiber match, the chart claims and the smoothness
+    samples what they decide on; the swaps are relabellings).
     """
     ids = dict.fromkeys(resolve_check_id(c) for c in (check_ids or available_checks()))
     entries = []

@@ -40,7 +40,3 @@ class FNotInIdeal(ValueError):
 
 class PointNotOnVariety(ValueError):
     """A point handed to a local computation does not satisfy the ideal."""
-
-
-class NotACurveClass(ValueError):
-    """A divisor class outside the shape expected of a curve class."""

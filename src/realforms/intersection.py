@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
-from .errors import IdenticalPoints, NotACurveClass
+from .errors import IdenticalPoints
 from .gaussian import I as IMAG
 from .groebner import certified_unit
 from .reports import CertifiedReport, FrozenRecord, Record
@@ -53,13 +53,6 @@ class DivisorClass(FrozenRecord):
 
     def self_intersection(self) -> int:
         return self.intersect(self)
-
-    def doubled_genus(self) -> int:
-        """Twice the arithmetic genus of a plane curve with these invariants."""
-        if self.degree <= 0:
-            raise NotACurveClass("arithmetic genus needs a positive degree")
-        d = self.degree
-        return (d - 1) * (d - 2) - sum(m * (m - 1) for m in self.mults)
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "multiplicities": list(self.mults)}

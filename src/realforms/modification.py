@@ -13,8 +13,8 @@ family, and the match is certified by explicit mutually inverse maps.
 Its presentation is eliminated once per process over Q[a] and certified to
 specialize to the reduced grevlex basis at every admissible value
 (standard_rees, after Kalkbrener, "On the stability of Groebner bases under
-specializations", J. Symbolic Comput. 24, 1997).  A fiber at a rational
-value reads it, and the composites of the two maps that identify a fiber with
+specializations", J. Symbolic Comput. 24, 1997).  A fiber at a value or a
+name reads it, and the composites of the two maps that identify a fiber with
 the diagonal surface, through templates (surfaces.at_parameters), with no
 elimination, Buchberger run or substitution of its own.
 
@@ -221,14 +221,13 @@ def fiber_presentation(alpha) -> SurfacePresentation:
     presentation over (x, y, T2, T3) and the symbolic parameter (beta = alpha).
 
     Its relations are those of standard_rees at the first scale 1, read
-    through a template at a rational value: the reduced grevlex basis there,
-    as standard_rees certifies, with no elimination or Buchberger run.
-    Within one suite run, equal cooked parameters give the same fiber.
+    through a template with no elimination or Buchberger run: at a value,
+    the reduced grevlex basis there, as standard_rees certifies.  Within
+    one suite run, equal cooked parameters give the same fiber.
     """
     cooked, _ = param_pair(alpha)
     spec, rees = standard_rees()
-    params = (cooked,) if isinstance(cooked, str) else ()
-    small = VarTable(spec.base_vars + rees.scale_vars[1:] + params)
+    small, _, _ = param_ring(spec.base_vars + rees.scale_vars[1:], cooked)
     basis = list(at_parameters(_fiber_relations, small, cooked))
     return SurfacePresentation(table=small, ideal=Ideal(basis, small), alpha=cooked, beta=cooked)
 
@@ -370,7 +369,7 @@ def smoothness_report(alpha) -> CertifiedReport:
     if isinstance(alpha, str):
         raise TypeError(f"not an exact scalar: {alpha!r}")
     alpha, _ = param_pair(alpha)
-    D, sums = read_at(_template(_chart_samples, COORDS, 1)[1],
+    D, sums = read_at(_template(_chart_samples, COORDS, ((ALPHA, False),))[1],
                       {ALPHA: (alpha.numerator, alpha.denominator)})
     generators = make_surface(alpha, alpha).generators
     values = (terms[0][1:] if terms else (0, 0) for terms in sums)

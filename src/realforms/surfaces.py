@@ -10,18 +10,19 @@ defining equations are
     y*v = (x-1)*(x-alpha)*(u-1)*(u-beta)
 
 Everything here is exact; chart identities are verified as rational-function
-identities and residual claims as ideal equalities.  At rational parameters
-the generators, the chart images and the composites of the substituting
-maps that a claim reads (each generator under a chart, the fibers over chart
-points) come from symbolic templates over Q[a, b], built once per process
-and read in integers by ring.read_at (at_parameters); each claim is decided
-on the read at the values, by the tests the symbolic path makes.  The swaps
-are relabellings (ring.RingMap), applied directly at every parameter.
+identities and residual claims as ideal equalities.  The generators, the
+chart images and the composites of the substituting maps that a claim reads
+(each generator under a chart, the fibers over chart points) come from
+symbolic templates over Q[a, b], built once per process and shape of the
+parameters, read in integers at the values and renamed at the names
+(at_parameters); each claim is decided on the read.  The swaps are
+relabellings (ring.RingMap), applied directly at every parameter.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -117,15 +118,16 @@ def param_ring(base: tuple[str, ...], *cooked) -> tuple:
 
 
 @cache
-def _template(build, base: tuple[str, ...], count: int) -> tuple:
-    """build(table, *names) over base and the first count of (a, b), made
-    once per process on first use: a dict's names, each with its number of
-    parts (a Poly's 1, a RatFunc's 2), or None, and the parts compiled by
-    ring.compile_reads with the base names kept.  A denominator that
-    involves a parameter raises ValueError, so a read is a ring
-    homomorphism at every value."""
-    table, _, _ = param_ring(base, *(ALPHA, BETA)[:count])
-    built = build(table, *table.names[len(base):])
+def _template(build, base: tuple[str, ...], shape: tuple) -> tuple:
+    """build(table, *names) over base and the names of the shape's (name,
+    kept) pairs (at_parameters), made once per process on first use: a
+    dict's names, each with its number of parts (a Poly's 1, a RatFunc's 2),
+    or None, and the parts compiled by ring.compile_reads with the base and
+    the kept names kept.  A denominator that involves a parameter raises
+    ValueError, so a read is a ring homomorphism at every value."""
+    params = [name for name, _ in shape]
+    table, _, _ = param_ring(base, *params)
+    built = build(table, *params)
     names, polys = None, built
     if not isinstance(built, tuple):
         parts = [(f,) if isinstance(f, Poly) else (f.num, f.den) for f in built.values()]
@@ -134,21 +136,28 @@ def _template(build, base: tuple[str, ...], count: int) -> tuple:
                 raise ValueError(f"denominator {part[1]} of a template involves a parameter")
         names = tuple(zip(built, map(len, parts)))
         polys = [p for part in parts for p in part]
-    return names, compile_reads(polys, base)
+    return names, compile_reads(polys, base + tuple(sorted({n for n, kept in shape if kept})))
 
 
 def at_parameters(build, table: VarTable, *cooked):
     """build(table, *cooked), a tuple of Polys or a dict of Polys and
-    RatFuncs, at cooked parameters over their param_ring table.  A symbolic
-    one builds it; rational values read the template in one integer pass
-    (ring.read_at).  A Poly's terms are reduced to Q(i) once each; a
-    RatFunc's two parts, over one denominator, go to ring._int_ratfunc, so
-    nothing is divided."""
-    if any(isinstance(c, str) for c in cooked):
-        return build(table, *cooked)
-    names, form = _template(build, table.names, len(cooked))
+    RatFuncs, at cooked parameters over their param_ring table: the template
+    of their shape builds each as a or b by position (a repeated name as the
+    first), kept if a name; values are read in one integer pass (ring.read_at)
+    and the kept exponents moved to the table's names.  A Poly's terms are
+    reduced to Q(i) once each; a RatFunc's two parts, over one denominator,
+    go to ring._int_ratfunc, so nothing is divided."""
+    shape = tuple(((ALPHA, BETA)[cooked.index(c) if isinstance(c, str) else k], isinstance(c, str))
+                  for k, c in enumerate(cooked))
+    base = tuple(n for n in table.names if n not in cooked)
+    names, form = _template(build, base, shape)
     q, sums = read_at(form, {name: (v.numerator, v.denominator)
-                             for name, v in zip((ALPHA, BETA), cooked)})
+                             for (name, kept), v in zip(shape, cooked) if not kept})
+    # the names in the order of the template's a, b; the table sorts them after the base
+    kept = list(dict.fromkeys(c for (_, keep), c in zip(shape, cooked) if keep))
+    if kept != sorted(kept):
+        move = itemgetter(*range(len(base)), *(len(base) + kept.index(n) for n in sorted(kept)))
+        sums = [[(move(e), a, b) for e, a, b in terms] for terms in sums]
 
     def poly(terms):
         return _poly(table, {e: _reduce(a, b, q) for e, a, b in terms})
@@ -207,10 +216,10 @@ def make_surface(alpha, beta=None) -> SurfacePresentation:
     """Build the surface presentation; beta defaults to alpha.
 
     Parameters are exact rationals (0 and 1 rejected) or symbolic names,
-    which are real indeterminates appended to the ring; at rational values
-    the generators are read from their template (at_parameters).  Within one
-    suite run, equal cooked parameters give the same presentation, and with
-    it the bases its ideal has computed.
+    which are real indeterminates appended to the ring; the generators are
+    read from the template of the parameters' shape (at_parameters).  Within
+    one suite run, equal cooked parameters give the same presentation, and
+    with it the bases its ideal has computed.
     """
     alpha, beta = param_pair(alpha, beta)
     table, _, _ = param_ring(COORDS, alpha, beta)
@@ -273,12 +282,15 @@ def _check_pullback(m: RingMap, codomain: SurfacePresentation,
 class RealStructure(FrozenRecord):
     """Anti-regular self-map squaring to the identity modulo the ideal."""
 
-    __slots__ = ("surface", "map")
+    _fields = ("surface", "map")
+    __slots__ = _fields + ("involution",)  # the square test's outcome, no field
 
     def __init__(self, surface: SurfacePresentation, map: RingMap):
         super().__init__(surface, map)
         _check_pullback(map, surface, surface, True, NotAntiInvolution)
-        if not agree_modulo(compose(map, map), RingMap.identity(surface.table), surface.ideal):
+        object.__setattr__(self, "involution", agree_modulo(
+            compose(map, map), RingMap.identity(surface.table), surface.ideal))
+        if not self.involution:
             raise NotAntiInvolution("square is not the identity modulo the ideal")
 
 
@@ -344,8 +356,7 @@ def sigma_report(alpha) -> CertifiedReport:
     im_g1, im_g3 = rho.map(g1), rho.map(g3)
     report.add("pullback-g1-is-g2", im_g1.is_polynomial() and im_g1.as_poly() == g2)
     report.add("pullback-g3-fixed", im_g3.is_polynomial() and im_g3.as_poly() == g3)
-    square = compose(rho.map, rho.map)
-    report.add("involution", agree_modulo(square, RingMap.identity(s.table), s.ideal))
+    report.add("involution", rho.involution)
     return report
 
 

@@ -128,8 +128,8 @@ def test_no_memo_is_open_after_the_run_itself_raises(monkeypatch):
 
 
 def _count_surface_builds(monkeypatch) -> list:
-    """The cooked pair of every surface's generators: built at a symbolic
-    pair, read from the process's template at a rational one."""
+    """The cooked pair of every request for a surface's generators, each
+    read from the process's template of its shape."""
     built = []
     at_parameters = surfaces.at_parameters
 

@@ -248,9 +248,10 @@ class Fiber(reports.FrozenRecord):
     assert _unread_fields({"synthetic": ast.parse(source)}) == ["synthetic.Chart.table"]
 
 
-# (module, class, field) of the one field set past a frozen record's guard
-# outside the shared constructor: a value the spec derives from its fields
-DERIVED_FIELDS = {("modification", "ModificationSpec", "center_ideal")}
+# (module, class, field) of the fields set past a frozen record's guard
+# outside the shared constructor: values the record derives from its fields
+DERIVED_FIELDS = {("modification", "ModificationSpec", "center_ideal"),
+                  ("surfaces", "RealStructure", "involution")}
 
 
 class _SetattrCalls(ast.NodeVisitor):

@@ -332,8 +332,8 @@ def test_a_warm_rational_fiber_match_or_xy_chart_substitutes_no_ring_map(monkeyp
 @pytest.mark.parametrize("alpha", [Fraction(7, 3), "symbolic"])
 def test_a_wrong_identification_fails_the_fiber_match(monkeypatch, cold_templates, alpha):
     """A u image off by 1 in the map to the fiber fails the surface relations
-    and both round trips, read through the templates of the composites as
-    when built at a name.  Templates are kept per build function, so a
+    and both round trips, read through the templates of the composites at a
+    value as at a name.  Templates are kept per build function, so a
     patched definition reaches no composite compiled earlier in the process:
     the fixture clears them before the test and after it, so no later test
     reads a broken one."""

@@ -251,6 +251,20 @@ def test_sigma_is_an_involution():
         assert ideal.member(delta.num)
 
 
+@pytest.mark.parametrize("alpha", [Fraction(7, 3), "symbolic"])
+def test_sigma_report_reads_the_square_test_of_its_structure(monkeypatch, alpha):
+    # RealStructure decides rho.rho = id modulo the ideal, and keeps the
+    # outcome; def-3.1's involution claim reads it instead of testing again
+    agreed = []
+    agree = surfaces.agree_modulo
+    monkeypatch.setattr(surfaces, "agree_modulo", lambda *args: agreed.append(args) or agree(*args))
+    report = sigma_report(alpha)
+    assert claim_status(report, "involution") == "pass"
+    assert len(agreed) == 1
+    rho = swap_real_structure(make_surface(alpha))
+    assert rho.involution is True and "involution" not in repr(rho)
+
+
 def test_swap_structure_needs_diagonal_parameters():
     s = make_surface(2, 3)
     with pytest.raises(NotAntiInvolution):
@@ -453,8 +467,11 @@ TEMPLATE_PAIRS = _template_values()
 
 
 def _terms(obj):
-    """A Poly's terms, or a RatFunc's (numerator, denominator) terms."""
-    return (obj.num.terms, obj.den.terms) if isinstance(obj, RatFunc) else obj.terms
+    """A Poly's terms, or a RatFunc's (numerator, denominator) terms, each
+    as its list of items, so that dict order counts."""
+    if isinstance(obj, RatFunc):
+        return list(obj.num.terms.items()), list(obj.den.terms.items())
+    return list(obj.terms.items())
 
 
 def _read_equals_direct(build, table, *cooked):
@@ -467,24 +484,35 @@ def _read_equals_direct(build, table, *cooked):
     assert [_terms(f) for f in read] == [_terms(f) for f in direct], (build.__name__, cooked)
 
 
+# names and mixed pairs: a name is kept in the template of its shape, and
+# (b, a), (c, a) and (d, c) move the kept exponents onto the table's order
+NAMED_PAIRS = [("a", "b"), ("b", "a"), ("c", "a"), ("a", "a"), ("d", "c"), ("c", Fraction(3)),
+               (Fraction(3), "c")]
+FIBER_BASE = ("x", "y", "T2", "T3")
+
+
 def test_template_reads_equal_the_direct_constructions():
     assert len({v for pair in TEMPLATE_PAIRS for v in pair}) >= 30
     assert any(a == b for a, b in TEMPLATE_PAIRS)
-    surface = VarTable(surfaces.COORDS)
-    fiber = VarTable(("x", "y", "T2", "T3"))
-    for a, b in TEMPLATE_PAIRS:
-        # the composites against the maps built and substituted at the value,
-        # and the fibers against the generators specialized there
+    for a, b in TEMPLATE_PAIRS + NAMED_PAIRS:
+        # the composites against the maps built and substituted at the
+        # parameters, and the fibers against the generators specialized there
+        surface, _, _ = param_ring(surfaces.COORDS, a, b)
         for build in (surfaces.surface_generators, surfaces._uv_chart_images,
                       surfaces._xy_chart_images, surfaces._uv_chart_links,
                       surfaces._xy_chart_links):
             _read_equals_direct(build, surface, a, b)
+        surface, _, _ = param_ring(surfaces.COORDS, a)
+        fiber, _, _ = param_ring(FIBER_BASE, a)
         for build, table in ((modification._fiber_to_surface_images, surface),
                              (modification._surface_to_fiber_images, fiber),
                              (modification._fiber_composites, fiber),
                              (modification._surface_composites, surface),
                              (modification._chart_samples, surface)):
             _read_equals_direct(build, table, a)
+    # the fiber relations are built over a name only; a value reads them
+    for name in sorted({a for pair in NAMED_PAIRS for a in pair if isinstance(a, str)}):
+        _read_equals_direct(modification._fiber_relations, param_ring(FIBER_BASE, name)[0], name)
 
 
 def _record(monkeypatch, calls: list) -> None:
@@ -516,21 +544,28 @@ WARM_CHECKS = ("def-3.1", "rem-3.2", "lem-3.5", "prop-4.1", "prop-4.2", "sec-2-c
 SWAP_FAMILY = ("def-3.1", "rem-3.2", "prop-4.2", "sec-2-cocycle")
 
 
-def test_a_warm_rational_request_substitutes_specializes_and_compiles_nothing(monkeypatch):
-    # after one request of each kind, every composite of a substituting map
-    # that a rational claim reads comes from a template, read at the value,
-    # and the swaps relabel; only sec-2-cocycle's examples on the line, with
-    # no surface or parameter, substitute
+WARM_PAIRS = [(Fraction(-7, 3), Fraction(5, 2)), (Fraction(-1), Fraction(-1)),
+              (Fraction(1000, 999), Fraction(1000, 999)), ("symbolic", "symbolic"), ("c", "a"),
+              ("symbolic", 3), ("d", "d"), ("b", "c"), ("e", Fraction(-7, 3))]
+
+
+def test_a_warm_request_substitutes_specializes_and_compiles_nothing(monkeypatch):
+    # after one request of each kind and shape, every composite of a
+    # substituting map that a claim reads comes from a template, read at the
+    # values with the names kept, and the swaps relabel; only
+    # sec-2-cocycle's examples on the line, with no surface or parameter,
+    # substitute.  A name reads the template of its shape, so other names
+    # of the same shapes, (d, d), (b, c) and (e, -7/3), compile nothing.
     for check in WARM_CHECKS:
-        assert run_check(check, alpha=2, beta=3).passed
+        for alpha, beta in ((2, 3), ("symbolic", "symbolic"), ("c", "a"), ("symbolic", 3)):
+            assert run_check(check, alpha=alpha, beta=beta).passed
     calls = []
     _record(monkeypatch, calls)
     relabellings = {}
     for check in WARM_CHECKS:
         start = len(calls)
-        for alpha, beta in ((Fraction(-7, 3), Fraction(5, 2)), (Fraction(-1), Fraction(-1)),
-                            (Fraction(1000, 999), Fraction(1000, 999))):
-            assert run_check(check, alpha=alpha, beta=beta).passed, check
+        for alpha, beta in WARM_PAIRS:
+            assert run_check(check, alpha=alpha, beta=beta).passed, (check, alpha, beta)
         relabellings[check] = calls[start:].count("_relabelled")
     assert [c for c in calls if c != "_relabelled"] == []
     assert all(relabellings[check] for check in SWAP_FAMILY), relabellings
@@ -643,7 +678,7 @@ def test_a_swap_of_x_and_u_alone_relabels_and_fails_the_swap_claims(monkeypatch,
 def test_a_wrong_xy_chart_image_fails_its_generators_at_a_value(monkeypatch, cold_templates,
                                                                 alpha, beta):
     """A v image off by 1 leaves g1 vanishing under the xy chart, but not g2 or
-    g3, read through the template of the composites as when built at a
+    g3, read through the template of the composites at a value as at a
     name.  Templates are kept per build function, so a patched definition
     reaches no composite compiled earlier in the process: the fixture clears
     them before the test and after it, so no later test reads a broken one."""
@@ -669,17 +704,21 @@ def test_a_numerator_that_vanishes_at_a_value_reads_as_zero_over_one():
     assert str(read["v"]) == "x"  # the common monomial u of x*u/u is divided out
 
 
-def test_a_symbolic_parameter_builds_directly():
+def test_a_name_reads_the_template_of_its_shape():
     calls = []
 
     def build(table, alpha, beta):
         calls.append((alpha, beta))
         return surfaces.surface_generators(table, alpha, beta)
 
-    table, _, _ = param_ring(surfaces.COORDS, "a", Fraction(3))
-    surfaces.at_parameters(build, table, "a", Fraction(3))
-    surfaces.at_parameters(build, table, "a", Fraction(3))
-    assert calls == [("a", Fraction(3))] * 2
+    # a name is kept and a value read: (a, 3) and (c, 5) read the template
+    # built once at (a, b), and (c, c) and (d, d) the one built at (a, a)
+    for cooked in (("a", Fraction(3)), ("a", Fraction(3)), ("c", Fraction(5)), ("c", "c"),
+                   ("d", "d")):
+        table, _, _ = param_ring(surfaces.COORDS, *cooked)
+        assert surfaces.at_parameters(build, table, *cooked) == surfaces.surface_generators(
+            table, *cooked)
+    assert calls == [("a", "b"), ("a", "a")]
     # rational values build the template once, over the names a and b
     for value in (2, 5, 7):
         surfaces.at_parameters(build, VarTable(surfaces.COORDS), Fraction(value), Fraction(3))
@@ -695,10 +734,11 @@ def test_a_template_denominator_may_not_involve_a_parameter(denominator):
     table = VarTable(surfaces.COORDS)
     with pytest.raises(ValueError, match="involves a parameter"):
         surfaces.at_parameters(build, table, Fraction(2), Fraction(3))
-    # a symbolic pair builds directly, so nothing is refused
-    symbolic, _, _ = param_ring(surfaces.COORDS, "a", "b")
-    assert surfaces.at_parameters(build, symbolic, "a", "b")["y"].den == parse_poly(
-        denominator, symbolic)
+    # a name reads the template of its shape, so it is refused as well
+    for cooked in (("a", "b"), ("c", Fraction(3)), (Fraction(2), "c")):
+        symbolic, _, _ = param_ring(surfaces.COORDS, *cooked)
+        with pytest.raises(ValueError, match="involves a parameter"):
+            surfaces.at_parameters(build, symbolic, *cooked)
 
 
 def test_no_template_is_built_at_import():
